@@ -1,6 +1,5 @@
-//! Machine-readable serving benchmarks: the event-loop transport versus
-//! the blocking thread-per-connection transport under an open-loop load,
-//! emitted as `BENCH_serve.json`.
+//! Machine-readable serving benchmarks: the event-loop server under an
+//! open-loop load over a connection ladder, emitted as `BENCH_serve.json`.
 //!
 //! ```text
 //! bench_serve                    # full profile, writes BENCH_serve.json
@@ -9,23 +8,21 @@
 //! bench_serve --gate NAME:MIN    # exit 1 if derived NAME < MIN (repeatable)
 //! ```
 //!
-//! Each run spawns an in-process server (event or blocking transport, same
-//! worker count) and drives it with `et_serve::loadgen`: C connections,
-//! each holding one live session and offering a fixed per-connection round
-//! rate on a fixed-increment virtual schedule. The workload is the
-//! signaling-game shape — long-lived, mostly-idle annotation dialogues —
-//! where the blocking server's throughput is capped by its worker count
-//! (it can only converse with `workers` clients at once) while the event
-//! server converses with all C. The headline derived ratio,
-//! `event_loop_vs_blocking_throughput_speedup`, compares completed-round
-//! throughput at the largest connection count; p99/p999 submit latency is
-//! reported per run from the same log₂-µs histograms the server uses
-//! internally.
+//! Each run spawns a fresh in-process server and drives it with
+//! `et_serve::loadgen`: C connections, each holding one live session and
+//! offering a fixed per-connection round rate on a fixed-increment virtual
+//! schedule. The workload is the signaling-game shape — long-lived,
+//! mostly-idle annotation dialogues — so the server must converse with all
+//! C at once on a handful of workers. The derived
+//! `event_offered_load_completion` is the fraction of the offered rounds
+//! completed at the largest connection count (an absolute measure: 1.0
+//! means the server kept up); p99/p999 submit latency is reported per run
+//! from the same log₂-µs histograms the server uses internally.
 
-use std::io::Write as _;
 use std::time::Duration;
 
-use et_serve::{run_load, spawn, CreateSessionSpec, LoadConfig, ServeMode, ServerConfig};
+use et_serve::loadgen::OpStats;
+use et_serve::{run_in_process, InProcessLoad, Json, LoadReport};
 
 struct Cli {
     quick: bool,
@@ -71,147 +68,83 @@ fn fail(what: &str, e: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-/// One measured server-under-load run.
-struct RunResult {
-    transport: &'static str,
-    connections: usize,
-    offered_rps: f64,
-    report: et_serve::LoadReport,
+/// Offered rounds per second across all connections.
+fn offered_rps(r: &LoadReport) -> f64 {
+    r.connections as f64 * r.rate_per_conn
 }
 
-/// Spawns a fresh in-process server in `mode`, offers `connections` ×
-/// `rate` rounds/s for `window`, and tears the server down.
-fn run_one(
-    mode: ServeMode,
-    transport: &'static str,
-    connections: usize,
-    workers: usize,
-    rate: f64,
-    window: Duration,
-    rows: usize,
-) -> RunResult {
-    let mut cfg = ServerConfig {
-        workers,
-        mode,
-        ..ServerConfig::default()
-    };
-    cfg.store.capacity = connections + 8;
-    cfg.store.base_seed = 2;
-    let handle = match spawn(cfg) {
-        Ok(h) => h,
-        Err(e) => fail("spawn server", e),
-    };
-    // Sessions must not exhaust their iteration budget mid-window.
-    let iterations = (rate * window.as_secs_f64()).ceil() as usize + 16;
-    let load = LoadConfig {
-        addr: handle.addr().to_string(),
-        connections,
-        rate,
-        window,
-        grace: Duration::from_secs(1),
-        spec: CreateSessionSpec {
-            rows,
-            iterations,
-            ..CreateSessionSpec::default()
-        },
-    };
-    eprintln!("  {transport} x {connections} conns ({workers} workers, {rate} rounds/s/conn)...");
-    let report = match run_load(&load) {
+/// Offers `load.connections` × `load.rate` rounds/s to a fresh in-process
+/// server for `load.window`.
+fn run_one(load: &InProcessLoad) -> LoadReport {
+    eprintln!(
+        "  {} conns ({} workers, {} rounds/s/conn)...",
+        load.connections, load.workers, load.rate
+    );
+    let report = match run_in_process(load) {
         Ok(r) => r,
         Err(e) => fail("load run", e),
     };
-    handle.shutdown();
-    handle.wait();
     eprintln!(
         "    {:.1} rounds/s completed of {:.1} offered; {}/{} conns served; \
          submit p99 {:.3}ms",
         report.throughput_rps,
-        connections as f64 * rate,
+        offered_rps(&report),
         report.conns_served,
-        connections,
+        report.connections,
         report.submit.p99_ms,
     );
-    RunResult {
-        transport,
-        connections,
-        offered_rps: connections as f64 * rate,
-        report,
-    }
+    report
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Whether a derived entry counts as a regression: every `*_speedup`
-/// ratio is "event path over blocking path", so below 1.0 means the
-/// event loop lost to thread-per-connection and the JSON says so.
-fn is_regressed(name: &str, value: f64) -> bool {
-    name.ends_with("_speedup") && value < 1.0
-}
-
-fn op_json(s: &et_serve::loadgen::OpStats) -> String {
-    format!(
-        "{{\"p50\": {:.3}, \"p99\": {:.3}, \"p999\": {:.3}, \"samples\": {}}}",
-        s.p50_ms, s.p99_ms, s.p999_ms, s.samples
-    )
+fn op_json(s: &OpStats) -> Json {
+    Json::obj(vec![
+        ("p50", Json::Num(s.p50_ms)),
+        ("p99", Json::Num(s.p99_ms)),
+        ("p999", Json::Num(s.p999_ms)),
+        ("samples", Json::Num(s.samples as f64)),
+    ])
 }
 
 fn emit_json(
     cli: &Cli,
-    workers: usize,
-    rate: f64,
-    window: Duration,
-    rows: usize,
-    runs: &[RunResult],
+    template: &InProcessLoad,
+    runs: &[LoadReport],
     derived: &[(&str, f64)],
-) -> String {
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"schema\": \"et-bench/serve-v1\",\n");
-    j.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if cli.quick { "quick" } else { "full" }
-    ));
-    j.push_str(&format!(
-        "  \"workload\": {{\"workers\": {workers}, \"rate_per_conn\": {rate}, \
-         \"window_secs\": {}, \"rows\": {rows}, \"open_loop\": true}},\n",
-        window.as_secs_f64()
-    ));
-    j.push_str("  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        j.push_str(&format!(
-            "    {{\"transport\": \"{}\", \"connections\": {}, \"offered_rps\": {:.1}, \
-             \"throughput_rps\": {:.1}, \"rounds_completed\": {}, \"conns_served\": {}, \
-             \"next_pairs_ms\": {}, \"submit_ms\": {}}}{}\n",
-            r.transport,
-            r.connections,
-            r.offered_rps,
-            r.report.throughput_rps,
-            r.report.rounds_completed,
-            r.report.conns_served,
-            op_json(&r.report.next_pairs),
-            op_json(&r.report.submit),
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    j.push_str("  ],\n");
-    j.push_str("  \"derived\": {\n");
-    for (i, (name, v)) in derived.iter().enumerate() {
-        j.push_str(&format!(
-            "    \"{}\": {{\"value\": {:.3}{}}}{}\n",
-            json_escape(name),
-            v,
-            if is_regressed(name, *v) {
-                ", \"regressed\": true"
-            } else {
-                ""
-            },
-            if i + 1 < derived.len() { "," } else { "" }
-        ));
-    }
-    j.push_str("  }\n}\n");
-    j
+) -> Json {
+    let runs = runs
+        .iter()
+        .map(|r| {
+            Json::obj(vec![
+                ("connections", Json::Num(r.connections as f64)),
+                ("offered_rps", Json::Num(offered_rps(r))),
+                ("throughput_rps", Json::Num(r.throughput_rps)),
+                ("rounds_completed", Json::Num(r.rounds_completed as f64)),
+                ("conns_served", Json::Num(r.conns_served as f64)),
+                ("next_pairs_ms", op_json(&r.next_pairs)),
+                ("submit_ms", op_json(&r.submit)),
+            ])
+        })
+        .collect();
+    let derived = derived
+        .iter()
+        .map(|(name, v)| (name.to_string(), Json::obj(vec![("value", Json::Num(*v))])))
+        .collect();
+    Json::obj(vec![
+        ("schema", Json::str("et-bench/serve-v2")),
+        ("mode", Json::str(if cli.quick { "quick" } else { "full" })),
+        (
+            "workload",
+            Json::obj(vec![
+                ("workers", Json::Num(template.workers as f64)),
+                ("rate_per_conn", Json::Num(template.rate)),
+                ("window_secs", Json::Num(template.window.as_secs_f64())),
+                ("rows", Json::Num(template.rows as f64)),
+                ("open_loop", Json::Bool(true)),
+            ]),
+        ),
+        ("runs", Json::Arr(runs)),
+        ("derived", Json::Obj(derived)),
+    ])
 }
 
 fn main() {
@@ -222,91 +155,54 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // Equal worker count across transports is the point of the comparison:
-    // the blocking server's concurrency cap IS its worker pool, while the
-    // event server's workers only bound concurrent CPU-bound dispatches.
-    let workers = 4;
-    let rows = 40;
-    let rate = 1.0;
-    let (conn_ladder, top, window) = if cli.quick {
-        (vec![32usize], 128usize, Duration::from_secs(2))
+    let (ladder, window) = if cli.quick {
+        (vec![32usize, 128], Duration::from_secs(2))
     } else {
-        (vec![64usize, 256], 512usize, Duration::from_secs(5))
+        (vec![64usize, 256, 512], Duration::from_secs(5))
+    };
+    // Every rung shares this workload; only `connections` varies.
+    let template = InProcessLoad {
+        connections: 0,
+        rate: 1.0,
+        window,
+        workers: 4,
+        rows: 40,
+        base_seed: 2,
     };
 
     eprintln!(
-        "bench_serve: open-loop load, {workers} workers, {rate} rounds/s/conn, \
-         {}s window, rows {rows}",
-        window.as_secs_f64()
+        "bench_serve: open-loop load, {} workers, {} rounds/s/conn, {}s window, rows {}",
+        template.workers,
+        template.rate,
+        window.as_secs_f64(),
+        template.rows
     );
-    let mut runs: Vec<RunResult> = Vec::new();
-    // Connections-vs-throughput family for the event transport.
-    for &c in &conn_ladder {
-        runs.push(run_one(
-            ServeMode::Event,
-            "event",
-            c,
-            workers,
-            rate,
-            window,
-            rows,
+    let runs: Vec<LoadReport> = ladder
+        .iter()
+        .map(|&connections| {
+            run_one(&InProcessLoad {
+                connections,
+                ..template.clone()
+            })
+        })
+        .collect();
+
+    // The top rung carries the derived values.
+    let mut derived: Vec<(&str, f64)> = Vec::new();
+    if let Some(top) = runs.last() {
+        derived.push(("event_p99_submit_ms", top.submit.p99_ms));
+        derived.push((
+            "event_offered_load_completion",
+            top.throughput_rps / offered_rps(top),
         ));
     }
-    // The head-to-head at the top connection count, both transports.
-    runs.push(run_one(
-        ServeMode::Event,
-        "event",
-        top,
-        workers,
-        rate,
-        window,
-        rows,
-    ));
-    runs.push(run_one(
-        ServeMode::Blocking,
-        "blocking",
-        top,
-        workers,
-        rate,
-        window,
-        rows,
-    ));
 
-    let find = |transport: &str, conns: usize| {
-        runs.iter()
-            .find(|r| r.transport == transport && r.connections == conns)
-    };
-    let mut derived: Vec<(&str, f64)> = Vec::new();
-    if let (Some(ev), Some(bl)) = (find("event", top), find("blocking", top)) {
-        if bl.report.throughput_rps > 0.0 {
-            derived.push((
-                "event_loop_vs_blocking_throughput_speedup",
-                ev.report.throughput_rps / bl.report.throughput_rps,
-            ));
-        }
-        derived.push(("event_p99_submit_ms", ev.report.submit.p99_ms));
-        derived.push(("blocking_p99_submit_ms", bl.report.submit.p99_ms));
-        // Fraction of the offered load the event transport completed at
-        // the top connection count (1.0 = kept up perfectly).
-        if ev.offered_rps > 0.0 {
-            derived.push((
-                "event_offered_load_completion",
-                ev.report.throughput_rps / ev.offered_rps,
-            ));
-        }
-    }
-
-    let json = emit_json(&cli, workers, rate, window, rows, &runs, &derived);
-    let write = std::fs::File::create(&cli.out).and_then(|mut fh| fh.write_all(json.as_bytes()));
-    match write {
+    let mut json = emit_json(&cli, &template, &runs, &derived).encode();
+    json.push('\n');
+    match std::fs::write(&cli.out, json) {
         Ok(()) => {
             for (name, v) in &derived {
-                let flag = if is_regressed(name, *v) {
-                    "  (regressed)"
-                } else {
-                    ""
-                };
-                eprintln!("  {name}: {v:.3}{flag}");
+                eprintln!("  {name}: {v:.3}");
             }
             println!("wrote {}", cli.out);
         }

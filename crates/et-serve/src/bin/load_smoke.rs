@@ -15,15 +15,14 @@
 //! ```
 //!
 //! With `--connections N` it switches to **load-generator mode**: an
-//! in-process server (event transport by default, `--blocking` for the
-//! thread-per-connection fallback) driven by the open-loop engine in
+//! in-process server driven by the open-loop engine in
 //! `et_serve::loadgen` — N concurrent connections offering `--rate`
 //! rounds/s each over a `--window`-second measurement window, reporting
 //! throughput and per-op p50/p99/p999 latencies:
 //!
 //! ```text
 //! load_smoke --connections N [--rate R] [--window SECS] [--workers N]
-//!            [--blocking] [--rows N] [--seed N] [--json]
+//!            [--rows N] [--seed N] [--json]
 //! ```
 
 use std::path::PathBuf;
@@ -33,7 +32,7 @@ use std::time::{Duration, Instant};
 use et_core::StrategyKind;
 use et_durable::FsyncPolicy;
 use et_serve::{
-    run_load, spawn, Client, CreateSessionSpec, Json, LoadConfig, ServeMode, ServerConfig,
+    run_in_process, spawn, Client, CreateSessionSpec, InProcessLoad, Json, ServerConfig,
 };
 
 struct Options {
@@ -49,7 +48,6 @@ struct Options {
     rate: f64,
     window_secs: u64,
     workers: usize,
-    blocking: bool,
 }
 
 impl Default for Options {
@@ -66,7 +64,6 @@ impl Default for Options {
             rate: 2.0,
             window_secs: 5,
             workers: 4,
-            blocking: false,
         }
     }
 }
@@ -78,11 +75,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         let flag = args[i].as_str();
         if flag == "--json" {
             opts.json = true;
-            i += 1;
-            continue;
-        }
-        if flag == "--blocking" {
-            opts.blocking = true;
             i += 1;
             continue;
         }
@@ -188,59 +180,25 @@ fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
 
 /// Load-generator mode: in-process server + the open-loop engine.
 fn run_loadgen(opts: &Options, connections: usize) -> ExitCode {
-    let mut cfg = ServerConfig {
-        workers: opts.workers.max(1),
-        mode: if opts.blocking {
-            ServeMode::Blocking
-        } else {
-            ServeMode::Event
-        },
-        ..ServerConfig::default()
-    };
-    cfg.store.capacity = connections + 8;
-    cfg.store.base_seed = opts.seed;
-    let window = Duration::from_secs(opts.window_secs.max(1));
-    let handle = match spawn(cfg) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("load_smoke: bind failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Size sessions so they cannot run out of iterations mid-window.
-    let iterations = (opts.rate * window.as_secs_f64()).ceil() as usize + 16;
-    let load = LoadConfig {
-        addr: handle.addr().to_string(),
+    let load = InProcessLoad {
         connections,
         rate: opts.rate,
-        window,
-        grace: Duration::from_secs(1),
-        spec: CreateSessionSpec {
-            rows: opts.rows,
-            iterations,
-            ..CreateSessionSpec::default()
-        },
+        window: Duration::from_secs(opts.window_secs.max(1)),
+        workers: opts.workers.max(1),
+        rows: opts.rows,
+        base_seed: opts.seed,
     };
     eprintln!(
-        "offering {} conns x {} rounds/s for {}s against {} ({} transport, {} workers)",
-        connections,
-        opts.rate,
-        opts.window_secs,
-        load.addr,
-        if opts.blocking { "blocking" } else { "event" },
-        opts.workers.max(1),
+        "offering {} conns x {} rounds/s for {}s to an in-process server ({} workers)",
+        connections, opts.rate, opts.window_secs, load.workers,
     );
-    let report = match run_load(&load) {
+    let report = match run_in_process(&load) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("load_smoke: load run failed: {e}");
-            handle.shutdown();
-            handle.wait();
             return ExitCode::FAILURE;
         }
     };
-    handle.shutdown();
-    handle.wait();
 
     let line = format!(
         "throughput {:.1} rounds/s ({} rounds, {}/{} conns served); \
@@ -273,11 +231,7 @@ fn run_loadgen(opts: &Options, connections: usize) -> ExitCode {
             ("connections".to_string(), Json::Num(connections as f64)),
             ("rate_per_conn".to_string(), Json::Num(report.rate_per_conn)),
             ("window_secs".to_string(), Json::Num(report.window_secs)),
-            (
-                "transport".to_string(),
-                Json::Str(if opts.blocking { "blocking" } else { "event" }.to_string()),
-            ),
-            ("workers".to_string(), Json::Num(opts.workers.max(1) as f64)),
+            ("workers".to_string(), Json::Num(load.workers as f64)),
             (
                 "rounds_completed".to_string(),
                 Json::Num(report.rounds_completed as f64),
@@ -297,8 +251,8 @@ fn run_loadgen(opts: &Options, connections: usize) -> ExitCode {
     } else {
         println!("{line}");
     }
-    // The run is meaningful as long as someone was served; comparative
-    // judgements (event vs blocking) belong to bench_serve.
+    // The run is meaningful as long as someone was served; gates on the
+    // numbers belong to bench_serve.
     if report.rounds_completed == 0 {
         eprintln!("load_smoke: no rounds completed");
         return ExitCode::FAILURE;
@@ -316,7 +270,7 @@ fn main() -> ExitCode {
                 "usage: load_smoke [--sessions N] [--iterations N] [--rows N] [--seed N] \
                  [--data-dir PATH] [--fsync always|never] [--json] \
                  | load_smoke --connections N [--rate R] [--window SECS] \
-                 [--workers N] [--blocking] [--rows N] [--seed N] [--json]"
+                 [--workers N] [--rows N] [--seed N] [--json]"
             );
             return ExitCode::FAILURE;
         }

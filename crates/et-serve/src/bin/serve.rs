@@ -5,16 +5,14 @@
 //! serve [--addr HOST:PORT] [--workers N] [--capacity N]
 //!       [--idle-timeout-secs N] [--seed N]
 //!       [--data-dir PATH] [--fsync always|never] [--snapshot-every N]
-//!       [--blocking] [--shards N] [--conn-idle-timeout-secs N]
-//!       [--max-line-bytes N]
+//!       [--shards N] [--conn-idle-timeout-secs N] [--max-line-bytes N]
 //! ```
 //!
 //! With `--data-dir`, sessions are journaled (write-ahead label log plus
 //! periodic snapshots) and recovered on start; without it the store is
 //! purely in-memory, exactly as before.
 //!
-//! The transport defaults to the readiness-based event loop; `--blocking`
-//! selects the portable thread-per-connection path.
+//! The transport is the readiness-based event loop (Linux epoll).
 //! `--conn-idle-timeout-secs` bounds how long a connection may go without
 //! completing a request line (slow-loris defense; 0 disables it).
 
@@ -22,18 +20,13 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use et_durable::FsyncPolicy;
-use et_serve::{spawn, ServeMode, ServerConfig};
+use et_serve::{spawn, ServerConfig};
 
 fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
     let mut cfg = ServerConfig::default();
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
-        if flag == "--blocking" {
-            cfg.mode = ServeMode::Blocking;
-            i += 1;
-            continue;
-        }
         let value = args
             .get(i + 1)
             .ok_or_else(|| format!("{flag} requires a value"))?;
@@ -105,8 +98,7 @@ fn main() -> ExitCode {
                 "usage: serve [--addr HOST:PORT] [--workers N] [--capacity N] \
                  [--idle-timeout-secs N] [--seed N] \
                  [--data-dir PATH] [--fsync always|never] [--snapshot-every N] \
-                 [--blocking] [--shards N] [--conn-idle-timeout-secs N] \
-                 [--max-line-bytes N]"
+                 [--shards N] [--conn-idle-timeout-secs N] [--max-line-bytes N]"
             );
             return ExitCode::FAILURE;
         }

@@ -1,4 +1,4 @@
-//! Per-connection state for the event-driven transport: newline framing
+//! Per-connection state for the server's event loop: newline framing
 //! over non-blocking reads, a buffered write side, and the bookkeeping the
 //! shard loop needs (token, in-flight request, activity clock).
 //!
@@ -27,9 +27,8 @@ pub enum FramingError {
 
 /// Accumulates raw bytes and yields complete newline-terminated lines.
 ///
-/// Framing is byte-exact: a line is everything up to `\n` (an optional
-/// trailing `\r` is stripped, matching the blocking transport's
-/// `BufRead::read_line` + trim behaviour). Once oversized, the framer is
+/// Framing is byte-exact: a line is everything up to `\n`, with an
+/// optional trailing `\r` stripped. Once oversized, the framer is
 /// poisoned — the connection must be torn down after the typed
 /// `protocol_error` reply is flushed.
 pub struct LineFramer {
@@ -139,8 +138,7 @@ pub struct Conn {
     /// Close the connection once `out` fully flushes.
     pub close_after_flush: bool,
     /// Peer half-closed (EOF seen); close once buffered requests are
-    /// answered and flushed, matching the blocking transport's
-    /// drain-then-close behaviour.
+    /// answered and flushed (drain-then-close).
     pub eof: bool,
     /// Advanced only when a *complete* request line arrives — dribbling
     /// bytes without a newline does not count as activity, so slow-loris

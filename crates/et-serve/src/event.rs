@@ -1,14 +1,13 @@
-//! Readiness primitives for the event-driven transport: a hand-rolled
+//! Readiness primitives for the server's event loop: a hand-rolled
 //! `epoll` wrapper, an `eventfd` waker, `SO_REUSEPORT` listener sharding,
 //! and a coarse timer wheel for idle/slow-loris connection timeouts.
 //!
 //! The repo's no-deps discipline rules out `mio`/`libc`; instead this
 //! module declares the handful of C symbols it needs directly (std already
 //! links libc on Linux, so they resolve at link time) and owns every file
-//! descriptor through [`std::os::fd::OwnedFd`]. Only Linux is supported:
-//! on other targets the module is a loud compile-time error — the blocking
-//! transport (`--blocking`) is the portable path and the only thing a
-//! non-Linux port needs to keep working.
+//! descriptor through [`std::os::fd::OwnedFd`]. The event loop is
+//! et-serve's only transport, so et-serve is Linux-only: on other targets
+//! this module is a loud compile-time error.
 //!
 //! Nothing in here touches session logic; see DESIGN.md §16 for how the
 //! transport, routing, and domain layers stack.
@@ -17,7 +16,7 @@
 compile_error!(
     "et-serve's readiness-based event loop is built on Linux epoll. \
      Port hint: add a kqueue implementation of `Poller`/`Waker` behind \
-     `#[cfg(target_os = \"macos\")]`, or build only the blocking transport."
+     `#[cfg(target_os = \"macos\")]`."
 );
 
 use std::ffi::{c_int, c_void};

@@ -21,18 +21,21 @@
 //!   idle-timeout eviction.
 //! * [`event`] — the std-only readiness machinery: an epoll FFI shim,
 //!   eventfd waker, `SO_REUSEPORT` listener fan-out, and a timer wheel.
-//! * [`conn`] — per-connection state for the event transport: newline
+//! * [`conn`] — per-connection state for the event loop: newline
 //!   framing over non-blocking reads and a buffered write side.
-//! * [`server`] — both transports (readiness event loop with sharded
-//!   acceptors, or `--blocking` thread-per-connection), the worker
-//!   pool, and graceful shutdown.
+//! * [`server`] — the readiness event loop with sharded acceptors, the
+//!   worker pool, and graceful shutdown.
 //! * [`client`] — a small blocking client used by the example, the
 //!   load-smoke binary, and the integration tests.
 //! * [`loadgen`] — an open-loop load generator over the same poller,
 //!   feeding `load_smoke --connections` and the `bench_serve` harness.
 //!
+//! The crate is Linux-only and has one transport: the epoll event loop.
+//! There is no portable fallback; porting means giving [`event`] a
+//! kqueue (or similar) backend.
+//!
 //! Protocol grammar and the session state machine are documented in
-//! DESIGN.md §9; the event transport in DESIGN.md §16.
+//! DESIGN.md §9; the event loop in DESIGN.md §16.
 
 pub mod client;
 pub mod conn;
@@ -49,9 +52,9 @@ pub use client::{Client, ClientError, DriveOutcome};
 pub use conn::{LineFramer, DEFAULT_MAX_LINE_BYTES};
 pub use durability::{read_meta, session_dir_name, write_meta, SessionMeta};
 pub use json::{Json, JsonError};
-pub use loadgen::{run_load, LoadConfig, LoadReport};
+pub use loadgen::{run_in_process, run_load, InProcessLoad, LoadConfig, LoadReport};
 pub use protocol::{ErrorCode, Request, Response, WirePair};
-pub use server::{spawn, ServeMode, ServerConfig, ServerHandle};
+pub use server::{spawn, ServerConfig, ServerHandle};
 pub use spec::{build_parts, derive_seed, run_batch, CreateSessionSpec, SessionParts};
 pub use store::{
     LatencyHistogram, LatencySummary, RecoveryReport, SessionStore, StoreConfig, StoreError,

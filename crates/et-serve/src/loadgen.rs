@@ -28,6 +28,7 @@ use crate::conn::{Conn, ReadOutcome};
 use crate::event::{Event, Poller};
 use crate::json::Json;
 use crate::protocol::Request;
+use crate::server::{spawn, ServerConfig};
 use crate::spec::CreateSessionSpec;
 use crate::store::LatencyHistogram;
 
@@ -97,9 +98,7 @@ pub struct LoadReport {
     pub rounds_completed: u64,
     /// `rounds_completed / window_secs`.
     pub throughput_rps: f64,
-    /// Connections that completed at least one round — a thread-per-
-    /// connection server with fewer workers than connections serves only
-    /// this many.
+    /// Connections that completed at least one round.
     pub conns_served: usize,
     /// `next_pairs` latency, measured from each round's virtual due time.
     pub next_pairs: OpStats,
@@ -267,6 +266,56 @@ pub fn run_load(cfg: &LoadConfig) -> io::Result<LoadReport> {
         next_pairs: op_stats(&next_hist),
         submit: op_stats(&submit_hist),
     })
+}
+
+/// A load run against a fresh in-process server.
+#[derive(Debug, Clone)]
+pub struct InProcessLoad {
+    /// Concurrent connections, each holding one session.
+    pub connections: usize,
+    /// Offered rounds per second **per connection**.
+    pub rate: f64,
+    /// Measurement window.
+    pub window: Duration,
+    /// Server worker threads.
+    pub workers: usize,
+    /// Rows per session table.
+    pub rows: usize,
+    /// Server base seed (per-session seeds derive from it).
+    pub base_seed: u64,
+}
+
+/// Spawns a server sized for the run (store capacity `connections + 8`),
+/// drives it with [`run_load`], then shuts it down and waits for it.
+///
+/// # Errors
+/// Server bind/setup failures and [`run_load`] setup failures.
+pub fn run_in_process(cfg: &InProcessLoad) -> io::Result<LoadReport> {
+    let mut server = ServerConfig {
+        workers: cfg.workers,
+        ..ServerConfig::default()
+    };
+    server.store.capacity = cfg.connections + 8;
+    server.store.base_seed = cfg.base_seed;
+    let handle = spawn(server)?;
+    // Size sessions so they cannot run out of iterations mid-window.
+    let iterations = (cfg.rate * cfg.window.as_secs_f64()).ceil() as usize + 16;
+    let load = LoadConfig {
+        addr: handle.addr().to_string(),
+        connections: cfg.connections,
+        rate: cfg.rate,
+        window: cfg.window,
+        grace: Duration::from_secs(1),
+        spec: CreateSessionSpec {
+            rows: cfg.rows,
+            iterations,
+            ..CreateSessionSpec::default()
+        },
+    };
+    let report = run_load(&load);
+    handle.shutdown();
+    handle.wait();
+    report
 }
 
 fn u32_of(i: usize) -> u32 {

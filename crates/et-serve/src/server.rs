@@ -1,31 +1,26 @@
-//! The TCP server. Two transports share one routing/domain layer:
+//! The TCP server: one readiness-based transport (Linux epoll) over one
+//! routing/domain layer.
 //!
-//! * **Event** (default, Linux): readiness-based shards. Each shard owns an
-//!   epoll instance, an eventfd waker, a timer wheel, and a set of
-//!   non-blocking connections with per-connection read/write buffers
-//!   (`conn.rs`). Accepting is sharded via `SO_REUSEPORT` listeners — one
-//!   per shard, kernel-balanced — with a single-acceptor fallback that
-//!   distributes accepted streams to shards by fd hash. CPU work (session
-//!   step logic) is dispatched to a fixed worker pool over a job channel;
-//!   replies come back over per-shard completion queues plus a waker edge.
-//!   A shard keeps at most **one request in flight per connection**, so
-//!   per-session ordering is enforced at the completion queue and event
-//!   arrival order never reaches session logic (DESIGN.md §16).
-//! * **Blocking** (`--blocking`): the portable thread-per-connection path.
-//!   One worker handles a connection start-to-finish with fully blocking
-//!   reads; shutdown interrupts those reads by `shutdown(2)`-ing every
-//!   registered socket — there is no stop-flag polling in either
-//!   transport.
+//! Each shard owns an epoll instance, an eventfd waker, a timer wheel, and
+//! a set of non-blocking connections with per-connection read/write
+//! buffers (`conn.rs`). Accepting is sharded via `SO_REUSEPORT` listeners —
+//! one per shard, kernel-balanced — with a single-acceptor fallback that
+//! distributes accepted streams to shards by fd hash; the fallback serves
+//! every bind `reuseport_listeners` refuses, IPv6 addresses included. CPU
+//! work (session step logic) is dispatched to a fixed worker pool over a
+//! job channel; replies come back over per-shard completion queues plus a
+//! waker edge. A shard keeps at most **one request in flight per
+//! connection**, so per-session ordering is enforced at the completion
+//! queue and event arrival order never reaches session logic (DESIGN.md
+//! §16). Shutdown wakes every parked thread; nothing polls a stop flag.
 //!
-//! Worker count bounds concurrent *CPU-bound requests* in event mode (and
-//! concurrent clients in blocking mode); concurrent *sessions* are bounded
-//! separately by the store capacity.
+//! Worker count bounds concurrent *CPU-bound requests*; concurrent
+//! *sessions* are bounded separately by the store capacity.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -37,15 +32,6 @@ use crate::conn::{Conn, FramingError, ReadOutcome, DEFAULT_MAX_LINE_BYTES};
 use crate::event::{reuseport_listeners, Event, Poller, TimerWheel, Waker};
 use crate::protocol::{ErrorCode, Request, Response, WirePair};
 use crate::store::{RecoveryReport, SessionStore, StoreConfig, StoreError};
-
-/// Which transport carries the wire protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// Readiness-based event loop (epoll); the default.
-    Event,
-    /// Thread-per-connection with blocking IO; the portable fallback.
-    Blocking,
-}
 
 /// Shard-local token of the shard's own listener.
 const LISTENER_TOKEN: u64 = 0;
@@ -61,15 +47,13 @@ const FIRST_CONN_TOKEN: u64 = 2;
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads (event mode: max concurrent CPU-bound requests;
-    /// blocking mode: max concurrent client connections).
+    /// Worker threads: the maximum number of concurrent CPU-bound
+    /// requests.
     pub workers: usize,
     /// Session-store limits and seeding.
     pub store: StoreConfig,
-    /// Transport selection.
-    pub mode: ServeMode,
     /// Event shards (each owns an epoll instance and, where
-    /// `SO_REUSEPORT` binds, its own listener). Ignored in blocking mode.
+    /// `SO_REUSEPORT` binds, its own listener).
     pub shards: usize,
     /// Drop a connection that completes no request line for this long.
     /// Dribbled bytes without a newline do **not** refresh the clock, so
@@ -86,7 +70,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
             store: StoreConfig::default(),
-            mode: ServeMode::Event,
             shards: 2,
             conn_idle_timeout: Duration::from_secs(300),
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
@@ -119,9 +102,9 @@ impl ServerHandle {
     }
 
     /// Raises the stop flag and wakes every transport thread (eventfd per
-    /// shard in event mode; socket shutdown per connection in blocking
-    /// mode), so shutdown latency is bounded by one loop iteration rather
-    /// than a poll interval. Idempotent; returns immediately — pair with
+    /// shard, a self-connect for the fallback acceptor), so shutdown
+    /// latency is bounded by one loop iteration rather than a poll
+    /// interval. Idempotent; returns immediately — pair with
     /// [`ServerHandle::wait`].
     pub fn shutdown(&self) {
         self.ctl.begin_shutdown();
@@ -198,84 +181,28 @@ fn lock_or_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     }
 }
 
-/// Transport-specific shutdown plumbing.
-enum Transport {
-    /// Wake every shard; poke the acceptor thread if one exists.
-    Event {
-        shards: Vec<Arc<ShardMailbox>>,
-        poke_acceptor: bool,
-    },
-    /// Poke the acceptor and `shutdown(2)` every live connection so
-    /// blocking reads return immediately.
-    Blocking {
-        conns: Mutex<HashMap<u64, TcpStream>>,
-        next_id: AtomicU64,
-    },
-}
-
 /// Shutdown control shared by the handle and the transport threads.
 struct Ctl {
     stop: Arc<AtomicBool>,
     addr: SocketAddr,
-    transport: Transport,
+    shards: Vec<Arc<ShardMailbox>>,
+    /// A fallback acceptor thread is parked in a blocking `accept()`.
+    poke_acceptor: bool,
 }
 
 impl Ctl {
     /// Raises the stop flag and delivers a wake-up to every thread that
     /// could be parked, bounding shutdown latency by one loop iteration.
     fn begin_shutdown(&self) {
-        self.stop.store(true, Ordering::Release); // ord: Release pairs with Acquire loads in shard/accept/conn loops
-        match &self.transport {
-            Transport::Event {
-                shards,
-                poke_acceptor,
-            } => {
-                for shard in shards {
-                    shard.waker.wake();
-                }
-                if *poke_acceptor {
-                    // A throwaway connection unblocks the acceptor's
-                    // blocking accept() so it can observe the flag.
-                    let _ = TcpStream::connect(self.addr);
-                }
-            }
-            Transport::Blocking { conns, .. } => {
-                let _ = TcpStream::connect(self.addr);
-                let guard = lock_or_recover(conns);
-                for stream in guard.values() {
-                    let _ = stream.shutdown(Shutdown::Both);
-                }
-            }
+        self.stop.store(true, Ordering::Release); // ord: Release pairs with Acquire loads in shard/accept loops
+        for shard in &self.shards {
+            shard.waker.wake();
         }
-    }
-
-    /// Registers a blocking-mode connection for shutdown interruption.
-    /// Returns `None` in event mode (shards own their connections).
-    fn register_blocking_conn(&self, stream: &TcpStream) -> Option<u64> {
-        let Transport::Blocking { conns, next_id } = &self.transport else {
-            return None;
-        };
-        let clone = stream.try_clone().ok()?;
-        let id = next_id.fetch_add(1, Ordering::Relaxed); // ord: Relaxed — the id is only a map key, no ordering needed
-        lock_or_recover(conns).insert(id, clone);
-        Some(id)
-    }
-
-    fn deregister_blocking_conn(&self, id: u64) {
-        if let Transport::Blocking { conns, .. } = &self.transport {
-            lock_or_recover(conns).remove(&id);
+        if self.poke_acceptor {
+            // A throwaway connection unblocks the acceptor's blocking
+            // accept() so it can observe the flag.
+            let _ = TcpStream::connect(self.addr);
         }
-    }
-}
-
-/// Binds and starts the server; returns once the listener is live.
-///
-/// # Errors
-/// Propagates bind/epoll/eventfd setup failures.
-pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
-    match cfg.mode {
-        ServeMode::Event => spawn_event(cfg),
-        ServeMode::Blocking => spawn_blocking(cfg),
     }
 }
 
@@ -288,7 +215,11 @@ fn resolve_addr(addr: &str) -> std::io::Result<SocketAddr> {
     })
 }
 
-fn spawn_event(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
+/// Binds and starts the server; returns once the listener is live.
+///
+/// # Errors
+/// Propagates bind/epoll/eventfd setup failures.
+pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     let shards_n = cfg.shards.max(1);
     let sock_addr = resolve_addr(&cfg.addr)?;
 
@@ -324,10 +255,8 @@ fn spawn_event(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     let ctl = Arc::new(Ctl {
         stop: stop.clone(),
         addr,
-        transport: Transport::Event {
-            shards: mailboxes.clone(),
-            poke_acceptor: fallback_listener.is_some(),
-        },
+        shards: mailboxes.clone(),
+        poke_acceptor: fallback_listener.is_some(),
     });
 
     let (job_tx, job_rx) = mpsc::channel::<Job>();
@@ -705,165 +634,7 @@ fn finish_io(poller: &Poller, conn: &mut Conn) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Blocking transport (the portable fallback behind --blocking).
-// ---------------------------------------------------------------------------
-
-fn spawn_blocking(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(&cfg.addr)?;
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let store = SessionStore::new(cfg.store);
-    let recovery = store.recover_from_disk();
-    let ctx = Arc::new(ServerCtx {
-        store,
-        stop: stop.clone(),
-    });
-    let ctl = Arc::new(Ctl {
-        stop: stop.clone(),
-        addr,
-        transport: Transport::Blocking {
-            conns: Mutex::new(HashMap::new()),
-            next_id: AtomicU64::new(0),
-        },
-    });
-
-    let (tx, rx) = mpsc::channel::<TcpStream>();
-    let rx = Arc::new(Mutex::new(rx));
-    let workers = cfg.workers.max(1);
-    let max_line = cfg.max_line_bytes;
-    let mut worker_joins = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let rx = rx.clone();
-        let ctx = ctx.clone();
-        let ctl = ctl.clone();
-        worker_joins.push(std::thread::spawn(move || {
-            blocking_worker_loop(&rx, &ctx, &ctl, max_line);
-        }));
-    }
-
-    let accept_stop = stop.clone();
-    let accept_join = std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            // ord: Acquire sees the flag raised before the wake-up connect
-            if accept_stop.load(Ordering::Acquire) {
-                break;
-            }
-            if let Ok(stream) = conn {
-                // A send can only fail after the workers have exited,
-                // which only happens once the stop flag is up.
-                if tx.send(stream).is_err() {
-                    break;
-                }
-            }
-        }
-        // Dropping `tx` disconnects the channel; blocked workers drain out.
-    });
-
-    Ok(ServerHandle {
-        addr,
-        stop,
-        ctl,
-        accept_join: Some(accept_join),
-        shard_joins: Vec::new(),
-        worker_joins,
-        ctx,
-        recovery,
-    })
-}
-
-fn blocking_worker_loop(
-    rx: &Arc<Mutex<Receiver<TcpStream>>>,
-    ctx: &Arc<ServerCtx>,
-    ctl: &Arc<Ctl>,
-    max_line: usize,
-) {
-    loop {
-        let next = {
-            let guard = lock_or_recover(rx);
-            // Blocking recv: no polling. Disconnection (acceptor exited
-            // and dropped the sender) is the exit signal.
-            guard.recv()
-        };
-        match next {
-            Ok(stream) => handle_connection(stream, ctx, ctl, max_line),
-            Err(_) => return,
-        }
-    }
-}
-
-fn handle_connection(stream: TcpStream, ctx: &Arc<ServerCtx>, ctl: &Arc<Ctl>, max_line: usize) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    // Register for shutdown interruption *before* the first blocking read,
-    // then re-check the flag to close the register/shutdown race.
-    let reg = ctl.register_blocking_conn(&stream);
-    // ord: Acquire pairs with the Release store in begin_shutdown
-    if ctx.stop.load(Ordering::Acquire) {
-        let _ = stream.shutdown(Shutdown::Both);
-        if let Some(id) = reg {
-            ctl.deregister_blocking_conn(id);
-        }
-        return;
-    }
-    let mut reader = BufReader::new(read_half);
-    let mut write_half = stream;
-    let mut line = String::new();
-    loop {
-        // ord: Acquire pairs with the Release store in begin_shutdown
-        if ctx.stop.load(Ordering::Acquire) {
-            break;
-        }
-        line.clear();
-        // Bound each line read so an unterminated request cannot balloon
-        // memory: read at most ceiling+2 bytes, then check for the
-        // newline.
-        let limit = u64::try_from(max_line)
-            .unwrap_or(u64::MAX)
-            .saturating_add(2);
-        match (&mut reader).take(limit).read_line(&mut line) {
-            Ok(0) => break, // client closed
-            Ok(_) => {
-                if !line.ends_with('\n') && line.len() > max_line {
-                    let reply = Response::Error {
-                        code: ErrorCode::ProtocolError,
-                        message: format!("request line exceeds {max_line} bytes"),
-                    };
-                    let mut out = reply.encode();
-                    out.push('\n');
-                    let _ = write_half.write_all(out.as_bytes());
-                    let _ = write_half.flush();
-                    break;
-                }
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                let response = dispatch(trimmed, ctx);
-                let shutting_down = matches!(response, Response::ShuttingDown);
-                let mut out = response.encode();
-                out.push('\n');
-                if write_half.write_all(out.as_bytes()).is_err() || write_half.flush().is_err() {
-                    break;
-                }
-                // Transport triggers shutdown only after the goodbye reply
-                // is on the wire.
-                if shutting_down {
-                    ctl.begin_shutdown();
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    if let Some(id) = reg {
-        ctl.deregister_blocking_conn(id);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Routing + domain logic, shared by both transports. Nothing below this
-// line knows how bytes arrive.
+// Routing + domain logic. Nothing below this line knows how bytes arrive.
 // ---------------------------------------------------------------------------
 
 fn dispatch(line: &str, ctx: &Arc<ServerCtx>) -> Response {

@@ -1,7 +1,9 @@
 //! Integration tests for the readiness-based transport: pipelining inside
 //! one TCP segment, the typed `protocol_error` path for oversized lines,
-//! blocking-transport parity, slow-loris eviction through the real serve
-//! binary, and bounded shutdown latency on both transports.
+//! slow-loris eviction through the real serve binary, and bounded shutdown
+//! latency. The oversize and shutdown tests run on both accept paths: an
+//! IPv4 bind gets per-shard `SO_REUSEPORT` listeners, an IPv6 bind the
+//! single acceptor thread that hands streams to the shards.
 
 // Test helpers run outside `#[test]` fns, where the workspace
 // allow-expect-in-tests carve-out does not reach.
@@ -11,15 +13,16 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use et_serve::{
-    run_batch, spawn, Client, CreateSessionSpec, Json, ServeMode, ServerConfig, StoreConfig,
-};
+use et_serve::{spawn, Client, Json, ServerConfig, StoreConfig};
 
-fn server_cfg(mode: ServeMode) -> ServerConfig {
+/// Bind addresses covering both accept paths: `SO_REUSEPORT` shard
+/// listeners (IPv4) and the acceptor-thread fallback (IPv6).
+const BIND_ADDRS: [&str; 2] = ["127.0.0.1:0", "[::1]:0"];
+
+fn server_cfg(addr: &str) -> ServerConfig {
     ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
+        addr: addr.to_string(),
         workers: 2,
-        mode,
         store: StoreConfig {
             capacity: 4,
             shards: 2,
@@ -43,7 +46,7 @@ fn read_reply(reader: &mut BufReader<TcpStream>) -> Json {
 /// the per-connection inbox must keep arrival order.
 #[test]
 fn pipelined_requests_in_one_tcp_segment() {
-    let handle = spawn(server_cfg(ServeMode::Event)).expect("bind");
+    let handle = spawn(server_cfg("127.0.0.1:0")).expect("bind");
     let addr = handle.addr().to_string();
 
     let mut raw = TcpStream::connect(&addr).expect("connect");
@@ -75,12 +78,12 @@ fn pipelined_requests_in_one_tcp_segment() {
 }
 
 /// An oversized request line draws one typed `protocol_error` reply and
-/// then the server closes the connection — on both transports, whether or
-/// not the line ever saw its newline.
+/// then the server closes the connection — on both accept paths, whether
+/// or not the line ever saw its newline.
 #[test]
 fn oversized_line_gets_protocol_error_then_close() {
-    for mode in [ServeMode::Event, ServeMode::Blocking] {
-        let mut cfg = server_cfg(mode);
+    for bind in BIND_ADDRS {
+        let mut cfg = server_cfg(bind);
         cfg.max_line_bytes = 512;
         let handle = spawn(cfg).expect("bind");
         let addr = handle.addr().to_string();
@@ -95,13 +98,13 @@ fn oversized_line_gets_protocol_error_then_close() {
         assert_eq!(
             reply.get("error").and_then(Json::as_str),
             Some("protocol_error"),
-            "{mode:?}: {reply:?}"
+            "{bind}: {reply:?}"
         );
         let mut rest = Vec::new();
         reader.read_to_end(&mut rest).expect("drain to EOF");
         assert!(
             rest.is_empty(),
-            "{mode:?}: connection must close after the reply"
+            "{bind}: connection must close after the reply"
         );
 
         // Unterminated flood: never sends '\n', must still be rejected
@@ -113,46 +116,19 @@ fn oversized_line_gets_protocol_error_then_close() {
         assert_eq!(
             reply.get("error").and_then(Json::as_str),
             Some("protocol_error"),
-            "{mode:?}: {reply:?}"
+            "{bind}: {reply:?}"
         );
         let mut rest = Vec::new();
         reader.read_to_end(&mut rest).expect("drain to EOF");
         assert!(
             rest.is_empty(),
-            "{mode:?}: connection must close after the reply"
+            "{bind}: connection must close after the reply"
         );
 
         let mut client = Client::connect(&addr).expect("connect for shutdown");
         client.shutdown_server().expect("shutdown");
         handle.wait();
     }
-}
-
-/// The `--blocking` transport speaks the identical protocol: a session
-/// driven over it reproduces the seed-matched batch run bit-for-bit, so
-/// the event loop is a pure transport swap with no domain drift.
-#[test]
-fn blocking_transport_matches_batch_exactly() {
-    let handle = spawn(server_cfg(ServeMode::Blocking)).expect("bind");
-    let addr = handle.addr().to_string();
-
-    let spec = CreateSessionSpec {
-        rows: 100,
-        iterations: 5,
-        seed: Some(23),
-        ..CreateSessionSpec::default()
-    };
-    let mut client = Client::connect(&addr).expect("connect");
-    let (session, seed) = client.create_session(&spec).expect("create");
-    let outcome = client.drive_auto(session, seed).expect("drive");
-    client.close_session(session).expect("close");
-
-    let batch = run_batch(&spec, seed).expect("batch");
-    assert_eq!(outcome.mae_series, batch.mae_series());
-    assert_eq!(outcome.converged_at, batch.convergence.converged_at);
-
-    client.shutdown_server().expect("shutdown");
-    handle.wait();
 }
 
 /// Slow-loris defense through the real binary: a connection that dribbles
@@ -235,11 +211,11 @@ fn slow_loris_is_disconnected_by_the_idle_timer() {
 
 /// Shutdown is event-driven, not polled: from the shutdown request to full
 /// teardown (acceptors, shards, workers joined) stays well under a second
-/// on both transports, even with an idle connection parked on the server.
+/// on both accept paths, even with an idle connection parked on the server.
 #[test]
 fn shutdown_latency_is_bounded_without_polling() {
-    for mode in [ServeMode::Event, ServeMode::Blocking] {
-        let handle = spawn(server_cfg(mode)).expect("bind");
+    for bind in BIND_ADDRS {
+        let handle = spawn(server_cfg(bind)).expect("bind");
         let addr = handle.addr().to_string();
 
         // An idle connection that never speaks: teardown must not wait on it.
@@ -252,7 +228,7 @@ fn shutdown_latency_is_bounded_without_polling() {
         let elapsed = start.elapsed();
         assert!(
             elapsed < Duration::from_secs(1),
-            "{mode:?}: shutdown took {elapsed:?}; a poll interval is hiding somewhere"
+            "{bind}: shutdown took {elapsed:?}; a poll interval is hiding somewhere"
         );
     }
 }

@@ -93,13 +93,14 @@ fi
 rm -f "$BENCH_OUT"
 
 echo "==> bench_serve smoke (quick profile, budget ${SERVE_BENCH_BUDGET_SECS:=90}s)"
-# The serving benchmark must stay regenerable AND the event loop must never
-# lose to thread-per-connection at equal worker count — if it does, the
-# readiness transport has stopped earning its complexity. The wall clock is
-# bounded so a wedged shard cannot hang the gate.
+# The serving benchmark must stay regenerable AND the event loop must
+# complete the load it is offered: at the top rung (128 mostly-idle
+# connections on 4 workers) at least 99% of the offered rounds finish inside
+# the window. The wall clock is bounded so a wedged shard cannot hang the
+# gate.
 SERVE_OUT="$(mktemp /tmp/et-bench-serve.XXXXXX.json)"
 BENCH_SERVE_CMD=(./target/release/bench_serve --quick --out "$SERVE_OUT"
-  --gate event_loop_vs_blocking_throughput_speedup:1.0)
+  --gate event_offered_load_completion:0.99)
 if command -v timeout >/dev/null 2>&1; then
   BENCH_SERVE_CMD=(timeout "${SERVE_BENCH_BUDGET_SECS}" "${BENCH_SERVE_CMD[@]}")
 else
@@ -107,7 +108,8 @@ else
 fi
 if ! "${BENCH_SERVE_CMD[@]}" || [ ! -s "$SERVE_OUT" ]; then
   echo "FATAL: bench_serve failed, exceeded ${SERVE_BENCH_BUDGET_SECS}s, or a gate failed" >&2
-  echo "       (BENCH_serve.json unregenerable, or the event loop lost to blocking IO)" >&2
+  echo "       (BENCH_serve.json unregenerable, or the event loop completed" >&2
+  echo "        under 99% of the load offered at the top connection count)" >&2
   exit 1
 fi
 rm -f "$SERVE_OUT"
