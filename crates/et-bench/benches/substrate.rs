@@ -41,16 +41,6 @@ fn bench_violation_index_cached(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("warm", rows), &rows, |b, _| {
             b.iter(|| ViolationIndex::build_with(black_box(&f.table), black_box(&f.space), &cache))
         });
-        group.bench_with_input(BenchmarkId::new("warm_serial", rows), &rows, |b, _| {
-            b.iter(|| {
-                ViolationIndex::build_with_threads(
-                    black_box(&f.table),
-                    black_box(&f.space),
-                    &cache,
-                    1,
-                )
-            })
-        });
     }
     group.finish();
 }

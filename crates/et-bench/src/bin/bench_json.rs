@@ -19,10 +19,10 @@
 //! in the emitted JSON and `--gate` turns any such floor into an exit code.
 
 use std::hint::black_box;
-use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
+use et_bench::cli::{self, Cli};
 use et_bench::fixtures::{fixture, Fixture};
 use et_core::{
     recover_session, run_session, top_k_indices, CandidatePool, FpTrainer, JournalConfig, Learner,
@@ -35,44 +35,7 @@ use et_fd::{
     pair_dirty_probs_with, DeltaScorer, DetectParams, HypothesisSpace, PairScores, PartitionCache,
     RelationMatrix, SubsampleIndex, ViolationIndex,
 };
-
-struct Cli {
-    quick: bool,
-    out: String,
-    /// `(derived name, minimum)` floors enforced after emission.
-    gates: Vec<(String, f64)>,
-}
-
-fn parse_args() -> Result<Cli, String> {
-    let mut cli = Cli {
-        quick: false,
-        out: "BENCH_substrate.json".to_string(),
-        gates: Vec::new(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => cli.quick = true,
-            "--out" => cli.out = args.next().ok_or("--out needs a path")?,
-            "--gate" => {
-                let spec = args.next().ok_or("--gate needs NAME:MIN")?;
-                let (name, min) = spec
-                    .split_once(':')
-                    .ok_or_else(|| format!("--gate `{spec}` is not NAME:MIN"))?;
-                let min: f64 = min
-                    .parse()
-                    .map_err(|e| format!("--gate `{spec}`: bad minimum: {e}"))?;
-                cli.gates.push((name.to_string(), min));
-            }
-            "--help" | "-h" => {
-                println!("usage: bench_json [--quick] [--out PATH] [--gate NAME:MIN]...");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(cli)
-}
+use et_serve::Json;
 
 /// Wall-clock stats of one bench, in seconds.
 struct BenchStats {
@@ -234,19 +197,6 @@ fn run_benches(f: &Fixture, quick: bool) -> Vec<BenchStats> {
     out.push(time_bench("index_build_cached", warmup, iters, || {
         ViolationIndex::build_with(&f.table, &f.space, &cache)
     }));
-    out.push(time_bench(
-        "index_build_cached_serial",
-        warmup,
-        iters,
-        || ViolationIndex::build_with_threads(&f.table, &f.space, &cache, 1),
-    ));
-    let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    out.push(time_bench(
-        "index_build_cached_parallel",
-        warmup,
-        iters,
-        || ViolationIndex::build_with_threads(&f.table, &f.space, &cache, hw),
-    ));
 
     let batches = sample_batches(f.table.nrows(), rounds, 10);
     out.push(time_bench(
@@ -643,10 +593,6 @@ fn durability_benches(f: &Fixture, quick: bool) -> Vec<BenchStats> {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Whether a derived entry counts as a regression: every `*_speedup`
 /// ratio is "new path over old path", so below 1.0 means the new path
 /// lost ground and the JSON should say so explicitly.
@@ -661,57 +607,67 @@ fn emit_json(
     tax_rows: Option<usize>,
     benches: &[BenchStats],
     derived: &[(&str, f64)],
-) -> String {
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"schema\": \"et-bench/substrate-v2\",\n");
-    j.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if cli.quick { "quick" } else { "full" }
-    ));
-    j.push_str(&format!(
-        "  \"fixture\": {{\"dataset\": \"hospital\", \"rows\": {rows}, \"degree\": 0.15, \
-         \"seed\": 2, \"fds\": {}, \"distinct_lhs\": {}}},\n",
-        f.space.len(),
-        f.space.distinct_lhs().len()
-    ));
+) -> Json {
+    let mut doc = vec![
+        ("schema", Json::str("et-bench/substrate-v3")),
+        ("mode", Json::str(if cli.quick { "quick" } else { "full" })),
+        (
+            "fixture",
+            Json::obj(vec![
+                ("dataset", Json::str("hospital")),
+                ("rows", Json::Num(rows as f64)),
+                ("degree", Json::Num(0.15)),
+                ("seed", Json::Num(2.0)),
+                ("fds", Json::Num(f.space.len() as f64)),
+                (
+                    "distinct_lhs",
+                    Json::Num(f.space.distinct_lhs().len() as f64),
+                ),
+            ]),
+        ),
+    ];
     if let Some(tr) = tax_rows {
-        j.push_str(&format!(
-            "  \"tax_fixture\": {{\"dataset\": \"tax\", \"rows\": {tr}, \"degree\": 0.15, \
-             \"seed\": 2}},\n"
+        doc.push((
+            "tax_fixture",
+            Json::obj(vec![
+                ("dataset", Json::str("tax")),
+                ("rows", Json::Num(tr as f64)),
+                ("degree", Json::Num(0.15)),
+                ("seed", Json::Num(2.0)),
+            ]),
         ));
     }
-    j.push_str("  \"benches\": [\n");
-    for (i, b) in benches.iter().enumerate() {
-        j.push_str(&format!(
-            "    {{\"name\": \"{}\", \"iters\": {}, \"secs\": {{\"min\": {:.9}, \
-             \"mean\": {:.9}, \"median\": {:.9}, \"max\": {:.9}}}}}{}\n",
-            json_escape(b.name),
-            b.iters,
-            b.min,
-            b.mean,
-            b.median,
-            b.max,
-            if i + 1 < benches.len() { "," } else { "" }
-        ));
-    }
-    j.push_str("  ],\n");
-    j.push_str("  \"derived\": {\n");
-    for (i, (name, v)) in derived.iter().enumerate() {
-        j.push_str(&format!(
-            "    \"{}\": {{\"value\": {:.3}{}}}{}\n",
-            json_escape(name),
-            v,
-            if is_regressed(name, *v) {
-                ", \"regressed\": true"
-            } else {
-                ""
-            },
-            if i + 1 < derived.len() { "," } else { "" }
-        ));
-    }
-    j.push_str("  }\n}\n");
-    j
+    let benches = benches
+        .iter()
+        .map(|b| {
+            Json::obj(vec![
+                ("name", Json::str(b.name)),
+                ("iters", Json::Num(b.iters as f64)),
+                (
+                    "secs",
+                    Json::obj(vec![
+                        ("min", Json::Num(b.min)),
+                        ("mean", Json::Num(b.mean)),
+                        ("median", Json::Num(b.median)),
+                        ("max", Json::Num(b.max)),
+                    ]),
+                ),
+            ])
+        })
+        .collect();
+    let derived = derived
+        .iter()
+        .map(|&(name, v)| {
+            let mut entry = vec![("value", Json::Num(v))];
+            if is_regressed(name, v) {
+                entry.push(("regressed", Json::Bool(true)));
+            }
+            (name.to_string(), Json::obj(entry))
+        })
+        .collect();
+    doc.push(("benches", Json::Arr(benches)));
+    doc.push(("derived", Json::Obj(derived)));
+    Json::obj(doc)
 }
 
 /// Median of a named bench, for derived ratios: robust to the stray slow
@@ -725,13 +681,7 @@ fn median_of(benches: &[BenchStats], name: &str) -> Option<f64> {
 }
 
 fn main() {
-    let cli = match parse_args() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let cli = cli::from_env("bench_json", "BENCH_substrate.json");
     let rows = if cli.quick { 200 } else { 500 };
     eprintln!("bench_json: hospital fixture, {rows} rows, degree 0.15, seed 2");
     let f = fixture(DatasetName::Hospital, rows, 0.15, 2);
@@ -777,11 +727,6 @@ fn main() {
             "cached_vs_legacy_speedup",
             "index_build_legacy",
             "index_build_cached",
-        ),
-        (
-            "parallel_vs_serial_speedup",
-            "index_build_cached_serial",
-            "index_build_cached_parallel",
         ),
         (
             "restrict_vs_rebuild_speedup",
@@ -836,41 +781,19 @@ fn main() {
         }
     }
 
-    let json = emit_json(&cli, &f, rows, tax_ran, &benches, &derived);
-    let write = std::fs::File::create(&cli.out).and_then(|mut fh| fh.write_all(json.as_bytes()));
-    match write {
-        Ok(()) => {
-            for (name, v) in &derived {
-                let flag = if is_regressed(name, *v) {
-                    "  (regressed)"
-                } else {
-                    ""
-                };
-                eprintln!("  {name}: {v:.2}x{flag}");
-            }
-            println!("wrote {}", cli.out);
-        }
-        Err(e) => {
-            eprintln!("error: cannot write {}: {e}", cli.out);
-            std::process::exit(1);
-        }
+    let doc = emit_json(&cli, &f, rows, tax_ran, &benches, &derived);
+    cli::write_or_exit(&cli.out, &doc);
+    for (name, v) in &derived {
+        let flag = if is_regressed(name, *v) {
+            "  (regressed)"
+        } else {
+            ""
+        };
+        eprintln!("  {name}: {v:.2}x{flag}");
     }
+    println!("wrote {}", cli.out);
 
-    let mut gate_failed = false;
-    for (name, min) in &cli.gates {
-        match derived.iter().find(|(n, _)| n == name) {
-            Some((_, v)) if v >= min => eprintln!("  gate {name}: {v:.3} >= {min:.3} ok"),
-            Some((_, v)) => {
-                eprintln!("  gate {name}: {v:.3} < {min:.3} FAILED");
-                gate_failed = true;
-            }
-            None => {
-                eprintln!("  gate {name}: no such derived value FAILED");
-                gate_failed = true;
-            }
-        }
-    }
-    if gate_failed {
+    if !cli::gates_pass(&cli.gates, &derived) {
         std::process::exit(1);
     }
 }

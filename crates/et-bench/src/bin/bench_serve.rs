@@ -21,46 +21,9 @@
 
 use std::time::Duration;
 
+use et_bench::cli::{self, Cli};
 use et_serve::loadgen::OpStats;
 use et_serve::{run_in_process, InProcessLoad, Json, LoadReport};
-
-struct Cli {
-    quick: bool,
-    out: String,
-    /// `(derived name, minimum)` floors enforced after emission.
-    gates: Vec<(String, f64)>,
-}
-
-fn parse_args() -> Result<Cli, String> {
-    let mut cli = Cli {
-        quick: false,
-        out: "BENCH_serve.json".to_string(),
-        gates: Vec::new(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => cli.quick = true,
-            "--out" => cli.out = args.next().ok_or("--out needs a path")?,
-            "--gate" => {
-                let spec = args.next().ok_or("--gate needs NAME:MIN")?;
-                let (name, min) = spec
-                    .split_once(':')
-                    .ok_or_else(|| format!("--gate `{spec}` is not NAME:MIN"))?;
-                let min: f64 = min
-                    .parse()
-                    .map_err(|e| format!("--gate `{spec}`: bad minimum: {e}"))?;
-                cli.gates.push((name.to_string(), min));
-            }
-            "--help" | "-h" => {
-                println!("usage: bench_serve [--quick] [--out PATH] [--gate NAME:MIN]...");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(cli)
-}
 
 /// Exits loudly; benches have no error channel worth plumbing.
 fn fail(what: &str, e: impl std::fmt::Display) -> ! {
@@ -148,13 +111,7 @@ fn emit_json(
 }
 
 fn main() {
-    let cli = match parse_args() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let cli = cli::from_env("bench_serve", "BENCH_serve.json");
     let (ladder, window) = if cli.quick {
         (vec![32usize, 128], Duration::from_secs(2))
     } else {
@@ -197,36 +154,13 @@ fn main() {
         ));
     }
 
-    let mut json = emit_json(&cli, &template, &runs, &derived).encode();
-    json.push('\n');
-    match std::fs::write(&cli.out, json) {
-        Ok(()) => {
-            for (name, v) in &derived {
-                eprintln!("  {name}: {v:.3}");
-            }
-            println!("wrote {}", cli.out);
-        }
-        Err(e) => {
-            eprintln!("error: cannot write {}: {e}", cli.out);
-            std::process::exit(1);
-        }
+    cli::write_or_exit(&cli.out, &emit_json(&cli, &template, &runs, &derived));
+    for (name, v) in &derived {
+        eprintln!("  {name}: {v:.3}");
     }
+    println!("wrote {}", cli.out);
 
-    let mut gate_failed = false;
-    for (name, min) in &cli.gates {
-        match derived.iter().find(|(n, _)| n == name) {
-            Some((_, v)) if v >= min => eprintln!("  gate {name}: {v:.3} >= {min:.3} ok"),
-            Some((_, v)) => {
-                eprintln!("  gate {name}: {v:.3} < {min:.3} FAILED");
-                gate_failed = true;
-            }
-            None => {
-                eprintln!("  gate {name}: no such derived value FAILED");
-                gate_failed = true;
-            }
-        }
-    }
-    if gate_failed {
+    if !cli::gates_pass(&cli.gates, &derived) {
         std::process::exit(1);
     }
 }

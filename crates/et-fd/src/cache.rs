@@ -10,17 +10,18 @@
 //! artifacts:
 //!
 //! * [`PartitionCache::partition`] — the stripped partition of an attribute
-//!   set, shared as an `Arc` so concurrent index builds clone pointers, not
-//!   row lists.
+//!   set, shared as an `Arc` so builds clone pointers, not row lists.
 //! * [`PartitionCache::row_classes`] — the row → stripped-class lookup that
 //!   makes *subsample restriction* O(|sample|): a cached full-table
 //!   partition restricted to a sample's rows never re-hashes the table
 //!   (see [`crate::violations::ViolationIndex::build_subsample`]).
 //!
-//! Concurrency: the cache is `Sync`; lookups take a short-lived mutex and
-//! misses are computed *outside* the lock (two racing builders may compute
-//! the same partition, but both arrive at the identical canonical form, so
-//! last-insert-wins is benign and results stay deterministic).
+//! Concurrency: the cache is `Sync` (a session and its trainer share one,
+//! and sessions move between server workers); lookups take a short-lived
+//! mutex and misses are computed *outside* the lock (two racing builders
+//! may compute the same partition, but both arrive at the identical
+//! canonical form, so last-insert-wins is benign and results stay
+//! deterministic).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};

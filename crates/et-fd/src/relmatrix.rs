@@ -36,14 +36,11 @@
 //! cache, so a session pays for each distinct LHS once across the matrix,
 //! every [`crate::ViolationIndex`] build, and the trainer's restrictions.
 //!
-//! # Deterministic parallelism
+//! # One serial build
 //!
-//! Large builds fan disjoint pair chunks across a [`std::thread::scope`]
-//! pool: each worker fills its own `chunks_mut` slice of the output words,
-//! so every word is written by exactly one thread and the assembled buffer
-//! is bit-identical to the serial fill by construction (no merge step at
-//! all). Worker count follows the same `ET_INDEX_THREADS` /
-//! available-parallelism heuristic as the index builds.
+//! The matrix is built once per session, in one serial pass that writes
+//! each pair's words in pair order. A server's parallelism is its worker
+//! pool across sessions, not threads inside one session's build.
 
 use std::sync::Arc;
 
@@ -53,7 +50,7 @@ use crate::attrset::AttrSet;
 use crate::cache::{PartitionCache, NO_CLASS};
 use crate::detect::{binary_entropy, DetectParams};
 use crate::space::HypothesisSpace;
-use crate::violations::{index_threads, pair_relation, PairRelation};
+use crate::violations::{pair_relation, PairRelation};
 
 /// 2-bit relation codes per 64-bit word.
 const FDS_PER_WORD: usize = 32;
@@ -141,9 +138,7 @@ pub fn violation_factors_into(confidences: &[f64], params: &DetectParams, out: &
 
 impl RelationMatrix {
     /// Builds the matrix for `pairs` over `table` under `space`, reusing
-    /// (and warming) the shared partition cache. Thread count follows the
-    /// `ET_INDEX_THREADS` / available-parallelism heuristic; the result is
-    /// identical for every thread count.
+    /// (and warming) the shared partition cache.
     ///
     /// Pairs may be in any order; each `(a, b)` is looked up by
     /// [`RelationMatrix::pair_id`] in either orientation.
@@ -156,29 +151,6 @@ impl RelationMatrix {
         space: &HypothesisSpace,
         cache: &PartitionCache,
         pairs: &[(usize, usize)],
-    ) -> Self {
-        let threads = index_threads(pairs.len(), space.len().max(1));
-        Self::build_with_threads(table, space, cache, pairs, threads)
-    }
-
-    /// [`RelationMatrix::build`] with an explicit worker count
-    /// (`threads <= 1` runs serially).
-    ///
-    /// The parallel path splits `pairs` into contiguous chunks and hands
-    /// each worker the matching disjoint slice of the output words
-    /// (`chunks_mut`), so every word is written by exactly one thread and
-    /// the buffer is assembled in pair order without a merge — bit-identical
-    /// to the serial fill by construction.
-    ///
-    /// # Panics
-    /// Panics when `table` does not match the cache's row count, or a pair
-    /// references a row outside the table.
-    pub fn build_with_threads(
-        table: &Table,
-        space: &HypothesisSpace,
-        cache: &PartitionCache,
-        pairs: &[(usize, usize)],
-        threads: usize,
     ) -> Self {
         let n_fds = space.len();
         let words_per_pair = n_fds.div_ceil(FDS_PER_WORD);
@@ -196,44 +168,21 @@ impl RelationMatrix {
             })
             .collect();
         let mut words = vec![0u64; pairs.len() * words_per_pair];
-        let fill = |chunk: &[(usize, usize)], out: &mut [u64]| {
-            for (pi, &(a, b)) in chunk.iter().enumerate() {
-                let base = pi * words_per_pair;
-                for (fi, (lhs_owner, rhs_owner)) in owners.iter().enumerate() {
-                    let la = lhs_owner[a];
-                    if la == NO_CLASS || la != lhs_owner[b] {
-                        continue; // Irrelevant = 0b00, words start zeroed.
-                    }
-                    let ra = rhs_owner[a];
-                    let code = if ra != NO_CLASS && ra == rhs_owner[b] {
-                        CODE_SATISFIES
-                    } else {
-                        CODE_VIOLATES
-                    };
-                    out[base + fi / FDS_PER_WORD] |= code << ((fi % FDS_PER_WORD) * 2);
+        for (pi, &(a, b)) in pairs.iter().enumerate() {
+            let base = pi * words_per_pair;
+            for (fi, (lhs_owner, rhs_owner)) in owners.iter().enumerate() {
+                let la = lhs_owner[a];
+                if la == NO_CLASS || la != lhs_owner[b] {
+                    continue; // Irrelevant = 0b00, words start zeroed.
                 }
+                let ra = rhs_owner[a];
+                let code = if ra != NO_CLASS && ra == rhs_owner[b] {
+                    CODE_SATISFIES
+                } else {
+                    CODE_VIOLATES
+                };
+                words[base + fi / FDS_PER_WORD] |= code << ((fi % FDS_PER_WORD) * 2);
             }
-        };
-        if threads <= 1 || pairs.len() < 2 || words_per_pair == 0 {
-            fill(pairs, &mut words);
-        } else {
-            let chunk = pairs.len().div_ceil(threads);
-            std::thread::scope(|s| {
-                let fill = &fill;
-                let handles: Vec<_> = pairs
-                    .chunks(chunk)
-                    .zip(words.chunks_mut(chunk * words_per_pair))
-                    .map(|(pc, wc)| s.spawn(move || fill(pc, wc)))
-                    .collect();
-                // Join explicitly (not via the scope-exit wait) so the join
-                // edge goes through pthread_join, which TSan can see with an
-                // uninstrumented std; propagate worker panics unchanged.
-                for h in handles {
-                    if let Err(payload) = h.join() {
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            });
         }
         let mut lookup: Vec<((usize, usize), usize)> = pairs.iter().copied().zip(0..).collect();
         lookup.sort_unstable();
@@ -798,18 +747,5 @@ mod tests {
             .score_all(&[0.5, 0.5], &DetectParams::default())
             .dirty
             .is_empty());
-    }
-
-    #[test]
-    fn parallel_build_matches_serial() {
-        let t = paper_table1();
-        let sp = space();
-        let cache = PartitionCache::new(&t);
-        let pairs = all_pairs(t.nrows());
-        let serial = RelationMatrix::build_with_threads(&t, &sp, &cache, &pairs, 1);
-        for threads in [2, 3, 8] {
-            let par = RelationMatrix::build_with_threads(&t, &sp, &cache, &pairs, threads);
-            assert_eq!(serial, par, "{threads} threads");
-        }
     }
 }

@@ -107,18 +107,9 @@ pub struct ViolationIndex {
     pub(crate) stats: Vec<G1>,
 }
 
-/// One FD's freshly computed columns, produced by a per-LHS work item.
-pub(crate) struct FdColumns {
-    pub(crate) stats: G1,
-    pub(crate) violates: Vec<bool>,
-    pub(crate) relevant: Vec<bool>,
-    pub(crate) minority: Vec<bool>,
-}
-
 /// Reusable scratch buffers for per-class counting.
 #[derive(Default)]
 pub(crate) struct ClassScratch {
-    members: Vec<usize>,
     syms: Vec<u32>,
     counts: Vec<(u32, u64)>,
 }
@@ -190,52 +181,6 @@ pub(crate) fn index_class(
     }
 }
 
-/// Computes the columns of every FD sharing one determinant, from the
-/// determinant's cached stripped partition. Stripped (singleton) rows are
-/// exactly the rows the legacy `group_by` path skipped, so the result is
-/// bit-identical to grouping from scratch.
-fn index_one_lhs(
-    table: &Table,
-    cache: &PartitionCache,
-    lhs: crate::attrset::AttrSet,
-    fds: &[(usize, AttrId)],
-) -> Vec<(usize, FdColumns)> {
-    let n = table.nrows();
-    let part = cache.partition(table, lhs);
-    let mut scratch = ClassScratch::default();
-    let mut out = Vec::with_capacity(fds.len());
-    for &(fi, rhs) in fds {
-        let mut cols = FdColumns {
-            stats: G1 {
-                violating_pairs: 0,
-                lhs_pairs: 0,
-                rows: n as u64,
-            },
-            violates: vec![false; n],
-            relevant: vec![false; n],
-            minority: vec![false; n],
-        };
-        let sym = |row: usize| table.sym(row, rhs);
-        for class in &part.classes {
-            scratch.members.clear();
-            scratch.members.extend(class.iter().map(|&r| r as usize));
-            let members = std::mem::take(&mut scratch.members);
-            index_class(
-                &members,
-                &sym,
-                &mut scratch,
-                &mut cols.stats,
-                &mut cols.violates,
-                &mut cols.relevant,
-                &mut cols.minority,
-            );
-            scratch.members = members;
-        }
-        out.push((fi, cols));
-    }
-    out
-}
-
 /// The distinct determinants of a space paired with their FD ids and RHS
 /// attributes, in first-seen (deterministic) order.
 pub(crate) fn fds_by_lhs(
@@ -255,38 +200,12 @@ pub(crate) fn fds_by_lhs(
     order.into_iter().zip(groups).collect()
 }
 
-/// Resolves the worker count for a parallel index build: the
-/// `ET_INDEX_THREADS` environment variable when set (and parseable),
-/// otherwise [`std::thread::available_parallelism`] — gated so small
-/// builds stay serial (thread spawn would dominate).
-pub(crate) fn index_threads(n_tasks: usize, n_rows: usize) -> usize {
-    let configured = std::env::var("ET_INDEX_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&t| t > 0);
-    let hw = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let want = configured.unwrap_or_else(|| {
-        // Heuristic: parallelism only pays once the total work (rows x
-        // determinants) clears the spawn overhead.
-        if n_rows.saturating_mul(n_tasks) < (1 << 15) {
-            1
-        } else {
-            hw
-        }
-    });
-    want.min(n_tasks.max(1))
-}
-
 impl ViolationIndex {
     /// Builds the index for every FD of `space` over `table`.
     ///
     /// Groups are computed once per *distinct LHS* (via a transient
-    /// [`PartitionCache`]) and shared by all FDs with that determinant;
-    /// large builds fan the per-determinant work across threads (see
-    /// [`ViolationIndex::build_with_threads`]). Output is identical
-    /// regardless of caching or thread count.
+    /// [`PartitionCache`]) and shared by all FDs with that determinant.
+    /// Output is identical with or without a shared cache.
     pub fn build(table: &Table, space: &HypothesisSpace) -> Self {
         let cache = PartitionCache::new(table);
         Self::build_with(table, space, &cache)
@@ -299,77 +218,22 @@ impl ViolationIndex {
     /// # Panics
     /// Panics when `table` does not match the cache's row count.
     pub fn build_with(table: &Table, space: &HypothesisSpace, cache: &PartitionCache) -> Self {
-        let by_lhs = fds_by_lhs(space);
-        let threads = index_threads(by_lhs.len(), table.nrows());
-        Self::build_from_groups(table, space, cache, &by_lhs, threads)
-    }
-
-    /// [`ViolationIndex::build_with`] with an explicit worker count
-    /// (`threads <= 1` runs serially). The parallel path fans whole
-    /// determinants across a [`std::thread::scope`] pool and merges the
-    /// per-FD columns by FD index, so the result is bit-identical to the
-    /// serial build — every FD's columns are produced by exactly one
-    /// worker, and the merge order is the fixed FD order of `space`.
-    ///
-    /// # Panics
-    /// Panics when `table` does not match the cache's row count.
-    pub fn build_with_threads(
-        table: &Table,
-        space: &HypothesisSpace,
-        cache: &PartitionCache,
-        threads: usize,
-    ) -> Self {
-        let by_lhs = fds_by_lhs(space);
-        Self::build_from_groups(table, space, cache, &by_lhs, threads)
-    }
-
-    fn build_from_groups(
-        table: &Table,
-        space: &HypothesisSpace,
-        cache: &PartitionCache,
-        by_lhs: &[(crate::attrset::AttrSet, Vec<(usize, AttrId)>)],
-        threads: usize,
-    ) -> Self {
         let n = table.nrows();
-        let n_fds = space.len();
-        let mut out = Self::empty(n, n_fds, table.nrows() as u64);
-        if threads <= 1 || by_lhs.len() < 2 {
-            for (lhs, fds) in by_lhs {
-                for (fi, cols) in index_one_lhs(table, cache, *lhs, fds) {
-                    out.install(fi, cols);
+        let mut out = Self::empty(n, space.len(), n as u64);
+        let mut scratch = ClassScratch::default();
+        let mut members: Vec<usize> = Vec::new();
+        for (lhs, fds) in fds_by_lhs(space) {
+            // Stripped (singleton) rows are exactly the rows a from-scratch
+            // `group_by` skips, so the cached partition gives identical
+            // columns.
+            let part = cache.partition(table, lhs);
+            for (fi, rhs) in fds {
+                let sym = |row: usize| table.sym(row, rhs);
+                for class in &part.classes {
+                    members.clear();
+                    members.extend(class.iter().map(|&r| r as usize));
+                    out.index_fd_class(fi, &members, &sym, &mut scratch);
                 }
-            }
-            return out;
-        }
-        let workers = threads.min(by_lhs.len());
-        let chunk = by_lhs.len().div_ceil(workers);
-        let chunked: Vec<Vec<(usize, FdColumns)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = by_lhs
-                .chunks(chunk)
-                .map(|part| {
-                    s.spawn(move || {
-                        let mut acc = Vec::new();
-                        for (lhs, fds) in part {
-                            acc.extend(index_one_lhs(table, cache, *lhs, fds));
-                        }
-                        acc
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        // Merge in fixed order; each FD index is written exactly once
-        // (determinants partition the FD set), so the layout is identical
-        // to the serial build.
-        for group in chunked {
-            for (fi, cols) in group {
-                out.install(fi, cols);
             }
         }
         out
@@ -393,11 +257,24 @@ impl ViolationIndex {
         }
     }
 
-    fn install(&mut self, fi: usize, cols: FdColumns) {
-        self.stats[fi] = cols.stats;
-        self.violates[fi] = cols.violates;
-        self.relevant[fi] = cols.relevant;
-        self.minority[fi] = cols.minority;
+    /// Folds one class of FD `fi` into the index's columns (see
+    /// [`index_class`]).
+    fn index_fd_class(
+        &mut self,
+        fi: usize,
+        members: &[usize],
+        rhs_sym: &dyn Fn(usize) -> u32,
+        scratch: &mut ClassScratch,
+    ) {
+        index_class(
+            members,
+            rhs_sym,
+            scratch,
+            &mut self.stats[fi],
+            &mut self.violates[fi],
+            &mut self.relevant[fi],
+            &mut self.minority[fi],
+        );
     }
 
     /// Builds the index of the *subsample* `rows` (distinct global row ids,
@@ -436,29 +313,10 @@ impl ViolationIndex {
             let mut classes: Vec<(usize, Vec<usize>)> = buckets.drain().collect();
             classes.sort_unstable_by_key(|&(class, _)| class);
             for &(fi, rhs) in &fds {
-                let mut cols = FdColumns {
-                    stats: G1 {
-                        violating_pairs: 0,
-                        lhs_pairs: 0,
-                        rows: k as u64,
-                    },
-                    violates: vec![false; k],
-                    relevant: vec![false; k],
-                    minority: vec![false; k],
-                };
                 let sym = |local: usize| table.sym(rows[local], rhs);
                 for (_, members) in &classes {
-                    index_class(
-                        members,
-                        &sym,
-                        &mut scratch,
-                        &mut cols.stats,
-                        &mut cols.violates,
-                        &mut cols.relevant,
-                        &mut cols.minority,
-                    );
+                    out.index_fd_class(fi, members, &sym, &mut scratch);
                 }
-                out.install(fi, cols);
             }
         }
         out

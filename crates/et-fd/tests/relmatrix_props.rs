@@ -1,8 +1,7 @@
 //! Property tests pinning the [`RelationMatrix`] scoring substrate to the
 //! per-pair reference path: packed relations must equal the raw-cell
 //! [`pair_relation`] brute force, batch `score_all` must be bit-for-bit
-//! equal to the `pair_dirty_probs_with`/`binary_entropy` scan, and the
-//! parallel build must equal the serial one.
+//! equal to the `pair_dirty_probs_with`/`binary_entropy` scan.
 
 use std::sync::Arc;
 
@@ -202,21 +201,5 @@ proptest! {
             prop_assert_eq!(scores.dirty[pid].to_bits(), want.dirty[pid].to_bits());
             prop_assert_eq!(scores.entropy[pid].to_bits(), want.entropy[pid].to_bits());
         }
-    }
-
-    /// Parallel builds are equal to the serial build for every thread
-    /// count, including the auto-selected one.
-    #[test]
-    fn parallel_build_equals_serial(rows in arb_rows()) {
-        let t = table_of(&rows);
-        let sp = space();
-        let cache = PartitionCache::new(&t);
-        let pairs = all_pairs(t.nrows());
-        let serial = RelationMatrix::build_with_threads(&t, &sp, &cache, &pairs, 1);
-        for threads in [2, 3, 7] {
-            let par = RelationMatrix::build_with_threads(&t, &sp, &cache, &pairs, threads);
-            prop_assert_eq!(&serial, &par, "{} threads diverged", threads);
-        }
-        prop_assert_eq!(&serial, &RelationMatrix::build(&t, &sp, &cache, &pairs));
     }
 }

@@ -152,11 +152,13 @@ if tsan_probe; then
     CARGO_TARGET_DIR=target/tsan \
     cargo +nightly test -q -p et-serve --test event_loop \
     --target "$TSAN_TARGET"
-  echo "==> ThreadSanitizer: et-fd parallel index/matrix builds + shared cache"
+  echo "==> ThreadSanitizer: et-fd shared partition cache (concurrent index/matrix builders)"
+  # A session and its trainer share one PartitionCache and sessions move
+  # between server workers, so concurrent builders must not race on it.
   RUSTFLAGS="-Zsanitizer=thread -Cunsafe-allow-abi-mismatch=sanitizer" \
     TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan-suppressions.txt" \
     CARGO_TARGET_DIR=target/tsan \
-    cargo +nightly test -q -p et-fd --test parallel_build \
+    cargo +nightly test -q -p et-fd --test shared_cache \
     --target "$TSAN_TARGET"
 else
   echo "==> ThreadSanitizer: SKIPPED (nightly toolchain with -Zsanitizer=thread not available)"
