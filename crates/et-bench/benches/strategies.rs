@@ -1,14 +1,19 @@
 //! Per-strategy selection cost over growing candidate pools.
 
+use std::collections::HashSet;
+use std::sync::Arc;
+
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use et_belief::{build_prior, PriorConfig, PriorSpec};
 use et_bench::fixtures::fixture;
-use et_core::{CandidatePool, ResponseStrategy, ScoreCtx, StrategyKind};
+use et_core::{CandidatePool, FreshCandidates, ResponseStrategy, StrategyKind};
 use et_data::gen::DatasetName;
-use et_fd::{PartitionCache, RelationMatrix};
+use et_fd::PartitionCache;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// One selection round per iteration over the whole pool, each from a
+/// cold scorer: one full packed fold plus the policy and the picks.
 fn bench_selection(c: &mut Criterion) {
     let f = fixture(DatasetName::Omdb, 400, 0.1, 1);
     let cache = PartitionCache::new(&f.table);
@@ -19,48 +24,27 @@ fn bench_selection(c: &mut Criterion) {
         &f.space,
         &f.table,
     );
+    let shown = HashSet::new();
     let mut group = c.benchmark_group("select_5_pairs");
     for pool_cap in [200usize, 1000, 4000] {
         let pool = CandidatePool::build_with(&f.table, &f.space, &cache, pool_cap, 3);
-        let candidates = pool.pairs().to_vec();
-        let pairs: Vec<(usize, usize)> = candidates.iter().map(|p| (p.a, p.b)).collect();
-        let matrix = RelationMatrix::build(&f.table, &f.space, &cache, &pairs);
+        let matrix = Arc::new(pool.relation_matrix(&f.table, &f.space, &cache));
         for kind in StrategyKind::PAPER_METHODS {
             let strategy = ResponseStrategy::paper(kind);
-            // Reference (raw-cell) scoring path.
             group.bench_with_input(
                 BenchmarkId::new(kind.as_str(), pool_cap),
                 &pool_cap,
                 |b, _| {
                     b.iter_batched(
-                        || StdRng::seed_from_u64(9),
-                        |mut rng| {
-                            strategy.select(
-                                ScoreCtx::new(black_box(&f.table)).with_index(&index),
-                                black_box(&belief),
-                                black_box(&candidates),
-                                5,
-                                &mut rng,
-                            )
+                        || {
+                            let fresh = FreshCandidates::new(&pool, Arc::clone(&matrix), &shown);
+                            (StdRng::seed_from_u64(9), fresh)
                         },
-                        criterion::BatchSize::SmallInput,
-                    )
-                },
-            );
-            // Precomputed relation-matrix scoring path.
-            group.bench_with_input(
-                BenchmarkId::new(format!("{}_matrix", kind.as_str()), pool_cap),
-                &pool_cap,
-                |b, _| {
-                    b.iter_batched(
-                        || StdRng::seed_from_u64(9),
-                        |mut rng| {
-                            strategy.select(
-                                ScoreCtx::new(black_box(&f.table))
-                                    .with_index(&index)
-                                    .with_matrix(&matrix),
+                        |(mut rng, fresh)| {
+                            strategy.select_round(
+                                fresh.ctx(&index),
                                 black_box(&belief),
-                                black_box(&candidates),
+                                fresh.ids(),
                                 5,
                                 &mut rng,
                             )

@@ -1,20 +1,30 @@
-//! Candidate pair pools.
+//! Candidate pair pools, and the fresh candidates that selection scores.
 //!
 //! The learner's policy is a distribution over examples of the dataset; for
 //! FD training the informative examples are pairs of tuples that agree on
 //! at least one hypothesis-space LHS (other pairs carry no evidence for any
 //! FD). The pool enumerates those pairs once per session — capped by
-//! uniform subsampling when the quadratic blowup gets large — and the
-//! response strategies then score/sample within it.
+//! uniform subsampling when the quadratic blowup gets large.
+//!
+//! Selection runs on pool ids. The pool's [`RelationMatrix`] is built over
+//! [`CandidatePool::pairs`] in pool order, so pool id `i` is matrix pair id
+//! `i`: [`FreshCandidates`] holds the not-yet-shown ids in pool order next
+//! to the delta scorer over that matrix, and the response strategies score
+//! `dirty[id]`, `entropy[id]` or the packed relation row `id` directly.
+//! This is the one runtime scoring path; the raw-cell definitions in
+//! [`crate::payoff`] and [`et_fd`] are its test oracle.
 
+use std::cell::RefCell;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use et_data::Table;
-use et_fd::{HypothesisSpace, PartitionCache};
+use et_fd::{DeltaScorer, HypothesisSpace, PartitionCache, RelationMatrix, ViolationIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::game::PairExample;
+use crate::respond::ScoreCtx;
 
 /// The set of candidate pairs a session draws examples from.
 #[derive(Debug, Clone)]
@@ -108,14 +118,85 @@ impl CandidatePool {
         self.pairs.is_empty()
     }
 
-    /// Pairs not yet shown to the trainer (the learner provides a fresh
-    /// example in each interaction, §2).
-    pub fn fresh(&self, shown: &HashSet<PairExample>) -> Vec<PairExample> {
-        self.pairs
+    /// The pool's relation matrix, built over [`CandidatePool::pairs`] in
+    /// pool order: matrix pair id `i` is pool pair `i`.
+    pub fn relation_matrix(
+        &self,
+        table: &Table,
+        space: &HypothesisSpace,
+        cache: &PartitionCache,
+    ) -> RelationMatrix {
+        let pairs: Vec<(usize, usize)> = self.pairs.iter().map(|p| (p.a, p.b)).collect();
+        RelationMatrix::build(table, space, cache, &pairs)
+    }
+}
+
+/// The candidates a driver still offers: the pool ids not yet shown, in
+/// pool order, and the delta scorer over the pool's relation matrix.
+///
+/// The learner's shown set ([`crate::Learner::shown`]) stays the
+/// persisted form; a driver builds this list from it whenever it
+/// constructs or recovers a session, or swaps the pool. Each pick is
+/// retired with an order-preserving compaction, so the list always equals
+/// the pool filtered by the shown set, in pool order.
+#[derive(Debug)]
+pub struct FreshCandidates {
+    ids: Vec<u32>,
+    scorer: RefCell<DeltaScorer>,
+}
+
+impl FreshCandidates {
+    /// The ids of `pool` not in `shown`, scored through a cold
+    /// [`DeltaScorer`] over `matrix`.
+    ///
+    /// # Panics
+    /// Panics when `matrix` does not cover exactly the pool's pairs (see
+    /// [`CandidatePool::relation_matrix`]) or the pool outgrows `u32` ids.
+    pub fn new(
+        pool: &CandidatePool,
+        matrix: Arc<RelationMatrix>,
+        shown: &HashSet<PairExample>,
+    ) -> Self {
+        assert_eq!(matrix.n_pairs(), pool.len(), "matrix must cover the pool");
+        assert!(u32::try_from(pool.len()).is_ok(), "pool ids must fit u32");
+        let ids = (0u32..)
+            .zip(pool.pairs())
+            .filter(|(_, p)| !shown.contains(p))
+            .map(|(id, _)| id)
+            .collect();
+        Self {
+            ids,
+            scorer: RefCell::new(DeltaScorer::new(matrix)),
+        }
+    }
+
+    /// The fresh pool ids, in pool order.
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// The scoring context over these candidates.
+    pub fn ctx<'a>(&'a self, index: &'a ViolationIndex) -> ScoreCtx<'a> {
+        ScoreCtx {
+            index,
+            scorer: &self.scorer,
+        }
+    }
+
+    /// Retires `picks` from the fresh list (order-preserving) and returns
+    /// their pairs, in pick order.
+    pub(crate) fn retire(&mut self, picks: &[u32]) -> Vec<PairExample> {
+        let scorer = self.scorer.borrow();
+        let pairs = scorer.matrix().pairs();
+        let taken = picks
             .iter()
-            .copied()
-            .filter(|p| !shown.contains(p))
-            .collect()
+            .map(|&id| {
+                let (a, b) = pairs[id as usize];
+                PairExample { a, b }
+            })
+            .collect();
+        self.ids.retain(|id| !picks.contains(id));
+        taken
     }
 }
 
@@ -167,14 +248,18 @@ mod tests {
     }
 
     #[test]
-    fn fresh_filters_shown() {
+    fn fresh_filters_shown_and_retires_picks_in_order() {
         let t = paper_table1();
-        let pool = CandidatePool::build(&t, &space(), 100, 1);
+        let sp = space();
+        let pool = CandidatePool::build(&t, &sp, 100, 1);
+        let m = Arc::new(pool.relation_matrix(&t, &sp, &PartitionCache::new(&t)));
         let mut shown = HashSet::new();
-        shown.insert(PairExample::new(0, 1));
-        let fresh = pool.fresh(&shown);
-        assert_eq!(fresh.len(), pool.len() - 1);
-        assert!(!fresh.contains(&PairExample::new(0, 1)));
+        shown.insert(PairExample::new(1, 2));
+        let mut fresh = FreshCandidates::new(&pool, m, &shown);
+        // Pool order is (0,1), (1,2), (2,3): ids 0 and 2 stay fresh.
+        assert_eq!(fresh.ids(), &[0, 2]);
+        assert_eq!(fresh.retire(&[2]), vec![PairExample::new(2, 3)]);
+        assert_eq!(fresh.ids(), &[0]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! A session is a deterministic function of `(seed, config, label
 //! sequence)`: presentation order, the learner's RNG stream, the trainer's
 //! belief updates — everything downstream of construction is replayable
-//! (the step-API and matrix-parity tests pin this). The only inputs that
+//! (the step-API and selection-oracle tests pin this). The only inputs that
 //! cannot be rederived are the submitted label batches, so those are what
 //! the WAL records. Recovery rebuilds the session environment from the
 //! original spec, replays the log through the *real* step API
@@ -22,7 +22,10 @@
 //! snapshot (checksum failure) falls back to the next older one, down to
 //! full replay. Derived structures — relation matrix, partition cache,
 //! candidate pool, violation indexes — are never persisted: they are pure
-//! functions of the immutable table and get rebuilt on construction.
+//! functions of the immutable table and get rebuilt on construction. The
+//! fresh pool ids derive from the learner's shown set, which the snapshot
+//! does store; they are rebuilt from it on the first `present` after a
+//! restore.
 //!
 //! ## Layout of a session directory
 //!
@@ -594,6 +597,8 @@ pub(crate) fn restore_snapshot<T: TrainerPersist>(
     state.history = history;
     state.pending = pending;
     state.trainer_observed = trainer_observed;
+    // The fresh candidates derive from the shown set just restored.
+    state.fresh = None;
     Ok(())
 }
 

@@ -10,12 +10,13 @@ use std::collections::HashSet;
 use et_belief::{update_from_labeled_pairs, Belief, EvidenceConfig, LabeledPair};
 use et_data::Table;
 use et_durable::{Dec, DurableError, Enc};
+use et_fd::ViolationIndex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::candidates::CandidatePool;
+use crate::candidates::FreshCandidates;
 use crate::game::PairExample;
-use crate::respond::{ResponseStrategy, ScoreCtx};
+use crate::respond::ResponseStrategy;
 
 /// How much of an interaction the learner's prediction model consumes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,55 +103,33 @@ impl Learner {
         &self.shown
     }
 
-    /// Selects up to `k` fresh pairs from the pool according to the
-    /// response strategy (`π_t^L = R^L(θ_t^L)`) and records them as shown.
-    ///
-    /// Returns an empty vector when the pool is exhausted.
+    /// One selection round: builds the policy `π_t^L = R^L(θ_t^L)` over
+    /// the fresh candidates, draws up to `k` pairs from it, retires them
+    /// from `fresh` and records them as shown. Returns the picked pairs and
+    /// the policy entropy (no pairs once the candidates run dry).
     pub fn select(
         &mut self,
-        ctx: ScoreCtx<'_>,
-        pool: &CandidatePool,
+        fresh: &mut FreshCandidates,
+        index: &ViolationIndex,
         k: usize,
-    ) -> Vec<PairExample> {
-        let fresh = pool.fresh(&self.shown);
-        self.select_from(ctx, &fresh, k)
-    }
-
-    /// [`Learner::select`] over an explicit fresh-candidate list (already
-    /// filtered against [`Learner::shown`]): lets a round that also does
-    /// policy accounting enumerate the fresh set once instead of once per
-    /// call. Records the picks as shown.
-    pub fn select_from(
-        &mut self,
-        ctx: ScoreCtx<'_>,
-        fresh: &[PairExample],
-        k: usize,
-    ) -> Vec<PairExample> {
-        let picked = self
-            .strategy
-            .select(ctx, &self.belief, fresh, k, &mut self.rng);
+    ) -> (Vec<PairExample>, f64) {
+        let sel = self.strategy.select_round(
+            fresh.ctx(index),
+            &self.belief,
+            fresh.ids(),
+            k,
+            &mut self.rng,
+        );
+        let picked = fresh.retire(&sel.picks);
         self.shown.extend(picked.iter().copied());
-        picked
+        (picked, sel.h_policy)
     }
 
-    /// The learner's current policy distribution over the fresh candidates
-    /// (for payoff/entropy accounting).
-    pub fn policy_over_fresh(
-        &self,
-        ctx: ScoreCtx<'_>,
-        pool: &CandidatePool,
-        k: usize,
-    ) -> (Vec<PairExample>, Vec<f64>) {
-        let fresh = pool.fresh(&self.shown);
-        let dist = self.policy_over(ctx, &fresh, k);
-        (fresh, dist)
-    }
-
-    /// [`Learner::policy_over_fresh`] over an explicit fresh-candidate
-    /// list (the counterpart of [`Learner::select_from`]).
-    pub fn policy_over(&self, ctx: ScoreCtx<'_>, fresh: &[PairExample], k: usize) -> Vec<f64> {
-        self.strategy
-            .policy_distribution(ctx, &self.belief, fresh, k)
+    /// The learner's RNG, for oracle tests that replay a selection on a
+    /// clone and compare draw streams.
+    #[cfg(test)]
+    pub(crate) fn rng_mut(&mut self) -> &mut StdRng {
+        &mut self.rng
     }
 
     /// Absorbs one interaction: the selected pairs, the presented sample,
@@ -292,13 +271,22 @@ impl Learner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidates::CandidatePool;
     use crate::respond::StrategyKind;
     use et_belief::Beta;
     use et_data::table::paper_table1;
-    use et_fd::{Fd, HypothesisSpace};
+    use et_fd::{Fd, HypothesisSpace, PartitionCache};
     use std::sync::Arc;
 
-    fn setup() -> (Table, Learner, CandidatePool) {
+    struct Setup {
+        t: Table,
+        learner: Learner,
+        pool: CandidatePool,
+        fresh: FreshCandidates,
+        index: ViolationIndex,
+    }
+
+    fn setup() -> Setup {
         let t = paper_table1();
         let space = Arc::new(HypothesisSpace::from_fds([
             Fd::from_attrs([1], 2),
@@ -311,18 +299,34 @@ mod tests {
             EvidenceConfig::default(),
             1,
         );
+        let cache = PartitionCache::new(&t);
         let pool = CandidatePool::build(&t, &space, 100, 1);
-        (t, learner, pool)
+        let matrix = Arc::new(pool.relation_matrix(&t, &space, &cache));
+        let fresh = FreshCandidates::new(&pool, matrix, learner.shown());
+        let index = ViolationIndex::build_with(&t, &space, &cache);
+        Setup {
+            t,
+            learner,
+            pool,
+            fresh,
+            index,
+        }
     }
 
     use et_data::Table;
 
     #[test]
     fn never_repeats_pairs() {
-        let (t, mut learner, pool) = setup();
+        let Setup {
+            mut learner,
+            pool,
+            mut fresh,
+            index,
+            ..
+        } = setup();
         let mut seen = HashSet::new();
         loop {
-            let picked = learner.select(ScoreCtx::new(&t), &pool, 1);
+            let (picked, _) = learner.select(&mut fresh, &index, 1);
             if picked.is_empty() {
                 break;
             }
@@ -335,7 +339,7 @@ mod tests {
 
     #[test]
     fn absorb_moves_belief() {
-        let (t, mut learner, _) = setup();
+        let Setup { t, mut learner, .. } = setup();
         let before = learner.confidences();
         learner.absorb(
             &t,
@@ -352,11 +356,19 @@ mod tests {
     }
 
     #[test]
-    fn policy_over_fresh_respects_shown() {
-        let (t, mut learner, pool) = setup();
-        let _ = learner.select(ScoreCtx::new(&t), &pool, 1);
-        let (fresh, dist) = learner.policy_over_fresh(ScoreCtx::new(&t), &pool, 2);
-        assert_eq!(fresh.len(), pool.len() - 1);
-        assert_eq!(dist.len(), fresh.len());
+    fn fresh_candidates_rebuilt_from_shown_match_the_live_list() {
+        let Setup {
+            t,
+            mut learner,
+            pool,
+            mut fresh,
+            index,
+        } = setup();
+        let _ = learner.select(&mut fresh, &index, 1);
+        assert_eq!(fresh.ids().len(), pool.len() - 1);
+        let m =
+            Arc::new(pool.relation_matrix(&t, learner.belief().space(), &PartitionCache::new(&t)));
+        let rebuilt = FreshCandidates::new(&pool, m, learner.shown());
+        assert_eq!(rebuilt.ids(), fresh.ids());
     }
 }

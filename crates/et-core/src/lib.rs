@@ -30,7 +30,8 @@
 //! * [`session`] — the game loop with per-iteration metrics (MAE, held-out
 //!   F1) and convergence/equilibrium tracking (Definition 2 /
 //!   Proposition 1).
-//! * [`candidates`] — the candidate pair pool each interaction draws from.
+//! * [`candidates`] — the candidate pair pool each interaction draws from,
+//!   and the fresh pool ids selection scores.
 
 #![warn(missing_docs)]
 
@@ -46,7 +47,7 @@ pub mod topk;
 pub mod trainer;
 pub mod weak_strong;
 
-pub use candidates::CandidatePool;
+pub use candidates::{CandidatePool, FreshCandidates};
 pub use et_fd::{PartitionCache, RelationMatrix};
 pub use game::{Interaction, Label, PairExample};
 pub use journal::{
@@ -54,7 +55,7 @@ pub use journal::{
 };
 pub use learner::{EvidenceScope, Learner};
 pub use replay::{history_from_csv, history_to_csv, replay_history};
-pub use respond::{ResponseStrategy, ScoreBasis, ScoreCtx, StrategyKind};
+pub use respond::{ResponseStrategy, ScoreBasis, ScoreCtx, Selection, StrategyKind};
 pub use session::{
     run_session, sample_rows, ConfigError, ConvergenceReport, IterationMetrics, PendingInteraction,
     Session, SessionConfig, SessionError, SessionResult, SessionState, StepError,

@@ -10,32 +10,21 @@
 
 use et_belief::{Belief, LabeledPair};
 use et_data::Table;
-use et_fd::{
-    binary_entropy, pair_dirty_probs_with, violation_factors, DetectParams, RelationMatrix,
-};
+use et_fd::{binary_entropy, pair_dirty_probs_with, DetectParams};
 
 use crate::game::PairExample;
 
-/// Pair dirty probabilities via the matrix fast path when it covers the
-/// pair (precomputed `factors` required), the raw-cell reference scan
-/// otherwise. Bit-identical either way: the matrix multiplies the same
-/// noisy-OR factors in the same ascending-FD order.
-fn pair_probs(
-    table: &Table,
-    belief: &Belief,
-    conf: &[f64],
-    fast: Option<(&RelationMatrix, &[f64])>,
-    a: usize,
-    b: usize,
-    params: &DetectParams,
-) -> (f64, f64) {
-    if let Some((m, f)) = fast {
-        if let Some(pid) = m.pair_id(a, b) {
-            let p = m.dirty_prob_with_factors(pid, f, params);
-            return (p, p);
-        }
-    }
-    pair_dirty_probs_with(table, belief.space(), conf, a, b, params)
+/// Raw (unsmoothed) pair dirty probabilities under confidences `conf`,
+/// scanned from raw cells.
+fn pair_probs(table: &Table, belief: &Belief, conf: &[f64], a: usize, b: usize) -> (f64, f64) {
+    pair_dirty_probs_with(
+        table,
+        belief.space(),
+        conf,
+        a,
+        b,
+        &DetectParams::unsmoothed(),
+    )
 }
 
 /// The belief-probability that pair `p` is labeled the way the belief
@@ -46,69 +35,31 @@ fn pair_probs(
 /// Payoff and uncertainty are belief-internal quantities, so they use the
 /// paper's raw (unsmoothed) probabilities — an undecided belief must read
 /// as maximal uncertainty, not as the ambient base rate.
+///
+/// This raw-cell definition is the oracle the packed selection path
+/// ([`crate::respond`]) is tested against; no runtime path calls it.
 pub fn example_confidence(table: &Table, belief: &Belief, p: PairExample) -> f64 {
-    example_confidence_with(table, belief, None, p)
-}
-
-/// [`example_confidence`] with an optional [`RelationMatrix`] fast path.
-pub fn example_confidence_with(
-    table: &Table,
-    belief: &Belief,
-    matrix: Option<&RelationMatrix>,
-    p: PairExample,
-) -> f64 {
-    let conf = belief.confidences();
-    let raw = DetectParams::unsmoothed();
-    let factors = matrix.map(|_| violation_factors(&conf, &raw));
-    let fast = matrix.zip(factors.as_deref());
-    let (pa, pb) = pair_probs(table, belief, &conf, fast, p.a, p.b, &raw);
+    let (pa, pb) = pair_probs(table, belief, &belief.confidences(), p.a, p.b);
     pa.max(1.0 - pa) + pb.max(1.0 - pb)
 }
 
 /// The paper's uncertainty measure for an example:
 /// `entropy(x, θ) = −p ln p − (1−p) ln(1−p)` summed over the pair's tuples,
-/// with `p` the raw belief-weighted dirty probability.
+/// with `p` the raw belief-weighted dirty probability (the test oracle of
+/// the packed selection path, like [`example_confidence`]).
 pub fn example_uncertainty(table: &Table, belief: &Belief, p: PairExample) -> f64 {
-    example_uncertainty_with(table, belief, None, p)
-}
-
-/// [`example_uncertainty`] with an optional [`RelationMatrix`] fast path.
-pub fn example_uncertainty_with(
-    table: &Table,
-    belief: &Belief,
-    matrix: Option<&RelationMatrix>,
-    p: PairExample,
-) -> f64 {
-    let conf = belief.confidences();
-    let raw = DetectParams::unsmoothed();
-    let factors = matrix.map(|_| violation_factors(&conf, &raw));
-    let fast = matrix.zip(factors.as_deref());
-    let (pa, pb) = pair_probs(table, belief, &conf, fast, p.a, p.b, &raw);
+    let (pa, pb) = pair_probs(table, belief, &belief.confidences(), p.a, p.b);
     binary_entropy(pa) + binary_entropy(pb)
 }
 
 /// Trainer payoff `u_T`: how strongly the trainer's belief endorses the
 /// labels it produced in one interaction.
 pub fn trainer_payoff(table: &Table, belief: &Belief, labeled: &[LabeledPair]) -> f64 {
-    trainer_payoff_with(table, belief, None, labeled)
-}
-
-/// [`trainer_payoff`] with an optional [`RelationMatrix`] fast path: the
-/// per-FD factors are computed once for the whole labeled batch.
-pub fn trainer_payoff_with(
-    table: &Table,
-    belief: &Belief,
-    matrix: Option<&RelationMatrix>,
-    labeled: &[LabeledPair],
-) -> f64 {
     let conf = belief.confidences();
-    let raw = DetectParams::unsmoothed();
-    let factors = matrix.map(|_| violation_factors(&conf, &raw));
-    let fast = matrix.zip(factors.as_deref());
     labeled
         .iter()
         .map(|l| {
-            let (pa, pb) = pair_probs(table, belief, &conf, fast, l.a, l.b, &raw);
+            let (pa, pb) = pair_probs(table, belief, &conf, l.a, l.b);
             let ta = if l.dirty_a { pa } else { 1.0 - pa };
             let tb = if l.dirty_b { pb } else { 1.0 - pb };
             ta + tb
@@ -130,12 +81,11 @@ pub fn learner_accuracy_payoff(
 ) -> f64 {
     assert_eq!(policy.len(), labeled.len(), "policy/labeling mismatch");
     let conf = belief.confidences();
-    let raw = DetectParams::unsmoothed();
     labeled
         .iter()
         .zip(policy)
         .map(|(l, &pi)| {
-            let (pa, pb) = pair_dirty_probs_with(table, belief.space(), &conf, l.a, l.b, &raw);
+            let (pa, pb) = pair_probs(table, belief, &conf, l.a, l.b);
             let ta = if l.dirty_a { pa } else { 1.0 - pa };
             let tb = if l.dirty_b { pb } else { 1.0 - pb };
             (ta + tb) * pi

@@ -17,99 +17,46 @@
 //! and `ThompsonSampling` (score under a posterior draw instead of the
 //! posterior mean).
 
-use std::cell::{RefCell, RefMut};
+use std::cell::RefCell;
 
 use et_belief::Belief;
-use et_data::Table;
 use et_fd::{
-    binary_entropy, invariant, tuple_dirty_prob_with, DeltaScorer, DetectParams, PairScores,
-    RelationMatrix, ViolationIndex,
+    binary_entropy, invariant, tuple_dirty_prob_with, DeltaScorer, DetectParams, ViolationIndex,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::game::PairExample;
-use crate::payoff::{example_confidence, example_uncertainty};
+use crate::payoff::policy_entropy;
 use crate::topk::top_k_indices;
 
 /// Everything a response strategy scores from.
 ///
-/// `table` is always required (the reference scoring path derives pair
-/// relations from raw cells); `index` enables [`ScoreBasis::DatasetTuple`]
-/// scoring; `matrix` enables the precomputed fast path — strategies score
-/// from the bit-packed [`RelationMatrix`] for every candidate it covers and
-/// fall back to the per-call reference path, pair by pair, for any it does
-/// not. Both paths are bit-identical by construction (pinned by proptest).
+/// Candidates are pool ids, and a pool id *is* the pair id of the pool's
+/// [`et_fd::RelationMatrix`] (`scorer.matrix()`, built over the pool in
+/// pool order). There is one runtime scoring path: packed relations
+/// folded by the delta-rescoring `scorer`. The raw-cell definitions
+/// ([`crate::payoff::example_confidence`],
+/// [`crate::payoff::example_uncertainty`], [`et_fd::pair_dirty_probs`])
+/// remain as the test oracle the packed path is pinned against.
 #[derive(Debug, Clone, Copy)]
 pub struct ScoreCtx<'a> {
-    /// The dataset being labeled.
-    pub table: &'a Table,
     /// Dataset-wide violation index, for [`ScoreBasis::DatasetTuple`].
-    pub index: Option<&'a ViolationIndex>,
-    /// Precomputed pair-relation matrix over the candidate pool.
-    pub matrix: Option<&'a RelationMatrix>,
-    /// Session-lifetime delta-rescoring cache over `matrix`. When present
-    /// (and it owns the same matrix), batch scores are served by factor
-    /// diff + delta re-fold instead of a from-scratch `score_all` — the
-    /// second scoring pass of a round and near-unchanged beliefs become
-    /// (near-)free. Scores are bit-identical either way.
-    pub scorer: Option<&'a RefCell<DeltaScorer>>,
+    pub index: &'a ViolationIndex,
+    /// Session-lifetime delta-rescoring cache over the pool's relation
+    /// matrix. `RefCell` because a context is shared by value within one
+    /// single-threaded selection.
+    pub scorer: &'a RefCell<DeltaScorer>,
 }
 
-impl<'a> ScoreCtx<'a> {
-    /// A context scoring from raw cells only (the reference path).
-    pub fn new(table: &'a Table) -> Self {
-        Self {
-            table,
-            index: None,
-            matrix: None,
-            scorer: None,
-        }
-    }
-
-    /// Attaches the dataset-wide violation index.
-    #[must_use]
-    pub fn with_index(mut self, index: &'a ViolationIndex) -> Self {
-        self.index = Some(index);
-        self
-    }
-
-    /// Attaches a precomputed relation matrix (the fast scoring path).
-    #[must_use]
-    pub fn with_matrix(mut self, matrix: &'a RelationMatrix) -> Self {
-        self.matrix = Some(matrix);
-        self
-    }
-
-    /// Attaches a delta-rescoring cache (used only when it covers the
-    /// attached matrix).
-    #[must_use]
-    pub fn with_scorer(mut self, scorer: &'a RefCell<DeltaScorer>) -> Self {
-        self.scorer = Some(scorer);
-        self
-    }
-}
-
-/// Batch scores over `m` for one `(confidences, params)` request: served
-/// from the attached [`DeltaScorer`] when it caches this very matrix
-/// (delta re-fold, cached across calls), freshly computed otherwise. The
-/// two out-parameters anchor the returned borrow in the caller's frame.
-fn batch_scores<'a, 'g: 'a>(
-    m: &RelationMatrix,
-    scorer: Option<&'g RefCell<DeltaScorer>>,
-    confidences: &[f64],
-    params: &DetectParams,
-    owned: &'a mut Option<PairScores>,
-    guard: &'a mut Option<RefMut<'g, DeltaScorer>>,
-) -> &'a PairScores {
-    if let Some(cell) = scorer {
-        let g = cell.borrow_mut();
-        if std::ptr::eq::<RelationMatrix>(g.matrix(), m) {
-            return guard.insert(g).scores_for(confidences, params);
-        }
-    }
-    owned.insert(m.score_all(confidences, params))
+/// One round's selection: the picks drawn from the learner's policy
+/// `π_t^L = R^L(θ_t^L)` and that policy's entropy.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Selection {
+    /// The picked candidates (pool ids), in pick order.
+    pub picks: Vec<u32>,
+    /// Shannon entropy of the policy the picks were drawn from.
+    pub h_policy: f64,
 }
 
 /// What the per-example scores are computed from.
@@ -240,180 +187,117 @@ impl ResponseStrategy {
         self
     }
 
-    /// Selects up to `k` distinct pairs from `candidates`.
+    /// One selection pass: scores the fresh `candidates` (pool ids, in
+    /// pool order) once, builds the policy over them once, and draws up to
+    /// `k` distinct picks from it.
     ///
-    /// Deterministic strategies break score ties by pair order; stochastic
-    /// strategies consume `rng`. `ctx` carries the scoring inputs: the
-    /// table (always), the dataset-wide violation index used by
-    /// [`ScoreBasis::DatasetTuple`], and the optional [`RelationMatrix`]
-    /// fast path.
-    pub fn select(
+    /// The policy is uniform for `Random`, the softmax of the scores at
+    /// temperature γ for the stochastic kinds, and uniform over the top-k
+    /// support for the deterministic kinds, whose support *is* the picks.
+    /// Thompson's policy is the top-k under the posterior mean; its picks
+    /// are the top-k under one posterior draw, scored after the mean.
+    /// Deterministic kinds break score ties by candidate order; stochastic
+    /// kinds consume `rng`. An empty candidate list or `k = 0` picks
+    /// nothing, with zero entropy.
+    pub fn select_round(
         &self,
         ctx: ScoreCtx<'_>,
         belief: &Belief,
-        candidates: &[PairExample],
+        candidates: &[u32],
         k: usize,
         rng: &mut StdRng,
-    ) -> Vec<PairExample> {
-        if candidates.is_empty() || k == 0 {
-            return Vec::new();
+    ) -> Selection {
+        let n = candidates.len();
+        if n == 0 || k == 0 {
+            return Selection {
+                picks: Vec::new(),
+                h_policy: 0.0,
+            };
         }
-        let k = k.min(candidates.len());
+        let k = k.min(n);
+        let at = |positions: Vec<usize>| positions.into_iter().map(|i| candidates[i]).collect();
         match self.kind {
             StrategyKind::Random => {
-                let mut pool: Vec<PairExample> = candidates.to_vec();
-                pool.shuffle(rng);
-                pool.truncate(k);
-                pool
+                let mut picks = candidates.to_vec();
+                picks.shuffle(rng);
+                picks.truncate(k);
+                Selection {
+                    picks,
+                    h_policy: uniform_entropy(n),
+                }
             }
             StrategyKind::UncertaintySampling
             | StrategyKind::Best
             | StrategyKind::CommitteeDisagreement
             | StrategyKind::DensityWeightedUncertainty => {
-                let scores = self.scores(ctx, belief, candidates, None);
-                top_k(candidates, &scores, k)
+                let support = top_k_indices(&self.scores(ctx, belief, candidates, None), k);
+                Selection {
+                    h_policy: uniform_entropy(support.len()),
+                    picks: at(support),
+                }
             }
             StrategyKind::ThompsonSampling => {
+                let support = top_k_indices(&self.scores(ctx, belief, candidates, None), k);
+                let h_policy = uniform_entropy(support.len());
                 // One posterior draw per interaction: score confidence under
                 // the sampled confidence vector.
                 let draw: Vec<f64> = (0..belief.len())
                     .map(|i| belief.dist(i).sample(rng))
                     .collect();
-                let scores = self.scores(ctx, belief, candidates, Some(&draw));
-                top_k(candidates, &scores, k)
-            }
-            StrategyKind::StochasticBestResponse | StrategyKind::StochasticUncertainty => {
-                let scores = self.scores(ctx, belief, candidates, None);
-                softmax_sample_without_replacement(candidates, &scores, self.gamma, k, rng)
-            }
-        }
-    }
-
-    /// The policy's selection distribution over `candidates` (used for
-    /// payoff accounting and policy-entropy metrics): softmax weights for
-    /// stochastic strategies, uniform over the top-k support for
-    /// deterministic ones, uniform for `Random`.
-    pub fn policy_distribution(
-        &self,
-        ctx: ScoreCtx<'_>,
-        belief: &Belief,
-        candidates: &[PairExample],
-        k: usize,
-    ) -> Vec<f64> {
-        let n = candidates.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        match self.kind {
-            StrategyKind::Random => vec![1.0 / n as f64; n],
-            StrategyKind::UncertaintySampling
-            | StrategyKind::Best
-            | StrategyKind::ThompsonSampling
-            | StrategyKind::CommitteeDisagreement
-            | StrategyKind::DensityWeightedUncertainty => {
-                let scores = self.scores(ctx, belief, candidates, None);
-                let chosen = top_k_indices(&scores, k.min(n));
-                let w = 1.0 / chosen.len() as f64;
-                let mut out = vec![0.0; n];
-                for i in chosen {
-                    out[i] = w;
+                let drawn = self.scores(ctx, belief, candidates, Some(&draw));
+                Selection {
+                    picks: at(top_k_indices(&drawn, k)),
+                    h_policy,
                 }
-                out
             }
             StrategyKind::StochasticBestResponse | StrategyKind::StochasticUncertainty => {
-                let scores = self.scores(ctx, belief, candidates, None);
-                softmax(&scores, self.gamma)
+                let weights = softmax(&self.scores(ctx, belief, candidates, None), self.gamma);
+                let h_policy = policy_entropy(&weights);
+                Selection {
+                    picks: at(sample_without_replacement(weights, k, rng)),
+                    h_policy,
+                }
             }
         }
     }
 
-    /// Raw per-candidate scores for this strategy's criterion.
-    ///
-    /// When `ctx.matrix` covers a candidate pair, its score comes from the
-    /// precomputed packed relations (one batch [`RelationMatrix::score_all`]
-    /// pass instead of a per-pair raw-cell scan); uncovered pairs fall back
-    /// to the reference path. Both produce bit-identical scores: the matrix
-    /// multiplies the same noisy-OR factors in the same ascending-FD order
-    /// as [`et_fd::pair_dirty_probs_with`].
+    /// Raw per-candidate scores for this strategy's criterion, read from
+    /// the packed relation matrix by pool id (one delta-rescored batch
+    /// fold per parameterisation). `Random` never scores.
     fn scores(
         &self,
         ctx: ScoreCtx<'_>,
         belief: &Belief,
-        candidates: &[PairExample],
+        ids: &[u32],
         thompson_draw: Option<&[f64]>,
     ) -> Vec<f64> {
-        if matches!(self.kind, StrategyKind::Random) {
-            return vec![0.0; candidates.len()];
-        }
+        let mut scorer = ctx.scorer.borrow_mut();
         if matches!(self.kind, StrategyKind::CommitteeDisagreement) {
-            // Summed posterior variance over the FDs each pair violates;
-            // the matrix already knows each covered pair's violated set.
-            let mut rel: Option<et_fd::SpaceRelations> = None;
-            return candidates
+            // Summed posterior variance over the FDs each pair violates.
+            let m = scorer.matrix();
+            return ids
                 .iter()
-                .map(
-                    |p| match ctx.matrix.and_then(|m| Some((m, m.pair_id(p.a, p.b)?))) {
-                        Some((m, pid)) => m
-                            .violated_indices(pid)
-                            .map(|fi| belief.dist(fi).variance())
-                            .sum(),
-                        None => {
-                            let rel = rel
-                                .get_or_insert_with(|| et_fd::SpaceRelations::new(belief.space()));
-                            (0..rel.len())
-                                .filter(|&fi| {
-                                    rel.relation(ctx.table, fi, p.a, p.b)
-                                        == et_fd::PairRelation::Violates
-                                })
-                                .map(|fi| belief.dist(fi).variance())
-                                .sum()
-                        }
-                    },
-                )
+                .map(|&id| {
+                    m.violated_indices(id as usize)
+                        .map(|fi| belief.dist(fi).variance())
+                        .sum()
+                })
                 .collect();
         }
         if matches!(self.kind, StrategyKind::DensityWeightedUncertainty) {
             // Uncertainty x representativeness (relevant-FD count).
             let n_fds = belief.len().max(1) as f64;
-            let conf = belief.confidences();
-            let (mut owned, mut guard) = (None, None);
-            let batch = ctx.matrix.map(|m| {
-                batch_scores(
-                    m,
-                    ctx.scorer,
-                    &conf,
-                    &DetectParams::unsmoothed(),
-                    &mut owned,
-                    &mut guard,
-                )
-            });
-            let mut rel: Option<et_fd::SpaceRelations> = None;
-            return candidates
+            let m = scorer.matrix();
+            let mut out: Vec<f64> = ids
                 .iter()
-                .map(|&p| {
-                    let hit = ctx
-                        .matrix
-                        .zip(batch)
-                        .and_then(|(m, b)| Some((m, b, m.pair_id(p.a, p.b)?)));
-                    match hit {
-                        Some((m, b, pid)) => {
-                            let e = b.entropy[pid];
-                            (e + e) * (m.relevant_count(pid) as f64 / n_fds)
-                        }
-                        None => {
-                            let rel = rel
-                                .get_or_insert_with(|| et_fd::SpaceRelations::new(belief.space()));
-                            let relevant = (0..rel.len())
-                                .filter(|&fi| {
-                                    rel.relation(ctx.table, fi, p.a, p.b)
-                                        != et_fd::PairRelation::Irrelevant
-                                })
-                                .count() as f64;
-                            example_uncertainty(ctx.table, belief, p) * (relevant / n_fds)
-                        }
-                    }
-                })
+                .map(|&id| m.relevant_count(id as usize) as f64 / n_fds)
                 .collect();
+            let batch = scorer.scores_for(&belief.confidences(), &DetectParams::unsmoothed());
+            for (s, &id) in out.iter_mut().zip(ids) {
+                let e = batch.entropy[id as usize];
+                *s *= e + e;
+            }
+            return out;
         }
         let conf_holder;
         let conf: &[f64] = match thompson_draw {
@@ -423,22 +307,24 @@ impl ResponseStrategy {
                 &conf_holder
             }
         };
-        match (self.basis, ctx.index) {
-            (ScoreBasis::DatasetTuple, Some(index)) => {
+        match self.basis {
+            ScoreBasis::DatasetTuple => {
                 // The paper's per-tuple p(dirty | θ) over the whole dataset.
+                let index = ctx.index;
+                let pairs = scorer.matrix().pairs();
                 let params = DetectParams::default();
                 let mut probs = vec![f64::NAN; index.n_rows()];
-                let prob = |row: usize, probs: &mut Vec<f64>| {
+                let mut prob = |row: usize| {
                     if probs[row].is_nan() {
                         probs[row] = tuple_dirty_prob_with(index, conf, row, &params);
                     }
                     probs[row]
                 };
-                candidates
-                    .iter()
-                    .map(|p| {
-                        let pa = prob(p.a, &mut probs);
-                        let pb = prob(p.b, &mut probs);
+                ids.iter()
+                    .map(|&id| {
+                        let (a, b) = pairs[id as usize];
+                        let pa = prob(a);
+                        let pb = prob(b);
                         match self.kind {
                             StrategyKind::UncertaintySampling
                             | StrategyKind::StochasticUncertainty => {
@@ -449,96 +335,46 @@ impl ResponseStrategy {
                     })
                     .collect()
             }
-            _ => {
-                // Pair-local scoring (ablation, or no index supplied).
-                match self.kind {
-                    StrategyKind::UncertaintySampling | StrategyKind::StochasticUncertainty => {
-                        // Uncertainty is belief-internal: raw probabilities,
-                        // posterior-mean confidences (never the draw).
-                        let mean_conf = belief.confidences();
-                        let (mut owned, mut guard) = (None, None);
-                        let batch = ctx.matrix.map(|m| {
-                            batch_scores(
-                                m,
-                                ctx.scorer,
-                                &mean_conf,
-                                &DetectParams::unsmoothed(),
-                                &mut owned,
-                                &mut guard,
-                            )
-                        });
-                        candidates
-                            .iter()
-                            .map(|&p| {
-                                let hit = ctx
-                                    .matrix
-                                    .zip(batch)
-                                    .and_then(|(m, b)| Some((b, m.pair_id(p.a, p.b)?)));
-                                match hit {
-                                    Some((b, pid)) => {
-                                        let e = b.entropy[pid];
-                                        e + e
-                                    }
-                                    None => example_uncertainty(ctx.table, belief, p),
-                                }
-                            })
-                            .collect()
-                    }
-                    _ => {
-                        // Confidence scoring: smoothed under a Thompson draw
-                        // (matching `pair_dirty_probs`), raw otherwise
-                        // (matching `example_confidence`).
-                        let params = if thompson_draw.is_some() {
-                            DetectParams::default()
-                        } else {
-                            DetectParams::unsmoothed()
-                        };
-                        let (mut owned, mut guard) = (None, None);
-                        let batch = ctx.matrix.map(|m| {
-                            batch_scores(m, ctx.scorer, conf, &params, &mut owned, &mut guard)
-                        });
-                        candidates
-                            .iter()
-                            .map(|&p| {
-                                let hit = ctx
-                                    .matrix
-                                    .zip(batch)
-                                    .and_then(|(m, b)| Some((b, m.pair_id(p.a, p.b)?)));
-                                match hit {
-                                    Some((b, pid)) => {
-                                        let d = b.dirty[pid];
-                                        let s = d.max(1.0 - d);
-                                        s + s
-                                    }
-                                    None if thompson_draw.is_some() => {
-                                        let (pa, pb) = et_fd::pair_dirty_probs(
-                                            ctx.table,
-                                            belief.space(),
-                                            conf,
-                                            p.a,
-                                            p.b,
-                                        );
-                                        pa.max(1.0 - pa) + pb.max(1.0 - pb)
-                                    }
-                                    None => example_confidence(ctx.table, belief, p),
-                                }
-                            })
-                            .collect()
-                    }
+            ScoreBasis::PairLocal => match self.kind {
+                StrategyKind::UncertaintySampling | StrategyKind::StochasticUncertainty => {
+                    // Uncertainty is belief-internal: raw probabilities
+                    // under the posterior mean (these kinds never draw).
+                    let batch = scorer.scores_for(conf, &DetectParams::unsmoothed());
+                    ids.iter()
+                        .map(|&id| {
+                            let e = batch.entropy[id as usize];
+                            e + e
+                        })
+                        .collect()
                 }
-            }
+                _ => {
+                    // Confidence scoring: smoothed under a Thompson draw
+                    // (matching `pair_dirty_probs`), raw otherwise
+                    // (matching `example_confidence`).
+                    let params = if thompson_draw.is_some() {
+                        DetectParams::default()
+                    } else {
+                        DetectParams::unsmoothed()
+                    };
+                    let batch = scorer.scores_for(conf, &params);
+                    ids.iter()
+                        .map(|&id| {
+                            let d = batch.dirty[id as usize];
+                            let s = d.max(1.0 - d);
+                            s + s
+                        })
+                        .collect()
+                }
+            },
         }
     }
 }
 
-/// Deterministic top-k by score (ties by candidate order): a bounded
-/// `O(n log k)` heap ([`crate::topk`]) in place of the historical full
-/// sort, with element-for-element identical output.
-fn top_k(candidates: &[PairExample], scores: &[f64], k: usize) -> Vec<PairExample> {
-    top_k_indices(scores, k)
-        .into_iter()
-        .map(|i| candidates[i])
-        .collect()
+/// Entropy of the uniform policy over `m` candidates, summed term by term
+/// exactly as [`policy_entropy`] sums an explicit uniform vector.
+fn uniform_entropy(m: usize) -> f64 {
+    let p = 1.0 / m as f64;
+    (0..m).map(|_| -p * p.ln()).sum()
 }
 
 /// Numerically-stable softmax of `scores / gamma`.
@@ -557,17 +393,10 @@ fn softmax(scores: &[f64], gamma: f64) -> Vec<f64> {
     out
 }
 
-/// Samples `k` distinct candidates with probabilities ∝ softmax weights,
-/// renormalising after each draw.
-fn softmax_sample_without_replacement(
-    candidates: &[PairExample],
-    scores: &[f64],
-    gamma: f64,
-    k: usize,
-    rng: &mut StdRng,
-) -> Vec<PairExample> {
-    let mut weights = softmax(scores, gamma);
-    let mut alive: Vec<usize> = (0..candidates.len()).collect();
+/// Samples `k` distinct positions with probabilities ∝ `weights`,
+/// renormalising after each draw (the weights are consumed).
+fn sample_without_replacement(mut weights: Vec<f64>, k: usize, rng: &mut StdRng) -> Vec<usize> {
+    let mut alive: Vec<usize> = (0..weights.len()).collect();
     let mut out = Vec::with_capacity(k);
     for _ in 0..k {
         let total: f64 = alive.iter().map(|&i| weights[i]).sum();
@@ -585,7 +414,7 @@ fn softmax_sample_without_replacement(
         }
         let i = alive.swap_remove(chosen_pos);
         weights[i] = 0.0;
-        out.push(candidates[i]);
+        out.push(i);
     }
     out
 }
@@ -593,74 +422,94 @@ fn softmax_sample_without_replacement(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::game::PairExample;
     use et_belief::Beta;
     use et_data::table::paper_table1;
-    use et_fd::{Fd, HypothesisSpace};
+    use et_data::Table;
+    use et_fd::{Fd, HypothesisSpace, PartitionCache, RelationMatrix};
     use rand::SeedableRng;
     use std::sync::Arc;
 
-    fn setup(conf: f64) -> (Table, Belief, Vec<PairExample>) {
-        let t = paper_table1();
-        let space = Arc::new(HypothesisSpace::from_fds([
+    fn space() -> Arc<HypothesisSpace> {
+        Arc::new(HypothesisSpace::from_fds([
             Fd::from_attrs([1], 2),
             Fd::from_attrs([2, 3], 4),
-        ]));
-        let b = Belief::constant(space, Beta::from_mean_std(conf, 0.05));
+        ]))
+    }
+
+    fn setup(conf: f64) -> (Table, Belief, Vec<PairExample>) {
+        let b = Belief::constant(space(), Beta::from_mean_std(conf, 0.05));
         let pool = vec![
             PairExample::new(0, 1), // violates Team -> City
             PairExample::new(1, 2), // satisfies City,Role -> Apps
             PairExample::new(2, 3), // satisfies Team -> City
         ];
-        (t, b, pool)
+        (paper_table1(), b, pool)
     }
 
-    use et_data::Table;
+    /// A belief undecided about fd0 and confident in fd1, so pairs on the
+    /// two FDs score differently.
+    fn skewed() -> Belief {
+        let mut b = Belief::constant(space(), Beta::from_mean_std(0.55, 0.05));
+        *b.dist_mut(1) = Beta::from_mean_std(0.98, 0.01);
+        b
+    }
+
+    /// One selection round over `pool`, with the matrix built over `pool`
+    /// so a pool position is its pair id. Returns the picked pairs and the
+    /// policy entropy.
+    pub(super) fn run(
+        s: &ResponseStrategy,
+        t: &Table,
+        b: &Belief,
+        pool: &[PairExample],
+        k: usize,
+        rng: &mut StdRng,
+    ) -> (Vec<PairExample>, f64) {
+        let cache = PartitionCache::new(t);
+        let pairs: Vec<(usize, usize)> = pool.iter().map(|p| (p.a, p.b)).collect();
+        let m = Arc::new(RelationMatrix::build(t, b.space(), &cache, &pairs));
+        let index = ViolationIndex::build_with(t, b.space(), &cache);
+        let scorer = RefCell::new(DeltaScorer::new(m));
+        let ids: Vec<u32> = (0..pool.len() as u32).collect();
+        let ctx = ScoreCtx {
+            index: &index,
+            scorer: &scorer,
+        };
+        let sel = s.select_round(ctx, b, &ids, k, rng);
+        let picked = sel.picks.iter().map(|&id| pool[id as usize]).collect();
+        (picked, sel.h_policy)
+    }
 
     #[test]
     fn random_selects_k_distinct() {
         let (t, b, pool) = setup(0.9);
         let s = ResponseStrategy::paper(StrategyKind::Random);
         let mut rng = StdRng::seed_from_u64(1);
-        let picked = s.select(ScoreCtx::new(&t), &b, &pool, 2, &mut rng);
+        let (picked, h) = run(&s, &t, &b, &pool, 2, &mut rng);
         assert_eq!(picked.len(), 2);
         assert_ne!(picked[0], picked[1]);
+        assert!((h - 3f64.ln()).abs() < 1e-12, "uniform over the pool");
     }
 
     #[test]
     fn us_prefers_uncertain_pairs() {
-        // With confidence 0.7, a violating pair has p_dirty = .7 (uncertain)
-        // while satisfying pairs have p = .3; same entropy. Make them
-        // differ: use 0.85 -> violating p=.85 (ent .42), satisfying p=.15
-        // (same). Entropies tie... instead compare against an irrelevant-ish
-        // candidate through a belief that is confident about one FD only.
-        let t = paper_table1();
-        let space = Arc::new(HypothesisSpace::from_fds([
-            Fd::from_attrs([1], 2),
-            Fd::from_attrs([2, 3], 4),
-        ]));
-        let mut b = Belief::constant(space, Beta::from_mean_std(0.55, 0.05));
         // fd1 very confident -> its satisfying pair (1,2) is low entropy.
-        *b.dist_mut(1) = Beta::from_mean_std(0.98, 0.01);
+        let t = paper_table1();
         let pool = vec![PairExample::new(0, 1), PairExample::new(1, 2)];
         let s = ResponseStrategy::paper(StrategyKind::UncertaintySampling);
         let mut rng = StdRng::seed_from_u64(1);
-        let picked = s.select(ScoreCtx::new(&t), &b, &pool, 1, &mut rng);
+        let (picked, _) = run(&s, &t, &skewed(), &pool, 1, &mut rng);
         assert_eq!(picked[0], PairExample::new(0, 1), "ambiguous pair first");
     }
 
     #[test]
     fn best_prefers_confident_pairs() {
         let t = paper_table1();
-        let space = Arc::new(HypothesisSpace::from_fds([
-            Fd::from_attrs([1], 2),
-            Fd::from_attrs([2, 3], 4),
-        ]));
-        let mut b = Belief::constant(space, Beta::from_mean_std(0.55, 0.05));
-        *b.dist_mut(1) = Beta::from_mean_std(0.98, 0.01);
         let pool = vec![PairExample::new(0, 1), PairExample::new(1, 2)];
         let s = ResponseStrategy::paper(StrategyKind::Best);
         let mut rng = StdRng::seed_from_u64(1);
-        let picked = s.select(ScoreCtx::new(&t), &b, &pool, 1, &mut rng);
+        let (picked, _) = run(&s, &t, &skewed(), &pool, 1, &mut rng);
         assert_eq!(picked[0], PairExample::new(1, 2), "confident pair first");
     }
 
@@ -672,14 +521,11 @@ mod tests {
             StrategyKind::StochasticUncertainty,
         ] {
             let s = ResponseStrategy::paper(kind);
-            let run = |seed| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                s.select(ScoreCtx::new(&t), &b, &pool, 2, &mut rng)
-            };
-            let a = run(5);
+            let go = |seed| run(&s, &t, &b, &pool, 2, &mut StdRng::seed_from_u64(seed)).0;
+            let a = go(5);
             assert_eq!(a.len(), 2);
             assert_ne!(a[0], a[1]);
-            assert_eq!(a, run(5), "same seed, same sample");
+            assert_eq!(a, go(5), "same seed, same sample");
         }
     }
 
@@ -687,28 +533,19 @@ mod tests {
     fn low_gamma_approaches_greedy() {
         // StochasticUS with tiny gamma behaves like US (paper §4).
         let t = paper_table1();
-        let space = Arc::new(HypothesisSpace::from_fds([
-            Fd::from_attrs([1], 2),
-            Fd::from_attrs([2, 3], 4),
-        ]));
-        let mut b = Belief::constant(space, Beta::from_mean_std(0.55, 0.05));
-        *b.dist_mut(1) = Beta::from_mean_std(0.98, 0.01);
+        let b = skewed();
         let pool = vec![PairExample::new(0, 1), PairExample::new(1, 2)];
         let greedy = ResponseStrategy::paper(StrategyKind::UncertaintySampling);
         let stochastic = ResponseStrategy::new(StrategyKind::StochasticUncertainty, 1e-3);
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = greedy.select(ScoreCtx::new(&t), &b, &pool, 1, &mut rng);
+        let (g, _) = run(&greedy, &t, &b, &pool, 1, &mut StdRng::seed_from_u64(3));
         for seed in 0..10 {
             let mut rng = StdRng::seed_from_u64(seed);
-            assert_eq!(
-                stochastic.select(ScoreCtx::new(&t), &b, &pool, 1, &mut rng),
-                g
-            );
+            assert_eq!(run(&stochastic, &t, &b, &pool, 1, &mut rng).0, g);
         }
     }
 
     #[test]
-    fn policy_distribution_sums_to_one() {
+    fn policy_entropy_is_bounded_by_the_pool() {
         let (t, b, pool) = setup(0.8);
         for kind in [
             StrategyKind::Random,
@@ -718,40 +555,28 @@ mod tests {
             StrategyKind::Best,
         ] {
             let s = ResponseStrategy::paper(kind);
-            let d = s.policy_distribution(ScoreCtx::new(&t), &b, &pool, 2);
-            let sum: f64 = d.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-9, "{kind:?} sums to {sum}");
-            assert!(d.iter().all(|&p| p >= 0.0));
+            let (_, h) = run(&s, &t, &b, &pool, 2, &mut StdRng::seed_from_u64(1));
+            assert!(h >= 0.0 && h <= 3f64.ln() + 1e-12, "{kind:?}: {h}");
         }
+        // Deterministic kinds are uniform over their k-pair support.
+        let s = ResponseStrategy::paper(StrategyKind::Best);
+        let (_, h) = run(&s, &t, &b, &pool, 2, &mut StdRng::seed_from_u64(1));
+        assert!((h - 2f64.ln()).abs() < 1e-12);
     }
 
     #[test]
     fn high_gamma_flattens_softmax() {
-        // Need pairs with *different* confidence scores: make one FD much
-        // more decided than the other.
-        let t = paper_table1();
-        let space = Arc::new(HypothesisSpace::from_fds([
-            Fd::from_attrs([1], 2),
-            Fd::from_attrs([2, 3], 4),
-        ]));
-        let mut b = Belief::constant(space, Beta::from_mean_std(0.55, 0.05));
-        *b.dist_mut(1) = Beta::from_mean_std(0.98, 0.01);
-        let pool = vec![
-            PairExample::new(0, 1),
-            PairExample::new(1, 2),
-            PairExample::new(2, 3),
-        ];
+        // Pairs need *different* confidence scores: one FD is much more
+        // decided than the other.
+        let (t, _, pool) = setup(0.8);
+        let b = skewed();
         let sharp = ResponseStrategy::new(StrategyKind::StochasticBestResponse, 0.05);
         let flat = ResponseStrategy::new(StrategyKind::StochasticBestResponse, 50.0);
-        let ds = sharp.policy_distribution(ScoreCtx::new(&t), &b, &pool, 2);
-        let df = flat.policy_distribution(ScoreCtx::new(&t), &b, &pool, 2);
-        let spread = |d: &[f64]| {
-            d.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-                - d.iter().cloned().fold(f64::INFINITY, f64::min)
-        };
-        assert!(spread(&ds) > spread(&df));
+        let (_, hs) = run(&sharp, &t, &b, &pool, 2, &mut StdRng::seed_from_u64(1));
+        let (_, hf) = run(&flat, &t, &b, &pool, 2, &mut StdRng::seed_from_u64(1));
+        assert!(hs < hf);
         // Near-uniform at high temperature.
-        assert!(spread(&df) < 0.01);
+        assert!(3f64.ln() - hf < 1e-4, "{hf}");
     }
 
     #[test]
@@ -759,7 +584,9 @@ mod tests {
         let (t, b, pool) = setup(0.7);
         let s = ResponseStrategy::paper(StrategyKind::ThompsonSampling);
         let mut rng = StdRng::seed_from_u64(4);
-        assert_eq!(s.select(ScoreCtx::new(&t), &b, &pool, 2, &mut rng).len(), 2);
+        let (picked, h) = run(&s, &t, &b, &pool, 2, &mut rng);
+        assert_eq!(picked.len(), 2);
+        assert!((h - 2f64.ln()).abs() < 1e-12, "uniform over the mean top-k");
     }
 
     #[test]
@@ -767,17 +594,16 @@ mod tests {
         let (t, b, pool) = setup(0.8);
         let s = ResponseStrategy::paper(StrategyKind::Random);
         let mut rng = StdRng::seed_from_u64(2);
-        assert_eq!(
-            s.select(ScoreCtx::new(&t), &b, &pool, 99, &mut rng).len(),
-            pool.len()
-        );
-        assert!(s.select(ScoreCtx::new(&t), &b, &[], 2, &mut rng).is_empty());
+        assert_eq!(run(&s, &t, &b, &pool, 99, &mut rng).0.len(), pool.len());
+        assert!(run(&s, &t, &b, &[], 2, &mut rng).0.is_empty());
     }
 }
 
 #[cfg(test)]
 mod extension_tests {
+    use super::tests::run;
     use super::*;
+    use crate::game::PairExample;
     use et_belief::{Belief, Beta};
     use et_data::table::paper_table1;
     use et_fd::{Fd, HypothesisSpace};
@@ -803,42 +629,32 @@ mod extension_tests {
     #[test]
     fn committee_prefers_high_variance_violations() {
         let (t, mut b, pool) = setup();
-        // Shrink fd0's variance: its violating pair (0,1) should lose to
-        // nothing (no other violating pair exists), but its raw score drops.
         let s = ResponseStrategy::paper(StrategyKind::CommitteeDisagreement);
         let mut rng = StdRng::seed_from_u64(1);
-        let picked = s.select(ScoreCtx::new(&t), &b, &pool, 1, &mut rng);
+        let (picked, _) = run(&s, &t, &b, &pool, 1, &mut rng);
         assert_eq!(
             picked[0],
             PairExample::new(0, 1),
             "only violating pair wins"
         );
-        // With a near-certain belief in fd0, disagreement collapses.
+        // With a near-certain belief in fd0, disagreement collapses; the
+        // winner is unchanged (ties fall to candidate order) and the policy
+        // stays a point mass on the single pick.
         *b.dist_mut(0) = Beta::new(500.0, 1.0);
-        let scores_sharp = s.policy_distribution(ScoreCtx::new(&t), &b, &pool, 1);
-        // Policy still selects one pair, but the winner is unchanged
-        // (ties fall to candidate order); the invariant we check is
-        // validity of the distribution.
-        let sum: f64 = scores_sharp.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9);
+        let (picked, h) = run(&s, &t, &b, &pool, 1, &mut rng);
+        assert_eq!(picked.len(), 1);
+        assert_eq!(h, 0.0);
     }
 
     #[test]
     fn density_weighting_downweights_narrow_pairs() {
         let (t, b, _) = setup();
-        // (1,2) is relevant to one FD; craft a pair relevant to... in
-        // Table 1 all candidates touch a single FD, so check the scores
-        // are finite and the strategy selects k pairs.
+        // In Table 1 all candidates touch a single FD, so check the
+        // strategy selects k pairs.
         let s = ResponseStrategy::paper(StrategyKind::DensityWeightedUncertainty);
         let mut rng = StdRng::seed_from_u64(2);
-        let picked = s.select(
-            ScoreCtx::new(&t),
-            &b,
-            &[PairExample::new(0, 1), PairExample::new(2, 3)],
-            2,
-            &mut rng,
-        );
-        assert_eq!(picked.len(), 2);
+        let pool = [PairExample::new(0, 1), PairExample::new(2, 3)];
+        assert_eq!(run(&s, &t, &b, &pool, 2, &mut rng).0.len(), 2);
     }
 
     #[test]
@@ -849,12 +665,10 @@ mod extension_tests {
             StrategyKind::DensityWeightedUncertainty,
         ] {
             let s = ResponseStrategy::paper(kind);
-            let mut r1 = StdRng::seed_from_u64(3);
-            let mut r2 = StdRng::seed_from_u64(99);
             // Deterministic strategies ignore the RNG entirely.
             assert_eq!(
-                s.select(ScoreCtx::new(&t), &b, &pool, 2, &mut r1),
-                s.select(ScoreCtx::new(&t), &b, &pool, 2, &mut r2),
+                run(&s, &t, &b, &pool, 2, &mut StdRng::seed_from_u64(3)),
+                run(&s, &t, &b, &pool, 2, &mut StdRng::seed_from_u64(99)),
                 "{kind:?}"
             );
         }

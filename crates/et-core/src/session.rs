@@ -27,12 +27,10 @@ use et_data::{split_rows, Table};
 use et_fd::{predict_labels, HypothesisSpace, PartitionCache, RelationMatrix, ViolationIndex};
 use et_metrics::ConfusionMatrix;
 
-use crate::candidates::CandidatePool;
+use crate::candidates::{CandidatePool, FreshCandidates};
 use crate::game::Interaction;
 use crate::journal::SessionJournal;
 use crate::learner::Learner;
-use crate::payoff::policy_entropy;
-use crate::respond::ScoreCtx;
 use crate::trainer::{Trainer, TrainerPersist};
 
 /// Session parameters; defaults follow the paper's empirical study.
@@ -380,17 +378,11 @@ pub struct SessionState {
     /// relations depend only on the immutable table). Shared by the batch
     /// loop, the step API, and the serve store via `Arc`.
     matrix: OnceLock<Arc<RelationMatrix>>,
-    /// Lazily built delta-rescoring cache over `matrix`: the per-FD dirty
-    /// diffing and cached [`et_fd::PairScores`] live here, next to the
-    /// matrix they cover, so batch runs, the step API, and serve-store
-    /// sessions all share the delta path. `RefCell` because strategies
-    /// take the scoring context immutably and a session step is
-    /// single-threaded; never persisted (pure cache, bit-identical to the
-    /// full rescore, so recovery just re-warms it).
-    scorer: OnceLock<std::cell::RefCell<et_fd::DeltaScorer>>,
-    /// When false, strategies score via the per-call reference path
-    /// (parity tests, baseline benchmarks).
-    use_matrix: bool,
+    /// The unshown pool ids and the delta scorer over `matrix`, built on
+    /// the first `present` from the learner's shown set and dropped when a
+    /// snapshot restores a different one. Never persisted: the shown set
+    /// is the durable form, and the scorer is a pure cache.
+    pub(crate) fresh: Option<FreshCandidates>,
     pub(crate) metrics: Vec<IterationMetrics>,
     pub(crate) history: Vec<Interaction>,
     pub(crate) prev_trainer: Vec<f64>,
@@ -484,8 +476,7 @@ impl SessionState {
             score_index,
             pool,
             matrix: OnceLock::new(),
-            scorer: OnceLock::new(),
-            use_matrix: true,
+            fresh: None,
             metrics,
             history,
             prev_trainer,
@@ -593,23 +584,11 @@ impl SessionState {
     /// shared from then on.
     pub fn relation_matrix(&self) -> Arc<RelationMatrix> {
         Arc::clone(self.matrix.get_or_init(|| {
-            let pairs: Vec<(usize, usize)> = self.pool.pairs().iter().map(|p| (p.a, p.b)).collect();
-            Arc::new(RelationMatrix::build(
-                &self.table,
-                &self.space,
-                &self.cache,
-                &pairs,
-            ))
+            Arc::new(
+                self.pool
+                    .relation_matrix(&self.table, &self.space, &self.cache),
+            )
         }))
-    }
-
-    /// Disables the matrix fast path: strategies score through the per-call
-    /// reference implementation instead. Used by parity tests and baseline
-    /// benchmarks; results are bit-identical either way.
-    #[must_use]
-    pub fn with_reference_scoring(mut self) -> Self {
-        self.use_matrix = false;
-        self
     }
 
     /// The configuration.
@@ -657,27 +636,12 @@ impl SessionState {
         if self.is_complete() {
             return Ok(None);
         }
-        let matrix = if self.use_matrix {
-            Some(self.relation_matrix())
-        } else {
-            None
-        };
-        let mut ctx = ScoreCtx::new(&self.table).with_index(&self.score_index);
-        if let Some(m) = matrix.as_ref() {
-            ctx = ctx.with_matrix(m);
-            let cell = self
-                .scorer
-                .get_or_init(|| std::cell::RefCell::new(et_fd::DeltaScorer::new(Arc::clone(m))));
-            ctx = ctx.with_scorer(cell);
-        }
-        // One fresh-candidate enumeration serves both the policy accounting
-        // and the selection (the shown-set only grows inside `select_from`).
-        let fresh = self.pool.fresh(learner.shown());
-        // Policy distribution before selection (for entropy accounting).
-        let dist = learner.policy_over(ctx, &fresh, self.cfg.pairs_per_iteration);
-        let h_policy = policy_entropy(&dist);
-
-        let pairs = learner.select_from(ctx, &fresh, self.cfg.pairs_per_iteration);
+        let matrix = self.relation_matrix();
+        let fresh = self
+            .fresh
+            .get_or_insert_with(|| FreshCandidates::new(&self.pool, matrix, learner.shown()));
+        let (pairs, h_policy) =
+            learner.select(fresh, &self.score_index, self.cfg.pairs_per_iteration);
         if pairs.is_empty() {
             self.exhausted = true; // pool dry
             return Ok(None);
@@ -1044,7 +1008,7 @@ mod tests {
     use et_data::{inject_errors, InjectConfig};
     use et_fd::Fd;
 
-    fn fixture() -> (Table, Vec<bool>, Arc<HypothesisSpace>) {
+    pub(super) fn fixture() -> (Table, Vec<bool>, Arc<HypothesisSpace>) {
         let mut ds = omdb(200, 11);
         let specs = ds.exact_fds.clone();
         let inj = inject_errors(
@@ -1065,16 +1029,19 @@ mod tests {
         table: &Table,
         space: &Arc<HypothesisSpace>,
     ) -> (FpTrainer, Learner) {
+        agents_with(ResponseStrategy::paper(kind), table, space)
+    }
+
+    pub(super) fn agents_with(
+        strategy: ResponseStrategy,
+        table: &Table,
+        space: &Arc<HypothesisSpace>,
+    ) -> (FpTrainer, Learner) {
         let prior_cfg = PriorConfig::weak();
         let trainer_prior = build_prior(&PriorSpec::Random { seed: 3 }, &prior_cfg, space, table);
         let learner_prior = build_prior(&PriorSpec::DataEstimate, &prior_cfg, space, table);
         let trainer = FpTrainer::new(trainer_prior, EvidenceConfig::default());
-        let learner = Learner::new(
-            learner_prior,
-            ResponseStrategy::paper(kind),
-            EvidenceConfig::default(),
-            7,
-        );
+        let learner = Learner::new(learner_prior, strategy, EvidenceConfig::default(), 7);
         (trainer, learner)
     }
 
@@ -1204,69 +1171,6 @@ mod tests {
         for (a, b) in batch.history.iter().zip(&stepped.history) {
             assert_eq!(a.sample, b.sample);
             assert_eq!(a.labels, b.labels);
-        }
-    }
-
-    #[test]
-    fn matrix_scoring_is_bit_identical_to_reference() {
-        // Every strategy kind, matrix fast path (the batch default) vs the
-        // per-call reference path (`with_reference_scoring`): same
-        // selections, same labels, same metrics, bit for bit.
-        let (table, dirty, space) = fixture();
-        let cfg = SessionConfig {
-            iterations: 12,
-            ..SessionConfig::default()
-        };
-        for kind in StrategyKind::PAPER_METHODS
-            .into_iter()
-            .chain(StrategyKind::EXTENSIONS)
-        {
-            let run = |reference: bool| {
-                let (mut trainer, mut learner) = agents(kind, &table, &space);
-                let mut st = SessionState::new(
-                    table.clone(),
-                    space.clone(),
-                    &dirty,
-                    cfg.clone(),
-                    &trainer,
-                    &learner,
-                )
-                .expect("valid config");
-                if reference {
-                    st = st.with_reference_scoring();
-                }
-                while st.present(&mut learner).expect("in phase").is_some() {
-                    let labels = st.label_pending(&mut trainer).expect("pending");
-                    let _ = st
-                        .apply_labels(&trainer, &mut learner, &labels)
-                        .expect("aligned");
-                }
-                st.into_result()
-            };
-            let fast = run(false);
-            let reference = run(true);
-            assert_eq!(
-                fast.mae_series(),
-                reference.mae_series(),
-                "{}: MAE series diverged",
-                kind.as_str()
-            );
-            assert_eq!(fast.learner_confidences, reference.learner_confidences);
-            assert_eq!(fast.trainer_confidences, reference.trainer_confidences);
-            assert_eq!(fast.history.len(), reference.history.len());
-            for (a, b) in fast.history.iter().zip(&reference.history) {
-                assert_eq!(a.selected, b.selected, "{}: selections", kind.as_str());
-                assert_eq!(a.sample, b.sample);
-                assert_eq!(a.labels, b.labels);
-            }
-            for (a, b) in fast.metrics.iter().zip(&reference.metrics) {
-                assert_eq!(
-                    a.policy_entropy.to_bits(),
-                    b.policy_entropy.to_bits(),
-                    "{}: policy entropy",
-                    kind.as_str()
-                );
-            }
         }
     }
 
@@ -1516,5 +1420,292 @@ mod tests {
             &mut learner,
         );
         assert!(r.metrics[0].mae < 0.05);
+    }
+}
+
+/// The two-pass raw-cell selection oracle.
+///
+/// The reference round filters the pool by the learner's shown set into a
+/// list of fresh pairs, scores them once for the policy distribution
+/// (`policy_distribution`) and once more to pick (`select`). Scores come
+/// from raw cells, pair by pair, through the paper's definitions
+/// (`example_confidence`, `example_uncertainty`, `et_fd::pair_dirty_probs`,
+/// `SpaceRelations`). Every round of a stepped session must match it:
+/// presented pairs, `h_policy` bits and the learner's residual RNG state,
+/// for every strategy kind under both score bases.
+#[cfg(test)]
+mod oracle {
+    use et_belief::Belief;
+    use et_data::Table;
+    use et_fd::{
+        binary_entropy, tuple_dirty_prob_with, DetectParams, PairRelation, SpaceRelations,
+        ViolationIndex,
+    };
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::Rng;
+
+    use super::tests::{agents_with, fixture};
+    use super::{SessionConfig, SessionState};
+    use crate::game::PairExample;
+    use crate::learner::Learner;
+    use crate::payoff::{example_confidence, example_uncertainty, policy_entropy};
+    use crate::respond::{ResponseStrategy, ScoreBasis, StrategyKind};
+    use crate::topk::top_k_indices;
+
+    const ALL_KINDS: [StrategyKind; 8] = [
+        StrategyKind::Random,
+        StrategyKind::UncertaintySampling,
+        StrategyKind::StochasticBestResponse,
+        StrategyKind::StochasticUncertainty,
+        StrategyKind::Best,
+        StrategyKind::ThompsonSampling,
+        StrategyKind::CommitteeDisagreement,
+        StrategyKind::DensityWeightedUncertainty,
+    ];
+
+    /// Per-pair reference scores from raw cells.
+    fn reference_scores(
+        s: &ResponseStrategy,
+        table: &Table,
+        index: &ViolationIndex,
+        belief: &Belief,
+        candidates: &[PairExample],
+        thompson_draw: Option<&[f64]>,
+    ) -> Vec<f64> {
+        let rel = SpaceRelations::new(belief.space());
+        match s.kind {
+            StrategyKind::Random => return vec![0.0; candidates.len()],
+            StrategyKind::CommitteeDisagreement => {
+                return candidates
+                    .iter()
+                    .map(|p| {
+                        (0..rel.len())
+                            .filter(|&fi| {
+                                rel.relation(table, fi, p.a, p.b) == PairRelation::Violates
+                            })
+                            .map(|fi| belief.dist(fi).variance())
+                            .sum()
+                    })
+                    .collect();
+            }
+            StrategyKind::DensityWeightedUncertainty => {
+                let n_fds = belief.len().max(1) as f64;
+                return candidates
+                    .iter()
+                    .map(|&p| {
+                        let relevant = (0..rel.len())
+                            .filter(|&fi| {
+                                rel.relation(table, fi, p.a, p.b) != PairRelation::Irrelevant
+                            })
+                            .count() as f64;
+                        example_uncertainty(table, belief, p) * (relevant / n_fds)
+                    })
+                    .collect();
+            }
+            _ => {}
+        }
+        let mean = belief.confidences();
+        let conf = thompson_draw.unwrap_or(&mean);
+        let uncertainty = matches!(
+            s.kind,
+            StrategyKind::UncertaintySampling | StrategyKind::StochasticUncertainty
+        );
+        candidates
+            .iter()
+            .map(|&p| match s.basis {
+                ScoreBasis::DatasetTuple => {
+                    let params = DetectParams::default();
+                    let pa = tuple_dirty_prob_with(index, conf, p.a, &params);
+                    let pb = tuple_dirty_prob_with(index, conf, p.b, &params);
+                    if uncertainty {
+                        binary_entropy(pa) + binary_entropy(pb)
+                    } else {
+                        pa.max(1.0 - pa) + pb.max(1.0 - pb)
+                    }
+                }
+                ScoreBasis::PairLocal if uncertainty => example_uncertainty(table, belief, p),
+                ScoreBasis::PairLocal => match thompson_draw {
+                    Some(draw) => {
+                        let (pa, pb) =
+                            et_fd::pair_dirty_probs(table, belief.space(), draw, p.a, p.b);
+                        pa.max(1.0 - pa) + pb.max(1.0 - pb)
+                    }
+                    None => example_confidence(table, belief, p),
+                },
+            })
+            .collect()
+    }
+
+    fn softmax(scores: &[f64], gamma: f64) -> Vec<f64> {
+        let max = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let mut out: Vec<f64> = scores.iter().map(|s| ((s - max) / gamma).exp()).collect();
+        let sum: f64 = out.iter().sum();
+        for v in &mut out {
+            *v /= sum;
+        }
+        out
+    }
+
+    /// First pass: the policy distribution over the fresh pairs.
+    fn policy_distribution(
+        s: &ResponseStrategy,
+        table: &Table,
+        index: &ViolationIndex,
+        belief: &Belief,
+        candidates: &[PairExample],
+        k: usize,
+    ) -> Vec<f64> {
+        let n = candidates.len();
+        match s.kind {
+            StrategyKind::Random => vec![1.0 / n as f64; n],
+            StrategyKind::StochasticBestResponse | StrategyKind::StochasticUncertainty => softmax(
+                &reference_scores(s, table, index, belief, candidates, None),
+                s.gamma,
+            ),
+            _ => {
+                let scores = reference_scores(s, table, index, belief, candidates, None);
+                let chosen = top_k_indices(&scores, k.min(n));
+                let w = 1.0 / chosen.len() as f64;
+                let mut out = vec![0.0; n];
+                for i in chosen {
+                    out[i] = w;
+                }
+                out
+            }
+        }
+    }
+
+    /// Second pass: score again and pick.
+    fn select(
+        s: &ResponseStrategy,
+        table: &Table,
+        index: &ViolationIndex,
+        belief: &Belief,
+        candidates: &[PairExample],
+        k: usize,
+        rng: &mut StdRng,
+    ) -> Vec<PairExample> {
+        let k = k.min(candidates.len());
+        let top = |scores: &[f64]| {
+            top_k_indices(scores, k)
+                .into_iter()
+                .map(|i| candidates[i])
+                .collect()
+        };
+        match s.kind {
+            StrategyKind::Random => {
+                let mut pool = candidates.to_vec();
+                pool.shuffle(rng);
+                pool.truncate(k);
+                pool
+            }
+            StrategyKind::ThompsonSampling => {
+                let draw: Vec<f64> = (0..belief.len())
+                    .map(|i| belief.dist(i).sample(rng))
+                    .collect();
+                top(&reference_scores(
+                    s,
+                    table,
+                    index,
+                    belief,
+                    candidates,
+                    Some(&draw),
+                ))
+            }
+            StrategyKind::StochasticBestResponse | StrategyKind::StochasticUncertainty => {
+                let scores = reference_scores(s, table, index, belief, candidates, None);
+                let mut weights = softmax(&scores, s.gamma);
+                let mut alive: Vec<usize> = (0..candidates.len()).collect();
+                let mut out = Vec::with_capacity(k);
+                for _ in 0..k {
+                    let total: f64 = alive.iter().map(|&i| weights[i]).sum();
+                    if total <= 0.0 || alive.is_empty() {
+                        break;
+                    }
+                    let mut pick = rng.gen::<f64>() * total;
+                    let mut chosen_pos = alive.len() - 1;
+                    for (pos, &i) in alive.iter().enumerate() {
+                        if pick < weights[i] {
+                            chosen_pos = pos;
+                            break;
+                        }
+                        pick -= weights[i];
+                    }
+                    let i = alive.swap_remove(chosen_pos);
+                    weights[i] = 0.0;
+                    out.push(candidates[i]);
+                }
+                out
+            }
+            _ => top(&reference_scores(s, table, index, belief, candidates, None)),
+        }
+    }
+
+    /// One oracle round on `twin` (a clone of the live learner): the fresh
+    /// pairs by shown-set filter, the policy entropy from the first pass, the
+    /// picks from the second. Advances `twin`'s RNG exactly as the round does.
+    fn oracle_round(st: &SessionState, twin: &mut Learner) -> (Vec<PairExample>, f64) {
+        let fresh: Vec<PairExample> = st
+            .pool
+            .pairs()
+            .iter()
+            .copied()
+            .filter(|p| !twin.shown().contains(p))
+            .collect();
+        let s = twin.strategy();
+        let belief = twin.belief().clone();
+        let k = st.cfg.pairs_per_iteration;
+        let (table, index) = (&st.table, &st.score_index);
+        if fresh.is_empty() {
+            return (Vec::new(), 0.0);
+        }
+        let h = policy_entropy(&policy_distribution(&s, table, index, &belief, &fresh, k));
+        let picks = select(&s, table, index, &belief, &fresh, k, twin.rng_mut());
+        (picks, h)
+    }
+
+    #[test]
+    fn every_round_matches_the_two_pass_reference() {
+        let (table, dirty, space) = fixture();
+        let cfg = SessionConfig {
+            iterations: 12,
+            ..SessionConfig::default()
+        };
+        for basis in [ScoreBasis::PairLocal, ScoreBasis::DatasetTuple] {
+            for kind in ALL_KINDS {
+                let strategy = ResponseStrategy::paper(kind).with_basis(basis);
+                let (mut trainer, mut learner) = agents_with(strategy, &table, &space);
+                let mut st = SessionState::new(
+                    table.clone(),
+                    space.clone(),
+                    &dirty,
+                    cfg.clone(),
+                    &trainer,
+                    &learner,
+                )
+                .expect("valid config");
+                let mut rounds = 0;
+                while !st.is_complete() {
+                    let tag = format!("{kind:?}/{basis:?} round {rounds}");
+                    let mut twin = learner.clone();
+                    let (want_pairs, want_h) = oracle_round(&st, &mut twin);
+                    let p = st.present(&mut learner).expect("in phase").expect(&tag);
+                    assert_eq!(p.pairs(), want_pairs.as_slice(), "{tag}: pairs");
+                    assert_eq!(p.h_policy.to_bits(), want_h.to_bits(), "{tag}: h_policy");
+                    assert_eq!(
+                        learner.rng_mut().state(),
+                        twin.rng_mut().state(),
+                        "{tag}: RNG stream"
+                    );
+                    let labels = st.label_pending(&mut trainer).expect("pending");
+                    let _ = st
+                        .apply_labels(&trainer, &mut learner, &labels)
+                        .expect("aligned");
+                    rounds += 1;
+                }
+                assert_eq!(rounds, cfg.iterations, "{kind:?}/{basis:?}");
+            }
+        }
     }
 }

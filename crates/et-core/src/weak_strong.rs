@@ -12,12 +12,11 @@
 use std::sync::Arc;
 
 use et_data::{split_rows, Table};
-use et_fd::{predict_labels, HypothesisSpace, PartitionCache, RelationMatrix, ViolationIndex};
+use et_fd::{predict_labels, HypothesisSpace, PartitionCache, ViolationIndex};
 use et_metrics::ConfusionMatrix;
 
-use crate::candidates::CandidatePool;
+use crate::candidates::{CandidatePool, FreshCandidates};
 use crate::learner::Learner;
-use crate::respond::ScoreCtx;
 use crate::session::{mae, sample_rows};
 use crate::trainer::Trainer;
 
@@ -129,19 +128,16 @@ pub fn run_weak_strong(
             .collect(),
     );
     // Round-invariant relations over the pool: precompute once, score every
-    // iteration from the packed matrix.
-    let pool_pairs: Vec<(usize, usize)> = pool.pairs().iter().map(|p| (p.a, p.b)).collect();
-    let matrix = RelationMatrix::build(table, &space, &cache, &pool_pairs);
+    // iteration from the packed matrix by pool id.
+    let matrix = Arc::new(pool.relation_matrix(table, &space, &cache));
+    let mut fresh = FreshCandidates::new(&pool, matrix, learner.shown());
 
     let mut iterations = Vec::with_capacity(cfg.iterations);
     let mut weak_only = 0;
     let mut escalations = 0;
 
     for t in 0..cfg.iterations {
-        let ctx = ScoreCtx::new(table)
-            .with_index(&score_index)
-            .with_matrix(&matrix);
-        let pairs = learner.select(ctx, &pool, cfg.pairs_per_iteration);
+        let (pairs, _) = learner.select(&mut fresh, &score_index, cfg.pairs_per_iteration);
         if pairs.is_empty() {
             break;
         }

@@ -4,10 +4,11 @@
 //! * [`top_k_indices`] (the bounded heap) must equal the historical
 //!   full-sort selection for arbitrary score vectors, including NaN,
 //!   infinities and signed zeros;
-//! * every [`StrategyKind`] must pick the same pairs — and consume the
-//!   same RNG draws — whether it scores through a plain
-//!   [`RelationMatrix`] or through a warm [`DeltaScorer`] attached to the
-//!   [`ScoreCtx`], so the cache can never change a session's trajectory.
+//! * every [`StrategyKind`] must pick the same pool ids — and consume the
+//!   same RNG draws — whether it scores through a cold [`DeltaScorer`]
+//!   (one plain full fold of the [`et_fd::RelationMatrix`]) or through a warm
+//!   one that re-folds only a delta, so the cache can never change a
+//!   session's trajectory.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -17,7 +18,7 @@ use proptest::prelude::*;
 use et_belief::{Belief, Beta};
 use et_core::{top_k_indices, CandidatePool, ResponseStrategy, ScoreCtx, StrategyKind};
 use et_data::{Schema, Table};
-use et_fd::{DeltaScorer, DetectParams, Fd, HypothesisSpace, PartitionCache, RelationMatrix};
+use et_fd::{DeltaScorer, DetectParams, Fd, HypothesisSpace, PartitionCache, ViolationIndex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -91,11 +92,12 @@ proptest! {
         prop_assert_eq!(top_k_indices(&scores, k), sort_top_k(&scores, k));
     }
 
-    /// Every strategy kind selects the same pairs — consuming identical
-    /// RNG draws — through a plain matrix and through a warm
-    /// [`DeltaScorer`], and reports the same policy distribution. The
-    /// scorer is pre-driven through a nudged confidence so the measured
-    /// call takes the delta path, not a cold full fold.
+    /// Every strategy kind selects the same pool ids — consuming identical
+    /// RNG draws — through a cold [`DeltaScorer`] (a plain full matrix
+    /// fold) and through a warm one, and reports the same policy entropy.
+    /// The warm scorer is pre-driven through a nudged confidence so the
+    /// measured call takes the delta path; `shown_mask` retires some pool
+    /// ids first, so the candidate list has gaps.
     #[test]
     fn scorer_attached_select_equals_plain_matrix(
         rows in arb_rows(),
@@ -103,50 +105,54 @@ proptest! {
         b in 0.6f64..8.0,
         seed in any::<u64>(),
         k in 1usize..6,
+        shown_mask in any::<u64>(),
     ) {
         let t = table_of(&rows);
         let sp = space();
         let cache = PartitionCache::new(&t);
         let pool = CandidatePool::build(&t, &sp, 200, 1);
-        let fresh: Vec<_> = pool.pairs().to_vec();
-        prop_assume!(!fresh.is_empty());
-        let pairs: Vec<(usize, usize)> = fresh.iter().map(|p| (p.a, p.b)).collect();
-        let m = Arc::new(RelationMatrix::build(&t, &sp, &cache, &pairs));
+        let ids: Vec<u32> = (0..pool.len() as u32)
+            .filter(|&id| shown_mask >> (id % 64) & 1 == 0 || id % 3 == 0)
+            .collect();
+        prop_assume!(!ids.is_empty());
+        let m = Arc::new(pool.relation_matrix(&t, &sp, &cache));
+        let index = ViolationIndex::build_with(&t, &sp, &cache);
         let belief = Belief::constant(sp.clone(), Beta::new(a, b));
 
-        let cell = RefCell::new(DeltaScorer::new(Arc::clone(&m)));
+        let cold = RefCell::new(DeltaScorer::new(Arc::clone(&m)));
+        let warm = RefCell::new(DeltaScorer::new(Arc::clone(&m)));
         {
             // Warm both parameterisations with a nudged confidence vector:
             // the selects below then hit existing slots and re-fold only
             // the factor diff.
-            let mut warm = belief.confidences();
-            warm[0] = (warm[0] * 0.5 + 0.1).min(1.0);
-            let mut s = cell.borrow_mut();
-            let _ = s.scores_for(&warm, &DetectParams::unsmoothed());
-            let _ = s.scores_for(&warm, &DetectParams::default());
+            let mut nudged = belief.confidences();
+            nudged[0] = (nudged[0] * 0.5 + 0.1).min(1.0);
+            let mut s = warm.borrow_mut();
+            let _ = s.scores_for(&nudged, &DetectParams::unsmoothed());
+            let _ = s.scores_for(&nudged, &DetectParams::default());
         }
 
         for kind in ALL_KINDS {
             let strategy = ResponseStrategy::paper(kind);
-            let plain_ctx = ScoreCtx::new(&t).with_matrix(&m);
-            let scorer_ctx = ScoreCtx::new(&t).with_matrix(&m).with_scorer(&cell);
+            // A fresh cold scorer per kind: every measured call on this
+            // side is a full fold.
+            *cold.borrow_mut() = DeltaScorer::new(Arc::clone(&m));
+            let plain_ctx = ScoreCtx { index: &index, scorer: &cold };
+            let scorer_ctx = ScoreCtx { index: &index, scorer: &warm };
 
             let mut rng_plain = StdRng::seed_from_u64(seed);
             let mut rng_scorer = StdRng::seed_from_u64(seed);
-            let picked_plain = strategy.select(plain_ctx, &belief, &fresh, k, &mut rng_plain);
-            let picked_scorer = strategy.select(scorer_ctx, &belief, &fresh, k, &mut rng_scorer);
-            prop_assert_eq!(picked_plain, picked_scorer,
+            let plain = strategy.select_round(plain_ctx, &belief, &ids, k, &mut rng_plain);
+            let scored = strategy.select_round(scorer_ctx, &belief, &ids, k, &mut rng_scorer);
+            prop_assert_eq!(&plain.picks, &scored.picks,
                 "{}: selections diverged with scorer attached", kind.as_str());
             // Same residual RNG state: neither path may consume extra draws.
             prop_assert_eq!(rng_plain.state(), rng_scorer.state(),
                 "{}: RNG draw streams diverged", kind.as_str());
-
-            let dist_plain = strategy.policy_distribution(plain_ctx, &belief, &fresh, k);
-            let dist_scorer = strategy.policy_distribution(scorer_ctx, &belief, &fresh, k);
-            for (i, (x, y)) in dist_plain.iter().zip(&dist_scorer).enumerate() {
-                prop_assert_eq!(x.to_bits(), y.to_bits(),
-                    "{}: policy weight {} diverged", kind.as_str(), i);
-            }
+            prop_assert_eq!(plain.h_policy.to_bits(), scored.h_policy.to_bits(),
+                "{}: policy entropy diverged", kind.as_str());
+            prop_assert!(plain.picks.iter().all(|id| ids.contains(id)),
+                "{}: picked a retired id", kind.as_str());
         }
     }
 }

@@ -993,18 +993,20 @@ fn run_fig2_participants(opts: &RunOptions) -> ExperimentOutput {
 /// re-learns the post-shift world.
 fn run_drift(opts: &RunOptions) -> ExperimentOutput {
     use et_core::trainer::Trainer;
-    use et_core::{sample_rows, CandidatePool, Learner, ScoreCtx};
-    use et_fd::{PartitionCache, RelationMatrix, ViolationIndex};
+    use et_core::{sample_rows, CandidatePool, FreshCandidates, Learner};
+    use et_fd::{PartitionCache, ViolationIndex};
 
-    /// The round-invariant relation matrix of one table phase's pool.
-    fn pool_matrix(
+    /// One table phase's fresh candidates: the pool's ids not yet shown to
+    /// the learner, scored over the phase's relation matrix.
+    fn phase_candidates(
         table: &et_data::Table,
         space: &HypothesisSpace,
         cache: &PartitionCache,
         pool: &CandidatePool,
-    ) -> RelationMatrix {
-        let pairs: Vec<(usize, usize)> = pool.pairs().iter().map(|p| (p.a, p.b)).collect();
-        RelationMatrix::build(table, space, cache, &pairs)
+        learner: &Learner,
+    ) -> FreshCandidates {
+        let matrix = Arc::new(pool.relation_matrix(table, space, cache));
+        FreshCandidates::new(pool, matrix, learner.shown())
     }
 
     let iterations = opts.iterations.max(45);
@@ -1056,8 +1058,8 @@ fn run_drift(opts: &RunOptions) -> ExperimentOutput {
         // trainer's per-round sample labeling restricts it.
         let mut table = ds.table.clone();
         let mut cache = Arc::new(PartitionCache::new(&table));
-        let mut pool = CandidatePool::build_with(&table, &space, &cache, 4000, 1);
-        let mut matrix = pool_matrix(&table, &space, &cache, &pool);
+        let pool = CandidatePool::build_with(&table, &space, &cache, 4000, 1);
+        let mut fresh = phase_candidates(&table, &space, &cache, &pool, &learner);
         let mut index = ViolationIndex::build_with(&table, &space, &cache);
         let mut trainer = trainer.with_cache(Arc::clone(&cache));
         let mut pre_shift_mae = 0.0;
@@ -1078,15 +1080,12 @@ fn run_drift(opts: &RunOptions) -> ExperimentOutput {
                 );
                 table = ds2.table;
                 cache = Arc::new(PartitionCache::new(&table));
-                pool = CandidatePool::build_with(&table, &space, &cache, 4000, 2);
-                matrix = pool_matrix(&table, &space, &cache, &pool);
+                let pool = CandidatePool::build_with(&table, &space, &cache, 4000, 2);
+                fresh = phase_candidates(&table, &space, &cache, &pool, &learner);
                 index = ViolationIndex::build_with(&table, &space, &cache);
                 trainer = trainer.with_cache(Arc::clone(&cache));
             }
-            let ctx = ScoreCtx::new(&table)
-                .with_index(&index)
-                .with_matrix(&matrix);
-            let pairs = learner.select(ctx, &pool, 5);
+            let (pairs, _) = learner.select(&mut fresh, &index, 5);
             if pairs.is_empty() {
                 break;
             }

@@ -1,13 +1,13 @@
 //! Session-lifetime delta-rescoring cache over a [`RelationMatrix`].
 //!
-//! A round's belief update nudges a handful of FD confidences, yet the
-//! strategies re-fold every candidate pair from scratch — twice per round
-//! (policy accounting, then selection). A [`DeltaScorer`] keeps the last
-//! [`PairScores`] per [`DetectParams`] together with the exact factor
-//! vector that produced them; a rescore request diffs the new factors
-//! against the cached ones ([`RelationMatrix::changed_factor_mask`]) and
-//! re-folds only the pairs whose packed relation words intersect the
-//! changed-FD mask ([`RelationMatrix::rescore_delta`]).
+//! A round's belief update nudges a handful of FD confidences, yet a full
+//! rescore re-folds every candidate pair from scratch each round. A
+//! [`DeltaScorer`] keeps the last [`PairScores`] per [`DetectParams`]
+//! together with the exact factor vector that produced them; a rescore
+//! request diffs the new factors against the cached ones
+//! ([`RelationMatrix::changed_factor_mask`]) and re-folds only the pairs
+//! whose packed relation words intersect the changed-FD mask
+//! ([`RelationMatrix::rescore_delta`]).
 //!
 //! # The delta invariant
 //!
@@ -16,9 +16,8 @@
 //! depends only on the factors of the FDs it violates, so any pair whose
 //! violates words miss the changed mask would re-fold to the value it
 //! already holds — the skip is bit-exact by construction, not by epsilon.
-//! An identical request (same confidences, same params — e.g. the second
-//! scoring pass of the same round) diffs to an empty mask and returns the
-//! cached scores untouched.
+//! An identical request (same confidences, same params) diffs to an empty
+//! mask and returns the cached scores untouched.
 //!
 //! The cache never persists: it is rebuilt lazily after recovery, and
 //! because the served scores are bit-identical to the full pass, recovered
@@ -69,8 +68,7 @@ impl DeltaScorer {
         }
     }
 
-    /// The matrix this scorer caches over (identity-checked by callers
-    /// that carry their own matrix reference).
+    /// The matrix this scorer caches over.
     pub fn matrix(&self) -> &RelationMatrix {
         &self.matrix
     }

@@ -79,8 +79,6 @@ pub struct RelationMatrix {
     words_per_pair: usize,
     /// The pair list, in build order (`pairs[pid]` is pair `pid`).
     pairs: Vec<(usize, usize)>,
-    /// `(pair, pid)` sorted by pair, for [`RelationMatrix::pair_id`].
-    lookup: Vec<((usize, usize), usize)>,
     /// Packed relations, row-major per pair.
     words: Vec<u64>,
 }
@@ -140,8 +138,8 @@ impl RelationMatrix {
     /// Builds the matrix for `pairs` over `table` under `space`, reusing
     /// (and warming) the shared partition cache.
     ///
-    /// Pairs may be in any order; each `(a, b)` is looked up by
-    /// [`RelationMatrix::pair_id`] in either orientation.
+    /// Pairs may be in any order; pair id `pid` is `pairs[pid]`, the
+    /// build order.
     ///
     /// # Panics
     /// Panics when `table` does not match the cache's row count, or a pair
@@ -184,13 +182,10 @@ impl RelationMatrix {
                 words[base + fi / FDS_PER_WORD] |= code << ((fi % FDS_PER_WORD) * 2);
             }
         }
-        let mut lookup: Vec<((usize, usize), usize)> = pairs.iter().copied().zip(0..).collect();
-        lookup.sort_unstable();
         Self {
             n_fds,
             words_per_pair,
             pairs: pairs.to_vec(),
-            lookup,
             words,
         }
     }
@@ -220,16 +215,6 @@ impl RelationMatrix {
     /// The pair list, in build order (`pairs()[pid]` is pair `pid`).
     pub fn pairs(&self) -> &[(usize, usize)] {
         &self.pairs
-    }
-
-    /// The pair id of `(a, b)` (orientation-insensitive), or `None` when
-    /// the pair is not covered by this matrix.
-    pub fn pair_id(&self, a: usize, b: usize) -> Option<usize> {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        self.lookup
-            .binary_search_by_key(&key, |&(p, _)| p)
-            .ok()
-            .map(|i| self.lookup[i].1)
     }
 
     /// The stored relation of pair `pid` to FD `fi` — equal to
@@ -580,24 +565,25 @@ mod tests {
         let pairs = all_pairs(t.nrows());
         let m = RelationMatrix::build(&t, &sp, &cache, &pairs);
         assert!(m.verify_against(&t, &sp));
+        let pid_of = |p| pairs.iter().position(|&q| q == p).expect("covered");
         // Paper anchors: (t1, t2) violates Team -> City.
-        let pid = m.pair_id(0, 1).expect("covered");
+        let pid = pid_of((0, 1));
         assert_eq!(m.relation(pid, 0), PairRelation::Violates);
         assert_eq!(m.violated_indices(pid).collect::<Vec<_>>(), vec![0]);
         // (t3, t4) satisfies it.
-        let pid = m.pair_id(2, 3).expect("covered");
+        let pid = pid_of((2, 3));
         assert_eq!(m.relation(pid, 0), PairRelation::Satisfies);
         assert_eq!(m.violated_indices(pid).count(), 0);
         assert_eq!(m.relevant_count(pid), 1);
     }
 
     #[test]
-    fn pair_id_is_orientation_insensitive() {
+    fn pair_ids_follow_build_order() {
         let t = paper_table1();
         let cache = PartitionCache::new(&t);
-        let m = RelationMatrix::build(&t, &space(), &cache, &[(0, 1), (2, 3)]);
-        assert_eq!(m.pair_id(1, 0), m.pair_id(0, 1));
-        assert_eq!(m.pair_id(0, 4), None);
+        let m = RelationMatrix::build(&t, &space(), &cache, &[(2, 3), (0, 1)]);
+        assert_eq!(m.pairs(), &[(2, 3), (0, 1)]);
+        assert_eq!(m.violated_indices(1).collect::<Vec<_>>(), vec![0]);
         assert_eq!(m.n_pairs(), 2);
         assert!(!m.is_empty());
     }

@@ -159,35 +159,6 @@ pub fn run(root: &Path) -> Result<Report, EngineError> {
         }
     }
 
-    // Per-file stage (read, mask, L1–L8, parse) is embarrassingly parallel;
-    // results land in disjoint slots and merge in file order, so the output
-    // is identical to a serial run — including which IO error wins.
-    let mut slots: Vec<Result<Scanned, EngineError>> = Vec::new();
-    slots.resize_with(files.len(), || {
-        // Placeholder; every slot is overwritten by exactly one worker.
-        Err(EngineError::Io {
-            path: PathBuf::new(),
-            source: std::io::Error::other("file slot never scanned"),
-        })
-    });
-    let workers = worker_count(files.len());
-    if workers <= 1 {
-        for ((path, kind), slot) in files.iter().zip(slots.iter_mut()) {
-            *slot = scan_one(root, path, *kind);
-        }
-    } else {
-        let chunk = files.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            for (fc, sc) in files.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                s.spawn(move || {
-                    for ((path, kind), slot) in fc.iter().zip(sc.iter_mut()) {
-                        *slot = scan_one(root, path, *kind);
-                    }
-                });
-            }
-        });
-    }
-
     let mut report = Report::default();
     let mut used = vec![false; allowlist.entries.len()];
     let mut parsed: Vec<(String, parser::FileAst)> = Vec::new();
@@ -208,8 +179,10 @@ pub fn run(root: &Path) -> Result<Report, EngineError> {
                 report.suppressed += 1;
             }
         };
-    for slot in slots {
-        let scanned = slot?;
+    // Per-file stage (read, mask, L1–L8, parse), serially in file order:
+    // the first IO error in file order wins.
+    for (path, kind) in &files {
+        let scanned = scan_one(root, path, *kind)?;
         report.files_scanned += 1;
         for violation in scanned.violations {
             record(&mut report, &scanned.rel, violation, Vec::new());
@@ -261,7 +234,7 @@ struct Scanned {
     ast: Option<parser::FileAst>,
 }
 
-/// Reads and checks one file. Runs on a worker thread.
+/// Reads and checks one file.
 fn scan_one(root: &Path, path: &Path, kind: FileKind) -> Result<Scanned, EngineError> {
     let text = std::fs::read_to_string(path).map_err(|e| EngineError::Io {
         path: path.to_path_buf(),
@@ -276,23 +249,6 @@ fn scan_one(root: &Path, path: &Path, kind: FileKind) -> Result<Scanned, EngineE
         violations,
         ast,
     })
-}
-
-/// Worker-thread count: `ET_LINT_THREADS` when set, else the machine's
-/// parallelism. Small trees (≤ 8 files) stay serial — thread spin-up costs
-/// more than it saves, and every unit-test tree stays on one stack.
-fn worker_count(files: usize) -> usize {
-    if files <= 8 {
-        return 1;
-    }
-    let configured = std::env::var("ET_LINT_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0);
-    let n = configured.unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    });
-    n.min(files)
 }
 
 /// Renders the report for terminal consumption; returns the exit code.
