@@ -230,24 +230,26 @@ impl ResponseStrategy {
             | StrategyKind::Best
             | StrategyKind::CommitteeDisagreement
             | StrategyKind::DensityWeightedUncertainty => {
-                let support = top_k_indices(&self.scores(ctx, belief, candidates, None), k);
+                // The picks are the uniform policy's support: top-k keeps
+                // exactly `k` entries (`k` is already clamped to `n`).
+                let scores = self.scores(ctx, belief, candidates, None);
                 Selection {
-                    h_policy: uniform_entropy(support.len()),
-                    picks: at(support),
+                    picks: at(top_k_indices(&scores, k)),
+                    h_policy: uniform_entropy(k),
                 }
             }
             StrategyKind::ThompsonSampling => {
-                let support = top_k_indices(&self.scores(ctx, belief, candidates, None), k);
-                let h_policy = uniform_entropy(support.len());
-                // One posterior draw per interaction: score confidence under
-                // the sampled confidence vector.
+                // The policy is uniform over the posterior-mean top-k, so
+                // only its size `k` matters and the mean is never scored.
+                // One posterior draw per interaction: score confidence
+                // under the sampled confidence vector.
                 let draw: Vec<f64> = (0..belief.len())
                     .map(|i| belief.dist(i).sample(rng))
                     .collect();
                 let drawn = self.scores(ctx, belief, candidates, Some(&draw));
                 Selection {
                     picks: at(top_k_indices(&drawn, k)),
-                    h_policy,
+                    h_policy: uniform_entropy(k),
                 }
             }
             StrategyKind::StochasticBestResponse | StrategyKind::StochasticUncertainty => {

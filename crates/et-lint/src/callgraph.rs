@@ -487,12 +487,13 @@ fn ends_with(hay: &[String], needle: &[String]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
     use crate::parser::parse;
 
     fn graph(files: &[(&str, &str)]) -> CallGraph {
         let parsed: Vec<(String, FileAst)> = files
             .iter()
-            .map(|(rel, src)| (rel.to_string(), parse(src)))
+            .map(|(rel, src)| (rel.to_string(), parse(&lex(src))))
             .collect();
         CallGraph::link(&parsed)
     }

@@ -1,10 +1,10 @@
 //! The token-level concurrency & determinism rules L5–L8.
 //!
-//! Unlike L1–L4 (line/mask scans), these rules walk the [`crate::lexer`]
-//! token stream so they can see expression structure: what a `let` binds,
-//! where a statement ends, which block a guard lives in. All four target
-//! hazards that corrupt the reproduction's figures silently instead of
-//! crashing a test:
+//! Like L1–L4 ([`crate::rules`]), these rules walk the file's one
+//! [`crate::lexer`] token stream, here for expression structure: what a
+//! `let` binds, where a statement ends, which block a guard lives in. All
+//! four target hazards that corrupt the reproduction's figures silently
+//! instead of crashing a test:
 //!
 //! - **L5** — a `MutexGuard` held across a blocking call serializes the
 //!   worker pool (or deadlocks it) without failing any functional test.
@@ -18,31 +18,22 @@
 //!   responses and replay files non-reproducible.
 
 use crate::lexer::{Delim, TokenKind, TokenStream};
-use crate::rules::{excerpt_line, in_regions, FileKind, Rule, Violation};
+use crate::rules::{excerpt_line, in_regions, Rule, Violation};
 
-/// Runs L5–L8 over one lexed file. `regions` are the `#[cfg(test)]` byte
-/// ranges computed on the masked view (offsets are valid for the original
-/// because masking preserves length).
-pub fn check(
-    ts: &TokenStream<'_>,
-    original: &str,
-    regions: &[(usize, usize)],
-    kind: FileKind,
-    out: &mut Vec<Violation>,
-) {
-    if kind != FileKind::Library {
-        return;
-    }
-    l5_guard_across_blocking(ts, original, regions, out);
-    l6_ordering_justified(ts, original, regions, out);
-    l7_truncating_casts(ts, original, regions, out);
-    l8_hash_iteration_order(ts, original, regions, out);
+/// Runs L5–L8 over one lexed library file. `regions` are its
+/// `#[cfg(test)]` byte ranges (see `rules::test_regions`).
+pub fn check(ts: &TokenStream<'_>, regions: &[(usize, usize)], out: &mut Vec<Violation>) {
+    l5_guard_across_blocking(ts, regions, out);
+    l6_ordering_justified(ts, regions, out);
+    l7_truncating_casts(ts, regions, out);
+    l8_hash_iteration_order(ts, regions, out);
 }
 
 /// Calls that block the current thread indefinitely (or for a configured
 /// timeout) — holding a lock across any of these stalls every other
 /// thread contending for the same shard.
-const BLOCKING_METHODS: [&str; 5] = ["recv", "recv_timeout", "accept", "read_line", "join"];
+pub(crate) const BLOCKING_METHODS: [&str; 5] =
+    ["recv", "recv_timeout", "accept", "read_line", "join"];
 
 /// L5: no `lock()` guard live across a blocking call.
 ///
@@ -52,7 +43,6 @@ const BLOCKING_METHODS: [&str; 5] = ["recv", "recv_timeout", "accept", "read_lin
 /// its own statement). Any blocking call inside the live range fires.
 fn l5_guard_across_blocking(
     ts: &TokenStream<'_>,
-    original: &str,
     regions: &[(usize, usize)],
     out: &mut Vec<Violation>,
 ) {
@@ -130,7 +120,7 @@ fn l5_guard_across_blocking(
                          out of the critical section",
                         ts.tokens[i].line
                     ),
-                    excerpt: excerpt_line(original, line),
+                    excerpt: excerpt_line(ts.source, line),
                 });
                 break; // one finding per guard is enough
             }
@@ -155,7 +145,7 @@ fn chain_continues_past_guard(ts: &TokenStream<'_>, lock_idx: usize) -> bool {
     let Some(open) = ts.next_code(lock_idx) else {
         return false;
     };
-    let mut at = match call_close(ts, open) {
+    let mut at = match ts.matching_close(open) {
         Some(c) => c,
         None => return false,
     };
@@ -175,19 +165,11 @@ fn chain_continues_past_guard(ts: &TokenStream<'_>, lock_idx: usize) -> bool {
         else {
             return true; // `.await`-style or field access: treat as consumed
         };
-        at = match call_close(ts, o) {
+        at = match ts.matching_close(o) {
             Some(c) => c,
             None => return false,
         };
     }
-}
-
-/// The `Close(Paren)` matching the `Open(Paren)` at `open`.
-fn call_close(ts: &TokenStream<'_>, open: usize) -> Option<usize> {
-    let depth = ts.tokens[open].depth;
-    (open + 1..ts.tokens.len()).find(|&j| {
-        ts.tokens[j].depth == depth && ts.tokens[j].kind == TokenKind::Close(Delim::Paren)
-    })
 }
 
 /// The five memory-ordering modes of `std::sync::atomic::Ordering`.
@@ -200,7 +182,6 @@ const ORDERING_MODES: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "S
 /// and also fires.
 fn l6_ordering_justified(
     ts: &TokenStream<'_>,
-    original: &str,
     regions: &[(usize, usize)],
     out: &mut Vec<Violation>,
 ) {
@@ -259,7 +240,7 @@ fn l6_ordering_justified(
                           this line or the line above (state why this ordering is \
                           strong enough)"
                     .to_string(),
-                excerpt: excerpt_line(original, line),
+                excerpt: excerpt_line(ts.source, line),
             }),
             Some((cline, justified)) => {
                 consumed.insert(cline);
@@ -270,7 +251,7 @@ fn l6_ordering_justified(
                         message: "`// ord:` justification is empty; state why this \
                                   ordering is strong enough"
                             .to_string(),
-                        excerpt: excerpt_line(original, line),
+                        excerpt: excerpt_line(ts.source, line),
                     });
                 }
             }
@@ -285,7 +266,7 @@ fn l6_ordering_justified(
                 message: "stale `// ord:` comment: no `Ordering::` use on this line \
                           or the line below"
                     .to_string(),
-                excerpt: excerpt_line(original, line),
+                excerpt: excerpt_line(ts.source, line),
             });
         }
     }
@@ -366,12 +347,7 @@ const FLOAT_METHODS: [&str; 5] = ["round", "floor", "ceil", "trunc", "sqrt"];
 /// known methods (`.len()`, `.round()`), and parenthesized operands
 /// containing float arithmetic. Unknown sources fire only on
 /// [`NARROW_TARGETS`].
-fn l7_truncating_casts(
-    ts: &TokenStream<'_>,
-    original: &str,
-    regions: &[(usize, usize)],
-    out: &mut Vec<Violation>,
-) {
+fn l7_truncating_casts(ts: &TokenStream<'_>, regions: &[(usize, usize)], out: &mut Vec<Violation>) {
     for i in 0..ts.tokens.len() {
         if !(ts.is_code(i) && ts.tokens[i].kind == TokenKind::Ident && ts.text(i) == "as") {
             continue;
@@ -408,7 +384,7 @@ fn l7_truncating_casts(
                     "truncating cast {src_desc} as `{target_name}`; use \
                      `try_from`/`From` or add a vetted et-lint.toml entry"
                 ),
-                excerpt: excerpt_line(original, line),
+                excerpt: excerpt_line(ts.source, line),
             });
         }
     }
@@ -487,7 +463,7 @@ fn infer_source(ts: &TokenStream<'_>, as_idx: usize) -> SourceHint {
             // Parenthesized operand: float evidence anywhere inside makes
             // the whole expression float-typed (`(n as f64 * alpha) as
             // usize`).
-            if let Some(open) = matching_open_paren(ts, prev) {
+            if let Some(open) = ts.matching_open(prev) {
                 for j in open..prev {
                     if !ts.is_code(j) {
                         continue;
@@ -507,15 +483,6 @@ fn infer_source(ts: &TokenStream<'_>, as_idx: usize) -> SourceHint {
         }
         _ => SourceHint::Unknown,
     }
-}
-
-/// The `Close(Paren)` at `close` paired with its `Open(Paren)`, found via
-/// the depth convention (both carry the same outer depth).
-fn matching_open_paren(ts: &TokenStream<'_>, close: usize) -> Option<usize> {
-    let depth = ts.tokens[close].depth;
-    (0..close).rev().find(|&j| {
-        ts.tokens[j].depth == depth && ts.tokens[j].kind == TokenKind::Open(Delim::Paren)
-    })
 }
 
 /// Trailing numeric-type suffix of a literal token, if any.
@@ -558,8 +525,9 @@ fn literal_fits(value: u128, target: &str) -> bool {
     }
 }
 
-/// Iterator-source methods on hash containers.
-const HASH_ITER_METHODS: [&str; 7] = [
+/// Iterator-source methods on hash containers (also the parser's
+/// `hash-iter` taint-source starters).
+pub(crate) const HASH_ITER_METHODS: [&str; 7] = [
     "iter",
     "iter_mut",
     "into_iter",
@@ -588,7 +556,6 @@ const ORDER_NEUTRALIZERS: [&str; 9] = [
 /// and functions whose return type mentions the containers.
 fn l8_hash_iteration_order(
     ts: &TokenStream<'_>,
-    original: &str,
     regions: &[(usize, usize)],
     out: &mut Vec<Violation>,
 ) {
@@ -634,7 +601,7 @@ fn l8_hash_iteration_order(
                          sink; sort the result or use a BTreeMap/BTreeSet",
                         ts.text(i)
                     ),
-                    excerpt: excerpt_line(original, line),
+                    excerpt: excerpt_line(ts.source, line),
                 });
             }
             continue;
@@ -681,7 +648,7 @@ fn l8_hash_iteration_order(
                      sink; sort first or use a BTreeMap/BTreeSet",
                     ts.text(i)
                 ),
-                excerpt: excerpt_line(original, line),
+                excerpt: excerpt_line(ts.source, line),
             });
         }
     }
@@ -903,13 +870,13 @@ fn sorted_later(ts: &TokenStream<'_>, start: usize, end: usize) -> bool {
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::rules::test_regions_for;
+    use crate::rules::test_regions;
 
     fn check_src(src: &str) -> Vec<Violation> {
         let ts = lex(src);
-        let regions = test_regions_for(src);
+        let regions = test_regions(&ts);
         let mut out = Vec::new();
-        check(&ts, src, &regions, FileKind::Library, &mut out);
+        check(&ts, &regions, &mut out);
         out.sort_by_key(|v| (v.line, v.rule.id()));
         out
     }

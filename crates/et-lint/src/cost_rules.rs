@@ -215,12 +215,13 @@ fn stale_root_finding(graph: &CallGraph, pattern: &str, line: usize) -> GraphFin
 mod tests {
     use super::*;
     use crate::callgraph::CallGraph;
+    use crate::lexer::lex;
     use crate::parser::{parse, FileAst};
 
     fn run(files: &[(&str, &str)], config: &str) -> (Vec<GraphFinding>, Vec<HotRootStat>) {
         let parsed: Vec<(String, FileAst)> = files
             .iter()
-            .map(|(rel, src)| (rel.to_string(), parse(src)))
+            .map(|(rel, src)| (rel.to_string(), parse(&lex(src))))
             .collect();
         let graph = CallGraph::link(&parsed);
         let allow = Allowlist::parse(config).expect("test config parses");

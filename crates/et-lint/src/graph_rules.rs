@@ -437,12 +437,13 @@ fn l11_determinism_taint(graph: &CallGraph, config: &Allowlist, out: &mut Vec<Gr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
     use crate::parser::{parse, FileAst};
 
     fn run(files: &[(&str, &str)], config: &str) -> Vec<GraphFinding> {
         let parsed: Vec<(String, FileAst)> = files
             .iter()
-            .map(|(rel, src)| (rel.to_string(), parse(src)))
+            .map(|(rel, src)| (rel.to_string(), parse(&lex(src))))
             .collect();
         let graph = CallGraph::link(&parsed);
         let allow = Allowlist::parse(config).expect("test config parses");

@@ -1,13 +1,14 @@
-//! A hand-rolled Rust lexer: the substrate for the token-level rules
-//! (L5–L8) that line/mask scanning cannot express.
+//! A hand-rolled Rust lexer: the one front-end every per-file rule
+//! (L1–L8) and the item parser read. `scan_one` lexes each file once.
 //!
 //! The lexer is std-only like the rest of the crate and deliberately
 //! smaller than rustc's: it produces a flat [`Token`] stream with byte
 //! spans, 1-based lines, and a delimiter-nesting depth per token, plus
 //! the handful of navigation helpers the rules need (statement bounds,
-//! enclosing-block close). Comments are *kept* as tokens (L6 reads
-//! trailing `// ord:` justifications); string/char contents are opaque
-//! single tokens, so no rule ever fires on prose.
+//! matching delimiters, enclosing-block close). Comments are *kept* as
+//! tokens (L4 reads `///` docs, L6 reads trailing `// ord:`
+//! justifications); string/char contents are opaque single tokens, so no
+//! rule ever fires on prose.
 //!
 //! Out of scope, harmlessly: macro expansion, type inference, and exotic
 //! literals (`c"…"` C strings) — files using them still lex, the tokens
@@ -171,6 +172,43 @@ impl<'a> TokenStream<'a> {
 
     fn is_close_brace(&self, j: usize) -> bool {
         matches!(self.tokens[j].kind, TokenKind::Close(Delim::Brace))
+    }
+
+    /// Index of the `Close` matching the `Open` token at `open` (same
+    /// family, same depth), or `None` on unbalanced input or when `open`
+    /// is not an `Open` token.
+    pub fn matching_close(&self, open: usize) -> Option<usize> {
+        let TokenKind::Open(d) = self.tokens[open].kind else {
+            return None;
+        };
+        let depth = self.tokens[open].depth;
+        (open + 1..self.tokens.len())
+            .find(|&j| self.tokens[j].kind == TokenKind::Close(d) && self.tokens[j].depth == depth)
+    }
+
+    /// Index of the `Open` matching the `Close` token at `close`.
+    pub fn matching_open(&self, close: usize) -> Option<usize> {
+        let TokenKind::Close(d) = self.tokens[close].kind else {
+            return None;
+        };
+        let depth = self.tokens[close].depth;
+        (0..close)
+            .rev()
+            .find(|&j| self.tokens[j].kind == TokenKind::Open(d) && self.tokens[j].depth == depth)
+    }
+
+    /// True when the raw token before `j` is `what` and ends exactly where
+    /// `j` starts (multi-byte operators are adjacent `Punct` tokens).
+    pub fn prev_is_adjacent(&self, j: usize, what: &str) -> bool {
+        j > 0 && self.text(j - 1) == what && self.tokens[j - 1].end == self.tokens[j].start
+    }
+
+    /// True when the raw token after `j` is `what`, byte-adjacent.
+    pub fn next_is_adjacent(&self, j: usize, what: &str) -> bool {
+        self.tokens
+            .get(j + 1)
+            .is_some_and(|t| t.start == self.tokens[j].end)
+            && self.text(j + 1) == what
     }
 }
 
@@ -409,6 +447,8 @@ fn str_literal_len(bytes: &[u8], i: usize) -> Option<(usize, usize)> {
                 j += 1;
             }
             b'\\' if !raw => {
+                // An escaped newline (line continuation) is still a line.
+                newlines += usize::from(bytes.get(j + 1) == Some(&b'\n'));
                 j += 2;
             }
             b'"' => {
@@ -589,10 +629,12 @@ mod tests {
 
     #[test]
     fn ident_ending_in_r_or_b_does_not_eat_a_string() {
-        let ts = lex("xr\"s\"");
-        assert_eq!(ts.tokens[0].kind, TokenKind::Ident);
-        assert_eq!(ts.text(0), "xr");
-        assert_eq!(ts.tokens[1].kind, TokenKind::Str);
+        for (src, ident) in [("xr\"s\"", "xr"), ("grab\"panic!\"; done();", "grab")] {
+            let ts = lex(src);
+            assert_eq!(ts.tokens[0].kind, TokenKind::Ident);
+            assert_eq!(ts.text(0), ident);
+            assert_eq!(ts.tokens[1].kind, TokenKind::Str);
+        }
     }
 
     #[test]
@@ -608,16 +650,36 @@ mod tests {
             .map(|i| ts.text(i))
             .collect();
         assert_eq!(chars, ["'\"'", "b'x'", "'\\n'"]);
+
+        // A brace inside a char literal opens no block.
+        let ts = lex("fn f<'a>(x: &'a str) { let c = '{'; let d = '\\n'; }");
+        let open = (0..ts.tokens.len())
+            .find(|&i| ts.tokens[i].kind == TokenKind::Open(Delim::Brace))
+            .expect("body");
+        assert_eq!(ts.matching_close(open), Some(ts.tokens.len() - 1));
     }
 
     #[test]
     fn char_with_quote_does_not_derail_strings() {
-        // The '"' char literal must not open a string state.
-        let ts = lex("let q = '\"'; x.unwrap();");
-        let unwraps = (0..ts.tokens.len())
-            .filter(|&i| ts.text(i) == "unwrap")
-            .count();
-        assert_eq!(unwraps, 1);
+        // The '"' char literal must not open a string state; neither may an
+        // escaped quote, a `"#` inside `r##"…"##`, or the backslash of a raw
+        // byte string (`br"\"` ends at its second quote) end one early.
+        for src in [
+            "let q = '\"'; x.unwrap();",
+            "let c = '\"'; let s = \"unwrap()\"; x.unwrap();",
+            r#"let s = "he said \"unwrap()\""; x.unwrap();"#,
+            "let s = r##\"quote \"# panic! \"##; x.unwrap();",
+            "let x = br\"\\\"; y.unwrap();",
+            "let x = br#\"panic! \"quoted\" unwrap()\"#; real.unwrap();",
+            "let s = b\"unwrap()\"; let c = b'\\''; x.unwrap();",
+        ] {
+            let ts = lex(src);
+            let unwraps = (0..ts.tokens.len())
+                .filter(|&i| ts.text(i) == "unwrap")
+                .count();
+            assert_eq!(unwraps, 1, "{src}");
+            assert!((0..ts.tokens.len()).all(|i| ts.text(i) != "panic"), "{src}");
+        }
     }
 
     #[test]
@@ -649,6 +711,11 @@ mod tests {
         assert_eq!(ts.tokens[h].line, 3);
         assert_eq!(ts.tokens[g].depth, 1, "inside fn body");
         assert_eq!(ts.tokens[h].depth, 2, "inside call parens");
+
+        // Newlines inside strings, comments, and `\`-continued strings
+        // all count.
+        let ts = lex("a\n\"two\nline\"\n// c\n\"x \\\n y\"\n/* d\n */ b");
+        assert_eq!(ts.tokens.last().map(|t| t.line), Some(8));
     }
 
     #[test]

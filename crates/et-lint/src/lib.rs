@@ -7,12 +7,15 @@
 //! walks every workspace `.rs` source and enforces fourteen rules the
 //! compiler cannot express, in four tiers:
 //!
-//! - **L1–L4** (line/mask scans, [`rules`]) — no `unwrap()`/`expect()`/
-//!   `panic!` in library code; no unseeded RNG anywhere; no f64 `==`/`!=`
-//!   outside tests; `# Panics` docs on panicking `pub fn`s.
-//! - **L5–L8** (token scans, [`conc_rules`]) — no guard held across a
-//!   blocking call; atomic `Ordering`s justified; no truncating `as`
-//!   casts; no `HashMap`/`HashSet` iteration-order leaks.
+//! Each file is read and lexed once ([`lexer`]); every per-file rule and
+//! the item parser run on that one token stream.
+//!
+//! - **L1–L4** (token-sequence matches, [`rules`]) — no `unwrap()`/
+//!   `expect()`/`panic!` in library code; no unseeded RNG anywhere; no f64
+//!   `==`/`!=` outside tests; `# Panics` docs on panicking `pub fn`s.
+//! - **L5–L8** (token-structure scans, [`conc_rules`]) — no guard held
+//!   across a blocking call; atomic `Ordering`s justified; no truncating
+//!   `as` casts; no `HashMap`/`HashSet` iteration-order leaks.
 //! - **L9–L11** (interprocedural, [`graph_rules`]) — over the workspace
 //!   call graph ([`parser`] + [`callgraph`]): no panic-capable op
 //!   reachable from public entry points, no lock-order cycles, no
@@ -33,7 +36,6 @@ pub mod cost_rules;
 pub mod graph_rules;
 pub mod json_out;
 pub mod lexer;
-pub mod mask;
 pub mod parser;
 pub mod rules;
 
@@ -179,8 +181,9 @@ pub fn run(root: &Path) -> Result<Report, EngineError> {
                 report.suppressed += 1;
             }
         };
-    // Per-file stage (read, mask, L1–L8, parse), serially in file order:
-    // the first IO error in file order wins.
+    // Per-file stage (read, lex once, then L1–L8 and the parser on that
+    // one token stream), serially in file order: the first IO error in
+    // file order wins.
     for (path, kind) in &files {
         let scanned = scan_one(root, path, *kind)?;
         report.files_scanned += 1;
@@ -241,9 +244,9 @@ fn scan_one(root: &Path, path: &Path, kind: FileKind) -> Result<Scanned, EngineE
         source: e,
     })?;
     let rel = rel_path(root, path);
-    let masked = mask::mask(&text);
-    let violations = rules::check_file(&masked, &text, kind);
-    let ast = (kind == FileKind::Library).then(|| parser::parse(&text));
+    let ts = lexer::lex(&text);
+    let violations = rules::check_file(&ts, kind);
+    let ast = (kind == FileKind::Library).then(|| parser::parse(&ts));
     Ok(Scanned {
         rel,
         violations,

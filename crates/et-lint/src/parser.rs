@@ -18,7 +18,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::lexer::{lex, Delim, TokenKind, TokenStream};
+use crate::conc_rules::{BLOCKING_METHODS, HASH_ITER_METHODS};
+use crate::lexer::{Delim, TokenKind, TokenStream};
 
 /// How a method call names its receiver.
 #[derive(Debug, Clone, Default)]
@@ -277,19 +278,10 @@ const ALLOC_METHODS: [&str; 16] = [
     "concat",
 ];
 
-/// Method names that block the calling thread (the L5 blocking list plus
-/// waits); classified under [`CostKind::Lock`] for L13.
-const BLOCKING_METHODS: [&str; 9] = [
-    "recv",
-    "recv_timeout",
-    "accept",
-    "read_line",
-    "join",
-    "connect",
-    "wait",
-    "wait_timeout",
-    "park",
-];
+/// Method names that block the calling thread beyond L5's
+/// [`BLOCKING_METHODS`]; both lists are classified under
+/// [`CostKind::Lock`] for L13.
+const WAIT_METHODS: [&str; 4] = ["connect", "wait", "wait_timeout", "park"];
 
 /// Method names that perform I/O on their receiver.
 const IO_METHODS: [&str; 8] = [
@@ -319,21 +311,9 @@ const IO_PATH_HEADS: [&str; 9] = [
     "Command",
 ];
 
-/// Method names treated as hash-container iteration starters.
-const HASH_ITER_METHODS: [&str; 7] = [
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-];
-
-/// Parses one file's source into its [`FileAst`].
-pub fn parse(source: &str) -> FileAst {
-    let ts = lex(source);
-    Parser::new(&ts).run()
+/// Parses one lexed file into its [`FileAst`].
+pub fn parse(ts: &TokenStream<'_>) -> FileAst {
+    Parser::new(ts).run()
 }
 
 /// An open scope: a recognized `{ … }` region the parser tracks.
@@ -481,29 +461,15 @@ impl<'a, 'b> Parser<'a, 'b> {
         close + 1
     }
 
-    /// Index of the close delimiter matching the open delimiter at `open`
-    /// (same depth, same family), or the last token on unbalanced input.
+    /// Index of the close delimiter matching the open delimiter at `open`,
+    /// or the last token on unbalanced input.
     fn matching_close(&self, open: usize) -> usize {
-        let depth = self.ts.tokens[open].depth;
-        let want = match self.ts.tokens[open].kind {
-            TokenKind::Open(d) => TokenKind::Close(d),
-            _ => return open,
-        };
-        (open + 1..self.ts.tokens.len())
-            .find(|&k| self.ts.tokens[k].kind == want && self.ts.tokens[k].depth == depth)
+        if !matches!(self.ts.tokens[open].kind, TokenKind::Open(_)) {
+            return open;
+        }
+        self.ts
+            .matching_close(open)
             .unwrap_or(self.ts.tokens.len().saturating_sub(1))
-    }
-
-    /// Index of the open delimiter matching the close at `close`.
-    fn matching_open(&self, close: usize) -> Option<usize> {
-        let depth = self.ts.tokens[close].depth;
-        let want = match self.ts.tokens[close].kind {
-            TokenKind::Close(d) => TokenKind::Open(d),
-            _ => return None,
-        };
-        (0..close)
-            .rev()
-            .find(|&k| self.ts.tokens[k].kind == want && self.ts.tokens[k].depth == depth)
     }
 
     fn ident(&mut self, i: usize) -> usize {
@@ -581,8 +547,8 @@ impl<'a, 'b> Parser<'a, 'b> {
                     if txt == "<" {
                         angle += 1;
                     } else if txt == ">"
-                        && !prev_is_adjacent(self.ts, j, "-")
-                        && !prev_is_adjacent(self.ts, j, "=")
+                        && !self.ts.prev_is_adjacent(j, "-")
+                        && !self.ts.prev_is_adjacent(j, "=")
                     {
                         angle -= 1;
                     }
@@ -741,8 +707,8 @@ impl<'a, 'b> Parser<'a, 'b> {
                     angle += 1;
                 } else if t.kind == TokenKind::Punct
                     && txt == ">"
-                    && !prev_is_adjacent(self.ts, j, "-")
-                    && !prev_is_adjacent(self.ts, j, "=")
+                    && !self.ts.prev_is_adjacent(j, "-")
+                    && !self.ts.prev_is_adjacent(j, "=")
                 {
                     angle -= 1;
                 } else if t.kind == TokenKind::Open(Delim::Paren)
@@ -776,7 +742,7 @@ impl<'a, 'b> Parser<'a, 'b> {
             if self
                 .ts
                 .next_code(k)
-                .is_some_and(|n| self.ts.text(n) == ":" && !next_is_adjacent(self.ts, n, ":"))
+                .is_some_and(|n| self.ts.text(n) == ":" && !self.ts.next_is_adjacent(n, ":"))
             {
                 out.push(txt.to_string());
             }
@@ -911,7 +877,7 @@ impl<'a, 'b> Parser<'a, 'b> {
         let prev_is_dot = self
             .ts
             .prev_code(i)
-            .is_some_and(|p| self.ts.text(p) == "." && !prev_is_adjacent(self.ts, p, "."));
+            .is_some_and(|p| self.ts.text(p) == "." && !self.ts.prev_is_adjacent(p, "."));
 
         if prev_is_dot {
             match text.as_str() {
@@ -952,6 +918,7 @@ impl<'a, 'b> Parser<'a, 'b> {
         let kind = if name == "lock"
             || ((name == "read" || name == "write") && lockish)
             || BLOCKING_METHODS.contains(&name)
+            || WAIT_METHODS.contains(&name)
         {
             Some(CostKind::Lock)
         } else if ALLOC_METHODS.contains(&name) {
@@ -1072,7 +1039,7 @@ impl<'a, 'b> Parser<'a, 'b> {
         loop {
             match self.ts.tokens[j].kind {
                 TokenKind::Close(Delim::Paren) | TokenKind::Close(Delim::Bracket) => {
-                    let Some(open) = self.matching_open(j) else {
+                    let Some(open) = self.ts.matching_open(j) else {
                         return recv;
                     };
                     match self.ts.prev_code(open) {
@@ -1095,13 +1062,13 @@ impl<'a, 'b> Parser<'a, 'b> {
                     let Some(p) = self.ts.prev_code(j) else {
                         return recv;
                     };
-                    if self.ts.text(p) == "." && !prev_is_adjacent(self.ts, p, ".") {
+                    if self.ts.text(p) == "." && !self.ts.prev_is_adjacent(p, ".") {
                         via_path = false;
                         match self.ts.prev_code(p) {
                             Some(pp) => j = pp,
                             None => return recv,
                         }
-                    } else if self.ts.text(p) == ":" && prev_is_adjacent(self.ts, p, ":") {
+                    } else if self.ts.text(p) == ":" && self.ts.prev_is_adjacent(p, ":") {
                         via_path = true;
                         let Some(c2) = self.ts.prev_code(p) else {
                             return recv;
@@ -1129,7 +1096,7 @@ impl<'a, 'b> Parser<'a, 'b> {
         let mut segs = vec![self.ts.text(i).to_string()];
         let mut j = i;
         while let Some(c1) = self.ts.prev_code(j) {
-            if !(self.ts.text(c1) == ":" && prev_is_adjacent(self.ts, c1, ":")) {
+            if !(self.ts.text(c1) == ":" && self.ts.prev_is_adjacent(c1, ":")) {
                 break;
             }
             let Some(c2) = self.ts.prev_code(c1) else {
@@ -1283,20 +1250,6 @@ impl<'a, 'b> Parser<'a, 'b> {
     }
 }
 
-/// True when token `j`'s previous raw token is the punct `what` and
-/// byte-adjacent to it (multi-byte operators lex as adjacent `Punct`s).
-fn prev_is_adjacent(ts: &TokenStream<'_>, j: usize, what: &str) -> bool {
-    j > 0 && ts.text(j - 1) == what && ts.tokens[j - 1].end == ts.tokens[j].start
-}
-
-/// True when token `j`'s next raw token is the punct `what`, byte-adjacent.
-fn next_is_adjacent(ts: &TokenStream<'_>, j: usize, what: &str) -> bool {
-    ts.tokens
-        .get(j + 1)
-        .is_some_and(|t| t.start == ts.tokens[j].end)
-        && ts.text(j + 1) == what
-}
-
 /// True when the token after `j` opens any delimiter group (macro bodies).
 fn next_is_open(ts: &TokenStream<'_>, j: usize) -> bool {
     ts.tokens
@@ -1317,6 +1270,7 @@ fn excerpt(source: &str, line: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
 
     fn names(ast: &FileAst) -> Vec<&str> {
         ast.fns.iter().map(|f| f.name.as_str()).collect()
@@ -1338,7 +1292,7 @@ mod tests {
                 fn act_default(&self) { self.go(); }
             }
         "#;
-        let ast = parse(src);
+        let ast = parse(&lex(src));
         assert_eq!(
             names(&ast),
             ["top", "helper", "poke", "quiet", "go", "act_default"]
@@ -1367,7 +1321,7 @@ mod tests {
     #[test]
     fn impl_trait_for_type_names_the_type() {
         let src = "impl<T: Clone> Display for Grid<T> { fn fmt(&self) {} }";
-        let ast = parse(src);
+        let ast = parse(&lex(src));
         assert_eq!(ast.fns[0].self_type.as_deref(), Some("Grid"));
     }
 
@@ -1385,7 +1339,7 @@ mod tests {
             #[cfg(feature = "latest")]
             fn not_a_test() {}
         "#;
-        let ast = parse(src);
+        let ast = parse(&lex(src));
         let by_name = |n: &str| ast.fns.iter().find(|f| f.name == n).expect("fn present");
         assert!(by_name("support").is_test, "enclosing cfg(test) mod");
         assert!(by_name("case").is_test);
@@ -1408,7 +1362,7 @@ mod tests {
                 free_standing(t);
             }
         "#;
-        let ast = parse(src);
+        let ast = parse(&lex(src));
         let f = &ast.fns[0];
         let rendered: Vec<String> = f.calls.iter().map(|c| c.callee.render()).collect();
         assert!(
@@ -1459,7 +1413,7 @@ mod tests {
             }
             fn clean(v: &[u32]) -> Option<&u32> { v.first() }
         "#;
-        let ast = parse(src);
+        let ast = parse(&lex(src));
         let f = &ast.fns[0];
         let kinds: Vec<PanicKind> = f.panics.iter().map(|p| p.kind).collect();
         assert_eq!(
@@ -1485,7 +1439,7 @@ mod tests {
                 let t = (a, v, s);
             }
         "#;
-        let ast = parse(src);
+        let ast = parse(&lex(src));
         assert!(ast.fns[0].panics.is_empty(), "got {:?}", ast.fns[0].panics);
     }
 
@@ -1499,7 +1453,7 @@ mod tests {
                 after();
             }
         "#;
-        let ast = parse(src);
+        let ast = parse(&lex(src));
         let f = &ast.fns[0];
         let locks: Vec<&CallSite> = f
             .calls
@@ -1533,7 +1487,7 @@ mod tests {
                 after();
             }
         "#;
-        let ast = parse(src);
+        let ast = parse(&lex(src));
         let f = &ast.fns[0];
         let lock = f
             .calls
@@ -1567,7 +1521,7 @@ mod tests {
                 v.iter().copied().collect()
             }
         "#;
-        let ast = parse(src);
+        let ast = parse(&lex(src));
         let by_name = |n: &str| ast.fns.iter().find(|f| f.name == n).expect("fn present");
         assert!(by_name("tainted").hash_iter_line.is_some());
         assert!(
@@ -1580,7 +1534,7 @@ mod tests {
     #[test]
     fn generic_fn_bounds_do_not_eat_params() {
         let src = "fn apply<F: Fn(u32) -> u32>(input: u32, op: F) -> u32 { op(input) }";
-        let ast = parse(src);
+        let ast = parse(&lex(src));
         assert_eq!(ast.fns[0].params, ["input", "op"]);
     }
 
@@ -1591,7 +1545,7 @@ mod tests {
             use crate::session::*;
             fn f() { let m = Map::new(); }
         "#;
-        let ast = parse(src);
+        let ast = parse(&lex(src));
         assert_eq!(
             ast.imports.get("Map").map(Vec::as_slice),
             Some(
@@ -1628,7 +1582,7 @@ mod tests {
                 v
             }
         "#;
-        let ast = parse(src);
+        let ast = parse(&lex(src));
         let kinds = cost_kinds(&ast.fns[0]);
         for what in ["Vec::with_capacity", "format!", "to_vec", "collect", "push"] {
             assert!(
@@ -1655,7 +1609,7 @@ mod tests {
                 let n = self.file.read(&mut buf);
             }
         "#;
-        let ast = parse(src);
+        let ast = parse(&lex(src));
         let kinds = cost_kinds(&ast.fns[0]);
         for what in ["lock", "read", "recv_timeout", "std::thread::sleep"] {
             assert!(
@@ -1680,7 +1634,7 @@ mod tests {
                 std::thread::spawn(work);
             }
         "#;
-        let ast = parse(src);
+        let ast = parse(&lex(src));
         let kinds = cost_kinds(&ast.fns[0]);
         for what in [
             "std::fs::read_to_string",
@@ -1703,7 +1657,7 @@ mod tests {
                 acc + masked.count_ones() as u64
             }
         "#;
-        let ast = parse(src);
+        let ast = parse(&lex(src));
         assert!(ast.fns[0].costs.is_empty(), "{:?}", ast.fns[0].costs);
     }
 }

@@ -1,10 +1,15 @@
-//! The repo-specific lint rules (L1–L14).
+//! The repo-specific lint rules (L1–L14), and the per-file rules L1–L4.
 //!
-//! All rules work on masked source (see [`crate::mask`]): string and comment
-//! contents never trigger tokens. "Test code" means byte regions covered by a
-//! `#[cfg(test)]` item (plus whole files under `tests/` or `benches/`).
+//! L1–L4 are token-sequence matches over the file's one
+//! [`crate::lexer`] stream, the same stream L5–L8 ([`crate::conc_rules`])
+//! and the item parser read: string, char and comment contents are single
+//! tokens, so they never trigger a rule. "Test code" means byte regions
+//! covered by a `#[cfg(test)]` item (plus whole files under `tests/`,
+//! `benches/` or `examples/`).
 
-use crate::mask::Masked;
+use std::ops::Range;
+
+use crate::lexer::{Delim, TokenKind, TokenStream};
 
 /// Which rule fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -402,59 +407,38 @@ pub enum FileKind {
     TestLike,
 }
 
-/// Byte ranges covered by `#[cfg(test)]` items, computed on masked source
-/// (offsets are valid for the original because masking preserves length).
-/// Exposed for the token-level rule tests in [`crate::conc_rules`].
-#[cfg(test)]
-pub(crate) fn test_regions_for(source: &str) -> Vec<(usize, usize)> {
-    test_regions(&crate::mask::mask(source).code)
-}
-
-/// Byte ranges covered by `#[cfg(test)]` items.
-fn test_regions(code: &str) -> Vec<(usize, usize)> {
-    let bytes = code.as_bytes();
+/// Byte ranges covered by `#[cfg(test)]` items: the literal attribute
+/// through the close of the next brace-balanced block (covers
+/// `mod tests { .. }` and `fn x() { .. }`).
+pub(crate) fn test_regions(ts: &TokenStream<'_>) -> Vec<(usize, usize)> {
+    const CFG_TEST: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
     let mut regions = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = find_from(code, "#[cfg(test)]", from) {
-        from = pos + 1;
-        // The attribute governs the next item; its body is the next
-        // brace-balanced block (covers `mod tests { .. }` and `fn x() { .. }`).
-        let Some(open) = code[pos..].find('{').map(|o| pos + o) else {
+    let mut i = 0;
+    while i < ts.tokens.len() {
+        if !ts.matches_seq(i, &CFG_TEST) {
+            i += 1;
             continue;
-        };
-        let mut depth = 0usize;
-        let mut end = bytes.len();
-        for (k, &b) in bytes.iter().enumerate().skip(open) {
-            if b == b'{' {
-                depth += 1;
-            } else if b == b'}' {
-                depth -= 1;
-                if depth == 0 {
-                    end = k + 1;
-                    break;
-                }
-            }
         }
-        regions.push((pos, end));
-        from = end;
+        let Some(open) = next_open_brace(ts, i) else {
+            break;
+        };
+        // A block that never closes runs to the end of the file.
+        let end = ts
+            .matching_close(open)
+            .map_or(ts.source.len(), |c| ts.tokens[c].end);
+        regions.push((ts.tokens[i].start, end));
+        i = ts.tokens.partition_point(|t| t.start < end);
     }
     regions
 }
 
-fn find_from(haystack: &str, needle: &str, from: usize) -> Option<usize> {
-    haystack.get(from..)?.find(needle).map(|p| p + from)
+/// Index of the first `{` after token `i`.
+fn next_open_brace(ts: &TokenStream<'_>, i: usize) -> Option<usize> {
+    (i + 1..ts.tokens.len()).find(|&j| ts.tokens[j].kind == TokenKind::Open(Delim::Brace))
 }
 
 pub(crate) fn in_regions(regions: &[(usize, usize)], pos: usize) -> bool {
     regions.iter().any(|&(a, b)| pos >= a && pos < b)
-}
-
-fn line_of(code: &str, pos: usize) -> usize {
-    code.as_bytes()[..pos]
-        .iter()
-        .filter(|&&b| b == b'\n')
-        .count()
-        + 1
 }
 
 pub(crate) fn excerpt_line(original: &str, line: usize) -> String {
@@ -466,100 +450,82 @@ pub(crate) fn excerpt_line(original: &str, line: usize) -> String {
         .to_string()
 }
 
-/// True when `code[pos]` starts `token` at an identifier boundary. The
-/// boundary test only applies when the token itself begins with an
-/// identifier character (`.unwrap()` legitimately follows an identifier).
-fn token_at(code: &str, pos: usize, token: &str) -> bool {
-    if !code[pos..].starts_with(token) {
-        return false;
-    }
-    let first = token.as_bytes()[0];
-    if (first.is_ascii_alphanumeric() || first == b'_') && pos > 0 {
-        let prev = code.as_bytes()[pos - 1];
-        if prev.is_ascii_alphanumeric() || prev == b'_' {
-            return false;
-        }
-    }
-    true
+/// Indices where the code-token sequence `seq` starts.
+fn seq_hits<'t>(ts: &'t TokenStream<'_>, seq: &'t [&str]) -> impl Iterator<Item = usize> + 't {
+    (0..ts.tokens.len()).filter(move |&i| ts.matches_seq(i, seq))
 }
 
-/// Finds identifier-boundary occurrences of `token` in `code`.
-fn token_positions(code: &str, token: &str) -> Vec<usize> {
+/// Runs every applicable rule over one lexed file: L1–L4 here, then L5–L8
+/// from [`crate::conc_rules`], all on the same token stream.
+pub fn check_file(ts: &TokenStream<'_>, kind: FileKind) -> Vec<Violation> {
     let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = find_from(code, token, from) {
-        if token_at(code, pos, token) {
-            out.push(pos);
-        }
-        from = pos + 1;
-    }
-    out
-}
+    let regions = test_regions(ts);
 
-/// Runs every applicable rule over one masked file: the line/mask rules
-/// L1–L4 here, then the token-level rules L5–L8 from [`crate::conc_rules`].
-pub fn check_file(masked: &Masked, original: &str, kind: FileKind) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let regions = test_regions(&masked.code);
-
-    l2_unseeded_rng(masked, original, &mut out);
+    l2_unseeded_rng(ts, &mut out);
     if kind == FileKind::Library {
-        l1_no_panics(masked, original, &regions, &mut out);
-        l3_float_eq(masked, original, &regions, &mut out);
-        l4_panics_doc(masked, original, &regions, &mut out);
+        l1_no_panics(ts, &regions, &mut out);
+        l3_float_eq(ts, &regions, &mut out);
+        l4_panics_doc(ts, &regions, &mut out);
+        crate::conc_rules::check(ts, &regions, &mut out);
     }
-    let ts = crate::lexer::lex(original);
-    crate::conc_rules::check(&ts, original, &regions, kind, &mut out);
 
     out.sort_by_key(|v| (v.line, v.rule.id()));
     out
 }
 
 /// L1: `.unwrap()`, `.expect(`, `panic!` in non-test library code.
-fn l1_no_panics(
-    masked: &Masked,
-    original: &str,
-    regions: &[(usize, usize)],
-    out: &mut Vec<Violation>,
-) {
-    const BANNED: [(&str, &str); 3] = [
-        (".unwrap()", "use a typed error or document the invariant"),
-        (".expect(", "use a typed error or document the invariant"),
+fn l1_no_panics(ts: &TokenStream<'_>, regions: &[(usize, usize)], out: &mut Vec<Violation>) {
+    const BANNED: [(&[&str], &str, &str); 3] = [
         (
+            &[".", "unwrap", "(", ")"],
+            "unwrap()",
+            "use a typed error or document the invariant",
+        ),
+        (
+            &[".", "expect", "("],
+            "expect(",
+            "use a typed error or document the invariant",
+        ),
+        (
+            &["panic", "!"],
             "panic!",
             "return an error instead of panicking in library code",
         ),
     ];
-    for (needle, hint) in BANNED {
-        for pos in token_positions(&masked.code, needle) {
-            if in_regions(regions, pos) {
+    for (seq, shown, hint) in BANNED {
+        for i in seq_hits(ts, seq) {
+            if in_regions(regions, ts.tokens[i].start) {
                 continue;
             }
-            let line = line_of(&masked.code, pos);
+            let line = ts.tokens[i].line;
             out.push(Violation {
                 rule: Rule::L1,
                 line,
-                message: format!("`{}` in library code; {hint}", needle.trim_matches('.')),
-                excerpt: excerpt_line(original, line),
+                message: format!("`{shown}` in library code; {hint}"),
+                excerpt: excerpt_line(ts.source, line),
             });
         }
     }
 }
 
 /// L2: unseeded RNG constructors anywhere, test code included.
-fn l2_unseeded_rng(masked: &Masked, original: &str, out: &mut Vec<Violation>) {
-    const BANNED: [&str; 3] = ["thread_rng", "from_entropy", "rand::random"];
-    for needle in BANNED {
-        for pos in token_positions(&masked.code, needle) {
-            let line = line_of(&masked.code, pos);
+fn l2_unseeded_rng(ts: &TokenStream<'_>, out: &mut Vec<Violation>) {
+    const BANNED: [(&[&str], &str); 3] = [
+        (&["thread_rng"], "thread_rng"),
+        (&["from_entropy"], "from_entropy"),
+        (&["rand", ":", ":", "random"], "rand::random"),
+    ];
+    for (seq, shown) in BANNED {
+        for i in seq_hits(ts, seq) {
+            let line = ts.tokens[i].line;
             out.push(Violation {
                 rule: Rule::L2,
                 line,
                 message: format!(
-                    "`{needle}` draws entropy; every generator must be seeded \
+                    "`{shown}` draws entropy; every generator must be seeded \
                      (determinism is load-bearing for the reproduction)"
                 ),
-                excerpt: excerpt_line(original, line),
+                excerpt: excerpt_line(ts.source, line),
             });
         }
     }
@@ -569,265 +535,228 @@ fn l2_unseeded_rng(masked: &Masked, original: &str, out: &mut Vec<Violation>) {
 /// ending in `as f64`), outside tests. Lexical by design: the 100%-precise
 /// version of this check is `clippy::float_cmp`, which the workspace also
 /// enables; this rule catches the idiom clippy misses in macro output.
-fn l3_float_eq(
-    masked: &Masked,
-    original: &str,
-    regions: &[(usize, usize)],
-    out: &mut Vec<Violation>,
-) {
-    let code = &masked.code;
-    let bytes = code.as_bytes();
-    for op in ["==", "!="] {
-        for pos in token_positions_raw(code, op) {
-            if in_regions(regions, pos) {
+fn l3_float_eq(ts: &TokenStream<'_>, regions: &[(usize, usize)], out: &mut Vec<Violation>) {
+    for (first, op) in [("=", "=="), ("!", "!=")] {
+        let mut i = 0;
+        while i < ts.tokens.len() {
+            // The operator is two adjacent `Punct`s; pairs never overlap.
+            if !(ts.text(i) == first
+                && ts.tokens[i].kind == TokenKind::Punct
+                && ts.next_is_adjacent(i, "="))
+            {
+                i += 1;
                 continue;
             }
-            // `!=` positions also match the tail of `!==`? No such token in
-            // Rust; but `<=`/`>=`/`=>`/`=` must not be confused with `==`:
-            // check the byte before `==` is not `=`, `<`, `>`, `!`.
-            if op == "==" {
-                if pos > 0 && matches!(bytes[pos - 1], b'=' | b'<' | b'>' | b'!') {
-                    continue;
-                }
-                if bytes.get(pos + 2) == Some(&b'=') {
-                    continue;
-                }
+            let at = i;
+            i += 2;
+            if in_regions(regions, ts.tokens[at].start) {
+                continue;
             }
-            let lhs = left_operand(code, pos);
-            let rhs = right_operand(code, pos + op.len());
-            if is_floatish(lhs) || is_floatish(rhs) {
-                let line = line_of(code, pos);
+            // `<=`, `>=`, `!=` and `=>` end or start with `=` too: an `==`
+            // glued to another operator byte is not an equality test.
+            if op == "=="
+                && (["=", "<", ">", "!"]
+                    .iter()
+                    .any(|p| ts.prev_is_adjacent(at, p))
+                    || ts.next_is_adjacent(at + 1, "="))
+            {
+                continue;
+            }
+            let lhs = left_operand(ts, at);
+            let rhs = right_operand(ts, at + 2);
+            if is_floatish(ts, lhs.clone()) || is_floatish(ts, rhs.clone()) {
+                let line = ts.tokens[at].line;
                 out.push(Violation {
                     rule: Rule::L3,
                     line,
                     message: format!(
                         "float compared with `{op}`; use an epsilon or total_cmp \
                          (lhs `{}`, rhs `{}`)",
-                        lhs.trim(),
-                        rhs.trim()
+                        operand_text(ts, lhs),
+                        operand_text(ts, rhs)
                     ),
-                    excerpt: excerpt_line(original, line),
+                    excerpt: excerpt_line(ts.source, line),
                 });
             }
         }
     }
 }
 
-/// Occurrences of a non-identifier token (no boundary check applies).
-fn token_positions_raw(code: &str, token: &str) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = find_from(code, token, from) {
-        out.push(pos);
-        from = pos + token.len();
-    }
-    out
+/// True when a line break separates byte offsets `a..b`, or lies inside
+/// token `j` (a multi-line string or comment).
+fn breaks_line(ts: &TokenStream<'_>, a: usize, b: usize, j: usize) -> bool {
+    ts.source[a..b].contains('\n') || ts.text(j).contains('\n')
 }
 
-/// The expression text immediately left of an operator, scanned to the
-/// nearest low-precedence boundary.
-fn left_operand(code: &str, op_pos: usize) -> &str {
-    let bytes = code.as_bytes();
-    let mut i = op_pos;
+/// The tokens immediately left of the operator at `op`, scanned back to
+/// the nearest low-precedence boundary: an unmatched `(`/`[`/`{`, a `,` or
+/// `;`, an `&`/`|`/`=`/`<`/`>`, or a line break, each outside brackets.
+fn left_operand(ts: &TokenStream<'_>, op: usize) -> Range<usize> {
     let mut depth = 0i32;
-    while i > 0 {
-        let b = bytes[i - 1];
-        match b {
-            b')' | b']' => depth += 1,
-            b'(' | b'[' | b'{' | b',' | b';' if depth == 0 => break,
-            b'(' | b'[' => depth -= 1,
-            b'&' | b'|' | b'=' | b'<' | b'>' if depth == 0 => break,
-            b'\n' if depth == 0 => break,
+    let mut j = op;
+    while j > 0 {
+        let t = ts.tokens[j - 1];
+        if depth == 0 && breaks_line(ts, t.end, ts.tokens[j].start, j - 1) {
+            break;
+        }
+        match (t.kind, ts.text(j - 1)) {
+            (TokenKind::Close(Delim::Paren | Delim::Bracket), _) => depth += 1,
+            (TokenKind::Open(_), _) | (TokenKind::Punct, "," | ";") if depth == 0 => break,
+            (TokenKind::Open(Delim::Paren | Delim::Bracket), _) => depth -= 1,
+            (TokenKind::Punct, "&" | "|" | "=" | "<" | ">") if depth == 0 => break,
             _ => {}
         }
-        i -= 1;
+        j -= 1;
     }
-    code[i..op_pos].trim()
+    j..op
 }
 
-/// The expression text immediately right of an operator.
-fn right_operand(code: &str, after_op: usize) -> &str {
-    let bytes = code.as_bytes();
-    let mut i = after_op;
+/// The tokens immediately right of an operator, starting at token
+/// `after`: up to an unmatched closer, a `,` or `;`, an `&`/`|`/`<`/`>`,
+/// or a line break, each outside brackets.
+fn right_operand(ts: &TokenStream<'_>, after: usize) -> Range<usize> {
     let mut depth = 0i32;
-    while i < bytes.len() {
-        let b = bytes[i];
-        match b {
-            b'(' | b'[' => depth += 1,
-            b')' | b']' | b'}' | b',' | b';' if depth == 0 => break,
-            b')' | b']' => depth -= 1,
-            b'&' | b'|' | b'<' | b'>' if depth == 0 => break,
-            b'\n' if depth == 0 => break,
+    let mut j = after;
+    while j < ts.tokens.len() {
+        let t = ts.tokens[j];
+        if depth == 0 && breaks_line(ts, ts.tokens[j - 1].end, t.start, j) {
+            break;
+        }
+        match (t.kind, ts.text(j)) {
+            (TokenKind::Open(Delim::Paren | Delim::Bracket), _) => depth += 1,
+            (TokenKind::Close(_), _) | (TokenKind::Punct, "," | ";") if depth == 0 => break,
+            (TokenKind::Close(Delim::Paren | Delim::Bracket), _) => depth -= 1,
+            (TokenKind::Punct, "&" | "|" | "<" | ">") if depth == 0 => break,
             _ => {}
         }
-        i += 1;
+        j += 1;
     }
-    code[after_op..i].trim()
+    after..j
 }
 
-/// True when the operand text clearly denotes an f64: a float literal
-/// (`0.5`, `1e-9`, `2f64`) or a trailing `as f64` cast.
-fn is_floatish(expr: &str) -> bool {
-    let expr = expr.trim();
-    if expr.ends_with("as f64") || expr.ends_with("as f32") {
-        return true;
-    }
-    has_float_literal(expr)
+/// True when an operand clearly denotes a float: it holds a float literal
+/// (`0.5`, `1e-9`, `2f64`) or ends in an `as f64`/`as f32` cast.
+fn is_floatish(ts: &TokenStream<'_>, run: Range<usize>) -> bool {
+    let code: Vec<usize> = run.filter(|&j| ts.is_code(j)).collect();
+    let cast =
+        matches!(code[..], [.., a, t] if ts.text(a) == "as" && matches!(ts.text(t), "f64" | "f32"));
+    cast || code.iter().any(|&j| ts.tokens[j].kind == TokenKind::Float)
 }
 
-fn has_float_literal(expr: &str) -> bool {
-    let bytes = expr.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i].is_ascii_digit() {
-            // Not part of an identifier like `x0`.
-            if i > 0 && (bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_') {
-                i += 1;
-                continue;
+/// An operand as L3 quotes it: its source text from the first to the last
+/// code token, with comments and string/char contents blanked (quotes
+/// kept), so a report never echoes prose.
+fn operand_text(ts: &TokenStream<'_>, run: Range<usize>) -> String {
+    let mut code = run.filter(|&j| ts.is_code(j));
+    let Some(first) = code.next() else {
+        return String::new();
+    };
+    let last = code.next_back().unwrap_or(first);
+    let base = ts.tokens[first].start;
+    let mut text = ts.source.as_bytes()[base..ts.tokens[last].end].to_vec();
+    for t in &ts.tokens[first..=last] {
+        let span = &mut text[t.start - base..t.end - base];
+        let quote = |b: &u8| matches!(b, b'"' | b'\'');
+        let inner = match t.kind {
+            TokenKind::LineComment | TokenKind::BlockComment => 0..span.len(),
+            TokenKind::Str | TokenKind::Char => {
+                let open = span.iter().position(quote).map_or(0, |q| q + 1);
+                let close = span.iter().rposition(quote).filter(|&q| q >= open);
+                open..close.unwrap_or(span.len())
             }
-            let start = i;
-            while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'_') {
-                i += 1;
+            _ => continue,
+        };
+        for b in &mut span[inner] {
+            if *b != b'\n' {
+                *b = b' ';
             }
-            // `12.`, `12.5`
-            if i < bytes.len() && bytes[i] == b'.' {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'.' {
-                    // range `0..n`
-                    i += 2;
-                    continue;
-                }
-                return true;
-            }
-            // `1e-9`, `2f64`
-            let rest = &expr[i..];
-            if rest.starts_with('e') || rest.starts_with("f64") || rest.starts_with("f32") {
-                let after_e = rest.strip_prefix('e').unwrap_or("");
-                if rest.starts_with('f')
-                    || after_e.starts_with(|c: char| c.is_ascii_digit() || c == '-' || c == '+')
-                {
-                    return true;
-                }
-            }
-            let _ = start;
-        } else {
-            i += 1;
         }
     }
-    false
+    String::from_utf8_lossy(&text).into_owned()
 }
 
 /// L4: a `pub fn` whose body contains `assert!`/`assert_eq!`/`assert_ne!`/
 /// `panic!` must have a doc comment with a `# Panics` section.
-fn l4_panics_doc(
-    masked: &Masked,
-    original: &str,
-    regions: &[(usize, usize)],
-    out: &mut Vec<Violation>,
-) {
-    let code = &masked.code;
-    let bytes = code.as_bytes();
-    for fn_pos in token_positions(code, "fn ") {
-        let Some(pos) = pub_fn_start(code, fn_pos) else {
+fn l4_panics_doc(ts: &TokenStream<'_>, regions: &[(usize, usize)], out: &mut Vec<Violation>) {
+    const PANICS: [[&str; 2]; 4] = [
+        ["assert", "!"],
+        ["assert_eq", "!"],
+        ["assert_ne", "!"],
+        ["panic", "!"],
+    ];
+    for f in seq_hits(ts, &["fn"]) {
+        let Some(name) = ts
+            .next_code(f)
+            .filter(|&n| ts.tokens[n].kind == TokenKind::Ident)
+        else {
             continue;
         };
-        if in_regions(regions, pos) {
-            continue;
-        }
-        // Body: first `{` after the signature, brace-matched.
-        let Some(open) = find_from(code, "{", fn_pos) else {
+        let Some(vis) = pub_of_fn(ts, f) else {
             continue;
         };
-        let mut depth = 0usize;
-        let mut end = bytes.len();
-        for (k, &b) in bytes.iter().enumerate().skip(open) {
-            if b == b'{' {
-                depth += 1;
-            } else if b == b'}' {
-                depth -= 1;
-                if depth == 0 {
-                    end = k + 1;
-                    break;
-                }
-            }
-        }
-        let body = &code[open..end];
-        let panics = ["assert!", "assert_eq!", "assert_ne!", "panic!"]
-            .iter()
-            .any(|t| body_has_token(body, t));
-        if !panics {
+        if in_regions(regions, ts.tokens[vis].start) {
             continue;
         }
-        let line = line_of(code, pos);
-        if doc_block_has_panics(&masked.with_comments, line) {
+        let Some(open) = next_open_brace(ts, f) else {
+            continue;
+        };
+        let close = ts.matching_close(open).unwrap_or(ts.tokens.len());
+        let panics = (open..close).any(|j| PANICS.iter().any(|p| ts.matches_seq(j, p)));
+        if !panics || doc_has_panics(ts, vis) {
             continue;
         }
-        let name = code[fn_pos + "fn ".len()..]
-            .split(|c: char| !c.is_alphanumeric() && c != '_')
-            .next()
-            .unwrap_or("?")
-            .to_string();
+        let line = ts.tokens[vis].line;
         out.push(Violation {
             rule: Rule::L4,
             line,
             message: format!(
-                "`pub fn {name}` can panic (assert/panic in body) but its doc \
-                 comment has no `# Panics` section"
+                "`pub fn {}` can panic (assert/panic in body) but its doc \
+                 comment has no `# Panics` section",
+                ts.text(name)
             ),
-            excerpt: excerpt_line(original, line),
+            excerpt: excerpt_line(ts.source, line),
         });
     }
 }
 
-/// For an `fn ` keyword at `fn_pos`, returns the start of its `pub`
-/// visibility token if the fn is exactly `pub` (not `pub(crate)`), walking
-/// back over the `const`/`async`/`unsafe` modifiers.
-fn pub_fn_start(code: &str, fn_pos: usize) -> Option<usize> {
-    let mut end = fn_pos;
+/// For the `fn` keyword at `f`, the index of its `pub` token when the fn
+/// is exactly `pub` (not `pub(crate)`), walking back over the
+/// `const`/`async`/`unsafe` modifiers.
+fn pub_of_fn(ts: &TokenStream<'_>, f: usize) -> Option<usize> {
+    let mut j = f;
     loop {
-        let before = code[..end].trim_end();
-        let word_start = before
-            .rfind(|c: char| !c.is_alphanumeric() && c != '_')
-            .map_or(0, |p| p + 1);
-        match &before[word_start..] {
-            "const" | "async" | "unsafe" => end = word_start,
-            "pub" => return Some(word_start),
+        j = ts.prev_code(j)?;
+        match ts.text(j) {
+            "const" | "async" | "unsafe" => {}
+            "pub" => return Some(j),
             _ => return None,
         }
     }
 }
 
-fn body_has_token(body: &str, token: &str) -> bool {
-    token_positions(body, token)
-        .iter()
-        .any(|&p| !body[..p].ends_with("debug_"))
-}
-
-/// Walks upward from the line above `fn_line`, across attributes, collecting
-/// the contiguous `///` block; true when it contains `# Panics`.
-fn doc_block_has_panics(with_comments: &str, fn_line: usize) -> bool {
-    let lines: Vec<&str> = with_comments.lines().collect();
-    let mut i = fn_line.saturating_sub(1); // index of the fn line
-    while i > 0 {
-        let prev = lines[i - 1].trim_start();
-        if prev.starts_with("#[") || prev.starts_with("#!") {
-            i -= 1;
-        } else {
-            break;
-        }
-    }
+/// Walks back from the item starting at token `item` over `#[…]` groups
+/// and `///` doc lines; true when one of those lines holds `# Panics`.
+fn doc_has_panics(ts: &TokenStream<'_>, item: usize) -> bool {
     let mut saw_panics = false;
-    while i > 0 {
-        let prev = lines[i - 1].trim_start();
-        if prev.starts_with("///") {
-            if prev.contains("# Panics") {
-                saw_panics = true;
+    let mut j = item;
+    while j > 0 {
+        let p = j - 1;
+        match ts.tokens[p].kind {
+            TokenKind::LineComment if ts.text(p).starts_with("///") => {
+                saw_panics |= ts.text(p).contains("# Panics");
+                j = p;
             }
-            i -= 1;
-        } else if prev.starts_with("#[") {
-            // Attributes interleaved with docs (e.g. `#[must_use]`).
-            i -= 1;
-        } else {
-            break;
+            TokenKind::Close(Delim::Bracket) => {
+                let hash = ts
+                    .matching_open(p)
+                    .and_then(|o| ts.prev_code(o))
+                    .filter(|&h| ts.text(h) == "#");
+                let Some(hash) = hash else {
+                    break;
+                };
+                j = hash;
+            }
+            _ => break,
         }
     }
     saw_panics
@@ -836,10 +765,10 @@ fn doc_block_has_panics(with_comments: &str, fn_line: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mask::mask;
+    use crate::lexer::lex;
 
     fn check(src: &str, kind: FileKind) -> Vec<Violation> {
-        check_file(&mask(src), src, kind)
+        check_file(&lex(src), kind)
     }
 
     fn rules_of(v: &[Violation]) -> Vec<&'static str> {
@@ -869,7 +798,9 @@ mod tests {
     #[test]
     fn l1_ignores_strings_comments_and_debug_assert() {
         let src = "// panic! here is prose\npub fn f() { let _ = \"don't panic!\"; }\n\
-                   pub fn g() { debug_assert!(true); }\n";
+                   pub fn g() { debug_assert!(true); }\n\
+                   // thread_rng here\n/* panic! */ pub fn h() {\n\
+                   let s = \"unwrap() panic!\"; let t = r#\"thread_rng\"#; }\n";
         let v = check(src, FileKind::Library);
         assert!(v.is_empty(), "{v:?}");
     }

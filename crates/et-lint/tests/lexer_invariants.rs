@@ -1,9 +1,11 @@
-//! Workspace-wide lexer invariants: for every `.rs` file under `crates/`
-//! (fixture trees included), the token spans must be strictly in order,
+//! Workspace-wide lexer invariants: for every `.rs` file et-lint scans —
+//! under `crates/` (fixture trees included) and the root `src/`, `tests/`
+//! and `examples/` — the token spans must be strictly in order,
 //! non-overlapping, and must cover every non-whitespace byte of the
-//! source. A gap that swallows code would silently blind every rule built
-//! on the token stream, so this is checked against the real corpus, not
-//! just unit snippets.
+//! source, and each token's line must be its true source line. A gap that
+//! swallows code, or a drifted line, would silently blind or misreport
+//! every rule (L1–L8 and the parser all read this one token stream), so
+//! this is checked against the real corpus, not just unit snippets.
 
 use std::path::{Path, PathBuf};
 
@@ -34,7 +36,9 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 #[test]
 fn spans_are_ordered_disjoint_and_cover_all_code_bytes() {
     let mut files = Vec::new();
-    collect_rs(&workspace_root().join("crates"), &mut files);
+    for dir in ["crates", "src", "tests", "examples"] {
+        collect_rs(&workspace_root().join(dir), &mut files);
+    }
     assert!(
         files.len() >= 20,
         "corpus sanity: expected a real workspace, found {} files",
@@ -48,6 +52,7 @@ fn spans_are_ordered_disjoint_and_cover_all_code_bytes() {
         let ts = lex(&source);
         let mut prev_end = 0usize;
         let mut line = 1usize;
+        let (mut counted_to, mut true_line) = (0usize, 1usize);
         for (i, tok) in ts.tokens.iter().enumerate() {
             assert!(
                 tok.start >= prev_end,
@@ -68,6 +73,15 @@ fn spans_are_ordered_disjoint_and_cover_all_code_bytes() {
                 tok.line
             );
             line = tok.line;
+            true_line += source[counted_to..tok.start].matches('\n').count();
+            counted_to = tok.start;
+            assert_eq!(
+                tok.line,
+                true_line,
+                "{}: token {i} at byte {} has a drifted line",
+                path.display(),
+                tok.start
+            );
             gap_is_whitespace(&path, &source, prev_end, tok.start);
             prev_end = tok.end;
         }
