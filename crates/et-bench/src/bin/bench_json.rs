@@ -29,7 +29,7 @@ use et_core::{
     ResponseStrategy, SessionConfig, SessionJournal, SessionState, StrategyKind,
 };
 use et_data::gen::DatasetName;
-use et_data::Table;
+use et_data::{inject_errors, InjectConfig, Table};
 use et_durable::{FsyncPolicy, Wal};
 use et_fd::{
     pair_dirty_probs_with, DeltaScorer, DetectParams, HypothesisSpace, PairScores, PartitionCache,
@@ -445,6 +445,25 @@ fn round_latency_benches(
     vec![full, del]
 }
 
+/// Error injection in the shape a served create pays: Hospital-1000 at
+/// degree 0.10 with the exact FDs as targets. Every iteration dirties a
+/// fresh clone of the clean table; the clone is not timed.
+fn inject_bench(quick: bool) -> BenchStats {
+    let (warmup, iters) = if quick { (1, 3) } else { (3, 25) };
+    let ds = DatasetName::Hospital.generate(1000, 2);
+    let cfg = InjectConfig::with_degree(0.10, 2 ^ 0xBE);
+    let mut samples = Vec::with_capacity(iters);
+    for i in 0..warmup + iters {
+        let mut table = ds.table.clone();
+        let t0 = Instant::now();
+        black_box(inject_errors(&mut table, &ds.exact_fds, &[], &cfg));
+        if i >= warmup {
+            samples.push(t0.elapsed().as_secs_f64());
+        }
+    }
+    stats_from("inject_hospital_1000", &samples, 1.0)
+}
+
 /// Exits loudly; benches have no error channel worth plumbing.
 fn fail(what: &str, e: impl std::fmt::Display) -> ! {
     eprintln!("error: {what}: {e}");
@@ -604,7 +623,7 @@ fn emit_json(
     cli: &Cli,
     f: &Fixture,
     rows: usize,
-    tax_rows: Option<usize>,
+    tax_rows: usize,
     benches: &[BenchStats],
     derived: &[(&str, f64)],
 ) -> Json {
@@ -626,17 +645,15 @@ fn emit_json(
             ]),
         ),
     ];
-    if let Some(tr) = tax_rows {
-        doc.push((
-            "tax_fixture",
-            Json::obj(vec![
-                ("dataset", Json::str("tax")),
-                ("rows", Json::Num(tr as f64)),
-                ("degree", Json::Num(0.15)),
-                ("seed", Json::Num(2.0)),
-            ]),
-        ));
-    }
+    doc.push((
+        "tax_fixture",
+        Json::obj(vec![
+            ("dataset", Json::str("tax")),
+            ("rows", Json::Num(tax_rows as f64)),
+            ("degree", Json::Num(0.15)),
+            ("seed", Json::Num(2.0)),
+        ]),
+    ));
     let benches = benches
         .iter()
         .map(|b| {
@@ -687,34 +704,22 @@ fn main() {
     let f = fixture(DatasetName::Hospital, rows, 0.15, 2);
     let mut benches = run_benches(&f, cli.quick);
 
+    benches.push(inject_bench(cli.quick));
+
     // Tax-scale round latencies: a second round-latency family over a much
-    // larger table and candidate pool, guarded by a wall-clock budget so a
-    // slow CI box skips it loudly instead of timing the whole step out.
+    // larger table and candidate pool.
     let tax_rows = if cli.quick { 2_000 } else { 10_000 };
-    let tax_budget: f64 = std::env::var("ET_BENCH_TAX_BUDGET_SECS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if cli.quick { 30.0 } else { 300.0 });
-    let mut tax_ran = None;
     eprintln!("bench_json: tax fixture, {tax_rows} rows, degree 0.15, seed 2");
     let t0 = Instant::now();
     let tax = fixture(DatasetName::Tax, tax_rows, 0.15, 2);
     let tax_build = t0.elapsed().as_secs_f64();
-    if tax_build > tax_budget {
-        eprintln!(
-            "  tax fixture build took {tax_build:.1}s (budget {tax_budget:.1}s, \
-             ET_BENCH_TAX_BUDGET_SECS); skipping round_latency_*_tax"
-        );
-    } else {
-        benches.push(stats_from("fixture_build_tax", &[tax_build], 1.0));
-        benches.extend(round_latency_benches(
-            &tax,
-            ["round_full_rescore_tax", "round_delta_rescore_tax"],
-            20_000,
-            cli.quick,
-        ));
-        tax_ran = Some(tax_rows);
-    }
+    benches.push(stats_from("fixture_build_tax", &[tax_build], 1.0));
+    benches.extend(round_latency_benches(
+        &tax,
+        ["round_full_rescore_tax", "round_delta_rescore_tax"],
+        20_000,
+        cli.quick,
+    ));
 
     let mut derived: Vec<(&str, f64)> = Vec::new();
     let ratios = [
@@ -781,7 +786,7 @@ fn main() {
         }
     }
 
-    let doc = emit_json(&cli, &f, rows, tax_ran, &benches, &derived);
+    let doc = emit_json(&cli, &f, rows, tax_rows, &benches, &derived);
     cli::write_or_exit(&cli.out, &doc);
     for (name, v) in &derived {
         let flag = if is_regressed(name, *v) {

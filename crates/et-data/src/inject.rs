@@ -23,14 +23,15 @@
 //! tuples inside left-hand-side groups until the requested degree is
 //! reached, recording ground-truth dirty rows and cells for later F1
 //! evaluation.
-
-use std::collections::HashSet;
+//!
+//! [`PairIndex`] keeps both pair counts exact as edits arrive, so the
+//! injector never recounts the table between batches.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::schema::AttrId;
-use crate::table::Table;
+use crate::table::{GroupedRows, Table};
 use crate::FdSpec;
 
 /// Configuration for [`inject_errors`].
@@ -107,7 +108,7 @@ impl Injection {
 }
 
 /// Violating and at-risk pair counts for a set of FDs over a table.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PairCounts {
     /// Unordered pairs violating at least one FD.
     pub violating: usize,
@@ -126,33 +127,141 @@ impl PairCounts {
     }
 }
 
-/// Computes violating / at-risk pair counts over the union of `fds`.
-pub fn pair_counts(table: &Table, fds: &[FdSpec]) -> PairCounts {
-    let mut violating: HashSet<(u32, u32)> = HashSet::new();
-    let mut at_risk: HashSet<(u32, u32)> = HashSet::new();
-    for fd in fds {
-        let lhs: Vec<AttrId> = fd.lhs.iter().map(|&a| a as AttrId).collect();
-        let rhs = fd.rhs as AttrId;
-        let grouped = table.group_by(&lhs);
-        for group in &grouped.groups {
-            if group.len() < 2 {
-                continue;
+/// Exact violating / at-risk pair counts over the union of a set of FDs,
+/// kept current under single-cell edits.
+///
+/// The index holds one LHS grouping per FD. A pair `(r, s)` is at risk when
+/// some FD puts both rows in one LHS group, and violating when some such FD
+/// also sees different RHS values. An edit to row `r` can only change the
+/// status of pairs `(r, s)` with `s` in one of `r`'s groups before or after
+/// the edit, so [`PairIndex::set_text`] re-evaluates exactly that
+/// neighbourhood and applies the difference (DESIGN.md §"et-data").
+#[derive(Debug, Clone)]
+pub struct PairIndex {
+    lhs: Vec<Vec<AttrId>>,
+    rhs: Vec<AttrId>,
+    groupings: Vec<GroupedRows>,
+    counts: PairCounts,
+    /// Per-row visit stamps deduplicating a neighbourhood walk.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// The rows of the current neighbourhood walk.
+    nbrs: Vec<u32>,
+}
+
+impl PairIndex {
+    /// Groups `table` by every FD's LHS and counts its pairs.
+    pub fn new(table: &Table, fds: &[FdSpec]) -> Self {
+        let lhs: Vec<Vec<AttrId>> = fds
+            .iter()
+            .map(|fd| fd.lhs.iter().map(|&a| a as AttrId).collect())
+            .collect();
+        let mut index = Self {
+            groupings: lhs.iter().map(|l| table.group_by(l)).collect(),
+            rhs: fds.iter().map(|fd| fd.rhs as AttrId).collect(),
+            lhs,
+            counts: PairCounts::default(),
+            stamp: vec![0; table.nrows()],
+            epoch: 0,
+            nbrs: Vec::new(),
+        };
+        // Each unordered pair is counted from its smaller row.
+        for row in 0..table.nrows() {
+            index.start_walk(row);
+            index.extend_walk(row, row as u32 + 1);
+            let (at_risk, violating) = index.tally(table, row);
+            index.counts.at_risk += at_risk;
+            index.counts.violating += violating;
+        }
+        index
+    }
+
+    /// The current pair counts.
+    pub fn counts(&self) -> PairCounts {
+        self.counts
+    }
+
+    /// The LHS grouping of the `fd`-th FD, in first-occurrence order.
+    pub fn groups(&self, fd: usize) -> &GroupedRows {
+        &self.groupings[fd]
+    }
+
+    /// Overwrites cell (`row`, `attr`) of `table` with `text`, regrouping
+    /// the FDs whose LHS contains `attr` and updating the counts by the
+    /// change over `row`'s neighbourhood. `table` must be the table the
+    /// index was built over, edited since only through this method.
+    pub fn set_text(&mut self, table: &mut Table, row: usize, attr: AttrId, text: &str) {
+        self.start_walk(row);
+        self.extend_walk(row, 0);
+        let (at_risk_before, violating_before) = self.tally(table, row);
+        table.set_text(row, attr, text);
+        for (lhs, grouping) in self.lhs.iter().zip(&mut self.groupings) {
+            if lhs.contains(&attr) {
+                *grouping = table.group_by(lhs);
             }
-            for (i, &a) in group.iter().enumerate() {
-                for &b in &group[i + 1..] {
-                    let key = (a.min(b), a.max(b));
-                    at_risk.insert(key);
-                    if table.sym(a as usize, rhs) != table.sym(b as usize, rhs) {
-                        violating.insert(key);
-                    }
+        }
+        // Rows that join `row`'s groups only now were not at risk with it
+        // before, so the "before" tally above already covers them.
+        self.extend_walk(row, 0);
+        let (at_risk_after, violating_after) = self.tally(table, row);
+        self.counts.at_risk = self.counts.at_risk + at_risk_after - at_risk_before;
+        self.counts.violating = self.counts.violating + violating_after - violating_before;
+    }
+
+    /// Starts a new walk around `row`: clears the neighbourhood and marks
+    /// `row` itself as visited.
+    fn start_walk(&mut self, row: usize) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        self.nbrs.clear();
+        self.stamp[row] = self.epoch;
+    }
+
+    /// Adds the unvisited members `>= from` of `row`'s groups to the walk.
+    fn extend_walk(&mut self, row: usize, from: u32) {
+        for grouping in &self.groupings {
+            let group = &grouping.groups[grouping.row_group[row] as usize];
+            // Groups list their rows in ascending order.
+            let start = group.partition_point(|&s| s < from);
+            for &s in &group[start..] {
+                if self.stamp[s as usize] != self.epoch {
+                    self.stamp[s as usize] = self.epoch;
+                    self.nbrs.push(s);
                 }
             }
         }
     }
-    PairCounts {
-        violating: violating.len(),
-        at_risk: at_risk.len(),
+
+    /// `(at-risk, violating)` pair counts between `row` and the walk.
+    fn tally(&self, table: &Table, row: usize) -> (usize, usize) {
+        let mut at_risk = 0;
+        let mut violating = 0;
+        for &s in &self.nbrs {
+            let s = s as usize;
+            let mut risk = false;
+            let mut viol = false;
+            for (grouping, &rhs) in self.groupings.iter().zip(&self.rhs) {
+                if grouping.row_group[row] == grouping.row_group[s] {
+                    risk = true;
+                    if table.sym(row, rhs) != table.sym(s, rhs) {
+                        viol = true;
+                        break;
+                    }
+                }
+            }
+            at_risk += usize::from(risk);
+            violating += usize::from(viol);
+        }
+        (at_risk, violating)
     }
+}
+
+/// Computes violating / at-risk pair counts over the union of `fds`.
+pub fn pair_counts(table: &Table, fds: &[FdSpec]) -> PairCounts {
+    PairIndex::new(table, fds).counts()
 }
 
 /// The degree of violation of `fds` over `table`: violating pairs as a
@@ -169,26 +278,6 @@ pub fn absolute_violation_degree(table: &Table, fds: &[FdSpec]) -> f64 {
     }
     let total = n as f64 * (n as f64 - 1.0) / 2.0;
     pair_counts(table, fds).violating as f64 / total
-}
-
-/// All unordered pairs `(a, b)` with `a < b` violating at least one FD.
-pub fn violating_pairs(table: &Table, fds: &[FdSpec]) -> HashSet<(u32, u32)> {
-    let mut out = HashSet::new();
-    for fd in fds {
-        let lhs: Vec<AttrId> = fd.lhs.iter().map(|&a| a as AttrId).collect();
-        let rhs = fd.rhs as AttrId;
-        let grouped = table.group_by(&lhs);
-        for group in &grouped.groups {
-            for (i, &a) in group.iter().enumerate() {
-                for &b in &group[i + 1..] {
-                    if table.sym(a as usize, rhs) != table.sym(b as usize, rhs) {
-                        out.insert((a.min(b), a.max(b)));
-                    }
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Scrambles RHS cells of `table` until the violation degree over
@@ -226,16 +315,16 @@ pub fn inject_errors(
     assert!(weight_sum > 0.0, "at least one FD weight must be positive");
 
     let mut dirty_rows = vec![false; n];
-    let mut dirty_cells: HashSet<(usize, AttrId)> = HashSet::new();
+    let mut dirty_cells: Vec<(usize, AttrId)> = Vec::new();
     let mut edits = 0usize;
     let mut noise_counter = 0usize;
 
-    let mut counts = pair_counts(table, &all_fds);
-    let mut achieved = counts.degree();
+    let mut index = PairIndex::new(table, &all_fds);
+    let mut achieved = index.counts().degree();
     while achieved < cfg.degree && edits < cfg.max_edits {
-        // Recomputing exact counts per edit is O(at-risk pairs); batch a few
-        // edits when far from the target, single-step when close.
-        let deficit_pairs = (cfg.degree - achieved) * counts.at_risk.max(1) as f64;
+        // Batch a few edits when far from the target, single-step when
+        // close; the degree is read once per batch.
+        let deficit_pairs = (cfg.degree - achieved) * index.counts().at_risk.max(1) as f64;
         let batch = ((deficit_pairs / (n as f64 * 0.2)).ceil() as usize).clamp(1, 32);
         let mut made_progress = false;
         for _ in 0..batch {
@@ -244,18 +333,21 @@ pub fn inject_errors(
             }
             // Weighted FD choice.
             let mut pick = rng.gen::<f64>() * weight_sum;
-            let mut fd = &all_fds[0];
+            let mut fd = 0;
             for (i, w) in weights.iter().enumerate() {
                 if pick < *w {
-                    fd = &all_fds[i];
+                    fd = i;
                     break;
                 }
                 pick -= w;
             }
-            let lhs: Vec<AttrId> = fd.lhs.iter().map(|&a| a as AttrId).collect();
-            let rhs = fd.rhs as AttrId;
-            let grouped = table.group_by(&lhs);
-            let multi: Vec<&Vec<u32>> = grouped.groups.iter().filter(|g| g.len() >= 2).collect();
+            let rhs = all_fds[fd].rhs as AttrId;
+            let multi: Vec<&Vec<u32>> = index
+                .groups(fd)
+                .groups
+                .iter()
+                .filter(|g| g.len() >= 2)
+                .collect();
             if multi.is_empty() {
                 continue;
             }
@@ -293,24 +385,23 @@ pub fn inject_errors(
                     format!("~noise_{noise_counter}")
                 })
             };
-            table.set_text(row, rhs, &new_text);
+            index.set_text(table, row, rhs, &new_text);
             dirty_rows[row] = true;
-            dirty_cells.insert((row, rhs));
+            dirty_cells.push((row, rhs));
             edits += 1;
             made_progress = true;
         }
         if !made_progress {
             break; // no multi-row groups left to perturb
         }
-        counts = pair_counts(table, &all_fds);
-        achieved = counts.degree();
+        achieved = index.counts().degree();
     }
 
-    let mut cells: Vec<(usize, AttrId)> = dirty_cells.into_iter().collect();
-    cells.sort_unstable();
+    dirty_cells.sort_unstable();
+    dirty_cells.dedup();
     Injection {
         dirty_rows,
-        dirty_cells: cells,
+        dirty_cells,
         edits,
         achieved_degree: achieved,
     }
@@ -344,9 +435,6 @@ mod tests {
         // Lakers {t1,t2} and Bulls {t3,t4} -> 2 pairs; degree = 1/2.
         let t = paper_table1();
         let fd = FdSpec::new(vec![1], 2);
-        let pairs = violating_pairs(&t, std::slice::from_ref(&fd));
-        assert_eq!(pairs.len(), 1);
-        assert!(pairs.contains(&(0, 1)));
         let counts = pair_counts(&t, std::slice::from_ref(&fd));
         assert_eq!(counts.at_risk, 2);
         assert_eq!(counts.violating, 1);

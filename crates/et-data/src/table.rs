@@ -148,11 +148,16 @@ impl Table {
         for row in 0..self.nrows {
             key.clear();
             key.extend(attrs.iter().map(|&a| self.sym(row, a)));
-            let next = key_ids.len() as u32;
-            let gid = *key_ids.entry(key.clone()).or_insert(next);
-            if gid as usize == groups.len() {
-                groups.push(Vec::new());
-            }
+            // Look up before inserting so only a new key is cloned.
+            let gid = match key_ids.get(&key) {
+                Some(&gid) => gid,
+                None => {
+                    let gid = groups.len() as u32;
+                    key_ids.insert(key.clone(), gid);
+                    groups.push(Vec::new());
+                    gid
+                }
+            };
             groups[gid as usize].push(row as u32);
             row_group.push(gid);
         }

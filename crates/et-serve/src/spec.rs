@@ -24,7 +24,10 @@ pub struct CreateSessionSpec {
     pub dataset: DatasetName,
     /// Rows to generate.
     pub rows: usize,
-    /// Error-injection degree (fraction of rows dirtied), in `[0, 1)`.
+    /// Error-injection degree of violation, in `[0, 1)`: the fraction of
+    /// at-risk tuple pairs (pairs agreeing on some exact FD's LHS) that
+    /// violate at least one exact FD once injection stops. It is not a
+    /// fraction of rows (see `et_data::inject`).
     pub degree: f64,
     /// The learner's selection strategy.
     pub strategy: StrategyKind,

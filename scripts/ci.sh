@@ -71,18 +71,17 @@ else
   cargo test -q -p et-serve --test crash_recovery
 fi
 
-echo "==> bench harness compiles + bench_json smoke (quick profile, tax budget ${ET_BENCH_TAX_BUDGET_SECS:=30}s)"
+echo "==> bench harness compiles + bench_json smoke (quick profile)"
 # Beyond "the baseline regenerates", the quick profile gates the delta
-# rescoring path: if re-folding only the changed-FD pairs is ever slower
-# than a full rescore, the cache is broken (or stale-slot thrash crept in)
-# and CI should say so before a checked-in BENCH diff has to. The tax
-# fixture generation inside bench_json is bounded by the exported
-# wall-clock budget; over budget it skips the tax family loudly.
-export ET_BENCH_TAX_BUDGET_SECS
+# rescoring path on both fixtures (Hospital and Tax): if re-folding only
+# the changed-FD pairs is ever slower than a full rescore, the cache is
+# broken (or stale-slot thrash crept in) and CI should say so before a
+# checked-in BENCH diff has to.
 cargo build -q --release -p et-bench --benches --bins
 BENCH_OUT="$(mktemp /tmp/et-bench-substrate.XXXXXX.json)"
 if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
   --gate round_latency_delta_vs_full_speedup:1.0 \
+  --gate round_latency_delta_vs_full_speedup_tax:1.0 \
   --gate alloc_free_score_parity:0.95 \
   || [ ! -s "$BENCH_OUT" ]; then
   echo "FATAL: bench_json failed to produce $BENCH_OUT or a gate failed" >&2
