@@ -26,16 +26,16 @@ use et_bench::cli::{self, Cli};
 use et_bench::fixtures::{fixture, Fixture};
 use et_core::{
     recover_session, run_session, top_k_indices, CandidatePool, FpTrainer, JournalConfig, Learner,
-    ResponseStrategy, SessionConfig, SessionJournal, SessionState, StrategyKind,
+    ResponseStrategy, SessionConfig, SessionJournal, SessionState, StrategyKind, Trainer,
 };
 use et_data::gen::DatasetName;
 use et_data::{inject_errors, InjectConfig, Table};
 use et_durable::{FsyncPolicy, Wal};
 use et_fd::{
-    pair_dirty_probs_with, DeltaScorer, DetectParams, HypothesisSpace, PairScores, PartitionCache,
-    RelationMatrix, SubsampleIndex, ViolationIndex,
+    pair_dirty_probs_with, predict_labels, DeltaScorer, DetectParams, Fd, HypothesisSpace,
+    PairScores, PartitionCache, RelationMatrix, SubsampleIndex, ViolationIndex,
 };
-use et_serve::Json;
+use et_serve::{build_parts, CreateSessionSpec, Json};
 
 /// Wall-clock stats of one bench, in seconds.
 struct BenchStats {
@@ -464,6 +464,92 @@ fn inject_bench(quick: bool) -> BenchStats {
     stats_from("inject_hospital_1000", &samples, 1.0)
 }
 
+/// The capped hypothesis space a served Hospital-1000 create scores:
+/// every FD of at most three attributes, one `g1` per candidate.
+fn space_capped_bench(quick: bool) -> BenchStats {
+    let (warmup, iters) = if quick { (1, 3) } else { (3, 25) };
+    let mut ds = DatasetName::Hospital.generate(1000, 2);
+    let _ = inject_errors(
+        &mut ds.table,
+        &ds.exact_fds,
+        &[],
+        &InjectConfig::with_degree(0.10, 2 ^ 0xBE),
+    );
+    let pinned: Vec<Fd> = ds.exact_fds.iter().map(Fd::from_spec).collect();
+    let samples = collect_samples(warmup, iters, || {
+        HypothesisSpace::capped(&ds.table, 3, 20, 3, &pinned)
+    });
+    stats_from("space_capped_hospital_1000", &samples, 1.0)
+}
+
+/// The per-round held-out evaluation of a served Hospital-1000 session:
+/// the learner's and the trainer's `predict_labels` over a 30% test split
+/// (300 rows), against the same two passes over FD-major flags — one
+/// `Vec<bool>` column per FD, probed per (row, FD), with the indicator
+/// evaluated per violated (row, FD) — the layout the index used before
+/// its packed tuple codes. Both sides are interleaved; their labels are
+/// checked equal before timing.
+fn eval_benches(quick: bool) -> Vec<BenchStats> {
+    let (warmup, iters) = if quick { (20, 200) } else { (100, 2000) };
+    let spec = CreateSessionSpec {
+        dataset: DatasetName::Hospital,
+        rows: 1000,
+        ..CreateSessionSpec::default()
+    };
+    let parts = match build_parts(&spec, 1001) {
+        Ok(p) => p,
+        Err(e) => fail("build Hospital-1000 session", e),
+    };
+    let cache = PartitionCache::new(&parts.table);
+    let test_rows: Vec<usize> = (0..parts.table.nrows()).filter(|r| r % 10 < 3).collect();
+    let index = ViolationIndex::build_subsample(&parts.table, &parts.space, &cache, &test_rows);
+    let eval_rows: Vec<usize> = (0..test_rows.len()).collect();
+    let lc = parts.learner.confidences();
+    let tc = parts.trainer.confidences();
+    let minority: Vec<Vec<bool>> = (0..index.n_fds())
+        .map(|fi| {
+            eval_rows
+                .iter()
+                .map(|&r| index.tuple_minority(fi, r))
+                .collect()
+        })
+        .collect();
+    let params = DetectParams::default();
+    let fd_major = |conf: &[f64]| -> Vec<bool> {
+        eval_rows
+            .iter()
+            .map(|&r| {
+                let mut keep_clean = 1.0 - params.base_rate;
+                for (fi, &c) in conf.iter().enumerate() {
+                    if minority[fi][r] {
+                        keep_clean *= 1.0 - params.indicator.apply(c);
+                    }
+                }
+                1.0 - keep_clean > 0.5
+            })
+            .collect()
+    };
+    for conf in [&lc, &tc] {
+        if predict_labels(&index, conf, &eval_rows) != fd_major(conf) {
+            fail("eval bench", "packed and FD-major labels differ");
+        }
+    }
+    let (packed, fdmajor) = time_bench_interleaved(
+        "eval_test_split_hospital_1000",
+        "eval_test_split_fdmajor",
+        warmup,
+        iters,
+        || {
+            (
+                predict_labels(&index, &lc, &eval_rows),
+                predict_labels(&index, &tc, &eval_rows),
+            )
+        },
+        || (fd_major(&lc), fd_major(&tc)),
+    );
+    vec![packed, fdmajor]
+}
+
 /// Exits loudly; benches have no error channel worth plumbing.
 fn fail(what: &str, e: impl std::fmt::Display) -> ! {
     eprintln!("error: {what}: {e}");
@@ -705,6 +791,8 @@ fn main() {
     let mut benches = run_benches(&f, cli.quick);
 
     benches.push(inject_bench(cli.quick));
+    benches.push(space_capped_bench(cli.quick));
+    benches.extend(eval_benches(cli.quick));
 
     // Tax-scale round latencies: a second round-latency family over a much
     // larger table and candidate pool.
@@ -773,6 +861,11 @@ fn main() {
             "topk_vs_sort_select_speedup",
             "round_sort_select",
             "round_topk_select",
+        ),
+        (
+            "eval_packed_vs_fdmajor_speedup",
+            "eval_test_split_fdmajor",
+            "eval_test_split_hospital_1000",
         ),
         (
             "fsync_append_cost_ratio",

@@ -157,24 +157,38 @@ impl ExactSizeIterator for AttrSetIter {}
 
 /// Enumerates every non-empty subset of `universe` with at most `max_len`
 /// attributes, in ascending mask order.
+///
+/// Gosper's hack walks the `k`-combinations of the compacted universe for
+/// each size `k ≤ max_len` directly, so the cost is the output size
+/// (`Σ C(n, k)`), not the `2ⁿ` masks a filtered scan would visit.
 pub fn subsets_up_to(universe: AttrSet, max_len: u32) -> Vec<AttrSet> {
     let attrs = universe.to_vec();
-    let mut out = Vec::new();
-    // Gosper-style enumeration over the compacted universe.
-    let n = attrs.len();
-    for mask in 1u64..(1u64 << n) {
-        if mask.count_ones() > max_len {
-            continue;
+    let n = universe.0.count_ones();
+    // u128, so `1 << n` cannot overflow for a full 64-attribute universe.
+    let limit: u128 = 1 << n;
+    let mut masks: Vec<u128> = Vec::new();
+    for k in 1..=max_len.min(n) {
+        let mut mask: u128 = (1 << k) - 1;
+        while mask < limit {
+            masks.push(mask);
+            // Next mask with the same popcount (Gosper).
+            let low = mask & mask.wrapping_neg();
+            let ripple = mask + low;
+            mask = (((ripple ^ mask) >> 2) / low) | ripple;
         }
-        let mut s = AttrSet::EMPTY;
-        for (i, &a) in attrs.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                s = s.with(a);
-            }
-        }
-        out.push(s);
     }
-    out
+    masks.sort_unstable();
+    masks
+        .into_iter()
+        .map(|mask| {
+            attrs
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| mask & (1 << i) != 0)
+                .map(|(_, &a)| a)
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -223,6 +237,41 @@ mod tests {
         assert!(!subs.contains(&u));
         let all = subsets_up_to(u, 3);
         assert_eq!(all.len(), 7);
+    }
+
+    /// The exhaustive scan `subsets_up_to` replaced: every mask of the
+    /// compacted universe, filtered by popcount.
+    fn subsets_by_scan(universe: AttrSet, max_len: u32) -> Vec<AttrSet> {
+        let attrs = universe.to_vec();
+        let mut out = Vec::new();
+        for mask in 1u64..(1u64 << attrs.len()) {
+            if mask.count_ones() > max_len {
+                continue;
+            }
+            let mut s = AttrSet::EMPTY;
+            for (i, &a) in attrs.iter().enumerate() {
+                if mask & (1 << i) != 0 {
+                    s = s.with(a);
+                }
+            }
+            out.push(s);
+        }
+        out
+    }
+
+    #[test]
+    fn subsets_match_exhaustive_scan() {
+        for n in 0..=14u16 {
+            // A sparse universe, so compaction matters.
+            let universe = AttrSet::from_attrs((0..n).map(|i| i * 3 + i % 2));
+            for max_len in 0..=u32::from(n) + 1 {
+                assert_eq!(
+                    subsets_up_to(universe, max_len),
+                    subsets_by_scan(universe, max_len),
+                    "n {n} max_len {max_len}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! combined by **noisy-OR over the violated FDs**:
 //!
 //! ```text
-//! p_dirty(x) = 1 − (1 − base_rate) · Π_{f : x violates f} (1 − c_f^e)
+//! p_dirty(x) = 1 − (1 − base_rate) · Π_{f : x violates f} (1 − ind(c_f))
 //! ```
 //!
 //! At tuple granularity only *minority-value* violators are indicted: when
@@ -23,13 +23,15 @@
 //! relations leave the ambient `base_rate` in place (their `m` residual never crosses
 //! a labeling threshold anyway). A weighted *average* would instead let a
 //! tuple's many satisfied FDs outvote a confident violation — diluting
-
-//! (default 2) makes weakly-believed FDs contribute marginally, so a
-//! disbelieved FD cannot implicate tuples; `e = 1`, `base_rate = m`
-//! recovers the paper's single-FD formula.
+//! exactly the evidence detection exists to surface. The indicator `ind`
+//! ([`Indicator`], a sigmoid gate by default) makes weakly-believed FDs
+//! contribute marginally, so a disbelieved FD cannot implicate tuples;
+//! [`Indicator::Linear`] with `base_rate = m` recovers the paper's
+//! single-FD formula.
 
 use et_data::Table;
 
+use crate::relmatrix::violation_factors_into;
 use crate::space::HypothesisSpace;
 use crate::violations::{pair_relation, PairRelation, ViolationIndex};
 
@@ -112,7 +114,9 @@ pub fn tuple_dirty_prob(index: &ViolationIndex, confidences: &[f64], row: usize)
 /// The belief-weighted probability that `row` is dirty.
 ///
 /// `confidences[f]` is the believed probability that FD `f` of the indexed
-/// space holds.
+/// space holds. The noisy-OR multiplies `1 − ind(c_f)` over the FDs on
+/// whose minority side `row` sits, in ascending FD order — a bit-scan of
+/// the row's packed tuple codes.
 ///
 /// # Panics
 /// Panics when `confidences.len()` differs from the index's FD count.
@@ -127,14 +131,10 @@ pub fn tuple_dirty_prob_with(
         index.n_fds(),
         "confidence vector does not match hypothesis space"
     );
-    noisy_or(
-        confidences
-            .iter()
-            .enumerate()
-            .filter(|&(fi, _)| index.tuple_minority(fi, row))
-            .map(|(_, &c)| c),
-        params,
-    )
+    let keep = index.fold_minority(row, 1.0 - params.base_rate, |fi| {
+        1.0 - params.indicator.apply(confidences[fi])
+    });
+    1.0 - keep
 }
 
 /// Belief-weighted dirty probabilities for both tuples of the pair
@@ -182,9 +182,26 @@ pub fn pair_dirty_probs_with(
 
 /// Predicts dirty labels (`true` = dirty) for `rows` by thresholding
 /// [`tuple_dirty_prob`] at `0.5`.
+///
+/// The keep-clean factors `1 − ind(c_f)` are computed once per call (one
+/// indicator per FD, not one per violated (row, FD)) and every row folds
+/// them over its minority lanes — the same factors in the same order as
+/// [`tuple_dirty_prob`], so the labels are bit-identical to it.
+///
+/// # Panics
+/// Panics when `confidences.len()` differs from the index's FD count.
 pub fn predict_labels(index: &ViolationIndex, confidences: &[f64], rows: &[usize]) -> Vec<bool> {
+    assert_eq!(
+        confidences.len(),
+        index.n_fds(),
+        "confidence vector does not match hypothesis space"
+    );
+    let params = DetectParams::default();
+    let mut factors = vec![0.0; confidences.len()];
+    violation_factors_into(confidences, &params, &mut factors);
+    let keep0 = 1.0 - params.base_rate;
     rows.iter()
-        .map(|&r| tuple_dirty_prob(index, confidences, r) > 0.5)
+        .map(|&r| 1.0 - index.fold_minority(r, keep0, |fi| factors[fi]) > 0.5)
         .collect()
 }
 

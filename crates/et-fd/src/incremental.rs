@@ -1,18 +1,22 @@
 //! Incremental subsample refinement: grow a sample's [`ViolationIndex`]
 //! without rebuilding it.
 //!
-//! The session/trainer loops repeatedly index a *cumulative* sample that
-//! only ever grows. [`SubsampleIndex`] keeps the sample's per-determinant
-//! class buckets between rounds; [`SubsampleIndex::grow`] looks each new
-//! row up in the [`PartitionCache`]'s row → class tables (`O(1)` per row
-//! per determinant), subtracts the touched classes' old pair counts, and
-//! recounts only those classes. Untouched classes — the vast majority in a
-//! typical round — are never revisited, yet the result is maintained
-//! bit-identical to [`ViolationIndex::build_subsample`] over the same rows
+//! A *cumulative* sample that only ever grows can be indexed without a
+//! rebuild per step. No runtime loop does this today: the session indexes
+//! each presented sample on its own with
+//! [`ViolationIndex::build_subsample`], and the trainers index theirs the
+//! same way. [`SubsampleIndex`] is exercised by the substrate benches and
+//! the property tests only. It keeps the sample's per-determinant class
+//! buckets between steps; [`SubsampleIndex::grow`] looks each new row up
+//! in the [`PartitionCache`]'s row → class tables (`O(1)` per row per
+//! determinant), subtracts the touched classes' old pair counts, and
+//! recounts only those classes. Untouched classes are never revisited,
+//! yet the result is maintained bit-identical to
+//! [`ViolationIndex::build_subsample`] over the same rows
 //! (proptest-enforced): pair statistics are integer sums over classes, so
-//! subtract-and-recount is exact, and the touched classes' member flags are
-//! cleared and rewritten by the same per-class indexing routine
-//! (`violations::index_class`) every builder shares.
+//! subtract-and-recount is exact, and the touched classes' member codes
+//! are rewritten by the same per-class indexing routine
+//! (`ViolationIndex::index_class`) every builder shares.
 
 use std::collections::HashMap;
 
@@ -21,7 +25,7 @@ use et_data::Table;
 use crate::attrset::AttrSet;
 use crate::cache::{PartitionCache, NO_CLASS};
 use crate::space::HypothesisSpace;
-use crate::violations::{class_pairs, fds_by_lhs, index_class, ClassScratch, ViolationIndex};
+use crate::violations::{class_pairs, fds_by_lhs, ClassScratch, ViolationIndex};
 
 use et_data::AttrId;
 
@@ -96,14 +100,7 @@ impl SubsampleIndex {
             return 0;
         }
 
-        // Widen every per-FD column to the new sample size.
-        self.index.n_rows = k;
-        for fi in 0..self.index.stats.len() {
-            self.index.violates[fi].resize(k, false);
-            self.index.relevant[fi].resize(k, false);
-            self.index.minority[fi].resize(k, false);
-            self.index.stats[fi].rows = k as u64;
-        }
+        self.index.grow_rows(k);
 
         let rows = &self.rows;
         let mut scratch = ClassScratch::default();
@@ -131,27 +128,14 @@ impl SubsampleIndex {
                         Some(m) => m,
                         None => continue,
                     };
-                    // Subtract the class's pre-grow contribution and clear
-                    // its pre-grow members' flags; minority can flip off
-                    // when a new row changes the majority bucket.
+                    // Subtract the class's pre-grow contribution, then
+                    // recount it: `index_class` overwrites every member's
+                    // code, so a minority flag that a new row flips off
+                    // (by changing the majority bucket) is rewritten too.
                     let (old_pairs, old_viol) =
                         class_pairs(&members[..old_len], &sym, &mut scratch);
-                    self.index.stats[fi].lhs_pairs -= old_pairs;
-                    self.index.stats[fi].violating_pairs -= old_viol;
-                    for &m in &members[..old_len] {
-                        self.index.violates[fi][m] = false;
-                        self.index.relevant[fi][m] = false;
-                        self.index.minority[fi][m] = false;
-                    }
-                    index_class(
-                        members,
-                        &sym,
-                        &mut scratch,
-                        &mut self.index.stats[fi],
-                        &mut self.index.violates[fi],
-                        &mut self.index.relevant[fi],
-                        &mut self.index.minority[fi],
-                    );
+                    self.index.uncount_class(fi, old_pairs, old_viol);
+                    self.index.index_class(fi, members, &sym, &mut scratch);
                 }
             }
         }

@@ -53,7 +53,7 @@ use crate::space::HypothesisSpace;
 use crate::violations::{pair_relation, PairRelation};
 
 /// 2-bit relation codes per 64-bit word.
-const FDS_PER_WORD: usize = 32;
+pub(crate) const FDS_PER_WORD: usize = 32;
 /// Lane code for [`PairRelation::Satisfies`] (low bit of the lane).
 const CODE_SATISFIES: u64 = 0b01;
 /// Lane code for [`PairRelation::Violates`] (high bit of the lane).
@@ -61,7 +61,7 @@ const CODE_VIOLATES: u64 = 0b10;
 /// High bit of every 2-bit lane: the per-word violated-FD mask.
 const VIOLATES_MASK: u64 = 0xAAAA_AAAA_AAAA_AAAA;
 /// Low bit of every 2-bit lane: the per-word satisfied-FD mask.
-const SATISFIES_MASK: u64 = 0x5555_5555_5555_5555;
+pub(crate) const SATISFIES_MASK: u64 = 0x5555_5555_5555_5555;
 
 /// One FD's cached row→class owner arrays: LHS set and single-attr RHS.
 type OwnerPair = (Arc<Vec<usize>>, Arc<Vec<usize>>);

@@ -17,6 +17,7 @@ use et_data::{AttrId, Table};
 use crate::cache::{PartitionCache, NO_CLASS};
 use crate::fd::Fd;
 use crate::g1::{count_symbol_runs, G1};
+use crate::relmatrix::{FDS_PER_WORD, SATISFIES_MASK as LOW_LANE_BITS};
 use crate::space::HypothesisSpace;
 
 /// How a pair of tuples relates to one FD.
@@ -91,21 +92,46 @@ impl SpaceRelations {
 /// Per-FD violation flags and statistics over a fixed table.
 ///
 /// Built once per (table, hypothesis space); lookups are `O(1)`.
+///
+/// # Layout
+///
+/// The per-tuple flags are one 2-bit code per (row, FD), packed row-major
+/// 32 FDs per `u64` word — the lane layout of
+/// [`crate::RelationMatrix`]. FD `fi` of row `r` occupies bits
+/// `2·(fi mod 32) .. 2·(fi mod 32)+2` of word `r · words_per_row + fi / 32`,
+/// coded as a chain:
+///
+/// ```text
+/// 0b00 = irrelevant   0b01 = relevant   0b10 = violates   0b11 = minority
+/// ```
+///
+/// Each level implies the ones below it (minority ⇒ violates ⇒ relevant)
+/// because a row sits in exactly one class per determinant, so one code
+/// says everything the three flags did. A row's minority-FD mask is
+/// `w & (w >> 1) & 0x5555…5`: the noisy-OR fold
+/// ([`crate::detect::tuple_dirty_prob_with`]) scans only those bits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ViolationIndex {
-    pub(crate) n_rows: usize,
-    /// Per FD: does the tuple participate in >= 1 violating pair?
-    pub(crate) violates: Vec<Vec<bool>>,
-    /// Per FD: is the tuple in a multi-row LHS group (any at-risk pair)?
-    pub(crate) relevant: Vec<Vec<bool>>,
-    /// Per FD: is the tuple's RHS value in a *minority* bucket of its mixed
-    /// group? Majority consensus is the standard FD-repair heuristic: when
-    /// a group disagrees on the RHS, the rows carrying the less-common
-    /// values are the likely errors. Ties mark every member.
-    pub(crate) minority: Vec<Vec<bool>>,
+    n_rows: usize,
+    words_per_row: usize,
+    /// Packed tuple codes, row-major (see the type docs).
+    codes: Vec<u64>,
     /// Per FD: pair statistics.
-    pub(crate) stats: Vec<G1>,
+    stats: Vec<G1>,
 }
+
+/// Tuple code: the row is in no multi-row LHS group of the FD.
+const TUPLE_IRRELEVANT: u64 = 0b00;
+/// Tuple code: the row is in a multi-row LHS group (any at-risk pair).
+const TUPLE_RELEVANT: u64 = 0b01;
+/// Tuple code: the row participates in >= 1 violating pair, on the
+/// majority side of its group.
+const TUPLE_VIOLATES: u64 = 0b10;
+/// Tuple code: the row's RHS value is in a *minority* bucket of its mixed
+/// group. Majority consensus is the standard FD-repair heuristic: when a
+/// group disagrees on the RHS, the rows carrying the less-common values are
+/// the likely errors. Ties mark every member.
+const TUPLE_MINORITY: u64 = 0b11;
 
 /// Reusable scratch buffers for per-class counting.
 #[derive(Default)]
@@ -132,53 +158,6 @@ pub(crate) fn class_pairs(
     count_symbol_runs(&mut scratch.syms, &mut scratch.counts);
     let sum_sq: u64 = scratch.counts.iter().map(|(_, c)| c * c).sum();
     ((g * (g - 1)) / 2, (g * g - sum_sq) / 2)
-}
-
-/// Counts one class *and* writes its per-member flags (at the members'
-/// local ids). Shared by the fresh, subsample and incremental builders so
-/// every path computes bit-identical flags.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn index_class(
-    members: &[usize],
-    rhs_sym: &dyn Fn(usize) -> u32,
-    scratch: &mut ClassScratch,
-    stats: &mut G1,
-    violates: &mut [bool],
-    relevant: &mut [bool],
-    minority: &mut [bool],
-) {
-    let (pairs, violating) = class_pairs(members, rhs_sym, scratch);
-    if members.len() < 2 {
-        return;
-    }
-    stats.lhs_pairs += pairs;
-    stats.violating_pairs += violating;
-    let mixed = scratch.counts.len() > 1;
-    // Majority bucket: unique largest RHS count, if any.
-    let max_count = scratch.counts.iter().map(|(_, c)| *c).max().unwrap_or(0);
-    let max_ties = scratch
-        .counts
-        .iter()
-        .filter(|(_, c)| *c == max_count)
-        .count();
-    for &m in members {
-        relevant[m] = true;
-        if mixed {
-            // With >= 2 buckets every tuple has a cross-bucket partner,
-            // so all members violate.
-            violates[m] = true;
-            let s = rhs_sym(m);
-            let bucket = scratch
-                .counts
-                .binary_search_by_key(&s, |&(sym, _)| sym)
-                .ok()
-                .map(|i| scratch.counts[i].1)
-                .unwrap_or(0);
-            if bucket < max_count || max_ties > 1 {
-                minority[m] = true;
-            }
-        }
-    }
 }
 
 /// The distinct determinants of a space paired with their FD ids and RHS
@@ -232,20 +211,21 @@ impl ViolationIndex {
                 for class in &part.classes {
                     members.clear();
                     members.extend(class.iter().map(|&r| r as usize));
-                    out.index_fd_class(fi, &members, &sym, &mut scratch);
+                    out.index_class(fi, &members, &sym, &mut scratch);
                 }
             }
         }
         out
     }
 
-    /// An all-clean index skeleton (every flag false, zero pair counts).
+    /// An all-clean index skeleton (every code irrelevant, zero pair
+    /// counts).
     pub(crate) fn empty(n_rows: usize, n_fds: usize, stat_rows: u64) -> Self {
+        let words_per_row = n_fds.div_ceil(FDS_PER_WORD);
         Self {
             n_rows,
-            violates: vec![vec![false; n_rows]; n_fds],
-            relevant: vec![vec![false; n_rows]; n_fds],
-            minority: vec![vec![false; n_rows]; n_fds],
+            words_per_row,
+            codes: vec![0; n_rows * words_per_row],
             stats: vec![
                 G1 {
                     violating_pairs: 0,
@@ -257,24 +237,118 @@ impl ViolationIndex {
         }
     }
 
-    /// Folds one class of FD `fi` into the index's columns (see
-    /// [`index_class`]).
-    fn index_fd_class(
+    /// Widens the index to `n_rows` rows: the new rows are irrelevant to
+    /// every FD, and every FD's statistics count `n_rows` rows. Row-major
+    /// codes make this one append.
+    pub(crate) fn grow_rows(&mut self, n_rows: usize) {
+        self.n_rows = n_rows;
+        self.codes.resize(n_rows * self.words_per_row, 0);
+        for stats in &mut self.stats {
+            stats.rows = n_rows as u64;
+        }
+    }
+
+    /// Removes one class's pair counts from FD `fi`'s statistics (the
+    /// incremental builder's subtract-before-recount step).
+    pub(crate) fn uncount_class(&mut self, fi: usize, pairs: u64, violating: u64) {
+        self.stats[fi].lhs_pairs -= pairs;
+        self.stats[fi].violating_pairs -= violating;
+    }
+
+    /// Counts one class of FD `fi` into its statistics *and* writes its
+    /// members' codes (at the members' local ids). Shared by the fresh,
+    /// subsample and incremental builders so every path computes
+    /// bit-identical codes. Every member of a class of two or more is
+    /// overwritten, so a recount needs no clearing first.
+    pub(crate) fn index_class(
         &mut self,
         fi: usize,
         members: &[usize],
         rhs_sym: &dyn Fn(usize) -> u32,
         scratch: &mut ClassScratch,
     ) {
-        index_class(
-            members,
-            rhs_sym,
-            scratch,
-            &mut self.stats[fi],
-            &mut self.violates[fi],
-            &mut self.relevant[fi],
-            &mut self.minority[fi],
-        );
+        let (pairs, violating) = class_pairs(members, rhs_sym, scratch);
+        if members.len() < 2 {
+            return;
+        }
+        self.stats[fi].lhs_pairs += pairs;
+        self.stats[fi].violating_pairs += violating;
+        let mixed = scratch.counts.len() > 1;
+        // Majority bucket: unique largest RHS count, if any.
+        let max_count = scratch.counts.iter().map(|(_, c)| *c).max().unwrap_or(0);
+        let max_ties = scratch
+            .counts
+            .iter()
+            .filter(|(_, c)| *c == max_count)
+            .count();
+        for &m in members {
+            // With >= 2 buckets every tuple has a cross-bucket partner, so
+            // all members of a mixed class violate.
+            let code = if !mixed {
+                TUPLE_RELEVANT
+            } else {
+                let s = rhs_sym(m);
+                let bucket = scratch
+                    .counts
+                    .binary_search_by_key(&s, |&(sym, _)| sym)
+                    .ok()
+                    .map(|i| scratch.counts[i].1)
+                    .unwrap_or(0);
+                if bucket < max_count || max_ties > 1 {
+                    TUPLE_MINORITY
+                } else {
+                    TUPLE_VIOLATES
+                }
+            };
+            self.set_code(fi, m, code);
+        }
+    }
+
+    /// Overwrites the code of (FD `fi`, row `row`): the one write into the
+    /// packed layout.
+    #[inline]
+    fn set_code(&mut self, fi: usize, row: usize, code: u64) {
+        let shift = (fi % FDS_PER_WORD) * 2;
+        let w = &mut self.codes[row * self.words_per_row + fi / FDS_PER_WORD];
+        *w = (*w & !(0b11 << shift)) | (code << shift);
+    }
+
+    /// The code of (FD `fd_idx`, row `row`).
+    ///
+    /// # Panics
+    /// Panics when `fd_idx` or `row` is out of range.
+    #[inline]
+    fn code(&self, fd_idx: usize, row: usize) -> u64 {
+        assert!(fd_idx < self.stats.len(), "FD index {fd_idx} out of range");
+        assert!(row < self.n_rows, "row {row} out of range");
+        let w = self.codes[row * self.words_per_row + fd_idx / FDS_PER_WORD];
+        (w >> ((fd_idx % FDS_PER_WORD) * 2)) & 0b11
+    }
+
+    /// Multiplies `keep` by `factor(f)` for every FD `f` on whose minority
+    /// side `row` sits, in ascending FD order: one bit-scan over the row's
+    /// packed words, never touching the FDs the row does not indict.
+    ///
+    /// # Panics
+    /// Panics when `row` is out of range.
+    #[inline]
+    pub(crate) fn fold_minority(
+        &self,
+        row: usize,
+        mut keep: f64,
+        factor: impl Fn(usize) -> f64,
+    ) -> f64 {
+        assert!(row < self.n_rows, "row {row} out of range");
+        let words = &self.codes[row * self.words_per_row..(row + 1) * self.words_per_row];
+        for (wi, &w) in words.iter().enumerate() {
+            let mut bits = w & (w >> 1) & LOW_LANE_BITS;
+            while bits != 0 {
+                let lane = bits.trailing_zeros() as usize / 2;
+                bits &= bits - 1;
+                keep *= factor(wi * FDS_PER_WORD + lane);
+            }
+        }
+        keep
     }
 
     /// Builds the index of the *subsample* `rows` (distinct global row ids,
@@ -315,7 +389,7 @@ impl ViolationIndex {
             for &(fi, rhs) in &fds {
                 let sym = |local: usize| table.sym(rows[local], rhs);
                 for (_, members) in &classes {
-                    out.index_fd_class(fi, members, &sym, &mut scratch);
+                    out.index_class(fi, members, &sym, &mut scratch);
                 }
             }
         }
@@ -335,20 +409,20 @@ impl ViolationIndex {
     /// Does `row` participate in a violating pair of FD `fd_idx`?
     #[inline]
     pub fn tuple_violates(&self, fd_idx: usize, row: usize) -> bool {
-        self.violates[fd_idx][row]
+        self.code(fd_idx, row) >= TUPLE_VIOLATES
     }
 
     /// Is `row` in a multi-row LHS group of FD `fd_idx`?
     #[inline]
     pub fn tuple_relevant(&self, fd_idx: usize, row: usize) -> bool {
-        self.relevant[fd_idx][row]
+        self.code(fd_idx, row) != TUPLE_IRRELEVANT
     }
 
     /// Does `row` carry a minority RHS value within a mixed group of FD
     /// `fd_idx` (i.e. is it the likely-erroneous side of its violations)?
     #[inline]
     pub fn tuple_minority(&self, fd_idx: usize, row: usize) -> bool {
-        self.minority[fd_idx][row]
+        self.code(fd_idx, row) == TUPLE_MINORITY
     }
 
     /// Pair statistics of FD `fd_idx`.

@@ -76,17 +76,21 @@ echo "==> bench harness compiles + bench_json smoke (quick profile)"
 # rescoring path on both fixtures (Hospital and Tax): if re-folding only
 # the changed-FD pairs is ever slower than a full rescore, the cache is
 # broken (or stale-slot thrash crept in) and CI should say so before a
-# checked-in BENCH diff has to.
+# checked-in BENCH diff has to. It also gates the held-out evaluation:
+# both per-round predict_labels passes over the packed tuple codes must
+# stay at least 3x faster than the same passes over FD-major flags.
 cargo build -q --release -p et-bench --benches --bins
 BENCH_OUT="$(mktemp /tmp/et-bench-substrate.XXXXXX.json)"
 if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
   --gate round_latency_delta_vs_full_speedup:1.0 \
   --gate round_latency_delta_vs_full_speedup_tax:1.0 \
   --gate alloc_free_score_parity:0.95 \
+  --gate eval_packed_vs_fdmajor_speedup:3 \
   || [ ! -s "$BENCH_OUT" ]; then
   echo "FATAL: bench_json failed to produce $BENCH_OUT or a gate failed" >&2
   echo "       (baseline unregenerable, delta rescoring lost to a full rescore," >&2
-  echo "        or the alloc-free scoring path fell below parity)" >&2
+  echo "        the alloc-free scoring path fell below parity, or the packed" >&2
+  echo "        evaluation lost its 3x lead over FD-major flags)" >&2
   exit 1
 fi
 rm -f "$BENCH_OUT"
