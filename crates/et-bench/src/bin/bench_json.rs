@@ -116,24 +116,44 @@ fn time_bench_interleaved<RA, RB>(
     mut fa: impl FnMut() -> RA,
     mut fb: impl FnMut() -> RB,
 ) -> (BenchStats, BenchStats) {
+    let [a, b] = time_benches_interleaved(
+        [name_a, name_b],
+        warmup,
+        iters,
+        [
+            &mut || {
+                black_box(fa());
+            },
+            &mut || {
+                black_box(fb());
+            },
+        ],
+    );
+    (a, b)
+}
+
+/// [`time_bench_interleaved`] over any number of sides: each iteration
+/// runs every side once, in order, timing each on its own.
+fn time_benches_interleaved<const N: usize>(
+    names: [&'static str; N],
+    warmup: usize,
+    iters: usize,
+    mut sides: [&mut dyn FnMut(); N],
+) -> [BenchStats; N] {
     for _ in 0..warmup {
-        black_box(fa());
-        black_box(fb());
+        for f in sides.iter_mut() {
+            f();
+        }
     }
-    let mut samples_a: Vec<f64> = Vec::with_capacity(iters);
-    let mut samples_b: Vec<f64> = Vec::with_capacity(iters);
+    let mut samples: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(iters));
     for _ in 0..iters {
-        let t0 = Instant::now();
-        black_box(fa());
-        samples_a.push(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        black_box(fb());
-        samples_b.push(t0.elapsed().as_secs_f64());
+        for (f, out) in sides.iter_mut().zip(samples.iter_mut()) {
+            let t0 = Instant::now();
+            f();
+            out.push(t0.elapsed().as_secs_f64());
+        }
     }
-    (
-        stats_from(name_a, &samples_a, 1.0),
-        stats_from(name_b, &samples_b, 1.0),
-    )
+    std::array::from_fn(|i| stats_from(names[i], &samples[i], 1.0))
 }
 
 /// The index build as it existed before the partition cache: one
@@ -330,7 +350,11 @@ fn run_benches(f: &Fixture, quick: bool) -> Vec<BenchStats> {
 
     out.extend(round_latency_benches(
         f,
-        ["round_full_rescore", "round_delta_rescore"],
+        [
+            "round_full_rescore",
+            "round_delta_rescore",
+            "round_delta_rescore_live",
+        ],
         4000,
         quick,
     ));
@@ -387,17 +411,25 @@ fn run_benches(f: &Fixture, quick: bool) -> Vec<BenchStats> {
     out
 }
 
-/// The per-round batch-rescoring cost, full versus delta. Each iteration
-/// nudges one FD's confidence (what a single labeled batch typically
-/// moves) and rescores the whole candidate pool — either from scratch
-/// (`score_all_into`) or through a [`DeltaScorer`], which re-folds only
-/// the pairs whose packed relation words intersect the changed-FD mask.
-/// Both sides score the identical confidence sequence and are interleaved
-/// iteration by iteration; the delta side's scores are pinned bit-exact
-/// to the full side's by the et-fd proptests.
+/// The per-round batch-rescoring cost: full, delta over the whole pool,
+/// and delta over the live ids. Each iteration nudges one FD's confidence
+/// (what a single labeled batch typically moves) and rescores — either the
+/// whole candidate pool from scratch (`score_all_into`), or through a
+/// [`DeltaScorer`], which re-folds only the pairs whose packed relation
+/// words intersect the changed-FD mask, asked about every pool id or only
+/// about the ids a served session still offers. All three sides score the
+/// identical confidence sequence and are interleaved iteration by
+/// iteration; the delta sides' live scores are pinned bit-exact to the
+/// full pass by the et-fd proptests.
+///
+/// The live side starts halfway through a session, with every other id
+/// already shown: a served Hospital-1000 session shows 5 pairs a round
+/// until its ~2000-pair pool runs dry after about 410 rounds, so about
+/// half its pool is live on average. Five more ids retire each round. The lists are built
+/// up front, so only the rescore is timed.
 fn round_latency_benches(
     f: &Fixture,
-    names: [&'static str; 2],
+    names: [&'static str; 3],
     pool_cap: usize,
     quick: bool,
 ) -> Vec<BenchStats> {
@@ -416,33 +448,63 @@ fn round_latency_benches(
     let tick = std::cell::Cell::new(0usize);
     let mut factors = vec![0.0; n_fds];
     let mut scores = PairScores::zeroed(pairs.len());
-    let mut delta = DeltaScorer::new(Arc::clone(&matrix));
-    {
-        // Seed the delta slot so every measured call takes the delta path,
-        // never the cold full fold.
-        let c = conf.borrow();
-        let _ = delta.scores_for(&c, &params);
+    let all: Vec<u32> = (0u32..).take(pairs.len()).collect();
+    let mut live: Vec<u32> = all.iter().copied().step_by(2).collect();
+    let mut lives = Vec::with_capacity(warmup + iters + 1);
+    for round in 0..=warmup + iters {
+        lives.push(live.clone());
+        for j in 0..5 {
+            if live.is_empty() {
+                break;
+            }
+            let pos = (round * 5 + j).wrapping_mul(2_654_435_761) % live.len();
+            live.remove(pos);
+        }
     }
-    let (full, del) = time_bench_interleaved(
-        names[0],
-        names[1],
+    let mut delta = DeltaScorer::new(Arc::clone(&matrix));
+    let mut delta_live = DeltaScorer::new(Arc::clone(&matrix));
+    {
+        // Seed the delta slots so every measured call takes the delta
+        // path, never the cold full fold.
+        let c = conf.borrow();
+        let _ = delta.scores_for(&all, &c, &params);
+        let _ = delta_live.scores_for(&lives[0], &c, &params);
+    }
+    let mut live_round = 0;
+    let [full, del, del_live] = time_benches_interleaved(
+        names,
         warmup,
         iters,
-        || {
-            let mut c = conf.borrow_mut();
-            let fd = tick.get() % n_fds;
-            tick.set(tick.get() + 1);
-            // Deterministic nudge kept inside (0.25, 0.75).
-            c[fd] = 0.25 + (c[fd] * 97.0 + 0.013).fract() * 0.5;
-            matrix.score_all_into(&c, &params, &mut factors, &mut scores);
-            scores.dirty.iter().sum::<f64>()
-        },
-        || {
-            let c = conf.borrow();
-            delta.scores_for(&c, &params).dirty.iter().sum::<f64>()
-        },
+        [
+            &mut || {
+                let mut c = conf.borrow_mut();
+                let fd = tick.get() % n_fds;
+                tick.set(tick.get() + 1);
+                // Deterministic nudge kept inside (0.25, 0.75).
+                c[fd] = 0.25 + (c[fd] * 97.0 + 0.013).fract() * 0.5;
+                matrix.score_all_into(&c, &params, &mut factors, &mut scores);
+                black_box(scores.dirty.iter().sum::<f64>());
+            },
+            &mut || {
+                let c = conf.borrow();
+                black_box(
+                    delta
+                        .scores_for(&all, &c, &params)
+                        .dirty
+                        .iter()
+                        .sum::<f64>(),
+                );
+            },
+            &mut || {
+                let c = conf.borrow();
+                live_round += 1;
+                let ids = &lives[live_round];
+                let scores = delta_live.scores_for(ids, &c, &params);
+                black_box(ids.iter().map(|&id| scores.dirty[id as usize]).sum::<f64>());
+            },
+        ],
     );
-    vec![full, del]
+    vec![full, del, del_live]
 }
 
 /// Error injection in the shape a served create pays: Hospital-1000 at
@@ -804,7 +866,11 @@ fn main() {
     benches.push(stats_from("fixture_build_tax", &[tax_build], 1.0));
     benches.extend(round_latency_benches(
         &tax,
-        ["round_full_rescore_tax", "round_delta_rescore_tax"],
+        [
+            "round_full_rescore_tax",
+            "round_delta_rescore_tax",
+            "round_delta_rescore_live_tax",
+        ],
         20_000,
         cli.quick,
     ));
@@ -856,6 +922,16 @@ fn main() {
             "round_latency_delta_vs_full_speedup_tax",
             "round_full_rescore_tax",
             "round_delta_rescore_tax",
+        ),
+        (
+            "round_latency_live_vs_pool_speedup",
+            "round_delta_rescore",
+            "round_delta_rescore_live",
+        ),
+        (
+            "round_latency_live_vs_pool_speedup_tax",
+            "round_delta_rescore_tax",
+            "round_delta_rescore_live_tax",
         ),
         (
             "topk_vs_sort_select_speedup",

@@ -10,7 +10,9 @@
 //! [`CandidatePool::pairs`] in pool order, so pool id `i` is matrix pair id
 //! `i`: [`FreshCandidates`] holds the not-yet-shown ids in pool order next
 //! to the delta scorer over that matrix, and the response strategies score
-//! `dirty[id]`, `entropy[id]` or the packed relation row `id` directly.
+//! `dirty[id]` or the packed relation row `id` directly. The scorer keeps
+//! only the listed ids current: retiring picks is the list's one mutation,
+//! so it only shrinks, and the slots of retired ids go stale unread.
 //! This is the one runtime scoring path; the raw-cell definitions in
 //! [`crate::payoff`] and [`et_fd`] are its test oracle.
 

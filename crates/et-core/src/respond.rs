@@ -44,7 +44,10 @@ pub struct ScoreCtx<'a> {
     /// Dataset-wide violation index, for [`ScoreBasis::DatasetTuple`].
     pub index: &'a ViolationIndex,
     /// Session-lifetime delta-rescoring cache over the pool's relation
-    /// matrix. `RefCell` because a context is shared by value within one
+    /// matrix. It keeps only the candidates it is asked about current, so
+    /// each selection through one scorer must pass a subset of the
+    /// candidates of every earlier one (see [`et_fd::DeltaScorer`]).
+    /// `RefCell` because a context is shared by value within one
     /// single-threaded selection.
     pub scorer: &'a RefCell<DeltaScorer>,
 }
@@ -265,7 +268,7 @@ impl ResponseStrategy {
 
     /// Raw per-candidate scores for this strategy's criterion, read from
     /// the packed relation matrix by pool id (one delta-rescored batch
-    /// fold per parameterisation). `Random` never scores.
+    /// fold per parameterisation, over `ids` only). `Random` never scores.
     fn scores(
         &self,
         ctx: ScoreCtx<'_>,
@@ -294,9 +297,9 @@ impl ResponseStrategy {
                 .iter()
                 .map(|&id| m.relevant_count(id as usize) as f64 / n_fds)
                 .collect();
-            let batch = scorer.scores_for(&belief.confidences(), &DetectParams::unsmoothed());
+            let batch = scorer.scores_for(ids, &belief.confidences(), &DetectParams::unsmoothed());
             for (s, &id) in out.iter_mut().zip(ids) {
-                let e = batch.entropy[id as usize];
+                let e = binary_entropy(batch.dirty[id as usize]);
                 *s *= e + e;
             }
             return out;
@@ -341,10 +344,10 @@ impl ResponseStrategy {
                 StrategyKind::UncertaintySampling | StrategyKind::StochasticUncertainty => {
                     // Uncertainty is belief-internal: raw probabilities
                     // under the posterior mean (these kinds never draw).
-                    let batch = scorer.scores_for(conf, &DetectParams::unsmoothed());
+                    let batch = scorer.scores_for(ids, conf, &DetectParams::unsmoothed());
                     ids.iter()
                         .map(|&id| {
-                            let e = batch.entropy[id as usize];
+                            let e = binary_entropy(batch.dirty[id as usize]);
                             e + e
                         })
                         .collect()
@@ -358,7 +361,7 @@ impl ResponseStrategy {
                     } else {
                         DetectParams::unsmoothed()
                     };
-                    let batch = scorer.scores_for(conf, &params);
+                    let batch = scorer.scores_for(ids, conf, &params);
                     ids.iter()
                         .map(|&id| {
                             let d = batch.dirty[id as usize];
@@ -373,10 +376,13 @@ impl ResponseStrategy {
 }
 
 /// Entropy of the uniform policy over `m` candidates, summed term by term
-/// exactly as [`policy_entropy`] sums an explicit uniform vector.
+/// exactly as [`policy_entropy`] sums an explicit uniform vector. Every
+/// term is the same value, so it is computed once and added `m` times in
+/// the same order.
 fn uniform_entropy(m: usize) -> f64 {
     let p = 1.0 / m as f64;
-    (0..m).map(|_| -p * p.ln()).sum()
+    let term = -p * p.ln();
+    (0..m).map(|_| term).sum()
 }
 
 /// Numerically-stable softmax of `scores / gamma`.

@@ -1452,6 +1452,7 @@ mod oracle {
     use crate::payoff::{example_confidence, example_uncertainty, policy_entropy};
     use crate::respond::{ResponseStrategy, ScoreBasis, StrategyKind};
     use crate::topk::top_k_indices;
+    use crate::trainer::FpTrainer;
 
     const ALL_KINDS: [StrategyKind; 8] = [
         StrategyKind::Random,
@@ -1665,13 +1666,39 @@ mod oracle {
         (picks, h)
     }
 
-    #[test]
-    fn every_round_matches_the_two_pass_reference() {
-        let (table, dirty, space) = fixture();
-        let cfg = SessionConfig {
-            iterations: 12,
-            ..SessionConfig::default()
+    /// One checked round: the oracle's picks, policy entropy and RNG
+    /// stream must match `present`, bit for bit. Returns false, after
+    /// checking the oracle found nothing either, when the pool is dry.
+    fn checked_round(
+        st: &mut SessionState,
+        learner: &mut Learner,
+        trainer: &mut FpTrainer,
+        tag: &str,
+    ) -> bool {
+        let mut twin = learner.clone();
+        let (want_pairs, want_h) = oracle_round(st, &mut twin);
+        let Some(p) = st.present(learner).expect("in phase") else {
+            assert!(want_pairs.is_empty(), "{tag}: oracle still had pairs");
+            return false;
         };
+        assert_eq!(p.pairs(), want_pairs.as_slice(), "{tag}: pairs");
+        assert_eq!(p.h_policy.to_bits(), want_h.to_bits(), "{tag}: h_policy");
+        assert_eq!(
+            learner.rng_mut().state(),
+            twin.rng_mut().state(),
+            "{tag}: RNG stream"
+        );
+        let labels = st.label_pending(trainer).expect("pending");
+        let _ = st.apply_labels(trainer, learner, &labels).expect("aligned");
+        true
+    }
+
+    /// Runs every kind on both bases under `cfg` until the session is
+    /// complete, checking each round against the oracle. Returns, per
+    /// run, the rounds played and the pool's size if it ran dry.
+    fn check_sessions(cfg: &SessionConfig) -> Vec<(usize, Option<usize>)> {
+        let (table, dirty, space) = fixture();
+        let mut out = Vec::new();
         for basis in [ScoreBasis::PairLocal, ScoreBasis::DatasetTuple] {
             for kind in ALL_KINDS {
                 let strategy = ResponseStrategy::paper(kind).with_basis(basis);
@@ -1688,24 +1715,44 @@ mod oracle {
                 let mut rounds = 0;
                 while !st.is_complete() {
                     let tag = format!("{kind:?}/{basis:?} round {rounds}");
-                    let mut twin = learner.clone();
-                    let (want_pairs, want_h) = oracle_round(&st, &mut twin);
-                    let p = st.present(&mut learner).expect("in phase").expect(&tag);
-                    assert_eq!(p.pairs(), want_pairs.as_slice(), "{tag}: pairs");
-                    assert_eq!(p.h_policy.to_bits(), want_h.to_bits(), "{tag}: h_policy");
-                    assert_eq!(
-                        learner.rng_mut().state(),
-                        twin.rng_mut().state(),
-                        "{tag}: RNG stream"
-                    );
-                    let labels = st.label_pending(&mut trainer).expect("pending");
-                    let _ = st
-                        .apply_labels(&trainer, &mut learner, &labels)
-                        .expect("aligned");
+                    if !checked_round(&mut st, &mut learner, &mut trainer, &tag) {
+                        break;
+                    }
                     rounds += 1;
                 }
-                assert_eq!(rounds, cfg.iterations, "{kind:?}/{basis:?}");
+                let drained = (learner.shown().len() == st.pool.len()).then_some(st.pool.len());
+                out.push((rounds, drained));
             }
+        }
+        out
+    }
+
+    #[test]
+    fn every_round_matches_the_two_pass_reference() {
+        let cfg = SessionConfig {
+            iterations: 12,
+            ..SessionConfig::default()
+        };
+        for (rounds, _) in check_sessions(&cfg) {
+            assert_eq!(rounds, cfg.iterations);
+        }
+    }
+
+    /// The late rounds of a session, where most of the scorer's cached
+    /// slots belong to retired ids: a small pool (120 pairs, about 60 of
+    /// them in the training split) drained to the last pair, every round
+    /// against the raw-cell oracle.
+    #[test]
+    fn rounds_match_the_reference_until_the_pool_drains() {
+        let cfg = SessionConfig {
+            iterations: 1000,
+            pool_cap: 120,
+            ..SessionConfig::default()
+        };
+        for (rounds, drained) in check_sessions(&cfg) {
+            let pool = drained.expect("the pool ran dry");
+            assert!(pool > 40, "a pool of {pool} pairs is too small to drain");
+            assert_eq!(rounds, pool.div_ceil(cfg.pairs_per_iteration));
         }
     }
 }

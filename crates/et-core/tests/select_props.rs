@@ -128,8 +128,8 @@ proptest! {
             let mut nudged = belief.confidences();
             nudged[0] = (nudged[0] * 0.5 + 0.1).min(1.0);
             let mut s = warm.borrow_mut();
-            let _ = s.scores_for(&nudged, &DetectParams::unsmoothed());
-            let _ = s.scores_for(&nudged, &DetectParams::default());
+            let _ = s.scores_for(&ids, &nudged, &DetectParams::unsmoothed());
+            let _ = s.scores_for(&ids, &nudged, &DetectParams::default());
         }
 
         for kind in ALL_KINDS {

@@ -5,19 +5,27 @@
 //! [`DeltaScorer`] keeps the last [`PairScores`] per [`DetectParams`]
 //! together with the exact factor vector that produced them; a rescore
 //! request diffs the new factors against the cached ones
-//! ([`RelationMatrix::changed_factor_mask`]) and re-folds only the pairs
-//! whose packed relation words intersect the changed-FD mask
-//! ([`RelationMatrix::rescore_delta`]).
+//! ([`RelationMatrix::changed_factor_mask`]) and re-folds only the *live*
+//! pairs (the ids the caller still reads) whose packed relation words
+//! intersect the changed-FD mask ([`RelationMatrix::rescore_delta`]).
 //!
-//! # The delta invariant
+//! # The delta invariant, over live ids
 //!
 //! For every warm slot, `slot.factors` is bit-for-bit the factor vector
-//! under which `slot.scores` was last computed. A pair's noisy-OR score
-//! depends only on the factors of the FDs it violates, so any pair whose
-//! violates words miss the changed mask would re-fold to the value it
-//! already holds — the skip is bit-exact by construction, not by epsilon.
-//! An identical request (same confidences, same params) diffs to an empty
-//! mask and returns the cached scores untouched.
+//! under which the slot's live entries were last computed, and the cached
+//! score of every *live* id equals a full pass. A pair's noisy-OR score
+//! depends only on the factors of the FDs it violates, so any live pair
+//! whose violates words miss the changed mask would re-fold to the value
+//! it already holds — the skip is bit-exact by construction, not by
+//! epsilon. An identical request (same confidences, same params) diffs to
+//! an empty mask and returns the cached scores untouched.
+//!
+//! Retired ids may hold stale values and are never read. This holds as
+//! long as each request's live list is a subset of every earlier one's:
+//! an id live now was live at every earlier request, so it was re-folded
+//! whenever one of its FDs changed. A session's candidate list only
+//! shrinks (retiring picks is its one mutation), and recovery or a pool
+//! swap builds a new cold scorer.
 //!
 //! The cache never persists: it is rebuilt lazily after recovery, and
 //! because the served scores are bit-identical to the full pass, recovered
@@ -73,19 +81,28 @@ impl DeltaScorer {
         &self.matrix
     }
 
-    /// Batch scores for `confidences` under `params`, bit-identical to
-    /// `self.matrix().score_all(confidences, params)`.
+    /// Batch scores for `confidences` under `params`: for every id of
+    /// `live`, `dirty[id]` is bit-identical to
+    /// `self.matrix().score_all(confidences, params).dirty[id]`. Slots of
+    /// other ids may be stale and must not be read.
     ///
-    /// Warm slots re-fold only the pairs violating an FD whose factor
-    /// changed since the previous request; an unchanged request returns
-    /// the cached scores without touching a pair. Cold slots (first
-    /// request for a parameterisation) run the full pass once; at most
-    /// `MAX_SLOTS` parameterisations are retained, evicting the oldest.
+    /// `live` must be a subset of the `live` list of every earlier request
+    /// to this scorer (the module's delta invariant). Warm slots re-fold
+    /// only the live pairs violating an FD whose factor changed since the
+    /// previous request; an unchanged request returns the cached scores
+    /// without touching a pair. Cold slots (first request for a
+    /// parameterisation) run the full pass once; at most `MAX_SLOTS`
+    /// parameterisations are retained, evicting the oldest.
     ///
     /// # Panics
     /// Panics when `confidences` does not have one entry per FD of the
-    /// underlying matrix.
-    pub fn scores_for(&mut self, confidences: &[f64], params: &DetectParams) -> &PairScores {
+    /// underlying matrix, or a live id is out of range.
+    pub fn scores_for(
+        &mut self,
+        live: &[u32],
+        confidences: &[f64],
+        params: &DetectParams,
+    ) -> &PairScores {
         violation_factors_into(confidences, params, &mut self.scratch_factors);
         if let Some(i) = self.slots.iter().position(|s| s.params == *params) {
             let slot = &mut self.slots[i];
@@ -96,6 +113,7 @@ impl DeltaScorer {
             );
             if any {
                 self.matrix.rescore_delta(
+                    live,
                     &self.scratch_factors,
                     params,
                     &self.changed,
@@ -148,17 +166,33 @@ mod tests {
         (DeltaScorer::new(Arc::clone(&m)), m, n_fds)
     }
 
+    /// The live entries of `got` equal a full pass, bit for bit.
+    fn live_bits_equal(got: &PairScores, want: &PairScores, live: &[u32]) -> bool {
+        live.iter()
+            .all(|&id| got.dirty[id as usize].to_bits() == want.dirty[id as usize].to_bits())
+    }
+
     #[test]
     fn matches_full_rescore_across_drifting_confidences() {
         let (mut ds, m, n_fds) = scorer();
         let mut conf = vec![0.9; n_fds];
+        // The live list shrinks by one id a round, from the back and the
+        // front in turn, as retired picks would.
+        let mut live: Vec<u32> = (0..m.n_pairs() as u32).collect();
         for round in 0..8 {
             conf[round % n_fds] = 0.1 + 0.8 * ((round as f64) / 8.0);
             for params in [DetectParams::unsmoothed(), DetectParams::default()] {
-                let got = ds.scores_for(&conf, &params).clone();
-                assert_eq!(got, m.score_all(&conf, &params), "round {round}");
+                let want = m.score_all(&conf, &params);
+                let got = ds.scores_for(&live, &conf, &params).clone();
+                assert!(live_bits_equal(&got, &want, &live), "round {round}");
                 // Second identical request: served from cache, still equal.
-                assert_eq!(ds.scores_for(&conf, &params), &got, "round {round}");
+                let again = ds.scores_for(&live, &conf, &params);
+                assert!(live_bits_equal(again, &want, &live), "round {round}");
+            }
+            if round % 2 == 0 {
+                live.pop();
+            } else {
+                live.remove(0);
             }
         }
     }
@@ -167,6 +201,7 @@ mod tests {
     fn slot_eviction_keeps_answers_correct() {
         let (mut ds, m, n_fds) = scorer();
         let conf = vec![0.7; n_fds];
+        let live: Vec<u32> = (0..m.n_pairs() as u32).collect();
         // More parameterisations than slots: the oldest is evicted, and a
         // re-request simply recomputes from cold.
         let params: Vec<DetectParams> = (0..6)
@@ -176,10 +211,10 @@ mod tests {
             })
             .collect();
         for p in &params {
-            assert_eq!(ds.scores_for(&conf, p), &m.score_all(&conf, p));
+            assert_eq!(ds.scores_for(&live, &conf, p), &m.score_all(&conf, p));
         }
         for p in &params {
-            assert_eq!(ds.scores_for(&conf, p), &m.score_all(&conf, p));
+            assert_eq!(ds.scores_for(&live, &conf, p), &m.score_all(&conf, p));
         }
     }
 }

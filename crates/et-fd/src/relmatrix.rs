@@ -48,7 +48,7 @@ use et_data::Table;
 
 use crate::attrset::AttrSet;
 use crate::cache::{PartitionCache, NO_CLASS};
-use crate::detect::{binary_entropy, DetectParams};
+use crate::detect::DetectParams;
 use crate::space::HypothesisSpace;
 use crate::violations::{pair_relation, PairRelation};
 
@@ -84,24 +84,25 @@ pub struct RelationMatrix {
 }
 
 /// Batch scores of every pair of a [`RelationMatrix`], aligned by pair id.
+///
+/// Only the dirty probability is stored: the uncertainty strategies take
+/// `binary_entropy(dirty[id])` at read time, over the ids they score,
+/// which is the same pure function of the same bits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PairScores {
     /// Per-pair noisy-OR dirty probability (both tuples of a pair receive
     /// the same probability — pair evidence cannot tell the sides apart).
     pub dirty: Vec<f64>,
-    /// `binary_entropy(dirty[pid])` — the per-tuple entropy of the pair.
-    pub entropy: Vec<f64>,
 }
 
 impl PairScores {
-    /// Pre-sized scratch for [`RelationMatrix::score_all_into`]: both
-    /// vectors at length `n_pairs`, zero-filled. Allocate once per round
-    /// loop and reuse — the hot-path lint (L12) forbids per-round
-    /// allocation downstream of scoring roots.
+    /// Pre-sized scratch for [`RelationMatrix::score_all_into`]: one
+    /// zero-filled slot per pair. Allocate once per round loop and reuse —
+    /// the hot-path lint (L12) forbids per-round allocation downstream of
+    /// scoring roots.
     pub fn zeroed(n_pairs: usize) -> Self {
         Self {
             dirty: vec![0.0; n_pairs],
-            entropy: vec![0.0; n_pairs],
         }
     }
 }
@@ -334,11 +335,11 @@ impl RelationMatrix {
         1.0 - keep_clean
     }
 
-    /// Batch scoring: the noisy-OR dirty probability and its binary entropy
-    /// for *every* pair, in one pass over the packed words (32 FDs per word,
-    /// no per-FD closure dispatch). Bit-identical to calling
-    /// [`crate::detect::pair_dirty_probs_with`] + [`binary_entropy`] per
-    /// pair with the same `confidences` and `params`.
+    /// Batch scoring: the noisy-OR dirty probability of *every* pair, in
+    /// one pass over the packed words (32 FDs per word, no per-FD closure
+    /// dispatch). Bit-identical to calling
+    /// [`crate::detect::pair_dirty_probs_with`] per pair with the same
+    /// `confidences` and `params`.
     ///
     /// # Panics
     /// Panics when `confidences` does not have one entry per FD.
@@ -353,7 +354,7 @@ impl RelationMatrix {
     /// scratch (`factors` one slot per FD, `out` sized by
     /// [`PairScores::zeroed`]) instead of allocating per call, so a round
     /// loop pays zero heap traffic after the first iteration. Bit-identical
-    /// to `score_all`: same factors, same ascending-FD fold, same entropy.
+    /// to `score_all`: same factors, same ascending-FD fold.
     ///
     /// # Panics
     /// Panics when `confidences` or `factors` do not have one entry per FD,
@@ -380,11 +381,6 @@ impl RelationMatrix {
             self.pairs.len(),
             "score buffer does not match pair count"
         );
-        assert_eq!(
-            out.entropy.len(),
-            self.pairs.len(),
-            "score buffer does not match pair count"
-        );
         violation_factors_into(confidences, params, factors);
         let keep0 = 1.0 - params.base_rate;
         let n = self.pairs.len();
@@ -392,16 +388,12 @@ impl RelationMatrix {
         while pid + 4 <= n {
             let keep = self.fold4([pid, pid + 1, pid + 2, pid + 3], factors, keep0);
             for (j, k) in keep.into_iter().enumerate() {
-                let p = 1.0 - k;
-                out.dirty[pid + j] = p;
-                out.entropy[pid + j] = binary_entropy(p);
+                out.dirty[pid + j] = 1.0 - k;
             }
             pid += 4;
         }
         while pid < n {
-            let p = self.dirty_prob_with_factors(pid, factors, params);
-            out.dirty[pid] = p;
-            out.entropy[pid] = binary_entropy(p);
+            out.dirty[pid] = self.dirty_prob_with_factors(pid, factors, params);
             pid += 1;
         }
     }
@@ -446,26 +438,30 @@ impl RelationMatrix {
         any
     }
 
-    /// Delta-rescoring: re-folds only the pairs whose packed relation words
-    /// intersect `changed` (a mask from
+    /// Delta-rescoring over the live pair ids: re-folds only the ids of
+    /// `live` whose packed relation words intersect `changed` (a mask from
     /// [`RelationMatrix::changed_factor_mask`]), updating `out` in place.
     ///
-    /// Contract (the delta invariant): `out` must hold scores produced by
-    /// [`RelationMatrix::score_all_into`] (or a previous `rescore_delta`)
-    /// under the *same* `params` and a factor vector that differs from
-    /// `factors` only at FDs flagged in `changed`. A pair's score depends
-    /// solely on the factors of the FDs it violates, so a pair whose
-    /// violates words miss the mask would re-fold to the bit-identical
-    /// value it already holds — skipping it cannot drift. Re-folded pairs
-    /// go through the same chunked fold as the full pass
-    /// (`RelationMatrix::fold4` plus the scalar tail), so the delta path
-    /// is bit-exact against a full rescore by construction.
+    /// Contract (the delta invariant over live ids): for every id in
+    /// `live`, `out.dirty[id]` must hold the score [`RelationMatrix::score_all_into`]
+    /// computes under the *same* `params` and a factor vector that differs
+    /// from `factors` only at FDs flagged in `changed`. A pair's score
+    /// depends solely on the factors of the FDs it violates, so a live pair
+    /// whose violates words miss the mask would re-fold to the bit-identical
+    /// value it already holds — skipping it cannot drift. Ids outside
+    /// `live` are never touched: their slots may go stale and must not be
+    /// read until a full pass rewrites them. Re-folded pairs go through the
+    /// same chunked fold as the full pass (`RelationMatrix::fold4` plus the
+    /// scalar tail), so the live entries are bit-exact against a full
+    /// rescore by construction.
     ///
     /// # Panics
     /// Panics when `factors` does not have one entry per FD, `changed` one
-    /// word per packed relation word, or `out` one slot per pair.
+    /// word per packed relation word, `out` one slot per pair, or a live
+    /// id is out of range.
     pub fn rescore_delta(
         &self,
+        live: &[u32],
         factors: &[f64],
         params: &DetectParams,
         changed: &[u64],
@@ -486,20 +482,15 @@ impl RelationMatrix {
             self.pairs.len(),
             "score buffer does not match pair count"
         );
-        assert_eq!(
-            out.entropy.len(),
-            self.pairs.len(),
-            "score buffer does not match pair count"
-        );
         let keep0 = 1.0 - params.base_rate;
         let wpp = self.words_per_pair;
         let mut batch = [0usize; 4];
         let mut filled = 0;
-        for pid in 0..self.pairs.len() {
-            let base = pid * wpp;
+        for &id in live {
+            let pid = id as usize;
             let mut hit = 0u64;
-            for (wi, &mask) in changed.iter().enumerate().take(wpp) {
-                hit |= self.words[base + wi] & mask;
+            for (&w, &mask) in self.words[pid * wpp..(pid + 1) * wpp].iter().zip(changed) {
+                hit |= w & mask;
             }
             if hit == 0 {
                 continue;
@@ -508,18 +499,14 @@ impl RelationMatrix {
             filled += 1;
             if filled == batch.len() {
                 let keep = self.fold4(batch, factors, keep0);
-                for (j, k) in keep.into_iter().enumerate() {
-                    let p = 1.0 - k;
-                    out.dirty[batch[j]] = p;
-                    out.entropy[batch[j]] = binary_entropy(p);
+                for (&pid, k) in batch.iter().zip(keep) {
+                    out.dirty[pid] = 1.0 - k;
                 }
                 filled = 0;
             }
         }
         for &pid in &batch[..filled] {
-            let p = self.dirty_prob_with_factors(pid, factors, params);
-            out.dirty[pid] = p;
-            out.entropy[pid] = binary_entropy(p);
+            out.dirty[pid] = self.dirty_prob_with_factors(pid, factors, params);
         }
     }
 
@@ -537,6 +524,7 @@ impl RelationMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detect::binary_entropy;
     use crate::fd::Fd;
     use et_data::table::paper_table1;
 
@@ -601,7 +589,10 @@ mod tests {
             for (pid, &(a, b)) in pairs.iter().enumerate() {
                 let (pa, _) = crate::detect::pair_dirty_probs_with(&t, &sp, &conf, a, b, &params);
                 assert_eq!(scores.dirty[pid], pa, "pair ({a},{b})");
-                assert_eq!(scores.entropy[pid], binary_entropy(pa));
+                assert_eq!(
+                    binary_entropy(scores.dirty[pid]).to_bits(),
+                    binary_entropy(pa).to_bits()
+                );
             }
         }
     }
@@ -679,6 +670,7 @@ mod tests {
             let mut conf = vec![0.96, 0.55];
             m.score_all_into(&conf, &params, &mut factors, &mut scores);
             let mut mask = vec![0u64; m.words_per_pair()];
+            let all: Vec<u32> = (0..pairs.len() as u32).collect();
             // Nudge one FD at a time; the delta path must stay bit-equal to
             // a from-scratch rescore after every step.
             for round in 0..6 {
@@ -686,7 +678,7 @@ mod tests {
                 let new_factors = violation_factors(&conf, &params);
                 let any = m.changed_factor_mask(&factors, &new_factors, &mut mask);
                 assert!(any, "the nudge changed a factor");
-                m.rescore_delta(&new_factors, &params, &mask, &mut scores);
+                m.rescore_delta(&all, &new_factors, &params, &mask, &mut scores);
                 factors.copy_from_slice(&new_factors);
                 assert_eq!(scores, m.score_all(&conf, &params), "round {round}");
             }
@@ -708,8 +700,59 @@ mod tests {
         let before = scores.clone();
         let mask = vec![0u64; m.words_per_pair()];
         // Garbage factors with an empty mask: nothing may be touched.
-        m.rescore_delta(&[0.123; 2], &params, &mask, &mut scores);
+        let all: Vec<u32> = (0..pairs.len() as u32).collect();
+        m.rescore_delta(&all, &[0.123; 2], &params, &mask, &mut scores);
         assert_eq!(scores, before);
+    }
+
+    #[test]
+    fn rescore_delta_refolds_only_live_ids_meeting_the_mask() {
+        // Columns (x, y, a); FD 0 = x -> a, FD 1 = x -> y. Pair ids follow
+        // `all_pairs`: FD 0 is violated by ids 0, 4 and 9, FD 1 by 1, 4, 9.
+        let mut b = et_data::Table::builder(et_data::Schema::new(["x", "y", "a"]));
+        for row in [
+            ["0", "0", "0"],
+            ["0", "0", "1"],
+            ["0", "1", "0"],
+            ["1", "0", "0"],
+            ["1", "1", "1"],
+        ] {
+            b.push_row(&row.map(String::from));
+        }
+        let t = b.finish();
+        let sp = HypothesisSpace::from_fds([Fd::from_attrs([0], 2), Fd::from_attrs([0], 1)]);
+        let cache = PartitionCache::new(&t);
+        let pairs = all_pairs(t.nrows());
+        let m = RelationMatrix::build(&t, &sp, &cache, &pairs);
+        let params = DetectParams::default();
+        let mut factors = vec![0.0; sp.len()];
+        let mut scores = PairScores::zeroed(pairs.len());
+        m.score_all_into(&[0.9, 0.4], &params, &mut factors, &mut scores);
+        let before = scores.clone();
+        // Flag FD 0 only and refold under factors that differ at both FDs:
+        // live ids violating FD 0 (0 and 4) take the new fold; live id 1,
+        // which violates only the unflagged FD 1, and the retired id 9
+        // keep their bits.
+        let garbage = [0.123, 0.456];
+        let mut mask = vec![0u64; m.words_per_pair()];
+        assert!(m.changed_factor_mask(&factors, &[garbage[0], factors[1]], &mut mask));
+        let live: Vec<u32> = (0..9).collect();
+        m.rescore_delta(&live, &garbage, &params, &mask, &mut scores);
+        for pid in 0..pairs.len() {
+            let want = if pid == 0 || pid == 4 {
+                m.dirty_prob_with_factors(pid, &garbage, &params)
+            } else {
+                before.dirty[pid]
+            };
+            assert_eq!(scores.dirty[pid].to_bits(), want.to_bits(), "pair {pid}");
+        }
+        for pid in [0, 1, 4, 9] {
+            assert_ne!(
+                m.dirty_prob_with_factors(pid, &garbage, &params).to_bits(),
+                before.dirty[pid].to_bits(),
+                "pair {pid} is sensitive to the new factors"
+            );
+        }
     }
 
     #[test]
@@ -719,7 +762,13 @@ mod tests {
         let cache = PartitionCache::new(&t);
         let m = RelationMatrix::build(&t, &space(), &cache, &[(0, 1)]);
         let mut scores = PairScores::zeroed(1);
-        m.rescore_delta(&[0.5, 0.5], &DetectParams::default(), &[], &mut scores);
+        m.rescore_delta(
+            &[0],
+            &[0.5, 0.5],
+            &DetectParams::default(),
+            &[],
+            &mut scores,
+        );
     }
 
     #[test]

@@ -353,12 +353,17 @@ impl ViolationIndex {
 
     /// Builds the index of the *subsample* `rows` (distinct global row ids,
     /// in presentation order) without re-hashing: each cached full-table
-    /// partition is restricted to the sample in `O(|rows|)` via the row →
-    /// class lookup. The result is indexed by *local* position (`rows[i]`
-    /// is local row `i`) and is bit-identical to
+    /// partition is restricted to the sample in `O(|rows| log |rows|)` via
+    /// the row → class lookup. The result is indexed by *local* position
+    /// (`rows[i]` is local row `i`) and is bit-identical to
     /// `ViolationIndex::build(&table.subset(rows), space)` — a row stripped
     /// from a full-table partition agrees with no other row on that
     /// determinant, so it cannot form a class inside any subsample.
+    ///
+    /// Per determinant, the sample's `(class, local)` pairs are sorted in
+    /// one reused buffer and each run of equal classes is one class of the
+    /// subsample: classes come in ascending class id, members in ascending
+    /// local id, the order every other builder counts in.
     ///
     /// # Panics
     /// Panics when `table` does not match the cache's row count or a row id
@@ -373,23 +378,27 @@ impl ViolationIndex {
         let k = rows.len();
         let mut out = Self::empty(k, space.len(), k as u64);
         let mut scratch = ClassScratch::default();
+        let mut keyed: Vec<(usize, usize)> = Vec::with_capacity(k);
+        let mut members: Vec<usize> = Vec::with_capacity(k);
         for (lhs, fds) in fds_by_lhs(space) {
             let owners = cache.row_classes(table, lhs);
-            // Bucket sample members by their full-table class id.
-            let mut buckets: std::collections::HashMap<usize, Vec<usize>> =
-                std::collections::HashMap::new();
-            for (local, &global) in rows.iter().enumerate() {
-                let class = owners[global];
-                if class != NO_CLASS {
-                    buckets.entry(class).or_default().push(local);
-                }
-            }
-            let mut classes: Vec<(usize, Vec<usize>)> = buckets.drain().collect();
-            classes.sort_unstable_by_key(|&(class, _)| class);
+            keyed.clear();
+            keyed.extend(
+                rows.iter()
+                    .enumerate()
+                    .map(|(local, &global)| (owners[global], local))
+                    .filter(|&(class, _)| class != NO_CLASS),
+            );
+            // Locals are distinct, so the pairs are too: the unstable sort
+            // is deterministic.
+            keyed.sort_unstable();
             for &(fi, rhs) in &fds {
                 let sym = |local: usize| table.sym(rows[local], rhs);
-                for (_, members) in &classes {
-                    out.index_class(fi, members, &sym, &mut scratch);
+                // A one-member run is a sample singleton: no pairs, no code.
+                for run in keyed.chunk_by(|x, y| x.0 == y.0).filter(|r| r.len() > 1) {
+                    members.clear();
+                    members.extend(run.iter().map(|&(_, local)| local));
+                    out.index_class(fi, &members, &sym, &mut scratch);
                 }
             }
         }

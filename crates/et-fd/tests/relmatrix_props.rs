@@ -1,7 +1,9 @@
 //! Property tests pinning the [`RelationMatrix`] scoring substrate to the
 //! per-pair reference path: packed relations must equal the raw-cell
 //! [`pair_relation`] brute force, batch `score_all` must be bit-for-bit
-//! equal to the `pair_dirty_probs_with`/`binary_entropy` scan.
+//! equal to the `pair_dirty_probs_with` scan (and so its `binary_entropy`
+//! too), and delta rescoring over live ids must equal a full pass on every
+//! live id.
 
 use std::sync::Arc;
 
@@ -53,15 +55,24 @@ fn arb_confidences() -> impl Strategy<Value = Vec<f64>> {
         .prop_map(|bytes| bytes.into_iter().map(|b| f64::from(b) / 255.0).collect())
 }
 
-/// A sequence of sparse confidence updates: each step optionally replaces
-/// some FDs' confidences (`(true, v)`) and leaves the rest untouched —
-/// the shapes a labeling session produces (empty diffs, single-FD nudges,
-/// wide jumps).
-fn arb_update_seq() -> impl Strategy<Value = Vec<Vec<(bool, u8)>>> {
+/// A sequence of `steps` sparse confidence updates: each step optionally
+/// replaces some FDs' confidences (`(true, v)`) and leaves the rest
+/// untouched — the shapes a labeling session produces (empty diffs,
+/// single-FD nudges, wide jumps).
+fn arb_update_seq(steps: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec<(bool, u8)>>> {
     proptest::collection::vec(
         proptest::collection::vec((any::<bool>(), 0u8..=255), 5),
-        1..8,
+        steps,
     )
+}
+
+/// Applies one update step to `conf`.
+fn apply_step(conf: &mut [f64], step: Vec<(bool, u8)>) {
+    for (fi, (touch, b)) in step.into_iter().enumerate() {
+        if touch {
+            conf[fi] = f64::from(b) / 255.0;
+        }
+    }
 }
 
 proptest! {
@@ -115,7 +126,7 @@ proptest! {
                 prop_assert_eq!(scores.dirty[pid].to_bits(), pa.to_bits(),
                     "dirty prob diverged for pair ({},{})", a, b);
                 prop_assert_eq!(
-                    scores.entropy[pid].to_bits(),
+                    binary_entropy(scores.dirty[pid]).to_bits(),
                     binary_entropy(pa).to_bits()
                 );
                 prop_assert_eq!(
@@ -132,28 +143,90 @@ proptest! {
     /// (exercising slot reuse, empty diffs, single-FD nudges and wide
     /// jumps in one run).
     #[test]
-    fn delta_scorer_equals_full_rescore(rows in arb_rows(), updates in arb_update_seq()) {
+    fn delta_scorer_equals_full_rescore(rows in arb_rows(), updates in arb_update_seq(1..8)) {
         let t = table_of(&rows);
         let sp = space();
         let cache = PartitionCache::new(&t);
         let pairs = all_pairs(t.nrows());
         let m = Arc::new(RelationMatrix::build(&t, &sp, &cache, &pairs));
         let mut delta = DeltaScorer::new(Arc::clone(&m));
+        let all: Vec<u32> = (0..pairs.len() as u32).collect();
         let mut conf = vec![0.5; sp.len()];
         for step in updates {
-            for (fi, (touch, b)) in step.into_iter().enumerate() {
-                if touch {
-                    conf[fi] = f64::from(b) / 255.0;
-                }
-            }
+            apply_step(&mut conf, step);
             for params in [DetectParams::unsmoothed(), DetectParams::default()] {
                 let want = m.score_all(&conf, &params);
-                let got = delta.scores_for(&conf, &params);
+                let got = delta.scores_for(&all, &conf, &params);
                 for pid in 0..pairs.len() {
                     prop_assert_eq!(got.dirty[pid].to_bits(), want.dirty[pid].to_bits(),
                         "dirty diverged at pair {}", pid);
-                    prop_assert_eq!(got.entropy[pid].to_bits(), want.entropy[pid].to_bits(),
+                    prop_assert_eq!(
+                        binary_entropy(got.dirty[pid]).to_bits(),
+                        binary_entropy(want.dirty[pid]).to_bits(),
                         "entropy diverged at pair {}", pid);
+                }
+            }
+        }
+    }
+
+    /// Live-id delta rescoring: a [`DeltaScorer`] asked only about a
+    /// shrinking live list — a random pool, random ids retired `k` at a
+    /// time — keeps every live id bit-equal to a full rescore under
+    /// drifting confidences, for both parameterisations, and never writes
+    /// a retired id's slot again.
+    #[test]
+    fn delta_scorer_over_shrinking_live_ids(
+        rows in arb_rows(),
+        pool_keep in proptest::collection::vec(any::<bool>(), 1128),
+        retire in proptest::collection::vec(any::<u16>(), 1..64),
+        k in 1usize..6,
+        updates in arb_update_seq(1..24),
+    ) {
+        let t = table_of(&rows);
+        let sp = space();
+        let cache = PartitionCache::new(&t);
+        // C(48, 2) = 1128 pairs at most: one keep flag per pair.
+        let pool: Vec<(usize, usize)> = all_pairs(t.nrows())
+            .into_iter()
+            .zip(&pool_keep)
+            .filter(|&(_, &keep)| keep)
+            .map(|(p, _)| p)
+            .collect();
+        let m = Arc::new(RelationMatrix::build(&t, &sp, &cache, &pool));
+        let mut delta = DeltaScorer::new(Arc::clone(&m));
+        let mut live: Vec<u32> = (0..pool.len() as u32).collect();
+        let mut picks = retire.iter().cycle();
+        // (params slot, id, bits at retirement) of every retired id.
+        let mut frozen: Vec<(usize, u32, u64)> = Vec::new();
+        let mut conf = vec![0.5; sp.len()];
+        for step in updates {
+            apply_step(&mut conf, step);
+            let all_params = [DetectParams::unsmoothed(), DetectParams::default()];
+            for (slot, params) in all_params.iter().enumerate() {
+                let want = m.score_all(&conf, params);
+                let got = delta.scores_for(&live, &conf, params);
+                for &id in &live {
+                    prop_assert_eq!(got.dirty[id as usize].to_bits(),
+                        want.dirty[id as usize].to_bits(), "live pair {} diverged", id);
+                }
+                for &(s, id, bits) in &frozen {
+                    if s == slot {
+                        prop_assert_eq!(got.dirty[id as usize].to_bits(), bits,
+                            "retired pair {} was rewritten", id);
+                    }
+                }
+            }
+            // Retire up to k ids (order-preserving, as a session does),
+            // freezing the bits each slot held for them.
+            for _ in 0..k.min(live.len()) {
+                let pos = usize::from(*picks.next().expect("cycle")) % live.len();
+                let id = live.remove(pos);
+                for (slot, params) in [DetectParams::unsmoothed(), DetectParams::default()]
+                    .iter()
+                    .enumerate()
+                {
+                    let bits = delta.scores_for(&live, &conf, params).dirty[id as usize].to_bits();
+                    frozen.push((slot, id, bits));
                 }
             }
         }
@@ -194,10 +267,14 @@ proptest! {
                 mask[fi / 32] |= 0b10u64 << ((fi % 32) * 2);
             }
         }
-        m.rescore_delta(&new_factors, &params, &mask, &mut scores);
+        let all: Vec<u32> = (0..pairs.len() as u32).collect();
+        m.rescore_delta(&all, &new_factors, &params, &mask, &mut scores);
         for pid in 0..pairs.len() {
             prop_assert_eq!(scores.dirty[pid].to_bits(), want.dirty[pid].to_bits());
-            prop_assert_eq!(scores.entropy[pid].to_bits(), want.entropy[pid].to_bits());
+            prop_assert_eq!(
+                binary_entropy(scores.dirty[pid]).to_bits(),
+                binary_entropy(want.dirty[pid]).to_bits()
+            );
         }
     }
 }

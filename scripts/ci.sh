@@ -76,20 +76,25 @@ echo "==> bench harness compiles + bench_json smoke (quick profile)"
 # rescoring path on both fixtures (Hospital and Tax): if re-folding only
 # the changed-FD pairs is ever slower than a full rescore, the cache is
 # broken (or stale-slot thrash crept in) and CI should say so before a
-# checked-in BENCH diff has to. It also gates the held-out evaluation:
-# both per-round predict_labels passes over the packed tuple codes must
-# stay at least 3x faster than the same passes over FD-major flags.
+# checked-in BENCH diff has to. A served round asks the scorer only about
+# the live (unshown) pool ids, so the delta walk over the live list must
+# be no slower than the same walk over the whole pool. It also gates the
+# held-out evaluation: both per-round predict_labels passes over the
+# packed tuple codes must stay at least 3x faster than the same passes
+# over FD-major flags.
 cargo build -q --release -p et-bench --benches --bins
 BENCH_OUT="$(mktemp /tmp/et-bench-substrate.XXXXXX.json)"
 if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
   --gate round_latency_delta_vs_full_speedup:1.0 \
   --gate round_latency_delta_vs_full_speedup_tax:1.0 \
+  --gate round_latency_live_vs_pool_speedup:1.0 \
   --gate alloc_free_score_parity:0.95 \
   --gate eval_packed_vs_fdmajor_speedup:3 \
   || [ ! -s "$BENCH_OUT" ]; then
   echo "FATAL: bench_json failed to produce $BENCH_OUT or a gate failed" >&2
   echo "       (baseline unregenerable, delta rescoring lost to a full rescore," >&2
-  echo "        the alloc-free scoring path fell below parity, or the packed" >&2
+  echo "        the live-id delta walk lost to the whole-pool walk, the" >&2
+  echo "        alloc-free scoring path fell below parity, or the packed" >&2
   echo "        evaluation lost its 3x lead over FD-major flags)" >&2
   exit 1
 fi
