@@ -35,7 +35,7 @@ use et_fd::{
     pair_dirty_probs_with, predict_labels, DeltaScorer, DetectParams, Fd, HypothesisSpace,
     PairScores, PartitionCache, RelationMatrix, SubsampleIndex, ViolationIndex,
 };
-use et_serve::{build_parts, CreateSessionSpec, Json};
+use et_serve::{build_parts, CreateSessionSpec, Json, Response, WirePair};
 
 /// Wall-clock stats of one bench, in seconds.
 struct BenchStats {
@@ -612,6 +612,244 @@ fn eval_benches(quick: bool) -> Vec<BenchStats> {
     vec![packed, fdmajor]
 }
 
+/// The reply encoder as it stood before streaming: a [`Json`] tree per
+/// reply, a `format!` per number, a char-by-char escaper into a `String`,
+/// and the copy of that `String` into the connection's byte buffer. Kept
+/// inline as the baseline of `reply_encode_stream_vs_tree_speedup`.
+mod tree_reply {
+    use et_serve::{Json, Response};
+
+    fn num(n: usize) -> Json {
+        Json::Num(n as f64)
+    }
+
+    fn nums(xs: &[f64]) -> Json {
+        Json::Arr(xs.iter().map(|&x| Json::Num(x)).collect())
+    }
+
+    /// The tree of the two replies the bench encodes (pairs and session
+    /// status); every other variant maps to `null`.
+    fn tree(r: &Response) -> Json {
+        let ok = |kind: &str, rest: Vec<(&str, Json)>| {
+            let mut members = vec![("ok", Json::Bool(true)), ("reply", Json::str(kind))];
+            members.extend(rest);
+            Json::obj(members)
+        };
+        match r {
+            Response::Pairs {
+                session,
+                t,
+                pairs,
+                sample,
+                tuples,
+            } => ok(
+                "pairs",
+                vec![
+                    ("session", Json::Num(*session as f64)),
+                    ("t", num(*t)),
+                    (
+                        "pairs",
+                        Json::Arr(
+                            pairs
+                                .iter()
+                                .map(|p| Json::Arr(vec![num(p.a), num(p.b)]))
+                                .collect(),
+                        ),
+                    ),
+                    (
+                        "sample",
+                        Json::Arr(sample.iter().map(|&r| num(r)).collect()),
+                    ),
+                    (
+                        "tuples",
+                        Json::Arr(tuples.iter().map(|t| Json::str(t)).collect()),
+                    ),
+                ],
+            ),
+            Response::SessionStatus {
+                session,
+                iterations_done,
+                iterations,
+                awaiting_labels,
+                mae_series,
+                converged_at,
+                learner_confidences,
+                trainer_confidences,
+            } => ok(
+                "session_status",
+                vec![
+                    ("session", Json::Num(*session as f64)),
+                    ("iterations_done", num(*iterations_done)),
+                    ("iterations", num(*iterations)),
+                    ("awaiting_labels", Json::Bool(*awaiting_labels)),
+                    ("mae_series", nums(mae_series)),
+                    ("converged_at", converged_at.map_or(Json::Null, num)),
+                    ("learner_confidences", nums(learner_confidences)),
+                    ("trainer_confidences", nums(trainer_confidences)),
+                ],
+            ),
+            _ => Json::Null,
+        }
+    }
+
+    fn string(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0c}' => out.push_str("\\f"),
+                c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    fn value(v: &Json, out: &mut String) {
+        match v {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) if n.is_finite() => out.push_str(&format!("{n}")),
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => string(s, out),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    value(item, out);
+                }
+                out.push(']');
+            }
+            Json::Obj(members) => {
+                out.push('{');
+                for (i, (k, item)) in members.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    string(k, out);
+                    out.push(':');
+                    value(item, out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    /// One newline-terminated wire line, as the tree path produced it.
+    pub(crate) fn line(r: &Response) -> Vec<u8> {
+        let mut text = String::new();
+        value(&tree(r), &mut text);
+        text.push('\n');
+        text.as_bytes().to_vec()
+    }
+}
+
+/// One served round's replies on a Hospital-1000 session past its 150th
+/// round: the `pairs` reply (tuple assembly included) and a `status`
+/// reply carrying the 150-entry MAE series. The stream side renders each
+/// tuple in one `String` (`Table::joined_row`) and encodes with
+/// `Response::encode_into`; the tree side joins `row_texts` and encodes
+/// through [`tree_reply`]. Both are interleaved; their bytes are checked
+/// equal before timing.
+fn reply_encode_benches(quick: bool) -> Vec<BenchStats> {
+    const ROUNDS: usize = 150;
+    let (warmup, iters) = if quick { (20, 200) } else { (100, 2000) };
+    let spec = CreateSessionSpec {
+        dataset: DatasetName::Hospital,
+        rows: 1000,
+        iterations: ROUNDS + 1,
+        ..CreateSessionSpec::default()
+    };
+    let parts = match build_parts(&spec, 1001) {
+        Ok(p) => p,
+        Err(e) => fail("build Hospital-1000 session", e),
+    };
+    let mut state = match SessionState::new(
+        parts.table,
+        parts.space,
+        &parts.dirty_rows,
+        parts.cfg,
+        &parts.trainer,
+        &parts.learner,
+    ) {
+        Ok(s) => s,
+        Err(e) => fail("session config", e),
+    };
+    let mut trainer = parts.trainer.with_cache(state.partition_cache().clone());
+    let mut learner = parts.learner;
+    for _ in 0..=ROUNDS {
+        if let Err(e) = state.present(&mut learner) {
+            fail("present", e);
+        }
+        if state.iterations_done() == ROUNDS {
+            break;
+        }
+        let labels = match state.label_pending(&mut trainer) {
+            Ok(l) => l,
+            Err(e) => fail("label", e),
+        };
+        if let Err(e) = state.apply_labels(&trainer, &mut learner, &labels) {
+            fail("apply labels", e);
+        }
+    }
+    let Some(pending) = state.pending() else {
+        fail("reply bench", "no pending presentation after 150 rounds")
+    };
+    let table = state.table();
+    let replies = |tuple: &dyn Fn(usize) -> String| {
+        let sample = pending.sample().to_vec();
+        let pairs = Response::Pairs {
+            session: 1,
+            t: state.iterations_done(),
+            pairs: pending
+                .pairs()
+                .iter()
+                .map(|p| WirePair { a: p.a, b: p.b })
+                .collect(),
+            tuples: sample.iter().map(|&r| tuple(r)).collect(),
+            sample,
+        };
+        let status = Response::SessionStatus {
+            session: 1,
+            iterations_done: state.iterations_done(),
+            iterations: state.config().iterations,
+            awaiting_labels: true,
+            mae_series: state.metrics().iter().map(|m| m.mae).collect(),
+            converged_at: state.convergence_so_far().converged_at,
+            learner_confidences: learner.confidences(),
+            trainer_confidences: trainer.belief().confidences(),
+        };
+        [pairs, status]
+    };
+    let stream_line = |r: &Response| {
+        let mut line = Vec::new();
+        r.encode_into(&mut line);
+        line.push(b'\n');
+        line
+    };
+    let stream = || replies(&|r| table.joined_row(r, " | ")).map(|r| stream_line(&r));
+    let tree = || replies(&|r| table.row_texts(r).join(" | ")).map(|r| tree_reply::line(&r));
+    if stream() != tree() {
+        fail("reply bench", "streamed and tree-encoded replies differ");
+    }
+    let (stream, tree) = time_bench_interleaved(
+        "reply_encode_stream",
+        "reply_encode_tree",
+        warmup,
+        iters,
+        stream,
+        tree,
+    );
+    vec![stream, tree]
+}
+
 /// Exits loudly; benches have no error channel worth plumbing.
 fn fail(what: &str, e: impl std::fmt::Display) -> ! {
     eprintln!("error: {what}: {e}");
@@ -855,6 +1093,7 @@ fn main() {
     benches.push(inject_bench(cli.quick));
     benches.push(space_capped_bench(cli.quick));
     benches.extend(eval_benches(cli.quick));
+    benches.extend(reply_encode_benches(cli.quick));
 
     // Tax-scale round latencies: a second round-latency family over a much
     // larger table and candidate pool.
@@ -942,6 +1181,11 @@ fn main() {
             "eval_packed_vs_fdmajor_speedup",
             "eval_test_split_fdmajor",
             "eval_test_split_hospital_1000",
+        ),
+        (
+            "reply_encode_stream_vs_tree_speedup",
+            "reply_encode_tree",
+            "reply_encode_stream",
         ),
         (
             "fsync_append_cost_ratio",

@@ -7,12 +7,20 @@
 //! repro --all --quick        # smoke-test sizes
 //! repro --exp fig4 --runs 10 --rows 300 --iters 30
 //! repro ... --out results/   # also write CSV artifacts (default: results/)
+//! repro --all --digest       # write nothing; print FNV-1a 64 digests
 //! ```
+//!
+//! `--digest` prints one `HASH  NAME` line per CSV artifact, then
+//! `HASH  stdout` for the report: everything the same run prints without
+//! `--digest`, less the `[ID finished in T]` timing lines and the
+//! `wrote PATH` lines. `scripts/ci.sh` compares `repro --all --digest`
+//! against the checked-in `REPRO_DIGEST.txt`.
 
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
+use et_bench::digest::{fnv1a64, Fnv1a};
 use et_experiments::{all_experiments, experiment_by_id, Experiment, RunOptions};
 
 struct Cli {
@@ -20,6 +28,7 @@ struct Cli {
     all: bool,
     list: bool,
     quick: bool,
+    digest: bool,
     runs: Option<usize>,
     rows: Option<usize>,
     iterations: Option<usize>,
@@ -54,6 +63,7 @@ fn parse_args() -> Result<Cli, String> {
         all: false,
         list: false,
         quick: false,
+        digest: false,
         runs: None,
         rows: None,
         iterations: None,
@@ -65,6 +75,7 @@ fn parse_args() -> Result<Cli, String> {
             "--list" => cli.list = true,
             "--all" => cli.all = true,
             "--quick" => cli.quick = true,
+            "--digest" => cli.digest = true,
             "--exp" => {
                 let id = args.next().ok_or("--exp needs an experiment id")?;
                 cli.exp.push(id);
@@ -99,7 +110,7 @@ fn parse_args() -> Result<Cli, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: repro [--list] [--all] [--exp ID]... [--quick] \
-                     [--runs N] [--rows N] [--iters N] [--out DIR]"
+                     [--runs N] [--rows N] [--iters N] [--out DIR] [--digest]"
                 );
                 std::process::exit(0);
             }
@@ -144,14 +155,32 @@ fn main() {
     };
 
     let opts = cli.options();
+    // Under --digest the report is hashed instead of printed.
+    let mut report = cli.digest.then(Fnv1a::default);
+    let mut emit = |text: &str| match &mut report {
+        Some(h) => {
+            h.update(text.as_bytes());
+            h.update(b"\n");
+        }
+        None => println!("{text}"),
+    };
+    let mut csv_digests: Vec<(String, u64)> = Vec::new();
     for e in experiments {
         let started = Instant::now();
-        println!("\n################################################################");
-        println!("# {} — {} ({})", e.id, e.title, e.paper_ref);
-        println!("# expectation: {}", e.expectation);
-        println!("################################################################");
+        emit("\n################################################################");
+        emit(&format!("# {} — {} ({})", e.id, e.title, e.paper_ref));
+        emit(&format!("# expectation: {}", e.expectation));
+        emit("################################################################");
         let out = (e.run)(&opts);
-        println!("{}", out.text);
+        emit(&out.text);
+        if cli.digest {
+            csv_digests.extend(
+                out.csv
+                    .iter()
+                    .map(|(name, content)| (name.clone(), fnv1a64(content.as_bytes()))),
+            );
+            continue;
+        }
         if !out.csv.is_empty() {
             if let Err(err) = std::fs::create_dir_all(&cli.out_dir) {
                 eprintln!("warning: cannot create {:?}: {err}", cli.out_dir);
@@ -168,5 +197,11 @@ fn main() {
             }
         }
         println!("[{} finished in {:.1?}]", e.id, started.elapsed());
+    }
+    if let Some(h) = report {
+        for (name, hash) in &csv_digests {
+            println!("{hash:016x}  {name}");
+        }
+        println!("{:016x}  stdout", h.finish());
     }
 }

@@ -14,6 +14,9 @@
 //! * `src/bin/bench_json.rs`, `src/bin/bench_serve.rs` — the JSON
 //!   baseline recorders (`BENCH_substrate.json`, `BENCH_serve.json`); they
 //!   share the [`cli`] module.
+//! * [`digest`] — the FNV-1a 64 content hash behind `repro --digest`,
+//!   which `scripts/ci.sh` compares against the checked-in
+//!   `REPRO_DIGEST.txt`.
 
 #![warn(missing_docs)]
 
@@ -164,11 +167,71 @@ pub mod cli {
     }
 }
 
+/// The content hash behind `repro --digest`: FNV-1a 64, std-only, and
+/// the rule for which report lines vary from run to run.
+pub mod digest {
+    /// A streaming FNV-1a 64-bit hash.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Fnv1a(u64);
+
+    impl Default for Fnv1a {
+        fn default() -> Self {
+            Fnv1a(0xcbf2_9ce4_8422_2325)
+        }
+    }
+
+    impl Fnv1a {
+        /// Folds `bytes` into the hash.
+        pub fn update(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+
+        /// The hash of everything folded in so far.
+        pub fn finish(self) -> u64 {
+            self.0
+        }
+    }
+
+    /// FNV-1a 64 of `bytes`.
+    pub fn fnv1a64(bytes: &[u8]) -> u64 {
+        let mut h = Fnv1a::default();
+        h.update(bytes);
+        h.finish()
+    }
+
+    /// Whether a `repro` stdout line is left out of the report digest:
+    /// the `[ID finished in T]` timing lines differ run to run, and the
+    /// `wrote PATH` lines name the caller's `--out` directory (each CSV
+    /// has its own digest).
+    pub fn is_volatile_line(line: &str) -> bool {
+        (line.starts_with('[') && line.contains(" finished in ")) || line.starts_with("wrote ")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::cli::{gates_pass, parse, Cli};
     use super::fixtures::fixture;
     use et_data::gen::DatasetName;
+
+    #[test]
+    fn fnv1a64_matches_published_vectors() {
+        use super::digest::fnv1a64;
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn volatile_lines_are_timing_and_output_paths() {
+        use super::digest::is_volatile_line;
+        assert!(is_volatile_line("[fig1 finished in 1.2s]"));
+        assert!(is_volatile_line("wrote results/fig1.csv"));
+        assert!(!is_volatile_line("# fig1 — MAE over iterations (Fig. 1)"));
+        assert!(!is_volatile_line("[0.1, 0.2]"));
+    }
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()

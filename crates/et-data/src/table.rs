@@ -124,6 +124,23 @@ impl Table {
             .collect()
     }
 
+    /// The row's cell texts joined by `sep` — equal to
+    /// `row_texts(row).join(sep)`, built in one exactly-sized `String`
+    /// straight from the dictionaries (how a served presentation renders
+    /// each tuple).
+    pub fn joined_row(&self, row: usize, sep: &str) -> String {
+        let cells = || (0..self.ncols()).map(|c| self.text(row, c as AttrId));
+        let len = cells().map(str::len).sum::<usize>() + sep.len() * self.ncols().saturating_sub(1);
+        let mut text = String::with_capacity(len);
+        for (i, cell) in cells().enumerate() {
+            if i > 0 {
+                text.push_str(sep);
+            }
+            text.push_str(cell);
+        }
+        text
+    }
+
     /// A new table containing only `rows` (in the given order), re-interned.
     pub fn subset(&self, rows: &[usize]) -> Table {
         let mut b = Table::builder(self.schema.clone());
@@ -260,6 +277,15 @@ mod tests {
         // t1 and t2 share a Team symbol but not a City symbol.
         assert_eq!(t.sym(0, 1), t.sym(1, 1));
         assert_ne!(t.sym(0, 2), t.sym(1, 2));
+    }
+
+    #[test]
+    fn joined_row_matches_joined_texts() {
+        let t = paper_table1();
+        for r in 0..t.nrows() {
+            assert_eq!(t.joined_row(r, " | "), t.row_texts(r).join(" | "));
+            assert_eq!(t.joined_row(r, ""), t.row_texts(r).concat());
+        }
     }
 
     #[test]

@@ -8,9 +8,15 @@
 //!   shortest-round-trip: `encode(parse(s))` preserves every finite value
 //!   bit for bit. That property is what lets the server report MAE values
 //!   that compare *exactly* equal to batch runs on the client side.
+//! * Byte writers (`write_f64`, `write_u64`, `write_str`, …) shared by the
+//!   tree encoder and the streaming reply encoder
+//!   ([`crate::protocol::Response::encode_into`]), so a reply streamed
+//!   into bytes and the same reply built as a tree print identically.
 //! * A strict parser: full escape handling (including `\uXXXX` surrogate
 //!   pairs), a nesting-depth cap so adversarial input cannot blow the
 //!   stack, and rejection of non-finite or trailing input.
+
+use std::io::Write as _;
 
 /// Maximum nesting depth the parser accepts. Deep enough for any protocol
 /// message, shallow enough that malformed input cannot overflow the stack.
@@ -126,50 +132,29 @@ impl Json {
     /// Encodes to compact JSON (no whitespace, `\n`-free — one value fits
     /// one protocol line).
     pub fn encode(&self) -> String {
-        let mut out = String::new();
-        self.encode_into(&mut out);
-        out
+        let mut out = Vec::new();
+        self.write_into(&mut out);
+        utf8_string(out)
     }
 
-    fn encode_into(&self, out: &mut String) {
+    fn write_into(&self, out: &mut Vec<u8>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    // `Display` for f64 is shortest-round-trip and never
-                    // uses exponent notation, so the output re-parses to
-                    // the identical bits.
-                    out.push_str(&format!("{n}"));
-                } else {
-                    // JSON has no NaN/Inf; degrade to null rather than
-                    // emit an unparseable token.
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => encode_string(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.encode_into(out);
-                }
-                out.push(']');
-            }
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(b) => write_bool(out, *b),
+            Json::Num(n) => write_f64(out, *n),
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) => write_array(out, items, |out, v| v.write_into(out)),
             Json::Obj(members) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in members.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
-                    encode_string(k, out);
-                    out.push(':');
-                    v.encode_into(out);
+                    write_str(out, k);
+                    out.push(b':');
+                    v.write_into(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
@@ -194,24 +179,103 @@ impl Json {
     }
 }
 
-fn encode_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if u32::from(c) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", u32::from(c)));
-            }
-            c => out.push(c),
+// ---------------------------------------------------------------------------
+// Byte writers shared by the tree encoder above and the streaming reply
+// encoder (`Response::encode_into`), so both print every value identically.
+// ---------------------------------------------------------------------------
+
+/// 2^53: every integer below it converts to `f64` exactly, so its decimal
+/// digits are what `Display` prints for the converted `f64`.
+const F64_EXACT_INT_LIMIT: u64 = 1 << 53;
+
+/// Appends `true` or `false`.
+pub(crate) fn write_bool(out: &mut Vec<u8>, b: bool) {
+    out.extend_from_slice(if b { b"true" } else { b"false" });
+}
+
+/// Appends `n` as a JSON number, or `null` when it is not finite (JSON has
+/// no NaN/Inf; degrade rather than emit an unparseable token).
+pub(crate) fn write_f64(out: &mut Vec<u8>, n: f64) {
+    if n.is_finite() {
+        // `Display` for f64 is shortest-round-trip and never uses exponent
+        // notation, so the output re-parses to the identical bits. Writing
+        // into a `Vec` cannot fail.
+        let _ = write!(out, "{n}");
+    } else {
+        out.extend_from_slice(b"null");
+    }
+}
+
+/// Appends `n` exactly as [`write_f64`] prints `n as f64` — the wire has
+/// one number type. Below 2^53 those are the integer's own digits; at or
+/// above it the `f64` rounds, and so does the printed value.
+pub(crate) fn write_u64(out: &mut Vec<u8>, n: u64) {
+    if n < F64_EXACT_INT_LIMIT {
+        let _ = write!(out, "{n}");
+    } else {
+        write_f64(out, n as f64);
+    }
+}
+
+/// Appends `s` as a JSON string. Runs of bytes that need no escape are
+/// copied in bulk; only `"`, `\` and the C0 controls are escaped (bytes
+/// of multi-byte UTF-8 scalars are all >= 0x80 and pass through).
+pub(crate) fn write_str(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut rest = s.as_bytes();
+    out.push(b'"');
+    while let Some(i) = rest
+        .iter()
+        .position(|&b| b < 0x20 || b == b'"' || b == b'\\')
+    {
+        out.extend_from_slice(&rest[..i]);
+        match rest[i] {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            0x08 => out.extend_from_slice(b"\\b"),
+            0x0c => out.extend_from_slice(b"\\f"),
+            b => out.extend_from_slice(&[
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX[usize::from(b >> 4)],
+                HEX[usize::from(b & 0x0f)],
+            ]),
+        }
+        rest = &rest[i + 1..];
+    }
+    out.extend_from_slice(rest);
+    out.push(b'"');
+}
+
+/// Appends `[e0,e1,…]`, writing each element with `each`.
+pub(crate) fn write_array<T>(
+    out: &mut Vec<u8>,
+    items: &[T],
+    mut each: impl FnMut(&mut Vec<u8>, &T),
+) {
+    out.push(b'[');
+    if let Some((head, tail)) = items.split_first() {
+        each(out, head);
+        for item in tail {
+            out.push(b',');
+            each(out, item);
         }
     }
-    out.push('"');
+    out.push(b']');
+}
+
+/// The encoders write only whole `&str`s and ASCII, so the bytes are always
+/// UTF-8; the lossy arm exists so that this never needs a panic path.
+pub(crate) fn utf8_string(bytes: Vec<u8>) -> String {
+    match String::from_utf8(bytes) {
+        Ok(s) => s,
+        Err(e) => String::from_utf8_lossy(e.as_bytes()).into_owned(),
+    }
 }
 
 struct Parser<'a> {
@@ -457,6 +521,65 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// The encoder as it stood before the byte writers: `format!` per number
+/// and a char-by-char escaper over a `String`. Kept as an independent
+/// oracle, so a fault in the shared writers cannot hide by changing the
+/// tree and the stream alike.
+#[cfg(test)]
+pub(crate) fn reference_encode(v: &Json) -> String {
+    fn string(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0c}' => out.push_str("\\f"),
+                c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+    fn value(v: &Json, out: &mut String) {
+        match v {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) if n.is_finite() => out.push_str(&format!("{n}")),
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => string(s, out),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    value(item, out);
+                }
+                out.push(']');
+            }
+            Json::Obj(members) => {
+                out.push('{');
+                for (i, (k, item)) in members.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    string(k, out);
+                    out.push(':');
+                    value(item, out);
+                }
+                out.push('}');
+            }
+        }
+    }
+    let mut out = String::new();
+    value(v, &mut out);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,6 +617,40 @@ mod tests {
             Some(s),
             "{enc}"
         );
+    }
+
+    #[test]
+    fn byte_writers_match_the_reference_encoder() {
+        let every_ascii: String = (0u8..=0x7f).map(char::from).collect();
+        let values = [
+            Json::Str(every_ascii),
+            Json::Str("héllo 😀 \u{10ffff} \u{7f}\u{80}\u{7ff}\u{800}\u{ffff}".to_string()),
+            Json::Str(String::new()),
+            Json::Arr(vec![]),
+            Json::Obj(vec![]),
+            Json::Arr(vec![
+                Json::Num(f64::NAN),
+                Json::Num(f64::NEG_INFINITY),
+                Json::Num(-0.0),
+                Json::Num(9_007_199_254_740_994.0),
+                Json::Num(u64::MAX as f64),
+                Json::Num(5e-324),
+                Json::Num(1e300),
+            ]),
+            Json::obj(vec![("k\"\u{1}", Json::Bool(false)), ("", Json::Null)]),
+        ];
+        for v in values {
+            assert_eq!(v.encode(), reference_encode(&v), "{v:?}");
+        }
+    }
+
+    #[test]
+    fn integers_print_as_their_f64() {
+        for n in [0, 7, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX] {
+            let mut out = Vec::new();
+            write_u64(&mut out, n);
+            assert_eq!(out, Json::Num(n as f64).encode().into_bytes(), "{n}");
+        }
     }
 
     #[test]

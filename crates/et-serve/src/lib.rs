@@ -14,7 +14,8 @@
 //!   shortest-round-trip, which makes wire-reported metrics *exactly*
 //!   comparable to batch results.
 //! * [`protocol`] — the newline-delimited request/response grammar with
-//!   typed error codes.
+//!   typed error codes; replies stream straight into bytes
+//!   ([`Response::encode_into`]), with no intermediate JSON tree.
 //! * [`spec`] — `(spec, seed) → session parts`, the pure build pipeline
 //!   shared by the server and the batch reference path.
 //! * [`store`] — the sharded, capacity-bounded live-session map with

@@ -19,7 +19,7 @@
 use et_core::{IterationMetrics, StrategyKind};
 use et_data::gen::DatasetName;
 
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::spec::CreateSessionSpec;
 
 /// A parsed client request.
@@ -140,7 +140,8 @@ pub enum Response {
         /// Iteration budget.
         iterations: usize,
         /// The seed the session runs under (echoed so callers can
-        /// reproduce the run in batch).
+        /// reproduce the run in batch). Exact on the wire: derived seeds
+        /// lie below 2^53 and explicit ones are accepted only up to 2^53.
         seed: u64,
     },
     /// The next presentation: pairs to label.
@@ -421,6 +422,217 @@ fn parse_create(v: &Json) -> Result<CreateSessionSpec, (ErrorCode, String)> {
     Ok(spec)
 }
 
+impl Response {
+    /// Encodes the response as one wire line (no trailing newline); a
+    /// `String` view of [`Response::encode_into`].
+    pub fn encode(&self) -> String {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        json::utf8_string(out)
+    }
+
+    /// Appends the response as one wire line (no trailing newline) to
+    /// `out`, member by member, with no intermediate [`Json`] tree. The
+    /// bytes equal the tree encoding of the same reply (the unit tests hold
+    /// it to that oracle), so integers print as `Json::Num(n as f64)` does.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            Response::Created {
+                session,
+                rows,
+                fds,
+                iterations,
+                seed,
+            } => {
+                let mut o = Obj::ok(out, "created");
+                o.u64("session", *session);
+                o.usize("rows", *rows);
+                o.usize("fds", *fds);
+                o.usize("iterations", *iterations);
+                o.u64("seed", *seed);
+                o.close();
+            }
+            Response::Pairs {
+                session,
+                t,
+                pairs,
+                sample,
+                tuples,
+            } => {
+                let mut o = Obj::ok(out, "pairs");
+                o.u64("session", *session);
+                o.usize("t", *t);
+                json::write_array(o.key("pairs"), pairs, |out, p| {
+                    json::write_array(out, &[p.a, p.b], |out, &r| write_usize(out, r));
+                });
+                json::write_array(o.key("sample"), sample, |out, &r| write_usize(out, r));
+                json::write_array(o.key("tuples"), tuples, |out, t| json::write_str(out, t));
+                o.close();
+            }
+            Response::Done {
+                session,
+                iterations_run,
+                converged_at,
+                final_mae,
+            } => {
+                let mut o = Obj::ok(out, "done");
+                o.u64("session", *session);
+                o.usize("iterations_run", *iterations_run);
+                o.opt_usize("converged_at", *converged_at);
+                o.f64("final_mae", *final_mae);
+                o.close();
+            }
+            Response::Labeled {
+                session,
+                labels,
+                metrics: m,
+            } => {
+                let mut o = Obj::ok(out, "labeled");
+                o.u64("session", *session);
+                json::write_array(o.key("labels"), labels, |out, &b| json::write_bool(out, b));
+                let mut mo = Obj::open(o.key("metrics"));
+                mo.usize("t", m.t);
+                mo.f64("mae", m.mae);
+                mo.f64("learner_f1", m.learner_f1);
+                mo.f64("learner_precision", m.learner_precision);
+                mo.f64("learner_recall", m.learner_recall);
+                mo.f64("trainer_f1", m.trainer_f1);
+                mo.f64("learner_drift", m.learner_drift);
+                mo.f64("trainer_drift", m.trainer_drift);
+                mo.f64("policy_entropy", m.policy_entropy);
+                mo.usize("dirty_labels", m.dirty_labels);
+                mo.f64("phi_dirty", m.phi_dirty);
+                mo.f64("agreement", m.agreement);
+                mo.close();
+                o.close();
+            }
+            Response::SessionStatus {
+                session,
+                iterations_done,
+                iterations,
+                awaiting_labels,
+                mae_series,
+                converged_at,
+                learner_confidences,
+                trainer_confidences,
+            } => {
+                let mut o = Obj::ok(out, "session_status");
+                o.u64("session", *session);
+                o.usize("iterations_done", *iterations_done);
+                o.usize("iterations", *iterations);
+                json::write_bool(o.key("awaiting_labels"), *awaiting_labels);
+                o.f64s("mae_series", mae_series);
+                o.opt_usize("converged_at", *converged_at);
+                o.f64s("learner_confidences", learner_confidences);
+                o.f64s("trainer_confidences", trainer_confidences);
+                o.close();
+            }
+            Response::ServerStatus {
+                live_sessions,
+                capacity,
+                created_total,
+                evicted_total,
+                busy_rejections,
+                round_latency_samples,
+                round_latency_p50_ms,
+                round_latency_p99_ms,
+            } => {
+                let mut o = Obj::ok(out, "server_status");
+                o.usize("live_sessions", *live_sessions);
+                o.usize("capacity", *capacity);
+                o.u64("created_total", *created_total);
+                o.u64("evicted_total", *evicted_total);
+                o.u64("busy_rejections", *busy_rejections);
+                o.u64("round_latency_samples", *round_latency_samples);
+                o.f64("round_latency_p50_ms", *round_latency_p50_ms);
+                o.f64("round_latency_p99_ms", *round_latency_p99_ms);
+                o.close();
+            }
+            Response::Closed { session } => {
+                let mut o = Obj::ok(out, "closed");
+                o.u64("session", *session);
+                o.close();
+            }
+            Response::ShuttingDown => Obj::ok(out, "shutting_down").close(),
+            Response::Error { code, message } => {
+                let mut o = Obj::open(out);
+                json::write_bool(o.key("ok"), false);
+                json::write_str(o.key("error"), code.as_str());
+                json::write_str(o.key("message"), message);
+                o.close();
+            }
+        }
+    }
+}
+
+/// Wire integers are JSON numbers; `usize` widens to `u64` losslessly.
+fn write_usize(out: &mut Vec<u8>, n: usize) {
+    json::write_u64(out, n as u64);
+}
+
+/// One JSON object being streamed into a byte buffer: members are written
+/// in call order, comma-separated, and [`Obj::close`] ends the object.
+struct Obj<'a> {
+    out: &'a mut Vec<u8>,
+    first: bool,
+}
+
+impl<'a> Obj<'a> {
+    fn open(out: &'a mut Vec<u8>) -> Obj<'a> {
+        out.push(b'{');
+        Obj { out, first: true }
+    }
+
+    /// Opens a success reply: `{"ok":true,"reply":KIND`.
+    fn ok(out: &'a mut Vec<u8>, kind: &str) -> Obj<'a> {
+        let mut o = Obj::open(out);
+        json::write_bool(o.key("ok"), true);
+        json::write_str(o.key("reply"), kind);
+        o
+    }
+
+    /// Writes the separator and `"key":`, returning the buffer for the value.
+    fn key(&mut self, key: &str) -> &mut Vec<u8> {
+        if !self.first {
+            self.out.push(b',');
+        }
+        self.first = false;
+        json::write_str(self.out, key);
+        self.out.push(b':');
+        self.out
+    }
+
+    fn u64(&mut self, key: &str, n: u64) {
+        json::write_u64(self.key(key), n);
+    }
+
+    fn usize(&mut self, key: &str, n: usize) {
+        write_usize(self.key(key), n);
+    }
+
+    fn f64(&mut self, key: &str, n: f64) {
+        json::write_f64(self.key(key), n);
+    }
+
+    fn opt_usize(&mut self, key: &str, n: Option<usize>) {
+        match n {
+            Some(n) => self.usize(key, n),
+            None => self.key(key).extend_from_slice(b"null"),
+        }
+    }
+
+    fn f64s(&mut self, key: &str, ns: &[f64]) {
+        json::write_array(self.key(key), ns, |out, &n| json::write_f64(out, n));
+    }
+
+    fn close(self) {
+        self.out.push(b'}');
+    }
+}
+
+/// The tree encoding of a reply: the oracle the streaming encoder is
+/// tested against byte for byte.
+#[cfg(test)]
 fn metrics_to_json(m: &IterationMetrics) -> Json {
     Json::obj(vec![
         ("t", Json::Num(m.t as f64)),
@@ -438,6 +650,7 @@ fn metrics_to_json(m: &IterationMetrics) -> Json {
     ])
 }
 
+#[cfg(test)]
 fn opt_num(v: Option<usize>) -> Json {
     match v {
         Some(n) => Json::Num(n as f64),
@@ -445,12 +658,8 @@ fn opt_num(v: Option<usize>) -> Json {
     }
 }
 
+#[cfg(test)]
 impl Response {
-    /// Encodes the response as one wire line (no trailing newline).
-    pub fn encode(&self) -> String {
-        self.to_json().encode()
-    }
-
     fn to_json(&self) -> Json {
         match self {
             Response::Created {
@@ -599,6 +808,7 @@ impl Response {
     }
 }
 
+#[cfg(test)]
 fn ok_reply(kind: &str, rest: Vec<(&str, Json)>) -> Json {
     let mut members = vec![("ok", Json::Bool(true)), ("reply", Json::str(kind))];
     members.extend(rest);
@@ -608,6 +818,9 @@ fn ok_reply(kind: &str, rest: Vec<(&str, Json)>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn create_round_trips_through_parse() {
@@ -715,6 +928,171 @@ mod tests {
             let line = r.encode();
             assert!(!line.contains('\n'), "{line}");
             assert!(crate::json::Json::parse(&line).is_ok(), "{line}");
+        }
+    }
+
+    /// The codes in wire order, for drawing one at random.
+    const CODES: [ErrorCode; 9] = [
+        ErrorCode::ParseError,
+        ErrorCode::BadRequest,
+        ErrorCode::UnknownSession,
+        ErrorCode::ServerBusy,
+        ErrorCode::WrongPhase,
+        ErrorCode::InvalidConfig,
+        ErrorCode::ShuttingDown,
+        ErrorCode::Internal,
+        ErrorCode::ProtocolError,
+    ];
+
+    /// Integers biased to the edges of exact `f64` conversion.
+    fn arb_u64(rng: &mut StdRng) -> u64 {
+        match rng.gen_range(0..4) {
+            0 => rng.gen_range(0..1_000u64),
+            1 => (1u64 << 53) - 2 + rng.gen_range(0..5u64),
+            2 => u64::MAX - rng.gen_range(0..3u64),
+            _ => rng.gen(),
+        }
+    }
+
+    fn arb_usize(rng: &mut StdRng) -> usize {
+        arb_u64(rng) as usize
+    }
+
+    /// Floats including the non-finite values the wire degrades to `null`.
+    fn arb_f64(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0..6) {
+            0 => {
+                [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 5e-324][rng.gen_range(0..5usize)]
+            }
+            1 => rng.gen::<f64>(),
+            2 => arb_u64(rng) as f64,
+            3 => rng.gen_range(-1.0..1.0) * 1e300,
+            _ => f64::from_bits(rng.gen()),
+        }
+    }
+
+    /// Strings heavy in what escaping must handle: `"`, `\`, every C0
+    /// control, DEL, and multi-byte and astral scalars.
+    fn arb_string(rng: &mut StdRng) -> String {
+        let len = rng.gen_range(0..12usize);
+        (0..len)
+            .map(|_| {
+                let c = match rng.gen_range(0..7) {
+                    0 => u32::from(['"', '\\', '\u{7f}'][rng.gen_range(0..3usize)]),
+                    1 => rng.gen_range(0u32..0x20),
+                    2 => rng.gen_range(0x20u32..0x7f),
+                    3 => rng.gen_range(0x80u32..0x800),
+                    4 => rng.gen_range(0x800u32..0xd800),
+                    5 => rng.gen_range(0xe000u32..0x1_0000),
+                    _ => rng.gen_range(0x1_0000u32..0x11_0000),
+                };
+                char::from_u32(c).unwrap_or('?')
+            })
+            .collect()
+    }
+
+    fn arb_vec<T>(rng: &mut StdRng, mut item: impl FnMut(&mut StdRng) -> T) -> Vec<T> {
+        let len = rng.gen_range(0..6usize);
+        (0..len).map(|_| item(rng)).collect()
+    }
+
+    fn arb_opt(rng: &mut StdRng) -> Option<usize> {
+        rng.gen::<bool>().then(|| arb_usize(rng))
+    }
+
+    /// One random value of every `Response` variant.
+    fn arb_responses(rng: &mut StdRng) -> Vec<Response> {
+        vec![
+            Response::Created {
+                session: arb_u64(rng),
+                rows: arb_usize(rng),
+                fds: arb_usize(rng),
+                iterations: arb_usize(rng),
+                seed: arb_u64(rng),
+            },
+            Response::Pairs {
+                session: arb_u64(rng),
+                t: arb_usize(rng),
+                pairs: arb_vec(rng, |rng| WirePair {
+                    a: arb_usize(rng),
+                    b: arb_usize(rng),
+                }),
+                sample: arb_vec(rng, arb_usize),
+                tuples: arb_vec(rng, arb_string),
+            },
+            Response::Done {
+                session: arb_u64(rng),
+                iterations_run: arb_usize(rng),
+                converged_at: arb_opt(rng),
+                final_mae: arb_f64(rng),
+            },
+            Response::Labeled {
+                session: arb_u64(rng),
+                labels: arb_vec(rng, |rng| rng.gen()),
+                metrics: IterationMetrics {
+                    t: arb_usize(rng),
+                    mae: arb_f64(rng),
+                    learner_f1: arb_f64(rng),
+                    learner_precision: arb_f64(rng),
+                    learner_recall: arb_f64(rng),
+                    trainer_f1: arb_f64(rng),
+                    learner_drift: arb_f64(rng),
+                    trainer_drift: arb_f64(rng),
+                    policy_entropy: arb_f64(rng),
+                    dirty_labels: arb_usize(rng),
+                    phi_dirty: arb_f64(rng),
+                    agreement: arb_f64(rng),
+                },
+            },
+            Response::SessionStatus {
+                session: arb_u64(rng),
+                iterations_done: arb_usize(rng),
+                iterations: arb_usize(rng),
+                awaiting_labels: rng.gen(),
+                mae_series: arb_vec(rng, arb_f64),
+                converged_at: arb_opt(rng),
+                learner_confidences: arb_vec(rng, arb_f64),
+                trainer_confidences: arb_vec(rng, arb_f64),
+            },
+            Response::ServerStatus {
+                live_sessions: arb_usize(rng),
+                capacity: arb_usize(rng),
+                created_total: arb_u64(rng),
+                evicted_total: arb_u64(rng),
+                busy_rejections: arb_u64(rng),
+                round_latency_samples: arb_u64(rng),
+                round_latency_p50_ms: arb_f64(rng),
+                round_latency_p99_ms: arb_f64(rng),
+            },
+            Response::Closed {
+                session: arb_u64(rng),
+            },
+            Response::ShuttingDown,
+            Response::Error {
+                code: CODES[rng.gen_range(0..CODES.len())],
+                message: arb_string(rng),
+            },
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The streamed bytes equal the tree encoding of the same reply,
+        /// and both equal the independent reference encoder's rendering
+        /// of the tree; the bytes are appended after what the buffer held.
+        #[test]
+        fn stream_encoding_equals_tree_oracle(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for r in arb_responses(&mut rng) {
+                let want = crate::json::reference_encode(&r.to_json());
+                prop_assert_eq!(r.to_json().encode(), want.clone());
+                let mut out = b"prefix".to_vec();
+                r.encode_into(&mut out);
+                prop_assert_eq!(&out[..6], b"prefix");
+                prop_assert_eq!(String::from_utf8_lossy(&out[6..]), want.clone(), "{:?}", r);
+                prop_assert_eq!(r.encode(), want);
+            }
         }
     }
 

@@ -149,8 +149,8 @@ struct Job {
 /// One finished request travelling back from a worker to its shard.
 struct Completion {
     token: u64,
-    /// Encoded reply, newline-terminated.
-    payload: String,
+    /// Encoded reply bytes, newline-terminated.
+    payload: Vec<u8>,
     /// The reply was `shutting_down`: the shard begins server shutdown
     /// *after* queueing the reply, so the goodbye is never lost.
     shutdown: bool,
@@ -345,8 +345,7 @@ fn worker_pool_loop(
         let Ok(job) = next else { return };
         let response = dispatch(&job.line, ctx);
         let shutdown = matches!(response, Response::ShuttingDown);
-        let mut payload = response.encode();
-        payload.push('\n');
+        let payload = reply_line(&response);
         if let Some(mailbox) = mailboxes.get(job.shard) {
             lock_or_recover(&mailbox.completions).push(Completion {
                 token: job.token,
@@ -356,6 +355,14 @@ fn worker_pool_loop(
             mailbox.waker.wake();
         }
     }
+}
+
+/// Encodes `response` as one newline-terminated wire line.
+fn reply_line(response: &Response) -> Vec<u8> {
+    let mut line = Vec::new();
+    response.encode_into(&mut line);
+    line.push(b'\n');
+    line
 }
 
 /// Everything one event shard needs.
@@ -455,7 +462,7 @@ fn shard_loop(p: ShardParams) {
         for completion in completions {
             if let Some(conn) = s.conns.get_mut(&completion.token) {
                 conn.in_flight = false;
-                conn.queue_write(completion.payload.as_bytes());
+                conn.queue_write(&completion.payload);
                 pump_conn(&p, conn);
                 if !finish_io(&s.poller, conn) {
                     close_conn(&mut s, completion.token);
@@ -562,9 +569,7 @@ fn conn_event(p: &ShardParams, s: &mut ShardState, token: u64, ev: Event, now: I
                     code: ErrorCode::ProtocolError,
                     message: format!("request line exceeds {max} bytes"),
                 };
-                let mut payload = reply.encode();
-                payload.push('\n');
-                conn.queue_write(payload.as_bytes());
+                conn.queue_write(&reply_line(&reply));
                 conn.close_after_flush = true;
             }
             Ok(ReadOutcome::Eof { .. }) => {
@@ -763,10 +768,8 @@ fn pairs_reply(live: &crate::store::LiveSession) -> Response {
         .map(|p| WirePair { a: p.a, b: p.b })
         .collect();
     let sample = pending.sample().to_vec();
-    let tuples = sample
-        .iter()
-        .map(|&r| live.state.table().row_texts(r).join(" | "))
-        .collect();
+    let table = live.state.table();
+    let tuples = sample.iter().map(|&r| table.joined_row(r, " | ")).collect();
     Response::Pairs {
         session: live.id,
         t: live.state.iterations_done(),

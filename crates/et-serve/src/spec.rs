@@ -38,7 +38,9 @@ pub struct CreateSessionSpec {
     /// Held-out fraction, in `(0, 1)`.
     pub test_frac: f64,
     /// Explicit base seed; `None` lets the server derive one from its base
-    /// seed and the session id.
+    /// seed and the session id. The wire carries one number type (`f64`),
+    /// so a seed crosses it exactly only at or below 2^53; derived seeds
+    /// always lie below 2^53.
     pub seed: Option<u64>,
 }
 
@@ -118,8 +120,11 @@ fn sub_seed(base: u64, stream: u64) -> u64 {
 /// Derives the seed for session `session_id` from the server's base seed.
 /// Pure and collision-resistant in practice: concurrent sessions get
 /// unrelated, reproducible streams (et-lint rule L2: never unseeded).
+///
+/// Keeps the top 53 bits of the mix, so the seed is below 2^53 and the
+/// `created` reply echoes it exactly (wire numbers are `f64`).
 pub fn derive_seed(base_seed: u64, session_id: u64) -> u64 {
-    sub_seed(base_seed ^ 0x5E55_105E_5510, session_id)
+    sub_seed(base_seed ^ 0x5E55_105E_5510, session_id) >> 11
 }
 
 /// Builds the full session environment for `(spec, session_seed)`.
@@ -225,6 +230,9 @@ mod tests {
         assert_eq!(derive_seed(7, 1), derive_seed(7, 1));
         assert_ne!(derive_seed(7, 1), derive_seed(7, 2));
         assert_ne!(derive_seed(7, 1), derive_seed(8, 1));
+        for id in 0..64 {
+            assert!(derive_seed(u64::MAX, id) < 1 << 53);
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use et_core::StrategyKind;
 use et_serve::{
-    run_batch, spawn, Client, ClientError, CreateSessionSpec, ErrorCode, Json, ServerConfig,
-    StoreConfig,
+    derive_seed, run_batch, spawn, Client, ClientError, CreateSessionSpec, ErrorCode, Json,
+    ServerConfig, StoreConfig,
 };
 
 fn test_server(capacity: usize, idle_timeout: Duration) -> (et_serve::ServerHandle, String) {
@@ -94,6 +94,32 @@ fn concurrent_wire_sessions_match_batch_exactly() {
         );
     }
 
+    shut_down(handle, &addr);
+}
+
+/// A create without a seed runs under the store's derived seed, and the
+/// `created` reply echoes it exactly: batch-running the echoed seed
+/// reproduces the wire MAE curve bit for bit.
+#[test]
+fn seedless_create_echoes_a_reproducible_seed() {
+    let (handle, addr) = test_server(2, Duration::from_secs(300));
+    let mut client = Client::connect(&addr).expect("connect");
+    let spec = CreateSessionSpec {
+        rows: 80,
+        iterations: 4,
+        seed: None,
+        ..CreateSessionSpec::default()
+    };
+    let (session, seed) = client.create_session(&spec).expect("seed-less create");
+    assert_eq!(seed, derive_seed(7, session), "the store's derived seed");
+    let outcome = client.drive_auto(session, seed).expect("drive");
+    let batch = run_batch(&spec, seed).expect("batch runs");
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&outcome.mae_series), bits(&batch.mae_series()));
+    assert_eq!(
+        outcome.final_mae.to_bits(),
+        batch.convergence.final_mae.to_bits()
+    );
     shut_down(handle, &addr);
 }
 

@@ -81,7 +81,10 @@ echo "==> bench harness compiles + bench_json smoke (quick profile)"
 # be no slower than the same walk over the whole pool. It also gates the
 # held-out evaluation: both per-round predict_labels passes over the
 # packed tuple codes must stay at least 3x faster than the same passes
-# over FD-major flags.
+# over FD-major flags. And it gates reply encoding: one served round's
+# pairs and status replies, streamed straight into bytes, must stay at
+# least 1.5x faster than the same replies built as a JSON tree and
+# rendered to a String.
 cargo build -q --release -p et-bench --benches --bins
 BENCH_OUT="$(mktemp /tmp/et-bench-substrate.XXXXXX.json)"
 if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
@@ -90,15 +93,33 @@ if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
   --gate round_latency_live_vs_pool_speedup:1.0 \
   --gate alloc_free_score_parity:0.95 \
   --gate eval_packed_vs_fdmajor_speedup:3 \
+  --gate reply_encode_stream_vs_tree_speedup:1.5 \
   || [ ! -s "$BENCH_OUT" ]; then
   echo "FATAL: bench_json failed to produce $BENCH_OUT or a gate failed" >&2
   echo "       (baseline unregenerable, delta rescoring lost to a full rescore," >&2
   echo "        the live-id delta walk lost to the whole-pool walk, the" >&2
-  echo "        alloc-free scoring path fell below parity, or the packed" >&2
-  echo "        evaluation lost its 3x lead over FD-major flags)" >&2
+  echo "        alloc-free scoring path fell below parity, the packed" >&2
+  echo "        evaluation lost its 3x lead over FD-major flags, or streamed" >&2
+  echo "        reply encoding lost its 1.5x lead over the JSON tree)" >&2
   exit 1
 fi
 rm -f "$BENCH_OUT"
+
+echo "==> repro --all --digest matches REPRO_DIGEST.txt"
+# The reproduction is deterministic, so its output is a gate: one FNV-1a 64
+# digest per CSV artifact plus one for the stdout report (timing and
+# output-path lines excluded). A change that means to alter a trajectory
+# regenerates the file and says why in CHANGES.md:
+#   ./target/release/repro --all --digest > REPRO_DIGEST.txt
+DIGEST_TMP="$(mktemp /tmp/et-repro-digest.XXXXXX.txt)"
+./target/release/repro --all --digest > "$DIGEST_TMP"
+if ! diff -u REPRO_DIGEST.txt "$DIGEST_TMP"; then
+  echo "FATAL: repro output no longer matches REPRO_DIGEST.txt" >&2
+  echo "       (a paper table, figure CSV or report line changed)" >&2
+  rm -f "$DIGEST_TMP"
+  exit 1
+fi
+rm -f "$DIGEST_TMP"
 
 echo "==> bench_serve smoke (quick profile, budget ${SERVE_BENCH_BUDGET_SECS:=90}s)"
 # The serving benchmark must stay regenerable AND the event loop must
