@@ -18,6 +18,7 @@
 //! ran second. A derived speedup below 1.0 is flagged `"regressed": true`
 //! in the emitted JSON and `--gate` turns any such floor into an exit code.
 
+use std::collections::HashSet;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -26,7 +27,8 @@ use et_bench::cli::{self, Cli};
 use et_bench::fixtures::{fixture, Fixture};
 use et_core::{
     recover_session, run_session, top_k_indices, CandidatePool, FpTrainer, JournalConfig, Learner,
-    ResponseStrategy, SessionConfig, SessionJournal, SessionState, StrategyKind, Trainer,
+    PairExample, ResponseStrategy, SessionConfig, SessionJournal, SessionState, StrategyKind,
+    Trainer,
 };
 use et_data::gen::DatasetName;
 use et_data::{inject_errors, InjectConfig, Table};
@@ -36,6 +38,8 @@ use et_fd::{
     PairScores, PartitionCache, RelationMatrix, SubsampleIndex, ViolationIndex,
 };
 use et_serve::{build_parts, CreateSessionSpec, Json, Response, WirePair};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Wall-clock stats of one bench, in seconds.
 struct BenchStats {
@@ -542,6 +546,85 @@ fn space_capped_bench(quick: bool) -> BenchStats {
         HypothesisSpace::capped(&ds.table, 3, 20, 3, &pinned)
     });
     stats_from("space_capped_hospital_1000", &samples, 1.0)
+}
+
+/// The candidate-pool enumeration as it stood before the first-occurrence
+/// test: every visit of a pair, under every determinant, probes a SipHash
+/// set. Kept inline as the baseline of `pool_build_vs_hashset_speedup`.
+fn pool_build_hashset(
+    table: &Table,
+    space: &HypothesisSpace,
+    cache: &PartitionCache,
+    max_pairs: usize,
+    seed: u64,
+) -> Vec<PairExample> {
+    let mut seen: HashSet<PairExample> = HashSet::new();
+    let mut reservoir: Vec<PairExample> = Vec::new();
+    let mut n_seen = 0usize;
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x853c_49e6_748f_ea9b);
+    for lhs in space.distinct_lhs() {
+        let part = cache.partition(table, lhs);
+        for group in &part.classes {
+            for (i, &a) in group.iter().enumerate() {
+                for &b in &group[i + 1..] {
+                    let p = PairExample::new(a as usize, b as usize);
+                    if !seen.insert(p) {
+                        continue;
+                    }
+                    n_seen += 1;
+                    if reservoir.len() < max_pairs {
+                        reservoir.push(p);
+                    } else {
+                        let j = rng.gen_range(0..n_seen);
+                        if j < max_pairs {
+                            reservoir[j] = p;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    reservoir.sort_unstable();
+    reservoir
+}
+
+/// The candidate pool of a served Hospital-1000 create (session seed
+/// 1001, the session's pool cap and seed), built over a cache warmed the
+/// way `SessionState::new` warms it — every determinant's partition and
+/// row classes memoized — against the hash-set enumeration it replaced.
+/// Both sides are interleaved; their pools are checked equal before
+/// timing.
+fn candidate_pool_benches(quick: bool) -> Vec<BenchStats> {
+    let (warmup, iters) = if quick { (2, 10) } else { (3, 25) };
+    let spec = CreateSessionSpec {
+        dataset: DatasetName::Hospital,
+        rows: 1000,
+        ..CreateSessionSpec::default()
+    };
+    let parts = match build_parts(&spec, 1001) {
+        Ok(p) => p,
+        Err(e) => fail("build Hospital-1000 session", e),
+    };
+    let (table, space) = (&parts.table, &parts.space);
+    let (cap, seed) = (parts.cfg.pool_cap, parts.cfg.seed);
+    let cache = PartitionCache::new(table);
+    for lhs in space.distinct_lhs() {
+        let _ = cache.row_classes(table, lhs);
+    }
+    let first = || CandidatePool::build_with(table, space, &cache, cap, seed);
+    let hashed = || pool_build_hashset(table, space, &cache, cap, seed);
+    if first().pairs() != hashed().as_slice() {
+        fail("pool bench", "first-occurrence and hash-set pools differ");
+    }
+    let (first, hashed) = time_bench_interleaved(
+        "candidate_pool_hospital_1000",
+        "candidate_pool_hashset",
+        warmup,
+        iters,
+        first,
+        hashed,
+    );
+    vec![first, hashed]
 }
 
 /// The per-round held-out evaluation of a served Hospital-1000 session:
@@ -1092,6 +1175,7 @@ fn main() {
 
     benches.push(inject_bench(cli.quick));
     benches.push(space_capped_bench(cli.quick));
+    benches.extend(candidate_pool_benches(cli.quick));
     benches.extend(eval_benches(cli.quick));
     benches.extend(reply_encode_benches(cli.quick));
 
@@ -1176,6 +1260,11 @@ fn main() {
             "topk_vs_sort_select_speedup",
             "round_sort_select",
             "round_topk_select",
+        ),
+        (
+            "pool_build_vs_hashset_speedup",
+            "candidate_pool_hashset",
+            "candidate_pool_hospital_1000",
         ),
         (
             "eval_packed_vs_fdmajor_speedup",

@@ -21,7 +21,9 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use et_data::Table;
-use et_fd::{DeltaScorer, HypothesisSpace, PartitionCache, RelationMatrix, ViolationIndex};
+use et_fd::{
+    DeltaScorer, HypothesisSpace, PartitionCache, RelationMatrix, ViolationIndex, NO_CLASS,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -56,6 +58,14 @@ impl CandidatePool {
     /// groups removed, and singleton groups contribute no pairs — so the
     /// reservoir sees the same pair sequence and draws the same sample.
     ///
+    /// A pair recurs once per determinant that puts both rows in one
+    /// class, and only its first visit counts. Determinants are walked in
+    /// order and a class visits each of its pairs once, so a pair met in
+    /// a class of determinant `k` is new exactly when no earlier
+    /// determinant `j < k` has both rows in one class — a test on the
+    /// memoized [`PartitionCache::row_classes`] of the earlier
+    /// determinants, with row `a`'s classes read once per `a`.
+    ///
     /// # Panics
     /// Panics when `max_pairs` is zero or `cache` was built for a table
     /// with a different row count.
@@ -67,19 +77,36 @@ impl CandidatePool {
         seed: u64,
     ) -> Self {
         assert!(max_pairs > 0, "pool must allow at least one pair");
-        let mut seen: HashSet<PairExample> = HashSet::new();
         let mut reservoir: Vec<PairExample> = Vec::new();
         let mut n_seen = 0usize;
         let mut rng = StdRng::seed_from_u64(seed ^ 0x853c_49e6_748f_ea9b);
-        for lhs in space.distinct_lhs() {
+        let lhss = space.distinct_lhs();
+        let row_classes: Vec<Arc<Vec<usize>>> = lhss
+            .iter()
+            .map(|&lhs| cache.row_classes(table, lhs))
+            .collect();
+        // Row `a`'s class under each earlier determinant that keeps it.
+        let mut a_classes: Vec<(&[usize], usize)> = Vec::with_capacity(lhss.len());
+        for (k, &lhs) in lhss.iter().enumerate() {
+            let earlier = &row_classes[..k];
             let part = cache.partition(table, lhs);
             for group in &part.classes {
                 for (i, &a) in group.iter().enumerate() {
+                    a_classes.clear();
+                    a_classes.extend(
+                        earlier
+                            .iter()
+                            .map(|owners| (owners.as_slice(), owners[a as usize]))
+                            .filter(|&(_, class)| class != NO_CLASS),
+                    );
                     for &b in &group[i + 1..] {
-                        let p = PairExample::new(a as usize, b as usize);
-                        if !seen.insert(p) {
+                        if a_classes
+                            .iter()
+                            .any(|&(owners, class)| owners[b as usize] == class)
+                        {
                             continue;
                         }
+                        let p = PairExample::new(a as usize, b as usize);
                         n_seen += 1;
                         if reservoir.len() < max_pairs {
                             reservoir.push(p);
@@ -98,11 +125,15 @@ impl CandidatePool {
     }
 
     /// Builds a pool from explicit pairs (tests, custom workloads).
-    pub fn from_pairs(pairs: Vec<PairExample>) -> Self {
-        let mut seen = HashSet::new();
-        let mut out: Vec<PairExample> = pairs.into_iter().filter(|p| seen.insert(*p)).collect();
-        out.sort_unstable();
-        Self { pairs: out }
+    pub fn from_pairs(mut pairs: Vec<PairExample>) -> Self {
+        pairs.sort_unstable();
+        pairs.dedup();
+        Self { pairs }
+    }
+
+    /// Keeps only the pairs with both rows in `keep`, in pool order.
+    pub(crate) fn retain_rows(&mut self, keep: &[bool]) {
+        self.pairs.retain(|p| keep[p.a] && keep[p.b]);
     }
 
     /// All pairs, sorted.

@@ -452,14 +452,8 @@ impl SessionState {
 
         // Candidate pool restricted to training rows; enumerated from the
         // cached partitions (bit-identical to the raw group_by scan).
-        let pool = CandidatePool::build_with(&table, &space, &cache, cfg.pool_cap, cfg.seed);
-        let pool = CandidatePool::from_pairs(
-            pool.pairs()
-                .iter()
-                .copied()
-                .filter(|p| in_train[p.a] && in_train[p.b])
-                .collect(),
-        );
+        let mut pool = CandidatePool::build_with(&table, &space, &cache, cfg.pool_cap, cfg.seed);
+        pool.retain_rows(&in_train);
 
         let prev_trainer = trainer.confidences();
         let prev_learner = learner.confidences();
@@ -858,7 +852,8 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Runs the game between `trainer` and `learner`.
+    /// Runs the game between `trainer` and `learner`, handing the trainer
+    /// the session's partition cache first ([`Trainer::attach_cache`]).
     pub fn run(&self, trainer: &mut dyn Trainer, learner: &mut Learner) -> SessionResult {
         // `new` validated the config and flag alignment, so state
         // construction cannot fail.
@@ -872,6 +867,7 @@ impl<'a> Session<'a> {
         ) else {
             unreachable!("Session::new validated the configuration")
         };
+        trainer.attach_cache(st.partition_cache().clone());
         while let Ok(Some(_)) = st.present(learner) {
             let Ok(labels) = st.label_pending(trainer) else {
                 break;
@@ -1140,37 +1136,49 @@ mod tests {
 
     #[test]
     fn cache_enabled_replay_is_bit_identical_to_batch() {
-        // The et-serve deployment shape: a stepped session whose trainer
-        // shares the session's partition cache must reproduce the batch
-        // loop (whose trainer labels via subset tables) bit for bit.
+        // The oracle is a stepped driver whose trainer never sees the
+        // session's partition cache, so it labels via subset tables. The
+        // batch loop (which attaches the cache) and the et-serve shape (a
+        // stepped session whose trainer shares the cache) must both
+        // reproduce it bit for bit.
         let (table, dirty, space) = fixture();
+        let stepped = |cached: bool| {
+            let (trainer, mut learner) =
+                agents(StrategyKind::StochasticBestResponse, &table, &space);
+            let mut st = SessionState::new(
+                table.clone(),
+                space.clone(),
+                &dirty,
+                SessionConfig::default(),
+                &trainer,
+                &learner,
+            )
+            .expect("valid config");
+            let mut trainer = if cached {
+                trainer.with_cache(st.partition_cache().clone())
+            } else {
+                trainer
+            };
+            while st.present(&mut learner).expect("in phase").is_some() {
+                let labels = st.label_pending(&mut trainer).expect("pending");
+                let _ = st
+                    .apply_labels(&trainer, &mut learner, &labels)
+                    .expect("aligned");
+            }
+            st.into_result()
+        };
+        let oracle = stepped(false);
         let batch = run_with(StrategyKind::StochasticBestResponse, &table, &dirty, &space);
-
-        let (trainer, mut learner) = agents(StrategyKind::StochasticBestResponse, &table, &space);
-        let mut st = SessionState::new(
-            table.clone(),
-            space.clone(),
-            &dirty,
-            SessionConfig::default(),
-            &trainer,
-            &learner,
-        )
-        .expect("valid config");
-        let mut trainer = trainer.with_cache(st.partition_cache().clone());
-        while st.present(&mut learner).expect("in phase").is_some() {
-            let labels = st.label_pending(&mut trainer).expect("pending");
-            let _ = st
-                .apply_labels(&trainer, &mut learner, &labels)
-                .expect("aligned");
-        }
-        let stepped = st.into_result();
-        assert_eq!(batch.mae_series(), stepped.mae_series());
-        assert_eq!(batch.f1_series(), stepped.f1_series());
-        assert_eq!(batch.learner_confidences, stepped.learner_confidences);
-        assert_eq!(batch.trainer_confidences, stepped.trainer_confidences);
-        for (a, b) in batch.history.iter().zip(&stepped.history) {
-            assert_eq!(a.sample, b.sample);
-            assert_eq!(a.labels, b.labels);
+        for run in [batch, stepped(true)] {
+            assert_eq!(oracle.mae_series(), run.mae_series());
+            assert_eq!(oracle.f1_series(), run.f1_series());
+            assert_eq!(oracle.learner_confidences, run.learner_confidences);
+            assert_eq!(oracle.trainer_confidences, run.trainer_confidences);
+            assert_eq!(oracle.history.len(), run.history.len());
+            for (a, b) in oracle.history.iter().zip(&run.history) {
+                assert_eq!(a.sample, b.sample);
+                assert_eq!(a.labels, b.labels);
+            }
         }
     }
 

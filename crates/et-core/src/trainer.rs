@@ -40,6 +40,13 @@ pub trait Trainer {
 
     /// Display name.
     fn name(&self) -> String;
+
+    /// Hands the trainer the session's shared [`PartitionCache`] of the
+    /// table it will label. A trainer that labels through a violation
+    /// index keeps it to restrict cached partitions instead of re-indexing
+    /// a subset table each round; labels are bit-identical either way.
+    /// The default ignores it.
+    fn attach_cache(&mut self, _cache: Arc<PartitionCache>) {}
 }
 
 /// Trainers whose mutable state can be written into a session snapshot and
@@ -161,7 +168,7 @@ impl FpTrainer {
     /// this is purely a fast path (see the session cache parity test).
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<PartitionCache>) -> Self {
-        self.cache = Some(cache);
+        self.attach_cache(cache);
         self
     }
 
@@ -252,6 +259,10 @@ impl Trainer for FpTrainer {
 
     fn name(&self) -> String {
         "FP".into()
+    }
+
+    fn attach_cache(&mut self, cache: Arc<PartitionCache>) {
+        self.cache = Some(cache);
     }
 }
 
@@ -369,7 +380,7 @@ impl StationaryTrainer {
     /// Attaches a shared [`PartitionCache`] (see [`FpTrainer::with_cache`]).
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<PartitionCache>) -> Self {
-        self.cache = Some(cache);
+        self.attach_cache(cache);
         self
     }
 }
@@ -391,6 +402,10 @@ impl Trainer for StationaryTrainer {
 
     fn name(&self) -> String {
         "Stationary".into()
+    }
+
+    fn attach_cache(&mut self, cache: Arc<PartitionCache>) {
+        self.cache = Some(cache);
     }
 }
 
@@ -478,6 +493,10 @@ impl<T: Trainer> Trainer for NoisyTrainer<T> {
 
     fn name(&self) -> String {
         format!("{}+noise", self.inner.name())
+    }
+
+    fn attach_cache(&mut self, cache: Arc<PartitionCache>) {
+        self.inner.attach_cache(cache);
     }
 }
 

@@ -119,14 +119,8 @@ pub fn run_weak_strong(
     let test_eval: Vec<usize> = (0..test_rows.len()).collect();
     let score_index = ViolationIndex::build_with(table, &space, &cache);
 
-    let pool = CandidatePool::build_with(table, &space, &cache, cfg.pool_cap, cfg.seed);
-    let pool = CandidatePool::from_pairs(
-        pool.pairs()
-            .iter()
-            .copied()
-            .filter(|p| in_train[p.a] && in_train[p.b])
-            .collect(),
-    );
+    let mut pool = CandidatePool::build_with(table, &space, &cache, cfg.pool_cap, cfg.seed);
+    pool.retain_rows(&in_train);
     // Round-invariant relations over the pool: precompute once, score every
     // iteration from the packed matrix by pool id.
     let matrix = Arc::new(pool.relation_matrix(table, &space, &cache));

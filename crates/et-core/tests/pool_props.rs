@@ -1,15 +1,19 @@
 //! Property tests pinning [`CandidatePool::build_with`] (partition-cache
-//! enumeration) to the legacy `table.group_by` scan: same pair sequence,
-//! same reservoir draws, bit-identical pool — including under reservoir
-//! pressure (small `max_pairs`).
+//! enumeration with the first-occurrence test) to the legacy
+//! `table.group_by` scan deduplicated through a hash set: same pair
+//! sequence, same reservoir draws, bit-identical pool — including under
+//! reservoir pressure (small `max_pairs`), on spaces whose determinants
+//! repeat, nest and overlap so that many pairs recur across LHS, and on
+//! the generated tables and capped spaces a served session uses.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
 
 use et_core::{CandidatePool, PairExample};
-use et_data::{AttrId, Schema, Table};
-use et_fd::{Fd, HypothesisSpace, PartitionCache};
+use et_data::gen::DatasetName;
+use et_data::{inject_errors, AttrId, InjectConfig, Schema, Table};
+use et_fd::{AttrSet, Fd, HypothesisSpace, PartitionCache};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -97,4 +101,122 @@ proptest! {
         let direct = CandidatePool::build(&t, &sp, cap, seed);
         prop_assert_eq!(direct.pairs(), want.as_slice());
     }
+}
+
+/// Caps below, at and just above the distinct-pair count `n`.
+fn caps_around(n: usize) -> Vec<usize> {
+    let mut caps = vec![1, n / 3, n.saturating_sub(1), n, n + 1, 10 * n + 7];
+    caps.retain(|&c| c > 0);
+    caps.dedup();
+    caps
+}
+
+/// Asserts `build_with` equals the legacy scan at every cap around the
+/// space's distinct-pair count, for one shared (warm) cache.
+fn assert_pools_match(t: &Table, sp: &HypothesisSpace, seed: u64) -> Result<(), TestCaseError> {
+    let distinct = legacy_build(t, sp, usize::MAX, seed).len();
+    let cache = PartitionCache::new(t);
+    for cap in caps_around(distinct) {
+        let want = legacy_build(t, sp, cap, seed);
+        let got = CandidatePool::build_with(t, sp, &cache, cap, seed);
+        prop_assert_eq!(got.pairs(), want.as_slice(), "cap {}", cap);
+    }
+    Ok(())
+}
+
+/// A 4–5 attribute table of up to 200 rows over small alphabets, so most
+/// rows share a class with many others under several determinants.
+fn arb_wide_table() -> impl Strategy<Value = Table> {
+    (
+        4usize..=5,
+        2u8..6,
+        proptest::collection::vec(proptest::collection::vec(any::<u8>(), 5), 1..200),
+    )
+        .prop_map(|(n_attrs, alphabet, rows)| {
+            let names: Vec<String> = (0..n_attrs).map(|a| format!("c{a}")).collect();
+            let mut b = Table::builder(Schema::new(names));
+            for row in &rows {
+                let cells: Vec<String> = row[..n_attrs]
+                    .iter()
+                    .enumerate()
+                    .map(|(a, v)| format!("{a}:{}", v % alphabet))
+                    .collect();
+                b.push_row(&cells);
+            }
+            b.finish()
+        })
+}
+
+/// A random space over the first four attributes whose determinants are
+/// drawn from a family that repeats (the same LHS for several RHS), nests
+/// (A inside AB inside ABC) and overlaps (AB and BC share B), in any order.
+fn arb_overlapping_space() -> impl Strategy<Value = HypothesisSpace> {
+    const LHS: [&[AttrId]; 8] = [
+        &[0],
+        &[0, 1],
+        &[1],
+        &[1, 2],
+        &[0, 1, 2],
+        &[2],
+        &[0, 2],
+        &[3],
+    ];
+    proptest::collection::vec((0..LHS.len(), 0u16..4), 1..12).prop_map(|picks| {
+        let fds: Vec<Fd> = picks
+            .into_iter()
+            .filter_map(|(li, rhs)| {
+                let lhs = AttrSet::from_attrs(LHS[li].iter().copied());
+                (!lhs.contains(rhs)).then(|| Fd::new(lhs, rhs))
+            })
+            .collect();
+        if fds.is_empty() {
+            HypothesisSpace::from_fds([Fd::from_attrs([0], 1)])
+        } else {
+            HypothesisSpace::from_fds(fds)
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// First-occurrence enumeration equals the hash-set scan on wide
+    /// tables and overlapping spaces, at caps below, at and above the
+    /// distinct-pair count.
+    #[test]
+    fn build_with_equals_legacy_on_overlapping_spaces(
+        t in arb_wide_table(),
+        sp in arb_overlapping_space(),
+        seed in 0u64..1024,
+    ) {
+        assert_pools_match(&t, &sp, seed)?;
+    }
+}
+
+/// A served session's substrate: the generated table with injected errors
+/// and the capped 20-FD space `et-serve` builds for it.
+fn served_case(dataset: DatasetName, rows: usize, seed: u64) -> (Table, HypothesisSpace) {
+    let mut ds = dataset.generate(rows, seed);
+    let specs = ds.exact_fds.clone();
+    let _ = inject_errors(
+        &mut ds.table,
+        &specs,
+        &[],
+        &InjectConfig::with_degree(0.10, seed ^ 0xBE),
+    );
+    let pinned: Vec<Fd> = specs.iter().map(Fd::from_spec).collect();
+    let space = HypothesisSpace::capped(&ds.table, 3, 20, 3, &pinned);
+    (ds.table, space)
+}
+
+#[test]
+fn build_with_equals_legacy_on_hospital_300() -> Result<(), TestCaseError> {
+    let (t, sp) = served_case(DatasetName::Hospital, 300, 5);
+    assert_pools_match(&t, &sp, 5)
+}
+
+#[test]
+fn build_with_equals_legacy_on_omdb_160() -> Result<(), TestCaseError> {
+    let (t, sp) = served_case(DatasetName::Omdb, 160, 7);
+    assert_pools_match(&t, &sp, 7)
 }

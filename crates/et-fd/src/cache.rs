@@ -139,7 +139,10 @@ impl PartitionCache {
         let mut owner = vec![NO_CLASS; self.n_rows];
         for (ci, class) in part.classes.iter().enumerate() {
             for &r in class {
-                owner[r as usize] = ci;
+                // Class rows are < n_rows: `partition` asserted the table.
+                if let Some(slot) = owner.get_mut(r as usize) {
+                    *slot = ci;
+                }
             }
         }
         let shared = Arc::new(owner);

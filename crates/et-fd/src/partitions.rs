@@ -10,11 +10,10 @@
 //! suite cross-checks against, and the g3-based approximation criterion
 //! (`e(X) − e(X ∪ {A}) ≤ ε·n`).
 
-use std::collections::HashMap;
-
 use et_data::{AttrId, Table};
 
 use crate::attrset::AttrSet;
+use crate::cache::NO_CLASS;
 use crate::fd::Fd;
 
 /// A *stripped* partition: the equivalence classes of rows agreeing on some
@@ -30,15 +29,32 @@ pub struct StrippedPartition {
 
 impl StrippedPartition {
     /// Builds the stripped partition of a single attribute.
+    ///
+    /// Buckets rows by dictionary symbol: one pass counts each symbol's
+    /// rows, a second appends every row of a repeated symbol to its class,
+    /// opened at the symbol's first row. Classes therefore come out in
+    /// first-row order with members ascending — the canonical form — and
+    /// singleton symbols never allocate.
     pub fn of_attr(table: &Table, attr: AttrId) -> Self {
-        let mut groups: HashMap<u32, Vec<u32>> = HashMap::new();
-        for row in 0..table.nrows() {
-            groups
-                .entry(table.sym(row, attr))
-                .or_default()
-                .push(row as u32);
+        let n_rows = table.nrows();
+        let mut count = vec![0u32; table.dict_len(attr)];
+        for row in 0..n_rows {
+            count[table.sym(row, attr) as usize] += 1;
         }
-        Self::from_classes(groups.into_values().collect(), table.nrows())
+        let mut slot = vec![NO_CLASS; count.len()];
+        let mut classes: Vec<Vec<u32>> = Vec::new();
+        for row in 0..n_rows {
+            let s = table.sym(row, attr) as usize;
+            if count[s] < 2 {
+                continue;
+            }
+            if slot[s] == NO_CLASS {
+                slot[s] = classes.len();
+                classes.push(Vec::with_capacity(count[s] as usize));
+            }
+            classes[slot[s]].push(row as u32);
+        }
+        Self { classes, n_rows }
     }
 
     /// Builds from raw classes, stripping singletons and canonicalising.
@@ -91,7 +107,15 @@ impl StrippedPartition {
     }
 
     /// The partition product `self · other`: rows equivalent under *both*
-    /// partitions. Linear-time TANE product using a scratch table.
+    /// partitions. Linear-time TANE product using dense scratch tables.
+    ///
+    /// Each class of `other` is split by the `self` class of its members:
+    /// one walk counts members per `self` class (recording each class on a
+    /// touched list the first time it is hit), classes of two or more open
+    /// in first-member order, a second walk fills them, and the touched
+    /// list resets the counters for the next class. Members stay ascending
+    /// because `other`'s classes are; one sort by first row restores the
+    /// canonical class order across classes of `other`.
     ///
     /// # Panics
     /// Panics when the partitions cover different row counts.
@@ -100,31 +124,53 @@ impl StrippedPartition {
             self.n_rows, other.n_rows,
             "partitions over different relations"
         );
-        // row -> class id in `self` (usize::MAX when stripped).
-        let mut owner = vec![usize::MAX; self.n_rows];
+        // row -> class id in `self` (NO_CLASS when stripped).
+        let mut owner = vec![NO_CLASS; self.n_rows];
         for (ci, class) in self.classes.iter().enumerate() {
             for &r in class {
                 owner[r as usize] = ci;
             }
         }
-        // For each class of `other`, bucket members by their `self` class.
+        // Per `self` class: members seen in the current `other` class, and
+        // the output slot of its split once opened.
+        let mut count = vec![0u32; self.classes.len()];
+        let mut slot = vec![NO_CLASS; self.classes.len()];
+        let mut touched: Vec<usize> = Vec::new();
         let mut out: Vec<Vec<u32>> = Vec::new();
-        let mut bucket: HashMap<usize, Vec<u32>> = HashMap::new();
         for class in &other.classes {
-            bucket.clear();
             for &r in class {
                 let o = owner[r as usize];
-                if o != usize::MAX {
-                    bucket.entry(o).or_default().push(r);
+                if o != NO_CLASS {
+                    let c = &mut count[o];
+                    if *c == 0 {
+                        touched.push(o);
+                    }
+                    *c += 1;
                 }
             }
-            for (_, members) in bucket.drain() {
-                if members.len() >= 2 {
-                    out.push(members);
+            for &o in &touched {
+                let c = count[o];
+                if c >= 2 {
+                    slot[o] = out.len();
+                    out.push(Vec::with_capacity(c as usize));
                 }
+            }
+            for &r in class {
+                let o = owner[r as usize];
+                if o != NO_CLASS && count[o] >= 2 {
+                    out[slot[o]].push(r);
+                }
+            }
+            for o in touched.drain(..) {
+                count[o] = 0;
             }
         }
-        StrippedPartition::from_classes(out, self.n_rows)
+        // First rows are distinct, so the unstable sort is deterministic.
+        out.sort_unstable_by_key(|c| c[0]);
+        StrippedPartition {
+            classes: out,
+            n_rows: self.n_rows,
+        }
     }
 
     /// The stripped partition of an attribute set, via repeated products.
@@ -236,6 +282,48 @@ mod tests {
     use et_data::gen::{airport, omdb};
     use et_data::table::paper_table1;
     use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// The hash-bucketed single-attribute builder the dense one replaced:
+    /// the oracle [`StrippedPartition::of_attr`] is pinned to.
+    fn hashed_of_attr(table: &Table, attr: AttrId) -> StrippedPartition {
+        let mut groups: HashMap<u32, Vec<u32>> = HashMap::new();
+        for row in 0..table.nrows() {
+            groups
+                .entry(table.sym(row, attr))
+                .or_default()
+                .push(row as u32);
+        }
+        StrippedPartition::from_classes(groups.into_values().collect(), table.nrows())
+    }
+
+    /// The hash-bucketed product the dense one replaced: the oracle
+    /// [`StrippedPartition::product`] is pinned to.
+    fn hashed_product(p: &StrippedPartition, q: &StrippedPartition) -> StrippedPartition {
+        let mut owner = vec![usize::MAX; p.n_rows];
+        for (ci, class) in p.classes.iter().enumerate() {
+            for &r in class {
+                owner[r as usize] = ci;
+            }
+        }
+        let mut out: Vec<Vec<u32>> = Vec::new();
+        let mut bucket: HashMap<usize, Vec<u32>> = HashMap::new();
+        for class in &q.classes {
+            bucket.clear();
+            for &r in class {
+                let o = owner[r as usize];
+                if o != usize::MAX {
+                    bucket.entry(o).or_default().push(r);
+                }
+            }
+            for (_, members) in bucket.drain() {
+                if members.len() >= 2 {
+                    out.push(members);
+                }
+            }
+        }
+        StrippedPartition::from_classes(out, p.n_rows)
+    }
 
     #[test]
     fn partition_of_team() {
@@ -393,6 +481,38 @@ mod tests {
             }
             // Product is commutative.
             prop_assert_eq!(py.product(&px), prod);
+        }
+
+        /// The dense builders equal the hash-bucketed ones on every
+        /// attribute, every ordered pair and a three-way product,
+        /// including after edits leave dead dictionary entries.
+        #[test]
+        fn dense_builders_equal_hashed(
+            rows in proptest::collection::vec((0u8..5, 0u8..3, 0u8..12), 1..80),
+            edits in proptest::collection::vec((0usize..80, 0u8..3), 0..6),
+        ) {
+            let mut b = et_data::Table::builder(et_data::Schema::new(["x", "y", "z"]));
+            for (x, y, z) in &rows {
+                b.push_row(&[format!("x{x}"), format!("y{y}"), format!("z{z}")]);
+            }
+            let mut t = b.finish();
+            for (row, attr) in edits {
+                let row = row % t.nrows();
+                t.set_text(row, u16::from(attr), "edited");
+            }
+            let singles: Vec<StrippedPartition> =
+                (0..3).map(|a| StrippedPartition::of_attr(&t, a)).collect();
+            for (a, p) in (0..3).zip(&singles) {
+                prop_assert_eq!(p, &hashed_of_attr(&t, a));
+            }
+            for p in &singles {
+                for q in &singles {
+                    prop_assert_eq!(p.product(q), hashed_product(p, q));
+                }
+            }
+            let xy = singles[0].product(&singles[1]);
+            prop_assert_eq!(xy.product(&singles[2]), hashed_product(&xy, &singles[2]));
+            prop_assert_eq!(singles[2].product(&xy), hashed_product(&singles[2], &xy));
         }
     }
 }

@@ -84,7 +84,10 @@ echo "==> bench harness compiles + bench_json smoke (quick profile)"
 # over FD-major flags. And it gates reply encoding: one served round's
 # pairs and status replies, streamed straight into bytes, must stay at
 # least 1.5x faster than the same replies built as a JSON tree and
-# rendered to a String.
+# rendered to a String. And it gates session create: the Hospital-1000
+# candidate pool, enumerated with the first-occurrence test over cached
+# row classes, must stay at least 3x faster than the same enumeration
+# deduplicated through a hash set.
 cargo build -q --release -p et-bench --benches --bins
 BENCH_OUT="$(mktemp /tmp/et-bench-substrate.XXXXXX.json)"
 if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
@@ -94,13 +97,15 @@ if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
   --gate alloc_free_score_parity:0.95 \
   --gate eval_packed_vs_fdmajor_speedup:3 \
   --gate reply_encode_stream_vs_tree_speedup:1.5 \
+  --gate pool_build_vs_hashset_speedup:3 \
   || [ ! -s "$BENCH_OUT" ]; then
   echo "FATAL: bench_json failed to produce $BENCH_OUT or a gate failed" >&2
   echo "       (baseline unregenerable, delta rescoring lost to a full rescore," >&2
   echo "        the live-id delta walk lost to the whole-pool walk, the" >&2
   echo "        alloc-free scoring path fell below parity, the packed" >&2
-  echo "        evaluation lost its 3x lead over FD-major flags, or streamed" >&2
-  echo "        reply encoding lost its 1.5x lead over the JSON tree)" >&2
+  echo "        evaluation lost its 3x lead over FD-major flags, streamed" >&2
+  echo "        reply encoding lost its 1.5x lead over the JSON tree, or the" >&2
+  echo "        pool build lost its 3x lead over the hash-set enumeration)" >&2
   exit 1
 fi
 rm -f "$BENCH_OUT"
