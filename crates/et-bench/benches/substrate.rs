@@ -5,7 +5,7 @@ use et_belief::{update_from_pair_relations, Belief, Beta};
 use et_bench::fixtures::fixture;
 use et_data::gen::DatasetName;
 use et_data::{inject_errors, InjectConfig};
-use et_fd::{discovery, g1_of, Fd, PartitionCache, SubsampleIndex, ViolationIndex};
+use et_fd::{discovery, g1_of, Fd, PartitionCache, ViolationIndex};
 use std::sync::Arc;
 
 fn bench_g1(c: &mut Criterion) {
@@ -56,22 +56,6 @@ fn bench_subsample_paths(c: &mut Criterion) {
     });
     group.bench_function("cached_restrict", |b| {
         b.iter(|| ViolationIndex::build_subsample(&f.table, &f.space, &cache, black_box(&sample)))
-    });
-    let batches: Vec<Vec<usize>> = (0..20)
-        .map(|t| {
-            (0..10)
-                .map(|i| (t * 17 + i * 3 + 1) % f.table.nrows())
-                .collect()
-        })
-        .collect();
-    group.bench_function("incremental_grow_20x10", |b| {
-        b.iter(|| {
-            let mut inc = SubsampleIndex::new(&f.table, &f.space);
-            for batch in &batches {
-                inc.grow(&f.table, &cache, black_box(batch));
-            }
-            inc.index().n_rows()
-        })
     });
     group.finish();
 }

@@ -18,7 +18,7 @@
 //! ran second. A derived speedup below 1.0 is flagged `"regressed": true`
 //! in the emitted JSON and `--gate` turns any such floor into an exit code.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,7 +35,7 @@ use et_data::{inject_errors, InjectConfig, Table};
 use et_durable::{FsyncPolicy, Wal};
 use et_fd::{
     pair_dirty_probs_with, predict_labels, DeltaScorer, DetectParams, Fd, HypothesisSpace,
-    PairScores, PartitionCache, RelationMatrix, SubsampleIndex, ViolationIndex,
+    PairScores, PartitionCache, RelationMatrix, ViolationIndex, G1,
 };
 use et_serve::{build_parts, CreateSessionSpec, Json, Response, WirePair};
 use rand::rngs::StdRng;
@@ -268,20 +268,6 @@ fn run_benches(f: &Fixture, quick: bool) -> Vec<BenchStats> {
             last
         },
     ));
-    out.push(time_bench(
-        "subsample_incremental_rounds",
-        warmup,
-        iters,
-        || {
-            // Incremental refinement: only the touched classes are recounted.
-            let mut inc = SubsampleIndex::new(&f.table, &f.space);
-            for batch in &batches {
-                inc.grow(&f.table, &cache, batch);
-            }
-            inc.index().n_rows()
-        },
-    ));
-
     let pool = CandidatePool::build_with(&f.table, &f.space, &cache, 4000, 2);
     let pairs: Vec<(usize, usize)> = pool.pairs().iter().map(|p| (p.a, p.b)).collect();
     let conf: Vec<f64> = (0..f.space.len())
@@ -530,10 +516,93 @@ fn inject_bench(quick: bool) -> BenchStats {
     stats_from("inject_hospital_1000", &samples, 1.0)
 }
 
+/// The capped space as it was scored before the lattice scorer: the whole
+/// lattice enumerated into a `HypothesisSpace`, FDs grouped by determinant,
+/// and one counting walk per FD over its determinant's cached partition.
+/// Kept inline as the baseline of `space_capped_vs_per_fd_speedup`.
+fn space_capped_per_fd(
+    table: &Table,
+    cache: &PartitionCache,
+    max_fd_attrs: u32,
+    cap: usize,
+    min_support: u64,
+    pinned: &[Fd],
+) -> HypothesisSpace {
+    let n_attrs = u16::try_from(table.schema().len()).unwrap_or_else(|e| fail("schema width", e));
+    let full = HypothesisSpace::enumerate(n_attrs, max_fd_attrs);
+    let n = table.nrows() as u64;
+    let fds = full.fds();
+    let mut stats = vec![
+        G1 {
+            violating_pairs: 0,
+            lhs_pairs: 0,
+            rows: n,
+        };
+        fds.len()
+    ];
+    let mut lhs_order: Vec<et_fd::AttrSet> = Vec::new();
+    let mut by_lhs: HashMap<et_fd::AttrSet, Vec<usize>> = HashMap::new();
+    for (i, fd) in fds.iter().enumerate() {
+        by_lhs
+            .entry(fd.lhs)
+            .or_insert_with(|| {
+                lhs_order.push(fd.lhs);
+                Vec::new()
+            })
+            .push(i);
+    }
+    let mut counts: Vec<u32> = Vec::new();
+    for lhs in lhs_order {
+        let part = cache.partition(table, lhs);
+        let lhs_pairs = part.pairs();
+        for &fi in &by_lhs[&lhs] {
+            let rhs = fds[fi].rhs;
+            let dict = table.dict_len(rhs);
+            if counts.len() < dict {
+                counts.resize(dict, 0);
+            }
+            let mut agreeing = 0u64;
+            for class in part.classes() {
+                for &row in class {
+                    let c = &mut counts[table.sym(row as usize, rhs) as usize];
+                    agreeing += u64::from(*c);
+                    *c += 1;
+                }
+                for &row in class {
+                    counts[table.sym(row as usize, rhs) as usize] = 0;
+                }
+            }
+            stats[fi].violating_pairs = lhs_pairs - agreeing;
+            stats[fi].lhs_pairs = lhs_pairs;
+        }
+    }
+    let mut scored: Vec<(Fd, f64)> = fds
+        .iter()
+        .zip(&stats)
+        .filter(|(fd, g)| !pinned.contains(fd) && g.lhs_pairs >= min_support)
+        .map(|(&fd, g)| (fd, g.violation_rate()))
+        .collect();
+    scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    let keep = cap.saturating_sub(pinned.len()).min(scored.len());
+    let strided = (0..keep).map(|i| {
+        let pos = if keep <= 1 {
+            0
+        } else {
+            i * (scored.len() - 1) / (keep - 1)
+        };
+        scored[pos].0
+    });
+    HypothesisSpace::from_fds(pinned.iter().copied().chain(strided))
+}
+
 /// The capped hypothesis space a served Hospital-1000 create scores:
-/// every FD of at most three attributes, one `g1` per candidate.
-fn space_capped_bench(quick: bool) -> BenchStats {
-    let (warmup, iters) = if quick { (1, 3) } else { (3, 25) };
+/// every FD of at most three attributes, over a fresh partition cache.
+/// Then the scoring pass alone, once per attribute set against the per-FD
+/// walk it replaced: both sides interleaved over one cache already holding
+/// every determinant's partition, their FD lists checked equal before
+/// timing.
+fn space_capped_benches(quick: bool) -> Vec<BenchStats> {
+    let (warmup, iters) = if quick { (2, 10) } else { (3, 25) };
     let mut ds = DatasetName::Hospital.generate(1000, 2);
     let _ = inject_errors(
         &mut ds.table,
@@ -542,10 +611,24 @@ fn space_capped_bench(quick: bool) -> BenchStats {
         &InjectConfig::with_degree(0.10, 2 ^ 0xBE),
     );
     let pinned: Vec<Fd> = ds.exact_fds.iter().map(Fd::from_spec).collect();
-    let samples = collect_samples(warmup, iters, || {
+    let cold = time_bench("space_capped_hospital_1000", warmup, iters, || {
         HypothesisSpace::capped(&ds.table, 3, 20, 3, &pinned)
     });
-    stats_from("space_capped_hospital_1000", &samples, 1.0)
+    let cache = PartitionCache::new(&ds.table);
+    let per_set = || HypothesisSpace::capped_with(&ds.table, &cache, 3, 20, 3, &pinned);
+    let per_fd = || space_capped_per_fd(&ds.table, &cache, 3, 20, 3, &pinned);
+    if per_set().fds() != per_fd().fds() {
+        fail("space bench", "per-set and per-FD capped spaces differ");
+    }
+    let (per_set, per_fd) = time_bench_interleaved(
+        "space_capped_warm",
+        "space_capped_per_fd",
+        warmup,
+        iters,
+        per_set,
+        per_fd,
+    );
+    vec![cold, per_set, per_fd]
 }
 
 /// The candidate-pool enumeration as it stood before the first-occurrence
@@ -564,7 +647,7 @@ fn pool_build_hashset(
     let mut rng = StdRng::seed_from_u64(seed ^ 0x853c_49e6_748f_ea9b);
     for lhs in space.distinct_lhs() {
         let part = cache.partition(table, lhs);
-        for group in &part.classes {
+        for group in part.classes() {
             for (i, &a) in group.iter().enumerate() {
                 for &b in &group[i + 1..] {
                     let p = PairExample::new(a as usize, b as usize);
@@ -1174,7 +1257,7 @@ fn main() {
     let mut benches = run_benches(&f, cli.quick);
 
     benches.push(inject_bench(cli.quick));
-    benches.push(space_capped_bench(cli.quick));
+    benches.extend(space_capped_benches(cli.quick));
     benches.extend(candidate_pool_benches(cli.quick));
     benches.extend(eval_benches(cli.quick));
     benches.extend(reply_encode_benches(cli.quick));
@@ -1216,11 +1299,6 @@ fn main() {
             "subsample_restrict_rounds",
         ),
         (
-            "incremental_vs_rebuild_speedup",
-            "subsample_rebuild_rounds",
-            "subsample_incremental_rounds",
-        ),
-        (
             "matrix_score_vs_naive_speedup",
             "scoring_naive_pool",
             "scoring_matrix_score",
@@ -1260,6 +1338,11 @@ fn main() {
             "topk_vs_sort_select_speedup",
             "round_sort_select",
             "round_topk_select",
+        ),
+        (
+            "space_capped_vs_per_fd_speedup",
+            "space_capped_per_fd",
+            "space_capped_warm",
         ),
         (
             "pool_build_vs_hashset_speedup",

@@ -90,7 +90,7 @@ impl CandidatePool {
         for (k, &lhs) in lhss.iter().enumerate() {
             let earlier = &row_classes[..k];
             let part = cache.partition(table, lhs);
-            for group in &part.classes {
+            for group in part.classes() {
                 for (i, &a) in group.iter().enumerate() {
                     a_classes.clear();
                     a_classes.extend(

@@ -419,6 +419,37 @@ impl SessionState {
         trainer: &dyn Trainer,
         learner: &Learner,
     ) -> Result<Self, SessionError> {
+        let cache = Arc::new(PartitionCache::new(&table));
+        Self::with_cache(table, space, cache, dirty_rows, cfg, trainer, learner)
+    }
+
+    /// [`SessionState::new`] over a partition cache of `table` that the
+    /// caller already holds — say, the one [`HypothesisSpace::capped_with`]
+    /// scored the space through, pruned to the space's determinants — so
+    /// the session's index and pool builds reuse its partitions instead of
+    /// deriving them again. The session keeps the cache and shares it
+    /// ([`SessionState::partition_cache`]).
+    ///
+    /// # Errors
+    /// As [`SessionState::new`].
+    ///
+    /// # Panics
+    /// Panics when `cache` was built for a table with a different row
+    /// count.
+    pub fn with_cache(
+        table: Table,
+        space: Arc<HypothesisSpace>,
+        cache: Arc<PartitionCache>,
+        dirty_rows: &[bool],
+        cfg: SessionConfig,
+        trainer: &dyn Trainer,
+        learner: &Learner,
+    ) -> Result<Self, SessionError> {
+        assert_eq!(
+            cache.n_rows(),
+            table.nrows(),
+            "partition cache is bound to another table"
+        );
         cfg.validate()?;
         if dirty_rows.len() != table.nrows() {
             return Err(SessionError::DirtyRowsMismatch {
@@ -436,9 +467,9 @@ impl SessionState {
         };
 
         // One partition cache per session: the full-table build below warms
-        // it, and every later subsample restriction (presented samples, the
-        // held-out index, a cache-aware trainer) reuses the partitions.
-        let cache = Arc::new(PartitionCache::new(&table));
+        // it (when the caller has not), and every later subsample
+        // restriction (presented samples, the held-out index, a cache-aware
+        // trainer) reuses the partitions.
 
         // Held-out evaluation context: violations within the test subset,
         // derived by restricting the cached full-table partitions.

@@ -39,14 +39,19 @@ impl DatasetName {
         }
     }
 
+    /// The generator recipe of the dataset at `rows` rows.
+    pub fn spec(&self, rows: usize) -> DatasetSpec {
+        match self {
+            DatasetName::Omdb => omdb_spec(rows),
+            DatasetName::Airport => airport_spec(rows),
+            DatasetName::Hospital => hospital_spec(rows),
+            DatasetName::Tax => tax_spec(rows),
+        }
+    }
+
     /// Generates the dataset at the given size and seed.
     pub fn generate(&self, rows: usize, seed: u64) -> GeneratedDataset {
-        match self {
-            DatasetName::Omdb => omdb(rows, seed),
-            DatasetName::Airport => airport(rows, seed),
-            DatasetName::Hospital => hospital(rows, seed),
-            DatasetName::Tax => tax(rows, seed),
-        }
+        self.spec(rows).generate(rows, seed)
     }
 }
 
@@ -61,7 +66,11 @@ fn card(rows: usize, divisor: usize, min: usize) -> usize {
 /// (so the Table 2 scenario-4 target `(title, year) -> (type, genre)` and
 /// scenario-5 target `rating -> type` both hold on clean data).
 pub fn omdb(rows: usize, seed: u64) -> GeneratedDataset {
-    let spec = DatasetSpec {
+    omdb_spec(rows).generate(rows, seed)
+}
+
+fn omdb_spec(rows: usize) -> DatasetSpec {
+    DatasetSpec {
         name: "OMDB".into(),
         attrs: vec![
             AttrGen::base("title", card(rows, 5, 8), 1.0),   // 0
@@ -72,8 +81,7 @@ pub fn omdb(rows: usize, seed: u64) -> GeneratedDataset {
             AttrGen::base("runtime", card(rows, 6, 6), 0.0), // 5
             AttrGen::base("language", 5, 0.8),               // 6
         ],
-    };
-    spec.generate(rows, seed)
+    }
 }
 
 /// Alaska airport facilities.
@@ -82,7 +90,11 @@ pub fn omdb(rows: usize, seed: u64) -> GeneratedDataset {
 /// `sitenumber -> facilityname`, `(facilityname, type) -> manager`,
 /// `manager -> owner` (the Table 2 scenario-1 and scenario-3 targets).
 pub fn airport(rows: usize, seed: u64) -> GeneratedDataset {
-    let spec = DatasetSpec {
+    airport_spec(rows).generate(rows, seed)
+}
+
+fn airport_spec(rows: usize) -> DatasetSpec {
+    DatasetSpec {
         name: "Airport".into(),
         attrs: vec![
             AttrGen::base("sitenumber", card(rows, 8, 6), 0.9), // 0
@@ -91,8 +103,7 @@ pub fn airport(rows: usize, seed: u64) -> GeneratedDataset {
             AttrGen::derived("manager", vec![1, 2], card(rows, 12, 5)), // 3
             AttrGen::derived("owner", vec![3], card(rows, 16, 4)), // 4
         ],
-    };
-    spec.generate(rows, seed)
+    }
 }
 
 /// Hospital quality data — 19 attributes, six exact FDs, matching the
@@ -103,7 +114,11 @@ pub fn airport(rows: usize, seed: u64) -> GeneratedDataset {
 /// `phonenumber -> zipcode`, `measurecode -> measurename`,
 /// `measurecode -> condition`.
 pub fn hospital(rows: usize, seed: u64) -> GeneratedDataset {
-    let spec = DatasetSpec {
+    hospital_spec(rows).generate(rows, seed)
+}
+
+fn hospital_spec(rows: usize) -> DatasetSpec {
+    DatasetSpec {
         name: "Hospital".into(),
         attrs: vec![
             AttrGen::base("providernumber", card(rows, 8, 6), 0.8), // 0
@@ -126,8 +141,7 @@ pub fn hospital(rows: usize, seed: u64) -> GeneratedDataset {
             AttrGen::base("sample", 40, 0.0),                       // 17
             AttrGen::base("stateavg", 30, 0.2),                     // 18
         ],
-    };
-    spec.generate(rows, seed)
+    }
 }
 
 /// Synthetic tax records — 15 attributes, four exact FDs, matching the
@@ -137,7 +151,11 @@ pub fn hospital(rows: usize, seed: u64) -> GeneratedDataset {
 /// `zip -> city`, `zip -> state`, `state -> singleexemp`,
 /// `(state, haschild) -> childexemp`.
 pub fn tax(rows: usize, seed: u64) -> GeneratedDataset {
-    let spec = DatasetSpec {
+    tax_spec(rows).generate(rows, seed)
+}
+
+fn tax_spec(rows: usize) -> DatasetSpec {
+    DatasetSpec {
         name: "Tax".into(),
         attrs: vec![
             AttrGen::base("fname", card(rows, 3, 10), 0.3), // 0
@@ -156,8 +174,7 @@ pub fn tax(rows: usize, seed: u64) -> GeneratedDataset {
             AttrGen::base("marriedexemp", 10, 0.4),         // 13
             AttrGen::derived("childexemp", vec![6, 9], 12), // 14
         ],
-    };
-    spec.generate(rows, seed)
+    }
 }
 
 #[cfg(test)]

@@ -45,6 +45,18 @@ pub enum AttrKind {
     },
 }
 
+impl AttrKind {
+    /// Number of distinct values the attribute can take: every value
+    /// index lies below it.
+    fn cardinality(&self) -> usize {
+        match self {
+            AttrKind::Base { cardinality, .. }
+            | AttrKind::Derived { cardinality, .. }
+            | AttrKind::NoisyDerived { cardinality, .. } => *cardinality,
+        }
+    }
+}
+
 /// One attribute of a [`DatasetSpec`].
 #[derive(Debug, Clone)]
 pub struct AttrGen {
@@ -153,16 +165,51 @@ impl DatasetSpec {
 
     /// Generates `rows` rows deterministically from `seed`.
     ///
+    /// A cell with value index `v` of attribute `name` reads `name_v`.
+    /// Each column is interned by value: a dense value → symbol table hands
+    /// out symbols in first-occurrence order, so a cell's text is
+    /// formatted once per distinct value and the table equals the one
+    /// built by pushing every row's texts (pinned by test).
+    ///
     /// # Panics
     /// Panics if derived attributes form a cycle or reference out-of-range
     /// indices.
     pub fn generate(&self, rows: usize, seed: u64) -> GeneratedDataset {
-        let order = self.topo_order();
-        let n_attrs = self.attrs.len();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+        let vals = self.values(rows, seed);
+        let schema = Schema::new(self.attrs.iter().map(|a| a.name.clone()));
+        let columns = self
+            .attrs
+            .iter()
+            .zip(&vals)
+            .map(|(attr, values)| {
+                let mut sym_of = vec![u32::MAX; attr.kind.cardinality()];
+                let mut dict: Vec<String> = Vec::new();
+                let mut syms = Vec::with_capacity(values.len());
+                for &v in values {
+                    let s = &mut sym_of[v as usize];
+                    if *s == u32::MAX {
+                        *s = dict.len() as u32;
+                        dict.push(format!("{}_{v}", attr.name));
+                    }
+                    syms.push(*s);
+                }
+                (dict, syms)
+            })
+            .collect();
+        GeneratedDataset {
+            name: self.name.clone(),
+            table: Table::from_columns(schema, columns),
+            exact_fds: self.exact_fds(),
+        }
+    }
 
-        // Value *indices* per attribute per row; texts are derived from them.
-        let mut vals: Vec<Vec<u32>> = vec![Vec::with_capacity(rows); n_attrs];
+    /// The value index of every cell, per attribute per row: `rows` rows
+    /// drawn deterministically from `seed`, determinants before the
+    /// attributes they derive.
+    fn values(&self, rows: usize, seed: u64) -> Vec<Vec<u32>> {
+        let order = self.topo_order();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+        let mut vals: Vec<Vec<u32>> = vec![Vec::with_capacity(rows); self.attrs.len()];
         #[allow(clippy::needless_range_loop)] // `row` indexes *inner* vectors across attrs
         for row in 0..rows {
             for &a in &order {
@@ -190,23 +237,7 @@ impl DatasetSpec {
                 vals[a].push(v);
             }
         }
-
-        let schema = Schema::new(self.attrs.iter().map(|a| a.name.clone()));
-        let mut b = Table::builder(schema);
-        let mut cells: Vec<String> = Vec::with_capacity(n_attrs);
-        #[allow(clippy::needless_range_loop)] // `row` indexes every attribute's value vector
-        for row in 0..rows {
-            cells.clear();
-            for (a, attr) in self.attrs.iter().enumerate() {
-                cells.push(format!("{}_{}", attr.name, vals[a][row]));
-            }
-            b.push_row(&cells);
-        }
-        GeneratedDataset {
-            name: self.name.clone(),
-            table: b.finish(),
-            exact_fds: self.exact_fds(),
-        }
+        vals
     }
 
     /// Topologically orders attributes so determinants are generated before
@@ -305,6 +336,38 @@ mod tests {
             rows.iter()
                 .all(|&r| t.sym(r as usize, fd.rhs as u16) == first)
         })
+    }
+
+    /// The row-wise build `generate` replaced: every cell's text formatted
+    /// and interned through [`Table::builder`].
+    fn build_by_rows(spec: &DatasetSpec, rows: usize, seed: u64) -> Table {
+        let vals = spec.values(rows, seed);
+        let mut b = Table::builder(Schema::new(spec.attrs.iter().map(|a| a.name.clone())));
+        for row in 0..rows {
+            let cells: Vec<String> = spec
+                .attrs
+                .iter()
+                .zip(&vals)
+                .map(|(attr, v)| format!("{}_{}", attr.name, v[row]))
+                .collect();
+            b.push_row(&cells);
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn value_interning_equals_row_build() {
+        // Equality covers the schema, every dictionary in symbol order, the
+        // text -> symbol lookups and every cell's symbol.
+        for name in crate::gen::DatasetName::ALL {
+            for (rows, seed) in [(0, 1), (1, 2), (60, 3), (1000, 1001)] {
+                let spec = name.spec(rows);
+                let built = spec.generate(rows, seed).table;
+                assert_eq!(built, build_by_rows(&spec, rows, seed), "{name:?} {rows}");
+            }
+        }
+        let toy = toy_spec();
+        assert_eq!(toy.generate(300, 5).table, build_by_rows(&toy, 300, 5));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::fmt;
 use crate::schema::{AttrId, Schema};
 
 /// One dictionary-encoded column.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Column {
     /// Symbol id -> original text.
     dict: Vec<String>,
@@ -34,7 +34,11 @@ impl Column {
 }
 
 /// An immutable-schema relational table with mutable cells.
-#[derive(Debug, Clone)]
+///
+/// Two tables are equal when they have the same schema, dictionaries (in
+/// symbol order) and symbols: the same encoding, not merely the same
+/// texts.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     schema: Schema,
     cols: Vec<Column>,
@@ -51,6 +55,45 @@ impl Table {
                 cols: vec![Column::default(); ncols],
                 nrows: 0,
             },
+        }
+    }
+
+    /// Builds a table from already interned columns: per attribute, the
+    /// dictionary (symbol `s` reads `dict[s]`) and one symbol per row.
+    ///
+    /// # Panics
+    /// Panics when the column count differs from the schema's arity, the
+    /// columns differ in length, a symbol is outside its dictionary, or a
+    /// dictionary repeats a text.
+    pub fn from_columns(schema: Schema, columns: Vec<(Vec<String>, Vec<u32>)>) -> Table {
+        assert_eq!(
+            columns.len(),
+            schema.len(),
+            "column count {} != schema arity {}",
+            columns.len(),
+            schema.len()
+        );
+        let nrows = columns.first().map_or(0, |(_, data)| data.len());
+        let cols = columns
+            .into_iter()
+            .map(|(dict, data)| {
+                assert_eq!(data.len(), nrows, "columns differ in length");
+                let lookup: HashMap<String, u32> = (0u32..)
+                    .zip(&dict)
+                    .map(|(s, text)| (text.clone(), s))
+                    .collect();
+                assert_eq!(lookup.len(), dict.len(), "dictionary repeats a text");
+                assert!(
+                    data.iter().all(|&s| (s as usize) < dict.len()),
+                    "symbol outside its dictionary"
+                );
+                Column { dict, lookup, data }
+            })
+            .collect();
+        Table {
+            schema,
+            cols,
+            nrows,
         }
     }
 
@@ -74,6 +117,13 @@ impl Table {
     #[inline]
     pub fn sym(&self, row: usize, attr: AttrId) -> u32 {
         self.cols[attr as usize].data[row]
+    }
+
+    /// Column `attr`'s symbols, one per row: `syms(attr)[row] ==
+    /// sym(row, attr)`. Walks over many rows of one column read this slice
+    /// instead of resolving the column per cell.
+    pub fn syms(&self, attr: AttrId) -> &[u32] {
+        &self.cols[attr as usize].data
     }
 
     /// The original text at (`row`, `attr`).

@@ -5,8 +5,8 @@
 //! builders used to re-hash `group_by(lhs)` from scratch per distinct LHS,
 //! per round. A [`PartitionCache`] computes each single-attribute stripped
 //! partition ([`StrippedPartition::of_attr`]) once and derives every
-//! multi-attribute LHS partition by stripped-partition product (the TANE
-//! construction, Huhtala et al. 1999), memoized by [`AttrSet`]. Derived
+//! multi-attribute LHS partition by refining its prefix's partition (the
+//! TANE product, Huhtala et al. 1999), memoized by [`AttrSet`]. Derived
 //! artifacts:
 //!
 //! * [`PartitionCache::partition`] — the stripped partition of an attribute
@@ -83,9 +83,9 @@ impl PartitionCache {
 
     /// The stripped partition of `attrs` over `table`, memoized.
     ///
-    /// Single attributes hash the column once; larger sets are derived by
-    /// partition product over the set's (memoized) maximal proper prefix,
-    /// so sets sharing prefixes share work.
+    /// Single attributes bucket the column once; larger sets refine the
+    /// set's (memoized) maximal proper prefix by the last attribute's
+    /// symbols, so sets sharing prefixes share work.
     ///
     /// # Panics
     /// Panics when `table` does not have the row count the cache was
@@ -113,9 +113,8 @@ impl PartitionCache {
             }
             _ => {
                 let last = attrs.iter().fold(0, |_, a| a);
-                let prefix = self.partition(table, attrs.without(last));
-                let single = self.partition(table, AttrSet::singleton(last));
-                prefix.product(&single)
+                self.partition(table, attrs.without(last))
+                    .refine(table, last)
             }
         };
         let shared = Arc::new(computed);
@@ -123,9 +122,25 @@ impl PartitionCache {
         shared
     }
 
+    /// Drops every memoized partition and row → class lookup whose
+    /// attribute set fails `keep`.
+    ///
+    /// A lattice scorer ([`crate::HypothesisSpace::capped_with`]) leaves
+    /// every determinant of the lattice memoized; pruning to the
+    /// determinants a session keeps hands the session only what it reads.
+    pub fn prune(&self, keep: impl Fn(AttrSet) -> bool) {
+        let mut parts = lock(&self.parts);
+        parts.retain(|&attrs, _| keep(attrs));
+        parts.shrink_to_fit();
+        drop(parts);
+        let mut owners = lock(&self.owners);
+        owners.retain(|&attrs, _| keep(attrs));
+        owners.shrink_to_fit();
+    }
+
     /// The row → stripped-class lookup of `attrs` over `table`, memoized:
     /// `lookup[row]` is the index of the row's class in
-    /// [`PartitionCache::partition`]`(table, attrs).classes`, or
+    /// [`PartitionCache::partition`]`(table, attrs).classes()`, or
     /// [`NO_CLASS`] when the row was stripped (it agrees with no other row
     /// on `attrs`).
     ///
@@ -137,7 +152,7 @@ impl PartitionCache {
         }
         let part = self.partition(table, attrs);
         let mut owner = vec![NO_CLASS; self.n_rows];
-        for (ci, class) in part.classes.iter().enumerate() {
+        for (ci, class) in part.classes().enumerate() {
             for &r in class {
                 // Class rows are < n_rows: `partition` asserted the table.
                 if let Some(slot) = owner.get_mut(r as usize) {
@@ -186,13 +201,32 @@ mod tests {
         let part = cache.partition(&t, attrs);
         let owners = cache.row_classes(&t, attrs);
         assert_eq!(owners.len(), t.nrows());
-        for (ci, class) in part.classes.iter().enumerate() {
+        for (ci, class) in part.classes().enumerate() {
             for &r in class {
                 assert_eq!(owners[r as usize], ci);
             }
         }
         // Row 4 (Clippers) is a singleton: stripped.
         assert_eq!(owners[4], NO_CLASS);
+    }
+
+    #[test]
+    fn prune_keeps_only_the_named_sets() {
+        let t = paper_table1();
+        let cache = PartitionCache::new(&t);
+        let kept = AttrSet::from_attrs([1, 2]);
+        let before = cache.partition(&t, kept); // memoizes {1} and {1,2}
+        let _ = cache.row_classes(&t, AttrSet::from_attrs([2]));
+        assert_eq!(cache.len(), 3);
+        cache.prune(|attrs| attrs == kept);
+        assert_eq!(cache.len(), 1);
+        assert!(Arc::ptr_eq(&before, &cache.partition(&t, kept)));
+        // A pruned set is recomputed on demand, equal to the direct build.
+        let team = AttrSet::from_attrs([1]);
+        assert_eq!(
+            *cache.partition(&t, team),
+            StrippedPartition::of_set(&t, team)
+        );
     }
 
     #[test]
@@ -220,7 +254,7 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     let p = cache.partition(&t, AttrSet::from_attrs([1, 2]));
-                    assert_eq!(p.classes, vec![vec![2, 3]]);
+                    assert_eq!(p.classes().collect::<Vec<_>>(), [&[2, 3][..]]);
                 });
             }
         });

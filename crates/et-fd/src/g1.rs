@@ -15,7 +15,6 @@
 
 use et_data::{AttrId, Table};
 
-use crate::cache::PartitionCache;
 use crate::fd::Fd;
 
 /// Sorts `syms` in place and emits `(symbol, count)` runs in ascending
@@ -132,83 +131,44 @@ pub fn g1_of(table: &Table, fd: &Fd) -> G1 {
     out
 }
 
-/// Computes g1 statistics for many FDs in one call, grouping the table once
-/// per *distinct LHS* via a transient [`PartitionCache`] so FDs with equal
-/// determinants share the partition work.
-pub fn g1_many(table: &Table, fds: &[Fd]) -> Vec<G1> {
-    let cache = PartitionCache::new(table);
-    g1_many_with(table, fds, &cache)
-}
-
-/// [`g1_many`] against a caller-supplied (possibly pre-warmed) cache.
-///
-/// # Panics
-/// Panics when `table` does not match the cache's row count.
-pub fn g1_many_with(table: &Table, fds: &[Fd], cache: &PartitionCache) -> Vec<G1> {
-    let n = table.nrows() as u64;
-    let mut out = vec![
-        G1 {
-            violating_pairs: 0,
-            lhs_pairs: 0,
-            rows: n,
-        };
-        fds.len()
-    ];
-    // Indices grouped by determinant, preserving first-seen LHS order.
-    let mut lhs_order: Vec<crate::attrset::AttrSet> = Vec::new();
-    let mut by_lhs: std::collections::HashMap<crate::attrset::AttrSet, Vec<usize>> =
-        std::collections::HashMap::new();
-    for (i, fd) in fds.iter().enumerate() {
-        by_lhs
-            .entry(fd.lhs)
-            .or_insert_with(|| {
-                lhs_order.push(fd.lhs);
-                Vec::new()
-            })
-            .push(i);
-    }
-    // One dense counter per RHS symbol, all zero between classes: each
-    // class is counted in one walk and reset by a second walk over the
-    // same members, so no class pays for a sort or for the whole column.
+/// The per-FD scorer the capped space used before it scored once per
+/// attribute set: every FD walks its determinant's cached partition with a
+/// dense per-symbol counter. Kept as the oracle the lattice scorer and
+/// `HypothesisSpace::capped` are pinned to.
+#[cfg(test)]
+pub(crate) fn g1_per_fd(
+    table: &Table,
+    fds: &[Fd],
+    cache: &crate::cache::PartitionCache,
+) -> Vec<G1> {
+    let rows = table.nrows() as u64;
     let mut counts: Vec<u32> = Vec::new();
-    for lhs in lhs_order {
-        let part = cache.partition(table, lhs);
-        let lhs_pairs: u64 = part
-            .classes
-            .iter()
-            .map(|c| {
-                let g = c.len() as u64;
-                g * (g - 1) / 2
-            })
-            .sum();
-        let Some(ids) = by_lhs.get(&lhs) else {
-            continue;
-        };
-        for &fi in ids {
-            let rhs = fds[fi].rhs;
-            let dict = table.dict_len(rhs);
+    fds.iter()
+        .map(|fd| {
+            let part = cache.partition(table, fd.lhs);
+            let lhs_pairs = part.pairs();
+            let dict = table.dict_len(fd.rhs);
             if counts.len() < dict {
                 counts.resize(dict, 0);
             }
-            // A member agrees on the RHS with every earlier member of its
-            // class carrying the same symbol, so summing the running count
-            // before each increment gives Σ c·(c − 1)/2 over the buckets.
             let mut agreeing = 0u64;
-            for class in &part.classes {
+            for class in part.classes() {
                 for &row in class {
-                    let c = &mut counts[table.sym(row as usize, rhs) as usize];
+                    let c = &mut counts[table.sym(row as usize, fd.rhs) as usize];
                     agreeing += u64::from(*c);
                     *c += 1;
                 }
                 for &row in class {
-                    counts[table.sym(row as usize, rhs) as usize] = 0;
+                    counts[table.sym(row as usize, fd.rhs) as usize] = 0;
                 }
             }
-            out[fi].violating_pairs = lhs_pairs - agreeing;
-            out[fi].lhs_pairs = lhs_pairs;
-        }
-    }
-    out
+            G1 {
+                violating_pairs: lhs_pairs - agreeing,
+                lhs_pairs,
+                rows,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -253,10 +213,10 @@ mod tests {
     }
 
     #[test]
-    fn g1_many_matches_individual() {
+    fn per_fd_oracle_matches_individual() {
         let t = paper_table1();
         let fds = vec![Fd::from_attrs([1], 2), Fd::from_attrs([2, 3], 4)];
-        let all = g1_many(&t, &fds);
+        let all = g1_per_fd(&t, &fds, &crate::cache::PartitionCache::new(&t));
         assert_eq!(all[0], g1_of(&t, &fds[0]));
         assert_eq!(all[1], g1_of(&t, &fds[1]));
         // The served dataset shapes, dirtied, over the whole lattice a
@@ -270,7 +230,8 @@ mod tests {
             let cfg = et_data::InjectConfig::with_degree(0.15, 11);
             let _ = et_data::inject_errors(&mut ds.table, &ds.exact_fds, &[], &cfg);
             let space = crate::space::HypothesisSpace::enumerate(ds.table.schema().len() as u16, 3);
-            let all = g1_many(&ds.table, space.fds());
+            let cache = crate::cache::PartitionCache::new(&ds.table);
+            let all = g1_per_fd(&ds.table, space.fds(), &cache);
             for (fd, g) in space.fds().iter().zip(&all) {
                 assert_eq!(*g, g1_of(&ds.table, fd), "{name:?} {fd}");
             }

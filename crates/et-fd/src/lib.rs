@@ -31,7 +31,6 @@ pub mod detect;
 pub mod discovery;
 pub mod fd;
 pub mod g1;
-pub mod incremental;
 pub mod keys;
 pub mod measures;
 pub mod partitions;
@@ -49,8 +48,7 @@ pub use detect::{
     tuple_dirty_prob_with, DetectParams, Indicator,
 };
 pub use fd::{Fd, FdRelation};
-pub use g1::{g1_many, g1_many_with, g1_of, G1};
-pub use incremental::SubsampleIndex;
+pub use g1::{g1_of, G1};
 pub use keys::{discover_keys, is_key, Ucc};
 pub use measures::{g2_g3, ApproxMeasures};
 pub use partitions::{discover_tane, StrippedPartition, TaneFd};

@@ -16,13 +16,26 @@ use crate::attrset::AttrSet;
 use crate::cache::NO_CLASS;
 use crate::fd::Fd;
 
+/// Key of a row that joins no split in [`StrippedPartition::product`]: the
+/// row is stripped from the other partition. Never a dictionary symbol.
+const SKIP: u32 = u32::MAX;
+
 /// A *stripped* partition: the equivalence classes of rows agreeing on some
 /// attribute set, with singleton classes removed.
+///
+/// Classes are stored flat: every class's rows back to back in one `Vec`,
+/// and the class boundaries as offsets into it, so a partition costs two
+/// allocations however many classes it has, and a walk over every class
+/// reads one contiguous slice. [`StrippedPartition::classes`] yields the
+/// classes as slices. Canonical form: every class has two or more rows,
+/// rows ascend within a class, and classes ascend by first row, so equal
+/// partitions compare equal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StrippedPartition {
-    /// Equivalence classes (each of size >= 2), rows sorted within a class,
-    /// classes sorted by first member for canonical form.
-    pub classes: Vec<Vec<u32>>,
+    /// Rows of every class, class after class.
+    rows: Vec<u32>,
+    /// Class `k` is `rows[bounds[k]..bounds[k + 1]]`; `bounds[0] == 0`.
+    bounds: Vec<usize>,
     /// Number of rows of the underlying relation.
     pub n_rows: usize,
 }
@@ -31,30 +44,40 @@ impl StrippedPartition {
     /// Builds the stripped partition of a single attribute.
     ///
     /// Buckets rows by dictionary symbol: one pass counts each symbol's
-    /// rows, a second appends every row of a repeated symbol to its class,
-    /// opened at the symbol's first row. Classes therefore come out in
-    /// first-row order with members ascending — the canonical form — and
-    /// singleton symbols never allocate.
+    /// rows, a second writes every row of a repeated symbol into its
+    /// class's span, opened at the symbol's first row. Classes therefore
+    /// come out in first-row order with members ascending — the canonical
+    /// form — and singleton symbols take no space.
     pub fn of_attr(table: &Table, attr: AttrId) -> Self {
         let n_rows = table.nrows();
         let mut count = vec![0u32; table.dict_len(attr)];
         for row in 0..n_rows {
             count[table.sym(row, attr) as usize] += 1;
         }
-        let mut slot = vec![NO_CLASS; count.len()];
-        let mut classes: Vec<Vec<u32>> = Vec::new();
+        let kept: usize = count.iter().filter(|&&c| c >= 2).map(|&c| c as usize).sum();
+        // Per symbol: the next write position in `rows` once its class opens.
+        let mut cursor = vec![NO_CLASS; count.len()];
+        let mut rows = vec![0u32; kept];
+        let mut bounds = vec![0];
+        let mut end = 0;
         for row in 0..n_rows {
             let s = table.sym(row, attr) as usize;
             if count[s] < 2 {
                 continue;
             }
-            if slot[s] == NO_CLASS {
-                slot[s] = classes.len();
-                classes.push(Vec::with_capacity(count[s] as usize));
+            if cursor[s] == NO_CLASS {
+                cursor[s] = end;
+                end += count[s] as usize;
+                bounds.push(end);
             }
-            classes[slot[s]].push(row as u32);
+            rows[cursor[s]] = row as u32;
+            cursor[s] += 1;
         }
-        Self { classes, n_rows }
+        Self {
+            rows,
+            bounds,
+            n_rows,
+        }
     }
 
     /// Builds from raw classes, stripping singletons and canonicalising.
@@ -68,8 +91,16 @@ impl StrippedPartition {
             })
             .collect();
         kept.sort_by_key(|c| c[0]);
+        let mut rows = Vec::with_capacity(kept.iter().map(Vec::len).sum());
+        let mut bounds = Vec::with_capacity(kept.len() + 1);
+        bounds.push(0);
+        for class in &kept {
+            rows.extend_from_slice(class);
+            bounds.push(rows.len());
+        }
         Self {
-            classes: kept,
+            rows,
+            bounds,
             n_rows,
         }
     }
@@ -78,44 +109,58 @@ impl StrippedPartition {
     /// set (all rows in one class).
     pub fn full(n_rows: usize) -> Self {
         if n_rows < 2 {
-            return Self {
-                classes: Vec::new(),
-                n_rows,
-            };
+            return Self::from_classes(Vec::new(), n_rows);
         }
         Self {
-            classes: vec![(0..n_rows as u32).collect()],
+            rows: (0..n_rows as u32).collect(),
+            bounds: vec![0, n_rows],
             n_rows,
         }
+    }
+
+    /// The classes as row slices, in canonical order.
+    pub fn classes(&self) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        self.bounds.windows(2).map(|w| &self.rows[w[0]..w[1]])
+    }
+
+    /// Rows of every class, class after class — one row per row not
+    /// stripped.
+    pub fn class_rows(&self) -> &[u32] {
+        &self.rows
     }
 
     /// TANE's error measure `e(X)`: the minimum number of rows to remove so
     /// that `X`'s classes become unique — `Σ (|class| − 1)` over stripped
     /// classes.
     pub fn error(&self) -> usize {
-        self.classes.iter().map(|c| c.len() - 1).sum()
+        self.rows.len() - self.len()
+    }
+
+    /// Unordered row pairs inside one class: `Σ |class|·(|class| − 1)/2`,
+    /// the pairs agreeing on the partition's attribute set.
+    pub fn pairs(&self) -> u64 {
+        self.classes()
+            .map(|c| {
+                let g = c.len() as u64;
+                g * (g - 1) / 2
+            })
+            .sum()
     }
 
     /// Number of stripped classes.
     pub fn len(&self) -> usize {
-        self.classes.len()
+        self.bounds.len() - 1
     }
 
     /// True when every class is a singleton (the attribute set is a key).
     pub fn is_empty(&self) -> bool {
-        self.classes.is_empty()
+        self.rows.is_empty()
     }
 
     /// The partition product `self · other`: rows equivalent under *both*
-    /// partitions. Linear-time TANE product using dense scratch tables.
-    ///
-    /// Each class of `other` is split by the `self` class of its members:
-    /// one walk counts members per `self` class (recording each class on a
-    /// touched list the first time it is hit), classes of two or more open
-    /// in first-member order, a second walk fills them, and the touched
-    /// list resets the counters for the next class. Members stay ascending
-    /// because `other`'s classes are; one sort by first row restores the
-    /// canonical class order across classes of `other`.
+    /// partitions. Linear-time TANE product: every class of `self` is
+    /// split by the `other` class of its rows (see
+    /// [`StrippedPartition::refine`] for the split).
     ///
     /// # Panics
     /// Panics when the partitions cover different row counts.
@@ -124,56 +169,105 @@ impl StrippedPartition {
             self.n_rows, other.n_rows,
             "partitions over different relations"
         );
-        // row -> class id in `self` (NO_CLASS when stripped).
-        let mut owner = vec![NO_CLASS; self.n_rows];
-        for (ci, class) in self.classes.iter().enumerate() {
+        // row -> class id in `other` (SKIP when stripped).
+        let mut owner = vec![SKIP; self.n_rows];
+        for (ci, class) in (0u32..).zip(other.classes()) {
             for &r in class {
                 owner[r as usize] = ci;
             }
         }
-        // Per `self` class: members seen in the current `other` class, and
-        // the output slot of its split once opened.
-        let mut count = vec![0u32; self.classes.len()];
-        let mut slot = vec![NO_CLASS; self.classes.len()];
-        let mut touched: Vec<usize> = Vec::new();
-        let mut out: Vec<Vec<u32>> = Vec::new();
-        for class in &other.classes {
+        self.split_by(&owner, other.len())
+    }
+
+    /// The partition of the rows agreeing on `self`'s attributes *and* on
+    /// `attr`: `self · π_attr` without building `π_attr`, by splitting
+    /// every class by the rows' `attr` symbols.
+    ///
+    /// Per class, one walk counts rows per symbol in a dense counter, a
+    /// second writes every row of a repeated symbol into its split's span
+    /// — opened at the symbol's first row, so rows ascend — and a third
+    /// resets the counters it touched. The placement walk selects rather
+    /// than branches: a row of no split goes to a spare slot, and a span
+    /// record is written for every row but kept only when it opens a
+    /// split. The spans are then laid out in canonical order through a
+    /// dense first-row table: one pass over the rows, no comparison sort.
+    ///
+    /// # Panics
+    /// Panics when `table` does not have the partition's row count.
+    pub fn refine(&self, table: &Table, attr: AttrId) -> StrippedPartition {
+        assert_eq!(
+            table.nrows(),
+            self.n_rows,
+            "partition over a different relation"
+        );
+        self.split_by(table.syms(attr), table.dict_len(attr))
+    }
+
+    /// Splits every class by `key[row]` (keys below `key_len`, rows keyed
+    /// [`SKIP`] join no split), as [`StrippedPartition::refine`] describes.
+    fn split_by(&self, key: &[u32], key_len: usize) -> StrippedPartition {
+        // One slot past the keys takes the rows keyed SKIP: counted like
+        // any key, then zeroed so it never opens a split.
+        let sink = key_len;
+        let slot = |r: u32| (key[r as usize] as usize).min(sink);
+        let mut count = vec![0u32; key_len + 1];
+        // Per key: the next write position of its split once opened.
+        let mut cursor = vec![NO_CLASS; key_len + 1];
+        // Rows of no split are written to one spare slot past the end, so
+        // the placement walk stores every row without branching on it.
+        let spare = self.rows.len();
+        let mut split = vec![0u32; spare + 1];
+        // (start, end) of every split in `split`, in the order opened; a
+        // split holds two or more rows, so half the rows bound the count.
+        let mut spans = vec![(0, 0); spare / 2 + 1];
+        let mut n_spans = 0;
+        let mut end = 0;
+        for class in self.classes() {
             for &r in class {
-                let o = owner[r as usize];
-                if o != NO_CLASS {
-                    let c = &mut count[o];
-                    if *c == 0 {
-                        touched.push(o);
-                    }
-                    *c += 1;
-                }
+                count[slot(r)] += 1;
             }
-            for &o in &touched {
-                let c = count[o];
-                if c >= 2 {
-                    slot[o] = out.len();
-                    out.push(Vec::with_capacity(c as usize));
-                }
+            count[sink] = 0;
+            for &r in class {
+                let k = slot(r);
+                let c = count[k] as usize;
+                let kept = c >= 2;
+                let open = kept && cursor[k] == NO_CLASS;
+                let start = if open { end } else { cursor[k] };
+                spans[n_spans] = (end, end + c);
+                n_spans += usize::from(open);
+                end += if open { c } else { 0 };
+                split[if kept { start } else { spare }] = r;
+                cursor[k] = if kept { start + 1 } else { NO_CLASS };
             }
             for &r in class {
-                let o = owner[r as usize];
-                if o != NO_CLASS && count[o] >= 2 {
-                    out[slot[o]].push(r);
-                }
-            }
-            for o in touched.drain(..) {
-                count[o] = 0;
+                let k = slot(r);
+                count[k] = 0;
+                cursor[k] = NO_CLASS;
             }
         }
-        // First rows are distinct, so the unstable sort is deterministic.
-        out.sort_unstable_by_key(|c| c[0]);
+        spans.truncate(n_spans);
+        // Span id by first row; first rows are distinct.
+        let mut by_first = vec![NO_CLASS; self.n_rows];
+        for (i, &(start, _)) in spans.iter().enumerate() {
+            by_first[split[start] as usize] = i;
+        }
+        let mut rows = Vec::with_capacity(end);
+        let mut bounds = Vec::with_capacity(spans.len() + 1);
+        bounds.push(0);
+        for &i in by_first.iter().filter(|&&i| i != NO_CLASS) {
+            let (start, stop) = spans[i];
+            rows.extend_from_slice(&split[start..stop]);
+            bounds.push(rows.len());
+        }
         StrippedPartition {
-            classes: out,
+            rows,
+            bounds,
             n_rows: self.n_rows,
         }
     }
 
-    /// The stripped partition of an attribute set, via repeated products.
+    /// The stripped partition of an attribute set, via repeated
+    /// refinement.
     ///
     /// # Panics
     /// Panics on the empty set (use [`StrippedPartition::full`]).
@@ -185,7 +279,7 @@ impl StrippedPartition {
         );
         let mut p = Self::of_attr(table, ids[0]);
         for &a in &ids[1..] {
-            p = p.product(&Self::of_attr(table, a));
+            p = p.refine(table, a);
         }
         p
     }
@@ -284,9 +378,26 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::HashMap;
 
-    /// The hash-bucketed single-attribute builder the dense one replaced:
-    /// the oracle [`StrippedPartition::of_attr`] is pinned to.
-    fn hashed_of_attr(table: &Table, attr: AttrId) -> StrippedPartition {
+    /// The classes as owned vectors, for comparing against nested layouts.
+    fn nested(p: &StrippedPartition) -> Vec<Vec<u32>> {
+        p.classes().map(<[u32]>::to_vec).collect()
+    }
+
+    /// Canonical nested form of raw classes: singletons stripped, rows
+    /// ascending, classes by first row.
+    fn canonical(classes: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
+        let mut kept: Vec<Vec<u32>> = classes.into_iter().filter(|c| c.len() >= 2).collect();
+        for c in &mut kept {
+            c.sort_unstable();
+        }
+        kept.sort_by_key(|c| c[0]);
+        kept
+    }
+
+    /// The hash-bucketed single-attribute builder the dense one replaced,
+    /// over nested classes: the oracle [`StrippedPartition::of_attr`] is
+    /// pinned to.
+    fn hashed_of_attr(table: &Table, attr: AttrId) -> Vec<Vec<u32>> {
         let mut groups: HashMap<u32, Vec<u32>> = HashMap::new();
         for row in 0..table.nrows() {
             groups
@@ -294,21 +405,21 @@ mod tests {
                 .or_default()
                 .push(row as u32);
         }
-        StrippedPartition::from_classes(groups.into_values().collect(), table.nrows())
+        canonical(groups.into_values().collect())
     }
 
-    /// The hash-bucketed product the dense one replaced: the oracle
-    /// [`StrippedPartition::product`] is pinned to.
-    fn hashed_product(p: &StrippedPartition, q: &StrippedPartition) -> StrippedPartition {
-        let mut owner = vec![usize::MAX; p.n_rows];
-        for (ci, class) in p.classes.iter().enumerate() {
+    /// The hash-bucketed product the dense one replaced, over nested
+    /// classes: the oracle [`StrippedPartition::product`] is pinned to.
+    fn hashed_product(p: &[Vec<u32>], q: &[Vec<u32>], n_rows: usize) -> Vec<Vec<u32>> {
+        let mut owner = vec![usize::MAX; n_rows];
+        for (ci, class) in p.iter().enumerate() {
             for &r in class {
                 owner[r as usize] = ci;
             }
         }
         let mut out: Vec<Vec<u32>> = Vec::new();
         let mut bucket: HashMap<usize, Vec<u32>> = HashMap::new();
-        for class in &q.classes {
+        for class in q {
             bucket.clear();
             for &r in class {
                 let o = owner[r as usize];
@@ -316,13 +427,29 @@ mod tests {
                     bucket.entry(o).or_default().push(r);
                 }
             }
-            for (_, members) in bucket.drain() {
-                if members.len() >= 2 {
-                    out.push(members);
-                }
-            }
+            out.extend(bucket.drain().map(|(_, members)| members));
         }
-        StrippedPartition::from_classes(out, p.n_rows)
+        canonical(out)
+    }
+
+    /// Asserts `flat` holds exactly the nested classes `expected`, and
+    /// that its summaries agree with them.
+    fn assert_flat_equals(flat: &StrippedPartition, expected: &[Vec<u32>]) {
+        assert_eq!(nested(flat), expected);
+        assert_eq!(flat.len(), expected.len());
+        assert_eq!(flat.is_empty(), expected.is_empty());
+        let rows: Vec<u32> = expected.concat();
+        assert_eq!(flat.class_rows(), rows.as_slice());
+        assert_eq!(flat.error(), rows.len() - expected.len());
+        let pairs: u64 = expected
+            .iter()
+            .map(|c| (c.len() * (c.len() - 1) / 2) as u64)
+            .sum();
+        assert_eq!(flat.pairs(), pairs);
+        assert_eq!(
+            *flat,
+            StrippedPartition::from_classes(expected.to_vec(), flat.n_rows)
+        );
     }
 
     #[test]
@@ -330,7 +457,7 @@ mod tests {
         let t = paper_table1();
         let p = StrippedPartition::of_attr(&t, 1); // Team
                                                    // Lakers {0,1}, Bulls {2,3}; Clippers singleton stripped.
-        assert_eq!(p.classes, vec![vec![0, 1], vec![2, 3]]);
+        assert_eq!(nested(&p), vec![vec![0, 1], vec![2, 3]]);
         assert_eq!(p.error(), 2);
         assert_eq!(p.len(), 2);
     }
@@ -342,7 +469,7 @@ mod tests {
         let city = StrippedPartition::of_attr(&t, 2);
         let both = team.product(&city);
         // (Team, City) classes: only Bulls/Chicago {2,3} survives.
-        assert_eq!(both.classes, vec![vec![2, 3]]);
+        assert_eq!(nested(&both), vec![vec![2, 3]]);
         // Product is commutative on stripped partitions.
         assert_eq!(city.product(&team), both);
     }
@@ -476,16 +603,19 @@ mod tests {
             // Refinement can only reduce the error and the class sizes.
             prop_assert!(prod.error() <= px.error());
             prop_assert!(prod.error() <= py.error());
-            for c in &prod.classes {
+            for c in prod.classes() {
                 prop_assert!(c.len() >= 2);
             }
             // Product is commutative.
             prop_assert_eq!(py.product(&px), prod);
         }
 
-        /// The dense builders equal the hash-bucketed ones on every
-        /// attribute, every ordered pair and a three-way product,
-        /// including after edits leave dead dictionary entries.
+        /// The dense flat builders (`of_attr`, `product`, `refine`,
+        /// `of_set`) equal the hash-bucketed nested ones on every
+        /// attribute, every ordered pair and the three-way products,
+        /// including after edits leave dead dictionary entries; the flat
+        /// layout's slices, row list and summaries match the nested
+        /// classes.
         #[test]
         fn dense_builders_equal_hashed(
             rows in proptest::collection::vec((0u8..5, 0u8..3, 0u8..12), 1..80),
@@ -500,19 +630,27 @@ mod tests {
                 let row = row % t.nrows();
                 t.set_text(row, u16::from(attr), "edited");
             }
+            let n = t.nrows();
             let singles: Vec<StrippedPartition> =
                 (0..3).map(|a| StrippedPartition::of_attr(&t, a)).collect();
-            for (a, p) in (0..3).zip(&singles) {
-                prop_assert_eq!(p, &hashed_of_attr(&t, a));
+            let hashed: Vec<Vec<Vec<u32>>> = (0..3).map(|a| hashed_of_attr(&t, a)).collect();
+            for (p, h) in singles.iter().zip(&hashed) {
+                assert_flat_equals(p, h);
             }
-            for p in &singles {
-                for q in &singles {
-                    prop_assert_eq!(p.product(q), hashed_product(p, q));
+            for (p, hp) in singles.iter().zip(&hashed) {
+                for ((b, q), hq) in (0..3).zip(&singles).zip(&hashed) {
+                    let expected = hashed_product(hp, hq, n);
+                    assert_flat_equals(&p.product(q), &expected);
+                    assert_flat_equals(&p.refine(&t, b), &expected);
                 }
             }
             let xy = singles[0].product(&singles[1]);
-            prop_assert_eq!(xy.product(&singles[2]), hashed_product(&xy, &singles[2]));
-            prop_assert_eq!(singles[2].product(&xy), hashed_product(&singles[2], &xy));
+            let hxy = hashed_product(&hashed[0], &hashed[1], n);
+            assert_flat_equals(&xy.product(&singles[2]), &hashed_product(&hxy, &hashed[2], n));
+            assert_flat_equals(&singles[2].product(&xy), &hashed_product(&hashed[2], &hxy, n));
+            let xyz = hashed_product(&hxy, &hashed[2], n);
+            assert_flat_equals(&xy.refine(&t, 2), &xyz);
+            assert_flat_equals(&StrippedPartition::of_set(&t, AttrSet::from_attrs([0, 1, 2])), &xyz);
         }
     }
 }

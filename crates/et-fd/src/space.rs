@@ -9,13 +9,15 @@
 //! spectrum plus guaranteed room for explicitly pinned FDs.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use et_data::Table;
+use et_data::{AttrId, Table};
 
 use crate::attrset::{subsets_up_to, AttrSet};
 use crate::cache::PartitionCache;
 use crate::fd::Fd;
-use crate::g1::g1_many_with;
+use crate::g1::G1;
+use crate::partitions::StrippedPartition;
 
 /// An immutable, indexable set of candidate FDs.
 #[derive(Debug, Clone)]
@@ -76,7 +78,8 @@ impl HypothesisSpace {
     /// experiment must be in the space even if injection made them noisy).
     ///
     /// # Panics
-    /// Panics when `cap` is smaller than the number of pinned FDs.
+    /// Panics when `cap` is smaller than the number of pinned FDs, or
+    /// under the conditions of [`HypothesisSpace::enumerate`].
     pub fn capped(
         table: &Table,
         max_fd_attrs: u32,
@@ -84,23 +87,34 @@ impl HypothesisSpace {
         min_support: u64,
         pinned: &[Fd],
     ) -> Self {
-        assert!(cap >= pinned.len(), "cap too small for pinned FDs");
-        let full = Self::enumerate(table.schema().len() as u16, max_fd_attrs);
-        // Score the whole lattice in one pass: candidates with equal
-        // determinants (every RHS of one LHS) share a cached partition
-        // instead of re-hashing per FD.
         let cache = PartitionCache::new(table);
-        let stats = g1_many_with(table, full.fds(), &cache);
-        let mut scored: Vec<(Fd, f64)> = Vec::new();
-        for (&fd, g) in full.fds().iter().zip(&stats) {
-            if pinned.contains(&fd) {
-                continue;
-            }
-            if g.lhs_pairs < min_support {
-                continue;
-            }
-            scored.push((fd, g.violation_rate()));
-        }
+        Self::capped_with(table, &cache, max_fd_attrs, cap, min_support, pinned)
+    }
+
+    /// [`HypothesisSpace::capped`] scoring through a caller-supplied cache.
+    ///
+    /// The lattice is scored once per attribute set (see the TANE identity
+    /// in `lattice_g1`), which leaves the partition of every determinant
+    /// of at most `max_fd_attrs − 1` attributes memoized in `cache`; prune
+    /// it with [`PartitionCache::prune`] before keeping it.
+    ///
+    /// # Panics
+    /// As [`HypothesisSpace::capped`], and when `cache` was built for a
+    /// table with a different row count.
+    pub fn capped_with(
+        table: &Table,
+        cache: &PartitionCache,
+        max_fd_attrs: u32,
+        cap: usize,
+        min_support: u64,
+        pinned: &[Fd],
+    ) -> Self {
+        assert!(cap >= pinned.len(), "cap too small for pinned FDs");
+        let mut scored: Vec<(Fd, f64)> = lattice_g1(table, cache, max_fd_attrs)
+            .into_iter()
+            .filter(|(fd, g)| g.lhs_pairs >= min_support && !pinned.contains(fd))
+            .map(|(fd, g)| (fd, g.violation_rate()))
+            .collect();
         scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         let keep = cap.saturating_sub(pinned.len()).min(scored.len());
         // Quantile striding over the violation-rate-sorted candidates.
@@ -178,10 +192,243 @@ impl HypothesisSpace {
     }
 }
 
+/// [`G1`] of every FD of the lattice [`HypothesisSpace::enumerate`]
+/// spans over `table` — each normalized `X → A` with `|X ∪ {A}| ≤
+/// max_fd_attrs` — counted once per attribute set instead of once per FD.
+///
+/// By the TANE identity (Huhtala et al. 1999) a pair agreeing on `X`
+/// violates `X → A` exactly when it does not also agree on `S = X ∪ {A}`,
+/// so `violating(X → A) = pairs(π_X) − pairs(π_S)`, where `pairs(π)`
+/// counts the row pairs inside one class of `π`. Each set `S` is scored
+/// once and serves its `|S|` FDs:
+///
+/// * when `|S| < max_fd_attrs`, `π_S` is itself a determinant's partition,
+///   memoized in `cache`, and its pairs come from its class sizes;
+/// * when `|S| = max_fd_attrs`, one counting walk over the cached
+///   `(|S| − 1)`-subset partition with the fewest class rows, by the
+///   remaining attribute's symbol, counts the pairs that also agree on
+///   that attribute.
+///
+/// Sets are visited in ascending mask order, so every subset is scored
+/// before its supersets; FDs come out in that order, RHS ascending within
+/// a set.
+///
+/// # Panics
+/// Panics unless the table has at least two attributes and
+/// `max_fd_attrs >= 2`, or when `cache` was built for another row count.
+fn lattice_g1(table: &Table, cache: &PartitionCache, max_fd_attrs: u32) -> Vec<(Fd, G1)> {
+    let n_attrs = table.schema().len() as u16;
+    assert!(n_attrs >= 2, "need at least two attributes to form an FD");
+    assert!(max_fd_attrs >= 2, "an FD mentions at least two attributes");
+    let rows = table.nrows() as u64;
+    let sets = subsets_up_to(AttrSet::from_attrs(0..n_attrs), max_fd_attrs);
+    // The sets below the size bound, ascending by mask, with their
+    // partitions and pair counts: every determinant of the lattice. A
+    // proper subset has a smaller mask, so it is scored before any set
+    // that looks it up; the lookups fall back to the cache only to stay
+    // total.
+    let mut scored: Vec<(AttrSet, Arc<StrippedPartition>, u64)> = Vec::new();
+    let pairs_of = |scored: &[(AttrSet, Arc<StrippedPartition>, u64)], x: AttrSet| match scored
+        .binary_search_by_key(&x, |e| e.0)
+    {
+        Ok(i) => scored[i].2,
+        Err(_) => cache.partition(table, x).pairs(),
+    };
+    // One dense counter per symbol, all zero between classes.
+    let mut counts: Vec<u32> = Vec::new();
+    let mut out = Vec::new();
+    for s in sets {
+        let agreeing = if s.len() < max_fd_attrs {
+            let part = cache.partition(table, s);
+            let pairs = part.pairs();
+            scored.push((s, part, pairs));
+            pairs
+        } else {
+            let walk = s
+                .iter()
+                .filter_map(|b| {
+                    let i = scored.binary_search_by_key(&s.without(b), |e| e.0).ok()?;
+                    Some((&scored[i].1, b))
+                })
+                .min_by_key(|(part, _)| part.class_rows().len());
+            match walk {
+                Some((part, b)) => agreeing_on(table, part, b, &mut counts),
+                None => cache.partition(table, s).pairs(),
+            }
+        };
+        if s.len() < 2 {
+            continue;
+        }
+        for a in s.iter() {
+            let lhs = s.without(a);
+            let lhs_pairs = pairs_of(&scored, lhs);
+            out.push((
+                Fd::new(lhs, a),
+                G1 {
+                    violating_pairs: lhs_pairs - agreeing,
+                    lhs_pairs,
+                    rows,
+                },
+            ));
+        }
+    }
+    out
+}
+
+/// Row pairs inside one class of `part` that also agree on `attr`: each
+/// class is counted in one walk over a dense per-symbol counter and reset
+/// by a second walk over the same rows. A row agrees with every earlier
+/// row of its class carrying the same symbol, so summing the running count
+/// before each increment gives `Σ c·(c − 1)/2` over the symbol buckets.
+fn agreeing_on(
+    table: &Table,
+    part: &StrippedPartition,
+    attr: AttrId,
+    counts: &mut Vec<u32>,
+) -> u64 {
+    let syms = table.syms(attr);
+    let dict = table.dict_len(attr);
+    if counts.len() < dict {
+        counts.resize(dict, 0);
+    }
+    let mut agreeing = 0u64;
+    for class in part.classes() {
+        for &row in class {
+            let c = &mut counts[syms[row as usize] as usize];
+            agreeing += u64::from(*c);
+            *c += 1;
+        }
+        for &row in class {
+            counts[syms[row as usize] as usize] = 0;
+        }
+    }
+    agreeing
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use et_data::gen::omdb;
+    use crate::g1::{g1_of, g1_per_fd};
+    use et_data::gen::{omdb, DatasetName};
+    use proptest::prelude::*;
+
+    /// [`HypothesisSpace::capped`] as it scored before the lattice scorer:
+    /// the whole enumerated lattice, one counting walk per FD.
+    fn capped_per_fd(
+        table: &Table,
+        max_fd_attrs: u32,
+        cap: usize,
+        min_support: u64,
+        pinned: &[Fd],
+    ) -> HypothesisSpace {
+        let full = HypothesisSpace::enumerate(table.schema().len() as u16, max_fd_attrs);
+        let cache = PartitionCache::new(table);
+        let stats = g1_per_fd(table, full.fds(), &cache);
+        let mut scored: Vec<(Fd, f64)> = full
+            .fds()
+            .iter()
+            .zip(&stats)
+            .filter(|(fd, g)| !pinned.contains(fd) && g.lhs_pairs >= min_support)
+            .map(|(&fd, g)| (fd, g.violation_rate()))
+            .collect();
+        scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        let keep = cap.saturating_sub(pinned.len()).min(scored.len());
+        let strided = (0..keep).map(|i| {
+            let pos = if keep <= 1 {
+                0
+            } else {
+                i * (scored.len() - 1) / (keep - 1)
+            };
+            scored[pos].0
+        });
+        HypothesisSpace::from_fds(pinned.iter().copied().chain(strided))
+    }
+
+    /// Scores the lattice per attribute set and checks every FD against
+    /// [`g1_of`], and the FD list against [`HypothesisSpace::enumerate`].
+    fn assert_lattice_matches_g1_of(table: &Table, max_fd_attrs: u32) {
+        let cache = PartitionCache::new(table);
+        let stats = lattice_g1(table, &cache, max_fd_attrs);
+        let full = HypothesisSpace::enumerate(table.schema().len() as u16, max_fd_attrs);
+        assert_eq!(stats.len(), full.len(), "one result per lattice FD");
+        let mut seen = vec![false; full.len()];
+        for (fd, g) in &stats {
+            let Some(i) = full.index_of(fd) else {
+                panic!("{fd} is not in the lattice");
+            };
+            assert!(!seen[i], "{fd} scored twice");
+            seen[i] = true;
+            assert_eq!(*g, g1_of(table, fd), "{fd} at max_fd_attrs {max_fd_attrs}");
+        }
+    }
+
+    #[test]
+    fn capped_equals_per_fd_scoring_on_served_shapes() {
+        for (name, rows) in [
+            (DatasetName::Hospital, 300),
+            (DatasetName::Omdb, 160),
+            (DatasetName::Tax, 300),
+        ] {
+            let mut ds = name.generate(rows, 7);
+            let cfg = et_data::InjectConfig::with_degree(0.10, 11);
+            let _ = et_data::inject_errors(&mut ds.table, &ds.exact_fds, &[], &cfg);
+            let pinned: Vec<Fd> = ds.exact_fds.iter().map(Fd::from_spec).collect();
+            for (max_fd_attrs, cap) in [(3, 20), (4, 38)] {
+                let fast = HypothesisSpace::capped(&ds.table, max_fd_attrs, cap, 3, &pinned);
+                let slow = capped_per_fd(&ds.table, max_fd_attrs, cap, 3, &pinned);
+                assert_eq!(
+                    fast.fds(),
+                    slow.fds(),
+                    "{name:?} at {max_fd_attrs} attributes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn capped_with_leaves_every_determinant_memoized() {
+        let ds = omdb(120, 5);
+        let cache = PartitionCache::new(&ds.table);
+        let s = HypothesisSpace::capped_with(&ds.table, &cache, 3, 12, 3, &[]);
+        // 7 attributes: 7 singletons and 21 pairs are the determinants.
+        assert_eq!(cache.len(), 28);
+        let kept = s.distinct_lhs();
+        cache.prune(|attrs| kept.contains(&attrs));
+        assert_eq!(cache.len(), kept.len());
+    }
+
+    proptest! {
+        /// The per-set scorer equals [`g1_of`] on every FD of the lattice at
+        /// 2, 3 and 4 attributes, over tables with a constant column, a key
+        /// column, dead dictionary entries left by edits, and fewer than
+        /// two rows.
+        #[test]
+        fn lattice_scorer_equals_g1_of(
+            rows in proptest::collection::vec((0u8..4, 0u8..3, 0u8..6), 0..40),
+            edits in proptest::collection::vec((0usize..40, 0u8..5, 0u8..3), 0..6),
+        ) {
+            let schema = et_data::Schema::new(["x", "y", "z", "constant", "key"]);
+            let mut b = Table::builder(schema);
+            for (i, (x, y, z)) in rows.iter().enumerate() {
+                b.push_row(&[
+                    format!("x{x}"),
+                    format!("y{y}"),
+                    format!("z{z}"),
+                    "c".to_owned(),
+                    format!("k{i}"),
+                ]);
+            }
+            let mut t = b.finish();
+            for (row, attr, v) in edits {
+                if t.nrows() > 0 {
+                    t.set_text(row % t.nrows(), u16::from(attr), &format!("edit{v}"));
+                }
+            }
+            for max_fd_attrs in [2, 3, 4] {
+                assert_lattice_matches_g1_of(&t, max_fd_attrs);
+            }
+        }
+    }
 
     #[test]
     fn enumeration_counts() {

@@ -135,7 +135,7 @@ const TUPLE_MINORITY: u64 = 0b11;
 
 /// Reusable scratch buffers for per-class counting.
 #[derive(Default)]
-pub(crate) struct ClassScratch {
+struct ClassScratch {
     syms: Vec<u32>,
     counts: Vec<(u32, u64)>,
 }
@@ -144,7 +144,7 @@ pub(crate) struct ClassScratch {
 /// ids, `rhs_sym` maps a local row id to its RHS symbol. Returns
 /// `(lhs_pairs, violating_pairs)`; classes below two members contribute
 /// nothing.
-pub(crate) fn class_pairs(
+fn class_pairs(
     members: &[usize],
     rhs_sym: &dyn Fn(usize) -> u32,
     scratch: &mut ClassScratch,
@@ -162,9 +162,7 @@ pub(crate) fn class_pairs(
 
 /// The distinct determinants of a space paired with their FD ids and RHS
 /// attributes, in first-seen (deterministic) order.
-pub(crate) fn fds_by_lhs(
-    space: &HypothesisSpace,
-) -> Vec<(crate::attrset::AttrSet, Vec<(usize, AttrId)>)> {
+fn fds_by_lhs(space: &HypothesisSpace) -> Vec<(crate::attrset::AttrSet, Vec<(usize, AttrId)>)> {
     let mut order: Vec<crate::attrset::AttrSet> = Vec::new();
     let mut groups: Vec<Vec<(usize, AttrId)>> = Vec::new();
     for (i, fd) in space.iter() {
@@ -208,7 +206,7 @@ impl ViolationIndex {
             let part = cache.partition(table, lhs);
             for (fi, rhs) in fds {
                 let sym = |row: usize| table.sym(row, rhs);
-                for class in &part.classes {
+                for class in part.classes() {
                     members.clear();
                     members.extend(class.iter().map(|&r| r as usize));
                     out.index_class(fi, &members, &sym, &mut scratch);
@@ -220,7 +218,7 @@ impl ViolationIndex {
 
     /// An all-clean index skeleton (every code irrelevant, zero pair
     /// counts).
-    pub(crate) fn empty(n_rows: usize, n_fds: usize, stat_rows: u64) -> Self {
+    fn empty(n_rows: usize, n_fds: usize, stat_rows: u64) -> Self {
         let words_per_row = n_fds.div_ceil(FDS_PER_WORD);
         Self {
             n_rows,
@@ -237,30 +235,10 @@ impl ViolationIndex {
         }
     }
 
-    /// Widens the index to `n_rows` rows: the new rows are irrelevant to
-    /// every FD, and every FD's statistics count `n_rows` rows. Row-major
-    /// codes make this one append.
-    pub(crate) fn grow_rows(&mut self, n_rows: usize) {
-        self.n_rows = n_rows;
-        self.codes.resize(n_rows * self.words_per_row, 0);
-        for stats in &mut self.stats {
-            stats.rows = n_rows as u64;
-        }
-    }
-
-    /// Removes one class's pair counts from FD `fi`'s statistics (the
-    /// incremental builder's subtract-before-recount step).
-    pub(crate) fn uncount_class(&mut self, fi: usize, pairs: u64, violating: u64) {
-        self.stats[fi].lhs_pairs -= pairs;
-        self.stats[fi].violating_pairs -= violating;
-    }
-
     /// Counts one class of FD `fi` into its statistics *and* writes its
-    /// members' codes (at the members' local ids). Shared by the fresh,
-    /// subsample and incremental builders so every path computes
-    /// bit-identical codes. Every member of a class of two or more is
-    /// overwritten, so a recount needs no clearing first.
-    pub(crate) fn index_class(
+    /// members' codes (at the members' local ids). Shared by the fresh and
+    /// subsample builders so both paths compute bit-identical codes.
+    fn index_class(
         &mut self,
         fi: usize,
         members: &[usize],

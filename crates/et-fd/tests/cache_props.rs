@@ -1,9 +1,8 @@
 //! Property tests pinning the partition-cache substrate to the legacy
-//! semantics: cached, subsample and incremental index builds must be
-//! *exactly* equal — same `G1` integer statistics, same
-//! `violates`/`relevant`/`minority` flags — to a fresh build, and every
-//! build's flags and tuple probabilities must equal the FD-major oracle
-//! below bit for bit.
+//! semantics: cached and subsample index builds must be *exactly* equal —
+//! same `G1` integer statistics, same `violates`/`relevant`/`minority`
+//! flags — to a fresh build, and every build's flags and tuple
+//! probabilities must equal the FD-major oracle below bit for bit.
 
 use std::collections::BTreeMap;
 
@@ -12,7 +11,7 @@ use proptest::prelude::*;
 use et_data::{Schema, Table};
 use et_fd::{
     pair_relation, predict_labels, tuple_dirty_prob_with, DetectParams, Fd, HypothesisSpace,
-    Indicator, PairRelation, PartitionCache, SubsampleIndex, ViolationIndex,
+    Indicator, PairRelation, PartitionCache, ViolationIndex,
 };
 
 /// The per-tuple flags as the index stored them before the packed codes:
@@ -251,37 +250,6 @@ proptest! {
         let direct = ViolationIndex::build(&subset, &sp);
         assert_indexes_equal(&restricted, &direct);
         assert_matches_oracle(&restricted, &subset, &sp, &detect);
-    }
-
-    /// Growing a subsample incrementally in arbitrary batches equals a
-    /// fresh subsample build over the cumulative rows at every step, and
-    /// the oracle over the cumulative subset table.
-    #[test]
-    fn incremental_growth_equals_fresh(rows in arb_rows(),
-                                       batches in proptest::collection::vec(
-                                           proptest::collection::vec(0usize..64, 0..8), 0..5),
-                                       sp in arb_space(),
-                                       detect in arb_detect()) {
-        let t = table_of(&rows);
-        let cache = PartitionCache::new(&t);
-        let mut inc = SubsampleIndex::new(&t, &sp);
-        let mut cumulative: Vec<usize> = Vec::new();
-        for batch in &batches {
-            if t.nrows() == 0 {
-                break;
-            }
-            let mapped: Vec<usize> = batch.iter().map(|&p| p % t.nrows()).collect();
-            for &r in &mapped {
-                if !cumulative.contains(&r) {
-                    cumulative.push(r);
-                }
-            }
-            inc.grow(&t, &cache, &mapped);
-            prop_assert_eq!(inc.rows(), &cumulative[..]);
-            let fresh = ViolationIndex::build_subsample(&t, &sp, &cache, &cumulative);
-            assert_indexes_equal(inc.index(), &fresh);
-            assert_matches_oracle(inc.index(), &t.subset(&cumulative), &sp, &detect);
-        }
     }
 
     /// Brute-force anchor: cached flags and stats match pair enumeration.

@@ -14,7 +14,7 @@ use et_core::{
 };
 use et_data::gen::DatasetName;
 use et_data::{inject_errors, InjectConfig, Table};
-use et_fd::{Fd, HypothesisSpace};
+use et_fd::{Fd, HypothesisSpace, PartitionCache};
 
 /// What a `create_session` request asks for; every field has a paper-shaped
 /// default so the empty request is valid.
@@ -96,6 +96,10 @@ pub struct SessionParts {
     pub table: Table,
     /// The FD hypothesis space.
     pub space: Arc<HypothesisSpace>,
+    /// The partitions the space was scored through, pruned to the space's
+    /// determinants: hand it to [`et_core::SessionState::with_cache`] so
+    /// the session does not derive them again.
+    pub cache: Arc<PartitionCache>,
     /// Ground-truth dirty flags (used for held-out F1 only).
     pub dirty_rows: Vec<bool>,
     /// The session configuration.
@@ -146,7 +150,14 @@ pub fn build_parts(spec: &CreateSessionSpec, session_seed: u64) -> Result<Sessio
         &InjectConfig::with_degree(spec.degree, sub_seed(session_seed, 2)),
     );
     let pinned: Vec<Fd> = specs.iter().map(Fd::from_spec).collect();
-    let space = Arc::new(HypothesisSpace::capped(&ds.table, 3, 20, 3, &pinned));
+    let cache = PartitionCache::new(&ds.table);
+    let space = Arc::new(HypothesisSpace::capped_with(
+        &ds.table, &cache, 3, 20, 3, &pinned,
+    ));
+    // Scoring memoized every determinant of the lattice; the session reads
+    // only the space's own.
+    let determinants = space.distinct_lhs();
+    cache.prune(|attrs| determinants.contains(&attrs));
 
     let prior_cfg = PriorConfig::weak();
     let trainer_prior = build_prior(
@@ -168,6 +179,7 @@ pub fn build_parts(spec: &CreateSessionSpec, session_seed: u64) -> Result<Sessio
     Ok(SessionParts {
         table: ds.table,
         space,
+        cache: Arc::new(cache),
         dirty_rows: inj.dirty_rows,
         cfg,
         trainer,

@@ -300,9 +300,10 @@ impl SessionStore {
                 return Err(StoreError::Invalid(msg));
             }
         };
-        let mut state = match SessionState::new(
+        let mut state = match SessionState::with_cache(
             parts.table,
             parts.space,
+            parts.cache,
             &parts.dirty_rows,
             parts.cfg,
             &parts.trainer,
@@ -482,9 +483,10 @@ impl SessionStore {
             ));
         }
         let parts = build_parts(&meta.spec, meta.seed)?;
-        let mut state = SessionState::new(
+        let mut state = SessionState::with_cache(
             parts.table,
             parts.space,
+            parts.cache,
             &parts.dirty_rows,
             parts.cfg,
             &parts.trainer,

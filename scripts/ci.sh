@@ -87,7 +87,9 @@ echo "==> bench harness compiles + bench_json smoke (quick profile)"
 # rendered to a String. And it gates session create: the Hospital-1000
 # candidate pool, enumerated with the first-occurrence test over cached
 # row classes, must stay at least 3x faster than the same enumeration
-# deduplicated through a hash set.
+# deduplicated through a hash set. And it gates the capped-space scoring
+# pass: counting agreeing pairs once per attribute set must stay at least
+# 2x faster than the per-FD walk over the same cached partitions.
 cargo build -q --release -p et-bench --benches --bins
 BENCH_OUT="$(mktemp /tmp/et-bench-substrate.XXXXXX.json)"
 if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
@@ -98,14 +100,16 @@ if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
   --gate eval_packed_vs_fdmajor_speedup:3 \
   --gate reply_encode_stream_vs_tree_speedup:1.5 \
   --gate pool_build_vs_hashset_speedup:3 \
+  --gate space_capped_vs_per_fd_speedup:2 \
   || [ ! -s "$BENCH_OUT" ]; then
   echo "FATAL: bench_json failed to produce $BENCH_OUT or a gate failed" >&2
   echo "       (baseline unregenerable, delta rescoring lost to a full rescore," >&2
   echo "        the live-id delta walk lost to the whole-pool walk, the" >&2
   echo "        alloc-free scoring path fell below parity, the packed" >&2
   echo "        evaluation lost its 3x lead over FD-major flags, streamed" >&2
-  echo "        reply encoding lost its 1.5x lead over the JSON tree, or the" >&2
-  echo "        pool build lost its 3x lead over the hash-set enumeration)" >&2
+  echo "        reply encoding lost its 1.5x lead over the JSON tree, the" >&2
+  echo "        pool build lost its 3x lead over the hash-set enumeration, or" >&2
+  echo "        the per-set space scorer lost its 2x lead over the per-FD walk)" >&2
   exit 1
 fi
 rm -f "$BENCH_OUT"
