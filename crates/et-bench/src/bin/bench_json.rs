@@ -948,7 +948,7 @@ fn reply_encode_benches(quick: bool) -> Vec<BenchStats> {
         Ok(s) => s,
         Err(e) => fail("session config", e),
     };
-    let mut trainer = parts.trainer.with_cache(state.partition_cache().clone());
+    let mut trainer = parts.trainer;
     let mut learner = parts.learner;
     for _ in 0..=ROUNDS {
         if let Err(e) = state.present(&mut learner) {

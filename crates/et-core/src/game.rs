@@ -1,7 +1,5 @@
 //! Game primitives: examples, labels, interactions, histories.
 
-use et_belief::LabeledPair;
-
 /// A clean/dirty label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Label {
@@ -51,8 +49,9 @@ impl PairExample {
     }
 }
 
-/// One completed interaction: what the learner selected, and the labeled
-/// evidence the trainer's per-tuple verdicts induce over the whole sample.
+/// One completed interaction: what the learner selected, the sample shown,
+/// and the trainer's per-tuple verdicts. Any pair evidence they induce is
+/// a function of these and the table, derived where it is consumed.
 #[derive(Debug, Clone)]
 pub struct Interaction {
     /// Interaction number `t` (0-based).
@@ -64,29 +63,6 @@ pub struct Interaction {
     /// The trainer's per-tuple labels, aligned with `sample`
     /// (`true` = dirty).
     pub labels: Vec<bool>,
-    /// Every within-sample pair relevant to some hypothesis-space FD, with
-    /// the trainer's labels.
-    pub labeled: Vec<LabeledPair>,
-}
-
-impl Interaction {
-    /// The labeled evidence pairs as [`PairExample`]s.
-    pub fn pairs(&self) -> impl Iterator<Item = PairExample> + '_ {
-        self.labeled.iter().map(|l| PairExample::new(l.a, l.b))
-    }
-
-    /// Number of tuples shown (2 per pair).
-    pub fn tuples_shown(&self) -> usize {
-        self.labeled.len() * 2
-    }
-
-    /// Number of dirty labels given.
-    pub fn dirty_labels(&self) -> usize {
-        self.labeled
-            .iter()
-            .map(|l| usize::from(l.dirty_a) + usize::from(l.dirty_b))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -112,32 +88,5 @@ mod tests {
     #[should_panic(expected = "distinct")]
     fn degenerate_pair_rejected() {
         let _ = PairExample::new(4, 4);
-    }
-
-    #[test]
-    fn interaction_counts() {
-        let i = Interaction {
-            t: 0,
-            selected: vec![PairExample::new(0, 1)],
-            sample: vec![0, 1, 2, 3],
-            labels: vec![true, false, false, false],
-            labeled: vec![
-                LabeledPair {
-                    a: 0,
-                    b: 1,
-                    dirty_a: true,
-                    dirty_b: false,
-                },
-                LabeledPair {
-                    a: 2,
-                    b: 3,
-                    dirty_a: false,
-                    dirty_b: false,
-                },
-            ],
-        };
-        assert_eq!(i.tuples_shown(), 4);
-        assert_eq!(i.dirty_labels(), 1);
-        assert_eq!(i.pairs().count(), 2);
     }
 }

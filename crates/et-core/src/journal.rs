@@ -25,7 +25,9 @@
 //! functions of the immutable table and get rebuilt on construction. The
 //! fresh pool ids derive from the learner's shown set, which the snapshot
 //! does store; they are rebuilt from it on the first `present` after a
-//! restore.
+//! restore. A pending presentation's sample index is rebuilt from its
+//! sample during the restore, and history keeps only `(selected, sample,
+//! labels)` per round.
 //!
 //! ## Layout of a session directory
 //!
@@ -39,7 +41,7 @@
 
 use std::path::{Path, PathBuf};
 
-use et_belief::{Belief, LabeledPair};
+use et_belief::Belief;
 use et_durable::{snapshot, Dec, DurableError, Enc, FsyncPolicy, Wal};
 
 use crate::game::{Interaction, PairExample};
@@ -49,8 +51,9 @@ use crate::trainer::{Trainer, TrainerPersist};
 
 /// WAL record type tag for a submitted label batch.
 const REC_LABELS: u8 = 1;
-/// Snapshot payload format version.
-const SNAPSHOT_VERSION: u8 = 1;
+/// Snapshot payload format version. Version 2 dropped each history
+/// round's derived evidence pairs; version-1 payloads are refused.
+const SNAPSHOT_VERSION: u8 = 2;
 /// The WAL filename inside a session directory.
 const WAL_FILE: &str = "labels.wal";
 /// Valid snapshots retained after a new one lands (the newer one plus one
@@ -432,13 +435,6 @@ pub(crate) fn encode_snapshot<T: TrainerPersist>(
         save_pairs(&mut enc, &i.selected);
         save_usizes(&mut enc, &i.sample);
         save_bools(&mut enc, &i.labels);
-        enc.put_usize(i.labeled.len());
-        for lp in &i.labeled {
-            enc.put_usize(lp.a);
-            enc.put_usize(lp.b);
-            enc.put_bool(lp.dirty_a);
-            enc.put_bool(lp.dirty_b);
-        }
     }
 
     match &state.pending {
@@ -538,32 +534,24 @@ pub(crate) fn restore_snapshot<T: TrainerPersist>(
         let selected = load_pairs(&mut dec)?;
         let sample = load_usizes(&mut dec)?;
         let labels = load_bools(&mut dec)?;
-        let nl = dec.take_usize()?;
-        let mut labeled = Vec::with_capacity(nl.min(1 << 20));
-        for _ in 0..nl {
-            let a = dec.take_usize()?;
-            let b = dec.take_usize()?;
-            let dirty_a = dec.take_bool()?;
-            let dirty_b = dec.take_bool()?;
-            labeled.push(LabeledPair {
-                a,
-                b,
-                dirty_a,
-                dirty_b,
-            });
-        }
         history.push(Interaction {
             t: it,
             selected,
             sample,
             labels,
-            labeled,
         });
     }
 
     let pending = if dec.take_bool()? {
         let pairs = load_pairs(&mut dec)?;
         let sample = load_usizes(&mut dec)?;
+        let rows = state.table().nrows();
+        if let Some(&r) = sample.iter().find(|&&r| r >= rows) {
+            return Err(DurableError::decode(format!(
+                "pending sample row {r} is out of range for {rows} rows"
+            )));
+        }
+        let index = state.sample_index(&sample);
         let h_policy = dec.take_f64()?;
         let predicted = load_bools(&mut dec)?;
         let hosted = if dec.take_bool()? {
@@ -574,6 +562,7 @@ pub(crate) fn restore_snapshot<T: TrainerPersist>(
         Some(PendingInteraction {
             pairs,
             sample,
+            index,
             h_policy,
             predicted,
             hosted,
@@ -812,6 +801,78 @@ mod tests {
         assert_eq!(reopened.records.len(), 1);
         assert_eq!(reopened.records[0].sample, vec![1, 2]);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn snapshot_restores_the_pending_index_and_refuses_bad_payloads() {
+        use crate::respond::{ResponseStrategy, StrategyKind};
+        use crate::session::SessionConfig;
+        use crate::trainer::FpTrainer;
+        use et_belief::{Beta, EvidenceConfig};
+        use et_fd::HypothesisSpace;
+        use std::sync::Arc;
+
+        let ds = et_data::gen::omdb(80, 5);
+        let space = Arc::new(HypothesisSpace::capped(&ds.table, 3, 12, 3, &[]));
+        let belief = Belief::constant(space.clone(), Beta::new(2.0, 2.0));
+        let agents = || {
+            let trainer = FpTrainer::new(belief.clone(), EvidenceConfig::default());
+            let learner = Learner::new(
+                belief.clone(),
+                ResponseStrategy::paper(StrategyKind::Random),
+                EvidenceConfig::default(),
+                1,
+            );
+            (trainer, learner)
+        };
+        let fresh_state = |trainer: &FpTrainer, learner: &Learner| {
+            let dirty = vec![false; ds.table.nrows()];
+            SessionState::new(
+                ds.table.clone(),
+                space.clone(),
+                &dirty,
+                SessionConfig::default(),
+                trainer,
+                learner,
+            )
+            .expect("valid config")
+        };
+        let (trainer, mut learner) = agents();
+        let mut live = fresh_state(&trainer, &learner);
+        assert!(live.present(&mut learner).expect("in phase").is_some());
+        let mut payload = encode_snapshot(&live, &trainer, &learner);
+        assert_eq!(payload[0], SNAPSHOT_VERSION);
+
+        // The pending sample's index is not stored; the restore rebuilds it.
+        let (mut trainer, mut learner) = agents();
+        let mut restored = fresh_state(&trainer, &learner);
+        restore_snapshot(&mut restored, &payload, &mut trainer, &mut learner).expect("restore");
+        let (want, got) = (live.pending.as_ref(), restored.pending.as_ref());
+        assert_eq!(want.map(|p| &p.index), got.map(|p| &p.index));
+
+        // A pending row outside the table is refused, not indexed.
+        if let Some(p) = live.pending.as_mut() {
+            p.sample[0] = ds.table.nrows();
+        }
+        let bad_row = encode_snapshot(&live, &trainer, &learner);
+        let (mut trainer, mut learner) = agents();
+        let mut refused = fresh_state(&trainer, &learner);
+        assert!(matches!(
+            restore_snapshot(&mut refused, &bad_row, &mut trainer, &mut learner),
+            Err(DurableError::Decode { reason }) if reason.contains("out of range")
+        ));
+
+        // A version-1 payload still carries the evidence pairs version 2
+        // dropped, so it is refused before anything else is read.
+        payload[0] = 1;
+        let (mut trainer, mut learner) = agents();
+        let mut refused = fresh_state(&trainer, &learner);
+        match restore_snapshot(&mut refused, &payload, &mut trainer, &mut learner) {
+            Err(DurableError::Decode { reason }) => {
+                assert_eq!(reason, "snapshot version 1, expected 2");
+            }
+            other => panic!("expected the version error, got {other:?}"),
+        }
     }
 
     // Full snapshot/recovery behavior is covered end-to-end by

@@ -58,7 +58,7 @@ pub use replay::{history_from_csv, history_to_csv, replay_history};
 pub use respond::{ResponseStrategy, ScoreBasis, ScoreCtx, Selection, StrategyKind};
 pub use session::{
     run_session, sample_rows, ConfigError, ConvergenceReport, IterationMetrics, PendingInteraction,
-    Session, SessionConfig, SessionError, SessionResult, SessionState, StepError,
+    SessionConfig, SessionError, SessionResult, SessionState, StepError,
 };
 pub use topk::{top_k_indices, BoundedTopK};
 pub use trainer::{FpTrainer, HtTrainer, NoisyTrainer, StationaryTrainer, Trainer};

@@ -78,9 +78,7 @@ impl std::error::Error for HistoryParseError {}
 /// not be allowed to request an unbounded allocation.
 const MAX_CSV_ITER: usize = 1 << 20;
 
-/// Restores a history from [`history_to_csv`] output. The `labeled`
-/// evidence-pair field is left empty (replay derives evidence from the
-/// sample and labels).
+/// Restores a history from [`history_to_csv`] output.
 pub fn history_from_csv(text: &str) -> Result<Vec<Interaction>, HistoryParseError> {
     let mut out: Vec<Interaction> = Vec::new();
     for (i, line) in text.lines().enumerate().skip(1) {
@@ -112,7 +110,6 @@ pub fn history_from_csv(text: &str) -> Result<Vec<Interaction>, HistoryParseErro
                 selected: Vec::new(),
                 sample: Vec::new(),
                 labels: Vec::new(),
-                labeled: Vec::new(),
             });
         }
         match parts[1] {

@@ -12,8 +12,8 @@
 //!
 //! Two drivers share one engine:
 //!
-//! * [`run_session`] / [`Session::run`] — the closed batch loop the
-//!   experiments use: present, label, update, `N` times.
+//! * [`run_session`] — the closed batch loop the experiments use:
+//!   present, label, update, `N` times.
 //! * [`SessionState`] — the resumable step API: `present` → (labels arrive
 //!   from *anywhere* — the in-process trainer via [`SessionState::label_pending`]
 //!   or a remote annotator over the wire) → [`SessionState::apply_labels`].
@@ -22,7 +22,6 @@
 
 use std::sync::{Arc, OnceLock};
 
-use et_belief::LabeledPair;
 use et_data::{split_rows, Table};
 use et_fd::{predict_labels, HypothesisSpace, PartitionCache, RelationMatrix, ViolationIndex};
 use et_metrics::ConfusionMatrix;
@@ -322,6 +321,11 @@ impl SessionResult {
 pub struct PendingInteraction {
     pub(crate) pairs: Vec<crate::game::PairExample>,
     pub(crate) sample: Vec<usize>,
+    /// The violation index of `sample` over the session's space (local row
+    /// `i` is `sample[i]`): built once by `present` for the learner's
+    /// prediction and handed to the trainer. Never persisted; a snapshot
+    /// restore rebuilds it from the sample.
+    pub(crate) index: ViolationIndex,
     pub(crate) h_policy: f64,
     pub(crate) predicted: Vec<bool>,
     /// The hosted trainer's labels for this presentation, cached on the
@@ -360,14 +364,14 @@ impl PendingInteraction {
 /// 3. [`SessionState::apply_labels`] — the learner absorbs the labels and
 ///    the per-iteration metrics are recorded.
 ///
-/// Driving these steps with the same seeds reproduces [`Session::run`]
-/// exactly — `run` is implemented on top of this type.
+/// Driving these steps with the same seeds reproduces [`run_session`]
+/// exactly — it is implemented on top of this type.
 pub struct SessionState {
     table: Table,
     space: Arc<HypothesisSpace>,
     cfg: SessionConfig,
     /// Memoized stripped partitions of `table`, shared with whoever else
-    /// derives violation structure from it (trainers, the serve store).
+    /// derives violation structure from it (the serve store).
     cache: Arc<PartitionCache>,
     test_index: ViolationIndex,
     test_dirty: Vec<bool>,
@@ -468,8 +472,8 @@ impl SessionState {
 
         // One partition cache per session: the full-table build below warms
         // it (when the caller has not), and every later subsample
-        // restriction (presented samples, the held-out index, a cache-aware
-        // trainer) reuses the partitions.
+        // restriction (presented samples, the held-out index) reuses the
+        // partitions.
 
         // Held-out evaluation context: violations within the test subset,
         // derived by restricting the cached full-table partitions.
@@ -599,9 +603,15 @@ impl SessionState {
 
     /// The session's partition cache: memoized stripped partitions of
     /// [`SessionState::table`]. Share it with anything else indexing the
-    /// same table (e.g. [`crate::trainer::FpTrainer::with_cache`]).
+    /// same table.
     pub fn partition_cache(&self) -> &Arc<PartitionCache> {
         &self.cache
+    }
+
+    /// The violation index of `sample` (distinct row ids) over the space:
+    /// the cached full-table partitions restricted to the sample's rows.
+    pub(crate) fn sample_index(&self, sample: &[usize]) -> ViolationIndex {
+        ViolationIndex::build_subsample(&self.table, &self.space, &self.cache, sample)
     }
 
     /// The round-invariant pair-relation matrix over the candidate pool,
@@ -676,18 +686,18 @@ impl SessionState {
         // pairs (k pairs -> up to 2k tuples, the paper's k = 10).
         let sample = sample_rows(&pairs, self.table.nrows());
 
-        // Learner's pre-update predicted labels on the sample, for the
-        // agreement metric. The sample index restricts the cached
-        // full-table partitions instead of re-hashing a subset table.
+        // The sample's one violation index: the learner's pre-update
+        // predicted labels (for the agreement metric) read it here, and
+        // the trainer reads it in `label_pending`.
         let learner_conf_pre = learner.confidences();
-        let sub_index =
-            ViolationIndex::build_subsample(&self.table, &self.space, &self.cache, &sample);
+        let index = self.sample_index(&sample);
         let local_rows: Vec<usize> = (0..sample.len()).collect();
-        let predicted = predict_labels(&sub_index, &learner_conf_pre, &local_rows);
+        let predicted = predict_labels(&index, &learner_conf_pre, &local_rows);
 
         self.pending = Some(PendingInteraction {
             pairs,
             sample,
+            index,
             h_policy,
             predicted,
             hosted: None,
@@ -696,27 +706,24 @@ impl SessionState {
     }
 
     /// Labels the pending sample with the in-process trainer (the simulated
-    /// annotator observes the sample, updates its belief, and labels it).
-    /// Does not consume the pending presentation — follow with
-    /// [`SessionState::apply_labels`].
+    /// annotator observes the sample, updates its belief, and labels it
+    /// from the sample index `present` built). Does not consume the
+    /// pending presentation — follow with [`SessionState::apply_labels`].
     ///
     /// # Errors
     /// [`StepError::NothingPending`] when no presentation is outstanding.
     pub fn label_pending(&mut self, trainer: &mut dyn Trainer) -> Result<Vec<bool>, StepError> {
-        let sample = match &self.pending {
-            Some(p) => {
-                // Idempotent per presentation: a retried call (say, after a
-                // journal append failure) returns the cached verdicts
-                // instead of letting the trainer observe the sample twice.
-                if let Some(hosted) = &p.hosted {
-                    return Ok(hosted.clone());
-                }
-                p.sample.clone()
-            }
-            None => return Err(StepError::NothingPending),
+        let Some(p) = &self.pending else {
+            return Err(StepError::NothingPending);
         };
-        let labels = trainer.respond(&self.table, &sample);
-        debug_assert_eq!(labels.len(), sample.len());
+        // Idempotent per presentation: a retried call (say, after a journal
+        // append failure) returns the cached verdicts instead of letting
+        // the trainer observe the sample twice.
+        if let Some(hosted) = &p.hosted {
+            return Ok(hosted.clone());
+        }
+        let labels = trainer.respond(&self.table, &p.sample, &p.index);
+        debug_assert_eq!(labels.len(), p.sample.len());
         self.trainer_observed = true;
         if let Some(p) = self.pending.as_mut() {
             p.hosted = Some(labels.clone());
@@ -775,15 +782,11 @@ impl SessionState {
             sample,
             h_policy,
             predicted,
-            hosted: _,
+            ..
         } = pending;
 
-        // The labeled evidence the learner receives: every within-sample
-        // pair relevant to at least one hypothesis-space FD, labeled by
-        // the trainer's per-tuple verdicts.
-        // Record the within-sample evidence for the history; what the
-        // learner actually consumes is governed by its EvidenceScope.
-        let labeled = labeled_sample_pairs(&self.table, &self.space, &sample, labels);
+        // What evidence the learner draws from the labeled sample is
+        // governed by its EvidenceScope.
         learner.absorb_interaction(&self.table, &pairs, &sample, labels);
 
         let agreement = if sample.is_empty() {
@@ -822,7 +825,6 @@ impl SessionState {
             selected: pairs,
             sample,
             labels: labels.to_vec(),
-            labeled,
         });
         self.prev_trainer = tc;
         self.prev_learner = lc;
@@ -848,74 +850,13 @@ impl SessionState {
     }
 }
 
-/// A prepared session over one dataset.
-pub struct Session<'a> {
-    table: &'a Table,
-    space: Arc<HypothesisSpace>,
-    dirty_rows: &'a [bool],
-    cfg: SessionConfig,
-}
-
-impl<'a> Session<'a> {
-    /// Prepares a session.
-    ///
-    /// # Panics
-    /// Panics when `dirty_rows` does not align with the table or the
-    /// configuration fails [`SessionConfig::validate`].
-    pub fn new(
-        table: &'a Table,
-        space: Arc<HypothesisSpace>,
-        dirty_rows: &'a [bool],
-        cfg: SessionConfig,
-    ) -> Self {
-        assert_eq!(
-            dirty_rows.len(),
-            table.nrows(),
-            "ground-truth dirty flags must align with the table"
-        );
-        let validated = cfg.validate();
-        assert!(validated.is_ok(), "invalid session config: {validated:?}");
-        Self {
-            table,
-            space,
-            dirty_rows,
-            cfg,
-        }
-    }
-
-    /// Runs the game between `trainer` and `learner`, handing the trainer
-    /// the session's partition cache first ([`Trainer::attach_cache`]).
-    pub fn run(&self, trainer: &mut dyn Trainer, learner: &mut Learner) -> SessionResult {
-        // `new` validated the config and flag alignment, so state
-        // construction cannot fail.
-        let Ok(mut st) = SessionState::new(
-            self.table.clone(),
-            self.space.clone(),
-            self.dirty_rows,
-            self.cfg.clone(),
-            trainer,
-            learner,
-        ) else {
-            unreachable!("Session::new validated the configuration")
-        };
-        trainer.attach_cache(st.partition_cache().clone());
-        while let Ok(Some(_)) = st.present(learner) {
-            let Ok(labels) = st.label_pending(trainer) else {
-                break;
-            };
-            if st.apply_labels(trainer, learner, &labels).is_err() {
-                break;
-            }
-        }
-        st.into_result()
-    }
-}
-
-/// Convenience wrapper: prepare and run in one call.
+/// Runs the game between `trainer` and `learner` over `table` for
+/// `cfg.iterations` interactions (or until the candidate pool runs dry):
+/// the batch driver over [`SessionState`]'s steps.
 ///
 /// # Panics
 /// Panics when `dirty_rows` does not align with the table or the
-/// configuration fails [`SessionConfig::validate`] (see [`Session::new`]).
+/// configuration fails [`SessionConfig::validate`].
 pub fn run_session(
     table: &Table,
     space: Arc<HypothesisSpace>,
@@ -924,7 +865,43 @@ pub fn run_session(
     trainer: &mut dyn Trainer,
     learner: &mut Learner,
 ) -> SessionResult {
-    Session::new(table, space, dirty_rows, cfg).run(trainer, learner)
+    let mut st = batch_state(table, space, dirty_rows, cfg, trainer, learner);
+    while let Ok(Some(_)) = st.present(learner) {
+        let Ok(labels) = st.label_pending(trainer) else {
+            break;
+        };
+        if st.apply_labels(trainer, learner, &labels).is_err() {
+            break;
+        }
+    }
+    st.into_result()
+}
+
+/// [`SessionState::new`] over a copy of `table`, for the batch drivers,
+/// which treat bad input as a caller bug.
+///
+/// # Panics
+/// Panics when `dirty_rows` does not align with the table or the
+/// configuration fails [`SessionConfig::validate`].
+pub(crate) fn batch_state(
+    table: &Table,
+    space: Arc<HypothesisSpace>,
+    dirty_rows: &[bool],
+    cfg: SessionConfig,
+    trainer: &dyn Trainer,
+    learner: &Learner,
+) -> SessionState {
+    assert_eq!(
+        dirty_rows.len(),
+        table.nrows(),
+        "ground-truth dirty flags must align with the table"
+    );
+    let validated = cfg.validate();
+    assert!(validated.is_ok(), "invalid session config: {validated:?}");
+    let Ok(st) = SessionState::new(table.clone(), space, dirty_rows, cfg, trainer, learner) else {
+        unreachable!("batch_state validated the configuration and the dirty flags")
+    };
+    st
 }
 
 /// The distinct tuples of `pairs` in first-seen order: the sample presented
@@ -942,33 +919,6 @@ pub fn sample_rows(pairs: &[crate::game::PairExample], n_rows: usize) -> Vec<usi
         }
     }
     sample
-}
-
-/// Builds the labeled evidence pairs of one interaction: every within-sample
-/// pair relevant to at least one hypothesis-space FD, carrying the trainer's
-/// per-tuple labels (global row ids).
-fn labeled_sample_pairs(
-    table: &Table,
-    space: &Arc<HypothesisSpace>,
-    sample: &[usize],
-    tuple_labels: &[bool],
-) -> Vec<LabeledPair> {
-    let rel = et_fd::SpaceRelations::new(space);
-    let mut out = Vec::new();
-    for i in 0..sample.len() {
-        for j in (i + 1)..sample.len() {
-            let (a, b) = (sample[i], sample[j]);
-            if rel.relevant_to_any(table, a, b) {
-                out.push(LabeledPair {
-                    a,
-                    b,
-                    dirty_a: tuple_labels[i],
-                    dirty_b: tuple_labels[j],
-                });
-            }
-        }
-    }
-    out
 }
 
 /// Mean absolute error between two confidence vectors.
@@ -1167,14 +1117,14 @@ mod tests {
 
     #[test]
     fn cache_enabled_replay_is_bit_identical_to_batch() {
-        // The oracle is a stepped driver whose trainer never sees the
-        // session's partition cache, so it labels via subset tables. The
-        // batch loop (which attaches the cache) and the et-serve shape (a
-        // stepped session whose trainer shares the cache) must both
-        // reproduce it bit for bit.
+        // The oracle is a stepped driver that labels externally: its
+        // trainer gets a sample index built from a subset table, never the
+        // one `present` restricted from the session's partition cache. The
+        // batch loop and the et-serve shape (a stepped session labeled
+        // through `label_pending`) must both reproduce it bit for bit.
         let (table, dirty, space) = fixture();
-        let stepped = |cached: bool| {
-            let (trainer, mut learner) =
+        let oracle = {
+            let (mut trainer, mut learner) =
                 agents(StrategyKind::StochasticBestResponse, &table, &space);
             let mut st = SessionState::new(
                 table.clone(),
@@ -1185,11 +1135,28 @@ mod tests {
                 &learner,
             )
             .expect("valid config");
-            let mut trainer = if cached {
-                trainer.with_cache(st.partition_cache().clone())
-            } else {
-                trainer
-            };
+            while let Some(p) = st.present(&mut learner).expect("in phase") {
+                let sample = p.sample().to_vec();
+                let index = ViolationIndex::build(&table.subset(&sample), &space);
+                let labels = trainer.respond(&table, &sample, &index);
+                let _ = st
+                    .apply_labels(&trainer, &mut learner, &labels)
+                    .expect("aligned");
+            }
+            st.into_result()
+        };
+        let served = {
+            let (mut trainer, mut learner) =
+                agents(StrategyKind::StochasticBestResponse, &table, &space);
+            let mut st = SessionState::new(
+                table.clone(),
+                space.clone(),
+                &dirty,
+                SessionConfig::default(),
+                &trainer,
+                &learner,
+            )
+            .expect("valid config");
             while st.present(&mut learner).expect("in phase").is_some() {
                 let labels = st.label_pending(&mut trainer).expect("pending");
                 let _ = st
@@ -1198,13 +1165,19 @@ mod tests {
             }
             st.into_result()
         };
-        let oracle = stepped(false);
         let batch = run_with(StrategyKind::StochasticBestResponse, &table, &dirty, &space);
-        for run in [batch, stepped(true)] {
-            assert_eq!(oracle.mae_series(), run.mae_series());
-            assert_eq!(oracle.f1_series(), run.f1_series());
-            assert_eq!(oracle.learner_confidences, run.learner_confidences);
-            assert_eq!(oracle.trainer_confidences, run.trainer_confidences);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for run in [batch, served] {
+            assert_eq!(bits(&oracle.mae_series()), bits(&run.mae_series()));
+            assert_eq!(bits(&oracle.f1_series()), bits(&run.f1_series()));
+            assert_eq!(
+                bits(&oracle.learner_confidences),
+                bits(&run.learner_confidences)
+            );
+            assert_eq!(
+                bits(&oracle.trainer_confidences),
+                bits(&run.trainer_confidences)
+            );
             assert_eq!(oracle.history.len(), run.history.len());
             for (a, b) in oracle.history.iter().zip(&run.history) {
                 assert_eq!(a.sample, b.sample);

@@ -12,7 +12,9 @@
 //! **Protocol.** Each interaction the trainer receives the full presented
 //! *sample* (the paper shows k = 10 tuples), inspects every within-sample
 //! tuple pair — that is how an annotator actually spots FD violations —
-//! updates its belief, and returns one clean/dirty label per tuple.
+//! updates its belief, and returns one clean/dirty label per tuple. The
+//! sample's violation index comes with it: the session builds it once per
+//! presentation, and the trainers that label from violations read it.
 
 use std::sync::Arc;
 
@@ -32,7 +34,14 @@ use crate::journal::{load_belief, save_belief};
 pub trait Trainer {
     /// Observes the sample (row ids into `table`), updates any internal
     /// state, and returns one label per sample tuple.
-    fn respond(&mut self, table: &Table, sample: &[usize]) -> Vec<bool>;
+    ///
+    /// `index` is the violation index of `sample` over the session's
+    /// hypothesis space: local row `i` is `sample[i]`.
+    ///
+    /// # Panics
+    /// Trainers that label from `index` panic when it does not have one
+    /// row per sample tuple.
+    fn respond(&mut self, table: &Table, sample: &[usize], index: &ViolationIndex) -> Vec<bool>;
 
     /// The trainer's current per-FD confidences (the θ^T the learner tries
     /// to match; used by the MAE metric).
@@ -40,18 +49,11 @@ pub trait Trainer {
 
     /// Display name.
     fn name(&self) -> String;
-
-    /// Hands the trainer the session's shared [`PartitionCache`] of the
-    /// table it will label. A trainer that labels through a violation
-    /// index keeps it to restrict cached partitions instead of re-indexing
-    /// a subset table each round; labels are bit-identical either way.
-    /// The default ignores it.
-    fn attach_cache(&mut self, _cache: Arc<PartitionCache>) {}
 }
 
 /// Trainers whose mutable state can be written into a session snapshot and
 /// restored bit-exactly — the trainer-side half of [`crate::journal`].
-/// Construction-time configuration (thresholds, caches, evidence weights)
+/// Construction-time configuration (thresholds, evidence weights)
 /// is *not* saved; recovery rebuilds the trainer from the original spec and
 /// only overlays the state that evolves during a session.
 pub trait TrainerPersist: Trainer {
@@ -66,54 +68,25 @@ pub trait TrainerPersist: Trainer {
     fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), DurableError>;
 }
 
-/// All unordered within-sample pairs (as local indices into the sample).
-fn local_pairs(n: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::with_capacity(n * (n - 1) / 2);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            out.push((i, j));
-        }
-    }
-    out
-}
-
 /// Labels every tuple of a presented sample by thresholding the belief-
-/// weighted dirty probability computed from the sample's own violation
-/// structure. The detector's sigmoid indicator already gates out
-/// hypotheses the annotator has not firmly accepted.
-///
-/// With a matching [`PartitionCache`] the sample's index restricts the
-/// cached full-table partitions in `O(|sample|)`; otherwise (no cache, a
-/// foreign table, or a sample with repeats) it is built from the subset
-/// table. Both paths produce bit-identical labels.
+/// weighted dirty probability read from the sample's own violation index
+/// (local row `i` is `sample[i]`). The detector's sigmoid indicator
+/// already gates out hypotheses the annotator has not firmly accepted.
 fn label_sample(
-    table: &Table,
     sample: &[usize],
+    index: &ViolationIndex,
     belief: &Belief,
     threshold: f64,
-    cache: Option<&PartitionCache>,
 ) -> Vec<bool> {
-    let idx = match cache {
-        Some(c) if c.n_rows() == table.nrows() && all_distinct(sample, table.nrows()) => {
-            ViolationIndex::build_subsample(table, belief.space(), c, sample)
-        }
-        _ => ViolationIndex::build(&table.subset(sample), belief.space()),
-    };
+    assert_eq!(
+        index.n_rows(),
+        sample.len(),
+        "the sample index must have one row per sample tuple"
+    );
     let conf = belief.confidences();
     (0..sample.len())
-        .map(|i| tuple_dirty_prob(&idx, &conf, i) > threshold)
+        .map(|i| tuple_dirty_prob(index, &conf, i) > threshold)
         .collect()
-}
-
-/// True when every row id occurs at most once (the subsample restriction
-/// requires a duplicate-free sample; presented samples always are).
-fn all_distinct(sample: &[usize], n_rows: usize) -> bool {
-    let mut seen = vec![false; n_rows];
-    sample.iter().all(|&r| {
-        let fresh = !seen[r];
-        seen[r] = true;
-        fresh
-    })
 }
 
 /// The fictitious-play (Bayesian) trainer the user study validates.
@@ -141,10 +114,12 @@ pub struct FpTrainer {
     /// Per-interaction belief discount (discounted fictitious play); `None`
     /// keeps all evidence forever.
     discount: Option<f64>,
-    /// Shared partition cache of the session's table, when attached.
-    cache: Option<Arc<PartitionCache>>,
+    /// Every tuple observed so far, in first-seen order.
     memory: Vec<usize>,
-    in_memory: std::collections::HashSet<usize>,
+    /// Row bitmap over the table: `in_memory[r]` iff `r` is in `memory`.
+    /// Sized from the table on the first `respond`; a restore empties it
+    /// and the next `respond` rebuilds it from `memory`.
+    in_memory: Vec<bool>,
 }
 
 impl FpTrainer {
@@ -156,19 +131,16 @@ impl FpTrainer {
             threshold: 0.5,
             cross_memory: false,
             discount: None,
-            cache: None,
             memory: Vec::new(),
-            in_memory: std::collections::HashSet::new(),
+            in_memory: Vec::new(),
         }
     }
 
-    /// Attaches the session's shared [`PartitionCache`]: sample labeling
-    /// then restricts cached full-table partitions instead of re-indexing a
-    /// subset table each round. Labels are bit-identical either way, so
-    /// this is purely a fast path (see the session cache parity test).
+    /// Returns the trainer unchanged. Sample labeling reads the index the
+    /// session hands to [`Trainer::respond`], so there is no cache to
+    /// attach; this no-op stays only because `roundbench` still calls it.
     #[must_use]
-    pub fn with_cache(mut self, cache: Arc<PartitionCache>) -> Self {
-        self.attach_cache(cache);
+    pub fn with_cache(self, _cache: Arc<PartitionCache>) -> Self {
         self
     }
 
@@ -205,7 +177,13 @@ impl FpTrainer {
 }
 
 impl Trainer for FpTrainer {
-    fn respond(&mut self, table: &Table, sample: &[usize]) -> Vec<bool> {
+    fn respond(&mut self, table: &Table, sample: &[usize], index: &ViolationIndex) -> Vec<bool> {
+        if self.in_memory.len() != table.nrows() {
+            self.in_memory = vec![false; table.nrows()];
+            for &r in &self.memory {
+                self.in_memory[r] = true;
+            }
+        }
         // (0) Discounted FP: old evidence decays before new arrives.
         if let Some(lambda) = self.discount {
             self.belief.discount(lambda);
@@ -215,7 +193,7 @@ impl Trainer for FpTrainer {
         let new: Vec<usize> = sample
             .iter()
             .copied()
-            .filter(|r| !self.in_memory.contains(r))
+            .filter(|&r| !self.in_memory[r])
             .collect();
         let mut evidence = Vec::with_capacity(sample.len() * sample.len());
         for (i, &a) in sample.iter().enumerate() {
@@ -228,8 +206,7 @@ impl Trainer for FpTrainer {
         // Within-sample pairs between two previously seen tuples were
         // already counted; drop them to keep each pair's evidence single-use.
         if !self.memory.is_empty() {
-            evidence
-                .retain(|&(a, b)| !(self.in_memory.contains(&a) && self.in_memory.contains(&b)));
+            evidence.retain(|&(a, b)| !(self.in_memory[a] && self.in_memory[b]));
         }
         if self.cross_memory {
             for &a in &new {
@@ -241,16 +218,10 @@ impl Trainer for FpTrainer {
         update_from_pair_relations(&mut self.belief, table, &evidence, self.observation_weight);
         for r in new {
             self.memory.push(r);
-            self.in_memory.insert(r);
+            self.in_memory[r] = true;
         }
         // (2) Labels under θ_t, judged within the presented sample.
-        label_sample(
-            table,
-            sample,
-            &self.belief,
-            self.threshold,
-            self.cache.as_deref(),
-        )
+        label_sample(sample, index, &self.belief, self.threshold)
     }
 
     fn confidences(&self) -> Vec<f64> {
@@ -259,10 +230,6 @@ impl Trainer for FpTrainer {
 
     fn name(&self) -> String {
         "FP".into()
-    }
-
-    fn attach_cache(&mut self, cache: Arc<PartitionCache>) {
-        self.cache = Some(cache);
     }
 }
 
@@ -282,8 +249,9 @@ impl TrainerPersist for FpTrainer {
         for _ in 0..n {
             self.memory.push(dec.take_usize()?);
         }
-        // `in_memory` is the membership view of `memory`.
-        self.in_memory = self.memory.iter().copied().collect();
+        // `in_memory` is the membership view of `memory`; the next
+        // `respond` rebuilds it at the table's size.
+        self.in_memory.clear();
         Ok(())
     }
 }
@@ -320,28 +288,31 @@ impl HtTrainer {
 }
 
 impl Trainer for HtTrainer {
-    fn respond(&mut self, table: &Table, sample: &[usize]) -> Vec<bool> {
-        let sub = table.subset(sample);
+    fn respond(&mut self, table: &Table, sample: &[usize], _index: &ViolationIndex) -> Vec<bool> {
         let current = self.tester.current_fd();
-        let mut labels = vec![false; sub.nrows()];
-        let mut labeled_pairs = Vec::new();
-        for (i, j) in local_pairs(sub.nrows()) {
-            let violates = pair_relation(&sub, &current, i, j) == PairRelation::Violates;
-            if violates {
-                labels[i] = true;
-                labels[j] = true;
+        let n = sample.len();
+        let mut labels = vec![false; n];
+        let mut labeled_pairs = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let (a, b) = (sample[i], sample[j]);
+                let violates = pair_relation(table, &current, a, b) == PairRelation::Violates;
+                if violates {
+                    labels[i] = true;
+                    labels[j] = true;
+                }
+                // The whole sample is the test window; scoring filters
+                // per-FD relevance itself.
+                labeled_pairs.push(LabeledPair {
+                    a,
+                    b,
+                    dirty_a: violates,
+                    dirty_b: violates,
+                });
             }
-            // The whole sample is the test window; scoring filters per-FD
-            // relevance itself.
-            labeled_pairs.push(LabeledPair {
-                a: i,
-                b: j,
-                dirty_a: violates,
-                dirty_b: violates,
-            });
         }
         // Test (and possibly switch) the hypothesis on this interaction.
-        let _ = self.tester.observe_interaction(&sub, &labeled_pairs);
+        let _ = self.tester.observe_interaction(table, &labeled_pairs);
         labels
     }
 
@@ -363,8 +334,6 @@ pub struct StationaryTrainer {
     belief: Belief,
     /// Dirty-probability threshold for labeling.
     pub threshold: f64,
-    /// Shared partition cache of the session's table, when attached.
-    cache: Option<Arc<PartitionCache>>,
 }
 
 impl StationaryTrainer {
@@ -373,27 +342,13 @@ impl StationaryTrainer {
         Self {
             belief,
             threshold: 0.5,
-            cache: None,
         }
-    }
-
-    /// Attaches a shared [`PartitionCache`] (see [`FpTrainer::with_cache`]).
-    #[must_use]
-    pub fn with_cache(mut self, cache: Arc<PartitionCache>) -> Self {
-        self.attach_cache(cache);
-        self
     }
 }
 
 impl Trainer for StationaryTrainer {
-    fn respond(&mut self, table: &Table, sample: &[usize]) -> Vec<bool> {
-        label_sample(
-            table,
-            sample,
-            &self.belief,
-            self.threshold,
-            self.cache.as_deref(),
-        )
+    fn respond(&mut self, _table: &Table, sample: &[usize], index: &ViolationIndex) -> Vec<bool> {
+        label_sample(sample, index, &self.belief, self.threshold)
     }
 
     fn confidences(&self) -> Vec<f64> {
@@ -402,10 +357,6 @@ impl Trainer for StationaryTrainer {
 
     fn name(&self) -> String {
         "Stationary".into()
-    }
-
-    fn attach_cache(&mut self, cache: Arc<PartitionCache>) {
-        self.cache = Some(cache);
     }
 }
 
@@ -437,7 +388,7 @@ impl OracleTrainer {
 }
 
 impl Trainer for OracleTrainer {
-    fn respond(&mut self, _table: &Table, sample: &[usize]) -> Vec<bool> {
+    fn respond(&mut self, _table: &Table, sample: &[usize], _index: &ViolationIndex) -> Vec<bool> {
         sample.iter().map(|&r| self.dirty[r]).collect()
     }
 
@@ -477,8 +428,8 @@ impl<T: Trainer> NoisyTrainer<T> {
 }
 
 impl<T: Trainer> Trainer for NoisyTrainer<T> {
-    fn respond(&mut self, table: &Table, sample: &[usize]) -> Vec<bool> {
-        let mut labels = self.inner.respond(table, sample);
+    fn respond(&mut self, table: &Table, sample: &[usize], index: &ViolationIndex) -> Vec<bool> {
+        let mut labels = self.inner.respond(table, sample, index);
         for l in &mut labels {
             if self.rng.gen::<f64>() < self.flip_prob {
                 *l = !*l;
@@ -493,10 +444,6 @@ impl<T: Trainer> Trainer for NoisyTrainer<T> {
 
     fn name(&self) -> String {
         format!("{}+noise", self.inner.name())
-    }
-
-    fn attach_cache(&mut self, cache: Arc<PartitionCache>) {
-        self.inner.attach_cache(cache);
     }
 }
 
@@ -519,12 +466,19 @@ mod tests {
         Belief::constant(space(), Beta::from_mean_std(0.9, 0.05))
     }
 
+    /// One labeling round, handed the sample's index the way a session
+    /// hands it.
+    fn respond(tr: &mut dyn Trainer, t: &Table, sample: &[usize]) -> Vec<bool> {
+        let index = ViolationIndex::build(&t.subset(sample), &space());
+        tr.respond(t, sample, &index)
+    }
+
     #[test]
     fn fp_trainer_labels_violations_dirty() {
         let t = paper_table1();
         let mut tr = FpTrainer::new(confident_belief(), EvidenceConfig::default());
         // Sample = whole table: the Lakers pair violates Team -> City.
-        let labels = tr.respond(&t, &[0, 1, 2, 3, 4]);
+        let labels = respond(&mut tr, &t, &[0, 1, 2, 3, 4]);
         assert!(labels[0] && labels[1], "violating pair dirty");
         assert!(!labels[2] && !labels[3], "satisfying tuples clean");
         assert!(!labels[4], "irrelevant tuple clean");
@@ -539,7 +493,7 @@ mod tests {
         );
         let before = tr.confidences();
         for _ in 0..10 {
-            let _ = tr.respond(&t, &[2, 3]); // Bulls pair satisfies fd0
+            let _ = respond(&mut tr, &t, &[2, 3]); // Bulls pair satisfies fd0
         }
         let after = tr.confidences();
         assert!(after[0] > before[0], "satisfying evidence raises fd0");
@@ -554,7 +508,7 @@ mod tests {
             EvidenceConfig::default(),
         );
         for _ in 0..5 {
-            let _ = tr.respond(&t, &[0, 1]); // Lakers violation
+            let _ = respond(&mut tr, &t, &[0, 1]); // Lakers violation
         }
         assert!(tr.confidences()[0] < 0.5);
     }
@@ -567,7 +521,7 @@ mod tests {
         assert_eq!(tr.current_index(), 0);
         // Sample contains the Lakers violation of fd0 and the (t2, t3)
         // support for fd1.
-        let labels = tr.respond(&t, &[0, 1, 2]);
+        let labels = respond(&mut tr, &t, &[0, 1, 2]);
         assert!(
             labels[0] && labels[1],
             "violation of held hypothesis marked"
@@ -585,7 +539,7 @@ mod tests {
         let mut tr = StationaryTrainer::new(confident_belief());
         let before = tr.confidences();
         for _ in 0..5 {
-            let _ = tr.respond(&t, &[0, 1]);
+            let _ = respond(&mut tr, &t, &[0, 1]);
         }
         assert_eq!(tr.confidences(), before);
     }
@@ -594,7 +548,7 @@ mod tests {
     fn oracle_labels_ground_truth() {
         let t = paper_table1();
         let mut tr = OracleTrainer::new(vec![false, true, false, false, false], vec![1.0, 0.0]);
-        let labels = tr.respond(&t, &[0, 1]);
+        let labels = respond(&mut tr, &t, &[0, 1]);
         assert_eq!(labels, vec![false, true]);
     }
 
@@ -605,7 +559,7 @@ mod tests {
         let mut noisy = NoisyTrainer::new(clean, 0.5, 7);
         let mut flips = 0;
         for _ in 0..20 {
-            let labels = noisy.respond(&t, &[0, 1]);
+            let labels = respond(&mut noisy, &t, &[0, 1]);
             flips += labels.iter().filter(|&&l| l).count();
         }
         assert!(flips > 5 && flips < 35, "flips = {flips}");
@@ -619,6 +573,6 @@ mod tests {
         let mut a = OracleTrainer::new(truth.clone(), vec![1.0, 1.0]);
         let mut b = NoisyTrainer::new(OracleTrainer::new(truth, vec![1.0, 1.0]), 0.0, 7);
         let sample = [0usize, 1, 2, 3];
-        assert_eq!(a.respond(&t, &sample), b.respond(&t, &sample));
+        assert_eq!(respond(&mut a, &t, &sample), respond(&mut b, &t, &sample));
     }
 }

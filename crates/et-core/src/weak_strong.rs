@@ -11,13 +11,11 @@
 
 use std::sync::Arc;
 
-use et_data::{split_rows, Table};
-use et_fd::{predict_labels, HypothesisSpace, PartitionCache, ViolationIndex};
-use et_metrics::ConfusionMatrix;
+use et_data::Table;
+use et_fd::HypothesisSpace;
 
-use crate::candidates::{CandidatePool, FreshCandidates};
 use crate::learner::Learner;
-use crate::session::{mae, sample_rows};
+use crate::session::{batch_state, SessionConfig};
 use crate::trainer::Trainer;
 
 /// Configuration of a weak/strong session.
@@ -89,10 +87,17 @@ impl WeakStrongResult {
     }
 }
 
-/// Runs the escalation protocol.
+/// Runs the escalation protocol on a [`crate::SessionState`]: each round
+/// the weak trainer labels the presented sample from the session's sample
+/// index, the strong trainer observes it through
+/// [`crate::SessionState::label_pending`], and the learner absorbs the
+/// weak labels or, past the threshold, the strong ones. Metrics are taken
+/// against the strong trainer's model.
 ///
 /// # Panics
-/// Panics when `dirty_rows` does not have one flag per table row.
+/// Panics when `dirty_rows` does not have one flag per table row, or when
+/// the session part of `cfg` fails [`SessionConfig::validate`] (say, zero
+/// iterations).
 pub fn run_weak_strong(
     table: &Table,
     space: Arc<HypothesisSpace>,
@@ -102,77 +107,51 @@ pub fn run_weak_strong(
     learner: &mut Learner,
     cfg: &WeakStrongConfig,
 ) -> WeakStrongResult {
-    assert_eq!(dirty_rows.len(), table.nrows());
-    let (train_rows, test_rows) = split_rows(table.nrows(), cfg.test_frac, cfg.seed);
-    let in_train = {
-        let mut mask = vec![false; table.nrows()];
-        for &r in &train_rows {
-            mask[r] = true;
-        }
-        mask
+    let session_cfg = SessionConfig {
+        iterations: cfg.iterations,
+        pairs_per_iteration: cfg.pairs_per_iteration,
+        test_frac: cfg.test_frac,
+        pool_cap: cfg.pool_cap,
+        seed: cfg.seed,
+        ..SessionConfig::default()
     };
-    // One cache for the whole protocol: the score build warms it, every
-    // per-iteration sample index restricts it.
-    let cache = PartitionCache::new(table);
-    let test_index = ViolationIndex::build_subsample(table, &space, &cache, &test_rows);
-    let test_dirty: Vec<bool> = test_rows.iter().map(|&r| dirty_rows[r]).collect();
-    let test_eval: Vec<usize> = (0..test_rows.len()).collect();
-    let score_index = ViolationIndex::build_with(table, &space, &cache);
-
-    let mut pool = CandidatePool::build_with(table, &space, &cache, cfg.pool_cap, cfg.seed);
-    pool.retain_rows(&in_train);
-    // Round-invariant relations over the pool: precompute once, score every
-    // iteration from the packed matrix by pool id.
-    let matrix = Arc::new(pool.relation_matrix(table, &space, &cache));
-    let mut fresh = FreshCandidates::new(&pool, matrix, learner.shown());
-
+    let mut st = batch_state(table, space, dirty_rows, session_cfg, strong, learner);
     let mut iterations = Vec::with_capacity(cfg.iterations);
     let mut weak_only = 0;
     let mut escalations = 0;
-
-    for t in 0..cfg.iterations {
-        let (pairs, _) = learner.select(&mut fresh, &score_index, cfg.pairs_per_iteration);
-        if pairs.is_empty() {
-            break;
-        }
-        let sample = sample_rows(&pairs, table.nrows());
-
-        let weak_labels = weak.respond(table, &sample);
+    while let Ok(Some(p)) = st.present(learner) {
+        let weak_labels = weak.respond(table, &p.sample, &p.index);
         // The learner's own predictions within the sample context.
-        let sub_index = ViolationIndex::build_subsample(table, &space, &cache, &sample);
-        let local: Vec<usize> = (0..sample.len()).collect();
-        let predicted = predict_labels(&sub_index, &learner.confidences(), &local);
-        let disagreement = predicted
+        let disagreement = p
+            .predicted
             .iter()
             .zip(&weak_labels)
             .filter(|(p, w)| p != w)
             .count() as f64
-            / sample.len().max(1) as f64;
-
-        let (labels, escalated) = if disagreement > cfg.escalation_threshold {
+            / p.sample.len().max(1) as f64;
+        // The strong trainer observes every presented sample (the paper's
+        // trainer updates on all the data it sees), even when it is not
+        // asked to label.
+        let Ok(strong_labels) = st.label_pending(strong) else {
+            break;
+        };
+        let escalated = disagreement > cfg.escalation_threshold;
+        let labels = if escalated {
             escalations += 1;
-            (strong.respond(table, &sample), true)
+            strong_labels
         } else {
             weak_only += 1;
-            // Keep the strong trainer's belief in sync with what it would
-            // have observed — it still "sees" the data stream (the paper's
-            // trainer updates on every presented sample), it just is not
-            // asked to label.
-            let _ = strong.respond(table, &sample);
-            (weak_labels, false)
+            weak_labels
         };
-
-        learner.absorb_interaction(table, &pairs, &sample, &labels);
-
-        let lc = learner.confidences();
-        let learner_pred = predict_labels(&test_index, &lc, &test_eval);
-        let m = ConfusionMatrix::from_predictions(&learner_pred, &test_dirty);
+        let Ok(m) = st.apply_labels(strong, learner, &labels) else {
+            break;
+        };
         iterations.push(WeakStrongIteration {
-            t,
+            t: m.t,
             escalated,
             disagreement,
-            mae_vs_strong: mae(&strong.confidences(), &lc),
-            learner_f1: m.f1(),
+            mae_vs_strong: m.mae,
+            learner_f1: m.learner_f1,
         });
     }
 
@@ -326,6 +305,69 @@ mod tests {
         for it in &r.iterations {
             assert!((0.0..=1.0).contains(&it.disagreement));
             assert!((0.0..=1.0).contains(&it.mae_vs_strong));
+        }
+    }
+
+    #[test]
+    fn always_escalating_weak_strong_equals_a_strong_session() {
+        // With a negative threshold every round escalates, so the learner
+        // sees exactly what a plain session with the strong trainer shows
+        // it: the per-round MAE and F1 bits must match `run_session`.
+        let (table, dirty, space, _) = fixture();
+        let prior_cfg = PriorConfig {
+            strength: 0.3,
+            ..PriorConfig::default()
+        };
+        let fp = |seed: u64| {
+            FpTrainer::new(
+                build_prior(&PriorSpec::Random { seed }, &prior_cfg, &space, &table),
+                EvidenceConfig::default(),
+            )
+        };
+        let cfg = WeakStrongConfig {
+            iterations: 12,
+            escalation_threshold: -1.0,
+            seed: 7,
+            ..WeakStrongConfig::default()
+        };
+        let (mut weak, mut strong) = (fp(4), fp(5));
+        let mut l = learner(&space, &table);
+        let escalated = run_weak_strong(
+            &table,
+            space.clone(),
+            &dirty,
+            &mut weak,
+            &mut strong,
+            &mut l,
+            &cfg,
+        );
+        let mut strong = fp(5);
+        let mut l = learner(&space, &table);
+        let plain = crate::session::run_session(
+            &table,
+            space.clone(),
+            &dirty,
+            SessionConfig {
+                iterations: cfg.iterations,
+                pairs_per_iteration: cfg.pairs_per_iteration,
+                test_frac: cfg.test_frac,
+                pool_cap: cfg.pool_cap,
+                seed: cfg.seed,
+                ..SessionConfig::default()
+            },
+            &mut strong,
+            &mut l,
+        );
+        assert_eq!(escalated.escalations, 12);
+        assert_eq!(escalated.iterations.len(), plain.metrics.len());
+        for (w, m) in escalated.iterations.iter().zip(&plain.metrics) {
+            assert_eq!(w.mae_vs_strong.to_bits(), m.mae.to_bits(), "t = {}", m.t);
+            assert_eq!(
+                w.learner_f1.to_bits(),
+                m.learner_f1.to_bits(),
+                "t = {}",
+                m.t
+            );
         }
     }
 }

@@ -151,7 +151,6 @@ fn assert_bit_identical(kind: StrategyKind, got: &SessionResult, want: &SessionR
         assert_eq!(g.selected, w.selected, "{}: selected pairs", kind.as_str());
         assert_eq!(g.sample, w.sample, "{}: presented sample", kind.as_str());
         assert_eq!(g.labels, w.labels, "{}: labels", kind.as_str());
-        assert_eq!(g.labeled, w.labeled, "{}: labeled pairs", kind.as_str());
     }
     assert_eq!(
         got.metrics.len(),

@@ -12,8 +12,6 @@ use rand::{Rng, SeedableRng};
 /// at least one tuple row (CSV gap-filling reconstructs empty interactions,
 /// but a *trailing* all-empty interaction is unrepresentable in the file,
 /// so generation mirrors real logs where each round presents something).
-/// The `labeled` field stays empty — `history_from_csv` documents that it
-/// does not restore evidence pairs.
 fn arb_history(rng: &mut StdRng) -> Vec<Interaction> {
     let rounds = rng.gen_range(0..8usize);
     (0..rounds)
@@ -37,7 +35,6 @@ fn arb_history(rng: &mut StdRng) -> Vec<Interaction> {
                 selected,
                 sample,
                 labels,
-                labeled: Vec::new(),
             }
         })
         .collect()
@@ -64,7 +61,6 @@ proptest! {
             prop_assert_eq!(&got.selected, &want.selected);
             prop_assert_eq!(&got.sample, &want.sample);
             prop_assert_eq!(&got.labels, &want.labels);
-            prop_assert!(got.labeled.is_empty(), "labeled is never restored");
         }
     }
 

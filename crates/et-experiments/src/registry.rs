@@ -1054,14 +1054,13 @@ fn run_drift(opts: &RunOptions) -> ExperimentOutput {
         );
 
         // Hand-rolled loop so the table can mutate mid-session. Each table
-        // phase shares one partition cache: the index build warms it, the
-        // trainer's per-round sample labeling restricts it.
+        // phase shares one partition cache: the index build warms it, and
+        // each round's sample index, handed to the trainer, restricts it.
         let mut table = ds.table.clone();
         let mut cache = Arc::new(PartitionCache::new(&table));
         let pool = CandidatePool::build_with(&table, &space, &cache, 4000, 1);
         let mut fresh = phase_candidates(&table, &space, &cache, &pool, &learner);
         let mut index = ViolationIndex::build_with(&table, &space, &cache);
-        let mut trainer = trainer.with_cache(Arc::clone(&cache));
         let mut pre_shift_mae = 0.0;
         let mut post_shift_mae = 0.0;
         for t in 0..iterations {
@@ -1083,14 +1082,14 @@ fn run_drift(opts: &RunOptions) -> ExperimentOutput {
                 let pool = CandidatePool::build_with(&table, &space, &cache, 4000, 2);
                 fresh = phase_candidates(&table, &space, &cache, &pool, &learner);
                 index = ViolationIndex::build_with(&table, &space, &cache);
-                trainer = trainer.with_cache(Arc::clone(&cache));
             }
             let (pairs, _) = learner.select(&mut fresh, &index, 5);
             if pairs.is_empty() {
                 break;
             }
             let sample = sample_rows(&pairs, table.nrows());
-            let labels = trainer.respond(&table, &sample);
+            let sample_index = ViolationIndex::build_subsample(&table, &space, &cache, &sample);
+            let labels = trainer.respond(&table, &sample, &sample_index);
             learner.absorb_interaction(&table, &pairs, &sample, &labels);
             let mae = et_core::session::mae(&trainer.confidences(), &learner.confidences());
             if t == shift_at.saturating_sub(1) {

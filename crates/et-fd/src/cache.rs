@@ -16,12 +16,12 @@
 //!   partition restricted to a sample's rows never re-hashes the table
 //!   (see [`crate::violations::ViolationIndex::build_subsample`]).
 //!
-//! Concurrency: the cache is `Sync` (a session and its trainer share one,
-//! and sessions move between server workers); lookups take a short-lived
-//! mutex and misses are computed *outside* the lock (two racing builders
-//! may compute the same partition, but both arrive at the identical
-//! canonical form, so last-insert-wins is benign and results stay
-//! deterministic).
+//! Concurrency: the cache is `Sync` (a session shares its cache through an
+//! `Arc`, and sessions move between server workers); lookups take a
+//! short-lived mutex and misses are computed *outside* the lock (two
+//! racing builders may compute the same partition, but both arrive at the
+//! identical canonical form, so last-insert-wins is benign and results
+//! stay deterministic).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};

@@ -1,7 +1,7 @@
 //! Shared-cache tests, also exercised under ThreadSanitizer by
 //! `scripts/ci.sh`: index and matrix builds running on many threads over
 //! one [`PartitionCache`] must be data-race free and equal to a build on a
-//! single thread. A session and its trainer share one cache, and sessions
+//! single thread. A session shares its cache through an `Arc`, and sessions
 //! move between server workers, so the cache's locking must hold.
 
 use std::sync::Arc;

@@ -315,9 +315,7 @@ impl SessionStore {
                 return Err(StoreError::Invalid(e.to_string()));
             }
         };
-        // The hosted trainer labels against the session's shared partition
-        // cache — same labels, no per-round subset re-indexing.
-        let trainer = parts.trainer.with_cache(state.partition_cache().clone());
+        let trainer = parts.trainer;
         // Prebuild the round-invariant relation matrix at create time so the
         // first next_pairs call pays scoring cost only, not matrix setup.
         let _ = state.relation_matrix();
@@ -493,9 +491,9 @@ impl SessionStore {
             &parts.learner,
         )
         .map_err(|e| e.to_string())?;
-        // Mirror the create path exactly: cache-backed trainer, prebuilt
-        // matrix — replay must walk the same code the live session walked.
-        let mut trainer = parts.trainer.with_cache(state.partition_cache().clone());
+        // Mirror the create path exactly (prebuilt matrix): replay must walk
+        // the same code the live session walked.
+        let mut trainer = parts.trainer;
         let mut learner = parts.learner;
         let _ = state.relation_matrix();
         recover_session(

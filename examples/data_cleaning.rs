@@ -97,7 +97,7 @@ fn main() {
             })
             .collect(),
     );
-    let mut stationary = StationaryTrainer::new(oracle_belief);
+    let stationary = StationaryTrainer::new(oracle_belief);
     let m = score(&stationary.confidences());
     println!(
         "stationary oracle model: P {:.2}  R {:.2}  F1 {:.2}",
@@ -105,7 +105,6 @@ fn main() {
         m.recall(),
         m.f1()
     );
-    let _ = stationary.respond(&ds.table, &[0, 1]); // (trait demo; no-op learning)
 
     // --- Exploratory training: a *learning* annotator. ---
     let prior_cfg = PriorConfig {

@@ -191,7 +191,7 @@ if tsan_probe; then
     cargo +nightly test -q -p et-serve --test event_loop \
     --target "$TSAN_TARGET"
   echo "==> ThreadSanitizer: et-fd shared partition cache (concurrent index/matrix builders)"
-  # A session and its trainer share one PartitionCache and sessions move
+  # A session shares its PartitionCache through an Arc and sessions move
   # between server workers, so concurrent builders must not race on it.
   RUSTFLAGS="-Zsanitizer=thread -Cunsafe-allow-abi-mismatch=sanitizer" \
     TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan-suppressions.txt" \
