@@ -30,8 +30,9 @@
 //! [`FsyncPolicy::Always`] issues `fdatasync` after every append — the
 //! durability contract ("acknowledged implies recoverable") requires it.
 //! [`FsyncPolicy::Never`] leaves flushing to the OS; crash recovery then
-//! only guarantees a *prefix* of acknowledged labels. `load_smoke --json`
-//! exists to price the difference.
+//! only guarantees a *prefix* of acknowledged labels. `bench_json` prices
+//! the difference per append (`durable_wal_append_fsync` against
+//! `durable_wal_append`).
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -67,14 +68,6 @@ impl FsyncPolicy {
             "always" => Ok(FsyncPolicy::Always),
             "never" => Ok(FsyncPolicy::Never),
             other => Err(format!("fsync policy must be always|never, got {other:?}")),
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FsyncPolicy::Always => "always",
-            FsyncPolicy::Never => "never",
         }
     }
 }

@@ -8,6 +8,8 @@
 //!       [--shards N] [--conn-idle-timeout-secs N] [--max-line-bytes N]
 //! ```
 //!
+//! `--help` (or `-h`) prints the usage line and exits 0.
+//!
 //! With `--data-dir`, sessions are journaled (write-ahead label log plus
 //! periodic snapshots) and recovered on start; without it the store is
 //! purely in-memory, exactly as before.
@@ -22,11 +24,20 @@ use std::time::Duration;
 use et_durable::FsyncPolicy;
 use et_serve::{spawn, ServerConfig};
 
-fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
+const USAGE: &str = "usage: serve [--addr HOST:PORT] [--workers N] [--capacity N] \
+     [--idle-timeout-secs N] [--seed N] \
+     [--data-dir PATH] [--fsync always|never] [--snapshot-every N] \
+     [--shards N] [--conn-idle-timeout-secs N] [--max-line-bytes N]";
+
+/// The server configuration the flags ask for, or `None` for `--help`.
+fn parse_args(args: &[String]) -> Result<Option<ServerConfig>, String> {
     let mut cfg = ServerConfig::default();
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
+        if flag == "--help" || flag == "-h" {
+            return Ok(None);
+        }
         let value = args
             .get(i + 1)
             .ok_or_else(|| format!("{flag} requires a value"))?;
@@ -85,21 +96,20 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
         }
         i += 2;
     }
-    Ok(cfg)
+    Ok(Some(cfg))
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cfg = match parse_args(&args) {
-        Ok(cfg) => cfg,
+        Ok(Some(cfg)) => cfg,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("serve: {msg}");
-            eprintln!(
-                "usage: serve [--addr HOST:PORT] [--workers N] [--capacity N] \
-                 [--idle-timeout-secs N] [--seed N] \
-                 [--data-dir PATH] [--fsync always|never] [--snapshot-every N] \
-                 [--shards N] [--conn-idle-timeout-secs N] [--max-line-bytes N]"
-            );
+            eprintln!("{USAGE}");
             return ExitCode::FAILURE;
         }
     };

@@ -1,5 +1,5 @@
 //! A small blocking client for the line-JSON protocol, used by the
-//! example walkthrough, the load-smoke binary, and the integration tests.
+//! example walkthrough and the integration tests.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

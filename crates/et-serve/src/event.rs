@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 // The exact C ABI surface this module uses. Signatures mirror the Linux
 // manpages; `sockaddr` pointers are passed as `*const c_void` because the
-// only caller builds the one concrete layout it needs (`SockAddrIn`).
+// only caller builds the concrete layout it needs (`RawSockAddr`).
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
@@ -59,7 +59,8 @@ const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
 const EFD_CLOEXEC: c_int = 0x8_0000;
 const EFD_NONBLOCK: c_int = 0x800;
-const AF_INET: c_int = 2;
+const AF_INET: u16 = 2;
+const AF_INET6: u16 = 10;
 const SOCK_STREAM: c_int = 1;
 const SOCK_CLOEXEC: c_int = 0x8_0000;
 const SOL_SOCKET: c_int = 1;
@@ -289,8 +290,7 @@ impl Waker {
     }
 }
 
-/// IPv4 `struct sockaddr_in`, the one sockaddr layout the reuse-port path
-/// builds by hand.
+/// `struct sockaddr_in`.
 #[repr(C)]
 struct SockAddrIn {
     sin_family: u16,
@@ -299,6 +299,69 @@ struct SockAddrIn {
     /// Big-endian address.
     sin_addr: u32,
     sin_zero: [u8; 8],
+}
+
+/// `struct sockaddr_in6`.
+#[repr(C)]
+struct SockAddrIn6 {
+    sin6_family: u16,
+    /// Big-endian port.
+    sin6_port: u16,
+    /// Big-endian flow label.
+    sin6_flowinfo: u32,
+    sin6_addr: [u8; 16],
+    /// Host-order interface index.
+    sin6_scope_id: u32,
+}
+
+/// The sockaddr the reuse-port path hands to `bind` and reads back from
+/// `getsockname`, in the bind address's family.
+enum RawSockAddr {
+    V4(SockAddrIn),
+    V6(SockAddrIn6),
+}
+
+impl RawSockAddr {
+    /// `addr`'s host part with `port` in place of its own.
+    fn new(addr: &SocketAddr, port: u16) -> RawSockAddr {
+        match addr {
+            SocketAddr::V4(v4) => RawSockAddr::V4(SockAddrIn {
+                sin_family: AF_INET,
+                sin_port: port.to_be(),
+                sin_addr: u32::from(*v4.ip()).to_be(),
+                sin_zero: [0; 8],
+            }),
+            SocketAddr::V6(v6) => RawSockAddr::V6(SockAddrIn6 {
+                sin6_family: AF_INET6,
+                sin6_port: port.to_be(),
+                sin6_flowinfo: v6.flowinfo().to_be(),
+                sin6_addr: v6.ip().octets(),
+                sin6_scope_id: v6.scope_id(),
+            }),
+        }
+    }
+
+    fn port(&self) -> u16 {
+        u16::from_be(match self {
+            RawSockAddr::V4(sa) => sa.sin_port,
+            RawSockAddr::V6(sa) => sa.sin6_port,
+        })
+    }
+
+    /// The pointer and byte length the C calls take.
+    fn as_mut_raw(&mut self) -> (*mut c_void, u32) {
+        let (ptr, len): (*mut c_void, _) = match self {
+            RawSockAddr::V4(sa) => (
+                std::ptr::addr_of_mut!(*sa).cast(),
+                std::mem::size_of_val(sa),
+            ),
+            RawSockAddr::V6(sa) => (
+                std::ptr::addr_of_mut!(*sa).cast(),
+                std::mem::size_of_val(sa),
+            ),
+        };
+        (ptr, u32::try_from(len).unwrap_or(u32::MAX))
+    }
 }
 
 fn set_opt(fd: c_int, opt: c_int) -> io::Result<()> {
@@ -316,64 +379,44 @@ fn set_opt(fd: c_int, opt: c_int) -> io::Result<()> {
     Ok(())
 }
 
-/// Binds `n` independent IPv4 listeners to the same address with
+/// Binds `n` independent listeners to the same IPv4 or IPv6 address with
 /// `SO_REUSEPORT`, so the kernel load-balances incoming connections
 /// across event shards with no user-space handoff. Port 0 resolves once
 /// (on the first socket) and the rest bind the resolved port.
+/// `IPV6_V6ONLY` is left at the system default, as `TcpListener::bind`
+/// leaves it.
 ///
 /// # Errors
-/// Any socket/bind/listen failure — including a non-IPv4 address — at
-/// which point the caller falls back to a single acceptor thread feeding
-/// the shards by fd hash.
+/// Any socket/bind/listen/getsockname failure, e.g. `AddrInUse` when a
+/// socket without `SO_REUSEPORT` already holds the port.
 pub fn reuseport_listeners(addr: &SocketAddr, n: usize) -> io::Result<Vec<TcpListener>> {
-    let SocketAddr::V4(v4) = addr else {
-        return Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "SO_REUSEPORT sharding is wired for IPv4 only",
-        ));
-    };
-    let mut port = v4.port();
+    let domain = c_int::from(if addr.is_ipv4() { AF_INET } else { AF_INET6 });
+    let mut port = addr.port();
     let mut out = Vec::with_capacity(n.max(1));
     for _ in 0..n.max(1) {
+        let mut sa = RawSockAddr::new(addr, port);
         // SAFETY: socket takes no pointers; ownership is taken immediately
         // below so every early return closes the fd.
-        let fd = cvt(unsafe { socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0) })?;
+        let fd = cvt(unsafe { socket(domain, SOCK_STREAM | SOCK_CLOEXEC, 0) })?;
         // SAFETY: fd was just returned by the kernel and is owned nowhere
         // else.
         let owned = unsafe { OwnedFd::from_raw_fd(fd) };
         set_opt(fd, SO_REUSEADDR)?;
         set_opt(fd, SO_REUSEPORT)?;
-        let sa = SockAddrIn {
-            sin_family: u16::try_from(AF_INET).unwrap_or(2),
-            sin_port: port.to_be(),
-            sin_addr: u32::from(*v4.ip()).to_be(),
-            sin_zero: [0; 8],
-        };
-        let len = u32::try_from(std::mem::size_of::<SockAddrIn>()).unwrap_or(16);
-        // SAFETY: `sa` is a fully-initialised sockaddr_in of the advertised
+        let (ptr, len) = sa.as_mut_raw();
+        // SAFETY: `sa` is a fully-initialised sockaddr of the advertised
         // length, alive for the duration of the call.
-        cvt(unsafe { bind(fd, std::ptr::addr_of!(sa).cast::<c_void>(), len) })?;
+        cvt(unsafe { bind(fd, ptr, len) })?;
         cvt(unsafe { listen(fd, LISTEN_BACKLOG) })?;
         if port == 0 {
             // Learn the kernel-assigned port so the remaining shards can
             // join the same reuse-port group.
-            let mut got = SockAddrIn {
-                sin_family: 0,
-                sin_port: 0,
-                sin_addr: 0,
-                sin_zero: [0; 8],
-            };
-            let mut got_len = len;
-            // SAFETY: `got` is a sockaddr_in-sized out-buffer and got_len
-            // carries its true length in and out.
-            cvt(unsafe {
-                getsockname(
-                    fd,
-                    std::ptr::addr_of_mut!(got).cast::<c_void>(),
-                    &mut got_len,
-                )
-            })?;
-            port = u16::from_be(got.sin_port);
+            let mut got = RawSockAddr::new(addr, 0);
+            let (ptr, mut got_len) = got.as_mut_raw();
+            // SAFETY: `got` is an out-buffer of the bound socket's family
+            // and got_len carries its true length in and out.
+            cvt(unsafe { getsockname(fd, ptr, &mut got_len) })?;
+            port = got.port();
         }
         // SAFETY: converting the OwnedFd we hold into a TcpListener
         // transfers ownership exactly once.
@@ -486,24 +529,20 @@ mod tests {
 
     #[test]
     fn reuseport_shards_share_one_port() {
-        let addr: SocketAddr = "127.0.0.1:0".parse().expect("addr");
-        let listeners = reuseport_listeners(&addr, 3).expect("reuseport trio");
-        assert_eq!(listeners.len(), 3);
-        let ports: Vec<u16> = listeners
-            .iter()
-            .map(|l| l.local_addr().expect("local addr").port())
-            .collect();
-        assert!(ports[0] != 0);
-        assert!(ports.iter().all(|&p| p == ports[0]), "{ports:?}");
-        // A plain connect reaches one of the shards' accept queues.
-        let probe = std::net::TcpStream::connect(("127.0.0.1", ports[0]));
-        assert!(probe.is_ok());
-    }
-
-    #[test]
-    fn reuseport_rejects_ipv6() {
-        let addr: SocketAddr = "[::1]:0".parse().expect("addr");
-        assert!(reuseport_listeners(&addr, 2).is_err());
+        for bind in ["127.0.0.1:0", "[::1]:0"] {
+            let addr: SocketAddr = bind.parse().expect("addr");
+            let listeners = reuseport_listeners(&addr, 3).expect("reuseport trio");
+            assert_eq!(listeners.len(), 3);
+            let ports: Vec<u16> = listeners
+                .iter()
+                .map(|l| l.local_addr().expect("local addr").port())
+                .collect();
+            assert!(ports[0] != 0, "{bind}");
+            assert!(ports.iter().all(|&p| p == ports[0]), "{bind}: {ports:?}");
+            // A plain connect reaches one of the shards' accept queues.
+            let probe = std::net::TcpStream::connect((addr.ip(), ports[0]));
+            assert!(probe.is_ok(), "{bind}: {probe:?}");
+        }
     }
 
     #[test]

@@ -24,12 +24,13 @@
 //!   eventfd waker, `SO_REUSEPORT` listener fan-out, and a timer wheel.
 //! * [`conn`] — per-connection state for the event loop: newline
 //!   framing over non-blocking reads and a buffered write side.
-//! * [`server`] — the readiness event loop with sharded acceptors, the
-//!   worker pool, and graceful shutdown.
-//! * [`client`] — a small blocking client used by the example, the
-//!   load-smoke binary, and the integration tests.
+//! * [`server`] — the readiness event loop, whose shards each accept on
+//!   their own `SO_REUSEPORT` listener, the worker pool, and graceful
+//!   shutdown.
+//! * [`client`] — a small blocking client used by the example and the
+//!   integration tests.
 //! * [`loadgen`] — an open-loop load generator over the same poller,
-//!   feeding `load_smoke --connections` and the `bench_serve` harness.
+//!   feeding the `bench_serve` harness.
 //!
 //! The crate is Linux-only and has one transport: the epoll event loop.
 //! There is no portable fallback; porting means giving [`event`] a

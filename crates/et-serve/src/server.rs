@@ -4,15 +4,14 @@
 //! Each shard owns an epoll instance, an eventfd waker, a timer wheel, and
 //! a set of non-blocking connections with per-connection read/write
 //! buffers (`conn.rs`). Accepting is sharded via `SO_REUSEPORT` listeners —
-//! one per shard, kernel-balanced — with a single-acceptor fallback that
-//! distributes accepted streams to shards by fd hash; the fallback serves
-//! every bind `reuseport_listeners` refuses, IPv6 addresses included. CPU
-//! work (session step logic) is dispatched to a fixed worker pool over a
-//! job channel; replies come back over per-shard completion queues plus a
-//! waker edge. A shard keeps at most **one request in flight per
-//! connection**, so per-session ordering is enforced at the completion
-//! queue and event arrival order never reaches session logic (DESIGN.md
-//! §16). Shutdown wakes every parked thread; nothing polls a stop flag.
+//! one per shard, kernel-balanced, for IPv4 and IPv6 binds alike; a bind
+//! they cannot make is the error [`spawn`] returns. CPU work (session step
+//! logic) is dispatched to a fixed worker pool over a job channel; replies
+//! come back over a per-shard completion channel plus a waker edge. A
+//! shard keeps at most **one request in flight per connection**, so
+//! per-session ordering is enforced at the completion channel and event
+//! arrival order never reaches session logic (DESIGN.md §16). Shutdown
+//! wakes every parked thread; nothing polls a stop flag.
 //!
 //! Worker count bounds concurrent *CPU-bound requests*; concurrent
 //! *sessions* are bounded separately by the store capacity.
@@ -52,8 +51,8 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Session-store limits and seeding.
     pub store: StoreConfig,
-    /// Event shards (each owns an epoll instance and, where
-    /// `SO_REUSEPORT` binds, its own listener).
+    /// Event shards (each owns an epoll instance and its own
+    /// `SO_REUSEPORT` listener).
     pub shards: usize,
     /// Drop a connection that completes no request line for this long.
     /// Dribbled bytes without a newline do **not** refresh the clock, so
@@ -82,7 +81,6 @@ pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     ctl: Arc<Ctl>,
-    accept_join: Option<JoinHandle<()>>,
     shard_joins: Vec<JoinHandle<()>>,
     worker_joins: Vec<JoinHandle<()>>,
     ctx: Arc<ServerCtx>,
@@ -101,10 +99,9 @@ impl ServerHandle {
         &self.recovery
     }
 
-    /// Raises the stop flag and wakes every transport thread (eventfd per
-    /// shard, a self-connect for the fallback acceptor), so shutdown
-    /// latency is bounded by one loop iteration rather than a poll
-    /// interval. Idempotent; returns immediately — pair with
+    /// Raises the stop flag and wakes every shard through its eventfd, so
+    /// shutdown latency is bounded by one loop iteration rather than a
+    /// poll interval. Idempotent; returns immediately — pair with
     /// [`ServerHandle::wait`].
     pub fn shutdown(&self) {
         self.ctl.begin_shutdown();
@@ -114,9 +111,6 @@ impl ServerHandle {
     /// journaled session (snapshot + WAL sync) so a clean shutdown leaves
     /// recovery nothing to replay.
     pub fn wait(mut self) {
-        if let Some(h) = self.accept_join.take() {
-            let _ = h.join();
-        }
         for h in self.shard_joins.drain(..) {
             let _ = h.join();
         }
@@ -156,22 +150,12 @@ struct Completion {
     shutdown: bool,
 }
 
-/// Per-shard cross-thread state: the waker plus the two queues other
-/// threads feed the shard through (worker completions, acceptor handoff).
-struct ShardMailbox {
-    waker: Waker,
-    completions: Mutex<Vec<Completion>>,
-    handoff: Mutex<Vec<TcpStream>>,
-}
-
-impl ShardMailbox {
-    fn new() -> std::io::Result<ShardMailbox> {
-        Ok(ShardMailbox {
-            waker: Waker::new()?,
-            completions: Mutex::new(Vec::new()),
-            handoff: Mutex::new(Vec::new()),
-        })
-    }
+/// A worker's way back to one shard: the shard's completion channel and
+/// the waker that makes its loop drain it.
+#[derive(Clone)]
+struct ShardLink {
+    completions: Sender<Completion>,
+    waker: Arc<Waker>,
 }
 
 fn lock_or_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -184,24 +168,16 @@ fn lock_or_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// Shutdown control shared by the handle and the transport threads.
 struct Ctl {
     stop: Arc<AtomicBool>,
-    addr: SocketAddr,
-    shards: Vec<Arc<ShardMailbox>>,
-    /// A fallback acceptor thread is parked in a blocking `accept()`.
-    poke_acceptor: bool,
+    wakers: Vec<Arc<Waker>>,
 }
 
 impl Ctl {
-    /// Raises the stop flag and delivers a wake-up to every thread that
-    /// could be parked, bounding shutdown latency by one loop iteration.
+    /// Raises the stop flag and wakes every shard, bounding shutdown
+    /// latency by one loop iteration.
     fn begin_shutdown(&self) {
-        self.stop.store(true, Ordering::Release); // ord: Release pairs with Acquire loads in shard/accept loops
-        for shard in &self.shards {
-            shard.waker.wake();
-        }
-        if self.poke_acceptor {
-            // A throwaway connection unblocks the acceptor's blocking
-            // accept() so it can observe the flag.
-            let _ = TcpStream::connect(self.addr);
+        self.stop.store(true, Ordering::Release); // ord: Release pairs with Acquire loads in the shard loops
+        for waker in &self.wakers {
+            waker.wake();
         }
     }
 }
@@ -221,22 +197,9 @@ fn resolve_addr(addr: &str) -> std::io::Result<SocketAddr> {
 /// Propagates bind/epoll/eventfd setup failures.
 pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     let shards_n = cfg.shards.max(1);
-    let sock_addr = resolve_addr(&cfg.addr)?;
-
-    // Preferred: one SO_REUSEPORT listener per shard, kernel-balanced.
-    // Fallback (e.g. IPv6 bind): one acceptor thread hashing streams out.
-    let (shard_listeners, fallback_listener, addr) = match reuseport_listeners(&sock_addr, shards_n)
-    {
-        Ok(listeners) => {
-            let addr = listeners[0].local_addr()?;
-            (Some(listeners), None, addr)
-        }
-        Err(_) => {
-            let listener = TcpListener::bind(&cfg.addr)?;
-            let addr = listener.local_addr()?;
-            (None, Some(listener), addr)
-        }
-    };
+    // One SO_REUSEPORT listener per shard, kernel-balanced.
+    let listeners = reuseport_listeners(&resolve_addr(&cfg.addr)?, shards_n)?;
+    let addr = listeners[0].local_addr()?;
 
     let stop = Arc::new(AtomicBool::new(false));
     let store = SessionStore::new(cfg.store);
@@ -248,15 +211,22 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         stop: stop.clone(),
     });
 
-    let mut mailboxes = Vec::with_capacity(shards_n);
-    for _ in 0..shards_n {
-        mailboxes.push(Arc::new(ShardMailbox::new()?));
+    // Per shard: its listener, a completion channel and a waker. Every
+    // worker holds a `ShardLink` to each shard; the shard keeps the rest.
+    let mut links = Vec::with_capacity(shards_n);
+    let mut shard_ends = Vec::with_capacity(shards_n);
+    for listener in listeners {
+        let (completions, rx) = mpsc::channel::<Completion>();
+        let waker = Arc::new(Waker::new()?);
+        links.push(ShardLink {
+            completions,
+            waker: waker.clone(),
+        });
+        shard_ends.push((listener, rx, waker));
     }
     let ctl = Arc::new(Ctl {
         stop: stop.clone(),
-        addr,
-        shards: mailboxes.clone(),
-        poke_acceptor: fallback_listener.is_some(),
+        wakers: links.iter().map(|l| l.waker.clone()).collect(),
     });
 
     let (job_tx, job_rx) = mpsc::channel::<Job>();
@@ -266,45 +236,19 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     for _ in 0..workers {
         let job_rx = job_rx.clone();
         let ctx = ctx.clone();
-        let mailboxes = mailboxes.clone();
+        let links = links.clone();
         worker_joins.push(std::thread::spawn(move || {
-            worker_pool_loop(&job_rx, &ctx, &mailboxes);
+            worker_pool_loop(&job_rx, &ctx, &links);
         }));
     }
 
-    let accept_join = fallback_listener.map(|listener| {
-        let mailboxes = mailboxes.clone();
-        let accept_stop = stop.clone();
-        std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                // ord: Acquire sees the flag raised before the wake-up connect
-                if accept_stop.load(Ordering::Acquire) {
-                    break;
-                }
-                if let Ok(stream) = conn {
-                    let fd = stream.as_raw_fd();
-                    let shard = usize::try_from(fd).unwrap_or(0) % mailboxes.len();
-                    lock_or_recover(&mailboxes[shard].handoff).push(stream);
-                    mailboxes[shard].waker.wake();
-                }
-            }
-        })
-    });
-
-    let mut shard_listeners = shard_listeners;
     let mut shard_joins = Vec::with_capacity(shards_n);
-    for (index, mailbox) in mailboxes.iter().enumerate() {
-        let listener = shard_listeners.as_mut().and_then(|v| {
-            if v.is_empty() {
-                None
-            } else {
-                Some(v.remove(0))
-            }
-        });
+    for (index, (listener, completions, waker)) in shard_ends.into_iter().enumerate() {
         let params = ShardParams {
             index,
             listener,
-            mailbox: mailbox.clone(),
+            waker,
+            completions,
             ctx: ctx.clone(),
             ctl: ctl.clone(),
             job_tx: job_tx.clone(),
@@ -321,7 +265,6 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         addr,
         stop,
         ctl,
-        accept_join,
         shard_joins,
         worker_joins,
         ctx,
@@ -329,11 +272,7 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
-fn worker_pool_loop(
-    job_rx: &Arc<Mutex<Receiver<Job>>>,
-    ctx: &Arc<ServerCtx>,
-    mailboxes: &[Arc<ShardMailbox>],
-) {
+fn worker_pool_loop(job_rx: &Arc<Mutex<Receiver<Job>>>, ctx: &Arc<ServerCtx>, links: &[ShardLink]) {
     loop {
         let next = {
             let guard = lock_or_recover(job_rx);
@@ -346,13 +285,15 @@ fn worker_pool_loop(
         let response = dispatch(&job.line, ctx);
         let shutdown = matches!(response, Response::ShuttingDown);
         let payload = reply_line(&response);
-        if let Some(mailbox) = mailboxes.get(job.shard) {
-            lock_or_recover(&mailbox.completions).push(Completion {
+        if let Some(link) = links.get(job.shard) {
+            // A send fails only once the shard has exited (shutdown); the
+            // reply has no connection left to go to.
+            let _ = link.completions.send(Completion {
                 token: job.token,
                 payload,
                 shutdown,
             });
-            mailbox.waker.wake();
+            link.waker.wake();
         }
     }
 }
@@ -368,10 +309,11 @@ fn reply_line(response: &Response) -> Vec<u8> {
 /// Everything one event shard needs.
 struct ShardParams {
     index: usize,
-    /// The shard's own `SO_REUSEPORT` listener, absent under the
-    /// single-acceptor fallback.
-    listener: Option<TcpListener>,
-    mailbox: Arc<ShardMailbox>,
+    /// The shard's own `SO_REUSEPORT` listener.
+    listener: TcpListener,
+    waker: Arc<Waker>,
+    /// Finished requests from the worker pool.
+    completions: Receiver<Completion>,
     ctx: Arc<ServerCtx>,
     ctl: Arc<Ctl>,
     job_tx: Sender<Job>,
@@ -395,21 +337,15 @@ fn shard_loop(p: ShardParams) {
         return;
     };
     if poller
-        .add(p.mailbox.waker.as_raw_fd(), WAKER_TOKEN, true, false)
+        .add(p.waker.as_raw_fd(), WAKER_TOKEN, true, false)
         .is_err()
+        || p.listener.set_nonblocking(true).is_err()
+        || poller
+            .add(p.listener.as_raw_fd(), LISTENER_TOKEN, true, false)
+            .is_err()
     {
         p.ctl.begin_shutdown();
         return;
-    }
-    if let Some(listener) = &p.listener {
-        if listener.set_nonblocking(true).is_err()
-            || poller
-                .add(listener.as_raw_fd(), LISTENER_TOKEN, true, false)
-                .is_err()
-        {
-            p.ctl.begin_shutdown();
-            return;
-        }
     }
 
     // Wheel tick: fine enough that a timeout fires within ~1/16 of the
@@ -443,13 +379,7 @@ fn shard_loop(p: ShardParams) {
         for ev in events.iter().copied() {
             match ev.token {
                 LISTENER_TOKEN => accept_burst(&p, &mut s, now),
-                WAKER_TOKEN => {
-                    p.mailbox.waker.drain();
-                    let handoff = std::mem::take(&mut *lock_or_recover(&p.mailbox.handoff));
-                    for stream in handoff {
-                        register_conn(&p, &mut s, stream, now);
-                    }
-                }
+                WAKER_TOKEN => p.waker.drain(),
                 token => conn_event(&p, &mut s, token, ev, now),
             }
         }
@@ -457,9 +387,8 @@ fn shard_loop(p: ShardParams) {
         // Completions: queue replies, pump the next buffered request, and
         // only then act on a shutdown marker — the goodbye reply is
         // already in the write buffer (and usually on the wire) by then.
-        let completions = std::mem::take(&mut *lock_or_recover(&p.mailbox.completions));
         let mut begin_shutdown = false;
-        for completion in completions {
+        for completion in p.completions.try_iter() {
             if let Some(conn) = s.conns.get_mut(&completion.token) {
                 conn.in_flight = false;
                 conn.queue_write(&completion.payload);
@@ -511,9 +440,8 @@ fn shard_loop(p: ShardParams) {
 }
 
 fn accept_burst(p: &ShardParams, s: &mut ShardState, now: Instant) {
-    let Some(listener) = &p.listener else { return };
     loop {
-        match listener.accept() {
+        match p.listener.accept() {
             Ok((stream, _)) => register_conn(p, s, stream, now),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,

@@ -1,9 +1,9 @@
 //! Integration tests for the readiness-based transport: pipelining inside
 //! one TCP segment, the typed `protocol_error` path for oversized lines,
-//! slow-loris eviction through the real serve binary, and bounded shutdown
-//! latency. The oversize and shutdown tests run on both accept paths: an
-//! IPv4 bind gets per-shard `SO_REUSEPORT` listeners, an IPv6 bind the
-//! single acceptor thread that hands streams to the shards.
+//! slow-loris eviction through the real serve binary, bounded shutdown
+//! latency, and a bind refused on a held port. The oversize, shutdown and
+//! held-port tests run on an IPv4 and an IPv6 bind; both get one
+//! `SO_REUSEPORT` listener per shard.
 
 // Test helpers run outside `#[test]` fns, where the workspace
 // allow-expect-in-tests carve-out does not reach.
@@ -15,8 +15,8 @@ use std::time::{Duration, Instant};
 
 use et_serve::{spawn, Client, Json, ServerConfig, StoreConfig};
 
-/// Bind addresses covering both accept paths: `SO_REUSEPORT` shard
-/// listeners (IPv4) and the acceptor-thread fallback (IPv6).
+/// Bind addresses covering both address families of the `SO_REUSEPORT`
+/// shard listeners.
 const BIND_ADDRS: [&str; 2] = ["127.0.0.1:0", "[::1]:0"];
 
 fn server_cfg(addr: &str) -> ServerConfig {
@@ -78,8 +78,8 @@ fn pipelined_requests_in_one_tcp_segment() {
 }
 
 /// An oversized request line draws one typed `protocol_error` reply and
-/// then the server closes the connection — on both accept paths, whether
-/// or not the line ever saw its newline.
+/// then the server closes the connection — on both address families,
+/// whether or not the line ever saw its newline.
 #[test]
 fn oversized_line_gets_protocol_error_then_close() {
     for bind in BIND_ADDRS {
@@ -210,8 +210,8 @@ fn slow_loris_is_disconnected_by_the_idle_timer() {
 }
 
 /// Shutdown is event-driven, not polled: from the shutdown request to full
-/// teardown (acceptors, shards, workers joined) stays well under a second
-/// on both accept paths, even with an idle connection parked on the server.
+/// teardown (shards and workers joined) stays well under a second on both
+/// address families, even with an idle connection parked on the server.
 #[test]
 fn shutdown_latency_is_bounded_without_polling() {
     for bind in BIND_ADDRS {
@@ -230,5 +230,24 @@ fn shutdown_latency_is_bounded_without_polling() {
             elapsed < Duration::from_secs(1),
             "{bind}: shutdown took {elapsed:?}; a poll interval is hiding somewhere"
         );
+    }
+}
+
+/// A port already held by a listener without `SO_REUSEPORT` cannot join a
+/// reuse-port group: `spawn` returns the bind's `AddrInUse` instead of
+/// serving anything.
+#[test]
+fn spawn_on_a_held_port_fails_with_addr_in_use() {
+    for bind in BIND_ADDRS {
+        let holder = std::net::TcpListener::bind(bind).expect("plain bind");
+        let held = holder.local_addr().expect("held addr").to_string();
+        match spawn(server_cfg(&held)) {
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::AddrInUse, "{bind}: {e}"),
+            Ok(handle) => {
+                handle.shutdown();
+                handle.wait();
+                panic!("{bind}: spawn bound {held}, which a plain listener holds");
+            }
+        }
     }
 }

@@ -1,0 +1,31 @@
+//! The `serve` binary's command line: `--help` and `-h` print the usage
+//! line and exit 0; an unknown flag prints it to stderr and exits 1.
+
+use std::process::Command;
+
+#[test]
+fn help_prints_usage_and_exits_zero() {
+    for flag in ["--help", "-h"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+            .arg(flag)
+            .output()
+            .expect("run serve");
+        assert!(out.status.success(), "{flag}: {:?}", out.status);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage: serve "), "{flag}: {stdout:?}");
+        assert!(out.stderr.is_empty(), "{flag}: {:?}", out.stderr);
+    }
+}
+
+#[test]
+fn unknown_flag_prints_usage_and_exits_one() {
+    let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--blocking", "1"])
+        .output()
+        .expect("run serve");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag \"--blocking\""), "{stderr:?}");
+    assert!(stderr.contains("usage: serve "), "{stderr:?}");
+    assert!(out.stdout.is_empty(), "{:?}", out.stdout);
+}

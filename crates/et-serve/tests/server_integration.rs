@@ -38,29 +38,23 @@ fn shut_down(handle: et_serve::ServerHandle, addr: &str) {
     handle.wait();
 }
 
-/// Two sessions with different strategies and seeds, driven concurrently
-/// over the wire by separate connections; each must match its seed-matched
+/// One session per paper strategy (seeds 41–44), driven concurrently over
+/// the wire by separate connections; each must match its seed-matched
 /// batch run *exactly*, iteration by iteration.
 #[test]
 fn concurrent_wire_sessions_match_batch_exactly() {
     let (handle, addr) = test_server(8, Duration::from_secs(300));
 
-    let specs = [
-        CreateSessionSpec {
+    let specs = StrategyKind::PAPER_METHODS
+        .into_iter()
+        .zip(41..)
+        .map(|(strategy, seed)| CreateSessionSpec {
             rows: 140,
             iterations: 10,
-            strategy: StrategyKind::StochasticBestResponse,
-            seed: Some(41),
+            strategy,
+            seed: Some(seed),
             ..CreateSessionSpec::default()
-        },
-        CreateSessionSpec {
-            rows: 140,
-            iterations: 10,
-            strategy: StrategyKind::UncertaintySampling,
-            seed: Some(42),
-            ..CreateSessionSpec::default()
-        },
-    ];
+        });
 
     let mut joins = Vec::new();
     for spec in specs {
@@ -79,6 +73,12 @@ fn concurrent_wire_sessions_match_batch_exactly() {
         let (spec, outcome) = join.join().expect("client thread");
         let batch = run_batch(&spec, spec.seed.expect("explicit seed")).expect("batch runs");
         assert_eq!(outcome.iterations_run, batch.metrics.len());
+        assert_eq!(
+            outcome.iterations_run,
+            spec.iterations,
+            "{}: the session runs its full iteration budget",
+            spec.strategy.as_str()
+        );
         assert_eq!(
             outcome.mae_series,
             batch.mae_series(),

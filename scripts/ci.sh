@@ -183,7 +183,7 @@ if tsan_probe; then
     cargo +nightly test -q -p et-serve --test server_integration \
     --target "$TSAN_TARGET"
   echo "==> ThreadSanitizer: et-serve event-loop transport suite"
-  # Shards, acceptors, workers, and the completion mailboxes all cross
+  # Shards, workers, and the per-shard completion channels all cross
   # threads; the event-loop suite drives them under the race detector.
   RUSTFLAGS="-Zsanitizer=thread -Cunsafe-allow-abi-mismatch=sanitizer" \
     TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan-suppressions.txt" \
