@@ -168,7 +168,7 @@ fn index_build_legacy(table: &Table, space: &HypothesisSpace) -> u64 {
     let mut total_violating = 0u64;
     for lhs in space.distinct_lhs() {
         let lhs_attrs: Vec<u16> = lhs.to_vec();
-        let grouped = table.group_by(&lhs_attrs);
+        let grouped = group_by_hashed(table, &lhs_attrs);
         for (_, fd) in space.iter().filter(|(_, fd)| fd.lhs == lhs) {
             let mut rhs_counts: Vec<(u32, u64)> = Vec::new();
             for group in &grouped.groups {
@@ -514,6 +514,137 @@ fn inject_bench(quick: bool) -> BenchStats {
         }
     }
     stats_from("inject_hospital_1000", &samples, 1.0)
+}
+
+/// `Table::group_by` as it stood before its dense ids: a SipHash map from
+/// each row's projected key to the id of the group it opened. Kept inline
+/// as the baseline of `group_by_dense_vs_hash_speedup`, and as the
+/// grouping of `index_build_legacy`.
+fn group_by_hashed(table: &Table, attrs: &[u16]) -> et_data::table::GroupedRows {
+    let mut key_ids: HashMap<Vec<u32>, u32> = HashMap::new();
+    let mut row_group = Vec::with_capacity(table.nrows());
+    let mut groups: Vec<Vec<u32>> = Vec::new();
+    let mut key = Vec::with_capacity(attrs.len());
+    for (row, id) in (0..table.nrows()).zip(0u32..) {
+        key.clear();
+        key.extend(attrs.iter().map(|&a| table.sym(row, a)));
+        let gid = match key_ids.get(&key) {
+            Some(&gid) => gid,
+            None => {
+                let gid = u32::try_from(groups.len()).unwrap_or_else(|e| fail("group id", e));
+                key_ids.insert(key.clone(), gid);
+                groups.push(Vec::new());
+                gid
+            }
+        };
+        groups[gid as usize].push(id);
+        row_group.push(gid);
+    }
+    et_data::table::GroupedRows { row_group, groups }
+}
+
+/// `g1_of` as it stood before its per-symbol counter: a hash-keyed
+/// grouping by the LHS, then every group's RHS symbols sorted and
+/// run-length counted, `violating = (g² − Σc²)/2`. Kept inline as the
+/// baseline of `g1_counter_vs_sort_speedup`.
+fn g1_sorted(table: &Table, fd: &Fd) -> G1 {
+    let grouped = group_by_hashed(table, &fd.lhs_vec());
+    let (mut violating, mut lhs_pairs) = (0u64, 0u64);
+    let mut syms: Vec<u32> = Vec::new();
+    for group in &grouped.groups {
+        let g = group.len() as u64;
+        if g < 2 {
+            continue;
+        }
+        lhs_pairs += g * (g - 1) / 2;
+        syms.clear();
+        syms.extend(group.iter().map(|&row| table.sym(row as usize, fd.rhs)));
+        syms.sort_unstable();
+        let sum_sq: u64 = syms
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run.len() as u64).pow(2))
+            .sum();
+        violating += (g * g - sum_sq) / 2;
+    }
+    G1 {
+        violating_pairs: violating,
+        lhs_pairs,
+        rows: table.nrows() as u64,
+    }
+}
+
+/// The two create steps that regroup a Hospital-1000 table (session seed
+/// 1001, as served): the injector's grouping by every exact FD's LHS,
+/// dense against the SipHash grouping it replaced, and the learner's
+/// data-estimate prior over the session's capped space, counted per
+/// symbol against the hash-and-sort `g1_of` it replaced. Each pair is
+/// interleaved, its outputs checked equal before timing.
+fn create_grouping_benches(quick: bool) -> Vec<BenchStats> {
+    let (warmup, iters) = if quick { (2, 10) } else { (3, 25) };
+    let spec = CreateSessionSpec {
+        dataset: DatasetName::Hospital,
+        rows: 1000,
+        ..CreateSessionSpec::default()
+    };
+    let parts = match build_parts(&spec, 1001) {
+        Ok(p) => p,
+        Err(e) => fail("build Hospital-1000 session", e),
+    };
+    let (table, space) = (&parts.table, &parts.space);
+    let keys: Vec<Vec<u16>> = DatasetName::Hospital
+        .generate(10, 0)
+        .exact_fds
+        .iter()
+        .map(|fd| Fd::from_spec(fd).lhs_vec())
+        .collect();
+    for key in &keys {
+        let (dense, hashed) = (table.group_by(key), group_by_hashed(table, key));
+        if dense.row_group != hashed.row_group || dense.groups != hashed.groups {
+            fail("group_by bench", "dense and hashed groupings differ");
+        }
+    }
+    let (dense, hashed) = time_bench_interleaved(
+        "group_by_dense_hospital_1000",
+        "group_by_hashed",
+        warmup,
+        iters,
+        || keys.iter().map(|k| table.group_by(k).len()).sum::<usize>(),
+        || {
+            keys.iter()
+                .map(|k| group_by_hashed(table, k).len())
+                .sum::<usize>()
+        },
+    );
+    let cfg = et_belief::PriorConfig::weak();
+    let prior = || et_belief::build_prior(&et_belief::PriorSpec::DataEstimate, &cfg, space, table);
+    let prior_sorted = || {
+        let params = space
+            .fds()
+            .iter()
+            .map(|fd| {
+                let mean = g1_sorted(table, fd).confidence();
+                et_belief::Beta::from_mean_std(mean, cfg.std).scaled(cfg.strength)
+            })
+            .collect();
+        et_belief::Belief::new(Arc::clone(space), params)
+    };
+    let bits = |b: &et_belief::Belief| -> Vec<u64> {
+        (0..b.len())
+            .flat_map(|i| [b.dist(i).alpha.to_bits(), b.dist(i).beta.to_bits()])
+            .collect()
+    };
+    if bits(&prior()) != bits(&prior_sorted()) {
+        fail("prior bench", "counter and sort priors differ");
+    }
+    let (counter, sorted) = time_bench_interleaved(
+        "prior_data_estimate_hospital_1000",
+        "prior_data_estimate_sorted",
+        warmup,
+        iters,
+        prior,
+        prior_sorted,
+    );
+    vec![dense, hashed, counter, sorted]
 }
 
 /// The capped space as it was scored before the lattice scorer: the whole
@@ -1257,6 +1388,7 @@ fn main() {
     let mut benches = run_benches(&f, cli.quick);
 
     benches.push(inject_bench(cli.quick));
+    benches.extend(create_grouping_benches(cli.quick));
     benches.extend(space_capped_benches(cli.quick));
     benches.extend(candidate_pool_benches(cli.quick));
     benches.extend(eval_benches(cli.quick));
@@ -1338,6 +1470,16 @@ fn main() {
             "topk_vs_sort_select_speedup",
             "round_sort_select",
             "round_topk_select",
+        ),
+        (
+            "group_by_dense_vs_hash_speedup",
+            "group_by_hashed",
+            "group_by_dense_hospital_1000",
+        ),
+        (
+            "g1_counter_vs_sort_speedup",
+            "prior_data_estimate_sorted",
+            "prior_data_estimate_hospital_1000",
         ),
         (
             "space_capped_vs_per_fd_speedup",

@@ -203,34 +203,100 @@ impl Table {
         b.finish()
     }
 
-    /// Returns, for every row, the *group key* obtained by projecting the row
-    /// onto `attrs`; rows with equal keys agree on `attrs`.
+    /// Partitions the rows by their projection onto `attrs`: rows share a
+    /// group exactly when they agree on every attribute of `attrs`.
     ///
-    /// Group ids are dense in `0..n_groups`.
+    /// Contract, relied on by callers that walk or draw from groups
+    /// (error injection picks groups and rows by index):
+    /// * group ids are dense in `0..n_groups` and numbered in order of
+    ///   first occurrence: group `g`'s first row precedes group `g + 1`'s;
+    /// * each group lists its rows in ascending order;
+    /// * an empty `attrs` puts every row in one group.
+    ///
+    /// No hashing: one attribute maps symbols to ids through a
+    /// `dict_len`-sized array; every further attribute splits each group by
+    /// its rows' symbols through a dense per-symbol slot, reset after the
+    /// group, and one pass in row order renumbers the splits by first row.
     pub fn group_by(&self, attrs: &[AttrId]) -> GroupedRows {
-        let mut key_ids: HashMap<Vec<u32>, u32> = HashMap::new();
-        let mut row_group = Vec::with_capacity(self.nrows);
-        let mut groups: Vec<Vec<u32>> = Vec::new();
-        let mut key = Vec::with_capacity(attrs.len());
-        for row in 0..self.nrows {
-            key.clear();
-            key.extend(attrs.iter().map(|&a| self.sym(row, a)));
-            // Look up before inserting so only a new key is cloned.
-            let gid = match key_ids.get(&key) {
-                Some(&gid) => gid,
-                None => {
-                    let gid = groups.len() as u32;
-                    key_ids.insert(key.clone(), gid);
-                    groups.push(Vec::new());
-                    gid
-                }
-            };
-            groups[gid as usize].push(row as u32);
-            row_group.push(gid);
+        let (row_group, sizes) = self.group_ids(attrs);
+        let mut groups: Vec<Vec<u32>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+        for (row, &g) in (0u32..).zip(&row_group) {
+            groups[g as usize].push(row);
         }
         GroupedRows { row_group, groups }
     }
+
+    /// [`Table::group_by`]'s group id of every row, with every group's
+    /// size.
+    fn group_ids(&self, attrs: &[AttrId]) -> (Vec<u32>, Vec<usize>) {
+        let n = self.nrows;
+        let Some((&first, rest)) = attrs.split_first() else {
+            return (vec![0; n], if n == 0 { Vec::new() } else { vec![n] });
+        };
+        let mut ids = self.syms(first).to_vec();
+        let mut sizes = renumber_by_first_row(&mut ids, self.dict_len(first));
+        let mut order = vec![0u32; n];
+        let mut bounds: Vec<usize> = Vec::new();
+        for &attr in rest {
+            // Every group's rows, ascending, back to back: a counting sort
+            // of the rows by group id.
+            bounds.clear();
+            bounds.push(0);
+            let mut end = 0;
+            for &size in &sizes {
+                end += size;
+                bounds.push(end);
+            }
+            let mut cursor = bounds[..sizes.len()].to_vec();
+            for (row, &g) in (0u32..).zip(&ids) {
+                order[cursor[g as usize]] = row;
+                cursor[g as usize] += 1;
+            }
+            // Split each group by `attr`, numbering its splits after the
+            // previous group's.
+            let syms = self.syms(attr);
+            let mut slot = vec![UNSET; self.dict_len(attr)];
+            let mut n_splits = 0u32;
+            for w in bounds.windows(2) {
+                let members = &order[w[0]..w[1]];
+                for &row in members {
+                    let s = &mut slot[syms[row as usize] as usize];
+                    if *s == UNSET {
+                        *s = n_splits;
+                        n_splits += 1;
+                    }
+                    ids[row as usize] = *s;
+                }
+                for &row in members {
+                    slot[syms[row as usize] as usize] = UNSET;
+                }
+            }
+            sizes = renumber_by_first_row(&mut ids, n_splits as usize);
+        }
+        (ids, sizes)
+    }
 }
+
+/// Renumbers `ids`, each below `n_ids`, densely in order of first
+/// occurrence, and returns every new id's count.
+fn renumber_by_first_row(ids: &mut [u32], n_ids: usize) -> Vec<usize> {
+    let mut renumber = vec![UNSET; n_ids];
+    let mut sizes = Vec::new();
+    for id in ids {
+        let g = &mut renumber[*id as usize];
+        if *g == UNSET {
+            *g = sizes.len() as u32;
+            sizes.push(0);
+        }
+        *id = *g;
+        sizes[*g as usize] += 1;
+    }
+    sizes
+}
+
+/// An unassigned slot in [`Table::group_by`]'s dense id tables; never a
+/// group id, since a table has fewer than `u32::MAX` rows.
+const UNSET: u32 = u32::MAX;
 
 /// Result of [`Table::group_by`]: a partition of rows by projected key.
 #[derive(Debug, Clone)]
@@ -316,6 +382,7 @@ pub fn paper_table1() -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn build_and_read_back() {
@@ -373,6 +440,76 @@ mod tests {
                                      // (Chicago, PF) groups rows 1 and 2 together.
         assert_eq!(g.row_group[1], g.row_group[2]);
         assert_ne!(g.row_group[0], g.row_group[1]);
+    }
+
+    #[test]
+    fn group_by_sees_edited_and_dead_symbols() {
+        let mut t = paper_table1();
+        t.set_text(4, 1, "Lakers"); // Clippers falls out of use
+        t.set_text(0, 1, "Knicks"); // a fresh symbol
+        assert!(t.dict_len(1) > t.cardinality(1));
+        let g = t.group_by(&[1, 3]); // Team, Role
+        assert_eq!(g.row_group, vec![0, 1, 2, 3, 4]);
+        let g = t.group_by(&[1]);
+        assert_eq!(g.groups, vec![vec![0], vec![1, 4], vec![2, 3]]);
+        assert_eq!(g.row_group, group_by_hashed(&t, &[1]).row_group);
+    }
+
+    #[test]
+    fn group_by_no_attrs_is_one_group() {
+        let t = paper_table1();
+        assert_eq!(t.group_by(&[]).groups, vec![vec![0, 1, 2, 3, 4]]);
+        let empty = Table::builder(Schema::new(["a"])).finish();
+        assert!(empty.group_by(&[]).is_empty());
+        assert!(empty.group_by(&[0]).is_empty());
+    }
+
+    /// `group_by` as it stood before its dense ids: a SipHash map from
+    /// each row's projected key to the id of the group it opened.
+    fn group_by_hashed(t: &Table, attrs: &[AttrId]) -> GroupedRows {
+        let mut key_ids: HashMap<Vec<u32>, u32> = HashMap::new();
+        let mut row_group = Vec::with_capacity(t.nrows());
+        let mut groups: Vec<Vec<u32>> = Vec::new();
+        for row in 0..t.nrows() {
+            let key: Vec<u32> = attrs.iter().map(|&a| t.sym(row, a)).collect();
+            let gid = *key_ids.entry(key).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() as u32 - 1
+            });
+            groups[gid as usize].push(row as u32);
+            row_group.push(gid);
+        }
+        GroupedRows { row_group, groups }
+    }
+
+    proptest! {
+        /// Dense grouping equals the hash-keyed oracle — group ids in
+        /// first-occurrence order, rows ascending — over keys of one to
+        /// three attributes, on tables edited through `set_text` with
+        /// fresh symbols and symbols overwritten out of use.
+        #[test]
+        fn group_by_equals_hash_keyed_oracle(
+            rows in proptest::collection::vec((0u8..5, 0u8..3, 0u8..4, 0u8..2), 0..40),
+            edits in proptest::collection::vec((0usize..40, 0u16..4, 0u8..8), 0..16),
+            keys in proptest::collection::vec(proptest::collection::vec(0u16..4, 1..4), 1..5),
+        ) {
+            let mut b = Table::builder(Schema::new(["a", "b", "c", "d"]));
+            for (a, bb, c, d) in &rows {
+                b.push_row(&[format!("v{a}"), format!("v{bb}"), format!("v{c}"), format!("v{d}")]);
+            }
+            let mut t = b.finish();
+            for &(row, attr, v) in &edits {
+                if t.nrows() > 0 {
+                    t.set_text(row % t.nrows(), attr, &format!("v{v}"));
+                }
+            }
+            for attrs in &keys {
+                let dense = t.group_by(attrs);
+                let oracle = group_by_hashed(&t, attrs);
+                prop_assert_eq!(&dense.row_group, &oracle.row_group);
+                prop_assert_eq!(&dense.groups, &oracle.groups);
+            }
+        }
     }
 
     #[test]

@@ -16,14 +16,15 @@
 use et_data::{AttrId, Table};
 
 use crate::fd::Fd;
+use crate::partitions::StrippedPartition;
 
 /// Sorts `syms` in place and emits `(symbol, count)` runs in ascending
 /// symbol order into `out` (cleared first).
 ///
 /// This replaces the former `O(group · distinct-RHS)` linear-scan counting
-/// loop shared by [`g1_of`] and the violation-index builders: sorting a
-/// small scratch buffer and run-length counting touches each symbol
-/// `O(log g)` times and leaves the counts binary-searchable by symbol.
+/// loop of the violation-index builders: sorting a small scratch buffer
+/// and run-length counting touches each symbol `O(log g)` times and leaves
+/// the counts binary-searchable by symbol.
 pub(crate) fn count_symbol_runs(syms: &mut [u32], out: &mut Vec<(u32, u64)>) {
     syms.sort_unstable();
     out.clear();
@@ -78,10 +79,15 @@ impl G1 {
     }
 }
 
-/// Computes [`G1`] for `fd` over `table` by partition refinement: group rows
-/// by the LHS projection, then count cross-RHS pairs inside each group.
+/// Computes [`G1`] for `fd` over `table` by partition refinement: the
+/// stripped partition of the LHS (the first attribute bucketed, each
+/// further one refining it), then the pairs of each class that also agree
+/// on the RHS, counted with a dense per-symbol counter (`agreeing_on`);
+/// the rest of the class's pairs violate. Singleton rows are in no pair
+/// and are stripped.
 ///
-/// Runs in `O(n)` hashing time plus `O(groups · distinct RHS per group)`.
+/// Runs in `O(n · |LHS|)` plus one dense array per dictionary read, with
+/// no hashing and no sort.
 ///
 /// ```
 /// use et_data::table::paper_table1;
@@ -92,27 +98,17 @@ impl G1 {
 /// assert_eq!(g.lhs_pairs, 2);
 /// ```
 pub fn g1_of(table: &Table, fd: &Fd) -> G1 {
-    let lhs: Vec<AttrId> = fd.lhs_vec();
-    let grouped = table.group_by(&lhs);
-    let mut violating = 0u64;
-    let mut lhs_pairs = 0u64;
-    let mut syms: Vec<u32> = Vec::new();
-    let mut rhs_counts: Vec<(u32, u64)> = Vec::new();
-    for group in &grouped.groups {
-        let g = group.len() as u64;
-        if g < 2 {
-            continue;
-        }
-        lhs_pairs += g * (g - 1) / 2;
-        syms.clear();
-        syms.extend(group.iter().map(|&row| table.sym(row as usize, fd.rhs)));
-        count_symbol_runs(&mut syms, &mut rhs_counts);
-        // Unordered cross-bucket pairs: (g² - Σc²)/2.
-        let sum_sq: u64 = rhs_counts.iter().map(|(_, c)| c * c).sum();
-        violating += (g * g - sum_sq) / 2;
-    }
+    let mut lhs = fd.lhs.iter();
+    let part = match lhs.next() {
+        Some(a) => lhs.fold(StrippedPartition::of_attr(table, a), |p, b| {
+            p.refine(table, b)
+        }),
+        None => StrippedPartition::full(table.nrows()),
+    };
+    let lhs_pairs = part.pairs();
+    let agreeing = agreeing_on(table, &part, fd.rhs, &mut Vec::new());
     let out = G1 {
-        violating_pairs: violating,
+        violating_pairs: lhs_pairs - agreeing,
         lhs_pairs,
         rows: table.nrows() as u64,
     };
@@ -129,6 +125,37 @@ pub fn g1_of(table: &Table, fd: &Fd) -> G1 {
         out.violation_rate()
     );
     out
+}
+
+/// Row pairs inside one class of `part` that also agree on `attr`: each
+/// class is counted in one walk over a dense per-symbol counter and reset
+/// by a second walk over the same rows. A row agrees with every earlier
+/// row of its class carrying the same symbol, so summing the running count
+/// before each increment gives `Σ c·(c − 1)/2` over the symbol buckets.
+/// `counts` is scratch, all zero between calls.
+pub(crate) fn agreeing_on(
+    table: &Table,
+    part: &StrippedPartition,
+    attr: AttrId,
+    counts: &mut Vec<u32>,
+) -> u64 {
+    let syms = table.syms(attr);
+    let dict = table.dict_len(attr);
+    if counts.len() < dict {
+        counts.resize(dict, 0);
+    }
+    let mut agreeing = 0u64;
+    for class in part.classes() {
+        for &row in class {
+            let c = &mut counts[syms[row as usize] as usize];
+            agreeing += u64::from(*c);
+            *c += 1;
+        }
+        for &row in class {
+            counts[syms[row as usize] as usize] = 0;
+        }
+    }
+    agreeing
 }
 
 /// The per-FD scorer the capped space used before it scored once per

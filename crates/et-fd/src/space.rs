@@ -11,12 +11,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use et_data::{AttrId, Table};
+use et_data::Table;
 
 use crate::attrset::{subsets_up_to, AttrSet};
 use crate::cache::PartitionCache;
 use crate::fd::Fd;
-use crate::g1::G1;
+use crate::g1::{agreeing_on, G1};
 use crate::partitions::StrippedPartition;
 
 /// An immutable, indexable set of candidate FDs.
@@ -273,36 +273,6 @@ fn lattice_g1(table: &Table, cache: &PartitionCache, max_fd_attrs: u32) -> Vec<(
         }
     }
     out
-}
-
-/// Row pairs inside one class of `part` that also agree on `attr`: each
-/// class is counted in one walk over a dense per-symbol counter and reset
-/// by a second walk over the same rows. A row agrees with every earlier
-/// row of its class carrying the same symbol, so summing the running count
-/// before each increment gives `Σ c·(c − 1)/2` over the symbol buckets.
-fn agreeing_on(
-    table: &Table,
-    part: &StrippedPartition,
-    attr: AttrId,
-    counts: &mut Vec<u32>,
-) -> u64 {
-    let syms = table.syms(attr);
-    let dict = table.dict_len(attr);
-    if counts.len() < dict {
-        counts.resize(dict, 0);
-    }
-    let mut agreeing = 0u64;
-    for class in part.classes() {
-        for &row in class {
-            let c = &mut counts[syms[row as usize] as usize];
-            agreeing += u64::from(*c);
-            *c += 1;
-        }
-        for &row in class {
-            counts[syms[row as usize] as usize] = 0;
-        }
-    }
-    agreeing
 }
 
 #[cfg(test)]

@@ -32,71 +32,47 @@ const USAGE: &str = "usage: serve [--addr HOST:PORT] [--workers N] [--capacity N
 /// The server configuration the flags ask for, or `None` for `--help`.
 fn parse_args(args: &[String]) -> Result<Option<ServerConfig>, String> {
     let mut cfg = ServerConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if flag == "--help" || flag == "-h" {
-            return Ok(None);
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("{flag} requires a value"))?;
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let flag = flag.as_str();
+        // The flag is matched before its value is taken, so an unknown
+        // flag is reported as unknown wherever it stands.
+        let mut value = || {
+            args.next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("{flag} requires a value"))
+        };
         match flag {
-            "--addr" => cfg.addr = value.clone(),
-            "--workers" => {
-                cfg.workers = value
-                    .parse()
-                    .map_err(|_| format!("--workers must be a number, got {value:?}"))?;
-            }
-            "--capacity" => {
-                cfg.store.capacity = value
-                    .parse()
-                    .map_err(|_| format!("--capacity must be a number, got {value:?}"))?;
-            }
+            "--help" | "-h" => return Ok(None),
+            "--addr" => cfg.addr = value()?.to_owned(),
+            "--workers" => cfg.workers = number(flag, value()?)?,
+            "--capacity" => cfg.store.capacity = number(flag, value()?)?,
             "--idle-timeout-secs" => {
-                let secs: u64 = value
-                    .parse()
-                    .map_err(|_| format!("--idle-timeout-secs must be a number, got {value:?}"))?;
-                cfg.store.idle_timeout = Duration::from_secs(secs);
+                cfg.store.idle_timeout = Duration::from_secs(number(flag, value()?)?);
             }
-            "--seed" => {
-                cfg.store.base_seed = value
-                    .parse()
-                    .map_err(|_| format!("--seed must be a number, got {value:?}"))?;
-            }
-            "--data-dir" => {
-                cfg.store.data_dir = Some(std::path::PathBuf::from(value));
-            }
+            "--seed" => cfg.store.base_seed = number(flag, value()?)?,
+            "--data-dir" => cfg.store.data_dir = Some(std::path::PathBuf::from(value()?)),
             "--fsync" => {
                 cfg.store.journal.fsync =
-                    FsyncPolicy::from_name(value).map_err(|e| format!("--fsync: {e}"))?;
+                    FsyncPolicy::from_name(value()?).map_err(|e| format!("--fsync: {e}"))?;
             }
-            "--snapshot-every" => {
-                cfg.store.journal.snapshot_every = value
-                    .parse()
-                    .map_err(|_| format!("--snapshot-every must be a number, got {value:?}"))?;
-            }
-            "--shards" => {
-                cfg.shards = value
-                    .parse()
-                    .map_err(|_| format!("--shards must be a number, got {value:?}"))?;
-            }
+            "--snapshot-every" => cfg.store.journal.snapshot_every = number(flag, value()?)?,
+            "--shards" => cfg.shards = number(flag, value()?)?,
             "--conn-idle-timeout-secs" => {
-                let secs: u64 = value.parse().map_err(|_| {
-                    format!("--conn-idle-timeout-secs must be a number, got {value:?}")
-                })?;
-                cfg.conn_idle_timeout = Duration::from_secs(secs);
+                cfg.conn_idle_timeout = Duration::from_secs(number(flag, value()?)?);
             }
-            "--max-line-bytes" => {
-                cfg.max_line_bytes = value
-                    .parse()
-                    .map_err(|_| format!("--max-line-bytes must be a number, got {value:?}"))?;
-            }
+            "--max-line-bytes" => cfg.max_line_bytes = number(flag, value()?)?,
             other => return Err(format!("unknown flag {other:?}")),
         }
-        i += 2;
     }
     Ok(Some(cfg))
+}
+
+/// `value` parsed as `flag`'s number.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} must be a number, got {value:?}"))
 }
 
 fn main() -> ExitCode {

@@ -1,5 +1,6 @@
 //! The `serve` binary's command line: `--help` and `-h` print the usage
-//! line and exit 0; an unknown flag prints it to stderr and exits 1.
+//! line and exit 0; an unknown flag prints it to stderr and exits 1,
+//! whether or not a value follows it.
 
 use std::process::Command;
 
@@ -19,13 +20,34 @@ fn help_prints_usage_and_exits_zero() {
 
 #[test]
 fn unknown_flag_prints_usage_and_exits_one() {
+    let cases: [&[&str]; 3] = [
+        &["--blocking", "1"],
+        &["--blocking"],
+        &["--workers", "2", "--blocking"],
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(args)
+            .output()
+            .expect("run serve");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unknown flag \"--blocking\""),
+            "{args:?}: {stderr:?}"
+        );
+        assert!(stderr.contains("usage: serve "), "{args:?}: {stderr:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: {:?}", out.stdout);
+    }
+}
+
+#[test]
+fn known_flag_without_value_is_reported_missing() {
     let out = Command::new(env!("CARGO_BIN_EXE_serve"))
-        .args(["--blocking", "1"])
+        .args(["--seed", "3", "--workers"])
         .output()
         .expect("run serve");
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown flag \"--blocking\""), "{stderr:?}");
-    assert!(stderr.contains("usage: serve "), "{stderr:?}");
-    assert!(out.stdout.is_empty(), "{:?}", out.stdout);
+    assert!(stderr.contains("--workers requires a value"), "{stderr:?}");
 }

@@ -89,7 +89,11 @@ echo "==> bench harness compiles + bench_json smoke (quick profile)"
 # row classes, must stay at least 3x faster than the same enumeration
 # deduplicated through a hash set. And it gates the capped-space scoring
 # pass: counting agreeing pairs once per attribute set must stay at least
-# 2x faster than the per-FD walk over the same cached partitions.
+# 2x faster than the per-FD walk over the same cached partitions. And it
+# gates the create's regrouping: the injector's dense group_by must stay
+# at least 2x faster than the SipHash grouping it replaced, and the
+# learner's data-estimate prior, counted per symbol, at least 3x faster
+# than the same prior through the hash-and-sort g1_of.
 cargo build -q --release -p et-bench --benches --bins
 BENCH_OUT="$(mktemp /tmp/et-bench-substrate.XXXXXX.json)"
 if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
@@ -101,6 +105,8 @@ if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
   --gate reply_encode_stream_vs_tree_speedup:1.5 \
   --gate pool_build_vs_hashset_speedup:3 \
   --gate space_capped_vs_per_fd_speedup:2 \
+  --gate group_by_dense_vs_hash_speedup:2 \
+  --gate g1_counter_vs_sort_speedup:3 \
   || [ ! -s "$BENCH_OUT" ]; then
   echo "FATAL: bench_json failed to produce $BENCH_OUT or a gate failed" >&2
   echo "       (baseline unregenerable, delta rescoring lost to a full rescore," >&2
@@ -108,8 +114,10 @@ if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
   echo "        alloc-free scoring path fell below parity, the packed" >&2
   echo "        evaluation lost its 3x lead over FD-major flags, streamed" >&2
   echo "        reply encoding lost its 1.5x lead over the JSON tree, the" >&2
-  echo "        pool build lost its 3x lead over the hash-set enumeration, or" >&2
-  echo "        the per-set space scorer lost its 2x lead over the per-FD walk)" >&2
+  echo "        pool build lost its 3x lead over the hash-set enumeration," >&2
+  echo "        the per-set space scorer lost its 2x lead over the per-FD walk," >&2
+  echo "        dense group_by lost its 2x lead over the SipHash grouping, or" >&2
+  echo "        the counter-walk prior lost its 3x lead over the sorted one)" >&2
   exit 1
 fi
 rm -f "$BENCH_OUT"
