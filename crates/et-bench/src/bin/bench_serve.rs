@@ -17,7 +17,7 @@
 //! `event_offered_load_completion` is the fraction of the offered rounds
 //! completed at the largest connection count (an absolute measure: 1.0
 //! means the server kept up); p99/p999 submit latency is reported per run
-//! from the same log₂-µs histograms the server uses internally.
+//! from the same log-linear histograms the server uses internally.
 
 use std::time::Duration;
 

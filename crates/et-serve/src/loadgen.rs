@@ -14,7 +14,7 @@
 //! pairs reply lands). No wall-clock randomness anywhere: reruns offer
 //! the identical schedule.
 //!
-//! Per-op p50/p99/p999 come from the store's log₂-µs
+//! Per-op p50/p99/p999 come from the store's log-linear
 //! [`LatencyHistogram`], so client-side numbers are bucketed exactly like
 //! the server's own round-latency telemetry.
 
@@ -68,7 +68,7 @@ impl Default for LoadConfig {
 pub struct OpStats {
     /// Samples recorded (completed operations).
     pub samples: u64,
-    /// Estimated median, ms (log₂-bucket upper bound).
+    /// Estimated median, ms (bucket upper bound, within 6.25%).
     pub p50_ms: f64,
     /// Estimated 99th percentile, ms.
     pub p99_ms: f64,
