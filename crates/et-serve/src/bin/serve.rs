@@ -14,7 +14,9 @@
 //! periodic snapshots) and recovered on start; without it the store is
 //! purely in-memory, exactly as before.
 //!
-//! The transport is the readiness-based event loop (Linux epoll).
+//! The transport is the readiness-based event loop (Linux epoll). Each of
+//! the `--shards` event threads runs its connections' rounds to completion;
+//! the `--workers` threads only build sessions for `create_session`.
 //! `--conn-idle-timeout-secs` bounds how long a connection may go without
 //! completing a request line (slow-loris defense; 0 disables it).
 
@@ -27,7 +29,9 @@ use et_serve::{spawn, ServerConfig};
 const USAGE: &str = "usage: serve [--addr HOST:PORT] [--workers N] [--capacity N] \
      [--idle-timeout-secs N] [--seed N] \
      [--data-dir PATH] [--fsync always|never] [--snapshot-every N] \
-     [--shards N] [--conn-idle-timeout-secs N] [--max-line-bytes N]";
+     [--shards N] [--conn-idle-timeout-secs N] [--max-line-bytes N]\n  \
+     --shards N   event threads; each runs its connections' rounds (default 2)\n  \
+     --workers N  threads that build sessions for create_session (default 4)";
 
 /// The server configuration the flags ask for, or `None` for `--help`.
 fn parse_args(args: &[String]) -> Result<Option<ServerConfig>, String> {

@@ -1,5 +1,7 @@
 //! Integration tests for the readiness-based transport: pipelining inside
-//! one TCP segment, the typed `protocol_error` path for oversized lines,
+//! one TCP segment (a create and a round on the new session included),
+//! rounds answered on the event shard while a create holds the only
+//! worker, the typed `protocol_error` path for oversized lines,
 //! slow-loris eviction through the real serve binary, bounded shutdown
 //! latency, and a bind refused on a held port. The oversize, shutdown and
 //! held-port tests run on an IPv4 and an IPv6 bind; both get one
@@ -13,7 +15,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use et_serve::{spawn, Client, Json, ServerConfig, StoreConfig};
+use et_serve::{spawn, Client, CreateSessionSpec, Json, ServerConfig, StoreConfig};
 
 /// Bind addresses covering both address families of the `SO_REUSEPORT`
 /// shard listeners.
@@ -42,18 +44,24 @@ fn read_reply(reader: &mut BufReader<TcpStream>) -> Json {
 }
 
 /// Several requests written in a single TCP segment are each answered, in
-/// order, on the same connection — the framer must split the segment and
-/// the per-connection inbox must keep arrival order.
+/// order, on the same connection — the framer must split the segment, the
+/// per-connection inbox must keep arrival order, and a round on a session
+/// whose create went to the worker pool must wait for that create.
 #[test]
 fn pipelined_requests_in_one_tcp_segment() {
     let handle = spawn(server_cfg("127.0.0.1:0")).expect("bind");
     let addr = handle.addr().to_string();
 
     let mut raw = TcpStream::connect(&addr).expect("connect");
-    // One write: a bad op (typed error), two statuses, and garbage. Four
-    // replies must come back in exactly this order.
-    raw.write_all(b"{\"op\":\"nope\"}\n{\"op\":\"status\"}\n{\"op\":\"status\"}\nnot json\n")
-        .expect("pipelined write");
+    // One write: a bad op (typed error), two statuses, garbage, a create
+    // (the fresh server's session 1) and a round on it. Six replies must
+    // come back in exactly this order.
+    raw.write_all(
+        b"{\"op\":\"nope\"}\n{\"op\":\"status\"}\n{\"op\":\"status\"}\nnot json\n\
+          {\"op\":\"create_session\",\"rows\":60,\"iterations\":2}\n\
+          {\"op\":\"next_pairs\",\"session\":1}\n",
+    )
+    .expect("pipelined write");
     let mut reader = BufReader::new(raw.try_clone().expect("clone"));
 
     let first = read_reply(&mut reader);
@@ -66,14 +74,93 @@ fn pipelined_requests_in_one_tcp_segment() {
             Some("server_status")
         );
     }
-    let last = read_reply(&mut reader);
+    let garbage = read_reply(&mut reader);
     assert_eq!(
-        last.get("error").and_then(Json::as_str),
+        garbage.get("error").and_then(Json::as_str),
         Some("parse_error")
     );
+    let created = read_reply(&mut reader);
+    assert_eq!(
+        created.get("reply").and_then(Json::as_str),
+        Some("created"),
+        "{created:?}"
+    );
+    assert_eq!(created.get("session").and_then(Json::as_f64), Some(1.0));
+    let pairs = read_reply(&mut reader);
+    assert_eq!(
+        pairs.get("reply").and_then(Json::as_str),
+        Some("pairs"),
+        "{pairs:?}"
+    );
+    assert_eq!(pairs.get("session").and_then(Json::as_f64), Some(1.0));
 
     let mut client = Client::connect(&addr).expect("connect for shutdown");
     client.shutdown_server().expect("shutdown");
+    handle.wait();
+}
+
+/// Rounds run on the event shard, not the worker pool: with one shard and
+/// one worker, a connection finishes several rounds on an existing session
+/// while a large create from another connection holds the only worker, and
+/// the create's reply arrives after them.
+#[test]
+fn rounds_finish_while_a_create_holds_the_only_worker() {
+    const ROUNDS: usize = 3;
+    let mut cfg = server_cfg("127.0.0.1:0");
+    cfg.shards = 1;
+    cfg.workers = 1;
+    let handle = spawn(cfg).expect("bind");
+    let addr = handle.addr().to_string();
+
+    let mut b = Client::connect(&addr).expect("connect B");
+    let small = CreateSessionSpec {
+        rows: 60,
+        iterations: ROUNDS + 1,
+        ..CreateSessionSpec::default()
+    };
+    let (session, _) = b.create_session(&small).expect("small create");
+
+    // A large create on connection A: it occupies the only worker for far
+    // longer than B's rounds take.
+    let mut a = TcpStream::connect(&addr).expect("connect A");
+    a.write_all(b"{\"op\":\"create_session\",\"dataset\":\"hospital\",\"rows\":2000}\n")
+        .expect("large create");
+    // Let the shard hand the create to the worker before B speaks.
+    std::thread::sleep(Duration::from_millis(50));
+
+    for round in 0..ROUNDS {
+        let pairs = b.next_pairs(session).expect("next_pairs");
+        assert_eq!(
+            pairs.get("reply").and_then(Json::as_str),
+            Some("pairs"),
+            "round {round}: {pairs:?}"
+        );
+        let labeled = b.submit_labels(session, None).expect("submit_labels");
+        assert_eq!(
+            labeled.get("reply").and_then(Json::as_str),
+            Some("labeled"),
+            "round {round}: {labeled:?}"
+        );
+    }
+
+    // A's reply has not arrived yet; it does once the build finishes.
+    a.set_nonblocking(true).expect("nonblocking");
+    let mut probe = [0u8; 1];
+    let early = a.read(&mut probe);
+    assert!(
+        matches!(&early, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+        "the create replied before B's {ROUNDS} rounds finished: {early:?}"
+    );
+    a.set_nonblocking(false).expect("blocking");
+    let mut reader = BufReader::new(a);
+    let created = read_reply(&mut reader);
+    assert_eq!(
+        created.get("reply").and_then(Json::as_str),
+        Some("created"),
+        "{created:?}"
+    );
+
+    b.shutdown_server().expect("shutdown");
     handle.wait();
 }
 
