@@ -126,13 +126,14 @@ pub struct Conn {
     /// The shard-unique token this connection is registered under.
     pub token: u64,
     framer: LineFramer,
-    /// Complete request lines not yet handed to the worker pool.
+    /// Complete request lines not yet answered or handed to the worker
+    /// pool.
     pub inbox: VecDeque<String>,
     /// Encoded replies awaiting socket writability.
     out: Vec<u8>,
     /// How much of `out` has already been written.
     out_cursor: usize,
-    /// True while a request is at the worker pool; enforces ≤1 in-flight
+    /// True while a create is at the worker pool; enforces ≤1 in-flight
     /// request per connection, which is what keeps per-session ordering.
     pub in_flight: bool,
     /// Close the connection once `out` fully flushes.

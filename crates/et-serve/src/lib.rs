@@ -25,8 +25,8 @@
 //! * [`conn`] — per-connection state for the event loop: newline
 //!   framing over non-blocking reads and a buffered write side.
 //! * [`server`] — the readiness event loop, whose shards each accept on
-//!   their own `SO_REUSEPORT` listener, the worker pool, and graceful
-//!   shutdown.
+//!   their own `SO_REUSEPORT` listener and run their connections' rounds,
+//!   the worker pool that builds sessions, and graceful shutdown.
 //! * [`client`] — a small blocking client used by the example and the
 //!   integration tests.
 //! * [`loadgen`] — an open-loop load generator over the same poller,

@@ -141,9 +141,10 @@ rm -f "$DIGEST_TMP"
 echo "==> bench_serve smoke (quick profile, budget ${SERVE_BENCH_BUDGET_SECS:=90}s)"
 # The serving benchmark must stay regenerable AND the event loop must
 # complete the load it is offered: at the top rung (128 mostly-idle
-# connections on 4 workers) at least 99% of the offered rounds finish inside
-# the window. The wall clock is bounded so a wedged shard cannot hang the
-# gate.
+# connections) at least 99% of the offered rounds finish inside the window.
+# The event shards run every round to completion themselves (the 4 workers
+# only build sessions), so this gates the shards' round capacity. The wall
+# clock is bounded so a wedged shard cannot hang the gate.
 SERVE_OUT="$(mktemp /tmp/et-bench-serve.XXXXXX.json)"
 BENCH_SERVE_CMD=(./target/release/bench_serve --quick --out "$SERVE_OUT"
   --gate event_offered_load_completion:0.99)
@@ -154,8 +155,9 @@ else
 fi
 if ! "${BENCH_SERVE_CMD[@]}" || [ ! -s "$SERVE_OUT" ]; then
   echo "FATAL: bench_serve failed, exceeded ${SERVE_BENCH_BUDGET_SECS}s, or a gate failed" >&2
-  echo "       (BENCH_serve.json unregenerable, or the event loop completed" >&2
-  echo "        under 99% of the load offered at the top connection count)" >&2
+  echo "       (BENCH_serve.json unregenerable, or the event shards, which serve" >&2
+  echo "        every round, completed under 99% of the load offered at the top" >&2
+  echo "        connection count)" >&2
   exit 1
 fi
 rm -f "$SERVE_OUT"
@@ -191,16 +193,18 @@ if tsan_probe; then
     cargo +nightly test -q -p et-serve --test server_integration \
     --target "$TSAN_TARGET"
   echo "==> ThreadSanitizer: et-serve event-loop transport suite"
-  # Shards, workers, and the per-shard completion channels all cross
-  # threads; the event-loop suite drives them under the race detector.
+  # Shards run rounds and hand creates to the workers, whose replies come
+  # back over the per-shard completion channels; the event-loop suite
+  # drives those crossings under the race detector.
   RUSTFLAGS="-Zsanitizer=thread -Cunsafe-allow-abi-mismatch=sanitizer" \
     TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan-suppressions.txt" \
     CARGO_TARGET_DIR=target/tsan \
     cargo +nightly test -q -p et-serve --test event_loop \
     --target "$TSAN_TARGET"
   echo "==> ThreadSanitizer: et-fd shared partition cache (concurrent index/matrix builders)"
-  # A session shares its PartitionCache through an Arc and sessions move
-  # between server workers, so concurrent builders must not race on it.
+  # A session shares its PartitionCache through an Arc, is built on a
+  # worker and then served by whichever shard its connection lands on, so
+  # concurrent builders must not race on it.
   RUSTFLAGS="-Zsanitizer=thread -Cunsafe-allow-abi-mismatch=sanitizer" \
     TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan-suppressions.txt" \
     CARGO_TARGET_DIR=target/tsan \
