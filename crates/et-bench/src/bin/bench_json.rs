@@ -27,8 +27,8 @@ use et_bench::cli::{self, Cli};
 use et_bench::fixtures::{fixture, Fixture};
 use et_core::{
     recover_session, run_session, top_k_indices, CandidatePool, FpTrainer, JournalConfig, Learner,
-    PairExample, ResponseStrategy, SessionConfig, SessionJournal, SessionState, StrategyKind,
-    Trainer,
+    PairExample, ResponseStrategy, ScoreCtx, SessionConfig, SessionJournal, SessionState,
+    StrategyKind, Trainer,
 };
 use et_data::gen::DatasetName;
 use et_data::{inject_errors, InjectConfig, Table};
@@ -338,6 +338,7 @@ fn run_benches(f: &Fixture, quick: bool) -> Vec<BenchStats> {
     out.push(topk);
     out.push(sortk);
 
+    out.extend(policy_benches(f, quick));
     out.extend(round_latency_benches(
         f,
         [
@@ -495,6 +496,130 @@ fn round_latency_benches(
         ],
     );
     vec![full, del, del_live]
+}
+
+/// One round's StochasticBR policy with every step per candidate: the
+/// confidence score, the max-shifted softmax, its entropy and the
+/// sampler, as `select_round` computed them before it keyed scores by
+/// violation class. Kept inline as the baseline of
+/// `policy_class_vs_candidate_speedup`; returns the picks and `h_policy`.
+fn policy_per_candidate(
+    scorer: &mut DeltaScorer,
+    ids: &[u32],
+    conf: &[f64],
+    gamma: f64,
+    k: usize,
+    rng: &mut StdRng,
+) -> (Vec<u32>, f64) {
+    let batch = scorer.scores_for(ids, conf, &DetectParams::unsmoothed());
+    let scores: Vec<f64> = ids
+        .iter()
+        .map(|&id| {
+            let d = batch.dirty[id as usize];
+            let s = d.max(1.0 - d);
+            s + s
+        })
+        .collect();
+    let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let mut weights: Vec<f64> = scores.iter().map(|s| ((s - max) / gamma).exp()).collect();
+    let sum: f64 = weights.iter().sum();
+    for w in &mut weights {
+        *w /= sum;
+    }
+    let h_policy = weights
+        .iter()
+        .filter(|&&p| p > 0.0)
+        .map(|&p| -p * p.ln())
+        .sum();
+    let mut alive: Vec<usize> = (0..weights.len()).collect();
+    let mut picks = Vec::with_capacity(k);
+    for _ in 0..k {
+        let total: f64 = alive.iter().map(|&i| weights[i]).sum();
+        if total <= 0.0 || alive.is_empty() {
+            break;
+        }
+        let mut pick = rng.gen::<f64>() * total;
+        let mut chosen = alive.len() - 1;
+        for (pos, &i) in alive.iter().enumerate() {
+            if pick < weights[i] {
+                chosen = pos;
+                break;
+            }
+            pick -= weights[i];
+        }
+        let i = alive.swap_remove(chosen);
+        weights[i] = 0.0;
+        picks.push(ids[i]);
+    }
+    (picks, h_policy)
+}
+
+/// One StochasticBR selection over a fresh Hospital pool (every id live,
+/// the learner's data-estimate prior): `select_round`, which maps scores
+/// and builds the softmax once per violation class present, against
+/// [`policy_per_candidate`]. Both sides reuse a warm scorer under
+/// unchanged confidences, so neither rescores, and draw from the same
+/// seed; their picks and `h_policy` bits are checked equal before timing.
+fn policy_benches(f: &Fixture, quick: bool) -> Vec<BenchStats> {
+    let (warmup, iters) = if quick { (5, 60) } else { (20, 400) };
+    let cache = PartitionCache::new(&f.table);
+    let pool = CandidatePool::build_with(&f.table, &f.space, &cache, 2000, 2);
+    let pairs: Vec<(usize, usize)> = pool.pairs().iter().map(|p| (p.a, p.b)).collect();
+    let matrix = Arc::new(RelationMatrix::build(&f.table, &f.space, &cache, &pairs));
+    let index = ViolationIndex::build_with(&f.table, &f.space, &cache);
+    let belief = et_belief::build_prior(
+        &et_belief::PriorSpec::DataEstimate,
+        &et_belief::PriorConfig::default(),
+        &f.space,
+        &f.table,
+    );
+    let conf = belief.confidences();
+    let ids: Vec<u32> = (0u32..).take(pairs.len()).collect();
+    let strategy = ResponseStrategy::paper(StrategyKind::StochasticBestResponse);
+    let k = 5;
+    let by_class = std::cell::RefCell::new(DeltaScorer::new(Arc::clone(&matrix)));
+    let mut per_candidate = DeltaScorer::new(Arc::clone(&matrix));
+    let ctx = ScoreCtx {
+        index: &index,
+        scorer: &by_class,
+    };
+    let rng = || StdRng::seed_from_u64(7);
+    let keyed = strategy.select_round(ctx, &belief, &ids, k, &mut rng());
+    let (picks, h_policy) = policy_per_candidate(
+        &mut per_candidate,
+        &ids,
+        &conf,
+        strategy.gamma,
+        k,
+        &mut rng(),
+    );
+    if keyed.picks != picks || keyed.h_policy.to_bits() != h_policy.to_bits() {
+        fail(
+            "policy_benches",
+            format!(
+                "class-keyed policy diverged: picks {:?} vs {picks:?}, h_policy {} vs {h_policy}",
+                keyed.picks, keyed.h_policy
+            ),
+        );
+    }
+    let (class, candidate) = time_bench_interleaved(
+        "round_policy_by_class",
+        "round_policy_per_candidate",
+        warmup,
+        iters,
+        || strategy.select_round(ctx, &belief, &ids, k, &mut rng()),
+        || {
+            policy_per_candidate(
+                &mut per_candidate,
+                &ids,
+                &conf,
+                strategy.gamma,
+                k,
+                &mut rng(),
+            )
+        },
+    );
+    vec![class, candidate]
 }
 
 /// Error injection in the shape a served create pays: Hospital-1000 at
@@ -1465,6 +1590,11 @@ fn main() {
             "round_latency_live_vs_pool_speedup_tax",
             "round_delta_rescore_tax",
             "round_delta_rescore_live_tax",
+        ),
+        (
+            "policy_class_vs_candidate_speedup",
+            "round_policy_per_candidate",
+            "round_policy_by_class",
         ),
         (
             "topk_vs_sort_select_speedup",

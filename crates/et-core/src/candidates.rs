@@ -10,7 +10,8 @@
 //! [`CandidatePool::pairs`] in pool order, so pool id `i` is matrix pair id
 //! `i`: [`FreshCandidates`] holds the not-yet-shown ids in pool order next
 //! to the delta scorer over that matrix, and the response strategies score
-//! `dirty[id]` or the packed relation row `id` directly. The scorer keeps
+//! `dirty[id]` (once per violation class) or the packed relation row `id`
+//! directly. The scorer keeps
 //! only the listed ids current: retiring picks is the list's one mutation,
 //! so it only shrinks, and the slots of retired ids go stale unread.
 //! This is the one runtime scoring path; the raw-cell definitions in
@@ -216,9 +217,10 @@ impl FreshCandidates {
         }
     }
 
-    /// Retires `picks` from the fresh list (order-preserving) and returns
-    /// their pairs, in pick order.
-    pub(crate) fn retire(&mut self, picks: &[u32]) -> Vec<PairExample> {
+    /// Retires `picks` from the fresh list and returns their pairs, in
+    /// pick order. The list is compacted in place by one merge pass
+    /// against the sorted picks (both ascend), so it keeps its order.
+    pub(crate) fn retire(&mut self, mut picks: Vec<u32>) -> Vec<PairExample> {
         let scorer = self.scorer.borrow();
         let pairs = scorer.matrix().pairs();
         let taken = picks
@@ -228,7 +230,12 @@ impl FreshCandidates {
                 PairExample { a, b }
             })
             .collect();
-        self.ids.retain(|id| !picks.contains(id));
+        picks.sort_unstable();
+        let mut next = picks.into_iter().peekable();
+        self.ids.retain(|&id| {
+            while next.next_if(|&p| p < id).is_some() {}
+            next.next_if_eq(&id).is_none()
+        });
         taken
     }
 }
@@ -291,8 +298,29 @@ mod tests {
         let mut fresh = FreshCandidates::new(&pool, m, &shown);
         // Pool order is (0,1), (1,2), (2,3): ids 0 and 2 stay fresh.
         assert_eq!(fresh.ids(), &[0, 2]);
-        assert_eq!(fresh.retire(&[2]), vec![PairExample::new(2, 3)]);
+        assert_eq!(fresh.retire(vec![2]), vec![PairExample::new(2, 3)]);
         assert_eq!(fresh.ids(), &[0]);
+    }
+
+    #[test]
+    fn retire_keeps_pool_order_and_returns_pick_order() {
+        let t = paper_table1();
+        let sp = space();
+        let mut pairs = Vec::new();
+        for a in 0..t.nrows() {
+            for b in a + 1..t.nrows() {
+                pairs.push(PairExample::new(a, b));
+            }
+        }
+        let pool = CandidatePool::from_pairs(pairs.clone());
+        let m = Arc::new(pool.relation_matrix(&t, &sp, &PartitionCache::new(&t)));
+        let mut fresh = FreshCandidates::new(&pool, m, &HashSet::new());
+        // Table 1's five rows make ten pairs, ids 0..10 in pool order.
+        let picked = fresh.retire(vec![9, 4, 0, 5]);
+        assert_eq!(picked, vec![pairs[9], pairs[4], pairs[0], pairs[5]]);
+        assert_eq!(fresh.ids(), &[1, 2, 3, 6, 7, 8]);
+        assert_eq!(fresh.retire(vec![2]), vec![pairs[2]]);
+        assert_eq!(fresh.ids(), &[1, 3, 6, 7, 8]);
     }
 
     #[test]

@@ -120,7 +120,7 @@ impl Learner {
             k,
             &mut self.rng,
         );
-        let picked = fresh.retire(&sel.picks);
+        let picked = fresh.retire(sel.picks);
         self.shown.extend(picked.iter().copied());
         (picked, sel.h_policy)
     }

@@ -27,8 +27,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::payoff::policy_entropy;
-use crate::topk::top_k_indices;
+use crate::topk::BoundedTopK;
 
 /// Everything a response strategy scores from.
 ///
@@ -202,6 +201,12 @@ impl ResponseStrategy {
     /// Deterministic kinds break score ties by candidate order; stochastic
     /// kinds consume `rng`. An empty candidate list or `k = 0` picks
     /// nothing, with zero entropy.
+    ///
+    /// Pair-local scores are a function of the pair's violation class
+    /// ([`et_fd::RelationMatrix::class_ids`]), so they are mapped, and the
+    /// softmax built, once per class present; every sum still adds per
+    /// candidate in candidate order, so the picks and `h_policy` are those
+    /// of the per-candidate computation, bit for bit.
     pub fn select_round(
         &self,
         ctx: ScoreCtx<'_>,
@@ -218,105 +223,169 @@ impl ResponseStrategy {
             };
         }
         let k = k.min(n);
-        let at = |positions: Vec<usize>| positions.into_iter().map(|i| candidates[i]).collect();
+        if self.kind == StrategyKind::Random {
+            let mut picks = candidates.to_vec();
+            picks.shuffle(rng);
+            picks.truncate(k);
+            return Selection {
+                picks,
+                h_policy: uniform_entropy(n),
+            };
+        }
+        // Thompson's policy is uniform over the posterior-mean top-k, so
+        // only its size `k` matters and the mean is never scored. One
+        // posterior draw per interaction: its picks score confidence under
+        // the sampled confidence vector.
+        let draw: Option<Vec<f64>> = (self.kind == StrategyKind::ThompsonSampling).then(|| {
+            (0..belief.len())
+                .map(|i| belief.dist(i).sample(rng))
+                .collect()
+        });
+        let mut scorer = ctx.scorer.borrow_mut();
+        let (positions, h_policy) = match self.pair_local_params(draw.is_some()) {
+            Some(params) => {
+                let conf = draw.unwrap_or_else(|| belief.confidences());
+                let classes = scorer.class_scores_for(candidates, &conf, &params);
+                for v in classes.dirty.iter_mut() {
+                    *v = self.pair_local_score(*v);
+                }
+                let keys = classes.keys;
+                self.policy(
+                    n,
+                    |i| keys[i] as usize,
+                    classes.dirty,
+                    classes.spare,
+                    k,
+                    rng,
+                )
+            }
+            None => {
+                let mut scores = self.candidate_scores(
+                    ctx.index,
+                    &mut scorer,
+                    belief,
+                    candidates,
+                    draw.as_deref(),
+                );
+                let mut spare = vec![0.0; n];
+                self.policy(n, |i| i, &mut scores, &mut spare, k, rng)
+            }
+        };
+        Selection {
+            picks: positions.into_iter().map(|i| candidates[i]).collect(),
+            h_policy,
+        }
+    }
+
+    /// The policy over `n` candidates whose scores are keyed: candidate
+    /// `i` scores `values[key(i)]`. Returns the picked positions and the
+    /// policy entropy; the stochastic kinds consume `values` and use
+    /// `spare` (one slot per value) as scratch.
+    fn policy(
+        &self,
+        n: usize,
+        key: impl Fn(usize) -> usize + Copy,
+        values: &mut [f64],
+        spare: &mut [f64],
+        k: usize,
+        rng: &mut StdRng,
+    ) -> (Vec<usize>, f64) {
         match self.kind {
-            StrategyKind::Random => {
-                let mut picks = candidates.to_vec();
-                picks.shuffle(rng);
-                picks.truncate(k);
-                Selection {
-                    picks,
-                    h_policy: uniform_entropy(n),
-                }
-            }
-            StrategyKind::UncertaintySampling
-            | StrategyKind::Best
-            | StrategyKind::CommitteeDisagreement
-            | StrategyKind::DensityWeightedUncertainty => {
-                // The picks are the uniform policy's support: top-k keeps
-                // exactly `k` entries (`k` is already clamped to `n`).
-                let scores = self.scores(ctx, belief, candidates, None);
-                Selection {
-                    picks: at(top_k_indices(&scores, k)),
-                    h_policy: uniform_entropy(k),
-                }
-            }
-            StrategyKind::ThompsonSampling => {
-                // The policy is uniform over the posterior-mean top-k, so
-                // only its size `k` matters and the mean is never scored.
-                // One posterior draw per interaction: score confidence
-                // under the sampled confidence vector.
-                let draw: Vec<f64> = (0..belief.len())
-                    .map(|i| belief.dist(i).sample(rng))
-                    .collect();
-                let drawn = self.scores(ctx, belief, candidates, Some(&draw));
-                Selection {
-                    picks: at(top_k_indices(&drawn, k)),
-                    h_policy: uniform_entropy(k),
-                }
-            }
             StrategyKind::StochasticBestResponse | StrategyKind::StochasticUncertainty => {
-                let weights = softmax(&self.scores(ctx, belief, candidates, None), self.gamma);
-                let h_policy = policy_entropy(&weights);
-                Selection {
-                    picks: at(sample_without_replacement(weights, k, rng)),
-                    h_policy,
+                softmax_draw(n, key, values, spare, self.gamma, k, rng)
+            }
+            // The picks are the uniform policy's support: top-k keeps
+            // exactly `k` entries (`k` is already clamped to `n`).
+            _ => {
+                let mut heap = BoundedTopK::new(k);
+                for i in 0..n {
+                    heap.insert(i, values[key(i)]);
                 }
+                (heap.into_sorted_indices(), uniform_entropy(k))
             }
         }
     }
 
-    /// Raw per-candidate scores for this strategy's criterion, read from
-    /// the packed relation matrix by pool id (one delta-rescored batch
-    /// fold per parameterisation, over `ids` only). `Random` never scores.
-    fn scores(
+    /// The detector parameters of a pair-local score that depends on the
+    /// pair only through its violation class, or `None` when this
+    /// strategy scores per candidate. Confidence scoring is smoothed under
+    /// a Thompson draw (matching `pair_dirty_probs`) and raw otherwise
+    /// (matching `example_confidence`); uncertainty is belief-internal,
+    /// raw under the posterior mean (those kinds never draw).
+    fn pair_local_params(&self, thompson: bool) -> Option<DetectParams> {
+        match self.kind {
+            StrategyKind::CommitteeDisagreement | StrategyKind::DensityWeightedUncertainty => None,
+            _ if self.basis == ScoreBasis::DatasetTuple => None,
+            _ if thompson => Some(DetectParams::default()),
+            _ => Some(DetectParams::unsmoothed()),
+        }
+    }
+
+    /// This strategy's pair-local score of a pair with dirty probability
+    /// `d`: twice the binary entropy for the uncertainty kinds, twice
+    /// `max(d, 1 − d)` (the confidence) otherwise.
+    fn pair_local_score(&self, d: f64) -> f64 {
+        match self.kind {
+            StrategyKind::UncertaintySampling | StrategyKind::StochasticUncertainty => {
+                let e = binary_entropy(d);
+                e + e
+            }
+            _ => {
+                let s = d.max(1.0 - d);
+                s + s
+            }
+        }
+    }
+
+    /// Per-candidate scores for the criteria that are not a function of
+    /// the violation class: committee disagreement, density-weighted
+    /// uncertainty and the dataset-tuple basis.
+    fn candidate_scores(
         &self,
-        ctx: ScoreCtx<'_>,
+        index: &ViolationIndex,
+        scorer: &mut DeltaScorer,
         belief: &Belief,
         ids: &[u32],
         thompson_draw: Option<&[f64]>,
     ) -> Vec<f64> {
-        let mut scorer = ctx.scorer.borrow_mut();
-        if matches!(self.kind, StrategyKind::CommitteeDisagreement) {
-            // Summed posterior variance over the FDs each pair violates.
-            let m = scorer.matrix();
-            return ids
-                .iter()
-                .map(|&id| {
-                    m.violated_indices(id as usize)
-                        .map(|fi| belief.dist(fi).variance())
-                        .sum()
-                })
-                .collect();
-        }
-        if matches!(self.kind, StrategyKind::DensityWeightedUncertainty) {
-            // Uncertainty x representativeness (relevant-FD count).
-            let n_fds = belief.len().max(1) as f64;
-            let m = scorer.matrix();
-            let mut out: Vec<f64> = ids
-                .iter()
-                .map(|&id| m.relevant_count(id as usize) as f64 / n_fds)
-                .collect();
-            let batch = scorer.scores_for(ids, &belief.confidences(), &DetectParams::unsmoothed());
-            for (s, &id) in out.iter_mut().zip(ids) {
-                let e = binary_entropy(batch.dirty[id as usize]);
-                *s *= e + e;
+        let m = scorer.matrix();
+        match self.kind {
+            StrategyKind::CommitteeDisagreement => {
+                // Summed posterior variance over the FDs each pair violates.
+                ids.iter()
+                    .map(|&id| {
+                        m.violated_indices(id as usize)
+                            .map(|fi| belief.dist(fi).variance())
+                            .sum()
+                    })
+                    .collect()
             }
-            return out;
-        }
-        let conf_holder;
-        let conf: &[f64] = match thompson_draw {
-            Some(d) => d,
-            None => {
-                conf_holder = belief.confidences();
-                &conf_holder
+            StrategyKind::DensityWeightedUncertainty => {
+                // Uncertainty x representativeness (relevant-FD count).
+                let n_fds = belief.len().max(1) as f64;
+                let mut out: Vec<f64> = ids
+                    .iter()
+                    .map(|&id| m.relevant_count(id as usize) as f64 / n_fds)
+                    .collect();
+                let batch =
+                    scorer.scores_for(ids, &belief.confidences(), &DetectParams::unsmoothed());
+                for (s, &id) in out.iter_mut().zip(ids) {
+                    let e = binary_entropy(batch.dirty[id as usize]);
+                    *s *= e + e;
+                }
+                out
             }
-        };
-        match self.basis {
-            ScoreBasis::DatasetTuple => {
+            _ => {
                 // The paper's per-tuple p(dirty | θ) over the whole dataset.
-                let index = ctx.index;
-                let pairs = scorer.matrix().pairs();
+                let conf_holder;
+                let conf: &[f64] = match thompson_draw {
+                    Some(d) => d,
+                    None => {
+                        conf_holder = belief.confidences();
+                        &conf_holder
+                    }
+                };
+                let pairs = m.pairs();
                 let params = DetectParams::default();
                 let mut probs = vec![f64::NAN; index.n_rows()];
                 let mut prob = |row: usize| {
@@ -340,89 +409,116 @@ impl ResponseStrategy {
                     })
                     .collect()
             }
-            ScoreBasis::PairLocal => match self.kind {
-                StrategyKind::UncertaintySampling | StrategyKind::StochasticUncertainty => {
-                    // Uncertainty is belief-internal: raw probabilities
-                    // under the posterior mean (these kinds never draw).
-                    let batch = scorer.scores_for(ids, conf, &DetectParams::unsmoothed());
-                    ids.iter()
-                        .map(|&id| {
-                            let e = binary_entropy(batch.dirty[id as usize]);
-                            e + e
-                        })
-                        .collect()
-                }
-                _ => {
-                    // Confidence scoring: smoothed under a Thompson draw
-                    // (matching `pair_dirty_probs`), raw otherwise
-                    // (matching `example_confidence`).
-                    let params = if thompson_draw.is_some() {
-                        DetectParams::default()
-                    } else {
-                        DetectParams::unsmoothed()
-                    };
-                    let batch = scorer.scores_for(ids, conf, &params);
-                    ids.iter()
-                        .map(|&id| {
-                            let d = batch.dirty[id as usize];
-                            let s = d.max(1.0 - d);
-                            s + s
-                        })
-                        .collect()
-                }
-            },
         }
     }
 }
 
 /// Entropy of the uniform policy over `m` candidates, summed term by term
-/// exactly as [`policy_entropy`] sums an explicit uniform vector. Every
-/// term is the same value, so it is computed once and added `m` times in
-/// the same order.
+/// exactly as [`crate::payoff::policy_entropy`] sums an explicit uniform
+/// vector. Every term is the same value, so it is computed once and added
+/// `m` times in the same order.
 fn uniform_entropy(m: usize) -> f64 {
     let p = 1.0 / m as f64;
     let term = -p * p.ln();
     (0..m).map(|_| term).sum()
 }
 
-/// Numerically-stable softmax of `scores / gamma`.
-fn softmax(scores: &[f64], gamma: f64) -> Vec<f64> {
-    let max = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let mut out: Vec<f64> = scores.iter().map(|s| ((s - max) / gamma).exp()).collect();
-    let sum: f64 = out.iter().sum();
-    for v in &mut out {
+/// Draws up to `k` distinct positions from the softmax at temperature γ
+/// over `n` candidates whose scores are keyed (candidate `i` scores
+/// `values[key(i)]`), and returns them with the policy's entropy.
+///
+/// The shift by the maximum, the `exp`, the divide and the entropy term
+/// `−p ln p` run once per key, in place in `values` and `spare` (one slot
+/// per value). The softmax total, the entropy and the sampler's totals add
+/// per candidate in candidate order, so everything equals the softmax of
+/// the gathered per-candidate scores bit for bit. The maximum is taken
+/// over the keys' values: the same values as the candidates', and the
+/// shifted weights do not depend on which of two equal maxima wins.
+fn softmax_draw(
+    n: usize,
+    key: impl Fn(usize) -> usize + Copy,
+    values: &mut [f64],
+    spare: &mut [f64],
+    gamma: f64,
+    k: usize,
+    rng: &mut StdRng,
+) -> (Vec<usize>, f64) {
+    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    for v in values.iter_mut() {
+        *v = ((*v - max) / gamma).exp();
+    }
+    let sum: f64 = (0..n).map(|i| values[key(i)]).sum();
+    // Each weight becomes its probability, and `spare` its entropy term.
+    // A zero probability's term is -0.0, which leaves a sum's bits
+    // unchanged, as leaving it out of the sum did.
+    for (v, term) in values.iter_mut().zip(spare.iter_mut()) {
         *v /= sum;
+        *term = if *v > 0.0 { -*v * v.ln() } else { -0.0 };
+    }
+    // One pass lists the candidates with their probabilities and the
+    // sampler's first running total and, as a second accumulator, sums the
+    // entropy.
+    let mut total = zero_sum();
+    let mut h_policy = zero_sum();
+    let mut alive = vec![(0, 0.0, 0.0); n];
+    for (i, entry) in alive.iter_mut().enumerate() {
+        let p = values[key(i)];
+        total += p;
+        h_policy += spare[key(i)];
+        *entry = (i, p, total);
     }
     invariant!(
-        out.is_empty()
-            || (out.iter().all(|w| *w >= 0.0) && (out.iter().sum::<f64>() - 1.0).abs() < 1e-9),
+        values.iter().all(|w| *w >= 0.0) && (total - 1.0).abs() < 1e-9,
         "softmax weights must be non-negative and sum to ~1"
     );
-    out
+    let picks = sample_without_replacement(alive, k, rng);
+    (picks, h_policy)
 }
 
-/// Samples `k` distinct positions with probabilities ∝ `weights`,
-/// renormalising after each draw (the weights are consumed).
-fn sample_without_replacement(mut weights: Vec<f64>, k: usize, rng: &mut StdRng) -> Vec<usize> {
-    let mut alive: Vec<usize> = (0..weights.len()).collect();
+/// The value an `f64` `sum()` starts from; the hand-written running sums
+/// start there too, so they equal `sum()` over the same terms bit for bit.
+fn zero_sum() -> f64 {
+    std::iter::empty::<f64>().sum()
+}
+
+/// Samples `k` distinct positions from `alive` (position, weight,
+/// running total of the weights through it) with probabilities ∝ weight,
+/// renormalising over the positions still alive after each draw. `alive`
+/// comes with every running total filled in, in list order from
+/// [`zero_sum`].
+///
+/// Each draw's total sums the alive weights in list order, and a draw
+/// swap-removes its pick, which leaves the list before the pick's slot as
+/// it was. So the next total resumes from the running total just before
+/// the removed slot: the same additions in the same order, with the
+/// unchanged prefix not repeated.
+fn sample_without_replacement(
+    mut alive: Vec<(usize, f64, f64)>,
+    k: usize,
+    rng: &mut StdRng,
+) -> Vec<usize> {
     let mut out = Vec::with_capacity(k);
+    let mut resume = alive.len();
     for _ in 0..k {
-        let total: f64 = alive.iter().map(|&i| weights[i]).sum();
+        let mut total = resume.checked_sub(1).map_or_else(zero_sum, |j| alive[j].2);
+        for entry in &mut alive[resume..] {
+            total += entry.1;
+            entry.2 = total;
+        }
         if total <= 0.0 || alive.is_empty() {
             break;
         }
         let mut pick = rng.gen::<f64>() * total;
         let mut chosen_pos = alive.len() - 1;
-        for (pos, &i) in alive.iter().enumerate() {
-            if pick < weights[i] {
+        for (pos, &(_, w, _)) in alive.iter().enumerate() {
+            if pick < w {
                 chosen_pos = pos;
                 break;
             }
-            pick -= weights[i];
+            pick -= w;
         }
-        let i = alive.swap_remove(chosen_pos);
-        weights[i] = 0.0;
-        out.push(i);
+        out.push(alive.swap_remove(chosen_pos).0);
+        resume = chosen_pos;
     }
     out
 }
@@ -604,6 +700,93 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         assert_eq!(run(&s, &t, &b, &pool, 99, &mut rng).0.len(), pool.len());
         assert!(run(&s, &t, &b, &[], 2, &mut rng).0.is_empty());
+    }
+
+    /// The per-candidate softmax, `policy_entropy` and sampler that
+    /// [`softmax_draw`] replaced.
+    fn per_candidate_draw(
+        scores: &[f64],
+        gamma: f64,
+        k: usize,
+        rng: &mut StdRng,
+    ) -> (Vec<usize>, f64) {
+        let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let mut w: Vec<f64> = scores.iter().map(|s| ((s - max) / gamma).exp()).collect();
+        let sum: f64 = w.iter().sum();
+        for v in &mut w {
+            *v /= sum;
+        }
+        let h = crate::payoff::policy_entropy(&w);
+        let mut alive: Vec<usize> = (0..w.len()).collect();
+        let mut out = Vec::new();
+        for _ in 0..k {
+            let total: f64 = alive.iter().map(|&i| w[i]).sum();
+            if total <= 0.0 || alive.is_empty() {
+                break;
+            }
+            let mut pick = rng.gen::<f64>() * total;
+            let mut chosen = alive.len() - 1;
+            for (pos, &i) in alive.iter().enumerate() {
+                if pick < w[i] {
+                    chosen = pos;
+                    break;
+                }
+                pick -= w[i];
+            }
+            out.push(alive.swap_remove(chosen));
+        }
+        (out, h)
+    }
+
+    #[test]
+    fn keyed_softmax_draw_matches_the_per_candidate_policy() {
+        // Candidates share a handful of class values, keyed densely by
+        // first appearance as `class_scores_for` keys them; a tiny γ
+        // underflows some probabilities to zero, and one candidate alone
+        // has probability 1.
+        let class_values = [1.0, 1.37, 1.9, 1.37, 2.0];
+        for (n, gamma) in [
+            (1, 0.5),
+            (2, 0.5),
+            (7, 0.5),
+            (40, 0.5),
+            (40, 1e-3),
+            (300, 0.05),
+        ] {
+            let classes: Vec<usize> = (0..n)
+                .map(|i| (i * 7 + i / 3) % class_values.len())
+                .collect();
+            let scores: Vec<f64> = classes.iter().map(|&c| class_values[c]).collect();
+            let mut present: Vec<usize> = Vec::new();
+            let keys: Vec<usize> = classes
+                .iter()
+                .map(|c| match present.iter().position(|p| p == c) {
+                    Some(key) => key,
+                    None => {
+                        present.push(*c);
+                        present.len() - 1
+                    }
+                })
+                .collect();
+            let values: Vec<f64> = present.iter().map(|&c| class_values[c]).collect();
+            for k in [1, 5] {
+                let mut keyed = values.clone();
+                let mut spare = vec![0.0; values.len()];
+                let (picks, h) = softmax_draw(
+                    n,
+                    |i| keys[i],
+                    &mut keyed,
+                    &mut spare,
+                    gamma,
+                    k,
+                    &mut StdRng::seed_from_u64(n as u64),
+                );
+                let (want, want_h) =
+                    per_candidate_draw(&scores, gamma, k, &mut StdRng::seed_from_u64(n as u64));
+                assert_eq!(picks, want, "n {n} gamma {gamma} k {k}");
+                assert_eq!(h.to_bits(), want_h.to_bits(), "n {n} gamma {gamma} k {k}");
+            }
+        }
     }
 }
 

@@ -5,9 +5,9 @@
 //! [`DeltaScorer`] keeps the last [`PairScores`] per [`DetectParams`]
 //! together with the exact factor vector that produced them; a rescore
 //! request diffs the new factors against the cached ones
-//! ([`RelationMatrix::changed_factor_mask`]) and re-folds only the *live*
-//! pairs (the ids the caller still reads) whose packed relation words
-//! intersect the changed-FD mask ([`RelationMatrix::rescore_delta`]).
+//! ([`RelationMatrix::changed_factor_mask`]) and updates only the *live*
+//! pairs (the ids the caller still reads) whose violated FDs meet the
+//! changed-FD mask ([`RelationMatrix::rescore_delta`]).
 //!
 //! # The delta invariant, over live ids
 //!
@@ -30,6 +30,16 @@
 //! The cache never persists: it is rebuilt lazily after recovery, and
 //! because the served scores are bit-identical to the full pass, recovered
 //! sessions replay the same trajectories.
+//!
+//! # Per class, then per id
+//!
+//! Pairs that violate the same FDs share every score (their violation
+//! class, [`RelationMatrix::class_ids`]). The delta walk folds each class
+//! that meets the changed-FD mask once, then visits the live ids and
+//! copies the class value into every id whose class was re-folded: per id,
+//! one class-id read, one mask test and at most one store.
+//! [`DeltaScorer::class_scores_for`] hands a selection the same scores
+//! keyed by class, so it can map each score once per class present.
 
 use std::sync::Arc;
 
@@ -50,16 +60,46 @@ struct Slot {
     scores: PairScores,
 }
 
+/// Marks a class with no key yet in [`DeltaScorer::class_scores_for`].
+const NO_KEY: u32 = u32::MAX;
+
+/// A request's scores keyed by violation class
+/// ([`DeltaScorer::class_scores_for`]): live id `live[i]` scores
+/// `dirty[keys[i] as usize]`. All three slices are scorer-owned scratch
+/// that the next request overwrites.
+#[derive(Debug)]
+pub struct ClassScores<'a> {
+    /// One key per live id, in live order.
+    pub keys: &'a [u32],
+    /// One dirty probability per class present in the live list, in order
+    /// of first appearance; the caller may rewrite it in place.
+    pub dirty: &'a mut [f64],
+    /// Free scratch for the caller, one slot per class present.
+    pub spare: &'a mut [f64],
+}
+
 /// Per-session delta-rescoring cache: owns its [`RelationMatrix`] handle,
 /// a bounded set of per-[`DetectParams`] score slots, and the scratch the
-/// delta path needs (new-factor buffer, changed-FD mask) so steady-state
-/// rescores allocate nothing.
+/// delta path and the class-keyed view need (new-factor buffer,
+/// changed-FD mask, per-class values and keys) so steady-state rescores
+/// and selections allocate nothing here.
 #[derive(Debug, Clone)]
 pub struct DeltaScorer {
     matrix: Arc<RelationMatrix>,
     slots: Vec<Slot>,
     scratch_factors: Vec<f64>,
     changed: Vec<u64>,
+    /// Per-class fold scratch of [`RelationMatrix::rescore_delta`].
+    class_dirty: Vec<f64>,
+    /// [`DeltaScorer::class_scores_for`]: one key per live id, one value
+    /// and one spare slot per class present, each class's key while a
+    /// request is keyed ([`NO_KEY`] otherwise), and the classes keyed (to
+    /// reset `key_of`).
+    keys: Vec<u32>,
+    values: Vec<f64>,
+    spare: Vec<f64>,
+    key_of: Vec<u32>,
+    keyed: Vec<u32>,
 }
 
 impl DeltaScorer {
@@ -68,11 +108,18 @@ impl DeltaScorer {
     pub fn new(matrix: Arc<RelationMatrix>) -> Self {
         let n_fds = matrix.n_fds();
         let width = matrix.words_per_pair();
+        let n_classes = matrix.n_classes();
         Self {
-            matrix,
             slots: Vec::with_capacity(MAX_SLOTS),
             scratch_factors: vec![0.0; n_fds],
             changed: vec![0; width],
+            class_dirty: vec![0.0; n_classes],
+            keys: Vec::with_capacity(matrix.n_pairs()),
+            values: Vec::with_capacity(n_classes),
+            spare: Vec::with_capacity(n_classes),
+            key_of: vec![NO_KEY; n_classes],
+            keyed: Vec::with_capacity(n_classes),
+            matrix,
         }
     }
 
@@ -88,9 +135,10 @@ impl DeltaScorer {
     ///
     /// `live` must be a subset of the `live` list of every earlier request
     /// to this scorer (the module's delta invariant). Warm slots re-fold
-    /// only the live pairs violating an FD whose factor changed since the
-    /// previous request; an unchanged request returns the cached scores
-    /// without touching a pair. Cold slots (first request for a
+    /// each violation class that violates an FD whose factor changed since
+    /// the previous request, once, and copy it into the live ids of the
+    /// class; an unchanged request returns the cached scores without
+    /// touching a pair. Cold slots (first request for a
     /// parameterisation) run the full pass once; at most `MAX_SLOTS`
     /// parameterisations are retained, evicting the oldest.
     ///
@@ -103,6 +151,58 @@ impl DeltaScorer {
         confidences: &[f64],
         params: &DetectParams,
     ) -> &PairScores {
+        let slot = self.refresh(live, confidences, params);
+        &self.slots[slot].scores
+    }
+
+    /// [`DeltaScorer::scores_for`] keyed by violation class: one key per
+    /// id of `live` and one dirty probability per class present in
+    /// `live`. `dirty[keys[i]]` is bit-identical to
+    /// `scores_for(live, confidences, params).dirty[live[i]]`, so a caller
+    /// can map each score once per class and read it per id.
+    ///
+    /// # Panics
+    /// As [`DeltaScorer::scores_for`].
+    pub fn class_scores_for(
+        &mut self,
+        live: &[u32],
+        confidences: &[f64],
+        params: &DetectParams,
+    ) -> ClassScores<'_> {
+        let slot = self.refresh(live, confidences, params);
+        let dirty = &self.slots[slot].scores.dirty;
+        let class_of = self.matrix.class_ids();
+        self.keys.clear();
+        self.keys.resize(live.len(), NO_KEY);
+        self.values.clear();
+        let mut n_keys = 0u32;
+        for (out, &id) in self.keys.iter_mut().zip(live) {
+            let c = class_of[id as usize];
+            let key = &mut self.key_of[c as usize];
+            if *key == NO_KEY {
+                *key = n_keys;
+                n_keys += 1;
+                self.values.push(dirty[id as usize]);
+                self.keyed.push(c);
+            }
+            *out = *key;
+        }
+        for &c in &self.keyed {
+            self.key_of[c as usize] = NO_KEY;
+        }
+        self.keyed.clear();
+        self.spare.clear();
+        self.spare.resize(self.values.len(), 0.0);
+        ClassScores {
+            keys: &self.keys,
+            dirty: &mut self.values,
+            spare: &mut self.spare,
+        }
+    }
+
+    /// Brings the slot for `params` up to date for `live` under
+    /// `confidences` and returns its index (see [`DeltaScorer::scores_for`]).
+    fn refresh(&mut self, live: &[u32], confidences: &[f64], params: &DetectParams) -> usize {
         violation_factors_into(confidences, params, &mut self.scratch_factors);
         if let Some(i) = self.slots.iter().position(|s| s.params == *params) {
             let slot = &mut self.slots[i];
@@ -117,11 +217,12 @@ impl DeltaScorer {
                     &self.scratch_factors,
                     params,
                     &self.changed,
+                    &mut self.class_dirty,
                     &mut slot.scores,
                 );
                 slot.factors.copy_from_slice(&self.scratch_factors);
             }
-            return &self.slots[i].scores;
+            return i;
         }
         // Cold slot: one full pass, then cached. Bounded allocation — at
         // most MAX_SLOTS slots per scorer lifetime at any moment.
@@ -137,9 +238,7 @@ impl DeltaScorer {
             factors,
             scores,
         });
-        // Index, not `last()`: the push above makes the slot list non-empty
-        // and keeps this branch free of unwrap/expect.
-        &self.slots[self.slots.len() - 1].scores
+        self.slots.len() - 1
     }
 }
 
@@ -194,6 +293,32 @@ mod tests {
             } else {
                 live.remove(0);
             }
+        }
+    }
+
+    #[test]
+    fn class_keys_read_the_live_scores() {
+        let (mut ds, m, n_fds) = scorer();
+        let mut conf = vec![0.6; n_fds];
+        let mut live: Vec<u32> = (0..m.n_pairs() as u32).collect();
+        for round in 0..4 {
+            conf[round % n_fds] = 0.2 + 0.15 * round as f64;
+            let params = DetectParams::unsmoothed();
+            let want = m.score_all(&conf, &params);
+            let ClassScores { keys, dirty, spare } = ds.class_scores_for(&live, &conf, &params);
+            assert_eq!(keys.len(), live.len());
+            assert_eq!(spare.len(), dirty.len());
+            // One value per class present, keyed in order of first
+            // appearance.
+            let mut next = 0;
+            for (&id, &key) in live.iter().zip(keys) {
+                assert!(key <= next, "round {round}");
+                next = next.max(key + 1);
+                let got = dirty[key as usize];
+                assert_eq!(got.to_bits(), want.dirty[id as usize].to_bits());
+            }
+            assert_eq!(dirty.len(), next as usize);
+            live.remove(round % live.len());
         }
     }
 

@@ -42,7 +42,7 @@ pub mod violations;
 pub use attrset::AttrSet;
 pub use cache::{PartitionCache, NO_CLASS};
 pub use cover::{closure, equivalent, implies, minimal_cover};
-pub use delta::DeltaScorer;
+pub use delta::{ClassScores, DeltaScorer};
 pub use detect::{
     binary_entropy, pair_dirty_probs, pair_dirty_probs_with, predict_labels, tuple_dirty_prob,
     tuple_dirty_prob_with, DetectParams, Indicator,

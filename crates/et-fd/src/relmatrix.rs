@@ -36,6 +36,19 @@
 //! cache, so a session pays for each distinct LHS once across the matrix,
 //! every [`crate::ViolationIndex`] build, and the trainer's restrictions.
 //!
+//! # Violation classes
+//!
+//! A pair's noisy-OR score depends only on which FDs it violates: its
+//! violated-FD mask (`word & VIOLATES_MASK`, per word). Pairs with equal
+//! masks form one *violation class*, and the build gives each class a
+//! dense id, in order of first appearance ([`RelationMatrix::class_ids`]).
+//! A served Hospital-1000 pool holds about 2,000 pairs but only 48–69
+//! classes, so [`RelationMatrix::rescore_delta`] folds each changed class
+//! once and copies the value to the class's live pairs, and selection
+//! maps a score once per class present. Ids come from one open-addressing
+//! table keyed on a multiplicative hash of the mask words: no per-pair
+//! allocation, no SipHash.
+//!
 //! # One serial build
 //!
 //! The matrix is built once per session, in one serial pass that writes
@@ -81,6 +94,13 @@ pub struct RelationMatrix {
     pairs: Vec<(usize, usize)>,
     /// Packed relations, row-major per pair.
     words: Vec<u64>,
+    /// The violation class of each pair: a dense id per distinct
+    /// violated-FD mask, numbered in order of first appearance.
+    class_of: Vec<u32>,
+    /// The violated-FD mask of each class, `words_per_pair` words per class.
+    class_masks: Vec<u64>,
+    /// Number of classes (`class_masks` is empty when there are no FDs).
+    n_classes: usize,
 }
 
 /// Batch scores of every pair of a [`RelationMatrix`], aligned by pair id.
@@ -135,6 +155,66 @@ pub fn violation_factors_into(confidences: &[f64], params: &DetectParams, out: &
     }
 }
 
+/// The noisy-OR keep-clean product of one packed row (a pair's words or a
+/// class mask): `keep0` times the factor of every violated FD, multiplied
+/// in ascending FD order.
+fn keep_clean(row: &[u64], factors: &[f64], keep0: f64) -> f64 {
+    let mut keep = keep0;
+    for (wi, &w) in (0..).zip(row) {
+        let mut bits = w & VIOLATES_MASK;
+        while bits != 0 {
+            let lane = bits.trailing_zeros() as usize / 2;
+            bits &= bits - 1;
+            keep *= factors[wi * FDS_PER_WORD + lane];
+        }
+    }
+    keep
+}
+
+/// True when a packed row violates an FD flagged in `changed`.
+fn meets(row: &[u64], changed: &[u64]) -> bool {
+    std::iter::zip(row, changed).any(|(&w, &m)| w & m != 0)
+}
+
+/// Dense violation-class ids for `n_pairs` packed relation rows of `wpp`
+/// words each: returns each pair's class, each class's violated-FD mask
+/// (`wpp` words per class) and the class count. Classes are numbered in
+/// order of first appearance. One open-addressing table of at least twice
+/// `n_pairs` slots, probed linearly from a multiplicative hash of the mask
+/// words, finds a row's class in one pass without allocating per pair.
+fn violation_classes(words: &[u64], wpp: usize, n_pairs: usize) -> (Vec<u32>, Vec<u64>, usize) {
+    const EMPTY: u32 = u32::MAX;
+    let slots = (2 * n_pairs).next_power_of_two().max(2);
+    let shift = 64 - slots.trailing_zeros();
+    let mut table = vec![EMPTY; slots];
+    let mut class_of = Vec::with_capacity(n_pairs);
+    let mut class_masks = Vec::new();
+    let mut n_classes = 0u32;
+    for pid in 0..n_pairs {
+        let row = &words[pid * wpp..(pid + 1) * wpp];
+        let hash = row.iter().fold(0u64, |h, &w| {
+            (h ^ (w & VIOLATES_MASK)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        });
+        let mut slot = (hash >> shift) as usize;
+        let class = loop {
+            let c = table[slot];
+            if c == EMPTY {
+                table[slot] = n_classes;
+                class_masks.extend(row.iter().map(|&w| w & VIOLATES_MASK));
+                n_classes += 1;
+                break n_classes - 1;
+            }
+            let mask = &class_masks[c as usize * wpp..(c as usize + 1) * wpp];
+            if mask.iter().zip(row).all(|(&m, &w)| m == w & VIOLATES_MASK) {
+                break c;
+            }
+            slot = (slot + 1) & (slots - 1);
+        };
+        class_of.push(class);
+    }
+    (class_of, class_masks, n_classes as usize)
+}
+
 impl RelationMatrix {
     /// Builds the matrix for `pairs` over `table` under `space`, reusing
     /// (and warming) the shared partition cache.
@@ -183,11 +263,16 @@ impl RelationMatrix {
                 words[base + fi / FDS_PER_WORD] |= code << ((fi % FDS_PER_WORD) * 2);
             }
         }
+        let (class_of, class_masks, n_classes) =
+            violation_classes(&words, words_per_pair, pairs.len());
         Self {
             n_fds,
             words_per_pair,
             pairs: pairs.to_vec(),
             words,
+            class_of,
+            class_masks,
+            n_classes,
         }
     }
 
@@ -216,6 +301,18 @@ impl RelationMatrix {
     /// The pair list, in build order (`pairs()[pid]` is pair `pid`).
     pub fn pairs(&self) -> &[(usize, usize)] {
         &self.pairs
+    }
+
+    /// The violation class of every pair (`class_ids()[pid]` is pair
+    /// `pid`'s): pairs share a class iff they violate the same FDs, so
+    /// they share every noisy-OR score. Ids are dense, `0..n_classes()`.
+    pub fn class_ids(&self) -> &[u32] {
+        &self.class_of
+    }
+
+    /// Number of distinct violation classes.
+    pub fn n_classes(&self) -> usize {
+        self.n_classes
     }
 
     /// The stored relation of pair `pid` to FD `fi` — equal to
@@ -322,17 +419,12 @@ impl RelationMatrix {
             self.n_fds,
             "factor vector does not match hypothesis space"
         );
-        let base = pid * self.words_per_pair;
-        let mut keep_clean = 1.0 - params.base_rate;
-        for wi in 0..self.words_per_pair {
-            let mut bits = self.words[base + wi] & VIOLATES_MASK;
-            while bits != 0 {
-                let lane = bits.trailing_zeros() as usize / 2;
-                bits &= bits - 1;
-                keep_clean *= factors[wi * FDS_PER_WORD + lane];
-            }
-        }
-        1.0 - keep_clean
+        let wpp = self.words_per_pair;
+        1.0 - keep_clean(
+            &self.words[pid * wpp..(pid + 1) * wpp],
+            factors,
+            1.0 - params.base_rate,
+        )
     }
 
     /// Batch scoring: the noisy-OR dirty probability of *every* pair, in
@@ -438,33 +530,39 @@ impl RelationMatrix {
         any
     }
 
-    /// Delta-rescoring over the live pair ids: re-folds only the ids of
-    /// `live` whose packed relation words intersect `changed` (a mask from
-    /// [`RelationMatrix::changed_factor_mask`]), updating `out` in place.
+    /// Delta-rescoring over the live pair ids, one fold per violation
+    /// class: re-folds each class whose mask meets `changed` (a mask from
+    /// [`RelationMatrix::changed_factor_mask`]) once into `class_dirty`,
+    /// then copies that value into the ids of `live` in the class,
+    /// updating `out` in place.
     ///
     /// Contract (the delta invariant over live ids): for every id in
     /// `live`, `out.dirty[id]` must hold the score [`RelationMatrix::score_all_into`]
     /// computes under the *same* `params` and a factor vector that differs
     /// from `factors` only at FDs flagged in `changed`. A pair's score
     /// depends solely on the factors of the FDs it violates, so a live pair
-    /// whose violates words miss the mask would re-fold to the bit-identical
-    /// value it already holds — skipping it cannot drift. Ids outside
-    /// `live` are never touched: their slots may go stale and must not be
-    /// read until a full pass rewrites them. Re-folded pairs go through the
-    /// same chunked fold as the full pass (`RelationMatrix::fold4` plus the
-    /// scalar tail), so the live entries are bit-exact against a full
-    /// rescore by construction.
+    /// whose class misses the mask would re-fold to the bit-identical value
+    /// it already holds — skipping it cannot drift. Ids outside `live` are
+    /// never touched: their slots may go stale and must not be read until
+    /// a full pass rewrites them. A class folds its mask with the same
+    /// ascending-FD product as each of its pairs' rows, so the live entries
+    /// are bit-exact against a full rescore by construction.
+    ///
+    /// `class_dirty` is scratch with one slot per class
+    /// ([`RelationMatrix::n_classes`]); its entries for classes that meet
+    /// `changed` hold their new scores on return.
     ///
     /// # Panics
     /// Panics when `factors` does not have one entry per FD, `changed` one
-    /// word per packed relation word, `out` one slot per pair, or a live
-    /// id is out of range.
+    /// word per packed relation word, `class_dirty` one slot per class,
+    /// `out` one slot per pair, or a live id is out of range.
     pub fn rescore_delta(
         &self,
         live: &[u32],
         factors: &[f64],
         params: &DetectParams,
         changed: &[u64],
+        class_dirty: &mut [f64],
         out: &mut PairScores,
     ) {
         assert_eq!(
@@ -478,35 +576,29 @@ impl RelationMatrix {
             "changed mask does not match packed width"
         );
         assert_eq!(
+            class_dirty.len(),
+            self.n_classes,
+            "class scratch does not match class count"
+        );
+        assert_eq!(
             out.dirty.len(),
             self.pairs.len(),
             "score buffer does not match pair count"
         );
         let keep0 = 1.0 - params.base_rate;
         let wpp = self.words_per_pair;
-        let mut batch = [0usize; 4];
-        let mut filled = 0;
-        for &id in live {
-            let pid = id as usize;
-            let mut hit = 0u64;
-            for (&w, &mask) in self.words[pid * wpp..(pid + 1) * wpp].iter().zip(changed) {
-                hit |= w & mask;
-            }
-            if hit == 0 {
-                continue;
-            }
-            batch[filled] = pid;
-            filled += 1;
-            if filled == batch.len() {
-                let keep = self.fold4(batch, factors, keep0);
-                for (&pid, k) in batch.iter().zip(keep) {
-                    out.dirty[pid] = 1.0 - k;
-                }
-                filled = 0;
+        let class_mask = |c: usize| &self.class_masks[c * wpp..(c + 1) * wpp];
+        for (c, dirty) in (0..).zip(class_dirty.iter_mut()) {
+            if meets(class_mask(c), changed) {
+                *dirty = 1.0 - keep_clean(class_mask(c), factors, keep0);
             }
         }
-        for &pid in &batch[..filled] {
-            out.dirty[pid] = self.dirty_prob_with_factors(pid, factors, params);
+        for &id in live {
+            let pid = id as usize;
+            let c = self.class_of[pid] as usize;
+            if meets(class_mask(c), changed) {
+                out.dirty[pid] = class_dirty[c];
+            }
         }
     }
 
@@ -670,6 +762,7 @@ mod tests {
             let mut conf = vec![0.96, 0.55];
             m.score_all_into(&conf, &params, &mut factors, &mut scores);
             let mut mask = vec![0u64; m.words_per_pair()];
+            let mut classes = vec![0.0; m.n_classes()];
             let all: Vec<u32> = (0..pairs.len() as u32).collect();
             // Nudge one FD at a time; the delta path must stay bit-equal to
             // a from-scratch rescore after every step.
@@ -678,7 +771,14 @@ mod tests {
                 let new_factors = violation_factors(&conf, &params);
                 let any = m.changed_factor_mask(&factors, &new_factors, &mut mask);
                 assert!(any, "the nudge changed a factor");
-                m.rescore_delta(&all, &new_factors, &params, &mask, &mut scores);
+                m.rescore_delta(
+                    &all,
+                    &new_factors,
+                    &params,
+                    &mask,
+                    &mut classes,
+                    &mut scores,
+                );
                 factors.copy_from_slice(&new_factors);
                 assert_eq!(scores, m.score_all(&conf, &params), "round {round}");
             }
@@ -701,7 +801,8 @@ mod tests {
         let mask = vec![0u64; m.words_per_pair()];
         // Garbage factors with an empty mask: nothing may be touched.
         let all: Vec<u32> = (0..pairs.len() as u32).collect();
-        m.rescore_delta(&all, &[0.123; 2], &params, &mask, &mut scores);
+        let mut classes = vec![0.0; m.n_classes()];
+        m.rescore_delta(&all, &[0.123; 2], &params, &mask, &mut classes, &mut scores);
         assert_eq!(scores, before);
     }
 
@@ -737,7 +838,8 @@ mod tests {
         let mut mask = vec![0u64; m.words_per_pair()];
         assert!(m.changed_factor_mask(&factors, &[garbage[0], factors[1]], &mut mask));
         let live: Vec<u32> = (0..9).collect();
-        m.rescore_delta(&live, &garbage, &params, &mask, &mut scores);
+        let mut classes = vec![0.0; m.n_classes()];
+        m.rescore_delta(&live, &garbage, &params, &mask, &mut classes, &mut scores);
         for pid in 0..pairs.len() {
             let want = if pid == 0 || pid == 4 {
                 m.dirty_prob_with_factors(pid, &garbage, &params)
@@ -756,6 +858,30 @@ mod tests {
     }
 
     #[test]
+    fn classes_group_pairs_by_violated_fds_in_first_appearance_order() {
+        let t = paper_table1();
+        let sp = space();
+        let cache = PartitionCache::new(&t);
+        let pairs = all_pairs(t.nrows());
+        let m = RelationMatrix::build(&t, &sp, &cache, &pairs);
+        let ids = m.class_ids();
+        assert_eq!(ids.len(), pairs.len());
+        let mut next = 0;
+        for p in 0..pairs.len() {
+            // Ids are dense and numbered in order of first appearance.
+            assert!(ids[p] <= next, "pair {p}");
+            next = next.max(ids[p] + 1);
+            for q in 0..pairs.len() {
+                let same = m.violated_indices(p).eq(m.violated_indices(q));
+                assert_eq!(ids[p] == ids[q], same, "pairs {p} and {q}");
+            }
+        }
+        assert_eq!(m.n_classes(), next as usize);
+        // Table 1 has pairs violating nothing and pairs violating FD 0.
+        assert_eq!(m.n_classes(), 2);
+    }
+
+    #[test]
     #[should_panic(expected = "changed mask does not match packed width")]
     fn rescore_delta_rejects_missized_mask() {
         let t = paper_table1();
@@ -767,6 +893,7 @@ mod tests {
             &[0.5, 0.5],
             &DetectParams::default(),
             &[],
+            &mut [0.0; 1],
             &mut scores,
         );
     }
@@ -778,6 +905,7 @@ mod tests {
         let m = RelationMatrix::build(&t, &space(), &cache, &[]);
         assert!(m.is_empty());
         assert_eq!(m.n_fds(), 2);
+        assert_eq!(m.n_classes(), 0);
         assert!(m
             .score_all(&[0.5, 0.5], &DetectParams::default())
             .dirty

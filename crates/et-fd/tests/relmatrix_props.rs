@@ -268,7 +268,8 @@ proptest! {
             }
         }
         let all: Vec<u32> = (0..pairs.len() as u32).collect();
-        m.rescore_delta(&all, &new_factors, &params, &mask, &mut scores);
+        let mut classes = vec![0.0; m.n_classes()];
+        m.rescore_delta(&all, &new_factors, &params, &mask, &mut classes, &mut scores);
         for pid in 0..pairs.len() {
             prop_assert_eq!(scores.dirty[pid].to_bits(), want.dirty[pid].to_bits());
             prop_assert_eq!(

@@ -408,8 +408,9 @@ pub enum FileKind {
 }
 
 /// Byte ranges covered by `#[cfg(test)]` items: the literal attribute
-/// through the close of the next brace-balanced block (covers
-/// `mod tests { .. }` and `fn x() { .. }`).
+/// through the end of the item it marks (see [`item_end`]), so `mod tests
+/// { .. }` and `fn x() { .. }` are covered to their closing brace and a
+/// test-only field, `use` or `const` only to its own `,` or `;`.
 pub(crate) fn test_regions(ts: &TokenStream<'_>) -> Vec<(usize, usize)> {
     const CFG_TEST: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
     let mut regions = Vec::new();
@@ -419,17 +420,61 @@ pub(crate) fn test_regions(ts: &TokenStream<'_>) -> Vec<(usize, usize)> {
             i += 1;
             continue;
         }
-        let Some(open) = next_open_brace(ts, i) else {
-            break;
-        };
-        // A block that never closes runs to the end of the file.
-        let end = ts
-            .matching_close(open)
-            .map_or(ts.source.len(), |c| ts.tokens[c].end);
+        let end = item_end(ts, i + CFG_TEST.len(), ts.tokens[i].depth);
         regions.push((ts.tokens[i].start, end));
         i = ts.tokens.partition_point(|t| t.start < end);
     }
     regions
+}
+
+/// Keywords of items with a brace body (or a `;` in its place): a comma
+/// before the body belongs to their generics or `where` clause.
+const BODY_ITEMS: [&str; 8] = [
+    "fn",
+    "mod",
+    "impl",
+    "trait",
+    "struct",
+    "enum",
+    "union",
+    "macro_rules",
+];
+
+/// Byte offset where the item whose tokens start at `from`, at nesting
+/// `depth`, ends. Only tokens at `depth` decide: a `{` ends the item at
+/// its matching `}` (a block that never closes runs to the end of the
+/// file), a `;` ends it, and so does a `,` outside `<…>` unless the item
+/// is a [`BODY_ITEMS`] item, which makes it a struct field, a
+/// struct-literal field or a list entry. The close of the enclosing group
+/// ends a last entry that has no `,`.
+fn item_end(ts: &TokenStream<'_>, from: usize, depth: u32) -> usize {
+    let mut body_item = false;
+    let mut angles = 0u32;
+    for j in from..ts.tokens.len() {
+        let t = &ts.tokens[j];
+        if t.depth < depth {
+            return t.start;
+        }
+        if t.depth > depth || !ts.is_code(j) {
+            continue;
+        }
+        match (t.kind, ts.text(j)) {
+            (TokenKind::Open(Delim::Brace), _) => {
+                return ts
+                    .matching_close(j)
+                    .map_or(ts.source.len(), |c| ts.tokens[c].end);
+            }
+            (TokenKind::Ident, word) if BODY_ITEMS.contains(&word) => body_item = true,
+            (TokenKind::Punct, ";") => return t.end,
+            (TokenKind::Punct, ",") if !body_item && angles == 0 => return t.end,
+            (TokenKind::Punct, "<") => angles += 1,
+            (TokenKind::Punct, ">") if !ts.prev_is_adjacent(j, "-") => {
+                angles = angles.saturating_sub(1);
+            }
+            _ => {}
+        }
+    }
+    ts.source.len()
 }
 
 /// Index of the first `{` after token `i`.
@@ -793,6 +838,52 @@ mod tests {
         assert!(check(src, FileKind::Library).is_empty());
         let bench = "fn main() { None::<u32>.unwrap(); }";
         assert!(check(bench, FileKind::TestLike).is_empty());
+    }
+
+    #[test]
+    fn a_test_only_field_covers_only_itself() {
+        // A `#[cfg(test)]` struct field, and the struct-literal field that
+        // fills it, end at their own `,`: the fn after them stays linted.
+        let src = "pub struct Wal {\n    file: u32,\n    #[cfg(test)]\n    fault: Option<Box<dyn Fn(u32, u32) -> u32>>,\n    len: HashMap<u32, u32>,\n}\n\
+                   pub fn open() -> Wal {\n    Wal {\n        file: 1,\n        #[cfg(test)]\n        fault: None,\n        len: HashMap::new(),\n    }\n}\n\
+                   pub fn append(x: Option<u32>) -> u32 { x.unwrap() }\n";
+        let ts = lex(src);
+        let regions = test_regions(&ts);
+        let covered: Vec<&str> = regions.iter().map(|&(a, b)| &src[a..b]).collect();
+        assert_eq!(
+            covered,
+            [
+                "#[cfg(test)]\n    fault: Option<Box<dyn Fn(u32, u32) -> u32>>,",
+                "#[cfg(test)]\n        fault: None,",
+            ]
+        );
+        assert_eq!(rules_of(&check(src, FileKind::Library)), ["L1"]);
+    }
+
+    #[test]
+    fn a_last_test_only_literal_field_ends_at_the_close() {
+        let src = "pub fn open() -> Wal { Wal { file: 1, #[cfg(test)] fault: None } }\n\
+                   pub fn append(x: Option<u32>) -> u32 { x.unwrap() }\n";
+        let regions = test_regions(&lex(src));
+        let covered: Vec<&str> = regions.iter().map(|&(a, b)| &src[a..b]).collect();
+        assert_eq!(covered, ["#[cfg(test)] fault: None "]);
+        assert_eq!(rules_of(&check(src, FileKind::Library)), ["L1"]);
+    }
+
+    #[test]
+    fn test_only_uses_consts_and_generic_fns_cover_their_items() {
+        let src = "#[cfg(test)]\nuse std::collections::HashMap;\n\
+                   #[cfg(test)]\nconst PAIRS: [(u32, u32); 2] = [(0, 1), (1, 2)];\n\
+                   #[cfg(test)]\nfn helper<A, B>(a: A) -> Result<(), B> where A: Clone, B: Copy { None::<u32>.unwrap(); Ok(()) }\n\
+                   pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
+        let regions = test_regions(&lex(src));
+        let covered: Vec<&str> = regions.iter().map(|&(a, b)| &src[a..b]).collect();
+        assert_eq!(covered.len(), 3);
+        assert!(covered[0].ends_with("HashMap;"));
+        assert!(covered[1].ends_with("(1, 2)];"));
+        assert!(covered[2].ends_with("Ok(()) }"));
+        // Only `f`'s unwrap is outside every region.
+        assert_eq!(rules_of(&check(src, FileKind::Library)), ["L1"]);
     }
 
     #[test]

@@ -93,7 +93,11 @@ echo "==> bench harness compiles + bench_json smoke (quick profile)"
 # gates the create's regrouping: the injector's dense group_by must stay
 # at least 2x faster than the SipHash grouping it replaced, and the
 # learner's data-estimate prior, counted per symbol, at least 3x faster
-# than the same prior through the hash-and-sort g1_of.
+# than the same prior through the hash-and-sort g1_of. And it gates the
+# round's policy: a StochasticBR select_round, which maps scores and builds
+# the softmax once per violation class, must stay at least 2x faster than
+# the same policy computed per candidate (picks and h_policy bits are
+# checked equal before timing).
 cargo build -q --release -p et-bench --benches --bins
 BENCH_OUT="$(mktemp /tmp/et-bench-substrate.XXXXXX.json)"
 if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
@@ -107,6 +111,7 @@ if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
   --gate space_capped_vs_per_fd_speedup:2 \
   --gate group_by_dense_vs_hash_speedup:2 \
   --gate g1_counter_vs_sort_speedup:3 \
+  --gate policy_class_vs_candidate_speedup:2 \
   || [ ! -s "$BENCH_OUT" ]; then
   echo "FATAL: bench_json failed to produce $BENCH_OUT or a gate failed" >&2
   echo "       (baseline unregenerable, delta rescoring lost to a full rescore," >&2
@@ -116,8 +121,9 @@ if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
   echo "        reply encoding lost its 1.5x lead over the JSON tree, the" >&2
   echo "        pool build lost its 3x lead over the hash-set enumeration," >&2
   echo "        the per-set space scorer lost its 2x lead over the per-FD walk," >&2
-  echo "        dense group_by lost its 2x lead over the SipHash grouping, or" >&2
-  echo "        the counter-walk prior lost its 3x lead over the sorted one)" >&2
+  echo "        dense group_by lost its 2x lead over the SipHash grouping," >&2
+  echo "        the counter-walk prior lost its 3x lead over the sorted one, or" >&2
+  echo "        the class-keyed policy lost its 2x lead over the per-candidate one)" >&2
   exit 1
 fi
 rm -f "$BENCH_OUT"
