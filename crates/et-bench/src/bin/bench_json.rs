@@ -37,7 +37,7 @@ use et_fd::{
     pair_dirty_probs_with, predict_labels, DeltaScorer, DetectParams, Fd, HypothesisSpace,
     PairScores, PartitionCache, RelationMatrix, ViolationIndex, G1,
 };
-use et_serve::{build_parts, CreateSessionSpec, Json, Response, WirePair};
+use et_serve::{build_parts, CreateSessionSpec, Json, MaeHistory, Response, StatusReply, WirePair};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -1269,7 +1269,59 @@ fn reply_encode_benches(quick: bool) -> Vec<BenchStats> {
         stream,
         tree,
     );
-    vec![stream, tree]
+
+    // The 150-round status both ways: the server's write from the session's
+    // MAE history, cached up to round 149 and caught up by the one new
+    // round (the clone of the cached history is timed too), against
+    // `Response::SessionStatus` encoding the whole series.
+    let metrics = state.metrics();
+    let converged_at = state.convergence_so_far().converged_at;
+    let (learner_conf, trainer_conf) = (learner.confidences(), trainer.belief().confidences());
+    let mut warm = MaeHistory::default();
+    warm.catch_up(&metrics[..ROUNDS - 1]);
+    let reply = StatusReply {
+        session: 1,
+        iterations_done: state.iterations_done(),
+        iterations: state.config().iterations,
+        awaiting_labels: true,
+        converged_at,
+        learner_confidences: &learner_conf,
+        trainer_confidences: &trainer_conf,
+    };
+    let cached = || {
+        let mut history = warm.clone();
+        history.catch_up(metrics);
+        let mut line = Vec::new();
+        reply.encode_into(&history, &mut line);
+        line
+    };
+    let full = || {
+        let mut line = Vec::new();
+        Response::SessionStatus {
+            session: reply.session,
+            iterations_done: reply.iterations_done,
+            iterations: reply.iterations,
+            awaiting_labels: reply.awaiting_labels,
+            mae_series: metrics.iter().map(|m| m.mae).collect(),
+            converged_at,
+            learner_confidences: learner_conf.clone(),
+            trainer_confidences: trainer_conf.clone(),
+        }
+        .encode_into(&mut line);
+        line
+    };
+    if cached() != full() {
+        fail("status bench", "cached and full status encodings differ");
+    }
+    let (cached, full) = time_bench_interleaved(
+        "status_encode_cached",
+        "status_encode_full",
+        warmup,
+        iters,
+        cached,
+        full,
+    );
+    vec![stream, tree, cached, full]
 }
 
 /// Exits loudly; benches have no error channel worth plumbing.
@@ -1630,6 +1682,11 @@ fn main() {
             "reply_encode_stream_vs_tree_speedup",
             "reply_encode_tree",
             "reply_encode_stream",
+        ),
+        (
+            "status_encode_cached_vs_full_speedup",
+            "status_encode_full",
+            "status_encode_cached",
         ),
         (
             "fsync_append_cost_ratio",

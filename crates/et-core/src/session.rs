@@ -1679,22 +1679,24 @@ mod oracle {
     }
 
     /// One checked round: the oracle's picks, policy entropy and RNG
-    /// stream must match `present`, bit for bit. Returns false, after
-    /// checking the oracle found nothing either, when the pool is dry.
+    /// stream must match `present`, bit for bit. Returns the round's
+    /// `h_policy`, or `None`, after checking the oracle found nothing
+    /// either, when the pool is dry.
     fn checked_round(
         st: &mut SessionState,
         learner: &mut Learner,
         trainer: &mut FpTrainer,
         tag: &str,
-    ) -> bool {
+    ) -> Option<f64> {
         let mut twin = learner.clone();
         let (want_pairs, want_h) = oracle_round(st, &mut twin);
         let Some(p) = st.present(learner).expect("in phase") else {
             assert!(want_pairs.is_empty(), "{tag}: oracle still had pairs");
-            return false;
+            return None;
         };
         assert_eq!(p.pairs(), want_pairs.as_slice(), "{tag}: pairs");
         assert_eq!(p.h_policy.to_bits(), want_h.to_bits(), "{tag}: h_policy");
+        let h_policy = p.h_policy;
         assert_eq!(
             learner.rng_mut().state(),
             twin.rng_mut().state(),
@@ -1702,7 +1704,7 @@ mod oracle {
         );
         let labels = st.label_pending(trainer).expect("pending");
         let _ = st.apply_labels(trainer, learner, &labels).expect("aligned");
-        true
+        Some(h_policy)
     }
 
     /// Runs every kind on both bases under `cfg` until the session is
@@ -1727,7 +1729,7 @@ mod oracle {
                 let mut rounds = 0;
                 while !st.is_complete() {
                     let tag = format!("{kind:?}/{basis:?} round {rounds}");
-                    if !checked_round(&mut st, &mut learner, &mut trainer, &tag) {
+                    if checked_round(&mut st, &mut learner, &mut trainer, &tag).is_none() {
                         break;
                     }
                     rounds += 1;
@@ -1765,6 +1767,51 @@ mod oracle {
             let pool = drained.expect("the pool ran dry");
             assert!(pool > 40, "a pool of {pool} pairs is too small to drain");
             assert_eq!(rounds, pool.div_ceil(cfg.pairs_per_iteration));
+        }
+    }
+
+    /// A stochastic round drawn from a single fresh pair: its policy is a
+    /// point mass, whose entropy is the one term `-1 · ln 1 = -0.0`, and an
+    /// `f64` sum over that term keeps its sign. The first round takes all
+    /// but one pair of the pool, the second the last.
+    #[test]
+    fn a_single_candidate_round_has_negative_zero_entropy() {
+        let (table, dirty, space) = fixture();
+        let small_pool = SessionConfig {
+            pool_cap: 120,
+            ..SessionConfig::default()
+        };
+        for basis in [ScoreBasis::PairLocal, ScoreBasis::DatasetTuple] {
+            for kind in [
+                StrategyKind::StochasticBestResponse,
+                StrategyKind::StochasticUncertainty,
+            ] {
+                let strategy = ResponseStrategy::paper(kind).with_basis(basis);
+                let (mut trainer, mut learner) = agents_with(strategy, &table, &space);
+                let new_state = |cfg: SessionConfig| {
+                    SessionState::new(
+                        table.clone(),
+                        space.clone(),
+                        &dirty,
+                        cfg,
+                        &trainer,
+                        &learner,
+                    )
+                    .expect("valid config")
+                };
+                let pool = new_state(small_pool.clone()).pool.len();
+                let mut st = new_state(SessionConfig {
+                    iterations: 2,
+                    pairs_per_iteration: pool - 1,
+                    ..small_pool.clone()
+                });
+                let tag = format!("{kind:?}/{basis:?}");
+                checked_round(&mut st, &mut learner, &mut trainer, &tag).expect("first round");
+                assert_eq!(learner.shown().len(), pool - 1, "{tag}: one pair left");
+                let h = checked_round(&mut st, &mut learner, &mut trainer, &tag)
+                    .expect("the last pair");
+                assert_eq!(h.to_bits(), (-0.0f64).to_bits(), "{tag}: h_policy {h}");
+            }
         }
     }
 }

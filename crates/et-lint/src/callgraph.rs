@@ -55,7 +55,7 @@ pub fn cost_bit(kind: CostKind) -> u8 {
 /// Method names too common to resolve by name alone: nearly all collide
 /// with `std` types, so a name-only edge would be noise. Calls to these
 /// resolve only through the self-method rule (exact `crate::T::m` hit).
-const UBIQUITOUS: [&str; 37] = [
+const UBIQUITOUS: [&str; 38] = [
     "new",
     "default",
     "clone",
@@ -70,6 +70,7 @@ const UBIQUITOUS: [&str; 37] = [
     "iter",
     "iter_mut",
     "into_iter",
+    "enumerate",
     "next",
     "collect",
     "contains",
@@ -554,13 +555,18 @@ mod tests {
             "crates/a/src/lib.rs",
             r#"
             impl Store { pub fn insert(&self, k: u32) {} }
-            fn caller(v: &Vec<u32>) { v.clear(); other.insert(3); }
+            impl Space { pub fn enumerate(&self) -> Vec<u32> { Vec::new() } }
+            fn caller(v: &Vec<u32>) {
+                v.clear();
+                other.insert(3);
+                for (i, x) in v.iter().enumerate() {}
+            }
             "#,
         )]);
         let caller = id_of(&g, "a::caller");
         assert!(callees(&g, caller).is_empty(), "{:?}", callees(&g, caller));
         assert!(g.unresolved.contains("v.clear"), "{:?}", g.unresolved);
-        assert!(g.unresolved_count >= 2);
+        assert!(g.unresolved_count >= 3);
     }
 
     #[test]

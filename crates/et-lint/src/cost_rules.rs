@@ -354,4 +354,42 @@ mod tests {
         assert_eq!((s.alloc_sites, s.lock_sites, s.io_sites), (0, 0, 0));
         assert_eq!(s.witness_depth, 0);
     }
+
+    /// A `#[cfg(test)]` block inside a hot fn is test code, as it is to
+    /// the token rules: its allocation is no hot-path cost, while the
+    /// fn's own and the next fn's costs still count.
+    #[test]
+    fn cfg_test_blocks_in_hot_fns_are_not_cost_sites() {
+        let src = r#"
+            pub fn append(&mut self, frame: &[u8]) {
+                #[cfg(test)]
+                {
+                    let torn = frame.to_vec();
+                    self.tear(torn);
+                }
+                self.sink.extend_from_slice(frame);
+                roll_back();
+            }
+            fn roll_back() { let label = format!("rolled back"); }
+        "#;
+        let (findings, stats) = run(
+            &[("crates/a/src/wal.rs", src)],
+            "[[hot]]\npattern = \"wal::append\"\n",
+        );
+        let what: Vec<&str> = findings
+            .iter()
+            .map(|f| f.violation.excerpt.as_str())
+            .collect();
+        assert_eq!(
+            what,
+            [
+                "self.sink.extend_from_slice(frame);",
+                "fn roll_back() { let label = format!(\"rolled back\"); }"
+            ],
+            "{findings:?}"
+        );
+        let s = &stats[0];
+        assert_eq!(s.reachable_fns, 2, "roll_back stays a non-test fn");
+        assert_eq!(s.alloc_sites, 2);
+    }
 }

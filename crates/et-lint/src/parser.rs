@@ -9,7 +9,10 @@
 //! (panic-family macros, `.unwrap()`/`.expect(`, index/slice expressions),
 //! cost-bearing operations (allocation, lock/blocking, and I/O call sites,
 //! for the hot-path tier), and `use` imports for bare-call expansion. `#[cfg(test)]` / `#[test]`
-//! items are parsed but marked, so graph rules can skip them.
+//! items are parsed but marked, so graph rules can skip them. A cost site
+//! inside a `#[cfg(test)]` region of a non-test fn (a test seam in a
+//! library body) is not recorded: the regions are `rules::test_regions`,
+//! the same definition of test code the token rules L1–L8 skip.
 //!
 //! Out of scope, deliberately: macro expansion, type inference, trait
 //! solving. Anything the parser cannot classify degrades to an unresolved
@@ -20,6 +23,7 @@ use std::collections::BTreeMap;
 
 use crate::conc_rules::{BLOCKING_METHODS, HASH_ITER_METHODS};
 use crate::lexer::{Delim, TokenKind, TokenStream};
+use crate::rules::{in_regions, test_regions};
 
 /// How a method call names its receiver.
 #[derive(Debug, Clone, Default)]
@@ -348,6 +352,8 @@ struct Parser<'a, 'b> {
     scopes: Vec<Scope>,
     pending_test: bool,
     hash_states: BTreeMap<usize, HashIterState>,
+    /// `#[cfg(test)]` byte ranges (`rules::test_regions`).
+    test_regions: Vec<(usize, usize)>,
 }
 
 impl<'a, 'b> Parser<'a, 'b> {
@@ -359,6 +365,7 @@ impl<'a, 'b> Parser<'a, 'b> {
             scopes: Vec::new(),
             pending_test: false,
             hash_states: BTreeMap::new(),
+            test_regions: test_regions(ts),
         }
     }
 
@@ -450,7 +457,14 @@ impl<'a, 'b> Parser<'a, 'b> {
             return hash + 1;
         }
         let close = self.matching_close(j);
-        if !inner {
+        // In a fn body, an attribute on anything but a nested item marks a
+        // statement or expression, not the next fn the file declares.
+        let marks_item = self.current_fn().is_none()
+            || self
+                .ts
+                .next_code(close)
+                .is_some_and(|n| matches!(self.ts.text(n), "fn" | "mod"));
+        if !inner && marks_item {
             let has_test = (j + 1..close).any(|k| {
                 self.ts.is_code(k)
                     && self.ts.tokens[k].kind == TokenKind::Ident
@@ -856,9 +870,9 @@ impl<'a, 'b> Parser<'a, 'b> {
             if PANIC_MACROS.contains(&text.as_str()) {
                 self.push_panic(fn_idx, PanicKind::Macro, &format!("{text}!"), line);
             } else if ALLOC_MACROS.contains(&text.as_str()) {
-                self.push_cost(fn_idx, CostKind::Alloc, &format!("{text}!"), line);
+                self.push_cost(fn_idx, CostKind::Alloc, &format!("{text}!"), i);
             } else if IO_MACROS.contains(&text.as_str()) {
-                self.push_cost(fn_idx, CostKind::Io, &format!("{text}!"), line);
+                self.push_cost(fn_idx, CostKind::Io, &format!("{text}!"), i);
             }
             return i + 1;
         }
@@ -895,11 +909,11 @@ impl<'a, 'b> Parser<'a, 'b> {
                 self.hash_state(fn_idx).sorted = true;
             }
             let recv = self.receiver(i);
-            self.method_cost(fn_idx, &text, &recv, line);
+            self.method_cost(fn_idx, &text, &recv, i);
             self.push_call(fn_idx, Callee::Method { name: text, recv }, i, next, line);
         } else {
             let segments = self.path_segments(i);
-            self.path_cost(fn_idx, &segments, line);
+            self.path_cost(fn_idx, &segments, i);
             self.push_call(fn_idx, Callee::Path { segments }, i, next, line);
         }
         i + 1
@@ -910,7 +924,7 @@ impl<'a, 'b> Parser<'a, 'b> {
     /// receiver hint looks like a lock (the L5/L10 attribution heuristic);
     /// on anything else they are reader/writer calls L14 has no opinion on
     /// without a receiver type.
-    fn method_cost(&mut self, fn_idx: usize, name: &str, recv: &Recv, line: usize) {
+    fn method_cost(&mut self, fn_idx: usize, name: &str, recv: &Recv, at: usize) {
         let lockish = recv.hint.as_deref().is_some_and(|h| {
             let h = h.to_ascii_lowercase();
             h.contains("lock") || h.contains("mutex") || h.starts_with("rw")
@@ -929,12 +943,12 @@ impl<'a, 'b> Parser<'a, 'b> {
             None
         };
         if let Some(kind) = kind {
-            self.push_cost(fn_idx, kind, name, line);
+            self.push_cost(fn_idx, kind, name, at);
         }
     }
 
     /// Classifies a path call's cost class, if any, and records it.
-    fn path_cost(&mut self, fn_idx: usize, segments: &[String], line: usize) {
+    fn path_cost(&mut self, fn_idx: usize, segments: &[String], at: usize) {
         let segs: Vec<&str> = segments.iter().map(String::as_str).collect();
         let rest: &[&str] = if segs.first() == Some(&"std") {
             &segs[1..]
@@ -948,8 +962,8 @@ impl<'a, 'b> Parser<'a, 'b> {
         let what = segments.join("::");
         if head == "thread" {
             match last {
-                "sleep" | "park" => self.push_cost(fn_idx, CostKind::Lock, &what, line),
-                "spawn" => self.push_cost(fn_idx, CostKind::Io, &what, line),
+                "sleep" | "park" => self.push_cost(fn_idx, CostKind::Lock, &what, at),
+                "spawn" => self.push_cost(fn_idx, CostKind::Io, &what, at),
                 _ => {}
             }
             return;
@@ -960,15 +974,21 @@ impl<'a, 'b> Parser<'a, 'b> {
                 "new" | "with_capacity" | "from" | "from_iter" | "from_elem"
             )
         {
-            self.push_cost(fn_idx, CostKind::Alloc, &what, line);
+            self.push_cost(fn_idx, CostKind::Alloc, &what, at);
             return;
         }
         if IO_PATH_HEADS.contains(&head) {
-            self.push_cost(fn_idx, CostKind::Io, &what, line);
+            self.push_cost(fn_idx, CostKind::Io, &what, at);
         }
     }
 
-    fn push_cost(&mut self, fn_idx: usize, kind: CostKind, what: &str, line: usize) {
+    /// Records the cost site at token `at`, unless it is test code.
+    fn push_cost(&mut self, fn_idx: usize, kind: CostKind, what: &str, at: usize) {
+        let tok = self.ts.tokens[at];
+        if in_regions(&self.test_regions, tok.start) {
+            return;
+        }
+        let line = tok.line;
         self.fns[fn_idx].costs.push(CostOp {
             kind,
             what: what.to_string(),
@@ -1348,6 +1368,37 @@ mod tests {
             !by_name("not_a_test").is_test,
             "`latest` must not substring-match `test`"
         );
+    }
+
+    /// A `#[cfg(test)]` statement in a fn body marks that statement (its
+    /// cost sites are dropped), never the next fn the file declares.
+    #[test]
+    fn cfg_test_statements_mark_only_themselves() {
+        let src = r#"
+            fn write_frame(&mut self, frame: &[u8]) {
+                #[cfg(test)]
+                if let Some(fault) = FAULT.get() { return fault.tear(frame.to_vec()); }
+                self.file.write_all(frame)
+            }
+            fn roll_back(&mut self) { self.file.set_len(self.end); }
+            fn outer() {
+                #[cfg(test)]
+                fn nested_seam() {}
+            }
+        "#;
+        let ast = parse(&lex(src));
+        let by_name = |n: &str| ast.fns.iter().find(|f| f.name == n).expect("fn present");
+        assert!(
+            !by_name("roll_back").is_test,
+            "the flag leaked past a statement"
+        );
+        assert!(by_name("nested_seam").is_test);
+        let costs: Vec<&str> = by_name("write_frame")
+            .costs
+            .iter()
+            .map(|c| c.what.as_str())
+            .collect();
+        assert_eq!(costs, ["write_all"], "the test seam's to_vec is not a cost");
     }
 
     #[test]

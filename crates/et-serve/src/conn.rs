@@ -214,12 +214,19 @@ impl Conn {
 
     /// Queues an encoded reply (already newline-terminated) for writing.
     pub fn queue_write(&mut self, bytes: &[u8]) {
+        self.out_buf().extend_from_slice(bytes);
+    }
+
+    /// The output queue, for encoding replies straight into it: whatever
+    /// is appended (newline-terminated lines) is written after the bytes
+    /// already queued.
+    pub fn out_buf(&mut self) -> &mut Vec<u8> {
         // Compact lazily: reclaim the flushed prefix before growing.
         if self.out_cursor > 0 && self.out_cursor == self.out.len() {
             self.out.clear();
             self.out_cursor = 0;
         }
-        self.out.extend_from_slice(bytes);
+        &mut self.out
     }
 
     /// Writes as much queued output as the socket accepts. Returns `true`

@@ -253,12 +253,19 @@ pub(crate) fn write_str(out: &mut Vec<u8>, s: &str) {
 }
 
 /// Appends `[e0,e1,…]`, writing each element with `each`.
-pub(crate) fn write_array<T>(
+pub(crate) fn write_array<T>(out: &mut Vec<u8>, items: &[T], each: impl FnMut(&mut Vec<u8>, &T)) {
+    out.push(b'[');
+    write_joined(out, items, each);
+    out.push(b']');
+}
+
+/// Appends `e0,e1,…` — an array's elements without its brackets — writing
+/// each element with `each`.
+pub(crate) fn write_joined<T>(
     out: &mut Vec<u8>,
     items: &[T],
     mut each: impl FnMut(&mut Vec<u8>, &T),
 ) {
-    out.push(b'[');
     if let Some((head, tail)) = items.split_first() {
         each(out, head);
         for item in tail {
@@ -266,7 +273,6 @@ pub(crate) fn write_array<T>(
             each(out, item);
         }
     }
-    out.push(b']');
 }
 
 /// The encoders write only whole `&str`s and ASCII, so the bytes are always

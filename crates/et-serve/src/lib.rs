@@ -55,7 +55,7 @@ pub use conn::{LineFramer, DEFAULT_MAX_LINE_BYTES};
 pub use durability::{read_meta, session_dir_name, write_meta, SessionMeta};
 pub use json::{Json, JsonError};
 pub use loadgen::{run_in_process, run_load, InProcessLoad, LoadConfig, LoadReport};
-pub use protocol::{ErrorCode, Request, Response, WirePair};
+pub use protocol::{ErrorCode, MaeHistory, Request, Response, StatusReply, WirePair};
 pub use server::{spawn, ServerConfig, ServerHandle};
 pub use spec::{build_parts, derive_seed, run_batch, CreateSessionSpec, SessionParts};
 pub use store::{

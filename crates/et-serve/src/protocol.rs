@@ -515,18 +515,18 @@ impl Response {
                 converged_at,
                 learner_confidences,
                 trainer_confidences,
-            } => {
-                let mut o = Obj::ok(out, "session_status");
-                o.u64("session", *session);
-                o.usize("iterations_done", *iterations_done);
-                o.usize("iterations", *iterations);
-                json::write_bool(o.key("awaiting_labels"), *awaiting_labels);
-                o.f64s("mae_series", mae_series);
-                o.opt_usize("converged_at", *converged_at);
-                o.f64s("learner_confidences", learner_confidences);
-                o.f64s("trainer_confidences", trainer_confidences);
-                o.close();
+            } => StatusReply {
+                session: *session,
+                iterations_done: *iterations_done,
+                iterations: *iterations,
+                awaiting_labels: *awaiting_labels,
+                converged_at: *converged_at,
+                learner_confidences,
+                trainer_confidences,
             }
+            .encode_with(out, |out| {
+                json::write_joined(out, mae_series, |out, &n| json::write_f64(out, n));
+            }),
             Response::ServerStatus {
                 live_sessions,
                 capacity,
@@ -562,6 +562,81 @@ impl Response {
                 o.close();
             }
         }
+    }
+}
+
+/// A session's MAE history kept encoded for its `status` replies: the
+/// comma-joined JSON numbers of its first `rounds` MAEs, byte for byte the
+/// elements of the `mae_series` that `Response::SessionStatus` prints.
+/// A session's metrics only grow by appended rounds, so each status
+/// encodes just the rounds played since the previous one.
+#[derive(Debug, Clone, Default)]
+pub struct MaeHistory {
+    json: Vec<u8>,
+    rounds: usize,
+}
+
+impl MaeHistory {
+    /// Appends the MAEs of the rounds in `metrics` that the encoding does
+    /// not cover yet. `metrics` is the session's whole per-round history,
+    /// so it extends the one the previous call saw.
+    pub fn catch_up(&mut self, metrics: &[IterationMetrics]) {
+        for m in metrics.iter().skip(self.rounds) {
+            if self.rounds > 0 {
+                self.json.push(b',');
+            }
+            json::write_f64(&mut self.json, m.mae);
+            self.rounds += 1;
+        }
+    }
+}
+
+/// The members of a `session_status` reply besides its MAE series. Its
+/// encoder is the one writer of the status layout: `Response::SessionStatus`
+/// passes it the whole series to encode, and the server's `status` op a
+/// session's [`MaeHistory`] to copy.
+#[derive(Debug, Clone, Copy)]
+pub struct StatusReply<'a> {
+    /// Session id.
+    pub session: u64,
+    /// Interactions executed so far.
+    pub iterations_done: usize,
+    /// Iteration budget.
+    pub iterations: usize,
+    /// Whether a presentation awaits labels.
+    pub awaiting_labels: bool,
+    /// Convergence point so far, if any.
+    pub converged_at: Option<usize>,
+    /// The learner's current per-FD confidences.
+    pub learner_confidences: &'a [f64],
+    /// The hosted trainer's current per-FD confidences.
+    pub trainer_confidences: &'a [f64],
+}
+
+impl StatusReply<'_> {
+    /// Appends the reply as one wire line (no trailing newline) to `out`,
+    /// with `history` as its `mae_series`: the bytes of
+    /// `Response::SessionStatus` over the same values.
+    pub fn encode_into(&self, history: &MaeHistory, out: &mut Vec<u8>) {
+        self.encode_with(out, |out| out.extend_from_slice(&history.json));
+    }
+
+    /// Appends the reply; `mae_series` writes the series' elements between
+    /// the array's brackets.
+    fn encode_with(&self, out: &mut Vec<u8>, mae_series: impl FnOnce(&mut Vec<u8>)) {
+        let mut o = Obj::ok(out, "session_status");
+        o.u64("session", self.session);
+        o.usize("iterations_done", self.iterations_done);
+        o.usize("iterations", self.iterations);
+        json::write_bool(o.key("awaiting_labels"), self.awaiting_labels);
+        let out = o.key("mae_series");
+        out.push(b'[');
+        mae_series(out);
+        out.push(b']');
+        o.opt_usize("converged_at", self.converged_at);
+        o.f64s("learner_confidences", self.learner_confidences);
+        o.f64s("trainer_confidences", self.trainer_confidences);
+        o.close();
     }
 }
 
@@ -1000,6 +1075,23 @@ mod tests {
         rng.gen::<bool>().then(|| arb_usize(rng))
     }
 
+    fn arb_metrics(rng: &mut StdRng) -> IterationMetrics {
+        IterationMetrics {
+            t: arb_usize(rng),
+            mae: arb_f64(rng),
+            learner_f1: arb_f64(rng),
+            learner_precision: arb_f64(rng),
+            learner_recall: arb_f64(rng),
+            trainer_f1: arb_f64(rng),
+            learner_drift: arb_f64(rng),
+            trainer_drift: arb_f64(rng),
+            policy_entropy: arb_f64(rng),
+            dirty_labels: arb_usize(rng),
+            phi_dirty: arb_f64(rng),
+            agreement: arb_f64(rng),
+        }
+    }
+
     /// One random value of every `Response` variant.
     fn arb_responses(rng: &mut StdRng) -> Vec<Response> {
         vec![
@@ -1029,20 +1121,7 @@ mod tests {
             Response::Labeled {
                 session: arb_u64(rng),
                 labels: arb_vec(rng, |rng| rng.gen()),
-                metrics: IterationMetrics {
-                    t: arb_usize(rng),
-                    mae: arb_f64(rng),
-                    learner_f1: arb_f64(rng),
-                    learner_precision: arb_f64(rng),
-                    learner_recall: arb_f64(rng),
-                    trainer_f1: arb_f64(rng),
-                    learner_drift: arb_f64(rng),
-                    trainer_drift: arb_f64(rng),
-                    policy_entropy: arb_f64(rng),
-                    dirty_labels: arb_usize(rng),
-                    phi_dirty: arb_f64(rng),
-                    agreement: arb_f64(rng),
-                },
+                metrics: arb_metrics(rng),
             },
             Response::SessionStatus {
                 session: arb_u64(rng),
@@ -1093,6 +1172,46 @@ mod tests {
                 prop_assert_eq!(String::from_utf8_lossy(&out[6..]), want.clone(), "{:?}", r);
                 prop_assert_eq!(r.encode(), want);
             }
+        }
+
+        /// A status written from an `MaeHistory` filled over two
+        /// catch-ups, then one more with no new round, equals the encoding
+        /// of `Response::SessionStatus` over the whole series.
+        #[test]
+        fn cached_status_equals_the_full_encode(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mae_series = arb_vec(&mut rng, arb_f64);
+            let (learner, trainer) = (arb_vec(&mut rng, arb_f64), arb_vec(&mut rng, arb_f64));
+            let reply = StatusReply {
+                session: arb_u64(&mut rng),
+                iterations_done: arb_usize(&mut rng),
+                iterations: arb_usize(&mut rng),
+                awaiting_labels: rng.gen(),
+                converged_at: arb_opt(&mut rng),
+                learner_confidences: &learner,
+                trainer_confidences: &trainer,
+            };
+            let metrics: Vec<IterationMetrics> = mae_series
+                .iter()
+                .map(|&mae| IterationMetrics { mae, ..arb_metrics(&mut rng) })
+                .collect();
+            let mut history = MaeHistory::default();
+            history.catch_up(&metrics[..rng.gen_range(0..=metrics.len())]);
+            history.catch_up(&metrics);
+            history.catch_up(&metrics);
+            let mut cached = Vec::new();
+            reply.encode_into(&history, &mut cached);
+            let full = Response::SessionStatus {
+                session: reply.session,
+                iterations_done: reply.iterations_done,
+                iterations: reply.iterations,
+                awaiting_labels: reply.awaiting_labels,
+                mae_series,
+                converged_at: reply.converged_at,
+                learner_confidences: learner.clone(),
+                trainer_confidences: trainer.clone(),
+            };
+            prop_assert_eq!(json::utf8_string(cached), full.encode());
         }
     }
 

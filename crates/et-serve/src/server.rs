@@ -36,9 +36,9 @@ use et_core::StepError;
 
 use crate::conn::{Conn, FramingError, ReadOutcome, DEFAULT_MAX_LINE_BYTES};
 use crate::event::{reuseport_listeners, Event, Poller, TimerWheel, Waker};
-use crate::protocol::{ErrorCode, Request, Response, WirePair};
+use crate::protocol::{ErrorCode, Request, Response, StatusReply, WirePair};
 use crate::spec::CreateSessionSpec;
-use crate::store::{RecoveryReport, SessionStore, StoreConfig, StoreError};
+use crate::store::{LiveSession, RecoveryReport, SessionStore, StoreConfig, StoreError};
 
 /// Shard-local token of the shard's own listener.
 const LISTENER_TOKEN: u64 = 0;
@@ -289,7 +289,8 @@ fn worker_pool_loop(job_rx: &Arc<Mutex<Receiver<Job>>>, ctx: &Arc<ServerCtx>, li
             guard.recv()
         };
         let Ok(job) = next else { return };
-        let payload = reply_line(&dispatch(Request::Create(job.spec), ctx));
+        let mut payload = Vec::new();
+        dispatch(Request::Create(job.spec), ctx, &mut payload);
         if let Some(link) = links.get(job.shard) {
             // A send fails only once the shard has exited (shutdown); the
             // reply has no connection left to go to.
@@ -302,12 +303,10 @@ fn worker_pool_loop(job_rx: &Arc<Mutex<Receiver<Job>>>, ctx: &Arc<ServerCtx>, li
     }
 }
 
-/// Encodes `response` as one newline-terminated wire line.
-fn reply_line(response: &Response) -> Vec<u8> {
-    let mut line = Vec::new();
-    response.encode_into(&mut line);
-    line.push(b'\n');
-    line
+/// Appends `response` to `out` as one newline-terminated wire line.
+fn encode_line(response: &Response, out: &mut Vec<u8>) {
+    response.encode_into(out);
+    out.push(b'\n');
 }
 
 /// Everything one event shard needs.
@@ -495,7 +494,7 @@ fn conn_event(p: &ShardParams, s: &mut ShardState, token: u64, ev: Event, now: I
                     code: ErrorCode::ProtocolError,
                     message: format!("request line exceeds {max} bytes"),
                 };
-                conn.queue_write(&reply_line(&reply));
+                encode_line(&reply, conn.out_buf());
                 conn.close_after_flush = true;
             }
             Ok(ReadOutcome::Eof { .. }) => {
@@ -527,7 +526,7 @@ fn pump_conn(p: &ShardParams, conn: &mut Conn) {
         if trimmed.is_empty() {
             continue;
         }
-        let response = match Request::parse_line(trimmed) {
+        let request = match Request::parse_line(trimmed) {
             Ok(Request::Create(spec)) => {
                 conn.in_flight = true;
                 // A send can only fail once the workers have exited, which
@@ -540,11 +539,15 @@ fn pump_conn(p: &ShardParams, conn: &mut Conn) {
                 });
                 return;
             }
-            Ok(request) => dispatch(request, &p.ctx),
-            Err((code, message)) => Response::Error { code, message },
+            Ok(request) => request,
+            Err((code, message)) => {
+                encode_line(&Response::Error { code, message }, conn.out_buf());
+                continue;
+            }
         };
-        conn.queue_write(&reply_line(&response));
-        if matches!(response, Response::ShuttingDown) {
+        let shutdown = matches!(request, Request::Shutdown);
+        dispatch(request, &p.ctx, conn.out_buf());
+        if shutdown {
             // The goodbye is queued first, so the shard's final flush
             // sends it; lines after it are never answered.
             p.ctl.begin_shutdown();
@@ -584,47 +587,11 @@ fn finish_io(poller: &Poller, conn: &mut Conn) -> bool {
 // Routing + domain logic. Nothing below this line knows how bytes arrive.
 // ---------------------------------------------------------------------------
 
-fn dispatch(request: Request, ctx: &ServerCtx) -> Response {
-    match request {
-        Request::Create(spec) => {
-            // ord: Acquire pairs with the shutdown Release store
-            if ctx.stop.load(Ordering::Acquire) {
-                return err(ErrorCode::ShuttingDown, "server is draining");
-            }
-            match ctx.store.create(&spec) {
-                Ok((session, seed)) => {
-                    let details = ctx.store.with_session(session, |live| {
-                        (
-                            live.state.table().nrows(),
-                            live.state.space().len(),
-                            live.state.config().iterations,
-                        )
-                    });
-                    match details {
-                        Ok((rows, fds, iterations)) => Response::Created {
-                            session,
-                            rows,
-                            fds,
-                            iterations,
-                            seed,
-                        },
-                        Err(_) => err(ErrorCode::UnknownSession, "session vanished"),
-                    }
-                }
-                Err(StoreError::Busy) => err(ErrorCode::ServerBusy, "session store at capacity"),
-                Err(StoreError::Invalid(msg)) => Response::Error {
-                    code: ErrorCode::InvalidConfig,
-                    message: msg,
-                },
-                Err(StoreError::Durability(msg)) => Response::Error {
-                    code: ErrorCode::Internal,
-                    message: format!("durable storage refused the session: {msg}"),
-                },
-                Err(StoreError::Unknown(id)) => {
-                    err(ErrorCode::UnknownSession, &format!("no session {id}"))
-                }
-            }
-        }
+/// Answers one request: appends its reply to `out` as one
+/// newline-terminated wire line.
+fn dispatch(request: Request, ctx: &ServerCtx, out: &mut Vec<u8>) {
+    let response = match request {
+        Request::Create(spec) => create(&spec, ctx),
         Request::NextPairs { session } => run_on_session(ctx, session, next_pairs),
         Request::SubmitLabels { session, labels } => {
             let latency = ctx.store.round_latency();
@@ -632,19 +599,14 @@ fn dispatch(request: Request, ctx: &ServerCtx) -> Response {
                 submit_labels(live, labels, Some(latency))
             })
         }
-        Request::Status { session: Some(id) } => run_on_session(ctx, id, |live| {
-            let report = live.state.convergence_so_far();
-            Response::SessionStatus {
-                session: live.id,
-                iterations_done: live.state.iterations_done(),
-                iterations: live.state.config().iterations,
-                awaiting_labels: live.state.pending().is_some(),
-                mae_series: live.state.metrics().iter().map(|m| m.mae).collect(),
-                converged_at: report.converged_at,
-                learner_confidences: live.learner.confidences(),
-                trainer_confidences: live.trainer.belief().confidences(),
+        // Written while the session is still held, straight from its
+        // cached MAE history into `out`.
+        Request::Status { session: Some(id) } => {
+            match ctx.store.with_session(id, |live| status_line(live, out)) {
+                Ok(()) => return,
+                Err(_) => err(ErrorCode::UnknownSession, &format!("no session {id}")),
             }
-        }),
+        }
         Request::Status { session: None } => {
             let snap = ctx.store.snapshot();
             Response::ServerStatus {
@@ -665,7 +627,64 @@ fn dispatch(request: Request, ctx: &ServerCtx) -> Response {
         // The shard (not this routing layer) begins shutdown once the reply
         // is queued, so the goodbye is never lost to a racing exit.
         Request::Shutdown => Response::ShuttingDown,
+    };
+    encode_line(&response, out);
+}
+
+fn create(spec: &CreateSessionSpec, ctx: &ServerCtx) -> Response {
+    // ord: Acquire pairs with the shutdown Release store
+    if ctx.stop.load(Ordering::Acquire) {
+        return err(ErrorCode::ShuttingDown, "server is draining");
     }
+    match ctx.store.create(spec) {
+        Ok((session, seed)) => {
+            let details = ctx.store.with_session(session, |live| {
+                (
+                    live.state.table().nrows(),
+                    live.state.space().len(),
+                    live.state.config().iterations,
+                )
+            });
+            match details {
+                Ok((rows, fds, iterations)) => Response::Created {
+                    session,
+                    rows,
+                    fds,
+                    iterations,
+                    seed,
+                },
+                Err(_) => err(ErrorCode::UnknownSession, "session vanished"),
+            }
+        }
+        Err(StoreError::Busy) => err(ErrorCode::ServerBusy, "session store at capacity"),
+        Err(StoreError::Invalid(msg)) => Response::Error {
+            code: ErrorCode::InvalidConfig,
+            message: msg,
+        },
+        Err(StoreError::Durability(msg)) => Response::Error {
+            code: ErrorCode::Internal,
+            message: format!("durable storage refused the session: {msg}"),
+        },
+        Err(StoreError::Unknown(id)) => err(ErrorCode::UnknownSession, &format!("no session {id}")),
+    }
+}
+
+/// Appends the session's `session_status` line to `out`. The MAE series is
+/// copied from the session's cached encoding, after encoding into it only
+/// the rounds played since the previous status.
+fn status_line(live: &mut LiveSession, out: &mut Vec<u8>) {
+    live.mae_history.catch_up(live.state.metrics());
+    StatusReply {
+        session: live.id,
+        iterations_done: live.state.iterations_done(),
+        iterations: live.state.config().iterations,
+        awaiting_labels: live.state.pending().is_some(),
+        converged_at: live.state.convergence_so_far().converged_at,
+        learner_confidences: &live.learner.confidences(),
+        trainer_confidences: &live.trainer.belief().confidences(),
+    }
+    .encode_into(&live.mae_history, out);
+    out.push(b'\n');
 }
 
 fn err(code: ErrorCode, message: &str) -> Response {
@@ -678,7 +697,7 @@ fn err(code: ErrorCode, message: &str) -> Response {
 fn run_on_session(
     ctx: &ServerCtx,
     session: u64,
-    f: impl FnOnce(&mut crate::store::LiveSession) -> Response,
+    f: impl FnOnce(&mut LiveSession) -> Response,
 ) -> Response {
     match ctx.store.with_session(session, f) {
         Ok(resp) => resp,
@@ -686,7 +705,7 @@ fn run_on_session(
     }
 }
 
-fn done_reply(live: &crate::store::LiveSession) -> Response {
+fn done_reply(live: &LiveSession) -> Response {
     let report = live.state.convergence_so_far();
     Response::Done {
         session: live.id,
@@ -696,7 +715,7 @@ fn done_reply(live: &crate::store::LiveSession) -> Response {
     }
 }
 
-fn pairs_reply(live: &crate::store::LiveSession) -> Response {
+fn pairs_reply(live: &LiveSession) -> Response {
     let Some(pending) = live.state.pending() else {
         return err(ErrorCode::WrongPhase, "no pending presentation");
     };
@@ -717,7 +736,7 @@ fn pairs_reply(live: &crate::store::LiveSession) -> Response {
     }
 }
 
-fn next_pairs(live: &mut crate::store::LiveSession) -> Response {
+fn next_pairs(live: &mut LiveSession) -> Response {
     // Idempotent: an unanswered presentation is re-served, so a client that
     // lost a reply can simply ask again.
     if live.state.pending().is_some() {
@@ -729,7 +748,7 @@ fn next_pairs(live: &mut crate::store::LiveSession) -> Response {
         OutOfPhase,
     }
     let outcome = {
-        let crate::store::LiveSession { state, learner, .. } = live;
+        let LiveSession { state, learner, .. } = live;
         match state.present(learner) {
             Ok(Some(_)) => Outcome::Presented,
             Ok(None) => Outcome::Complete,
@@ -747,7 +766,7 @@ fn next_pairs(live: &mut crate::store::LiveSession) -> Response {
 }
 
 fn submit_labels(
-    live: &mut crate::store::LiveSession,
+    live: &mut LiveSession,
     labels: Option<Vec<bool>>,
     latency: Option<&crate::store::LatencyHistogram>,
 ) -> Response {
@@ -772,7 +791,7 @@ fn submit_labels(
         }
     }
     let session = live.id;
-    let crate::store::LiveSession {
+    let LiveSession {
         state,
         trainer,
         learner,
@@ -814,5 +833,137 @@ fn submit_labels(
             &format!("labels were not durably recorded: {e}"),
         ),
         Err(e) => err(ErrorCode::WrongPhase, &e.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ctx(store: SessionStore) -> ServerCtx {
+        ServerCtx {
+            store,
+            stop: Arc::new(AtomicBool::new(false)),
+        }
+    }
+
+    fn reply(ctx: &ServerCtx, request: Request) -> String {
+        let mut out = b"queued\n".to_vec();
+        dispatch(request, ctx, &mut out);
+        assert_eq!(
+            &out[..7],
+            b"queued\n",
+            "dispatch appends after queued bytes"
+        );
+        String::from_utf8(out[7..].to_vec()).expect("utf-8 reply")
+    }
+
+    /// The status line of `Response::SessionStatus` over the session's
+    /// whole MAE series, encoded from scratch.
+    fn full_status(ctx: &ServerCtx, id: u64) -> String {
+        let mut line = ctx
+            .store
+            .with_session(id, |live| {
+                Response::SessionStatus {
+                    session: live.id,
+                    iterations_done: live.state.iterations_done(),
+                    iterations: live.state.config().iterations,
+                    awaiting_labels: live.state.pending().is_some(),
+                    mae_series: live.state.metrics().iter().map(|m| m.mae).collect(),
+                    converged_at: live.state.convergence_so_far().converged_at,
+                    learner_confidences: live.learner.confidences(),
+                    trainer_confidences: live.trainer.belief().confidences(),
+                }
+                .encode()
+            })
+            .expect("live session");
+        line.push('\n');
+        line
+    }
+
+    /// A served status, checked byte for byte against the full encode.
+    fn status(ctx: &ServerCtx, id: u64) -> String {
+        let got = reply(ctx, Request::Status { session: Some(id) });
+        assert_eq!(got, full_status(ctx, id));
+        got
+    }
+
+    fn round(ctx: &ServerCtx, id: u64) {
+        let pairs = reply(ctx, Request::NextPairs { session: id });
+        assert!(pairs.contains("\"reply\":\"pairs\""), "{pairs}");
+        let labeled = reply(
+            ctx,
+            Request::SubmitLabels {
+                session: id,
+                labels: None,
+            },
+        );
+        assert!(labeled.contains("\"reply\":\"labeled\""), "{labeled}");
+    }
+
+    /// Statuses written from the cached MAE history equal the full encode
+    /// of the same state: before any round, twice with no round between,
+    /// after every round, mid-round, after rounds with no status between,
+    /// and on a session recovered from its journal.
+    #[test]
+    fn cached_status_bytes_equal_the_full_encode() {
+        let dir = std::env::temp_dir().join(format!("et-serve-status-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = StoreConfig {
+            capacity: 4,
+            shards: 2,
+            base_seed: 7,
+            data_dir: Some(dir.clone()),
+            ..StoreConfig::default()
+        };
+        let spec = CreateSessionSpec {
+            rows: 60,
+            iterations: 12,
+            ..CreateSessionSpec::default()
+        };
+        let live = ctx(SessionStore::new(cfg.clone()));
+        let created = reply(&live, Request::Create(spec));
+        let id = crate::json::Json::parse(created.trim())
+            .ok()
+            .and_then(|v| v.get("session").and_then(crate::json::Json::as_u64))
+            .expect("created reply names the session");
+
+        let first = status(&live, id);
+        assert!(first.contains("\"mae_series\":[]"), "{first}");
+        assert_eq!(status(&live, id), first, "no round between");
+        for _ in 0..3 {
+            round(&live, id);
+            status(&live, id);
+        }
+        reply(&live, Request::NextPairs { session: id });
+        status(&live, id);
+        round(&live, id);
+        for _ in 0..3 {
+            round(&live, id);
+        }
+        let before_crash = status(&live, id);
+        assert!(
+            before_crash.contains("\"iterations_done\":7"),
+            "{before_crash}"
+        );
+        assert_eq!(status(&live, id), before_crash);
+
+        // A restart over the same directory, with no flush: the recovered
+        // session starts with an empty cache and seven rounds to encode.
+        drop(live);
+        let restarted = ctx(SessionStore::new(cfg));
+        let report = restarted.store.recover_from_disk();
+        assert_eq!(report.recovered, 1, "{:?}", report.failed);
+        let recovered = status(&restarted, id);
+        assert!(recovered.contains("\"iterations_done\":7"), "{recovered}");
+        round(&restarted, id);
+        status(&restarted, id);
+
+        let unknown = reply(&restarted, Request::Status { session: Some(999) });
+        assert!(
+            unknown.contains("\"error\":\"unknown_session\""),
+            "{unknown}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

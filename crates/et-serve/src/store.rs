@@ -17,6 +17,7 @@ use et_core::{recover_session, FpTrainer, JournalConfig, Learner, SessionJournal
 use et_durable::{DurableError, FsyncPolicy};
 
 use crate::durability::{list_session_dirs, read_meta, session_dir_name, write_meta, SessionMeta};
+use crate::protocol::MaeHistory;
 use crate::spec::{build_parts, derive_seed, CreateSessionSpec};
 
 /// One live session: the resumable state plus its agents and bookkeeping.
@@ -35,6 +36,9 @@ pub struct LiveSession {
     pub last_touch: Instant,
     /// Whether the terminal `done` reply has been produced.
     pub reported_done: bool,
+    /// The MAE series as its `status` replies encode it, filled lazily by
+    /// the `status` op: empty until a session's first status.
+    pub mae_history: MaeHistory,
 }
 
 /// Store limits and seeding.
@@ -383,6 +387,7 @@ impl SessionStore {
             learner: parts.learner,
             last_touch: Instant::now(),
             reported_done: false,
+            mae_history: MaeHistory::default(),
         };
         lock_shard(self.shard_of(id)).insert(id, live);
         self.created_total.fetch_add(1, Ordering::Relaxed); // ord: Relaxed, monotonic diagnostic counter
@@ -545,6 +550,7 @@ impl SessionStore {
             learner,
             last_touch: Instant::now(),
             reported_done,
+            mae_history: MaeHistory::default(),
         };
         lock_shard(self.shard_of(id)).insert(id, live);
         self.live.fetch_add(1, Ordering::AcqRel); // ord: AcqRel pairs with the reservation RMW

@@ -97,7 +97,10 @@ echo "==> bench harness compiles + bench_json smoke (quick profile)"
 # round's policy: a StochasticBR select_round, which maps scores and builds
 # the softmax once per violation class, must stay at least 2x faster than
 # the same policy computed per candidate (picks and h_policy bits are
-# checked equal before timing).
+# checked equal before timing). And it gates the status reply: a 150-round
+# Hospital status written from the session's cached MAE history, caught up
+# by one new round, must stay at least 2x faster than encoding the whole
+# series through Response::SessionStatus (bytes checked equal first).
 cargo build -q --release -p et-bench --benches --bins
 BENCH_OUT="$(mktemp /tmp/et-bench-substrate.XXXXXX.json)"
 if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
@@ -112,6 +115,7 @@ if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
   --gate group_by_dense_vs_hash_speedup:2 \
   --gate g1_counter_vs_sort_speedup:3 \
   --gate policy_class_vs_candidate_speedup:2 \
+  --gate status_encode_cached_vs_full_speedup:2 \
   || [ ! -s "$BENCH_OUT" ]; then
   echo "FATAL: bench_json failed to produce $BENCH_OUT or a gate failed" >&2
   echo "       (baseline unregenerable, delta rescoring lost to a full rescore," >&2
@@ -122,8 +126,9 @@ if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
   echo "        pool build lost its 3x lead over the hash-set enumeration," >&2
   echo "        the per-set space scorer lost its 2x lead over the per-FD walk," >&2
   echo "        dense group_by lost its 2x lead over the SipHash grouping," >&2
-  echo "        the counter-walk prior lost its 3x lead over the sorted one, or" >&2
-  echo "        the class-keyed policy lost its 2x lead over the per-candidate one)" >&2
+  echo "        the counter-walk prior lost its 3x lead over the sorted one," >&2
+  echo "        the class-keyed policy lost its 2x lead over the per-candidate one, or" >&2
+  echo "        the cached-history status lost its 2x lead over the full encode)" >&2
   exit 1
 fi
 rm -f "$BENCH_OUT"
