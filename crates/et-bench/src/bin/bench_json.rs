@@ -37,7 +37,10 @@ use et_fd::{
     pair_dirty_probs_with, predict_labels, DeltaScorer, DetectParams, Fd, HypothesisSpace,
     PairScores, PartitionCache, RelationMatrix, ViolationIndex, G1,
 };
-use et_serve::{build_parts, CreateSessionSpec, Json, MaeHistory, Response, StatusReply, WirePair};
+use et_serve::{
+    build_parts, CreateSessionSpec, Json, MaeHistory, Response, SessionStore, StatusReply,
+    StoreConfig, WirePair,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -399,6 +402,7 @@ fn run_benches(f: &Fixture, quick: bool) -> Vec<BenchStats> {
     ));
 
     out.extend(durability_benches(f, quick));
+    out.extend(restart_benches(quick));
     out
 }
 
@@ -1472,6 +1476,109 @@ fn durability_benches(f: &Fixture, quick: bool) -> Vec<BenchStats> {
     out
 }
 
+/// A restart over 16 journaled OMDB-160 sessions, mid-stream at mixed
+/// round counts (durable-omdb's crash set: `1 + 7i mod 29` rounds each,
+/// `--fsync never`, a snapshot every 16 rounds), both ways: store
+/// construction plus `recover_from_disk`, which only registers the
+/// sessions, against the same work followed by one status per session,
+/// which revives each. Every revived status is checked against its bytes
+/// before the restart first.
+fn restart_benches(quick: bool) -> Vec<BenchStats> {
+    const SESSIONS: u64 = 16;
+    let (warmup, iters) = if quick { (2, 10) } else { (3, 25) };
+    let scratch = std::env::temp_dir().join(format!("et-bench-restart-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    let cfg = StoreConfig {
+        capacity: 64,
+        data_dir: Some(scratch.clone()),
+        journal: JournalConfig {
+            fsync: FsyncPolicy::Never,
+            snapshot_every: 16,
+        },
+        ..StoreConfig::default()
+    };
+    let status = |store: &SessionStore, id: u64| {
+        let mut line = Vec::new();
+        match store.with_session(id, |live| live.write_status(&mut line)) {
+            Ok(()) => line,
+            Err(e) => fail("status", format!("{e:?}")),
+        }
+    };
+    let store = SessionStore::new(cfg.clone());
+    let mut before = Vec::new();
+    for i in 0..SESSIONS {
+        let spec = CreateSessionSpec {
+            dataset: DatasetName::Omdb,
+            rows: 160,
+            iterations: 30,
+            seed: Some(1001 + i),
+            ..CreateSessionSpec::default()
+        };
+        let id = match store.create(&spec) {
+            Ok((id, _)) => id,
+            Err(e) => fail("create OMDB-160 session", format!("{e:?}")),
+        };
+        let driven = store.with_session(id, |live| -> Result<(), String> {
+            for _ in 0..1 + (7 * i) % 29 {
+                live.state
+                    .present(&mut live.learner)
+                    .map_err(|e| e.to_string())?;
+                let labels = live
+                    .state
+                    .label_pending(&mut live.trainer)
+                    .map_err(|e| e.to_string())?;
+                live.state
+                    .apply_labels(&live.trainer, &mut live.learner, &labels)
+                    .map_err(|e| e.to_string())?;
+                live.state
+                    .maybe_snapshot(&live.trainer, &live.learner)
+                    .map_err(|e| e.to_string())?;
+            }
+            Ok(())
+        });
+        if let Err(e) = driven.map_err(|e| format!("{e:?}")).and_then(|r| r) {
+            fail("drive OMDB-160 session", e);
+        }
+        before.push((id, status(&store, id)));
+    }
+    // A crash: the store drops with no flush.
+    drop(store);
+
+    let ready = || {
+        let store = SessionStore::new(cfg.clone());
+        store.recover_from_disk();
+        store
+    };
+    let revive_all = || {
+        let store = ready();
+        let lines: Vec<Vec<u8>> = before
+            .iter()
+            .map(|&(id, _)| match store.revive(id) {
+                Ok(()) => status(&store, id),
+                Err(e) => fail("revive", format!("{e:?}")),
+            })
+            .collect();
+        (store, lines)
+    };
+    let (_, lines) = revive_all();
+    if lines.iter().ne(before.iter().map(|(_, line)| line)) {
+        fail(
+            "restart bench",
+            "a revived status differs from its bytes before the restart",
+        );
+    }
+    let (ready, revive_all) = time_bench_interleaved(
+        "restart_ready",
+        "restart_revive_all",
+        warmup,
+        iters,
+        ready,
+        revive_all,
+    );
+    let _ = std::fs::remove_dir_all(&scratch);
+    vec![ready, revive_all]
+}
+
 /// Whether a derived entry counts as a regression: every `*_speedup`
 /// ratio is "new path over old path", so below 1.0 means the new path
 /// lost ground and the JSON should say so explicitly.
@@ -1687,6 +1794,11 @@ fn main() {
             "status_encode_cached_vs_full_speedup",
             "status_encode_full",
             "status_encode_cached",
+        ),
+        (
+            "restart_ready_vs_revive_all_speedup",
+            "restart_revive_all",
+            "restart_ready",
         ),
         (
             "fsync_append_cost_ratio",

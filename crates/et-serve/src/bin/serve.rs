@@ -11,12 +11,16 @@
 //! `--help` (or `-h`) prints the usage line and exits 0.
 //!
 //! With `--data-dir`, sessions are journaled (write-ahead label log plus
-//! periodic snapshots) and recovered on start; without it the store is
-//! purely in-memory, exactly as before.
+//! periodic snapshots). At start the journaled sessions are registered,
+//! not rebuilt, so `listening on` comes at once; each is revived on its
+//! first request. Without `--data-dir` the store is purely in-memory.
 //!
 //! The transport is the readiness-based event loop (Linux epoll). Each of
 //! the `--shards` event threads runs its connections' rounds to completion;
-//! the `--workers` threads only build sessions for `create_session`.
+//! the `--workers` threads only build sessions: for `create_session`, and
+//! for the first request that names a journaled session not in memory.
+//! `--capacity` bounds the sessions held in memory; journaled sessions on
+//! disk do not count against it.
 //! `--conn-idle-timeout-secs` bounds how long a connection may go without
 //! completing a request line (slow-loris defense; 0 disables it).
 
@@ -31,7 +35,10 @@ const USAGE: &str = "usage: serve [--addr HOST:PORT] [--workers N] [--capacity N
      [--data-dir PATH] [--fsync always|never] [--snapshot-every N] \
      [--shards N] [--conn-idle-timeout-secs N] [--max-line-bytes N]\n  \
      --shards N   event threads; each runs its connections' rounds (default 2)\n  \
-     --workers N  threads that build sessions for create_session (default 4)";
+     --workers N  threads that build sessions: creates, and revives of\n               \
+     journaled sessions on their first request (default 4)\n  \
+     --capacity N sessions held in memory; journaled sessions on disk\n               \
+     do not count (default 64)";
 
 /// The server configuration the flags ask for, or `None` for `--help`.
 fn parse_args(args: &[String]) -> Result<Option<ServerConfig>, String> {
@@ -104,13 +111,12 @@ fn main() -> ExitCode {
     if durable {
         let report = handle.recovery_report();
         println!(
-            "recovered {} sessions ({} failed, {} skipped at capacity)",
-            report.recovered,
-            report.failed.len(),
-            report.skipped_capacity
+            "recovered {} sessions ({} failed; each revives on its first request)",
+            report.registered,
+            report.failed.len()
         );
         for (dir, reason) in &report.failed {
-            eprintln!("serve: recovery of {} failed: {reason}", dir.display());
+            eprintln!("serve: listing {} failed: {reason}", dir.display());
         }
     }
     println!("listening on {}", handle.addr());

@@ -19,14 +19,16 @@
 //! * [`spec`] — `(spec, seed) → session parts`, the pure build pipeline
 //!   shared by the server and the batch reference path.
 //! * [`store`] — the sharded, capacity-bounded live-session map with
-//!   idle-timeout eviction.
+//!   idle-timeout eviction; journaled sessions are registered at start
+//!   and revived on their first request.
 //! * [`event`] — the std-only readiness machinery: an epoll FFI shim,
 //!   eventfd waker, `SO_REUSEPORT` listener fan-out, and a timer wheel.
 //! * [`conn`] — per-connection state for the event loop: newline
 //!   framing over non-blocking reads and a buffered write side.
 //! * [`server`] — the readiness event loop, whose shards each accept on
 //!   their own `SO_REUSEPORT` listener and run their connections' rounds,
-//!   the worker pool that builds sessions, and graceful shutdown.
+//!   the worker pool that builds sessions (creates and revives), and
+//!   graceful shutdown.
 //! * [`client`] — a small blocking client used by the example and the
 //!   integration tests.
 //! * [`loadgen`] — an open-loop load generator over the same poller,

@@ -7,21 +7,24 @@
 //! one per shard, kernel-balanced, for IPv4 and IPv6 binds alike; a bind
 //! they cannot make is the error [`spawn`] returns.
 //!
-//! A shard parses each request line once and runs every request except
-//! `create_session` to completion on its own thread: it calls `dispatch`,
-//! queues the reply and moves on to the connection's next line, so a round
-//! crosses no thread. A create (session build, idle eviction, journal
-//! setup — the one op whose cost grows with the table) goes to a fixed
-//! worker pool as a parsed spec over a job channel, and its reply comes
-//! back over a per-shard completion channel plus a waker edge. While a
-//! create is out, its connection's later lines wait, so every connection
-//! is answered in request order and event arrival order never reaches
-//! session logic (DESIGN.md §16). Shutdown wakes every parked thread;
-//! nothing polls a stop flag.
+//! A shard parses each request line once and runs every request on a live
+//! session to completion on its own thread: it calls `dispatch`, queues
+//! the reply and moves on to the connection's next line, so a round
+//! crosses no thread. A session build goes to a fixed worker pool as the
+//! parsed request over a job channel: a `create_session` (session build,
+//! idle eviction, journal setup — the one op whose cost grows with the
+//! table), and the first request that names a journaled session not in
+//! memory. Journaled sessions are registered at start, not rebuilt, and
+//! the worker revives such a session before it dispatches the request.
+//! The reply comes back over a per-shard completion channel plus a waker
+//! edge. While a job is out, its connection's later lines wait, so every
+//! connection is answered in request order and event arrival order never
+//! reaches session logic (DESIGN.md §16). Shutdown wakes every parked
+//! thread; nothing polls a stop flag.
 //!
 //! Shard count bounds concurrent *rounds*, worker count concurrent
-//! *creates*; concurrent *sessions* are bounded separately by the store
-//! capacity.
+//! *builds*; the sessions held in memory are bounded separately by the
+//! store capacity.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -36,9 +39,11 @@ use et_core::StepError;
 
 use crate::conn::{Conn, FramingError, ReadOutcome, DEFAULT_MAX_LINE_BYTES};
 use crate::event::{reuseport_listeners, Event, Poller, TimerWheel, Waker};
-use crate::protocol::{ErrorCode, Request, Response, StatusReply, WirePair};
+use crate::protocol::{ErrorCode, Request, Response, WirePair};
 use crate::spec::CreateSessionSpec;
-use crate::store::{LiveSession, RecoveryReport, SessionStore, StoreConfig, StoreError};
+use crate::store::{
+    LiveSession, Lookup, RecoveryReport, SessionStore, StoreConfig, StoreError, StoreSnapshot,
+};
 
 /// Shard-local token of the shard's own listener.
 const LISTENER_TOKEN: u64 = 0;
@@ -54,8 +59,9 @@ const FIRST_CONN_TOKEN: u64 = 2;
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads: the maximum number of concurrent `create_session`
-    /// builds. Every other request runs on its event shard.
+    /// Worker threads: the maximum number of concurrent session builds
+    /// (`create_session`, and the revive of a journaled session on its
+    /// first request). Every other request runs on its event shard.
     pub workers: usize,
     /// Session-store limits and seeding.
     pub store: StoreConfig,
@@ -102,10 +108,15 @@ impl ServerHandle {
         self.addr
     }
 
-    /// What start-up recovery found under the data directory (all zeros
-    /// when the store runs in-memory).
+    /// What start-up registration found under the data directory (all
+    /// zeros when the store runs in-memory).
     pub fn recovery_report(&self) -> &RecoveryReport {
         &self.recovery
+    }
+
+    /// The store's occupancy and lifetime counters right now.
+    pub fn store_snapshot(&self) -> StoreSnapshot {
+        self.ctx.store.snapshot()
     }
 
     /// Raises the stop flag and wakes every shard through its eventfd, so
@@ -143,14 +154,15 @@ struct ServerCtx {
     stop: Arc<AtomicBool>,
 }
 
-/// One parsed `create_session` handed from a shard to the worker pool.
+/// One parsed request handed from a shard to the worker pool: a create,
+/// or a request that names a dormant session.
 struct Job {
     shard: usize,
     token: u64,
-    spec: CreateSessionSpec,
+    request: Request,
 }
 
-/// One finished create travelling back from a worker to its shard.
+/// One finished job travelling back from a worker to its shard.
 struct Completion {
     token: u64,
     /// Encoded reply bytes, newline-terminated.
@@ -210,8 +222,8 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
 
     let stop = Arc::new(AtomicBool::new(false));
     let store = SessionStore::new(cfg.store);
-    // Recover journaled sessions before any shard can serve traffic, so a
-    // client reconnecting after a crash finds its session already live.
+    // Register journaled sessions before any shard can serve traffic: each
+    // one is revived on its first request, so start-up only lists them.
     let recovery = store.recover_from_disk();
     let ctx = Arc::new(ServerCtx {
         store,
@@ -290,7 +302,7 @@ fn worker_pool_loop(job_rx: &Arc<Mutex<Receiver<Job>>>, ctx: &Arc<ServerCtx>, li
         };
         let Ok(job) = next else { return };
         let mut payload = Vec::new();
-        dispatch(Request::Create(job.spec), ctx, &mut payload);
+        answer(job.request, ctx, &mut payload);
         if let Some(link) = links.get(job.shard) {
             // A send fails only once the shard has exited (shutdown); the
             // reply has no connection left to go to.
@@ -315,7 +327,7 @@ struct ShardParams {
     /// The shard's own `SO_REUSEPORT` listener.
     listener: TcpListener,
     waker: Arc<Waker>,
-    /// Finished creates from the worker pool.
+    /// Finished jobs from the worker pool.
     completions: Receiver<Completion>,
     ctx: Arc<ServerCtx>,
     ctl: Arc<Ctl>,
@@ -387,7 +399,7 @@ fn shard_loop(p: ShardParams) {
             }
         }
 
-        // Completed creates: queue the reply, then run the connection's
+        // Completed jobs: queue the reply, then run the connection's
         // requests that waited behind it.
         for completion in p.completions.try_iter() {
             if let Some(conn) = s.conns.get_mut(&completion.token) {
@@ -514,9 +526,9 @@ fn conn_event(p: &ShardParams, s: &mut ShardState, token: u64, ev: Event, now: I
 }
 
 /// Answers the connection's buffered request lines in order: each runs to
-/// completion here, except a create, which goes to the worker pool and
-/// holds the lines behind it until its reply is queued (per-connection,
-/// hence per-session, ordering).
+/// completion here, except a create or a request on a dormant session,
+/// which goes to the worker pool and holds the lines behind it until its
+/// reply is queued (per-connection, hence per-session, ordering).
 fn pump_conn(p: &ShardParams, conn: &mut Conn) {
     while !conn.in_flight {
         let Some(line) = conn.inbox.pop_front() else {
@@ -528,15 +540,7 @@ fn pump_conn(p: &ShardParams, conn: &mut Conn) {
         }
         let request = match Request::parse_line(trimmed) {
             Ok(Request::Create(spec)) => {
-                conn.in_flight = true;
-                // A send can only fail once the workers have exited, which
-                // only happens during shutdown; the connection is torn down
-                // with the shard shortly after.
-                let _ = p.job_tx.send(Job {
-                    shard: p.index,
-                    token: conn.token,
-                    spec,
-                });
+                to_worker(p, conn, Request::Create(spec));
                 return;
             }
             Ok(request) => request,
@@ -546,7 +550,10 @@ fn pump_conn(p: &ShardParams, conn: &mut Conn) {
             }
         };
         let shutdown = matches!(request, Request::Shutdown);
-        dispatch(request, &p.ctx, conn.out_buf());
+        if let Some(parked) = dispatch(request, &p.ctx, conn.out_buf()) {
+            to_worker(p, conn, parked.request);
+            return;
+        }
         if shutdown {
             // The goodbye is queued first, so the shard's final flush
             // sends it; lines after it are never answered.
@@ -554,6 +561,20 @@ fn pump_conn(p: &ShardParams, conn: &mut Conn) {
             return;
         }
     }
+}
+
+/// Hands `request` to the worker pool and holds the connection's later
+/// lines until its reply is queued.
+fn to_worker(p: &ShardParams, conn: &mut Conn, request: Request) {
+    conn.in_flight = true;
+    // A send can only fail once the workers have exited, which only happens
+    // during shutdown; the connection is torn down with the shard shortly
+    // after.
+    let _ = p.job_tx.send(Job {
+        shard: p.index,
+        token: conn.token,
+        request,
+    });
 }
 
 /// Flushes queued output, maintains write interest, and decides whether
@@ -587,24 +608,54 @@ fn finish_io(poller: &Poller, conn: &mut Conn) -> bool {
 // Routing + domain logic. Nothing below this line knows how bytes arrive.
 // ---------------------------------------------------------------------------
 
+/// A request whose session is dormant (on disk only) or moving: it waits
+/// for a worker to revive the session ([`answer`]).
+struct Parked {
+    session: u64,
+    request: Request,
+}
+
 /// Answers one request: appends its reply to `out` as one
-/// newline-terminated wire line.
-fn dispatch(request: Request, ctx: &ServerCtx, out: &mut Vec<u8>) {
+/// newline-terminated wire line. A request that names a dormant session
+/// writes nothing and comes back [`Parked`]; it is found dormant only when
+/// the live lookup misses, so a live session's round pays nothing for it.
+fn dispatch(request: Request, ctx: &ServerCtx, out: &mut Vec<u8>) -> Option<Parked> {
     let response = match request {
         Request::Create(spec) => create(&spec, ctx),
-        Request::NextPairs { session } => run_on_session(ctx, session, next_pairs),
-        Request::SubmitLabels { session, labels } => {
+        Request::NextPairs { session } => match ctx.store.lookup(session, next_pairs) {
+            Lookup::Live(response) => response,
+            Lookup::Dormant => return Some(Parked { session, request }),
+            Lookup::Unknown => unknown(session),
+        },
+        Request::SubmitLabels {
+            session,
+            mut labels,
+        } => {
             let latency = ctx.store.round_latency();
-            run_on_session(ctx, session, move |live| {
-                submit_labels(live, labels, Some(latency))
-            })
+            let found = ctx.store.lookup(session, |live| {
+                submit_labels(live, labels.take(), Some(latency))
+            });
+            match found {
+                Lookup::Live(response) => response,
+                Lookup::Dormant => {
+                    let request = Request::SubmitLabels { session, labels };
+                    return Some(Parked { session, request });
+                }
+                Lookup::Unknown => unknown(session),
+            }
         }
         // Written while the session is still held, straight from its
         // cached MAE history into `out`.
         Request::Status { session: Some(id) } => {
-            match ctx.store.with_session(id, |live| status_line(live, out)) {
-                Ok(()) => return,
-                Err(_) => err(ErrorCode::UnknownSession, &format!("no session {id}")),
+            match ctx.store.lookup(id, |live| live.write_status(out)) {
+                Lookup::Live(()) => return None,
+                Lookup::Dormant => {
+                    return Some(Parked {
+                        session: id,
+                        request,
+                    })
+                }
+                Lookup::Unknown => unknown(id),
             }
         }
         Request::Status { session: None } => {
@@ -620,15 +671,39 @@ fn dispatch(request: Request, ctx: &ServerCtx, out: &mut Vec<u8>) {
                 round_latency_p99_ms: snap.round_latency.p99_ms,
             }
         }
+        // A dormant session closes without a revive: its directory goes.
         Request::Close { session } => match ctx.store.remove(session) {
             Ok(()) => Response::Closed { session },
-            Err(_) => err(ErrorCode::UnknownSession, &format!("no session {session}")),
+            Err(_) => unknown(session),
         },
         // The shard (not this routing layer) begins shutdown once the reply
         // is queued, so the goodbye is never lost to a racing exit.
         Request::Shutdown => Response::ShuttingDown,
     };
     encode_line(&response, out);
+    None
+}
+
+/// Answers one request on a worker: [`dispatch`], and when the request
+/// parks on a dormant session, revive the session and dispatch again.
+fn answer(mut request: Request, ctx: &ServerCtx, out: &mut Vec<u8>) {
+    while let Some(parked) = dispatch(request, ctx, out) {
+        let id = parked.session;
+        let refused = match ctx.store.revive(id) {
+            Ok(()) => {
+                request = parked.request;
+                continue;
+            }
+            Err(StoreError::Busy) => err(ErrorCode::ServerBusy, "session store at capacity"),
+            Err(StoreError::Unknown(_)) => unknown(id),
+            Err(StoreError::Invalid(msg) | StoreError::Durability(msg)) => Response::Error {
+                code: ErrorCode::Internal,
+                message: format!("session {id} could not be revived: {msg}"),
+            },
+        };
+        encode_line(&refused, out);
+        return;
+    }
 }
 
 fn create(spec: &CreateSessionSpec, ctx: &ServerCtx) -> Response {
@@ -665,26 +740,8 @@ fn create(spec: &CreateSessionSpec, ctx: &ServerCtx) -> Response {
             code: ErrorCode::Internal,
             message: format!("durable storage refused the session: {msg}"),
         },
-        Err(StoreError::Unknown(id)) => err(ErrorCode::UnknownSession, &format!("no session {id}")),
+        Err(StoreError::Unknown(id)) => unknown(id),
     }
-}
-
-/// Appends the session's `session_status` line to `out`. The MAE series is
-/// copied from the session's cached encoding, after encoding into it only
-/// the rounds played since the previous status.
-fn status_line(live: &mut LiveSession, out: &mut Vec<u8>) {
-    live.mae_history.catch_up(live.state.metrics());
-    StatusReply {
-        session: live.id,
-        iterations_done: live.state.iterations_done(),
-        iterations: live.state.config().iterations,
-        awaiting_labels: live.state.pending().is_some(),
-        converged_at: live.state.convergence_so_far().converged_at,
-        learner_confidences: &live.learner.confidences(),
-        trainer_confidences: &live.trainer.belief().confidences(),
-    }
-    .encode_into(&live.mae_history, out);
-    out.push(b'\n');
 }
 
 fn err(code: ErrorCode, message: &str) -> Response {
@@ -694,15 +751,8 @@ fn err(code: ErrorCode, message: &str) -> Response {
     }
 }
 
-fn run_on_session(
-    ctx: &ServerCtx,
-    session: u64,
-    f: impl FnOnce(&mut LiveSession) -> Response,
-) -> Response {
-    match ctx.store.with_session(session, f) {
-        Ok(resp) => resp,
-        Err(_) => err(ErrorCode::UnknownSession, &format!("no session {session}")),
-    }
+fn unknown(session: u64) -> Response {
+    err(ErrorCode::UnknownSession, &format!("no session {session}"))
 }
 
 fn done_reply(live: &LiveSession) -> Response {
@@ -847,9 +897,11 @@ mod tests {
         }
     }
 
+    /// The reply line to `request`, answered as a worker answers it, so a
+    /// request on a dormant session revives the session first.
     fn reply(ctx: &ServerCtx, request: Request) -> String {
         let mut out = b"queued\n".to_vec();
-        dispatch(request, ctx, &mut out);
+        answer(request, ctx, &mut out);
         assert_eq!(
             &out[..7],
             b"queued\n",
@@ -953,7 +1005,7 @@ mod tests {
         drop(live);
         let restarted = ctx(SessionStore::new(cfg));
         let report = restarted.store.recover_from_disk();
-        assert_eq!(report.recovered, 1, "{:?}", report.failed);
+        assert_eq!(report.registered, 1, "{:?}", report.failed);
         let recovered = status(&restarted, id);
         assert!(recovered.contains("\"iterations_done\":7"), "{recovered}");
         round(&restarted, id);
@@ -964,6 +1016,231 @@ mod tests {
             unknown.contains("\"error\":\"unknown_session\""),
             "{unknown}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A fresh, empty scratch directory for one test.
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("et-serve-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn durable_cfg(dir: &std::path::Path, capacity: usize) -> StoreConfig {
+        StoreConfig {
+            capacity,
+            shards: 2,
+            base_seed: 7,
+            data_dir: Some(dir.to_path_buf()),
+            ..StoreConfig::default()
+        }
+    }
+
+    /// `key` of a reply line, as a string.
+    fn member(line: &str, key: &str) -> String {
+        let v = crate::json::Json::parse(line.trim()).expect("reply is JSON");
+        match v.get(key) {
+            Some(crate::json::Json::Str(s)) => s.clone(),
+            Some(other) => other.encode(),
+            None => String::new(),
+        }
+    }
+
+    fn create_session(ctx: &ServerCtx, spec: CreateSessionSpec) -> u64 {
+        let created = reply(ctx, Request::Create(spec));
+        member(&created, "session")
+            .parse()
+            .expect("created names the session")
+    }
+
+    fn small_spec(iterations: usize) -> CreateSessionSpec {
+        CreateSessionSpec {
+            rows: 60,
+            iterations,
+            ..CreateSessionSpec::default()
+        }
+    }
+
+    /// A journaled session of every strategy kind, dropped without a flush
+    /// after three rounds, then registered and revived in a fresh store and
+    /// driven to completion through the dispatch path, ends bit for bit
+    /// where an uninterrupted batch run ends: MAE series and both agents'
+    /// confidences.
+    #[test]
+    fn revived_sessions_finish_bit_identical_to_batch() {
+        use et_core::StrategyKind;
+        let dir = scratch("revive-batch");
+        let kinds = [
+            StrategyKind::Random,
+            StrategyKind::UncertaintySampling,
+            StrategyKind::StochasticBestResponse,
+            StrategyKind::StochasticUncertainty,
+            StrategyKind::Best,
+            StrategyKind::ThompsonSampling,
+            StrategyKind::CommitteeDisagreement,
+            StrategyKind::DensityWeightedUncertainty,
+        ];
+        for (strategy, seed) in kinds.into_iter().zip(31..) {
+            let spec = CreateSessionSpec {
+                strategy,
+                seed: Some(seed),
+                ..small_spec(8)
+            };
+            let first = ctx(SessionStore::new(durable_cfg(&dir, 4)));
+            let id = create_session(&first, spec.clone());
+            for _ in 0..3 {
+                round(&first, id);
+            }
+            drop(first);
+
+            let revived = ctx(SessionStore::new(durable_cfg(&dir, 4)));
+            assert_eq!(revived.store.recover_from_disk().registered, 1);
+            loop {
+                let next = reply(&revived, Request::NextPairs { session: id });
+                if member(&next, "reply") == "done" {
+                    break;
+                }
+                assert_eq!(member(&next, "reply"), "pairs", "{next}");
+                reply(
+                    &revived,
+                    Request::SubmitLabels {
+                        session: id,
+                        labels: None,
+                    },
+                );
+            }
+            assert_eq!(revived.store.snapshot().counters.revived_total, 1);
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            let wire = revived
+                .store
+                .with_session(id, |live| {
+                    (
+                        bits(live.state.metrics().iter().map(|m| m.mae).collect()),
+                        bits(live.learner.confidences()),
+                        bits(live.trainer.belief().confidences()),
+                    )
+                })
+                .expect("live after the revive");
+
+            let mut parts = crate::spec::build_parts(&spec, seed).expect("batch parts");
+            let batch = et_core::run_session(
+                &parts.table,
+                parts.space.clone(),
+                &parts.dirty_rows,
+                parts.cfg.clone(),
+                &mut parts.trainer,
+                &mut parts.learner,
+            );
+            let want = (
+                bits(batch.metrics.iter().map(|m| m.mae).collect()),
+                bits(parts.learner.confidences()),
+                bits(parts.trainer.belief().confidences()),
+            );
+            assert_eq!(wire, want, "{}", strategy.as_str());
+            reply(&revived, Request::Close { session: id });
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An idle-evicted journaled session answers its next status and
+    /// next_pairs in the same store, at the round it was evicted at.
+    #[test]
+    fn evicted_session_answers_in_the_same_store() {
+        let dir = scratch("evict-same");
+        let cfg = StoreConfig {
+            idle_timeout: Duration::from_millis(20),
+            ..durable_cfg(&dir, 4)
+        };
+        let live = ctx(SessionStore::new(cfg));
+        let id = create_session(&live, small_spec(6));
+        round(&live, id);
+        round(&live, id);
+        let before = status(&live, id);
+        std::thread::sleep(Duration::from_millis(60));
+        assert_eq!(live.store.evict_idle(), 1);
+        assert_eq!(live.store.snapshot().live_sessions, 0);
+
+        assert_eq!(reply(&live, Request::Status { session: Some(id) }), before);
+        let pairs = reply(&live, Request::NextPairs { session: id });
+        assert_eq!(member(&pairs, "reply"), "pairs", "{pairs}");
+        assert_eq!(member(&pairs, "t"), "2", "{pairs}");
+        let snap = live.store.snapshot();
+        assert_eq!(snap.counters.revived_total, 1);
+        assert_eq!(snap.live_sessions, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Capacity counts sessions in memory: with the one slot held by a
+    /// busy live session, a dormant id reads `server_busy` and stays
+    /// dormant; once the live session closes, the retry revives it.
+    #[test]
+    fn a_revive_at_capacity_is_busy_and_retryable() {
+        let dir = scratch("revive-busy");
+        let first = ctx(SessionStore::new(durable_cfg(&dir, 2)));
+        let a = create_session(&first, small_spec(4));
+        let b = create_session(&first, small_spec(4));
+        round(&first, b);
+        drop(first);
+
+        let store = ctx(SessionStore::new(durable_cfg(&dir, 1)));
+        assert_eq!(store.store.recover_from_disk().registered, 2);
+        round(&store, a);
+        let busy = reply(&store, Request::Status { session: Some(b) });
+        assert_eq!(member(&busy, "error"), "server_busy", "{busy}");
+        assert!(matches!(store.store.lookup(b, |_| ()), Lookup::Dormant));
+        assert_eq!(store.store.snapshot().counters.busy_rejections, 1);
+
+        let closed = reply(&store, Request::Close { session: a });
+        assert_eq!(member(&closed, "reply"), "closed", "{closed}");
+        let revived = reply(&store, Request::Status { session: Some(b) });
+        assert_eq!(member(&revived, "iterations_done"), "1", "{revived}");
+        assert_eq!(store.store.snapshot().counters.revived_total, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A corrupt `meta.bin` does not stop the store from coming up. The
+    /// session's first request reads `internal` with the reason, the
+    /// directory stays on disk, and the next request reads
+    /// `unknown_session`.
+    #[test]
+    fn a_corrupt_directory_fails_its_first_request_only() {
+        let dir = scratch("revive-corrupt");
+        let first = ctx(SessionStore::new(durable_cfg(&dir, 2)));
+        let id = create_session(&first, small_spec(4));
+        drop(first);
+        let session_dir = dir.join(crate::durability::session_dir_name(id));
+        std::fs::write(session_dir.join("meta.bin"), b"not a meta file").expect("corrupt meta");
+
+        let store = ctx(SessionStore::new(durable_cfg(&dir, 2)));
+        assert_eq!(store.store.recover_from_disk().registered, 1);
+        let failed = reply(&store, Request::NextPairs { session: id });
+        assert_eq!(member(&failed, "error"), "internal", "{failed}");
+        assert!(member(&failed, "message").contains("meta"), "{failed}");
+        assert!(session_dir.is_dir(), "the directory stays for inspection");
+        let gone = reply(&store, Request::Status { session: Some(id) });
+        assert_eq!(member(&gone, "error"), "unknown_session", "{gone}");
+        assert_eq!(store.store.snapshot().live_sessions, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `close` on a dormant session deletes its directory without a revive.
+    #[test]
+    fn closing_a_dormant_session_deletes_its_directory() {
+        let dir = scratch("close-dormant");
+        let first = ctx(SessionStore::new(durable_cfg(&dir, 2)));
+        let id = create_session(&first, small_spec(4));
+        drop(first);
+        let session_dir = dir.join(crate::durability::session_dir_name(id));
+        assert!(session_dir.is_dir());
+
+        let store = ctx(SessionStore::new(durable_cfg(&dir, 2)));
+        assert_eq!(store.store.recover_from_disk().registered, 1);
+        let closed = reply(&store, Request::Close { session: id });
+        assert_eq!(member(&closed, "reply"), "closed", "{closed}");
+        assert!(!session_dir.exists());
+        assert_eq!(store.store.snapshot().counters.revived_total, 0);
+        let gone = reply(&store, Request::NextPairs { session: id });
+        assert_eq!(member(&gone, "error"), "unknown_session", "{gone}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -6,18 +6,25 @@
 //! one `Mutex<HashMap>` shard, so two threads driving different sessions
 //! almost never serialize on a lock. Capacity and lifetime counters live
 //! in atomics beside the shards.
+//!
+//! With a data directory, a journaled session that is not in memory stays
+//! registered as a *dormant* slot holding its directory: journaled
+//! sessions are registered at start and revived on their first request
+//! ([`SessionStore::revive`]), and an idle eviction leaves the slot dormant
+//! instead of forgetting the id. Capacity counts only the sessions held in
+//! memory.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use et_core::{recover_session, FpTrainer, JournalConfig, Learner, SessionJournal, SessionState};
 use et_durable::{DurableError, FsyncPolicy};
 
 use crate::durability::{list_session_dirs, read_meta, session_dir_name, write_meta, SessionMeta};
-use crate::protocol::MaeHistory;
+use crate::protocol::{MaeHistory, StatusReply};
 use crate::spec::{build_parts, derive_seed, CreateSessionSpec};
 
 /// One live session: the resumable state plus its agents and bookkeeping.
@@ -41,10 +48,31 @@ pub struct LiveSession {
     pub mae_history: MaeHistory,
 }
 
+impl LiveSession {
+    /// Appends the session's `session_status` line to `out`. The MAE series
+    /// is copied from the session's cached encoding, after encoding into it
+    /// only the rounds played since the previous status.
+    pub fn write_status(&mut self, out: &mut Vec<u8>) {
+        self.mae_history.catch_up(self.state.metrics());
+        StatusReply {
+            session: self.id,
+            iterations_done: self.state.iterations_done(),
+            iterations: self.state.config().iterations,
+            awaiting_labels: self.state.pending().is_some(),
+            converged_at: self.state.convergence_so_far().converged_at,
+            learner_confidences: &self.learner.confidences(),
+            trainer_confidences: &self.trainer.belief().confidences(),
+        }
+        .encode_into(&self.mae_history, out);
+        out.push(b'\n');
+    }
+}
+
 /// Store limits and seeding.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Maximum live sessions; creates beyond this get `ServerBusy`.
+    /// Maximum sessions held in memory; creates and revives beyond this
+    /// get `ServerBusy`. Dormant journaled sessions do not count.
     pub capacity: usize,
     /// Shard count (locks); a small power of two is plenty.
     pub shards: usize,
@@ -52,8 +80,9 @@ pub struct StoreConfig {
     pub idle_timeout: Duration,
     /// Base seed for per-session seed derivation.
     pub base_seed: u64,
-    /// When set, sessions are journaled under this directory and recovered
-    /// on start; `None` keeps the store purely in-memory (the default).
+    /// When set, sessions are journaled under this directory, registered at
+    /// start and revived on their first request; `None` keeps the store
+    /// purely in-memory (the default).
     pub data_dir: Option<PathBuf>,
     /// Journal fsync policy and snapshot cadence (ignored without
     /// `data_dir`).
@@ -78,7 +107,7 @@ impl Default for StoreConfig {
 pub enum StoreError {
     /// The store is at capacity.
     Busy,
-    /// No live session has this id.
+    /// No session, live or dormant, has this id.
     Unknown(u64),
     /// The spec or derived config was rejected.
     Invalid(String),
@@ -92,9 +121,11 @@ pub enum StoreError {
 pub struct StoreCounters {
     /// Sessions created since start.
     pub created_total: u64,
+    /// Dormant sessions brought back into memory since start.
+    pub revived_total: u64,
     /// Sessions evicted for idleness since start.
     pub evicted_total: u64,
-    /// Creates refused at capacity since start.
+    /// Creates and revives refused at capacity since start.
     pub busy_rejections: u64,
 }
 
@@ -215,11 +246,9 @@ pub struct LatencySummary {
 /// directory.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
-    /// Sessions recovered into the store.
-    pub recovered: usize,
-    /// Session directories left on disk because the store was at capacity.
-    pub skipped_capacity: usize,
-    /// Directories that failed to recover (left on disk for inspection).
+    /// Session directories registered as dormant sessions.
+    pub registered: usize,
+    /// Paths that could not be listed (left on disk for inspection).
     pub failed: Vec<(PathBuf, String)>,
 }
 
@@ -236,13 +265,45 @@ pub struct StoreSnapshot {
     pub round_latency: LatencySummary,
 }
 
+/// One session id's entry in its store shard.
+enum Slot {
+    /// In memory and serving requests (boxed: a dormant slot stays small).
+    Live(Box<LiveSession>),
+    /// Journaled but not in memory: the session's directory.
+    Dormant(PathBuf),
+    /// Being revived, or flushed out by an eviction. A request for it
+    /// waits on the shard's condvar until the slot settles.
+    Moving,
+}
+
+/// What [`SessionStore::lookup`] found.
+pub(crate) enum Lookup<R> {
+    /// The session is live and the closure ran on it.
+    Live(R),
+    /// The session is dormant or moving: [`SessionStore::revive`] it and
+    /// look again.
+    Dormant,
+    /// No session has this id.
+    Unknown,
+}
+
+type Slots = HashMap<u64, Slot>;
+
+/// One lock's worth of sessions.
+struct Shard {
+    slots: Mutex<Slots>,
+    /// Notified whenever a `Moving` slot of this shard settles.
+    settled: Condvar,
+}
+
 /// The sharded store.
 pub struct SessionStore {
-    shards: Vec<Mutex<HashMap<u64, LiveSession>>>,
+    shards: Vec<Shard>,
     cfg: StoreConfig,
     next_id: AtomicU64,
     live: AtomicUsize,
     created_total: AtomicU64,
+    revived_total: AtomicU64,
     evicted_total: AtomicU64,
     busy_rejections: AtomicU64,
     round_latency: LatencyHistogram,
@@ -251,20 +312,50 @@ pub struct SessionStore {
 /// Recovers the guard from a poisoned mutex: shard state is a plain map,
 /// valid regardless of where a holder panicked, so the data is still safe
 /// to use.
-fn lock_shard(
-    m: &Mutex<HashMap<u64, LiveSession>>,
-) -> std::sync::MutexGuard<'_, HashMap<u64, LiveSession>> {
-    match m.lock() {
+fn lock_shard(shard: &Shard) -> MutexGuard<'_, Slots> {
+    match shard.slots.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     }
+}
+
+/// Builds a session's state and agents from its spec and seed: the one
+/// build sequence that both a create and a revive run.
+fn build_session(id: u64, spec: &CreateSessionSpec, seed: u64) -> Result<Box<LiveSession>, String> {
+    let parts = build_parts(spec, seed)?;
+    let state = SessionState::with_cache(
+        parts.table,
+        parts.space,
+        parts.cache,
+        &parts.dirty_rows,
+        parts.cfg,
+        &parts.trainer,
+        &parts.learner,
+    )
+    .map_err(|e| e.to_string())?;
+    // Prebuild the round-invariant relation matrix so the first next_pairs
+    // pays scoring cost only, not matrix setup.
+    let _ = state.relation_matrix();
+    Ok(Box::new(LiveSession {
+        id,
+        seed,
+        state,
+        trainer: parts.trainer,
+        learner: parts.learner,
+        last_touch: Instant::now(),
+        reported_done: false,
+        mae_history: MaeHistory::default(),
+    }))
 }
 
 impl SessionStore {
     /// Creates an empty store.
     pub fn new(cfg: StoreConfig) -> Self {
         let shards = (0..cfg.shards.max(1))
-            .map(|_| Mutex::new(HashMap::new()))
+            .map(|_| Shard {
+                slots: Mutex::new(HashMap::new()),
+                settled: Condvar::new(),
+            })
             .collect();
         Self {
             shards,
@@ -272,6 +363,7 @@ impl SessionStore {
             next_id: AtomicU64::new(1),
             live: AtomicUsize::new(0),
             created_total: AtomicU64::new(0),
+            revived_total: AtomicU64::new(0),
             evicted_total: AtomicU64::new(0),
             busy_rejections: AtomicU64::new(0),
             round_latency: LatencyHistogram::new(),
@@ -284,11 +376,36 @@ impl SessionStore {
         &self.round_latency
     }
 
-    fn shard_of(&self, id: u64) -> &Mutex<HashMap<u64, LiveSession>> {
+    fn shard_of(&self, id: u64) -> &Shard {
         // SplitMix-style spread so sequential ids land on distinct shards.
         let mut z = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         z ^= z >> 29;
         &self.shards[(z as usize) % self.shards.len()]
+    }
+
+    /// Reserves one in-memory slot, atomically, so concurrent creates and
+    /// revives cannot overshoot capacity between check and insert. At
+    /// capacity it counts a busy rejection and returns `false`.
+    fn reserve(&self) -> bool {
+        let reserved = self
+            .live
+            // ord: AcqRel reservation RMW; Acquire on failure observes releases
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |live| {
+                if live < self.cfg.capacity {
+                    Some(live + 1)
+                } else {
+                    None
+                }
+            });
+        if reserved.is_err() {
+            self.busy_rejections.fetch_add(1, Ordering::Relaxed); // ord: Relaxed, monotonic diagnostic counter
+        }
+        reserved.is_ok()
+    }
+
+    /// Returns `n` in-memory slots.
+    fn release(&self, n: usize) {
+        self.live.fetch_sub(n, Ordering::AcqRel); // ord: AcqRel pairs with the reservation RMW
     }
 
     /// Builds and registers a new session.
@@ -305,56 +422,20 @@ impl SessionStore {
             .validate()
             .map_err(|e| StoreError::Invalid(e.to_string()))?;
         self.evict_idle();
-        // Reserve a slot atomically so concurrent creates cannot overshoot
-        // capacity between check and insert.
-        let reserved = self
-            .live
-            // ord: AcqRel reservation RMW; Acquire on failure observes releases
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |live| {
-                if live < self.cfg.capacity {
-                    Some(live + 1)
-                } else {
-                    None
-                }
-            });
-        if reserved.is_err() {
-            self.busy_rejections.fetch_add(1, Ordering::Relaxed); // ord: Relaxed, monotonic diagnostic counter
+        if !self.reserve() {
             return Err(StoreError::Busy);
         }
-        let release = |store: &SessionStore| {
-            store.live.fetch_sub(1, Ordering::AcqRel); // ord: AcqRel pairs with the reservation RMW
-        };
-
         let id = self.next_id.fetch_add(1, Ordering::Relaxed); // ord: Relaxed, ids only need uniqueness
         let seed = spec
             .seed
             .unwrap_or_else(|| derive_seed(self.cfg.base_seed, id));
-        let parts = match build_parts(spec, seed) {
-            Ok(p) => p,
+        let mut live = match build_session(id, spec, seed) {
+            Ok(live) => live,
             Err(msg) => {
-                release(self);
+                self.release(1);
                 return Err(StoreError::Invalid(msg));
             }
         };
-        let mut state = match SessionState::with_cache(
-            parts.table,
-            parts.space,
-            parts.cache,
-            &parts.dirty_rows,
-            parts.cfg,
-            &parts.trainer,
-            &parts.learner,
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                release(self);
-                return Err(StoreError::Invalid(e.to_string()));
-            }
-        };
-        let trainer = parts.trainer;
-        // Prebuild the round-invariant relation matrix at create time so the
-        // first next_pairs call pays scoring cost only, not matrix setup.
-        let _ = state.relation_matrix();
         if let Some(data_dir) = &self.cfg.data_dir {
             let dir = data_dir.join(session_dir_name(id));
             let attach = (|| -> Result<(), DurableError> {
@@ -368,28 +449,18 @@ impl SessionStore {
                     },
                     self.cfg.journal.fsync == FsyncPolicy::Always,
                 )?;
-                state.attach_journal(journal);
+                live.state.attach_journal(journal);
                 Ok(())
             })();
             if let Err(e) = attach {
-                // A directory without a valid meta would read as a failed
-                // recovery forever; clear it so the id slot stays clean.
+                // A directory without a valid meta would fail its revive;
+                // clear it so the id slot stays clean.
                 let _ = std::fs::remove_dir_all(&dir);
-                release(self);
+                self.release(1);
                 return Err(StoreError::Durability(e.to_string()));
             }
         }
-        let live = LiveSession {
-            id,
-            seed,
-            state,
-            trainer,
-            learner: parts.learner,
-            last_touch: Instant::now(),
-            reported_done: false,
-            mae_history: MaeHistory::default(),
-        };
-        lock_shard(self.shard_of(id)).insert(id, live);
+        lock_shard(self.shard_of(id)).insert(id, Slot::Live(live));
         self.created_total.fetch_add(1, Ordering::Relaxed); // ord: Relaxed, monotonic diagnostic counter
         Ok((id, seed))
     }
@@ -397,33 +468,59 @@ impl SessionStore {
     /// Runs `f` over the live session `id`, refreshing its idle clock.
     ///
     /// # Errors
-    /// [`StoreError::Unknown`] when no live session has this id.
+    /// [`StoreError::Unknown`] when no live session has this id, a dormant
+    /// one included ([`SessionStore::revive`] brings that one back).
     pub fn with_session<R>(
         &self,
         id: u64,
         f: impl FnOnce(&mut LiveSession) -> R,
     ) -> Result<R, StoreError> {
-        let mut shard = lock_shard(self.shard_of(id));
-        match shard.get_mut(&id) {
-            Some(live) => {
-                live.last_touch = Instant::now();
-                Ok(f(live))
-            }
-            None => Err(StoreError::Unknown(id)),
+        match self.lookup(id, f) {
+            Lookup::Live(r) => Ok(r),
+            Lookup::Dormant | Lookup::Unknown => Err(StoreError::Unknown(id)),
         }
     }
 
-    /// Drops the session `id`. An explicit close discards the session's
-    /// durable directory too — closed sessions are finished, not
-    /// recoverable (idle *eviction* is what preserves the directory).
+    /// [`SessionStore::with_session`] that tells a dormant id from an
+    /// unknown one. Both come from the one lookup under the one shard lock,
+    /// so a live session pays nothing for the distinction.
+    pub(crate) fn lookup<R>(&self, id: u64, f: impl FnOnce(&mut LiveSession) -> R) -> Lookup<R> {
+        let mut shard = lock_shard(self.shard_of(id));
+        match shard.get_mut(&id) {
+            Some(Slot::Live(live)) => {
+                live.last_touch = Instant::now();
+                Lookup::Live(f(live))
+            }
+            Some(Slot::Dormant(_) | Slot::Moving) => Lookup::Dormant,
+            None => Lookup::Unknown,
+        }
+    }
+
+    /// The shard of `id`, locked once no slot `id` is moving.
+    fn settled(&self, id: u64) -> MutexGuard<'_, Slots> {
+        let shard = self.shard_of(id);
+        let slots = lock_shard(shard);
+        let moving = |slots: &mut Slots| matches!(slots.get(&id), Some(Slot::Moving));
+        match shard.settled.wait_while(slots, moving) {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
+    /// Drops the session `id`, live or dormant. An explicit close discards
+    /// the session's durable directory too — closed sessions are finished,
+    /// not recoverable (idle *eviction* is what preserves the directory).
+    /// A close that finds the session moving waits until it settles.
     ///
     /// # Errors
-    /// [`StoreError::Unknown`] when no live session has this id.
+    /// [`StoreError::Unknown`] when no session has this id.
     pub fn remove(&self, id: u64) -> Result<(), StoreError> {
-        let removed = lock_shard(self.shard_of(id)).remove(&id);
+        let removed = self.settled(id).remove(&id);
         match removed {
-            Some(_) => {
-                self.live.fetch_sub(1, Ordering::AcqRel); // ord: AcqRel releases the capacity slot
+            Some(slot) => {
+                if matches!(slot, Slot::Live(_)) {
+                    self.release(1);
+                }
                 if let Some(data_dir) = &self.cfg.data_dir {
                     let _ = std::fs::remove_dir_all(data_dir.join(session_dir_name(id)));
                 }
@@ -431,6 +528,81 @@ impl SessionStore {
             }
             None => Err(StoreError::Unknown(id)),
         }
+    }
+
+    /// Brings the dormant session `id` back into memory: the create's build
+    /// from the directory's `meta.bin`, then the journal's snapshot restore
+    /// and WAL replay. A session that is already live is left alone; one
+    /// that is moving is waited for first.
+    ///
+    /// A revive takes an in-memory slot the way a create does. At capacity
+    /// the session stays dormant, so the request is retryable. A revive
+    /// that fails drops the entry (the directory stays on disk for
+    /// inspection) and prints why.
+    ///
+    /// # Errors
+    /// [`StoreError::Busy`] at capacity, [`StoreError::Unknown`] when no
+    /// session has this id, [`StoreError::Durability`] when the session
+    /// could not be rebuilt from its directory.
+    pub fn revive(&self, id: u64) -> Result<(), StoreError> {
+        self.evict_idle();
+        let dir = {
+            let mut slots = self.settled(id);
+            let dir = match slots.get(&id) {
+                Some(Slot::Dormant(dir)) => dir.clone(),
+                // Revived by a request that came first.
+                Some(_) => return Ok(()),
+                None => return Err(StoreError::Unknown(id)),
+            };
+            if !self.reserve() {
+                return Err(StoreError::Busy);
+            }
+            slots.insert(id, Slot::Moving);
+            dir
+        };
+        let revived = self.revive_from(id, &dir);
+        let shard = self.shard_of(id);
+        let mut slots = lock_shard(shard);
+        let outcome = match revived {
+            Ok(live) => {
+                slots.insert(id, Slot::Live(live));
+                self.revived_total.fetch_add(1, Ordering::Relaxed); // ord: Relaxed, monotonic diagnostic counter
+                Ok(())
+            }
+            Err(msg) => {
+                slots.remove(&id);
+                self.release(1);
+                eprintln!(
+                    "et-serve: revive of session {id} from {} failed: {msg}",
+                    dir.display()
+                );
+                Err(StoreError::Durability(msg))
+            }
+        };
+        drop(slots);
+        shard.settled.notify_all();
+        outcome
+    }
+
+    fn revive_from(&self, id: u64, dir: &std::path::Path) -> Result<Box<LiveSession>, String> {
+        let meta = read_meta(dir).map_err(|e| format!("meta: {e}"))?;
+        if meta.id != id {
+            return Err(format!(
+                "meta id {} does not match directory id {id}",
+                meta.id
+            ));
+        }
+        let mut live = build_session(id, &meta.spec, meta.seed)?;
+        let LiveSession {
+            state,
+            trainer,
+            learner,
+            ..
+        } = &mut *live;
+        recover_session(dir, self.cfg.journal, state, trainer, learner)
+            .map_err(|e| e.to_string())?;
+        live.reported_done = live.state.is_complete() && live.state.pending().is_none();
+        Ok(live)
     }
 
     /// Flushes one live session to its journal: a fresh snapshot plus a WAL
@@ -449,12 +621,13 @@ impl SessionStore {
     /// Snapshots and syncs every journaled live session (graceful-shutdown
     /// path). Returns how many sessions flushed cleanly; failures are
     /// counted, not fatal — the WAL already holds every acknowledged label,
-    /// so a failed snapshot only costs replay time at recovery.
+    /// so a failed snapshot only costs replay time at the revive.
     pub fn flush_all(&self) -> (usize, usize) {
         let (mut ok, mut failed) = (0usize, 0usize);
         for shard in &self.shards {
-            let mut shard = lock_shard(shard);
-            for live in shard.values_mut() {
+            let mut slots = lock_shard(shard);
+            for slot in slots.values_mut() {
+                let Slot::Live(live) = slot else { continue };
                 if live.state.journal().is_none() {
                     continue;
                 }
@@ -470,12 +643,11 @@ impl SessionStore {
         (ok, failed)
     }
 
-    /// Recovers every session directory under the configured `data_dir`
-    /// into the store, ascending by id. Call once, before serving traffic.
-    ///
-    /// Sessions beyond capacity are left on disk untouched (reported as
-    /// `skipped_capacity`); directories that fail to recover are also left
-    /// on disk and reported, so no crash artifact is ever silently deleted.
+    /// Registers every session directory under the configured `data_dir`
+    /// as a dormant session, and moves `next_id` past every id. Call once,
+    /// before serving traffic. Nothing is rebuilt here: each session is
+    /// revived on its first request, so start-up time does not grow with
+    /// the number of sessions on disk.
     pub fn recover_from_disk(&self) -> RecoveryReport {
         let mut report = RecoveryReport::default();
         let Some(data_dir) = self.cfg.data_dir.clone() else {
@@ -493,118 +665,91 @@ impl SessionStore {
             }
         };
         for (id, dir) in dirs {
-            // Ids must never collide with recovered sessions, even ones
-            // skipped or failed (their directories may recover later).
+            // Ids must never collide with registered sessions, even ones
+            // whose revive later fails (their directories stay on disk).
             self.next_id.fetch_max(id + 1, Ordering::Relaxed); // ord: Relaxed, ids only need uniqueness
-                                                               // ord: Acquire pairs with AcqRel slot updates
-            if self.live.load(Ordering::Acquire) >= self.cfg.capacity {
-                report.skipped_capacity += 1;
-                continue;
-            }
-            match self.recover_one(id, &dir) {
-                Ok(()) => report.recovered += 1,
-                Err(msg) => report.failed.push((dir, msg)),
-            }
+            lock_shard(self.shard_of(id)).insert(id, Slot::Dormant(dir));
+            report.registered += 1;
         }
         report
     }
 
-    fn recover_one(&self, id: u64, dir: &std::path::Path) -> Result<(), String> {
-        let meta = read_meta(dir).map_err(|e| format!("meta: {e}"))?;
-        if meta.id != id {
-            return Err(format!(
-                "meta id {} does not match directory id {id}",
-                meta.id
-            ));
-        }
-        let parts = build_parts(&meta.spec, meta.seed)?;
-        let mut state = SessionState::with_cache(
-            parts.table,
-            parts.space,
-            parts.cache,
-            &parts.dirty_rows,
-            parts.cfg,
-            &parts.trainer,
-            &parts.learner,
-        )
-        .map_err(|e| e.to_string())?;
-        // Mirror the create path exactly (prebuilt matrix): replay must walk
-        // the same code the live session walked.
-        let mut trainer = parts.trainer;
-        let mut learner = parts.learner;
-        let _ = state.relation_matrix();
-        recover_session(
-            dir,
-            self.cfg.journal,
-            &mut state,
-            &mut trainer,
-            &mut learner,
-        )
-        .map_err(|e| e.to_string())?;
-        let reported_done = state.is_complete() && state.pending().is_none();
-        let live = LiveSession {
-            id,
-            seed: meta.seed,
-            state,
-            trainer,
-            learner,
-            last_touch: Instant::now(),
-            reported_done,
-            mae_history: MaeHistory::default(),
-        };
-        lock_shard(self.shard_of(id)).insert(id, live);
-        self.live.fetch_add(1, Ordering::AcqRel); // ord: AcqRel pairs with the reservation RMW
-        Ok(())
-    }
-
     /// Evicts every session idle longer than the configured timeout.
-    /// Called lazily on each create (no background reaper thread needed:
-    /// a full store is the only state where eviction matters).
+    /// Called lazily on each create and revive (no background reaper
+    /// thread needed: a full store is the only state where eviction
+    /// matters).
     ///
-    /// Journaled sessions are flushed (snapshot + WAL sync) before the
-    /// in-memory state drops: an evicted durable session stays recoverable
-    /// from its directory at the next server start. The flush runs after
-    /// the session has left its store shard and the shard's lock is
+    /// Journaled sessions are flushed (snapshot + WAL sync) and then left
+    /// dormant, so their next request revives them. The flush runs after
+    /// the session's slot has turned `Moving` and the shard's lock is
     /// released, so rounds on the shard's other sessions never wait on an
-    /// eviction's fsync.
+    /// eviction's fsync. The evicted copy is dropped, closing its WAL,
+    /// before the slot turns dormant: a request that arrives meanwhile
+    /// waits, and no revive opens the WAL while this copy holds it.
     pub fn evict_idle(&self) -> usize {
         let now = Instant::now();
         let mut evicted = 0usize;
         for shard in &self.shards {
-            let mut stale: Vec<LiveSession> = Vec::new();
+            let mut stale: Vec<Box<LiveSession>> = Vec::new();
             {
-                let mut shard = lock_shard(shard);
-                let ids: Vec<u64> = shard
+                let mut slots = lock_shard(shard);
+                let ids: Vec<u64> = slots
                     .iter()
-                    .filter(|(_, s)| now.duration_since(s.last_touch) > self.cfg.idle_timeout)
+                    .filter(|(_, slot)| {
+                        matches!(slot, Slot::Live(live)
+                            if now.duration_since(live.last_touch) > self.cfg.idle_timeout)
+                    })
                     .map(|(&id, _)| id)
                     .collect();
                 for id in ids {
-                    stale.extend(shard.remove(&id));
+                    let journaled = matches!(slots.get(&id),
+                        Some(Slot::Live(live)) if live.state.journal().is_some());
+                    let slot = if journaled {
+                        slots.insert(id, Slot::Moving)
+                    } else {
+                        slots.remove(&id)
+                    };
+                    if let Some(Slot::Live(live)) = slot {
+                        stale.push(live);
+                    }
                 }
                 // Flush in id order: deterministic across HashMap layouts.
                 stale.sort_unstable_by_key(|live| live.id);
             }
-            for live in &mut stale {
-                if live.state.journal().is_some() {
-                    if let Err(e) = Self::flush_live(live) {
-                        // Evict anyway: the WAL already holds every
-                        // acknowledged label, so only replay time (and
-                        // an unlogged pending presentation, which
-                        // replay re-derives) is at stake.
-                        eprintln!(
-                            "et-serve: eviction flush of session {} failed: {e}",
-                            live.id
-                        );
-                    }
-                }
+            if stale.is_empty() {
+                continue;
             }
-            evicted += stale.len();
-        }
-        if evicted > 0 {
-            self.live.fetch_sub(evicted, Ordering::AcqRel); // ord: AcqRel releases the evicted capacity slots
-            self.evicted_total
-                .fetch_add(evicted as u64, Ordering::Relaxed); // ord: Relaxed, monotonic diagnostic counter
+            let n = stale.len();
+            let mut dormant: Vec<u64> = Vec::new();
+            for mut live in stale {
+                if live.state.journal().is_none() {
+                    continue;
+                }
+                if let Err(e) = Self::flush_live(&mut live) {
+                    // Evict anyway: the WAL already holds every
+                    // acknowledged label, so only replay time (and an
+                    // unlogged pending presentation, which replay
+                    // re-derives) is at stake.
+                    eprintln!(
+                        "et-serve: eviction flush of session {} failed: {e}",
+                        live.id
+                    );
+                }
+                dormant.push(live.id);
+            }
+            // The slots are free before a waiting revive can see its
+            // session dormant and ask for one.
+            self.release(n);
+            self.evicted_total.fetch_add(n as u64, Ordering::Relaxed); // ord: Relaxed, monotonic diagnostic counter
+            evicted += n;
+            if let (false, Some(data_dir)) = (dormant.is_empty(), &self.cfg.data_dir) {
+                let mut slots = lock_shard(shard);
+                for id in dormant {
+                    slots.insert(id, Slot::Dormant(data_dir.join(session_dir_name(id))));
+                }
+                drop(slots);
+                shard.settled.notify_all();
+            }
         }
         evicted
     }
@@ -616,6 +761,7 @@ impl SessionStore {
             capacity: self.cfg.capacity,
             counters: StoreCounters {
                 created_total: self.created_total.load(Ordering::Relaxed), // ord: Relaxed, diagnostic counter snapshot
+                revived_total: self.revived_total.load(Ordering::Relaxed), // ord: Relaxed, diagnostic counter snapshot
                 evicted_total: self.evicted_total.load(Ordering::Relaxed), // ord: Relaxed, diagnostic counter snapshot
                 busy_rejections: self.busy_rejections.load(Ordering::Relaxed), // ord: Relaxed, diagnostic counter snapshot
             },
@@ -718,6 +864,45 @@ mod tests {
         assert!(matches!(store.remove(id), Err(StoreError::Unknown(_))));
     }
 
+    /// Threads released together to revive one dormant session all
+    /// succeed, and the session is built once: the later ones wait for the
+    /// first one's revive and find the session live.
+    #[test]
+    fn racing_revives_build_the_session_once() {
+        const THREADS: usize = 4;
+        let dir = std::env::temp_dir().join(format!("et-serve-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = StoreConfig {
+            capacity: 4,
+            shards: 2,
+            data_dir: Some(dir.clone()),
+            ..StoreConfig::default()
+        };
+        let (id, _) = SessionStore::new(cfg.clone())
+            .create(&quick_spec())
+            .expect("creates");
+        let store = SessionStore::new(cfg);
+        assert_eq!(store.recover_from_disk().registered, 1);
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            let revives: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        store.revive(id)
+                    })
+                })
+                .collect();
+            for revive in revives {
+                assert_eq!(revive.join().expect("revive thread"), Ok(()));
+            }
+        });
+        let snap = store.snapshot();
+        assert_eq!(snap.counters.revived_total, 1);
+        assert_eq!(snap.live_sessions, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn explicit_seed_wins_over_derivation() {
         let store = quick_store(4, Duration::from_secs(60));
@@ -766,8 +951,9 @@ mod tests {
         assert_eq!(store.snapshot().counters.evicted_total, 1);
     }
 
-    /// A journaled session evicted with rounds on it recovers, with those
-    /// rounds, in a fresh store over the same directory.
+    /// A journaled session evicted with rounds on it is left dormant in
+    /// the same store, and revives with those rounds there or in a fresh
+    /// store over the same directory.
     #[test]
     fn evicted_journaled_session_recovers() {
         let dir = std::env::temp_dir().join(format!("et-serve-evict-{}", std::process::id()));
@@ -802,14 +988,31 @@ mod tests {
         std::thread::sleep(Duration::from_millis(60));
         assert_eq!(store.evict_idle(), 1);
         assert_eq!(store.snapshot().live_sessions, 0);
+        assert!(matches!(store.lookup(id, |_| ()), Lookup::Dormant));
+        store.revive(id).expect("revives in the same store");
+        let revived = store
+            .with_session(id, |live| live.state.iterations_done())
+            .expect("revived");
+        assert_eq!(revived, done);
+        assert_eq!(store.snapshot().counters.revived_total, 1);
+        drop(store);
 
         let restarted = SessionStore::new(cfg);
         let report = restarted.recover_from_disk();
-        assert_eq!(report.recovered, 1, "{:?}", report.failed);
+        assert_eq!(report.registered, 1, "{:?}", report.failed);
+        assert_eq!(
+            restarted.snapshot().live_sessions,
+            0,
+            "nothing is built at start"
+        );
+        restarted.revive(id).expect("revives");
+        restarted.revive(id).expect("a live session is left alone");
         let recovered = restarted
             .with_session(id, |live| live.state.iterations_done())
             .expect("recovered");
         assert_eq!(recovered, done);
+        assert_eq!(restarted.snapshot().counters.revived_total, 1);
+        assert_eq!(restarted.revive(id + 1), Err(StoreError::Unknown(id + 1)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -9,6 +9,12 @@
 //!
 //! The wire makes that comparison sound: `Json::Num` encodes floats
 //! shortest-round-trip, so the bits survive the protocol.
+//!
+//! A restarted server only registers its journaled sessions and revives
+//! each on its first request, so a second test kills a server holding 16
+//! sessions at mixed round counts and checks that every session's first
+//! status after the restart equals, byte for byte, its last one before
+//! the kill.
 
 // Test harness: expect/unwrap over error plumbing.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
@@ -249,6 +255,66 @@ mod kill9 {
         // Clean exit exercises the flush-all path; closing first would
         // delete the session dir, so shut down with it still live.
         server.shutdown(&mut client);
+        std::fs::remove_dir_all(&data_dir).ok();
+    }
+
+    /// One raw request line and its raw reply line, newline included.
+    fn raw_call(reader: &mut BufReader<std::net::TcpStream>, line: &str) -> String {
+        use std::io::Write;
+        reader
+            .get_mut()
+            .write_all(line.as_bytes())
+            .expect("write request");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read reply");
+        assert!(reply.ends_with('\n'), "connection closed: {reply:?}");
+        reply
+    }
+
+    #[test]
+    fn every_session_answers_its_first_status_after_a_kill_unchanged() {
+        const SESSIONS: usize = 16;
+        let data_dir = scratch_dir("kill9-many");
+        let server = ServerProc::spawn(&data_dir);
+        let stream = std::net::TcpStream::connect(&server.addr).expect("connect");
+        let mut conn = BufReader::new(stream);
+        let mut before = Vec::new();
+        for i in 0..SESSIONS {
+            let created = raw_call(
+                &mut conn,
+                "{\"op\":\"create_session\",\"rows\":60,\"iterations\":8}\n",
+            );
+            let session = Json::parse(created.trim())
+                .ok()
+                .and_then(|v| v.get("session").and_then(Json::as_u64))
+                .unwrap_or_else(|| panic!("create failed: {created}"));
+            // Mixed round counts, 0 to 5, across the snapshot cadence of 3.
+            for _ in 0..i % 6 {
+                let pairs = raw_call(
+                    &mut conn,
+                    &format!("{{\"op\":\"next_pairs\",\"session\":{session}}}\n"),
+                );
+                assert!(pairs.contains("\"reply\":\"pairs\""), "{pairs}");
+                let labeled = raw_call(
+                    &mut conn,
+                    &format!("{{\"op\":\"submit_labels\",\"session\":{session}}}\n"),
+                );
+                assert!(labeled.contains("\"reply\":\"labeled\""), "{labeled}");
+            }
+            let status = format!("{{\"op\":\"status\",\"session\":{session}}}\n");
+            before.push((status.clone(), raw_call(&mut conn, &status)));
+        }
+        server.kill9();
+
+        let server = ServerProc::spawn(&data_dir);
+        assert_eq!(server.recovered, SESSIONS, "every directory is registered");
+        let stream = std::net::TcpStream::connect(&server.addr).expect("connect");
+        let mut conn = BufReader::new(stream);
+        for (request, want) in &before {
+            assert!(want.starts_with("{\"ok\":true"), "{want}");
+            assert_eq!(&raw_call(&mut conn, request), want, "{request}");
+        }
+        server.kill9();
         std::fs::remove_dir_all(&data_dir).ok();
     }
 }

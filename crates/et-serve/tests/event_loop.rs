@@ -1,7 +1,9 @@
 //! Integration tests for the readiness-based transport: pipelining inside
 //! one TCP segment (a create and a round on the new session included),
 //! rounds answered on the event shard while a create holds the only
-//! worker, the typed `protocol_error` path for oversized lines,
+//! worker, pipelined lines behind the revive of a dormant journaled
+//! session, two connections racing to revive one session, the typed
+//! `protocol_error` path for oversized lines,
 //! slow-loris eviction through the real serve binary, bounded shutdown
 //! latency, and a bind refused on a held port. The oversize, shutdown and
 //! held-port tests run on an IPv4 and an IPv6 bind; both get one
@@ -97,6 +99,129 @@ fn pipelined_requests_in_one_tcp_segment() {
     let mut client = Client::connect(&addr).expect("connect for shutdown");
     client.shutdown_server().expect("shutdown");
     handle.wait();
+}
+
+/// A server over `dir` holding one journaled session that has run
+/// `rounds` rounds, shut down, and a second server over the same
+/// directory, where that session is dormant. Returns the second server and
+/// the session id.
+fn server_with_a_dormant_session(
+    dir: &std::path::Path,
+    rounds: usize,
+) -> (et_serve::ServerHandle, u64) {
+    let mut cfg = server_cfg("127.0.0.1:0");
+    cfg.store.data_dir = Some(dir.to_path_buf());
+    let handle = spawn(cfg.clone()).expect("bind");
+    let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
+    let spec = CreateSessionSpec {
+        rows: 60,
+        iterations: rounds + 4,
+        ..CreateSessionSpec::default()
+    };
+    let (session, _) = client.create_session(&spec).expect("create");
+    for _ in 0..rounds {
+        client.next_pairs(session).expect("next_pairs");
+        client.submit_labels(session, None).expect("submit_labels");
+    }
+    client.shutdown_server().expect("shutdown");
+    handle.wait();
+
+    let handle = spawn(cfg).expect("bind again");
+    assert_eq!(handle.recovery_report().registered, 1);
+    assert_eq!(handle.store_snapshot().live_sessions, 0);
+    (handle, session)
+}
+
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("et-event-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Four lines on a dormant session in one write — status, next_pairs,
+/// submit_labels, status — are all answered, in order: the first goes to
+/// the worker pool to revive the session, and the three behind it wait.
+#[test]
+fn pipelined_lines_on_a_dormant_session_are_answered_in_order() {
+    let dir = scratch_dir("pipelined-dormant");
+    let (handle, session) = server_with_a_dormant_session(&dir, 2);
+    let addr = handle.addr().to_string();
+
+    let mut raw = TcpStream::connect(&addr).expect("connect");
+    let lines = format!(
+        "{{\"op\":\"status\",\"session\":{session}}}\n\
+         {{\"op\":\"next_pairs\",\"session\":{session}}}\n\
+         {{\"op\":\"submit_labels\",\"session\":{session}}}\n\
+         {{\"op\":\"status\",\"session\":{session}}}\n"
+    );
+    raw.write_all(lines.as_bytes()).expect("pipelined write");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    let expected = [
+        ("session_status", 2),
+        ("pairs", 2),
+        ("labeled", 2),
+        ("session_status", 3),
+    ];
+    for (kind, done) in expected {
+        let reply = read_reply(&mut reader);
+        assert_eq!(
+            reply.get("reply").and_then(Json::as_str),
+            Some(kind),
+            "{reply:?}"
+        );
+        if kind == "session_status" {
+            assert_eq!(
+                reply.get("iterations_done").and_then(Json::as_u64),
+                Some(done),
+                "{reply:?}"
+            );
+        }
+    }
+    assert_eq!(handle.store_snapshot().counters.revived_total, 1);
+
+    let mut client = Client::connect(&addr).expect("connect for shutdown");
+    client.shutdown_server().expect("shutdown");
+    handle.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two connections that name the same dormant session at once both get
+/// `ok` replies, and the session is revived exactly once: the second
+/// request waits for the first one's revive instead of starting its own.
+#[test]
+fn two_connections_revive_a_dormant_session_once() {
+    let dir = scratch_dir("race-dormant");
+    let (handle, session) = server_with_a_dormant_session(&dir, 1);
+    let addr = handle.addr().to_string();
+
+    let line = format!("{{\"op\":\"status\",\"session\":{session}}}\n");
+    let mut conns: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(&addr).expect("connect"))
+        .collect();
+    for conn in &mut conns {
+        conn.write_all(line.as_bytes()).expect("status write");
+    }
+    for conn in conns {
+        let reply = read_reply(&mut BufReader::new(conn));
+        assert_eq!(
+            reply.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{reply:?}"
+        );
+        assert_eq!(
+            reply.get("iterations_done").and_then(Json::as_u64),
+            Some(1),
+            "{reply:?}"
+        );
+    }
+    let counters = handle.store_snapshot().counters;
+    assert_eq!(counters.revived_total, 1);
+    assert_eq!(counters.created_total, 0);
+
+    let mut client = Client::connect(&addr).expect("connect for shutdown");
+    client.shutdown_server().expect("shutdown");
+    handle.wait();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Rounds run on the event shard, not the worker pool: with one shard and

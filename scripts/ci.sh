@@ -100,7 +100,12 @@ echo "==> bench harness compiles + bench_json smoke (quick profile)"
 # checked equal before timing). And it gates the status reply: a 150-round
 # Hospital status written from the session's cached MAE history, caught up
 # by one new round, must stay at least 2x faster than encoding the whole
-# series through Response::SessionStatus (bytes checked equal first).
+# series through Response::SessionStatus (bytes checked equal first). And it
+# gates the restart: over 16 journaled OMDB-160 sessions, registering them
+# at start (store construction plus recover_from_disk) must stay at least
+# 10x faster than the same start followed by one status per session, which
+# revives each (every revived status is checked against its pre-restart
+# bytes first); readiness must not wait on the sessions' rebuilds.
 cargo build -q --release -p et-bench --benches --bins
 BENCH_OUT="$(mktemp /tmp/et-bench-substrate.XXXXXX.json)"
 if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
@@ -116,6 +121,7 @@ if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
   --gate g1_counter_vs_sort_speedup:3 \
   --gate policy_class_vs_candidate_speedup:2 \
   --gate status_encode_cached_vs_full_speedup:2 \
+  --gate restart_ready_vs_revive_all_speedup:10 \
   || [ ! -s "$BENCH_OUT" ]; then
   echo "FATAL: bench_json failed to produce $BENCH_OUT or a gate failed" >&2
   echo "       (baseline unregenerable, delta rescoring lost to a full rescore," >&2
@@ -127,8 +133,9 @@ if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
   echo "        the per-set space scorer lost its 2x lead over the per-FD walk," >&2
   echo "        dense group_by lost its 2x lead over the SipHash grouping," >&2
   echo "        the counter-walk prior lost its 3x lead over the sorted one," >&2
-  echo "        the class-keyed policy lost its 2x lead over the per-candidate one, or" >&2
-  echo "        the cached-history status lost its 2x lead over the full encode)" >&2
+  echo "        the class-keyed policy lost its 2x lead over the per-candidate one," >&2
+  echo "        the cached-history status lost its 2x lead over the full encode, or" >&2
+  echo "        registering journaled sessions lost its 10x lead over reviving them all)" >&2
   exit 1
 fi
 rm -f "$BENCH_OUT"
