@@ -69,22 +69,6 @@ impl Belief {
         self.params.iter().map(Beta::mean).collect()
     }
 
-    /// Risk-adjusted confidences: `mean − z·std`, clamped to `[0, 1]`.
-    ///
-    /// Acting (labeling, detecting) on the lower credible bound makes
-    /// barely-evidenced hypotheses — whose posteriors are still wide —
-    /// carry little weight, while well-observed FDs are hardly discounted.
-    ///
-    /// # Panics
-    /// Panics on a negative `z`.
-    pub fn lower_confidence_bounds(&self, z: f64) -> Vec<f64> {
-        assert!(z >= 0.0, "z must be non-negative");
-        self.params
-            .iter()
-            .map(|b| (b.mean() - z * b.std()).clamp(0.0, 1.0))
-            .collect()
-    }
-
     /// Bayesian evidence for FD `idx`: `successes` supporting observations,
     /// `failures` contradicting ones.
     pub fn observe(&mut self, idx: usize, successes: f64, failures: f64) {
@@ -142,19 +126,6 @@ impl Belief {
         (idx, self.space.fd(idx))
     }
 
-    /// The 1-based rank of FD `idx` when FDs are sorted by descending
-    /// confidence (the `p` of the paper's Reciprocal Rank metric).
-    pub fn rank_of(&self, idx: usize) -> usize {
-        let c = self.confidence(idx);
-        1 + self
-            .params
-            .iter()
-            .map(Beta::mean)
-            .enumerate()
-            .filter(|&(i, m)| m > c || (m == c && i < idx))
-            .count()
-    }
-
     /// Mean absolute error between two beliefs' confidence vectors — the
     /// convergence metric of the paper's Figures 1 and 3–6.
     ///
@@ -173,20 +144,6 @@ impl Belief {
             .map(|(a, b)| (a.mean() - b.mean()).abs())
             .sum();
         sum / self.len() as f64
-    }
-
-    /// Largest confidence move between two snapshots of (presumably) the
-    /// same agent's belief — used for stability/equilibrium detection.
-    ///
-    /// # Panics
-    /// Panics when the beliefs cover different space sizes.
-    pub fn max_drift(&self, other: &Belief) -> f64 {
-        assert_eq!(self.len(), other.len());
-        self.params
-            .iter()
-            .zip(&other.params)
-            .map(|(a, b)| (a.mean() - b.mean()).abs())
-            .fold(0.0, f64::max)
     }
 }
 
@@ -218,23 +175,11 @@ mod tests {
         let top = b.top_k(2);
         assert_eq!(top[0].0, 1);
         assert_eq!(top[1].0, 2);
-        assert_eq!(b.rank_of(1), 1);
-        assert_eq!(b.rank_of(2), 2);
-        assert_eq!(b.rank_of(0), 3);
         assert_eq!(b.top_fd().0, 1);
     }
 
     #[test]
-    fn rank_ties_break_by_index() {
-        let s = space3();
-        let b = Belief::constant(s, Beta::uniform());
-        assert_eq!(b.rank_of(0), 1);
-        assert_eq!(b.rank_of(1), 2);
-        assert_eq!(b.rank_of(2), 3);
-    }
-
-    #[test]
-    fn mae_and_drift() {
+    fn mae_between_beliefs() {
         let s = space3();
         let a = Belief::constant(s.clone(), Beta::from_mean_std(0.5, 0.05));
         let mut b = a.clone();
@@ -242,7 +187,6 @@ mod tests {
         b.observe(0, 100.0, 0.0); // push fd0 confidence up
         let mae = a.mae(&b);
         assert!(mae > 0.0 && mae < 0.2);
-        assert!(a.max_drift(&b) > mae, "max >= mean on a single change");
     }
 
     #[test]

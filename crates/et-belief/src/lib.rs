@@ -8,8 +8,9 @@
 //!   from mean/standard-deviation exactly as §A.2 does (ε = 0.85 for the
 //!   user's declared FD, 0.15 for unrelated FDs, 0.8 for subset/superset
 //!   FDs, σ = 0.05).
-//! * [`Belief`] — the FD-indexed vector of Betas with ranking, MAE distance
-//!   (the convergence metric of Figures 1, 3–6), and update plumbing.
+//! * [`Belief`] — the FD-indexed vector of Betas with top-k ranking, MAE
+//!   distance (the convergence metric of Figures 1, 3–6), discounting, and
+//!   update plumbing.
 //! * [`priors`] — the four prior families of the empirical study
 //!   (Uniform-d, Random, Data-estimate, user-specified).
 //! * [`update`] — the shared FP/Bayesian evidence rule: clean satisfying
@@ -23,15 +24,12 @@
 
 pub mod belief;
 pub mod beta;
-pub mod divergence;
 pub mod hypothesis_testing;
-pub mod io;
 pub mod priors;
 pub mod update;
 
 pub use belief::Belief;
 pub use beta::Beta;
-pub use divergence::{belief_j, belief_kl, beta_kl, brier_score};
 pub use hypothesis_testing::{HypothesisTester, ScoreMode};
 pub use priors::{build_prior, PriorConfig, PriorSpec};
 pub use update::{

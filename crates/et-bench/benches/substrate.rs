@@ -5,7 +5,7 @@ use et_belief::{update_from_pair_relations, Belief, Beta};
 use et_bench::fixtures::fixture;
 use et_data::gen::DatasetName;
 use et_data::{inject_errors, InjectConfig};
-use et_fd::{discovery, g1_of, Fd, PartitionCache, ViolationIndex};
+use et_fd::{g1_of, Fd, PartitionCache, ViolationIndex};
 use std::sync::Arc;
 
 fn bench_g1(c: &mut Criterion) {
@@ -98,34 +98,6 @@ fn bench_injection(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_partitions(c: &mut Criterion) {
-    let f = fixture(DatasetName::Hospital, 500, 0.1, 7);
-    c.bench_function("stripped_partition_product", |b| {
-        let p1 = et_fd::StrippedPartition::of_attr(&f.table, 0);
-        let p2 = et_fd::StrippedPartition::of_attr(&f.table, 9);
-        b.iter(|| black_box(&p1).product(black_box(&p2)))
-    });
-    c.bench_function("tane_lhs2_hospital", |b| {
-        b.iter(|| et_fd::discover_tane(black_box(&f.table), 2, 0.05))
-    });
-}
-
-fn bench_discovery(c: &mut Criterion) {
-    let f = fixture(DatasetName::Airport, 300, 0.1, 5);
-    c.bench_function("discovery_lhs2", |b| {
-        b.iter(|| {
-            discovery::discover(
-                black_box(&f.table),
-                &discovery::DiscoveryConfig {
-                    max_lhs: 2,
-                    max_violation_rate: 0.15,
-                    min_support: 3,
-                },
-            )
-        })
-    });
-}
-
 fn bench_space_capping(c: &mut Criterion) {
     let ds = DatasetName::Tax.generate(300, 11);
     let pinned: Vec<Fd> = ds.exact_fds.iter().map(Fd::from_spec).collect();
@@ -150,8 +122,6 @@ criterion_group!(
     bench_subsample_paths,
     bench_belief_update,
     bench_injection,
-    bench_partitions,
-    bench_discovery,
     bench_space_capping
 );
 criterion_main!(benches);

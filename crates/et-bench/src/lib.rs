@@ -6,7 +6,7 @@
 //!   stdout and CSV artifacts to `results/`.
 //! * `benches/substrate.rs` — criterion micro-benchmarks of the substrate
 //!   hot paths (g1, violation indexing, belief updates, error injection,
-//!   FD discovery).
+//!   hypothesis-space capping).
 //! * `benches/strategies.rs` — per-strategy selection cost over growing
 //!   candidate pools.
 //! * `benches/figures.rs` — end-to-end session cost for each figure's

@@ -40,7 +40,6 @@ pub mod game;
 pub mod journal;
 pub mod learner;
 pub mod payoff;
-pub mod replay;
 pub mod respond;
 pub mod session;
 pub mod topk;
@@ -54,7 +53,6 @@ pub use journal::{
     recover_session, JournalConfig, LabelRecord, RecoverError, RecoverOutcome, SessionJournal,
 };
 pub use learner::{EvidenceScope, Learner};
-pub use replay::{history_from_csv, history_to_csv, replay_history};
 pub use respond::{ResponseStrategy, ScoreBasis, ScoreCtx, Selection, StrategyKind};
 pub use session::{
     run_session, sample_rows, ConfigError, ConvergenceReport, IterationMetrics, PendingInteraction,

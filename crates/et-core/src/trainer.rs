@@ -91,9 +91,9 @@ fn label_sample(
 
 /// The fictitious-play (Bayesian) trainer the user study validates.
 ///
-/// Each interaction it (1) pairs the newly presented tuples against
-/// everything it has seen so far and updates its belief with the raw
-/// satisfies/violates relations — the paper's cumulative prediction model
+/// Each interaction it (1) updates its belief with the raw
+/// satisfies/violates relations of every sample pair that includes a tuple
+/// it has not seen before — the paper's cumulative prediction model
 /// `θ_t^T = P^T(θ_{t−1}^T, X^1, …, X^t)`, the annotator estimating which
 /// FDs "hold over the observed data with the fewest exceptions" — then
 /// (2) labels the sample tuples from the *updated* belief, judging
@@ -107,10 +107,6 @@ pub struct FpTrainer {
     pub observation_weight: f64,
     /// Dirty-probability threshold for labeling (default 0.5).
     pub threshold: f64,
-    /// When true, new tuples are also paired against every previously seen
-    /// tuple (cumulative `P^T(θ, X^1..X^t)`); when false the update uses the
-    /// presented sample only.
-    cross_memory: bool,
     /// Per-interaction belief discount (discounted fictitious play); `None`
     /// keeps all evidence forever.
     discount: Option<f64>,
@@ -129,7 +125,6 @@ impl FpTrainer {
             belief: prior,
             observation_weight: evidence.clean_weight,
             threshold: 0.5,
-            cross_memory: false,
             discount: None,
             memory: Vec::new(),
             in_memory: Vec::new(),
@@ -141,14 +136,6 @@ impl FpTrainer {
     /// attach; this no-op stays only because `roundbench` still calls it.
     #[must_use]
     pub fn with_cache(self, _cache: Arc<PartitionCache>) -> Self {
-        self
-    }
-
-    /// Enables cumulative cross-memory evidence (the annotator re-examines
-    /// everything seen so far each round).
-    #[must_use]
-    pub fn with_cross_memory(mut self, on: bool) -> Self {
-        self.cross_memory = on;
         self
     }
 
@@ -188,8 +175,7 @@ impl Trainer for FpTrainer {
         if let Some(lambda) = self.discount {
             self.belief.discount(lambda);
         }
-        // (1) Belief update P^T: every not-yet-counted pair touching a new
-        // tuple (new-new within the sample, plus new x previously seen).
+        // (1) Belief update P^T: every sample pair touching a new tuple.
         let new: Vec<usize> = sample
             .iter()
             .copied()
@@ -207,13 +193,6 @@ impl Trainer for FpTrainer {
         // already counted; drop them to keep each pair's evidence single-use.
         if !self.memory.is_empty() {
             evidence.retain(|&(a, b)| !(self.in_memory[a] && self.in_memory[b]));
-        }
-        if self.cross_memory {
-            for &a in &new {
-                for &b in &self.memory {
-                    evidence.push((a, b));
-                }
-            }
         }
         update_from_pair_relations(&mut self.belief, table, &evidence, self.observation_weight);
         for r in new {

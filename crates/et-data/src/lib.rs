@@ -6,7 +6,6 @@
 //! * [`Schema`]/[`Table`] — a column-major, dictionary-encoded relational
 //!   table. Cell values are interned per column, so equality tests (the only
 //!   operation FD semantics need) are `u32` comparisons.
-//! * [`csv`] — a small, dependency-free CSV reader/writer.
 //! * [`gen`] — synthetic dataset generators reproducing the schemas and
 //!   exact-FD structure of the paper's four datasets (OMDB, Airport,
 //!   Hospital, Tax) plus a generic FD-respecting generator.
@@ -23,24 +22,16 @@
 
 #![warn(missing_docs)]
 
-pub mod csv;
-pub mod errors;
 pub mod gen;
 pub mod inject;
 pub mod schema;
 pub mod split;
-pub mod stats;
-pub mod subset;
 pub mod table;
 
-pub use csv::{load_table, save_table};
-pub use errors::{ErrorGenerator, ErrorKind};
 pub use gen::{DatasetSpec, GeneratedDataset};
 pub use inject::{inject_errors, violation_degree, InjectConfig, Injection};
 pub use schema::{AttrId, Schema};
 pub use split::split_rows;
-pub use stats::{column_stats, table_stats, ColumnStats};
-pub use subset::{select_subset_with_degree, SubsetSelection};
 pub use table::{Table, TableBuilder};
 
 /// A functional dependency expressed over attribute *indices* of a schema.

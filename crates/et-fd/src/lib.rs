@@ -11,10 +11,13 @@
 //!   with at most four attributes).
 //! * [`g1`] — the scaled g1 approximation measure (Kivinen & Mannila),
 //!   matching the paper's Example 1 exactly.
+//! * [`partitions`]/[`cache`] — stripped partitions and the per-table
+//!   cache that derives every attribute set's partition by refinement.
 //! * [`violations`] — pair relations, per-tuple violation flags, and
 //!   cell-level violation sets.
-//! * [`discovery`] — a levelwise (TANE-style) discovery of minimal
-//!   approximate FDs under a g1 threshold.
+//! * [`relmatrix`]/[`delta`] — the packed pair × FD relation matrix the
+//!   learner scores candidate pairs over, and its per-round delta
+//!   rescoring.
 //! * [`detect`] — FD-based error detection: belief-weighted per-tuple dirty
 //!   probabilities (a violating pair of an FD with confidence `c` is dirty
 //!   with probability `c`, mirroring the paper's `1 - m` construction).
@@ -22,26 +25,20 @@
 #![warn(missing_docs)]
 
 pub mod attrset;
-pub mod cover;
 #[macro_use]
 pub mod invariant;
 pub mod cache;
 pub mod delta;
 pub mod detect;
-pub mod discovery;
 pub mod fd;
 pub mod g1;
-pub mod keys;
-pub mod measures;
 pub mod partitions;
 pub mod relmatrix;
-pub mod repair;
 pub mod space;
 pub mod violations;
 
 pub use attrset::AttrSet;
 pub use cache::{PartitionCache, NO_CLASS};
-pub use cover::{closure, equivalent, implies, minimal_cover};
 pub use delta::{ClassScores, DeltaScorer};
 pub use detect::{
     binary_entropy, pair_dirty_probs, pair_dirty_probs_with, predict_labels, tuple_dirty_prob,
@@ -49,11 +46,8 @@ pub use detect::{
 };
 pub use fd::{Fd, FdRelation};
 pub use g1::{g1_of, G1};
-pub use keys::{discover_keys, is_key, Ucc};
-pub use measures::{g2_g3, ApproxMeasures};
-pub use partitions::{discover_tane, StrippedPartition, TaneFd};
+pub use partitions::StrippedPartition;
 pub use relmatrix::{violation_factors, violation_factors_into, PairScores, RelationMatrix};
-pub use repair::{apply_repairs, propose_repairs, Repair};
 pub use space::HypothesisSpace;
 pub use violations::{
     cell_violations, pair_relation, PairRelation, SpaceRelations, ViolationIndex,

@@ -31,7 +31,7 @@
 //! share a (non-[`NO_CLASS`]) stripped-partition class — a stripped row's
 //! value combination is unique to it, so [`NO_CLASS`] rows agree with no
 //! other row. The same argument applies to the single-attribute RHS
-//! partition, so both halves of [`pair_relation`] reduce to two array
+//! partition, so both halves of [`pair_relation`](crate::pair_relation) reduce to two array
 //! lookups per FD. The per-FD owner arrays are memoized in the shared
 //! cache, so a session pays for each distinct LHS once across the matrix,
 //! every [`crate::ViolationIndex`] build, and the trainer's restrictions.
@@ -63,7 +63,7 @@ use crate::attrset::AttrSet;
 use crate::cache::{PartitionCache, NO_CLASS};
 use crate::detect::DetectParams;
 use crate::space::HypothesisSpace;
-use crate::violations::{pair_relation, PairRelation};
+use crate::violations::PairRelation;
 
 /// 2-bit relation codes per 64-bit word.
 pub(crate) const FDS_PER_WORD: usize = 32;
@@ -316,7 +316,7 @@ impl RelationMatrix {
     }
 
     /// The stored relation of pair `pid` to FD `fi` — equal to
-    /// [`pair_relation`]`(table, fd, a, b)` for the build inputs.
+    /// [`pair_relation`](crate::pair_relation)`(table, fd, a, b)` for the build inputs.
     ///
     /// # Panics
     /// Panics when `pid` or `fi` is out of range.
@@ -602,13 +602,14 @@ impl RelationMatrix {
         }
     }
 
-    /// Debug-build invariant: every stored relation equals the raw-cell
-    /// [`pair_relation`] (used by tests; O(pairs × FDs × attrs)).
-    pub fn verify_against(&self, table: &Table, space: &HypothesisSpace) -> bool {
+    /// Test oracle: every stored relation equals the raw-cell
+    /// [`pair_relation`](crate::pair_relation) (O(pairs × FDs × attrs)).
+    #[cfg(test)]
+    fn verify_against(&self, table: &Table, space: &HypothesisSpace) -> bool {
         self.pairs.iter().enumerate().all(|(pid, &(a, b))| {
             space
                 .iter()
-                .all(|(fi, fd)| self.relation(pid, fi) == pair_relation(table, &fd, a, b))
+                .all(|(fi, fd)| self.relation(pid, fi) == crate::pair_relation(table, &fd, a, b))
         })
     }
 }

@@ -164,21 +164,6 @@ impl HypothesisSpace {
         self.fds.iter().copied().enumerate()
     }
 
-    /// Indices of FDs related (subset/superset/equal) to `fd`.
-    pub fn related_to(&self, fd: &Fd) -> Vec<usize> {
-        self.iter()
-            .filter(|(_, f)| f.is_related_to(fd))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// The set of attributes mentioned by any FD in the space.
-    pub fn attrs_in_use(&self) -> AttrSet {
-        self.fds
-            .iter()
-            .fold(AttrSet::EMPTY, |s, fd| s.union(fd.attrs()))
-    }
-
     /// All LHS attribute-set / RHS combinations, deduplicated by LHS, useful
     /// for building group indexes once per distinct LHS.
     pub fn distinct_lhs(&self) -> Vec<AttrSet> {
@@ -466,18 +451,6 @@ mod tests {
         // Every kept FD meets the support floor.
         for fd in s.fds() {
             assert!(crate::g1::g1_of(&ds.table, fd).lhs_pairs >= 3);
-        }
-    }
-
-    #[test]
-    fn related_to_finds_subsets_and_supersets() {
-        let s = HypothesisSpace::enumerate(4, 3);
-        let fd = Fd::from_attrs([0], 3);
-        let related = s.related_to(&fd);
-        // Related: itself, {0,1}->3, {0,2}->3.
-        assert_eq!(related.len(), 3);
-        for i in related {
-            assert!(s.fd(i).is_related_to(&fd));
         }
     }
 

@@ -65,6 +65,9 @@ pub struct GraphSpec {
     pub pattern: String,
     /// Optional annotation (documentation only).
     pub note: Option<String>,
+    /// 1-based line of the table header in `et-lint.toml`, so an
+    /// `[[entry]]` that roots nothing can be reported at its declaration.
+    pub line: usize,
 }
 
 /// One `[[hot]]` table: a hot-path root for the cost rules. A single root
@@ -315,6 +318,7 @@ impl PartialEntry {
             rule,
             pattern,
             note: self.note,
+            line: table_line,
         })
     }
 

@@ -15,7 +15,8 @@
 //! A `[[hot]]` pattern that matches no function is itself a finding (the
 //! root rotted out from under the config), with a nearest-name suggestion
 //! when one is plausible — the same "did you mean" machinery stale
-//! `[[allow]]` paths use.
+//! `[[allow]]` paths use. L9/L11 `[[entry]]` tables get the same finding
+//! through `stale_root_finding`.
 //!
 //! Vetted operations (an `[[allow]]` whose reason states the bound) stay
 //! out of the violation list but are *not* forgotten: [`check`] also
@@ -99,7 +100,13 @@ pub fn check(graph: &CallGraph, config: &Allowlist) -> (Vec<GraphFinding>, Vec<H
     for root in &config.hot_roots {
         let entries = graph.match_entries(&root.pattern, false);
         if entries.is_empty() {
-            findings.push(stale_root_finding(graph, &root.pattern, root.line));
+            findings.push(stale_root_finding(
+                graph,
+                Rule::L12,
+                "[[hot]]",
+                &root.pattern,
+                root.line,
+            ));
             stats.push(HotRootStat {
                 pattern: root.pattern.clone(),
                 note: root.note.clone(),
@@ -179,11 +186,17 @@ pub fn check(graph: &CallGraph, config: &Allowlist) -> (Vec<GraphFinding>, Vec<H
     (findings, stats)
 }
 
-/// A `[[hot]]` pattern that matches nothing: the hot root moved or was
-/// renamed, and the budget it declared is silently unenforced. Reported
-/// at the table's line in `et-lint.toml`, with the nearest qualified name
-/// suggested when plausible.
-fn stale_root_finding(graph: &CallGraph, pattern: &str, line: usize) -> GraphFinding {
+/// A `[[hot]]` or `[[entry]]` pattern that matches nothing: the root moved
+/// or was renamed, and the rule it configured is silently unenforced from
+/// it. Reported as `rule` at the table's line in `et-lint.toml`, with the
+/// nearest qualified name suggested when plausible.
+pub(crate) fn stale_root_finding(
+    graph: &CallGraph,
+    rule: Rule,
+    table: &str,
+    pattern: &str,
+    line: usize,
+) -> GraphFinding {
     // Reuse the path-suggestion machinery: qualified names are paths with
     // `::` separators, so map to '/' for the suffix-wise edit distance and
     // back for display.
@@ -199,10 +212,10 @@ fn stale_root_finding(graph: &CallGraph, pattern: &str, line: usize) -> GraphFin
     GraphFinding {
         path: "et-lint.toml".to_string(),
         violation: Violation {
-            rule: Rule::L12,
+            rule,
             line,
             message: format!(
-                "[[hot]] pattern `{pattern}` matches no function in the workspace \
+                "{table} pattern `{pattern}` matches no function in the workspace \
                  call graph{hint}"
             ),
             excerpt: format!("pattern = \"{pattern}\""),

@@ -9,12 +9,15 @@
 //! `[[entry]]` tables select entry-point functions by qualified-name
 //! substring, `[[source]]` tables declare L11 taint sources. With no
 //! configuration the rules are vacuous — the graph is still built (and its
-//! unresolved bucket still reported), but nothing can fire.
+//! unresolved bucket still reported), but nothing can fire. An `[[entry]]`
+//! that matches no function (L9 entries: no `pub` one) roots nothing and is
+//! itself a finding, as a stale `[[hot]]` root is.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::allowlist::Allowlist;
 use crate::callgraph::CallGraph;
+use crate::cost_rules::stale_root_finding;
 use crate::parser::Callee;
 use crate::rules::{Rule, Violation};
 
@@ -38,16 +41,35 @@ pub fn check(graph: &CallGraph, config: &Allowlist) -> Vec<GraphFinding> {
     out
 }
 
+/// The fns `rule`'s `[[entry]]` tables root, reporting every table that
+/// roots none.
+fn entry_roots(
+    graph: &CallGraph,
+    config: &Allowlist,
+    rule: Rule,
+    require_pub: bool,
+    out: &mut Vec<GraphFinding>,
+) -> Vec<usize> {
+    let mut entries = Vec::new();
+    for spec in config.graph_entries.iter().filter(|s| s.rule == rule.id()) {
+        let matched = graph.match_entries(&spec.pattern, require_pub);
+        if matched.is_empty() {
+            out.push(stale_root_finding(
+                graph,
+                rule,
+                "[[entry]]",
+                &spec.pattern,
+                spec.line,
+            ));
+        }
+        entries.extend(matched);
+    }
+    entries
+}
+
 /// L9: panic-capable operations reachable from public API entry points.
 fn l9_panic_reachability(graph: &CallGraph, config: &Allowlist, out: &mut Vec<GraphFinding>) {
-    let patterns = Allowlist::specs_for(&config.graph_entries, "L9");
-    if patterns.is_empty() {
-        return;
-    }
-    let mut entries = Vec::new();
-    for p in &patterns {
-        entries.extend(graph.match_entries(p, true));
-    }
+    let entries = entry_roots(graph, config, Rule::L9, true, out);
     let parents = graph.reach(&entries);
     for &id in parents.keys() {
         let node = &graph.nodes[id];
@@ -370,8 +392,8 @@ fn dfs_cycles(
 
 /// L11: nondeterminism sources reachable from session entry points.
 fn l11_determinism_taint(graph: &CallGraph, config: &Allowlist, out: &mut Vec<GraphFinding>) {
-    let entry_patterns = Allowlist::specs_for(&config.graph_entries, "L11");
-    if entry_patterns.is_empty() {
+    let entries = entry_roots(graph, config, Rule::L11, false, out);
+    if entries.is_empty() {
         return;
     }
     let source_patterns = Allowlist::specs_for(&config.graph_sources, "L11");
@@ -382,10 +404,6 @@ fn l11_determinism_taint(graph: &CallGraph, config: &Allowlist, out: &mut Vec<Gr
         .filter(|p| *p != "hash-iter")
         .collect();
 
-    let mut entries = Vec::new();
-    for p in &entry_patterns {
-        entries.extend(graph.match_entries(p, false));
-    }
     let parents = graph.reach(&entries);
     for &id in parents.keys() {
         let node = &graph.nodes[id];
@@ -522,7 +540,40 @@ mod tests {
             &[("crates/a/src/api.rs", "fn hidden() { x.unwrap(); }\n")],
             "[[entry]]\nrule = \"L9\"\npattern = \"api::hidden\"\n",
         );
-        assert!(findings.is_empty(), "L9 entries require pub: {findings:?}");
+        // L9 entries require pub: the private fn's unwrap is not reached,
+        // and the entry that roots nothing is reported as stale.
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].path, "et-lint.toml");
+        let msg = &findings[0].violation.message;
+        assert!(msg.contains("matches no function"), "{msg}");
+    }
+
+    #[test]
+    fn dead_entry_roots_are_reported_at_their_table() {
+        let src = r#"
+            pub fn step() { pure(); }
+            fn pure() -> u32 { 7 }
+        "#;
+        let config = "[[entry]]\nrule = \"L9\"\npattern = \"api::step\"\n\
+                      [[entry]]\nrule = \"L9\"\npattern = \"api::replay_history\"\n\
+                      [[entry]]\nrule = \"L11\"\npattern = \"api::stpe\"\n\
+                      [[source]]\nrule = \"L11\"\npattern = \"Instant::now\"\n";
+        let findings = run(&[("crates/a/src/api.rs", src)], config);
+        let stale: Vec<(&str, usize)> = findings
+            .iter()
+            .map(|f| (f.violation.rule.id(), f.violation.line))
+            .collect();
+        assert_eq!(stale, [("L9", 4), ("L11", 7)], "{findings:?}");
+        for f in &findings {
+            assert_eq!(f.path, "et-lint.toml");
+            assert!(
+                f.violation.message.starts_with("[[entry]] pattern"),
+                "{}",
+                f.violation.message
+            );
+        }
+        let msg = &findings[1].violation.message;
+        assert!(msg.contains("did you mean `a::api::step`"), "{msg}");
     }
 
     #[test]

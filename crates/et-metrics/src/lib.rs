@@ -23,6 +23,6 @@ pub mod stats;
 pub use confusion::ConfusionMatrix;
 pub use fd_f1::{fd_f1_score, FdScore};
 pub use rank::{mrr, reciprocal_rank, reciprocal_rank_plus, RankOutcome};
-pub use roc::{average_precision, roc_auc};
+pub use roc::roc_auc;
 pub use series::{aggregate, auc, iterations_to_threshold, SeriesStats};
 pub use stats::{bootstrap_mean_ci, kendall_tau, BootstrapCi};

@@ -1,4 +1,4 @@
-//! Threshold-free detector evaluation: ROC AUC and average precision.
+//! Threshold-free detector evaluation: ROC AUC.
 //!
 //! Figure 7 thresholds the detector at 0.5; ranking metrics evaluate the
 //! scores themselves, which is how modern error-detection work (HoloDetect
@@ -43,39 +43,6 @@ pub fn roc_auc(scores: &[f64], truth: &[bool]) -> f64 {
     (rank_sum - pos as f64 * (pos as f64 + 1.0) / 2.0) / (pos as f64 * neg as f64)
 }
 
-/// Average precision (area under the precision–recall curve, step-wise):
-/// the mean of precision values at each true positive, walking thresholds
-/// from the highest score down. Returns 0 when there are no positives.
-///
-/// # Panics
-/// Panics when the slices differ in length.
-pub fn average_precision(scores: &[f64], truth: &[bool]) -> f64 {
-    assert_eq!(scores.len(), truth.len(), "scores/labels length mismatch");
-    let pos = truth.iter().filter(|&&t| t).count();
-    if pos == 0 {
-        return 0.0;
-    }
-    let mut idx: Vec<usize> = (0..scores.len()).collect();
-    // Descending score; ties broken by putting negatives first so ties are
-    // scored pessimistically (deterministic lower bound).
-    idx.sort_by(|&a, &b| {
-        scores[b]
-            .total_cmp(&scores[a])
-            .then_with(|| truth[a].cmp(&truth[b]))
-    });
-    let mut tp = 0usize;
-    let mut seen = 0usize;
-    let mut ap = 0.0;
-    for &i in &idx {
-        seen += 1;
-        if truth[i] {
-            tp += 1;
-            ap += tp as f64 / seen as f64;
-        }
-    }
-    ap / pos as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,7 +53,6 @@ mod tests {
         let scores = [0.9, 0.8, 0.2, 0.1];
         let truth = [true, true, false, false];
         assert_eq!(roc_auc(&scores, &truth), 1.0);
-        assert_eq!(average_precision(&scores, &truth), 1.0);
     }
 
     #[test]
@@ -115,16 +81,6 @@ mod tests {
     fn degenerate_classes() {
         assert_eq!(roc_auc(&[0.5, 0.7], &[true, true]), 0.5);
         assert_eq!(roc_auc(&[0.5, 0.7], &[false, false]), 0.5);
-        assert_eq!(average_precision(&[0.5], &[false]), 0.0);
-    }
-
-    #[test]
-    fn ap_penalises_early_false_positives() {
-        let good = average_precision(&[0.9, 0.8, 0.1], &[true, false, false]);
-        let bad = average_precision(&[0.8, 0.9, 0.1], &[true, false, false]);
-        assert!(good > bad);
-        assert_eq!(good, 1.0);
-        assert_eq!(bad, 0.5);
     }
 
     proptest! {
@@ -144,15 +100,6 @@ mod tests {
                 let negated: Vec<f64> = scores.iter().map(|s| -s).collect();
                 prop_assert!((roc_auc(&negated, &truth) - (1.0 - auc)).abs() < 1e-9);
             }
-        }
-
-        #[test]
-        fn ap_bounded(scores in proptest::collection::vec(0.0f64..1.0, 1..30),
-                      seed in any::<u64>()) {
-            let truth: Vec<bool> = scores.iter().enumerate()
-                .map(|(i, _)| (seed >> (i % 60)) & 1 == 1).collect();
-            let ap = average_precision(&scores, &truth);
-            prop_assert!((0.0..=1.0).contains(&ap));
         }
     }
 }

