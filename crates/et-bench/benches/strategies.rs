@@ -37,7 +37,7 @@ fn bench_selection(c: &mut Criterion) {
                 |b, _| {
                     b.iter_batched(
                         || {
-                            let fresh = FreshCandidates::new(&pool, Arc::clone(&matrix), &shown);
+                            let fresh = FreshCandidates::new(Arc::clone(&matrix), &shown);
                             (StdRng::seed_from_u64(9), fresh)
                         },
                         |(mut rng, fresh)| {

@@ -17,9 +17,15 @@
 //! ramp or a noisy neighbour biases both sides alike instead of whichever
 //! ran second. A derived speedup below 1.0 is flagged `"regressed": true`
 //! in the emitted JSON and `--gate` turns any such floor into an exit code.
+//!
+//! The binary also counts heap bytes: its global allocator tracks the live
+//! total, and the `session_heap_kb_*` rows read what one served session
+//! keeps. Those rows are counts, not timings, and do not vary run to run.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::{HashMap, HashSet};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -43,6 +49,59 @@ use et_serve::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The system allocator, counting the bytes currently allocated.
+struct CountingAlloc;
+
+/// Bytes allocated and not yet freed, over the whole process.
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged and only updates a counter besides, so `System`'s guarantees
+// hold as they are.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: forwarded as is; the caller upholds `alloc`'s contract.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed); // ord: Relaxed, a tally read only after the counted work returns
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: forwarded as is; the caller upholds `alloc_zeroed`'s contract.
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed); // ord: Relaxed, a tally read only after the counted work returns
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded as is; `ptr` came from this allocator with `layout`.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed); // ord: Relaxed, a tally read only after the counted work returns
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: forwarded as is; the caller upholds `realloc`'s contract.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed); // ord: Relaxed, a tally read only after the counted work returns
+            LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed); // ord: Relaxed, a tally read only after the counted work returns
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Heap bytes allocated and not yet freed, process-wide.
+fn live_bytes() -> usize {
+    LIVE_BYTES.load(Ordering::Relaxed) // ord: Relaxed, read on the thread that did the counted work
+}
 
 /// Wall-clock stats of one bench, in seconds.
 struct BenchStats {
@@ -1579,6 +1638,57 @@ fn restart_benches(quick: bool) -> Vec<BenchStats> {
     vec![ready, revive_all]
 }
 
+/// Heap bytes one served Hospital-1000 session keeps, at create and after
+/// 300 rounds: the session built as the store builds one (`build_parts`,
+/// then `SessionState::with_cache`), its state and agents kept and the
+/// rest of the build freed. Runs on one thread before any other bench, so
+/// the difference of two [`live_bytes`] reads is the session's.
+fn session_heap_bytes() -> (usize, usize) {
+    let spec = CreateSessionSpec {
+        dataset: DatasetName::Hospital,
+        rows: 1000,
+        iterations: 400,
+        strategy: StrategyKind::StochasticBestResponse,
+        ..CreateSessionSpec::default()
+    };
+    let base = live_bytes();
+    let (mut state, mut trainer, mut learner) = {
+        let parts = match build_parts(&spec, 1001) {
+            Ok(p) => p,
+            Err(e) => fail("build Hospital-1000 session", e),
+        };
+        let state = match SessionState::with_cache(
+            parts.table,
+            parts.space,
+            parts.cache,
+            &parts.dirty_rows,
+            parts.cfg,
+            &parts.trainer,
+            &parts.learner,
+        ) {
+            Ok(s) => s,
+            Err(e) => fail("session config", e),
+        };
+        (state, parts.trainer, parts.learner)
+    };
+    let at_create = live_bytes() - base;
+    for _ in 0..300 {
+        if let Err(e) = state.present(&mut learner) {
+            fail("present", e);
+        }
+        let labels = match state.label_pending(&mut trainer) {
+            Ok(l) => l,
+            Err(e) => fail("label", e),
+        };
+        if let Err(e) = state.apply_labels(&trainer, &mut learner, &labels) {
+            fail("apply labels", e);
+        }
+    }
+    let at_round300 = live_bytes() - base;
+    drop((state, trainer, learner));
+    (at_create, at_round300)
+}
+
 /// Whether a derived entry counts as a regression: every `*_speedup`
 /// ratio is "new path over old path", so below 1.0 means the new path
 /// lost ground and the JSON should say so explicitly.
@@ -1668,6 +1778,7 @@ fn main() {
     let cli = cli::from_env("bench_json", "BENCH_substrate.json");
     let rows = if cli.quick { 200 } else { 500 };
     eprintln!("bench_json: hospital fixture, {rows} rows, degree 0.15, seed 2");
+    let (heap_create, heap_round300) = session_heap_bytes();
     let f = fixture(DatasetName::Hospital, rows, 0.15, 2);
     let mut benches = run_benches(&f, cli.quick);
 
@@ -1697,7 +1808,17 @@ fn main() {
         cli.quick,
     ));
 
-    let mut derived: Vec<(&str, f64)> = Vec::new();
+    // Counts, not ratios: the bytes one served session keeps, and how many
+    // such sessions at round 300 fit in a GiB (the floor ci.sh gates).
+    let kb = |bytes: usize| bytes as f64 / 1024.0;
+    let mut derived: Vec<(&str, f64)> = vec![
+        ("session_heap_kb_create", kb(heap_create)),
+        ("session_heap_kb_round300", kb(heap_round300)),
+        (
+            "sessions_per_gib_round300",
+            (1u64 << 30) as f64 / heap_round300.max(1) as f64,
+        ),
+    ];
     let ratios = [
         (
             "cached_vs_fresh_speedup",
@@ -1820,7 +1941,8 @@ fn main() {
         } else {
             ""
         };
-        eprintln!("  {name}: {v:.2}x{flag}");
+        let unit = if name.starts_with("session") { "" } else { "x" };
+        eprintln!("  {name}: {v:.2}{unit}{flag}");
     }
     println!("wrote {}", cli.out);
 

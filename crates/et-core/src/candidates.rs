@@ -82,12 +82,12 @@ impl CandidatePool {
         let mut n_seen = 0usize;
         let mut rng = StdRng::seed_from_u64(seed ^ 0x853c_49e6_748f_ea9b);
         let lhss = space.distinct_lhs();
-        let row_classes: Vec<Arc<Vec<usize>>> = lhss
+        let row_classes: Vec<Arc<Vec<u32>>> = lhss
             .iter()
             .map(|&lhs| cache.row_classes(table, lhs))
             .collect();
         // Row `a`'s class under each earlier determinant that keeps it.
-        let mut a_classes: Vec<(&[usize], usize)> = Vec::with_capacity(lhss.len());
+        let mut a_classes: Vec<(&[u32], u32)> = Vec::with_capacity(lhss.len());
         for (k, &lhs) in lhss.iter().enumerate() {
             let earlier = &row_classes[..k];
             let part = cache.partition(table, lhs);
@@ -180,22 +180,21 @@ pub struct FreshCandidates {
 }
 
 impl FreshCandidates {
-    /// The ids of `pool` not in `shown`, scored through a cold
-    /// [`DeltaScorer`] over `matrix`.
+    /// The pair ids of `matrix` whose pairs are not in `shown`, scored
+    /// through a cold [`DeltaScorer`] over `matrix`. A pool's matrix
+    /// ([`CandidatePool::relation_matrix`]) holds the pool's pairs in pool
+    /// order, so its ids are pool ids.
     ///
     /// # Panics
-    /// Panics when `matrix` does not cover exactly the pool's pairs (see
-    /// [`CandidatePool::relation_matrix`]) or the pool outgrows `u32` ids.
-    pub fn new(
-        pool: &CandidatePool,
-        matrix: Arc<RelationMatrix>,
-        shown: &HashSet<PairExample>,
-    ) -> Self {
-        assert_eq!(matrix.n_pairs(), pool.len(), "matrix must cover the pool");
-        assert!(u32::try_from(pool.len()).is_ok(), "pool ids must fit u32");
+    /// Panics when the matrix outgrows `u32` ids.
+    pub fn new(matrix: Arc<RelationMatrix>, shown: &HashSet<PairExample>) -> Self {
+        assert!(
+            u32::try_from(matrix.n_pairs()).is_ok(),
+            "pool ids must fit u32"
+        );
         let ids = (0u32..)
-            .zip(pool.pairs())
-            .filter(|(_, p)| !shown.contains(p))
+            .zip(matrix.pairs())
+            .filter(|&(_, &(a, b))| !shown.contains(&PairExample { a, b }))
             .map(|(id, _)| id)
             .collect();
         Self {
@@ -295,7 +294,7 @@ mod tests {
         let m = Arc::new(pool.relation_matrix(&t, &sp, &PartitionCache::new(&t)));
         let mut shown = HashSet::new();
         shown.insert(PairExample::new(1, 2));
-        let mut fresh = FreshCandidates::new(&pool, m, &shown);
+        let mut fresh = FreshCandidates::new(m, &shown);
         // Pool order is (0,1), (1,2), (2,3): ids 0 and 2 stay fresh.
         assert_eq!(fresh.ids(), &[0, 2]);
         assert_eq!(fresh.retire(vec![2]), vec![PairExample::new(2, 3)]);
@@ -314,7 +313,7 @@ mod tests {
         }
         let pool = CandidatePool::from_pairs(pairs.clone());
         let m = Arc::new(pool.relation_matrix(&t, &sp, &PartitionCache::new(&t)));
-        let mut fresh = FreshCandidates::new(&pool, m, &HashSet::new());
+        let mut fresh = FreshCandidates::new(m, &HashSet::new());
         // Table 1's five rows make ten pairs, ids 0..10 in pool order.
         let picked = fresh.retire(vec![9, 4, 0, 5]);
         assert_eq!(picked, vec![pairs[9], pairs[4], pairs[0], pairs[5]]);

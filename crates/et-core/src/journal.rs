@@ -875,6 +875,145 @@ mod tests {
         }
     }
 
+    /// A live session's partition cache holds its determinants' row →
+    /// class lookups and no partition, from create on: neither the round
+    /// path, a snapshot restore nor a journal recovery misses the cache
+    /// and grows it back.
+    #[test]
+    fn a_live_session_keeps_only_its_determinants_lookups() {
+        use crate::respond::{ResponseStrategy, StrategyKind};
+        use crate::session::SessionConfig;
+        use crate::trainer::FpTrainer;
+        use et_belief::{build_prior, EvidenceConfig, PriorConfig, PriorSpec};
+        use et_data::gen::DatasetName;
+        use et_data::{inject_errors, InjectConfig};
+        use et_fd::{Fd, HypothesisSpace, PartitionCache};
+        use std::sync::Arc;
+
+        // The served create: a Hospital-1000 table, its space scored
+        // through the cache, the cache pruned to the space's determinants.
+        let mut ds = DatasetName::Hospital.generate(1000, 21);
+        let specs = ds.exact_fds.clone();
+        let _ = inject_errors(
+            &mut ds.table,
+            &specs,
+            &[],
+            &InjectConfig::with_degree(0.15, 22),
+        );
+        let table = ds.table;
+        let dirty = vec![false; table.nrows()];
+        let pinned: Vec<Fd> = specs.iter().map(Fd::from_spec).collect();
+        let scored = PartitionCache::new(&table);
+        let space = Arc::new(HypothesisSpace::capped_with(
+            &table, &scored, 3, 20, 3, &pinned,
+        ));
+        let mut determinants = space.distinct_lhs();
+        determinants.sort_unstable();
+        scored.prune(|attrs| determinants.contains(&attrs));
+        let scored = Arc::new(scored);
+
+        let prior = build_prior(
+            &PriorSpec::DataEstimate,
+            &PriorConfig::weak(),
+            &space,
+            &table,
+        );
+        let agents = || {
+            let trainer = FpTrainer::new(prior.clone(), EvidenceConfig::default());
+            let learner = Learner::new(
+                prior.clone(),
+                ResponseStrategy::paper(StrategyKind::StochasticBestResponse),
+                EvidenceConfig::default(),
+                23,
+            );
+            (trainer, learner)
+        };
+        let cfg = SessionConfig {
+            iterations: 400,
+            seed: 24,
+            ..SessionConfig::default()
+        };
+        let build = |cache: Arc<PartitionCache>, trainer: &FpTrainer, learner: &Learner| {
+            SessionState::with_cache(
+                table.clone(),
+                space.clone(),
+                cache,
+                &dirty,
+                cfg.clone(),
+                trainer,
+                learner,
+            )
+            .expect("valid config")
+        };
+        let lookups = |st: &SessionState| -> Vec<Arc<Vec<u32>>> {
+            let cache = st.partition_cache();
+            determinants
+                .iter()
+                .map(|&lhs| cache.row_classes(&table, lhs))
+                .collect()
+        };
+        let assert_slim = |st: &SessionState, tag: &str| {
+            let cache = st.partition_cache();
+            assert_eq!(cache.len(), 0, "{tag}: the cache holds a partition");
+            assert_eq!(cache.lookup_sets(), determinants, "{tag}: lookups");
+        };
+
+        let mut dir = std::env::temp_dir();
+        dir.push(format!(
+            "et-core-slim-session-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal_cfg = JournalConfig {
+            fsync: et_durable::FsyncPolicy::Never,
+            snapshot_every: 20,
+        };
+
+        let (mut trainer, mut learner) = agents();
+        let mut live = build(Arc::clone(&scored), &trainer, &learner);
+        assert_slim(&live, "create");
+        let at_create = lookups(&live);
+        live.attach_journal(SessionJournal::create(&dir, journal_cfg).expect("journal"));
+        for _ in 0..50 {
+            assert!(live.present(&mut learner).expect("in phase").is_some());
+            let labels = live.label_pending(&mut trainer).expect("pending");
+            let _ = live
+                .apply_labels(&trainer, &mut learner, &labels)
+                .expect("aligned");
+            live.maybe_snapshot(&trainer, &learner).expect("snapshot");
+        }
+        // One presentation left pending, so a restore indexes a sample.
+        assert!(live.present(&mut learner).expect("in phase").is_some());
+        live.sync_journal().expect("sync");
+        assert_slim(&live, "50 rounds");
+        assert!(
+            std::iter::zip(&at_create, lookups(&live)).all(|(a, b)| Arc::ptr_eq(a, &b)),
+            "the rounds rebuilt a lookup"
+        );
+
+        let payload = encode_snapshot(&live, &trainer, &learner);
+        let (mut trainer, mut learner) = agents();
+        let mut restored = build(Arc::new(PartitionCache::new(&table)), &trainer, &learner);
+        restore_snapshot(&mut restored, &payload, &mut trainer, &mut learner).expect("restore");
+        assert_slim(&restored, "snapshot restore");
+
+        let (mut trainer, mut learner) = agents();
+        let mut recovered = build(Arc::new(PartitionCache::new(&table)), &trainer, &learner);
+        let outcome = recover_session(
+            &dir,
+            journal_cfg,
+            &mut recovered,
+            &mut trainer,
+            &mut learner,
+        )
+        .expect("recover");
+        assert_eq!(outcome.snapshot_t, Some(40));
+        assert_eq!(recovered.iterations_done(), 50);
+        assert_slim(&recovered, "recovery");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     // Full snapshot/recovery behavior is covered end-to-end by
     // `tests/recovery_bit_identity.rs` (all 8 strategy kinds) and the
     // et-serve crash-injection harness.

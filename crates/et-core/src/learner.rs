@@ -302,7 +302,7 @@ mod tests {
         let cache = PartitionCache::new(&t);
         let pool = CandidatePool::build(&t, &space, 100, 1);
         let matrix = Arc::new(pool.relation_matrix(&t, &space, &cache));
-        let fresh = FreshCandidates::new(&pool, matrix, learner.shown());
+        let fresh = FreshCandidates::new(matrix, learner.shown());
         let index = ViolationIndex::build_with(&t, &space, &cache);
         Setup {
             t,
@@ -368,7 +368,7 @@ mod tests {
         assert_eq!(fresh.ids().len(), pool.len() - 1);
         let m =
             Arc::new(pool.relation_matrix(&t, learner.belief().space(), &PartitionCache::new(&t)));
-        let rebuilt = FreshCandidates::new(&pool, m, learner.shown());
+        let rebuilt = FreshCandidates::new(m, learner.shown());
         assert_eq!(rebuilt.ids(), fresh.ids());
     }
 }

@@ -20,10 +20,12 @@
 //!   The batch loop is implemented on top of it, so a step-driven session
 //!   with the same seed reproduces the batch metrics bit for bit.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use et_data::{split_rows, Table};
-use et_fd::{predict_labels, HypothesisSpace, PartitionCache, RelationMatrix, ViolationIndex};
+use et_fd::{
+    predict_labels, HypothesisSpace, PartitionCache, RelationMatrix, SampleIndexer, ViolationIndex,
+};
 use et_metrics::ConfusionMatrix;
 
 use crate::candidates::{CandidatePool, FreshCandidates};
@@ -350,7 +352,8 @@ impl PendingInteraction {
 /// present → label → update steps.
 ///
 /// The state owns its table and all derived context (held-out evaluation
-/// index, dataset-wide scoring index, candidate pool) but *not* the agents —
+/// index, dataset-wide scoring index, the candidate pool's relation
+/// matrix) but *not* the agents —
 /// the trainer and learner are passed into each step, so a server can keep
 /// them beside the state and a batch driver can keep borrowing its own.
 ///
@@ -370,18 +373,20 @@ pub struct SessionState {
     table: Table,
     space: Arc<HypothesisSpace>,
     cfg: SessionConfig,
-    /// Memoized stripped partitions of `table`, shared with whoever else
-    /// derives violation structure from it (the serve store).
+    /// The partition cache of `table`, holding after create only the
+    /// determinants' row → class lookups (the ones `indexer` shares).
     cache: Arc<PartitionCache>,
+    /// The space's determinant list: every round's sample index and the
+    /// held-out index restrict it.
+    indexer: SampleIndexer,
     test_index: ViolationIndex,
     test_dirty: Vec<bool>,
     test_eval_rows: Vec<usize>,
     score_index: ViolationIndex,
-    pool: CandidatePool,
-    /// Lazily built pair-relation matrix over the pool (round-invariant:
-    /// relations depend only on the immutable table). Shared by the batch
-    /// loop, the step API, and the serve store via `Arc`.
-    matrix: OnceLock<Arc<RelationMatrix>>,
+    /// The pair-relation matrix over the candidate pool, in pool order
+    /// (round-invariant: relations depend only on the immutable table).
+    /// Its pair list is the pool; the session keeps no other copy.
+    matrix: Arc<RelationMatrix>,
     /// The unshown pool ids and the delta scorer over `matrix`, built on
     /// the first `present` from the learner's shown set and dropped when a
     /// snapshot restores a different one. Never persisted: the shown set
@@ -430,9 +435,16 @@ impl SessionState {
     /// [`SessionState::new`] over a partition cache of `table` that the
     /// caller already holds — say, the one [`HypothesisSpace::capped_with`]
     /// scored the space through, pruned to the space's determinants — so
-    /// the session's index and pool builds reuse its partitions instead of
-    /// deriving them again. The session keeps the cache and shares it
-    /// ([`SessionState::partition_cache`]).
+    /// the session's index, pool and matrix builds reuse its partitions
+    /// instead of deriving them again.
+    ///
+    /// The builds run in order (held-out index, scoring index, candidate
+    /// pool, relation matrix), and the session then keeps only what its
+    /// rounds, snapshots and recovery read: the pool lives on as the
+    /// matrix's pair list, and the cache is slimmed once, to its
+    /// determinants' row → class lookups with no partition
+    /// ([`PartitionCache::keep_lookups`]). The session keeps that slim
+    /// cache and shares it ([`SessionState::partition_cache`]).
     ///
     /// # Errors
     /// As [`SessionState::new`].
@@ -470,14 +482,14 @@ impl SessionState {
             mask
         };
 
-        // One partition cache per session: the full-table build below warms
-        // it (when the caller has not), and every later subsample
-        // restriction (presented samples, the held-out index) reuses the
-        // partitions.
+        // One partition cache per session: the builds below warm it (when
+        // the caller has not) and share its partitions, and the
+        // determinant list holds its lookups for every later restriction.
+        let indexer = SampleIndexer::new(&table, &space, &cache);
 
         // Held-out evaluation context: violations within the test subset,
-        // derived by restricting the cached full-table partitions.
-        let test_index = ViolationIndex::build_subsample(&table, &space, &cache, &test_rows);
+        // restricted from the full-table lookups.
+        let test_index = indexer.index(&table, &test_rows);
         let test_dirty: Vec<bool> = test_rows.iter().map(|&r| dirty_rows[r]).collect();
         let test_eval_rows: Vec<usize> = (0..test_rows.len()).collect();
 
@@ -486,9 +498,16 @@ impl SessionState {
         let score_index = ViolationIndex::build_with(&table, &space, &cache);
 
         // Candidate pool restricted to training rows; enumerated from the
-        // cached partitions (bit-identical to the raw group_by scan).
+        // cached partitions (bit-identical to the raw group_by scan). The
+        // matrix holds its pairs in pool order, so the pool is dropped.
         let mut pool = CandidatePool::build_with(&table, &space, &cache, cfg.pool_cap, cfg.seed);
         pool.retain_rows(&in_train);
+        let matrix = Arc::new(pool.relation_matrix(&table, &space, &cache));
+        drop(pool);
+
+        // Rounds read only the determinants' lookups, through `indexer`.
+        let determinants = space.distinct_lhs();
+        cache.keep_lookups(|attrs| determinants.contains(&attrs));
 
         let prev_trainer = trainer.confidences();
         let prev_learner = learner.confidences();
@@ -499,12 +518,12 @@ impl SessionState {
             space,
             cfg,
             cache,
+            indexer,
             test_index,
             test_dirty,
             test_eval_rows,
             score_index,
-            pool,
-            matrix: OnceLock::new(),
+            matrix,
             fresh: None,
             metrics,
             history,
@@ -601,29 +620,25 @@ impl SessionState {
         &self.space
     }
 
-    /// The session's partition cache: memoized stripped partitions of
-    /// [`SessionState::table`]. Share it with anything else indexing the
-    /// same table.
+    /// The session's partition cache of [`SessionState::table`]. After
+    /// create it holds only the space's determinants' row → class lookups,
+    /// no partition: a caller that asks it for a partition pays for the
+    /// build and grows the session's memory.
     pub fn partition_cache(&self) -> &Arc<PartitionCache> {
         &self.cache
     }
 
     /// The violation index of `sample` (distinct row ids) over the space:
-    /// the cached full-table partitions restricted to the sample's rows.
+    /// the determinants' full-table lookups restricted to the sample's
+    /// rows.
     pub(crate) fn sample_index(&self, sample: &[usize]) -> ViolationIndex {
-        ViolationIndex::build_subsample(&self.table, &self.space, &self.cache, sample)
+        self.indexer.index(&self.table, sample)
     }
 
     /// The round-invariant pair-relation matrix over the candidate pool,
-    /// built on first use (strategy scoring, serve-store prewarming) and
-    /// shared from then on.
+    /// built at create: its pair ids are pool ids.
     pub fn relation_matrix(&self) -> Arc<RelationMatrix> {
-        Arc::clone(self.matrix.get_or_init(|| {
-            Arc::new(
-                self.pool
-                    .relation_matrix(&self.table, &self.space, &self.cache),
-            )
-        }))
+        Arc::clone(&self.matrix)
     }
 
     /// The configuration.
@@ -671,10 +686,9 @@ impl SessionState {
         if self.is_complete() {
             return Ok(None);
         }
-        let matrix = self.relation_matrix();
         let fresh = self
             .fresh
-            .get_or_insert_with(|| FreshCandidates::new(&self.pool, matrix, learner.shown()));
+            .get_or_insert_with(|| FreshCandidates::new(Arc::clone(&self.matrix), learner.shown()));
         let (pairs, h_policy) =
             learner.select(fresh, &self.score_index, self.cfg.pairs_per_iteration);
         if pairs.is_empty() {
@@ -1448,7 +1462,7 @@ mod tests {
 #[cfg(test)]
 mod oracle {
     use et_belief::Belief;
-    use et_data::Table;
+    use et_data::{split_rows, Table};
     use et_fd::{
         binary_entropy, tuple_dirty_prob_with, DetectParams, PairRelation, SpaceRelations,
         ViolationIndex,
@@ -1459,6 +1473,7 @@ mod oracle {
 
     use super::tests::{agents_with, fixture};
     use super::{SessionConfig, SessionState};
+    use crate::candidates::CandidatePool;
     use crate::game::PairExample;
     use crate::learner::Learner;
     use crate::payoff::{example_confidence, example_uncertainty, policy_entropy};
@@ -1655,12 +1670,26 @@ mod oracle {
         }
     }
 
+    /// The session's candidate pool, enumerated again from its table,
+    /// space and config: the training-row pairs, in pool order. The
+    /// session keeps them only as its matrix's pair list.
+    fn oracle_pool(st: &SessionState) -> CandidatePool {
+        let n = st.table.nrows();
+        let (train, _) = split_rows(n, st.cfg.test_frac, st.cfg.seed);
+        let mut in_train = vec![false; n];
+        for r in train {
+            in_train[r] = true;
+        }
+        let mut pool = CandidatePool::build(&st.table, &st.space, st.cfg.pool_cap, st.cfg.seed);
+        pool.retain_rows(&in_train);
+        pool
+    }
+
     /// One oracle round on `twin` (a clone of the live learner): the fresh
     /// pairs by shown-set filter, the policy entropy from the first pass, the
     /// picks from the second. Advances `twin`'s RNG exactly as the round does.
     fn oracle_round(st: &SessionState, twin: &mut Learner) -> (Vec<PairExample>, f64) {
-        let fresh: Vec<PairExample> = st
-            .pool
+        let fresh: Vec<PairExample> = oracle_pool(st)
             .pairs()
             .iter()
             .copied()
@@ -1734,7 +1763,8 @@ mod oracle {
                     }
                     rounds += 1;
                 }
-                let drained = (learner.shown().len() == st.pool.len()).then_some(st.pool.len());
+                let pool = oracle_pool(&st).len();
+                let drained = (learner.shown().len() == pool).then_some(pool);
                 out.push((rounds, drained));
             }
         }
@@ -1799,7 +1829,7 @@ mod oracle {
                     )
                     .expect("valid config")
                 };
-                let pool = new_state(small_pool.clone()).pool.len();
+                let pool = oracle_pool(&new_state(small_pool.clone())).len();
                 let mut st = new_state(SessionConfig {
                     iterations: 2,
                     pairs_per_iteration: pool - 1,

@@ -156,11 +156,6 @@ impl FpTrainer {
     pub fn belief(&self) -> &Belief {
         &self.belief
     }
-
-    /// Tuples observed so far.
-    pub fn tuples_seen(&self) -> usize {
-        self.memory.len()
-    }
 }
 
 impl Trainer for FpTrainer {

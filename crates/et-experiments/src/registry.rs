@@ -994,7 +994,7 @@ fn run_fig2_participants(opts: &RunOptions) -> ExperimentOutput {
 fn run_drift(opts: &RunOptions) -> ExperimentOutput {
     use et_core::trainer::Trainer;
     use et_core::{sample_rows, CandidatePool, FreshCandidates, Learner};
-    use et_fd::{PartitionCache, ViolationIndex};
+    use et_fd::{PartitionCache, SampleIndexer, ViolationIndex};
 
     /// One table phase's fresh candidates: the pool's ids not yet shown to
     /// the learner, scored over the phase's relation matrix.
@@ -1006,7 +1006,7 @@ fn run_drift(opts: &RunOptions) -> ExperimentOutput {
         learner: &Learner,
     ) -> FreshCandidates {
         let matrix = Arc::new(pool.relation_matrix(table, space, cache));
-        FreshCandidates::new(pool, matrix, learner.shown())
+        FreshCandidates::new(matrix, learner.shown())
     }
 
     let iterations = opts.iterations.max(45);
@@ -1055,12 +1055,14 @@ fn run_drift(opts: &RunOptions) -> ExperimentOutput {
 
         // Hand-rolled loop so the table can mutate mid-session. Each table
         // phase shares one partition cache: the index build warms it, and
-        // each round's sample index, handed to the trainer, restricts it.
+        // each round's sample index, handed to the trainer, restricts the
+        // phase's determinant list.
         let mut table = ds.table.clone();
         let mut cache = Arc::new(PartitionCache::new(&table));
         let pool = CandidatePool::build_with(&table, &space, &cache, 4000, 1);
         let mut fresh = phase_candidates(&table, &space, &cache, &pool, &learner);
         let mut index = ViolationIndex::build_with(&table, &space, &cache);
+        let mut indexer = SampleIndexer::new(&table, &space, &cache);
         let mut pre_shift_mae = 0.0;
         let mut post_shift_mae = 0.0;
         for t in 0..iterations {
@@ -1082,13 +1084,14 @@ fn run_drift(opts: &RunOptions) -> ExperimentOutput {
                 let pool = CandidatePool::build_with(&table, &space, &cache, 4000, 2);
                 fresh = phase_candidates(&table, &space, &cache, &pool, &learner);
                 index = ViolationIndex::build_with(&table, &space, &cache);
+                indexer = SampleIndexer::new(&table, &space, &cache);
             }
             let (pairs, _) = learner.select(&mut fresh, &index, 5);
             if pairs.is_empty() {
                 break;
             }
             let sample = sample_rows(&pairs, table.nrows());
-            let sample_index = ViolationIndex::build_subsample(&table, &space, &cache, &sample);
+            let sample_index = indexer.index(&table, &sample);
             let labels = trainer.respond(&table, &sample, &sample_index);
             learner.absorb_interaction(&table, &pairs, &sample, &labels);
             let mae = et_core::session::mae(&trainer.confidences(), &learner.confidences());

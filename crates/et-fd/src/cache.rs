@@ -14,7 +14,12 @@
 //! * [`PartitionCache::row_classes`] — the row → stripped-class lookup that
 //!   makes *subsample restriction* O(|sample|): a cached full-table
 //!   partition restricted to a sample's rows never re-hashes the table
-//!   (see [`crate::violations::ViolationIndex::build_subsample`]).
+//!   (see [`crate::violations::SampleIndexer`]).
+//!
+//! A session needs partitions only while it builds its indexes, pool and
+//! relation matrix; its rounds read only the determinants' lookups.
+//! [`PartitionCache::keep_lookups`] shrinks a cache to those once the
+//! builds are done.
 //!
 //! Concurrency: the cache is `Sync` (a session shares its cache through an
 //! `Arc`, and sessions move between server workers); lookups take a
@@ -32,7 +37,7 @@ use crate::attrset::AttrSet;
 use crate::partitions::StrippedPartition;
 
 /// Sentinel class id for rows stripped out of a partition (singleton rows).
-pub const NO_CLASS: usize = usize::MAX;
+pub const NO_CLASS: u32 = u32::MAX;
 
 /// Memoized stripped partitions (and row → class lookups) of one table.
 ///
@@ -44,7 +49,7 @@ pub const NO_CLASS: usize = usize::MAX;
 pub struct PartitionCache {
     n_rows: usize,
     parts: Mutex<HashMap<AttrSet, Arc<StrippedPartition>>>,
-    owners: Mutex<HashMap<AttrSet, Arc<Vec<usize>>>>,
+    owners: Mutex<HashMap<AttrSet, Arc<Vec<u32>>>>,
 }
 
 /// Locks a cache map, recovering the data on poisoning (all writes are
@@ -71,14 +76,22 @@ impl PartitionCache {
         self.n_rows
     }
 
-    /// Number of distinct attribute sets currently memoized.
+    /// Number of stripped partitions currently memoized.
     pub fn len(&self) -> usize {
         lock(&self.parts).len()
     }
 
-    /// True when nothing has been memoized yet.
+    /// True when no partition is memoized.
     pub fn is_empty(&self) -> bool {
         lock(&self.parts).is_empty()
+    }
+
+    /// The attribute sets whose row → class lookups are memoized, in
+    /// ascending order.
+    pub fn lookup_sets(&self) -> Vec<AttrSet> {
+        let mut sets: Vec<AttrSet> = lock(&self.owners).keys().copied().collect();
+        sets.sort_unstable();
+        sets
     }
 
     /// The stripped partition of `attrs` over `table`, memoized.
@@ -138,6 +151,21 @@ impl PartitionCache {
         owners.shrink_to_fit();
     }
 
+    /// Drops every memoized partition, and every row → class lookup whose
+    /// attribute set fails `keep`.
+    ///
+    /// A session calls this once its builds are done: its rounds restrict
+    /// the determinants' lookups and never read a partition, so a live
+    /// session holds `4·n_rows` bytes per determinant and nothing else.
+    pub fn keep_lookups(&self, keep: impl Fn(AttrSet) -> bool) {
+        let mut parts = lock(&self.parts);
+        *parts = HashMap::new();
+        drop(parts);
+        let mut owners = lock(&self.owners);
+        owners.retain(|&attrs, _| keep(attrs));
+        owners.shrink_to_fit();
+    }
+
     /// The row → stripped-class lookup of `attrs` over `table`, memoized:
     /// `lookup[row]` is the index of the row's class in
     /// [`PartitionCache::partition`]`(table, attrs).classes()`, or
@@ -146,13 +174,15 @@ impl PartitionCache {
     ///
     /// # Panics
     /// Panics when `table` does not match the cache's row count.
-    pub fn row_classes(&self, table: &Table, attrs: AttrSet) -> Arc<Vec<usize>> {
+    pub fn row_classes(&self, table: &Table, attrs: AttrSet) -> Arc<Vec<u32>> {
         if let Some(o) = lock(&self.owners).get(&attrs) {
             return Arc::clone(o);
         }
         let part = self.partition(table, attrs);
         let mut owner = vec![NO_CLASS; self.n_rows];
-        for (ci, class) in part.classes().enumerate() {
+        // Classes hold two rows or more, so their ids stay below the
+        // `u32` row ids' range and never reach the sentinel.
+        for (ci, class) in (0u32..).zip(part.classes()) {
             for &r in class {
                 // Class rows are < n_rows: `partition` asserted the table.
                 if let Some(slot) = owner.get_mut(r as usize) {
@@ -201,7 +231,7 @@ mod tests {
         let part = cache.partition(&t, attrs);
         let owners = cache.row_classes(&t, attrs);
         assert_eq!(owners.len(), t.nrows());
-        for (ci, class) in part.classes().enumerate() {
+        for (ci, class) in (0u32..).zip(part.classes()) {
             for &r in class {
                 assert_eq!(owners[r as usize], ci);
             }

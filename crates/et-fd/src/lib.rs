@@ -50,5 +50,5 @@ pub use partitions::StrippedPartition;
 pub use relmatrix::{violation_factors, violation_factors_into, PairScores, RelationMatrix};
 pub use space::HypothesisSpace;
 pub use violations::{
-    cell_violations, pair_relation, PairRelation, SpaceRelations, ViolationIndex,
+    cell_violations, pair_relation, PairRelation, SampleIndexer, SpaceRelations, ViolationIndex,
 };

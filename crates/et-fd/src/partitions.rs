@@ -8,7 +8,10 @@
 use et_data::{AttrId, Table};
 
 use crate::attrset::AttrSet;
-use crate::cache::NO_CLASS;
+
+/// Sentinel for a symbol whose class has not opened yet, or a first row
+/// that opens no class.
+const UNSET: usize = usize::MAX;
 
 /// A *stripped* partition: the equivalence classes of rows agreeing on some
 /// attribute set, with singleton classes removed.
@@ -46,7 +49,7 @@ impl StrippedPartition {
         }
         let kept: usize = count.iter().filter(|&&c| c >= 2).map(|&c| c as usize).sum();
         // Per symbol: the next write position in `rows` once its class opens.
-        let mut cursor = vec![NO_CLASS; count.len()];
+        let mut cursor = vec![UNSET; count.len()];
         let mut rows = vec![0u32; kept];
         let mut bounds = vec![0];
         let mut end = 0;
@@ -55,7 +58,7 @@ impl StrippedPartition {
             if count[s] < 2 {
                 continue;
             }
-            if cursor[s] == NO_CLASS {
+            if cursor[s] == UNSET {
                 cursor[s] = end;
                 end += count[s] as usize;
                 bounds.push(end);
@@ -144,7 +147,7 @@ impl StrippedPartition {
         let slot = |r: u32| syms[r as usize] as usize;
         let mut count = vec![0u32; table.dict_len(attr)];
         // Per symbol: the next write position of its split once opened.
-        let mut cursor = vec![NO_CLASS; count.len()];
+        let mut cursor = vec![UNSET; count.len()];
         // Rows of no split are written to one spare slot past the end, so
         // the placement walk stores every row without branching on it.
         let spare = self.rows.len();
@@ -162,30 +165,30 @@ impl StrippedPartition {
                 let k = slot(r);
                 let c = count[k] as usize;
                 let kept = c >= 2;
-                let open = kept && cursor[k] == NO_CLASS;
+                let open = kept && cursor[k] == UNSET;
                 let start = if open { end } else { cursor[k] };
                 spans[n_spans] = (end, end + c);
                 n_spans += usize::from(open);
                 end += if open { c } else { 0 };
                 split[if kept { start } else { spare }] = r;
-                cursor[k] = if kept { start + 1 } else { NO_CLASS };
+                cursor[k] = if kept { start + 1 } else { UNSET };
             }
             for &r in class {
                 let k = slot(r);
                 count[k] = 0;
-                cursor[k] = NO_CLASS;
+                cursor[k] = UNSET;
             }
         }
         spans.truncate(n_spans);
         // Span id by first row; first rows are distinct.
-        let mut by_first = vec![NO_CLASS; self.n_rows];
+        let mut by_first = vec![UNSET; self.n_rows];
         for (i, &(start, _)) in spans.iter().enumerate() {
             by_first[split[start] as usize] = i;
         }
         let mut rows = Vec::with_capacity(end);
         let mut bounds = Vec::with_capacity(spans.len() + 1);
         bounds.push(0);
-        for &i in by_first.iter().filter(|&&i| i != NO_CLASS) {
+        for &i in by_first.iter().filter(|&&i| i != UNSET) {
             let (start, stop) = spans[i];
             rows.extend_from_slice(&split[start..stop]);
             bounds.push(rows.len());

@@ -26,15 +26,17 @@
 //!
 //! # PLI-based derivation
 //!
-//! Relations are derived from the [`PartitionCache`]'s row → class owner
+//! LHS agreement is read from the [`PartitionCache`]'s row → class owner
 //! arrays, not from raw cells: two rows agree on an attribute set iff they
 //! share a (non-[`NO_CLASS`]) stripped-partition class — a stripped row's
 //! value combination is unique to it, so [`NO_CLASS`] rows agree with no
-//! other row. The same argument applies to the single-attribute RHS
-//! partition, so both halves of [`pair_relation`](crate::pair_relation) reduce to two array
-//! lookups per FD. The per-FD owner arrays are memoized in the shared
-//! cache, so a session pays for each distinct LHS once across the matrix,
-//! every [`crate::ViolationIndex`] build, and the trainer's restrictions.
+//! other row. The owner arrays are memoized in the shared cache, so a
+//! session pays for each distinct LHS once across the matrix, every
+//! [`crate::ViolationIndex`] build and the candidate pool. RHS agreement is
+//! one attribute, so two distinct rows agree on it iff their dictionary
+//! symbols are equal: the matrix compares the column's symbols and adds no
+//! RHS lookup to the cache. Both halves of
+//! [`pair_relation`](crate::pair_relation) reduce to array reads per FD.
 //!
 //! # Violation classes
 //!
@@ -59,7 +61,6 @@ use std::sync::Arc;
 
 use et_data::Table;
 
-use crate::attrset::AttrSet;
 use crate::cache::{PartitionCache, NO_CLASS};
 use crate::detect::DetectParams;
 use crate::space::HypothesisSpace;
@@ -75,9 +76,6 @@ const CODE_VIOLATES: u64 = 0b10;
 const VIOLATES_MASK: u64 = 0xAAAA_AAAA_AAAA_AAAA;
 /// Low bit of every 2-bit lane: the per-word satisfied-FD mask.
 pub(crate) const SATISFIES_MASK: u64 = 0x5555_5555_5555_5555;
-
-/// One FD's cached row→class owner arrays: LHS set and single-attr RHS.
-type OwnerPair = (Arc<Vec<usize>>, Arc<Vec<usize>>);
 
 /// Precomputed [`PairRelation`]s of a fixed (table, space, pair-list)
 /// triple, 2-bit packed, with batch noisy-OR scoring over the packed words.
@@ -233,29 +231,23 @@ impl RelationMatrix {
     ) -> Self {
         let n_fds = space.len();
         let words_per_pair = n_fds.div_ceil(FDS_PER_WORD);
-        // Per-FD owner arrays: row → stripped-class id for the LHS set and
-        // the single-attribute RHS. Memoized in the shared cache, so FDs
-        // with a common determinant share one lookup.
-        let owners: Vec<OwnerPair> = space
+        // Per FD: the LHS set's row → stripped-class ids, memoized in the
+        // shared cache so FDs with a common determinant share one lookup,
+        // and the RHS column's symbols.
+        let owners: Vec<(Arc<Vec<u32>>, &[u32])> = space
             .fds()
             .iter()
-            .map(|fd| {
-                (
-                    cache.row_classes(table, fd.lhs),
-                    cache.row_classes(table, AttrSet::singleton(fd.rhs)),
-                )
-            })
+            .map(|fd| (cache.row_classes(table, fd.lhs), table.syms(fd.rhs)))
             .collect();
         let mut words = vec![0u64; pairs.len() * words_per_pair];
         for (pi, &(a, b)) in pairs.iter().enumerate() {
             let base = pi * words_per_pair;
-            for (fi, (lhs_owner, rhs_owner)) in owners.iter().enumerate() {
+            for (fi, (lhs_owner, rhs_syms)) in owners.iter().enumerate() {
                 let la = lhs_owner[a];
                 if la == NO_CLASS || la != lhs_owner[b] {
                     continue; // Irrelevant = 0b00, words start zeroed.
                 }
-                let ra = rhs_owner[a];
-                let code = if ra != NO_CLASS && ra == rhs_owner[b] {
+                let code = if rhs_syms[a] == rhs_syms[b] {
                     CODE_SATISFIES
                 } else {
                     CODE_VIOLATES

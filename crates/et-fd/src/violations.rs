@@ -11,6 +11,7 @@
 //! * the g1 statistics ([`ViolationIndex::g1`]).
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use et_data::{AttrId, Table};
 
@@ -330,18 +331,11 @@ impl ViolationIndex {
     }
 
     /// Builds the index of the *subsample* `rows` (distinct global row ids,
-    /// in presentation order) without re-hashing: each cached full-table
-    /// partition is restricted to the sample in `O(|rows| log |rows|)` via
-    /// the row → class lookup. The result is indexed by *local* position
-    /// (`rows[i]` is local row `i`) and is bit-identical to
-    /// `ViolationIndex::build(&table.subset(rows), space)` — a row stripped
-    /// from a full-table partition agrees with no other row on that
-    /// determinant, so it cannot form a class inside any subsample.
-    ///
-    /// Per determinant, the sample's `(class, local)` pairs are sorted in
-    /// one reused buffer and each run of equal classes is one class of the
-    /// subsample: classes come in ascending class id, members in ascending
-    /// local id, the order every other builder counts in.
+    /// in presentation order) from the cached full-table partitions: a
+    /// one-off [`SampleIndexer`] over `cache`. The result is indexed by
+    /// *local* position (`rows[i]` is local row `i`) and is bit-identical
+    /// to `ViolationIndex::build(&table.subset(rows), space)`. A caller
+    /// that indexes many samples of one table builds the indexer once.
     ///
     /// # Panics
     /// Panics when `table` does not match the cache's row count or a row id
@@ -353,34 +347,7 @@ impl ViolationIndex {
         cache: &PartitionCache,
         rows: &[usize],
     ) -> Self {
-        let k = rows.len();
-        let mut out = Self::empty(k, space.len(), k as u64);
-        let mut scratch = ClassScratch::default();
-        let mut keyed: Vec<(usize, usize)> = Vec::with_capacity(k);
-        let mut members: Vec<usize> = Vec::with_capacity(k);
-        for (lhs, fds) in fds_by_lhs(space) {
-            let owners = cache.row_classes(table, lhs);
-            keyed.clear();
-            keyed.extend(
-                rows.iter()
-                    .enumerate()
-                    .map(|(local, &global)| (owners[global], local))
-                    .filter(|&(class, _)| class != NO_CLASS),
-            );
-            // Locals are distinct, so the pairs are too: the unstable sort
-            // is deterministic.
-            keyed.sort_unstable();
-            for &(fi, rhs) in &fds {
-                let sym = |local: usize| table.sym(rows[local], rhs);
-                // A one-member run is a sample singleton: no pairs, no code.
-                for run in keyed.chunk_by(|x, y| x.0 == y.0).filter(|r| r.len() > 1) {
-                    members.clear();
-                    members.extend(run.iter().map(|&(_, local)| local));
-                    out.index_class(fi, &members, &sym, &mut scratch);
-                }
-            }
-        }
-        out
+        SampleIndexer::new(table, space, cache).index(table, rows)
     }
 
     /// Number of rows indexed.
@@ -420,6 +387,95 @@ impl ViolationIndex {
     /// All pair statistics, FD-indexed.
     pub fn stats(&self) -> &[G1] {
         &self.stats
+    }
+}
+
+/// One determinant of a space: its row → stripped-class lookup and the
+/// `(FD id, RHS)` of every FD it determines.
+#[derive(Debug)]
+struct Determinant {
+    classes: Arc<Vec<u32>>,
+    fds: Vec<(usize, AttrId)>,
+}
+
+/// A space's determinant list over one table, for indexing samples of it:
+/// per distinct LHS, its row → class lookup (the `Arc` the
+/// [`PartitionCache`] memoizes, so no lookup is copied) and its FDs.
+///
+/// The list is fixed for a (table, space), so a session builds it once and
+/// each [`SampleIndexer::index`] call only restricts: no FD grouping and
+/// no cache lock per sample.
+#[derive(Debug)]
+pub struct SampleIndexer {
+    n_fds: usize,
+    determinants: Vec<Determinant>,
+}
+
+impl SampleIndexer {
+    /// The determinant list of `space` over `table`, with each lookup
+    /// taken from (and memoized in) `cache`.
+    ///
+    /// # Panics
+    /// Panics when `table` does not match the cache's row count.
+    pub fn new(table: &Table, space: &HypothesisSpace, cache: &PartitionCache) -> Self {
+        let determinants = fds_by_lhs(space)
+            .into_iter()
+            .map(|(lhs, fds)| Determinant {
+                classes: cache.row_classes(table, lhs),
+                fds,
+            })
+            .collect();
+        Self {
+            n_fds: space.len(),
+            determinants,
+        }
+    }
+
+    /// The index of the *subsample* `rows` (distinct global row ids, in
+    /// presentation order), restricted from the full-table lookups in
+    /// `O(|rows| log |rows|)` per determinant without re-hashing. The
+    /// result is indexed by *local* position (`rows[i]` is local row `i`)
+    /// and is bit-identical to `ViolationIndex::build(&table.subset(rows),
+    /// space)`: a row stripped from a full-table partition agrees with no
+    /// other row on that determinant, so it cannot form a class inside any
+    /// subsample.
+    ///
+    /// Per determinant, the sample's `(class, local)` pairs are sorted in
+    /// one reused buffer and each run of equal classes is one class of the
+    /// subsample: classes come in ascending class id, members in ascending
+    /// local id, the order every other builder counts in.
+    ///
+    /// # Panics
+    /// Panics when a row id is out of the indexer's table. `rows` must not
+    /// contain duplicates (presented samples never do).
+    pub fn index(&self, table: &Table, rows: &[usize]) -> ViolationIndex {
+        let k = rows.len();
+        let mut out = ViolationIndex::empty(k, self.n_fds, k as u64);
+        let mut scratch = ClassScratch::default();
+        let mut keyed: Vec<(u32, usize)> = Vec::with_capacity(k);
+        let mut members: Vec<usize> = Vec::with_capacity(k);
+        for det in &self.determinants {
+            keyed.clear();
+            keyed.extend(
+                rows.iter()
+                    .enumerate()
+                    .map(|(local, &global)| (det.classes[global], local))
+                    .filter(|&(class, _)| class != NO_CLASS),
+            );
+            // Locals are distinct, so the pairs are too: the unstable sort
+            // is deterministic.
+            keyed.sort_unstable();
+            for &(fi, rhs) in &det.fds {
+                let sym = |local: usize| table.sym(rows[local], rhs);
+                // A one-member run is a sample singleton: no pairs, no code.
+                for run in keyed.chunk_by(|x, y| x.0 == y.0).filter(|r| r.len() > 1) {
+                    members.clear();
+                    members.extend(run.iter().map(|&(_, local)| local));
+                    out.index_class(fi, &members, &sym, &mut scratch);
+                }
+            }
+        }
+        out
     }
 }
 

@@ -333,9 +333,6 @@ fn build_session(id: u64, spec: &CreateSessionSpec, seed: u64) -> Result<Box<Liv
         &parts.learner,
     )
     .map_err(|e| e.to_string())?;
-    // Prebuild the round-invariant relation matrix so the first next_pairs
-    // pays scoring cost only, not matrix setup.
-    let _ = state.relation_matrix();
     Ok(Box::new(LiveSession {
         id,
         seed,

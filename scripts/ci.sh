@@ -105,7 +105,11 @@ echo "==> bench harness compiles + bench_json smoke (quick profile)"
 # at start (store construction plus recover_from_disk) must stay at least
 # 10x faster than the same start followed by one status per session, which
 # revives each (every revived status is checked against its pre-restart
-# bytes first); readiness must not wait on the sessions' rebuilds.
+# bytes first); readiness must not wait on the sessions' rebuilds. And it
+# gates a session's memory: the heap bytes one served Hospital-1000 session
+# keeps at round 300, counted by the binary's allocator, must let at least
+# 1890 such sessions fit in a GiB. The count is deterministic, so the floor
+# sits just under the recorded value and may only rise.
 cargo build -q --release -p et-bench --benches --bins
 BENCH_OUT="$(mktemp /tmp/et-bench-substrate.XXXXXX.json)"
 if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
@@ -122,6 +126,7 @@ if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
   --gate policy_class_vs_candidate_speedup:2 \
   --gate status_encode_cached_vs_full_speedup:2 \
   --gate restart_ready_vs_revive_all_speedup:10 \
+  --gate sessions_per_gib_round300:1890 \
   || [ ! -s "$BENCH_OUT" ]; then
   echo "FATAL: bench_json failed to produce $BENCH_OUT or a gate failed" >&2
   echo "       (baseline unregenerable, delta rescoring lost to a full rescore," >&2
@@ -135,7 +140,8 @@ if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
   echo "        the counter-walk prior lost its 3x lead over the sorted one," >&2
   echo "        the class-keyed policy lost its 2x lead over the per-candidate one," >&2
   echo "        the cached-history status lost its 2x lead over the full encode, or" >&2
-  echo "        registering journaled sessions lost its 10x lead over reviving them all)" >&2
+  echo "        registering journaled sessions lost its 10x lead over reviving them all," >&2
+  echo "        or a served Hospital-1000 session at round 300 grew past 1 GiB / 1890)" >&2
   exit 1
 fi
 rm -f "$BENCH_OUT"
@@ -211,7 +217,7 @@ tsan_probe() {
 }
 if tsan_probe; then
   echo "==> ThreadSanitizer: et-serve server integration suite"
-  # Suppressions cover two known false-positive classes of the prebuilt
+  # Suppressions cover the known false-positive classes of the prebuilt
   # (uninstrumented) std — see scripts/tsan-suppressions.txt. With rust-src
   # installed, dropping them and adding -Zbuild-std is the stronger run.
   TSAN_TARGET="$(rustup run nightly rustc -vV | sed -n 's/^host: //p')"
