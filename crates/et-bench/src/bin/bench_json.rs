@@ -18,9 +18,11 @@
 //! ran second. A derived speedup below 1.0 is flagged `"regressed": true`
 //! in the emitted JSON and `--gate` turns any such floor into an exit code.
 //!
-//! The binary also counts heap bytes: its global allocator tracks the live
-//! total, and the `session_heap_kb_*` rows read what one served session
-//! keeps. Those rows are counts, not timings, and do not vary run to run.
+//! The binary also counts heap bytes and allocations: its global allocator
+//! tracks the live total and tallies every allocation call, the
+//! `session_heap_kb_*` rows read what one served session keeps, and the
+//! `round_allocs_*` rows read how often a steady round's phases allocate.
+//! Those rows are counts, not timings, and do not vary run to run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::{HashMap, HashSet};
@@ -41,7 +43,7 @@ use et_data::{inject_errors, InjectConfig, Table};
 use et_durable::{FsyncPolicy, Wal};
 use et_fd::{
     pair_dirty_probs_with, predict_labels, DeltaScorer, DetectParams, Fd, HypothesisSpace,
-    PairScores, PartitionCache, RelationMatrix, ViolationIndex, G1,
+    PairScores, PartitionCache, RelationMatrix, ViolationIndex, G1, NO_CLASS,
 };
 use et_serve::{
     build_parts, CreateSessionSpec, Json, MaeHistory, Response, SessionStore, StatusReply,
@@ -50,11 +52,15 @@ use et_serve::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The system allocator, counting the bytes currently allocated.
+/// The system allocator, counting the bytes currently allocated and the
+/// allocation calls made.
 struct CountingAlloc;
 
 /// Bytes allocated and not yet freed, over the whole process.
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// Calls to `alloc`, `alloc_zeroed` and `realloc`, over the whole process.
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every method forwards to `System` with the caller's arguments
 // unchanged and only updates a counter besides, so `System`'s guarantees
@@ -63,6 +69,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: forwarded as is; the caller upholds `alloc`'s contract.
         let p = unsafe { System.alloc(layout) };
+        ALLOCS.fetch_add(1, Ordering::Relaxed); // ord: Relaxed, a tally read only after the counted work returns
         if !p.is_null() {
             LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed); // ord: Relaxed, a tally read only after the counted work returns
         }
@@ -72,6 +79,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         // SAFETY: forwarded as is; the caller upholds `alloc_zeroed`'s contract.
         let p = unsafe { System.alloc_zeroed(layout) };
+        ALLOCS.fetch_add(1, Ordering::Relaxed); // ord: Relaxed, a tally read only after the counted work returns
         if !p.is_null() {
             LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed); // ord: Relaxed, a tally read only after the counted work returns
         }
@@ -87,6 +95,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // SAFETY: forwarded as is; the caller upholds `realloc`'s contract.
         let p = unsafe { System.realloc(ptr, layout, new_size) };
+        ALLOCS.fetch_add(1, Ordering::Relaxed); // ord: Relaxed, a tally read only after the counted work returns
         if !p.is_null() {
             LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed); // ord: Relaxed, a tally read only after the counted work returns
             LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed); // ord: Relaxed, a tally read only after the counted work returns
@@ -101,6 +110,11 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// Heap bytes allocated and not yet freed, process-wide.
 fn live_bytes() -> usize {
     LIVE_BYTES.load(Ordering::Relaxed) // ord: Relaxed, read on the thread that did the counted work
+}
+
+/// Allocation calls made so far, process-wide.
+fn allocs() -> usize {
+    ALLOCS.load(Ordering::Relaxed) // ord: Relaxed, read on the thread that did the counted work
 }
 
 /// Wall-clock stats of one bench, in seconds.
@@ -990,43 +1004,146 @@ fn pool_build_hashset(
     reservoir
 }
 
-/// The candidate pool of a served Hospital-1000 create (session seed
-/// 1001, the session's pool cap and seed), built over a cache warmed the
-/// way `SessionState::new` warms it — every determinant's partition and
-/// row classes memoized — against the hash-set enumeration it replaced.
-/// Both sides are interleaved; their pools are checked equal before
-/// timing.
-fn candidate_pool_benches(quick: bool) -> Vec<BenchStats> {
-    let (warmup, iters) = if quick { (2, 10) } else { (3, 25) };
+/// The candidate-pool enumeration with the per-pair first-visit test on
+/// every class: each pair probes the row→class lookups of the earlier
+/// determinants, with row `a`'s classes read once per `a`. Kept inline as
+/// the baseline of `pool_build_wordmask_vs_pairwise_speedup` and
+/// `pool_build_small_class_parity`.
+fn pool_build_pairwise(
+    table: &Table,
+    space: &HypothesisSpace,
+    cache: &PartitionCache,
+    max_pairs: usize,
+    seed: u64,
+) -> Vec<PairExample> {
+    let mut reservoir: Vec<PairExample> = Vec::new();
+    let mut n_seen = 0usize;
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x853c_49e6_748f_ea9b);
+    let lhss = space.distinct_lhs();
+    let row_classes: Vec<Arc<Vec<u32>>> = lhss
+        .iter()
+        .map(|&lhs| cache.row_classes(table, lhs))
+        .collect();
+    let mut a_classes: Vec<(&[u32], u32)> = Vec::with_capacity(lhss.len());
+    for (k, &lhs) in lhss.iter().enumerate() {
+        let earlier = &row_classes[..k];
+        let part = cache.partition(table, lhs);
+        for group in part.classes() {
+            for (i, &a) in group.iter().enumerate() {
+                a_classes.clear();
+                a_classes.extend(
+                    earlier
+                        .iter()
+                        .map(|owners| (owners.as_slice(), owners[a as usize]))
+                        .filter(|&(_, class)| class != NO_CLASS),
+                );
+                for &b in &group[i + 1..] {
+                    if a_classes
+                        .iter()
+                        .any(|&(owners, class)| owners[b as usize] == class)
+                    {
+                        continue;
+                    }
+                    let p = PairExample::new(a as usize, b as usize);
+                    n_seen += 1;
+                    if reservoir.len() < max_pairs {
+                        reservoir.push(p);
+                    } else {
+                        let j = rng.gen_range(0..n_seen);
+                        if j < max_pairs {
+                            reservoir[j] = p;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    reservoir.sort_unstable();
+    reservoir
+}
+
+/// The table, space, pool cap and pool seed of a served create (session
+/// seed 1001), with a cache warmed the way `SessionState::new` warms it:
+/// every determinant's partition and row classes memoized.
+fn served_pool_case(
+    dataset: DatasetName,
+    rows: usize,
+) -> (Table, Arc<HypothesisSpace>, PartitionCache, usize, u64) {
     let spec = CreateSessionSpec {
-        dataset: DatasetName::Hospital,
-        rows: 1000,
+        dataset,
+        rows,
         ..CreateSessionSpec::default()
     };
     let parts = match build_parts(&spec, 1001) {
         Ok(p) => p,
-        Err(e) => fail("build Hospital-1000 session", e),
+        Err(e) => fail("build a served session", e),
     };
-    let (table, space) = (&parts.table, &parts.space);
+    let cache = PartitionCache::new(&parts.table);
+    for lhs in parts.space.distinct_lhs() {
+        let _ = cache.row_classes(&parts.table, lhs);
+    }
     let (cap, seed) = (parts.cfg.pool_cap, parts.cfg.seed);
-    let cache = PartitionCache::new(table);
-    for lhs in space.distinct_lhs() {
-        let _ = cache.row_classes(table, lhs);
+    (parts.table, parts.space, cache, cap, seed)
+}
+
+/// The candidate pool of a served Hospital-1000 create, whose large
+/// classes take the word-parallel first-visit test, against the per-pair
+/// test on every class and the hash-set enumeration before both; and the
+/// pool of a served OMDB-160 create, whose classes are nearly all below
+/// the word path's switch, against the per-pair test. Each family is
+/// interleaved; its pools are checked equal before timing.
+fn candidate_pool_benches(quick: bool) -> Vec<BenchStats> {
+    let (warmup, iters) = if quick { (2, 10) } else { (3, 25) };
+    let (table, space, cache, cap, seed) = served_pool_case(DatasetName::Hospital, 1000);
+    let (table, space, cache) = (&table, &space, &cache);
+    let build = || CandidatePool::build_with(table, space, cache, cap, seed);
+    let pairwise = || pool_build_pairwise(table, space, cache, cap, seed);
+    let hashed = || pool_build_hashset(table, space, cache, cap, seed);
+    let want = build();
+    if want.pairs() != pairwise().as_slice() || want.pairs() != hashed().as_slice() {
+        fail(
+            "pool bench",
+            "word-mask, per-pair and hash-set pools differ",
+        );
     }
-    let first = || CandidatePool::build_with(table, space, &cache, cap, seed);
-    let hashed = || pool_build_hashset(table, space, &cache, cap, seed);
-    if first().pairs() != hashed().as_slice() {
-        fail("pool bench", "first-occurrence and hash-set pools differ");
-    }
-    let (first, hashed) = time_bench_interleaved(
-        "candidate_pool_hospital_1000",
-        "candidate_pool_hashset",
+    let [build, pairwise, hashed] = time_benches_interleaved(
+        [
+            "candidate_pool_hospital_1000",
+            "candidate_pool_pairwise",
+            "candidate_pool_hashset",
+        ],
         warmup,
         iters,
-        first,
-        hashed,
+        [
+            &mut || {
+                black_box(build());
+            },
+            &mut || {
+                black_box(pairwise());
+            },
+            &mut || {
+                black_box(hashed());
+            },
+        ],
     );
-    vec![first, hashed]
+
+    let (warmup, iters) = if quick { (10, 100) } else { (20, 400) };
+    let (table, space, cache, cap, seed) = served_pool_case(DatasetName::Omdb, 160);
+    let (table, space, cache) = (&table, &space, &cache);
+    let small = || CandidatePool::build_with(table, space, cache, cap, seed);
+    let small_pairwise = || pool_build_pairwise(table, space, cache, cap, seed);
+    if small().pairs() != small_pairwise().as_slice() {
+        fail("pool bench", "OMDB-160 word-mask and per-pair pools differ");
+    }
+    let (small, small_pairwise) = time_bench_interleaved(
+        "candidate_pool_omdb_160",
+        "candidate_pool_omdb_160_pairwise",
+        warmup,
+        iters,
+        small,
+        small_pairwise,
+    );
+    vec![build, pairwise, hashed, small, small_pairwise]
 }
 
 /// The per-round held-out evaluation of a served Hospital-1000 session:
@@ -1638,12 +1755,28 @@ fn restart_benches(quick: bool) -> Vec<BenchStats> {
     vec![ready, revive_all]
 }
 
+/// What one served Hospital-1000 session keeps and allocates.
+struct SessionCounts {
+    /// Heap bytes kept at create, after 10 rounds and after 300.
+    heap_create: usize,
+    heap_round10: usize,
+    heap_round300: usize,
+    /// Mean allocation calls per round of `present`, `label_pending` and
+    /// `apply_labels`, over rounds 10–59 (counted from 0).
+    round_allocs: [f64; 3],
+}
+
+/// Rounds whose allocations [`SessionCounts::round_allocs`] averages:
+/// past the first rounds' warm-up builds, well inside the session.
+const STEADY_ROUNDS: std::ops::Range<usize> = 10..60;
+
 /// Heap bytes one served Hospital-1000 session keeps, at create and after
-/// 300 rounds: the session built as the store builds one (`build_parts`,
-/// then `SessionState::with_cache`), its state and agents kept and the
-/// rest of the build freed. Runs on one thread before any other bench, so
-/// the difference of two [`live_bytes`] reads is the session's.
-fn session_heap_bytes() -> (usize, usize) {
+/// 10 and 300 rounds, and the allocation calls of its steady rounds'
+/// phases: the session built as the store builds one (`build_parts`, then
+/// `SessionState::with_cache`), its state and agents kept and the rest of
+/// the build freed. Runs on one thread before any other bench, so the
+/// difference of two [`live_bytes`] or [`allocs`] reads is the session's.
+fn session_counts() -> SessionCounts {
     let spec = CreateSessionSpec {
         dataset: DatasetName::Hospital,
         rows: 1000,
@@ -1671,22 +1804,41 @@ fn session_heap_bytes() -> (usize, usize) {
         };
         (state, parts.trainer, parts.learner)
     };
-    let at_create = live_bytes() - base;
-    for _ in 0..300 {
+    let heap_create = live_bytes() - base;
+    let mut heap_round10 = 0;
+    let mut phase_allocs = [0usize; 3];
+    for round in 0..300 {
+        if round == 10 {
+            heap_round10 = live_bytes() - base;
+        }
+        let a0 = allocs();
         if let Err(e) = state.present(&mut learner) {
             fail("present", e);
         }
+        let a1 = allocs();
         let labels = match state.label_pending(&mut trainer) {
             Ok(l) => l,
             Err(e) => fail("label", e),
         };
+        let a2 = allocs();
         if let Err(e) = state.apply_labels(&trainer, &mut learner, &labels) {
             fail("apply labels", e);
         }
+        let a3 = allocs();
+        if STEADY_ROUNDS.contains(&round) {
+            for (sum, n) in phase_allocs.iter_mut().zip([a1 - a0, a2 - a1, a3 - a2]) {
+                *sum += n;
+            }
+        }
     }
-    let at_round300 = live_bytes() - base;
+    let heap_round300 = live_bytes() - base;
     drop((state, trainer, learner));
-    (at_create, at_round300)
+    SessionCounts {
+        heap_create,
+        heap_round10,
+        heap_round300,
+        round_allocs: phase_allocs.map(|n| n as f64 / STEADY_ROUNDS.len() as f64),
+    }
 }
 
 /// Whether a derived entry counts as a regression: every `*_speedup`
@@ -1778,7 +1930,7 @@ fn main() {
     let cli = cli::from_env("bench_json", "BENCH_substrate.json");
     let rows = if cli.quick { 200 } else { 500 };
     eprintln!("bench_json: hospital fixture, {rows} rows, degree 0.15, seed 2");
-    let (heap_create, heap_round300) = session_heap_bytes();
+    let counts = session_counts();
     let f = fixture(DatasetName::Hospital, rows, 0.15, 2);
     let mut benches = run_benches(&f, cli.quick);
 
@@ -1808,16 +1960,23 @@ fn main() {
         cli.quick,
     ));
 
-    // Counts, not ratios: the bytes one served session keeps, and how many
-    // such sessions at round 300 fit in a GiB (the floor ci.sh gates).
+    // Counts, not ratios: the bytes one served session keeps, how many
+    // such sessions at round 300 fit in a GiB (the floor ci.sh gates), and
+    // the allocation calls of a steady round's phases (ungated: a gate is
+    // a floor, and these should only fall).
     let kb = |bytes: usize| bytes as f64 / 1024.0;
+    let [present, label_pending, apply_labels] = counts.round_allocs;
     let mut derived: Vec<(&str, f64)> = vec![
-        ("session_heap_kb_create", kb(heap_create)),
-        ("session_heap_kb_round300", kb(heap_round300)),
+        ("session_heap_kb_create", kb(counts.heap_create)),
+        ("session_heap_kb_round10", kb(counts.heap_round10)),
+        ("session_heap_kb_round300", kb(counts.heap_round300)),
         (
             "sessions_per_gib_round300",
-            (1u64 << 30) as f64 / heap_round300.max(1) as f64,
+            (1u64 << 30) as f64 / counts.heap_round300.max(1) as f64,
         ),
+        ("round_allocs_present", present),
+        ("round_allocs_label_pending", label_pending),
+        ("round_allocs_apply_labels", apply_labels),
     ];
     let ratios = [
         (
@@ -1902,6 +2061,19 @@ fn main() {
             "candidate_pool_hospital_1000",
         ),
         (
+            "pool_build_wordmask_vs_pairwise_speedup",
+            "candidate_pool_pairwise",
+            "candidate_pool_hospital_1000",
+        ),
+        // Parity, not a speedup claim: OMDB-160's classes stay on the
+        // per-pair side of the word path's switch, and ci gates that the
+        // switch costs them nothing (>= 0.9).
+        (
+            "pool_build_small_class_parity",
+            "candidate_pool_omdb_160_pairwise",
+            "candidate_pool_omdb_160",
+        ),
+        (
             "eval_packed_vs_fdmajor_speedup",
             "eval_test_split_fdmajor",
             "eval_test_split_hospital_1000",
@@ -1941,7 +2113,8 @@ fn main() {
         } else {
             ""
         };
-        let unit = if name.starts_with("session") { "" } else { "x" };
+        let is_count = name.starts_with("session") || name.starts_with("round_allocs");
+        let unit = if is_count { "" } else { "x" };
         eprintln!("  {name}: {v:.2}{unit}{flag}");
     }
     println!("wrote {}", cli.out);

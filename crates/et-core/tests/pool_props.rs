@@ -4,12 +4,16 @@
 //! sequence, same reservoir draws, bit-identical pool — including under
 //! reservoir pressure (small `max_pairs`), on spaces whose determinants
 //! repeat, nest and overlap so that many pairs recur across LHS, and on
-//! the generated tables and capped spaces a served session uses.
+//! the generated tables and capped spaces a served session uses. Tables
+//! are wide enough that classes fall on both sides of
+//! [`WORD_PATH_MIN_ROWS`] and cross the 64- and 128-row word edges, so
+//! both first-visit tests are pinned.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
 
+use et_core::candidates::WORD_PATH_MIN_ROWS;
 use et_core::{CandidatePool, PairExample};
 use et_data::gen::DatasetName;
 use et_data::{inject_errors, AttrId, InjectConfig, Schema, Table};
@@ -18,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn arb_rows() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
-    proptest::collection::vec((0u8..4, 0u8..3, 0u8..3), 1..48)
+    proptest::collection::vec((0u8..4, 0u8..3, 0u8..3), 1..96)
 }
 
 fn table_of(rows: &[(u8, u8, u8)]) -> Table {
@@ -124,13 +128,14 @@ fn assert_pools_match(t: &Table, sp: &HypothesisSpace, seed: u64) -> Result<(), 
     Ok(())
 }
 
-/// A 4–5 attribute table of up to 200 rows over small alphabets, so most
-/// rows share a class with many others under several determinants.
+/// A 4–5 attribute table of up to 320 rows over small alphabets, so most
+/// rows share a class with many others under several determinants, and
+/// single-attribute classes range from a few rows to the whole table.
 fn arb_wide_table() -> impl Strategy<Value = Table> {
     (
         4usize..=5,
-        2u8..6,
-        proptest::collection::vec(proptest::collection::vec(any::<u8>(), 5), 1..200),
+        1u8..6,
+        proptest::collection::vec(proptest::collection::vec(any::<u8>(), 5), 1..320),
     )
         .prop_map(|(n_attrs, alphabet, rows)| {
             let names: Vec<String> = (0..n_attrs).map(|a| format!("c{a}")).collect();
@@ -213,6 +218,52 @@ fn served_case(dataset: DatasetName, rows: usize, seed: u64) -> (Table, Hypothes
 fn build_with_equals_legacy_on_hospital_300() -> Result<(), TestCaseError> {
     let (t, sp) = served_case(DatasetName::Hospital, 300, 5);
     assert_pools_match(&t, &sp, 5)
+}
+
+#[test]
+fn build_with_equals_legacy_on_hospital_1000() -> Result<(), TestCaseError> {
+    let (t, sp) = served_case(DatasetName::Hospital, 1000, 1001);
+    assert_pools_match(&t, &sp, 1001)
+}
+
+/// Classes of exactly the sizes where the word-parallel test changes
+/// shape: either side of the switch and of the 64- and 128-row word
+/// edges. Column `x` makes one class per size; `y` and `z` split each
+/// class into sub-classes with one-row leftovers, so the earlier
+/// determinants both join and leave out pairs inside every class.
+#[test]
+fn build_with_equals_legacy_at_word_edges() -> Result<(), TestCaseError> {
+    let sizes = [
+        WORD_PATH_MIN_ROWS - 1,
+        WORD_PATH_MIN_ROWS,
+        63,
+        64,
+        65,
+        127,
+        128,
+        129,
+    ];
+    let mut b = Table::builder(Schema::new(["x", "y", "z", "w"]));
+    let mut row = 0usize;
+    for (ci, &size) in sizes.iter().enumerate() {
+        for _ in 0..size {
+            b.push_row(&[
+                format!("x{ci}"),
+                format!("y{}", row % 7),
+                format!("z{}", row * row % 11),
+                format!("w{row}"),
+            ]);
+            row += 1;
+        }
+    }
+    let t = b.finish();
+    let sp = HypothesisSpace::from_fds([
+        Fd::from_attrs([1], 3),
+        Fd::from_attrs([2], 3),
+        Fd::from_attrs([0], 3),
+        Fd::from_attrs([1, 2], 3),
+    ]);
+    assert_pools_match(&t, &sp, 3)
 }
 
 #[test]

@@ -87,8 +87,12 @@ echo "==> bench harness compiles + bench_json smoke (quick profile)"
 # rendered to a String. And it gates session create: the Hospital-1000
 # candidate pool, enumerated with the first-occurrence test over cached
 # row classes, must stay at least 3x faster than the same enumeration
-# deduplicated through a hash set. And it gates the capped-space scoring
-# pass: counting agreeing pairs once per attribute set must stay at least
+# deduplicated through a hash set, and its word-parallel first-visit test
+# on classes of 32 rows or more at least 1.5x faster than the per-pair
+# test on every class; on OMDB-160, whose classes stay nearly all below
+# that switch, the pool build must keep at least 0.9x the per-pair
+# build's speed (pools checked equal before timing). And it gates the
+# capped-space scoring pass: counting agreeing pairs once per attribute set must stay at least
 # 2x faster than the per-FD walk over the same cached partitions. And it
 # gates the create's regrouping: the injector's dense group_by must stay
 # at least 2x faster than the SipHash grouping it replaced, and the
@@ -120,6 +124,8 @@ if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
   --gate eval_packed_vs_fdmajor_speedup:3 \
   --gate reply_encode_stream_vs_tree_speedup:1.5 \
   --gate pool_build_vs_hashset_speedup:3 \
+  --gate pool_build_wordmask_vs_pairwise_speedup:1.5 \
+  --gate pool_build_small_class_parity:0.9 \
   --gate space_capped_vs_per_fd_speedup:2 \
   --gate group_by_dense_vs_hash_speedup:2 \
   --gate g1_counter_vs_sort_speedup:3 \
@@ -135,6 +141,8 @@ if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
   echo "        evaluation lost its 3x lead over FD-major flags, streamed" >&2
   echo "        reply encoding lost its 1.5x lead over the JSON tree, the" >&2
   echo "        pool build lost its 3x lead over the hash-set enumeration," >&2
+  echo "        the word-mask first-visit test lost its 1.5x lead over the per-pair" >&2
+  echo "        one, the OMDB-160 pool build fell below 0.9x of the per-pair build," >&2
   echo "        the per-set space scorer lost its 2x lead over the per-FD walk," >&2
   echo "        dense group_by lost its 2x lead over the SipHash grouping," >&2
   echo "        the counter-walk prior lost its 3x lead over the sorted one," >&2
