@@ -80,30 +80,9 @@ fn parse_args() -> Result<Cli, String> {
                 let id = args.next().ok_or("--exp needs an experiment id")?;
                 cli.exp.push(id);
             }
-            "--runs" => {
-                cli.runs = Some(
-                    args.next()
-                        .ok_or("--runs needs a number")?
-                        .parse()
-                        .map_err(|e| format!("--runs: {e}"))?,
-                );
-            }
-            "--rows" => {
-                cli.rows = Some(
-                    args.next()
-                        .ok_or("--rows needs a number")?
-                        .parse()
-                        .map_err(|e| format!("--rows: {e}"))?,
-                );
-            }
-            "--iters" => {
-                cli.iterations = Some(
-                    args.next()
-                        .ok_or("--iters needs a number")?
-                        .parse()
-                        .map_err(|e| format!("--iters: {e}"))?,
-                );
-            }
+            "--runs" => cli.runs = Some(size_arg("--runs", args.next())?),
+            "--rows" => cli.rows = Some(size_arg("--rows", args.next())?),
+            "--iters" => cli.iterations = Some(size_arg("--iters", args.next())?),
             "--out" => {
                 cli.out_dir = PathBuf::from(args.next().ok_or("--out needs a directory")?);
             }
@@ -118,6 +97,19 @@ fn parse_args() -> Result<Cli, String> {
         }
     }
     Ok(cli)
+}
+
+/// Parses a size flag's value: a positive count, since no experiment runs
+/// with zero runs, rows or iterations.
+fn size_arg(flag: &str, value: Option<String>) -> Result<usize, String> {
+    let n: usize = value
+        .ok_or(format!("{flag} needs a number"))?
+        .parse()
+        .map_err(|e| format!("{flag}: {e}"))?;
+    if n == 0 {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    Ok(n)
 }
 
 fn main() {

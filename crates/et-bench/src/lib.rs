@@ -18,8 +18,6 @@
 //!   which `scripts/ci.sh` compares against the checked-in
 //!   `REPRO_DIGEST.txt`.
 
-#![warn(missing_docs)]
-
 /// Shared fixture sizes so benches stay comparable.
 pub mod fixtures {
     use std::sync::Arc;

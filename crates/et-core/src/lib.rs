@@ -33,7 +33,13 @@
 //! * [`candidates`] — the candidate pair pool each interaction draws from,
 //!   and the fresh pool ids selection scores.
 
-#![warn(missing_docs)]
+#![cfg_attr(
+    test,
+    expect(
+        clippy::float_cmp,
+        reason = "unit tests assert values the code computes exactly; library code stays linted"
+    )
+)]
 
 pub mod candidates;
 pub mod game;

@@ -210,7 +210,6 @@ impl DatasetSpec {
         let order = self.topo_order();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
         let mut vals: Vec<Vec<u32>> = vec![Vec::with_capacity(rows); self.attrs.len()];
-        #[allow(clippy::needless_range_loop)] // `row` indexes *inner* vectors across attrs
         for row in 0..rows {
             for &a in &order {
                 let v = match &self.attrs[a].kind {

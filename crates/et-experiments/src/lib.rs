@@ -11,8 +11,6 @@
 //! The `repro` binary in `et-bench` drives this registry end to end:
 //! `repro --list`, `repro --exp fig1`, `repro --all`.
 
-#![warn(missing_docs)]
-
 pub mod convergence;
 pub mod registry;
 pub mod report;

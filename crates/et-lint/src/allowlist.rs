@@ -7,9 +7,9 @@
 //!
 //! ```toml
 //! [[allow]]
-//! rule = "L1"                       # required: any rule id, L1..L14
+//! rule = "L7"                       # required: any rule id, L5..L14
 //! path = "crates/et-data/src/x.rs"  # required: repo-relative, '/'-separated
-//! pattern = "best.expect"           # optional: substring of offending line
+//! pattern = "row as u32"            # optional: substring of offending line
 //! line = 76                         # optional: exact 1-based line
 //! reason = "why this is sound"      # required, non-empty
 //!
@@ -42,7 +42,7 @@ use crate::rules::Violation;
 /// One `[[allow]]` entry.
 #[derive(Debug, Clone)]
 pub struct AllowEntry {
-    /// Rule id the exception applies to ("L1".."L14").
+    /// Rule id the exception applies to ("L5".."L14").
     pub rule: String,
     /// Repo-relative path suffix.
     pub path: String,
@@ -415,21 +415,21 @@ mod tests {
         let text = r#"
 # exceptions vetted in PR review
 [[allow]]
-rule = "L1"
-path = "crates/et-data/src/subset.rs"
-pattern = "best.expect"
-reason = "lookahead pool is structurally non-empty"
+rule = "L7"
+path = "crates/et-fd/src/partitions.rs"
+pattern = "row as u32"
+reason = "row ids are u32 by design"
 
 [[allow]]
-rule = "L4"                     # trailing comment
+rule = "L8"                     # trailing comment
 path = "crates/et-core/src/x.rs"
 line = 12
-reason = "doc inherited from trait"
+reason = "the caller sorts the result"
 "#;
         let list = Allowlist::parse(text).expect("parses");
         assert_eq!(list.entries.len(), 2);
-        assert_eq!(list.entries[0].rule, "L1");
-        assert_eq!(list.entries[0].pattern.as_deref(), Some("best.expect"));
+        assert_eq!(list.entries[0].rule, "L7");
+        assert_eq!(list.entries[0].pattern.as_deref(), Some("row as u32"));
         assert_eq!(list.entries[1].line, Some(12));
     }
 
@@ -437,32 +437,36 @@ reason = "doc inherited from trait"
     fn rejects_malformed_entries() {
         assert!(Allowlist::parse("[[allow]]\nrule = \"L99\"\n").is_err());
         assert!(
-            Allowlist::parse("[[allow]]\nrule = \"L1\"\n").is_err(),
+            Allowlist::parse("[[allow]]\nrule = \"L1\"\npath = \"x\"\nreason = \"y\"\n").is_err(),
+            "retired rule id"
+        );
+        assert!(
+            Allowlist::parse("[[allow]]\nrule = \"L7\"\n").is_err(),
             "missing path/reason"
         );
         assert!(
-            Allowlist::parse("rule = \"L1\"\n").is_err(),
+            Allowlist::parse("rule = \"L7\"\n").is_err(),
             "key outside table"
         );
         assert!(
-            Allowlist::parse("[[allow]]\nrule = \"L1\"\npath = \"x\"\nreason = \"\"\n").is_err()
+            Allowlist::parse("[[allow]]\nrule = \"L7\"\npath = \"x\"\nreason = \"\"\n").is_err()
         );
         assert!(Allowlist::parse("[[allow]]\nwhat = 3\n").is_err());
     }
 
     #[test]
     fn matching_honours_all_narrowing_fields() {
-        let text = "[[allow]]\nrule = \"L1\"\npath = \"src/a.rs\"\npattern = \"expect\"\nreason = \"ok\"\n";
+        let text = "[[allow]]\nrule = \"L7\"\npath = \"src/a.rs\"\npattern = \"as u16\"\nreason = \"ok\"\n";
         let list = Allowlist::parse(text).expect("parses");
-        let hit = violation(Rule::L1, 5, "x.expect(\"y\")");
+        let hit = violation(Rule::L7, 5, "x as u16");
         assert_eq!(list.matches("crates/c/src/a.rs", &hit).len(), 1);
         // Wrong rule, wrong path, wrong pattern.
         assert!(list
-            .matches("crates/c/src/a.rs", &violation(Rule::L2, 5, "x.expect(1)"))
+            .matches("crates/c/src/a.rs", &violation(Rule::L8, 5, "x as u16"))
             .is_empty());
         assert!(list.matches("crates/c/src/b.rs", &hit).is_empty());
         assert!(list
-            .matches("crates/c/src/a.rs", &violation(Rule::L1, 5, "clean line"))
+            .matches("crates/c/src/a.rs", &violation(Rule::L7, 5, "clean line"))
             .is_empty());
     }
 
@@ -503,7 +507,7 @@ pattern = "Instant::now"
     #[test]
     fn rejects_malformed_specs() {
         // Entries take only L9/L11; sources only L11.
-        assert!(Allowlist::parse("[[entry]]\nrule = \"L1\"\npattern = \"x\"\n").is_err());
+        assert!(Allowlist::parse("[[entry]]\nrule = \"L7\"\npattern = \"x\"\n").is_err());
         assert!(Allowlist::parse("[[source]]\nrule = \"L9\"\npattern = \"x\"\n").is_err());
         // pattern is mandatory and non-empty.
         assert!(Allowlist::parse("[[entry]]\nrule = \"L9\"\n").is_err());
@@ -514,7 +518,7 @@ pattern = "Instant::now"
                 .is_err()
         );
         assert!(Allowlist::parse(
-            "[[allow]]\nrule = \"L1\"\npath = \"x\"\nreason = \"y\"\nnote = \"z\"\n"
+            "[[allow]]\nrule = \"L7\"\npath = \"x\"\nreason = \"y\"\nnote = \"z\"\n"
         )
         .is_err());
     }

@@ -1,7 +1,7 @@
 //! The token-level concurrency & determinism rules L5–L8.
 //!
-//! Like L1–L4 ([`crate::rules`]), these rules walk the file's one
-//! [`crate::lexer`] token stream, here for expression structure: what a
+//! These rules walk the file's one [`crate::lexer`] token stream (through
+//! [`crate::rules::check_file`]) for expression structure: what a
 //! `let` binds, where a statement ends, which block a guard lives in. All
 //! four target hazards that corrupt the reproduction's figures silently
 //! instead of crashing a test:

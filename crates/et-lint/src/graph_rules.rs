@@ -74,7 +74,8 @@ fn l9_panic_reachability(graph: &CallGraph, config: &Allowlist, out: &mut Vec<Gr
     for &id in parents.keys() {
         let node = &graph.nodes[id];
         // The assert family is out of L9's scope: asserts are deliberate,
-        // documented invariant checks (L4 enforces the documentation).
+        // documented invariant checks (clippy::missing_panics_doc enforces
+        // the documentation).
         // L9 hunts the *accidental* panics: panic!/unreachable!/todo!,
         // unwrap/expect, and unguarded indexing.
         let Some(op) = node

@@ -1,12 +1,12 @@
 //! A hand-rolled Rust lexer: the one front-end every per-file rule
-//! (L1–L8) and the item parser read. `scan_one` lexes each file once.
+//! (L5–L8) and the item parser read. `scan_one` lexes each file once.
 //!
 //! The lexer is std-only like the rest of the crate and deliberately
 //! smaller than rustc's: it produces a flat [`Token`] stream with byte
 //! spans, 1-based lines, and a delimiter-nesting depth per token, plus
 //! the handful of navigation helpers the rules need (statement bounds,
 //! matching delimiters, enclosing-block close). Comments are *kept* as
-//! tokens (L4 reads `///` docs, L6 reads trailing `// ord:`
+//! tokens (L6 reads trailing `// ord:`
 //! justifications); string/char contents are opaque single tokens, so no
 //! rule ever fires on prose.
 //!

@@ -3,16 +3,16 @@
 //! The reproduction's claims — convergence of (FP, Stochastic Best) per
 //! Proposition 1, g1 violation measures, Beta-belief updates — are floating-
 //! point and RNG-sensitive: a silent NaN, an unseeded RNG, or a stray
-//! `unwrap()` corrupts a figure rather than crashing a test. This crate
-//! walks every workspace `.rs` source and enforces fourteen rules the
-//! compiler cannot express, in four tiers:
+//! `unwrap()` corrupts a figure rather than crashing a test. rustc and
+//! clippy own the token-level rules (panics, float equality, `# Panics`
+//! docs; the workspace lint table in the root `Cargo.toml`). This crate
+//! walks every workspace library source (`src/` of the root and of each
+//! crate) and enforces ten rules the compiler cannot express, in three
+//! tiers (L5–L14; the retired L1–L4 keep their numbers unused):
 //!
 //! Each file is read and lexed once ([`lexer`]); every per-file rule and
 //! the item parser run on that one token stream.
 //!
-//! - **L1–L4** (token-sequence matches, [`rules`]) — no `unwrap()`/
-//!   `expect()`/`panic!` in library code; no unseeded RNG anywhere; no f64
-//!   `==`/`!=` outside tests; `# Panics` docs on panicking `pub fn`s.
 //! - **L5–L8** (token-structure scans, [`conc_rules`]) — no guard held
 //!   across a blocking call; atomic `Ordering`s justified; no truncating
 //!   `as` casts; no `HashMap`/`HashSet` iteration-order leaks.
@@ -42,7 +42,7 @@ pub mod rules;
 use std::path::{Path, PathBuf};
 
 use allowlist::Allowlist;
-use rules::{FileKind, Rule, Violation};
+use rules::{Rule, Violation};
 
 /// A violation bound to the file it occurred in.
 #[derive(Debug)]
@@ -52,7 +52,7 @@ pub struct Finding {
     /// The underlying rule violation.
     pub violation: Violation,
     /// For graph rules (L9–L14): the witness call chain, entry first.
-    /// Empty for the per-file rules L1–L8.
+    /// Empty for the per-file rules L5–L8.
     pub witness: Vec<String>,
 }
 
@@ -116,11 +116,17 @@ impl std::error::Error for EngineError {}
 
 /// Runs the engine over the workspace rooted at `root`.
 ///
-/// Scans `src/`, `tests/`, `examples/` at the root and `src/`, `tests/`,
-/// `benches/`, `examples/` of every crate under `crates/`. The `vendor/` tree (offline
-/// dependency shims that deliberately mirror foreign APIs) and `target/` are
-/// never scanned.
+/// Scans `src/` at the root and of every crate under `crates/`. Test-like
+/// trees (`tests/`, `benches/`, `examples/`), the `vendor/` tree (offline
+/// dependency shims that deliberately mirror foreign APIs) and `target/`
+/// are never scanned. A `root` that is not a directory is an error.
 pub fn run(root: &Path) -> Result<Report, EngineError> {
+    if !root.is_dir() {
+        return Err(EngineError::Io {
+            path: root.to_path_buf(),
+            source: std::io::ErrorKind::NotADirectory.into(),
+        });
+    }
     let allow_text = match std::fs::read_to_string(root.join("et-lint.toml")) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
@@ -133,14 +139,8 @@ pub fn run(root: &Path) -> Result<Report, EngineError> {
     };
     let allowlist = Allowlist::parse(&allow_text).map_err(EngineError::Allowlist)?;
 
-    let mut files: Vec<(PathBuf, FileKind)> = Vec::new();
-    for (dir, kind) in [
-        ("src", FileKind::Library),
-        ("tests", FileKind::TestLike),
-        ("examples", FileKind::TestLike),
-    ] {
-        collect_rs(&root.join(dir), kind, &mut files)?;
-    }
+    let mut files: Vec<PathBuf> = Vec::new();
+    collect_rs(&root.join("src"), &mut files)?;
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
         let entries = std::fs::read_dir(&crates_dir).map_err(|e| EngineError::Io {
@@ -154,10 +154,7 @@ pub fn run(root: &Path) -> Result<Report, EngineError> {
             .collect();
         crate_dirs.sort();
         for crate_dir in crate_dirs {
-            collect_rs(&crate_dir.join("src"), FileKind::Library, &mut files)?;
-            collect_rs(&crate_dir.join("tests"), FileKind::TestLike, &mut files)?;
-            collect_rs(&crate_dir.join("benches"), FileKind::TestLike, &mut files)?;
-            collect_rs(&crate_dir.join("examples"), FileKind::TestLike, &mut files)?;
+            collect_rs(&crate_dir.join("src"), &mut files)?;
         }
     }
 
@@ -181,18 +178,16 @@ pub fn run(root: &Path) -> Result<Report, EngineError> {
                 report.suppressed += 1;
             }
         };
-    // Per-file stage (read, lex once, then L1–L8 and the parser on that
+    // Per-file stage (read, lex once, then L5–L8 and the parser on that
     // one token stream), serially in file order: the first IO error in
     // file order wins.
-    for (path, kind) in &files {
-        let scanned = scan_one(root, path, *kind)?;
+    for path in &files {
+        let scanned = scan_one(root, path)?;
         report.files_scanned += 1;
         for violation in scanned.violations {
             record(&mut report, &scanned.rel, violation, Vec::new());
         }
-        if let Some(ast) = scanned.ast {
-            parsed.push((scanned.rel.clone(), ast));
-        }
+        parsed.push((scanned.rel.clone(), scanned.ast));
         scanned_rels.push(scanned.rel);
     }
 
@@ -230,27 +225,24 @@ pub fn run(root: &Path) -> Result<Report, EngineError> {
 struct Scanned {
     /// Repo-relative path.
     rel: String,
-    /// L1–L8 violations.
+    /// L5–L8 violations.
     violations: Vec<Violation>,
-    /// Parsed items, library files only (test-like trees stay out of the
-    /// call graph).
-    ast: Option<parser::FileAst>,
+    /// Parsed items, for the call graph.
+    ast: parser::FileAst,
 }
 
 /// Reads and checks one file.
-fn scan_one(root: &Path, path: &Path, kind: FileKind) -> Result<Scanned, EngineError> {
+fn scan_one(root: &Path, path: &Path) -> Result<Scanned, EngineError> {
     let text = std::fs::read_to_string(path).map_err(|e| EngineError::Io {
         path: path.to_path_buf(),
         source: e,
     })?;
     let rel = rel_path(root, path);
     let ts = lexer::lex(&text);
-    let violations = rules::check_file(&ts, kind);
-    let ast = (kind == FileKind::Library).then(|| parser::parse(&ts));
     Ok(Scanned {
         rel,
-        violations,
-        ast,
+        violations: rules::check_file(&ts),
+        ast: parser::parse(&ts),
     })
 }
 
@@ -307,11 +299,7 @@ pub fn list_rules(out: &mut impl std::io::Write) {
     }
 }
 
-fn collect_rs(
-    dir: &Path,
-    kind: FileKind,
-    out: &mut Vec<(PathBuf, FileKind)>,
-) -> Result<(), EngineError> {
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), EngineError> {
     if !dir.is_dir() {
         return Ok(());
     }
@@ -323,9 +311,9 @@ fn collect_rs(
     paths.sort();
     for path in paths {
         if path.is_dir() {
-            collect_rs(&path, kind, out)?;
+            collect_rs(&path, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push((path, kind));
+            out.push(path);
         }
     }
     Ok(())
@@ -372,44 +360,17 @@ mod tests {
     }
 
     #[test]
-    fn seeded_violations_of_each_rule_are_caught() {
-        let root = write_tree(&[
-            (
-                "crates/a/src/lib.rs",
-                "pub fn l1(x: Option<u32>) -> u32 { x.unwrap() }\n\
-                 pub fn l3(x: f64) -> bool { x == 0.5 }\n\
-                 /// No panics doc.\n\
-                 pub fn l4(x: usize) { assert!(x > 0); }\n",
-            ),
-            (
-                "crates/a/tests/t.rs",
-                "fn l2() { let mut rng = rand::thread_rng(); }\n",
-            ),
-        ]);
-        let report = run(&root).expect("runs");
-        let mut fired: Vec<&str> = report
-            .findings
-            .iter()
-            .map(|f| f.violation.rule.id())
-            .collect();
-        fired.sort_unstable();
-        fired.dedup();
-        assert_eq!(fired, ["L1", "L2", "L3", "L4"], "{report:?}");
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
     fn allowlist_suppresses_and_stale_entries_flagged() {
         let root = write_tree(&[
             (
                 "crates/a/src/lib.rs",
-                "pub fn l1(x: Option<u32>) -> u32 { x.unwrap() }\n",
+                "pub fn l7(x: usize) -> u16 { x as u16 }\n",
             ),
             (
                 "et-lint.toml",
-                "[[allow]]\nrule = \"L1\"\npath = \"crates/a/src/lib.rs\"\n\
+                "[[allow]]\nrule = \"L7\"\npath = \"crates/a/src/lib.rs\"\n\
                  reason = \"seeded for the suppression test\"\n\
-                 [[allow]]\nrule = \"L2\"\npath = \"never/matches.rs\"\nreason = \"stale\"\n",
+                 [[allow]]\nrule = \"L8\"\npath = \"never/matches.rs\"\nreason = \"stale\"\n",
             ),
         ]);
         let report = run(&root).expect("runs");
@@ -421,27 +382,16 @@ mod tests {
     }
 
     #[test]
-    fn crate_examples_are_scanned_as_test_like() {
-        let root = write_tree(&[(
-            "crates/a/examples/demo.rs",
-            // unwrap is fine in examples (TestLike), an unseeded RNG is not.
-            "fn main() { let _ = rand::thread_rng(); Some(1u32).unwrap(); }\n",
-        )]);
-        let report = run(&root).expect("runs");
-        let fired: Vec<&str> = report
-            .findings
-            .iter()
-            .map(|f| f.violation.rule.id())
-            .collect();
-        assert_eq!(fired, ["L2"], "{report:?}");
-        assert_eq!(report.files_scanned, 1);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn vendor_and_unknown_dirs_not_scanned() {
+    fn vendor_test_like_and_unknown_dirs_not_scanned() {
+        // Each skipped file holds an L7 cast that would fire in `src/`.
+        let cast = "pub fn f(x: usize) -> u16 { x as u16 }\n";
         let root = write_tree(&[
-            ("vendor/rand/src/lib.rs", "pub fn thread_rng() {}\n"),
+            ("vendor/rand/src/lib.rs", cast),
+            ("tests/t.rs", cast),
+            ("examples/e.rs", cast),
+            ("crates/a/tests/t.rs", cast),
+            ("crates/a/benches/b.rs", cast),
+            ("crates/a/examples/demo.rs", cast),
             ("crates/a/src/lib.rs", "//! Fine.\n"),
         ]);
         let report = run(&root).expect("runs");
@@ -459,7 +409,7 @@ mod tests {
             findings: vec![Finding {
                 path: "x.rs".into(),
                 violation: rules::Violation {
-                    rule: rules::Rule::L1,
+                    rule: rules::Rule::L7,
                     line: 1,
                     message: "m".into(),
                     excerpt: "e".into(),
@@ -470,6 +420,6 @@ mod tests {
         };
         assert_eq!(render(&dirty, Path::new("et-lint.toml"), &mut sink), 1);
         let out = String::from_utf8(sink).expect("utf8");
-        assert!(out.contains("[L1]"), "{out}");
+        assert!(out.contains("[L7]"), "{out}");
     }
 }

@@ -26,7 +26,7 @@ fn real_main() -> i32 {
             }
             "--explain" => {
                 let Some(id) = args.next() else {
-                    eprintln!("et-lint: --explain needs a rule id (L1..L14)");
+                    eprintln!("et-lint: --explain needs a rule id (L5..L14)");
                     return 2;
                 };
                 let Some(rule) = et_lint::rules::Rule::from_id(&id) else {
@@ -45,7 +45,10 @@ fn real_main() -> i32 {
             }
             "--help" | "-h" => {
                 println!(
-                    "et-lint — workspace lint engine (rules L1-L14)\n\n\
+                    "et-lint — workspace lint engine (rules L5-L14)\n\n\
+                     Scans the library sources (`src/` of the root and of \
+                     each crate under crates/). The retired token rules \
+                     L1-L4 are clippy lints now (DESIGN.md §7.1).\n\n\
                      USAGE: et-lint [--root <workspace-dir>] [--json] \
                      [--cost-report] [--list-rules] [--explain <RULE>]\n\n\
                      --list-rules      one-line summary of every rule\n\
@@ -56,7 +59,8 @@ fn real_main() -> i32 {
                      --cost-report     hot-path cost summary (HOTPATH.json \
                      schema, DESIGN.md §14) on stdout\n\n\
                      Exit codes: 0 clean, 1 violations or stale allowlist \
-                     entries, 2 configuration error.\n\
+                     entries, 2 configuration error (a --root that is not a \
+                     directory included).\n\
                      Allowlist: et-lint.toml at the workspace root."
                 );
                 return 0;

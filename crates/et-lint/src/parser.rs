@@ -12,7 +12,7 @@
 //! items are parsed but marked, so graph rules can skip them. A cost site
 //! inside a `#[cfg(test)]` region of a non-test fn (a test seam in a
 //! library body) is not recorded: the regions are `rules::test_regions`,
-//! the same definition of test code the token rules L1–L8 skip.
+//! the same definition of test code the token rules L5–L8 skip.
 //!
 //! Out of scope, deliberately: macro expansion, type inference, trait
 //! solving. Anything the parser cannot classify degrades to an unresolved

@@ -1,27 +1,15 @@
-//! The repo-specific lint rules (L1–L14), and the per-file rules L1–L4.
+//! The repo-specific lint rules (L5–L14), and the per-file entry point.
 //!
-//! L1–L4 are token-sequence matches over the file's one
-//! [`crate::lexer`] stream, the same stream L5–L8 ([`crate::conc_rules`])
-//! and the item parser read: string, char and comment contents are single
-//! tokens, so they never trigger a rule. "Test code" means byte regions
-//! covered by a `#[cfg(test)]` item (plus whole files under `tests/`,
-//! `benches/` or `examples/`).
-
-use std::ops::Range;
+//! Every per-file rule ([`crate::conc_rules`]) and the item parser read
+//! the file's one [`crate::lexer`] stream. "Test code" means byte regions
+//! covered by a `#[cfg(test)]` item (`test_regions`). The numbers L1–L4
+//! belonged to token rules the compiler now owns (DESIGN.md §7.1).
 
 use crate::lexer::{Delim, TokenKind, TokenStream};
 
 /// Which rule fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
-    /// No `unwrap()`/`expect()`/`panic!` in non-test library code.
-    L1,
-    /// No unseeded RNG anywhere (`thread_rng`, `from_entropy`, `rand::random`).
-    L2,
-    /// No `==`/`!=` against f64 expressions outside tests.
-    L3,
-    /// Panicking `pub fn`s must document `# Panics`.
-    L4,
     /// No mutex guard held across a blocking call.
     L5,
     /// Atomic `Ordering` arguments need a trailing `// ord:` justification.
@@ -51,10 +39,6 @@ impl Rule {
     /// The stable rule identifier used in reports and `et-lint.toml`.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::L1 => "L1",
-            Rule::L2 => "L2",
-            Rule::L3 => "L3",
-            Rule::L4 => "L4",
             Rule::L5 => "L5",
             Rule::L6 => "L6",
             Rule::L7 => "L7",
@@ -76,10 +60,6 @@ impl Rule {
     /// One-line description for `--list-rules`.
     pub fn describe(self) -> &'static str {
         match self {
-            Rule::L1 => "no unwrap()/expect()/panic! in non-test library code",
-            Rule::L2 => "no unseeded RNG (thread_rng/from_entropy/rand::random) anywhere",
-            Rule::L3 => "no ==/!= between f64 expressions outside tests",
-            Rule::L4 => "pub fns that can panic must carry a `# Panics` doc section",
             Rule::L5 => {
                 "no mutex guard held across a blocking call (recv/accept/read_line/join/connect)"
             }
@@ -110,56 +90,6 @@ impl Rule {
     /// printed by `cargo lint -- --explain L<N>`.
     pub fn explain(self) -> &'static str {
         match self {
-            Rule::L1 => {
-                "L1 — no unwrap()/expect()/panic! in non-test library code.\n\n\
-                 Why: the reproduction's claims are floating-point and RNG-sensitive;\n\
-                 a panic in library code turns a recoverable bad input into a dead\n\
-                 worker thread, and under et-serve load that silently shrinks the\n\
-                 worker pool instead of failing a test. Return typed errors.\n\n\
-                 Exception: add to et-lint.toml when the invariant is structural\n\
-                 (provable from adjacent code) and a typed error would obscure it:\n\n\
-                 [[allow]]\n\
-                 rule = \"L1\"\n\
-                 path = \"crates/<crate>/src/<file>.rs\"\n\
-                 pattern = \"<substring of the offending line>\"\n\
-                 reason = \"<why the panic is unreachable>\""
-            }
-            Rule::L2 => {
-                "L2 — no unseeded RNG anywhere, tests included.\n\n\
-                 Why: every figure in the reproduction must be re-derivable from a\n\
-                 seed. thread_rng/from_entropy/rand::random draw OS entropy, so a\n\
-                 rerun can never bit-match and a flaky test can never be replayed.\n\
-                 Use StdRng::seed_from_u64 (or the session's SplitMix64 derivation).\n\n\
-                 Exception format (rarely justified):\n\n\
-                 [[allow]]\n\
-                 rule = \"L2\"\n\
-                 path = \"...\"\n\
-                 reason = \"...\""
-            }
-            Rule::L3 => {
-                "L3 — no ==/!= against f64 expressions outside tests.\n\n\
-                 Why: MAE curves and g1 measures accumulate rounding; exact float\n\
-                 equality encodes an assumption the math does not guarantee and\n\
-                 flips silently across optimization levels. Compare with an epsilon\n\
-                 or total_cmp. The rule is lexical; clippy::float_cmp is the precise\n\
-                 companion check.\n\n\
-                 Exception format:\n\n\
-                 [[allow]]\n\
-                 rule = \"L3\"\n\
-                 path = \"...\"\n\
-                 reason = \"...\""
-            }
-            Rule::L4 => {
-                "L4 — pub fns that can panic must carry a `# Panics` doc section.\n\n\
-                 Why: a caller in another crate cannot see an assert! in the body;\n\
-                 the doc section is the contract that makes the panic reviewable at\n\
-                 the call site.\n\n\
-                 Exception format:\n\n\
-                 [[allow]]\n\
-                 rule = \"L4\"\n\
-                 path = \"...\"\n\
-                 reason = \"e.g. doc inherited from trait\""
-            }
             Rule::L5 => {
                 "L5 — no mutex guard held across a blocking call.\n\n\
                  Why: et-serve shards its session store behind Mutex<HashMap>; a\n\
@@ -226,9 +156,9 @@ impl Rule {
             }
             Rule::L9 => {
                 "L9 — no panic-capable operation reachable from a public API entry\n\
-                 point (the interprocedural closure of L1).\n\n\
-                 Why: L1 keeps unwrap()/panic! out of individual library lines, but\n\
-                 a clean-looking handler can still transitively call a helper that\n\
+                 point (the interprocedural closure of clippy's panic lints).\n\n\
+                 Why: clippy keeps unwrap()/panic! out of individual library lines,\n\
+                 but a clean-looking handler can still transitively call a helper that\n\
                  indexes a slice or asserts. Under et-serve load that panic kills a\n\
                  worker thread silently. L9 builds the workspace call graph, marks\n\
                  every fn matching an `[[entry]]` pattern (rule = \"L9\") as a public\n\
@@ -365,12 +295,8 @@ impl Rule {
     }
 
     /// All rules, in report order.
-    pub fn all() -> [Rule; 14] {
+    pub fn all() -> [Rule; 10] {
         [
-            Rule::L1,
-            Rule::L2,
-            Rule::L3,
-            Rule::L4,
             Rule::L5,
             Rule::L6,
             Rule::L7,
@@ -396,15 +322,6 @@ pub struct Violation {
     pub message: String,
     /// The offending source line, trimmed.
     pub excerpt: String,
-}
-
-/// How a file participates in linting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileKind {
-    /// Crate `src/` code: all rules apply outside `#[cfg(test)]` regions.
-    Library,
-    /// Integration tests, benches, examples: only L2 applies.
-    TestLike,
 }
 
 /// Byte ranges covered by `#[cfg(test)]` items: the literal attribute
@@ -477,11 +394,6 @@ fn item_end(ts: &TokenStream<'_>, from: usize, depth: u32) -> usize {
     ts.source.len()
 }
 
-/// Index of the first `{` after token `i`.
-fn next_open_brace(ts: &TokenStream<'_>, i: usize) -> Option<usize> {
-    (i + 1..ts.tokens.len()).find(|&j| ts.tokens[j].kind == TokenKind::Open(Delim::Brace))
-}
-
 pub(crate) fn in_regions(regions: &[(usize, usize)], pos: usize) -> bool {
     regions.iter().any(|&(a, b)| pos >= a && pos < b)
 }
@@ -495,316 +407,13 @@ pub(crate) fn excerpt_line(original: &str, line: usize) -> String {
         .to_string()
 }
 
-/// Indices where the code-token sequence `seq` starts.
-fn seq_hits<'t>(ts: &'t TokenStream<'_>, seq: &'t [&str]) -> impl Iterator<Item = usize> + 't {
-    (0..ts.tokens.len()).filter(move |&i| ts.matches_seq(i, seq))
-}
-
-/// Runs every applicable rule over one lexed file: L1–L4 here, then L5–L8
-/// from [`crate::conc_rules`], all on the same token stream.
-pub fn check_file(ts: &TokenStream<'_>, kind: FileKind) -> Vec<Violation> {
+/// Runs the per-file rules L5–L8 ([`crate::conc_rules`]) over one lexed
+/// library file.
+pub fn check_file(ts: &TokenStream<'_>) -> Vec<Violation> {
     let mut out = Vec::new();
-    let regions = test_regions(ts);
-
-    l2_unseeded_rng(ts, &mut out);
-    if kind == FileKind::Library {
-        l1_no_panics(ts, &regions, &mut out);
-        l3_float_eq(ts, &regions, &mut out);
-        l4_panics_doc(ts, &regions, &mut out);
-        crate::conc_rules::check(ts, &regions, &mut out);
-    }
-
+    crate::conc_rules::check(ts, &test_regions(ts), &mut out);
     out.sort_by_key(|v| (v.line, v.rule.id()));
     out
-}
-
-/// L1: `.unwrap()`, `.expect(`, `panic!` in non-test library code.
-fn l1_no_panics(ts: &TokenStream<'_>, regions: &[(usize, usize)], out: &mut Vec<Violation>) {
-    const BANNED: [(&[&str], &str, &str); 3] = [
-        (
-            &[".", "unwrap", "(", ")"],
-            "unwrap()",
-            "use a typed error or document the invariant",
-        ),
-        (
-            &[".", "expect", "("],
-            "expect(",
-            "use a typed error or document the invariant",
-        ),
-        (
-            &["panic", "!"],
-            "panic!",
-            "return an error instead of panicking in library code",
-        ),
-    ];
-    for (seq, shown, hint) in BANNED {
-        for i in seq_hits(ts, seq) {
-            if in_regions(regions, ts.tokens[i].start) {
-                continue;
-            }
-            let line = ts.tokens[i].line;
-            out.push(Violation {
-                rule: Rule::L1,
-                line,
-                message: format!("`{shown}` in library code; {hint}"),
-                excerpt: excerpt_line(ts.source, line),
-            });
-        }
-    }
-}
-
-/// L2: unseeded RNG constructors anywhere, test code included.
-fn l2_unseeded_rng(ts: &TokenStream<'_>, out: &mut Vec<Violation>) {
-    const BANNED: [(&[&str], &str); 3] = [
-        (&["thread_rng"], "thread_rng"),
-        (&["from_entropy"], "from_entropy"),
-        (&["rand", ":", ":", "random"], "rand::random"),
-    ];
-    for (seq, shown) in BANNED {
-        for i in seq_hits(ts, seq) {
-            let line = ts.tokens[i].line;
-            out.push(Violation {
-                rule: Rule::L2,
-                line,
-                message: format!(
-                    "`{shown}` draws entropy; every generator must be seeded \
-                     (determinism is load-bearing for the reproduction)"
-                ),
-                excerpt: excerpt_line(ts.source, line),
-            });
-        }
-    }
-}
-
-/// L3: `==`/`!=` where one operand is a float literal (or an expression
-/// ending in `as f64`), outside tests. Lexical by design: the 100%-precise
-/// version of this check is `clippy::float_cmp`, which the workspace also
-/// enables; this rule catches the idiom clippy misses in macro output.
-fn l3_float_eq(ts: &TokenStream<'_>, regions: &[(usize, usize)], out: &mut Vec<Violation>) {
-    for (first, op) in [("=", "=="), ("!", "!=")] {
-        let mut i = 0;
-        while i < ts.tokens.len() {
-            // The operator is two adjacent `Punct`s; pairs never overlap.
-            if !(ts.text(i) == first
-                && ts.tokens[i].kind == TokenKind::Punct
-                && ts.next_is_adjacent(i, "="))
-            {
-                i += 1;
-                continue;
-            }
-            let at = i;
-            i += 2;
-            if in_regions(regions, ts.tokens[at].start) {
-                continue;
-            }
-            // `<=`, `>=`, `!=` and `=>` end or start with `=` too: an `==`
-            // glued to another operator byte is not an equality test.
-            if op == "=="
-                && (["=", "<", ">", "!"]
-                    .iter()
-                    .any(|p| ts.prev_is_adjacent(at, p))
-                    || ts.next_is_adjacent(at + 1, "="))
-            {
-                continue;
-            }
-            let lhs = left_operand(ts, at);
-            let rhs = right_operand(ts, at + 2);
-            if is_floatish(ts, lhs.clone()) || is_floatish(ts, rhs.clone()) {
-                let line = ts.tokens[at].line;
-                out.push(Violation {
-                    rule: Rule::L3,
-                    line,
-                    message: format!(
-                        "float compared with `{op}`; use an epsilon or total_cmp \
-                         (lhs `{}`, rhs `{}`)",
-                        operand_text(ts, lhs),
-                        operand_text(ts, rhs)
-                    ),
-                    excerpt: excerpt_line(ts.source, line),
-                });
-            }
-        }
-    }
-}
-
-/// True when a line break separates byte offsets `a..b`, or lies inside
-/// token `j` (a multi-line string or comment).
-fn breaks_line(ts: &TokenStream<'_>, a: usize, b: usize, j: usize) -> bool {
-    ts.source[a..b].contains('\n') || ts.text(j).contains('\n')
-}
-
-/// The tokens immediately left of the operator at `op`, scanned back to
-/// the nearest low-precedence boundary: an unmatched `(`/`[`/`{`, a `,` or
-/// `;`, an `&`/`|`/`=`/`<`/`>`, or a line break, each outside brackets.
-fn left_operand(ts: &TokenStream<'_>, op: usize) -> Range<usize> {
-    let mut depth = 0i32;
-    let mut j = op;
-    while j > 0 {
-        let t = ts.tokens[j - 1];
-        if depth == 0 && breaks_line(ts, t.end, ts.tokens[j].start, j - 1) {
-            break;
-        }
-        match (t.kind, ts.text(j - 1)) {
-            (TokenKind::Close(Delim::Paren | Delim::Bracket), _) => depth += 1,
-            (TokenKind::Open(_), _) | (TokenKind::Punct, "," | ";") if depth == 0 => break,
-            (TokenKind::Open(Delim::Paren | Delim::Bracket), _) => depth -= 1,
-            (TokenKind::Punct, "&" | "|" | "=" | "<" | ">") if depth == 0 => break,
-            _ => {}
-        }
-        j -= 1;
-    }
-    j..op
-}
-
-/// The tokens immediately right of an operator, starting at token
-/// `after`: up to an unmatched closer, a `,` or `;`, an `&`/`|`/`<`/`>`,
-/// or a line break, each outside brackets.
-fn right_operand(ts: &TokenStream<'_>, after: usize) -> Range<usize> {
-    let mut depth = 0i32;
-    let mut j = after;
-    while j < ts.tokens.len() {
-        let t = ts.tokens[j];
-        if depth == 0 && breaks_line(ts, ts.tokens[j - 1].end, t.start, j) {
-            break;
-        }
-        match (t.kind, ts.text(j)) {
-            (TokenKind::Open(Delim::Paren | Delim::Bracket), _) => depth += 1,
-            (TokenKind::Close(_), _) | (TokenKind::Punct, "," | ";") if depth == 0 => break,
-            (TokenKind::Close(Delim::Paren | Delim::Bracket), _) => depth -= 1,
-            (TokenKind::Punct, "&" | "|" | "<" | ">") if depth == 0 => break,
-            _ => {}
-        }
-        j += 1;
-    }
-    after..j
-}
-
-/// True when an operand clearly denotes a float: it holds a float literal
-/// (`0.5`, `1e-9`, `2f64`) or ends in an `as f64`/`as f32` cast.
-fn is_floatish(ts: &TokenStream<'_>, run: Range<usize>) -> bool {
-    let code: Vec<usize> = run.filter(|&j| ts.is_code(j)).collect();
-    let cast =
-        matches!(code[..], [.., a, t] if ts.text(a) == "as" && matches!(ts.text(t), "f64" | "f32"));
-    cast || code.iter().any(|&j| ts.tokens[j].kind == TokenKind::Float)
-}
-
-/// An operand as L3 quotes it: its source text from the first to the last
-/// code token, with comments and string/char contents blanked (quotes
-/// kept), so a report never echoes prose.
-fn operand_text(ts: &TokenStream<'_>, run: Range<usize>) -> String {
-    let mut code = run.filter(|&j| ts.is_code(j));
-    let Some(first) = code.next() else {
-        return String::new();
-    };
-    let last = code.next_back().unwrap_or(first);
-    let base = ts.tokens[first].start;
-    let mut text = ts.source.as_bytes()[base..ts.tokens[last].end].to_vec();
-    for t in &ts.tokens[first..=last] {
-        let span = &mut text[t.start - base..t.end - base];
-        let quote = |b: &u8| matches!(b, b'"' | b'\'');
-        let inner = match t.kind {
-            TokenKind::LineComment | TokenKind::BlockComment => 0..span.len(),
-            TokenKind::Str | TokenKind::Char => {
-                let open = span.iter().position(quote).map_or(0, |q| q + 1);
-                let close = span.iter().rposition(quote).filter(|&q| q >= open);
-                open..close.unwrap_or(span.len())
-            }
-            _ => continue,
-        };
-        for b in &mut span[inner] {
-            if *b != b'\n' {
-                *b = b' ';
-            }
-        }
-    }
-    String::from_utf8_lossy(&text).into_owned()
-}
-
-/// L4: a `pub fn` whose body contains `assert!`/`assert_eq!`/`assert_ne!`/
-/// `panic!` must have a doc comment with a `# Panics` section.
-fn l4_panics_doc(ts: &TokenStream<'_>, regions: &[(usize, usize)], out: &mut Vec<Violation>) {
-    const PANICS: [[&str; 2]; 4] = [
-        ["assert", "!"],
-        ["assert_eq", "!"],
-        ["assert_ne", "!"],
-        ["panic", "!"],
-    ];
-    for f in seq_hits(ts, &["fn"]) {
-        let Some(name) = ts
-            .next_code(f)
-            .filter(|&n| ts.tokens[n].kind == TokenKind::Ident)
-        else {
-            continue;
-        };
-        let Some(vis) = pub_of_fn(ts, f) else {
-            continue;
-        };
-        if in_regions(regions, ts.tokens[vis].start) {
-            continue;
-        }
-        let Some(open) = next_open_brace(ts, f) else {
-            continue;
-        };
-        let close = ts.matching_close(open).unwrap_or(ts.tokens.len());
-        let panics = (open..close).any(|j| PANICS.iter().any(|p| ts.matches_seq(j, p)));
-        if !panics || doc_has_panics(ts, vis) {
-            continue;
-        }
-        let line = ts.tokens[vis].line;
-        out.push(Violation {
-            rule: Rule::L4,
-            line,
-            message: format!(
-                "`pub fn {}` can panic (assert/panic in body) but its doc \
-                 comment has no `# Panics` section",
-                ts.text(name)
-            ),
-            excerpt: excerpt_line(ts.source, line),
-        });
-    }
-}
-
-/// For the `fn` keyword at `f`, the index of its `pub` token when the fn
-/// is exactly `pub` (not `pub(crate)`), walking back over the
-/// `const`/`async`/`unsafe` modifiers.
-fn pub_of_fn(ts: &TokenStream<'_>, f: usize) -> Option<usize> {
-    let mut j = f;
-    loop {
-        j = ts.prev_code(j)?;
-        match ts.text(j) {
-            "const" | "async" | "unsafe" => {}
-            "pub" => return Some(j),
-            _ => return None,
-        }
-    }
-}
-
-/// Walks back from the item starting at token `item` over `#[…]` groups
-/// and `///` doc lines; true when one of those lines holds `# Panics`.
-fn doc_has_panics(ts: &TokenStream<'_>, item: usize) -> bool {
-    let mut saw_panics = false;
-    let mut j = item;
-    while j > 0 {
-        let p = j - 1;
-        match ts.tokens[p].kind {
-            TokenKind::LineComment if ts.text(p).starts_with("///") => {
-                saw_panics |= ts.text(p).contains("# Panics");
-                j = p;
-            }
-            TokenKind::Close(Delim::Bracket) => {
-                let hash = ts
-                    .matching_open(p)
-                    .and_then(|o| ts.prev_code(o))
-                    .filter(|&h| ts.text(h) == "#");
-                let Some(hash) = hash else {
-                    break;
-                };
-                j = hash;
-            }
-            _ => break,
-        }
-    }
-    saw_panics
 }
 
 #[cfg(test)]
@@ -812,32 +421,12 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn check(src: &str, kind: FileKind) -> Vec<Violation> {
-        check_file(&lex(src), kind)
+    fn check(src: &str) -> Vec<Violation> {
+        check_file(&lex(src))
     }
 
     fn rules_of(v: &[Violation]) -> Vec<&'static str> {
         v.iter().map(|v| v.rule.id()).collect()
-    }
-
-    #[test]
-    fn l1_fires_on_unwrap_expect_panic() {
-        let src = "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n\
-                   pub fn g(x: Option<u32>) -> u32 { x.expect(\"oops\") }\n\
-                   pub fn h() { panic!(\"boom\"); }\n";
-        let v = check(src, FileKind::Library);
-        // `h` both panics in library code (L1) and lacks a `# Panics`
-        // section (L4).
-        assert_eq!(rules_of(&v), ["L1", "L1", "L1", "L4"]);
-    }
-
-    #[test]
-    fn l1_ignores_tests_and_testlike_files() {
-        let src =
-            "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { None::<u32>.unwrap(); }\n}\n";
-        assert!(check(src, FileKind::Library).is_empty());
-        let bench = "fn main() { None::<u32>.unwrap(); }";
-        assert!(check(bench, FileKind::TestLike).is_empty());
     }
 
     #[test]
@@ -846,7 +435,7 @@ mod tests {
         // fills it, end at their own `,`: the fn after them stays linted.
         let src = "pub struct Wal {\n    file: u32,\n    #[cfg(test)]\n    fault: Option<Box<dyn Fn(u32, u32) -> u32>>,\n    len: HashMap<u32, u32>,\n}\n\
                    pub fn open() -> Wal {\n    Wal {\n        file: 1,\n        #[cfg(test)]\n        fault: None,\n        len: HashMap::new(),\n    }\n}\n\
-                   pub fn append(x: Option<u32>) -> u32 { x.unwrap() }\n";
+                   pub fn append(x: usize) -> u32 { x as u32 }\n";
         let ts = lex(src);
         let regions = test_regions(&ts);
         let covered: Vec<&str> = regions.iter().map(|&(a, b)| &src[a..b]).collect();
@@ -857,111 +446,41 @@ mod tests {
                 "#[cfg(test)]\n        fault: None,",
             ]
         );
-        assert_eq!(rules_of(&check(src, FileKind::Library)), ["L1"]);
+        assert_eq!(rules_of(&check(src)), ["L7"]);
     }
 
     #[test]
     fn a_last_test_only_literal_field_ends_at_the_close() {
         let src = "pub fn open() -> Wal { Wal { file: 1, #[cfg(test)] fault: None } }\n\
-                   pub fn append(x: Option<u32>) -> u32 { x.unwrap() }\n";
+                   pub fn append(x: usize) -> u32 { x as u32 }\n";
         let regions = test_regions(&lex(src));
         let covered: Vec<&str> = regions.iter().map(|&(a, b)| &src[a..b]).collect();
         assert_eq!(covered, ["#[cfg(test)] fault: None "]);
-        assert_eq!(rules_of(&check(src, FileKind::Library)), ["L1"]);
+        assert_eq!(rules_of(&check(src)), ["L7"]);
     }
 
     #[test]
     fn test_only_uses_consts_and_generic_fns_cover_their_items() {
         let src = "#[cfg(test)]\nuse std::collections::HashMap;\n\
                    #[cfg(test)]\nconst PAIRS: [(u32, u32); 2] = [(0, 1), (1, 2)];\n\
-                   #[cfg(test)]\nfn helper<A, B>(a: A) -> Result<(), B> where A: Clone, B: Copy { None::<u32>.unwrap(); Ok(()) }\n\
-                   pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
+                   #[cfg(test)]\nfn helper<A, B>(a: A, n: usize) -> Result<(), B> where A: Clone, B: Copy { let _ = n as u32; Ok(()) }\n\
+                   pub fn f(x: usize) -> u32 { x as u32 }\n";
         let regions = test_regions(&lex(src));
         let covered: Vec<&str> = regions.iter().map(|&(a, b)| &src[a..b]).collect();
         assert_eq!(covered.len(), 3);
         assert!(covered[0].ends_with("HashMap;"));
         assert!(covered[1].ends_with("(1, 2)];"));
         assert!(covered[2].ends_with("Ok(()) }"));
-        // Only `f`'s unwrap is outside every region.
-        assert_eq!(rules_of(&check(src, FileKind::Library)), ["L1"]);
-    }
-
-    #[test]
-    fn l1_ignores_strings_comments_and_debug_assert() {
-        let src = "// panic! here is prose\npub fn f() { let _ = \"don't panic!\"; }\n\
-                   pub fn g() { debug_assert!(true); }\n\
-                   // thread_rng here\n/* panic! */ pub fn h() {\n\
-                   let s = \"unwrap() panic!\"; let t = r#\"thread_rng\"#; }\n";
-        let v = check(src, FileKind::Library);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn l2_fires_everywhere_even_in_tests() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() { let mut r = rand::thread_rng(); }\n}\n";
-        let v = check(src, FileKind::Library);
-        assert_eq!(rules_of(&v), ["L2"]);
-        let bench = "fn main() { let r = StdRng::from_entropy(); let x: f64 = rand::random(); }";
-        let v = check(bench, FileKind::TestLike);
-        assert_eq!(rules_of(&v), ["L2", "L2"]);
-    }
-
-    #[test]
-    fn l3_fires_on_float_literal_comparison() {
-        let src = "pub fn f(x: f64) -> bool { x == 0.5 }\n\
-                   pub fn g(x: f64) -> bool { 1.0 != x }\n\
-                   pub fn h(n: usize) -> bool { n as f64 == total() }\n";
-        let v = check(src, FileKind::Library);
-        assert_eq!(rules_of(&v), ["L3", "L3", "L3"]);
-    }
-
-    #[test]
-    fn l3_ignores_integers_ranges_and_tests() {
-        let src = "pub fn f(x: usize) -> bool { x == 10 }\n\
-                   pub fn g(x: usize) -> bool { (0..5).contains(&x) && x != 3 }\n\
-                   pub fn ver(s: &str) -> bool { s == \"1.0\" }\n\
-                   #[cfg(test)]\nmod tests { fn t(x: f64) -> bool { x == 0.5 } }\n";
-        let v = check(src, FileKind::Library);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn l3_not_confused_by_other_operators() {
-        let src = "pub fn f(x: f64) -> bool { x <= 0.5 && x >= 0.1 }\n\
-                   pub fn g(x: f64) -> f64 { let y = 0.5; y }\n";
-        assert!(check(src, FileKind::Library).is_empty());
-    }
-
-    #[test]
-    fn l4_requires_panics_doc() {
-        let bad = "/// Does things.\npub fn f(x: usize) { assert!(x > 0); }\n";
-        let v = check(bad, FileKind::Library);
-        assert_eq!(rules_of(&v), ["L4"]);
-
-        let good = "/// Does things.\n///\n/// # Panics\n/// Panics when x is 0.\n\
-                    pub fn f(x: usize) { assert!(x > 0); }\n";
-        assert!(check(good, FileKind::Library).is_empty());
-    }
-
-    #[test]
-    fn l4_skips_private_fns_debug_asserts_and_tests() {
-        let src = "fn private(x: usize) { assert!(x > 0); }\n\
-                   pub fn soft(x: usize) { debug_assert!(x > 0); }\n\
-                   #[cfg(test)]\nmod tests { pub fn t() { assert!(true); } }\n";
-        assert!(check(src, FileKind::Library).is_empty());
-    }
-
-    #[test]
-    fn l4_sees_docs_across_attributes() {
-        let src = "/// Docs.\n///\n/// # Panics\n/// On bad input.\n#[must_use]\n\
-                   pub fn f(x: usize) -> usize { assert!(x > 0); x }\n";
-        assert!(check(src, FileKind::Library).is_empty());
+        // Only `f`'s cast is outside every region.
+        let v = check(src);
+        assert_eq!(rules_of(&v), ["L7"]);
+        assert!(v[0].excerpt.starts_with("pub fn f"), "{v:?}");
     }
 
     #[test]
     fn violations_carry_lines_and_excerpts() {
-        let src = "fn a() {}\n\npub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        let v = check(src, FileKind::Library);
+        let src = "fn a() {}\n\npub fn f(x: usize) -> u32 { x as u32 }\n";
+        let v = check(src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 3);
         assert!(v[0].excerpt.contains("pub fn f"));
@@ -994,7 +513,8 @@ mod tests {
                 );
             }
         }
-        assert_eq!(Rule::from_id("L15"), None);
-        assert_eq!(Rule::from_id(""), None);
+        for retired in ["L1", "L2", "L3", "L4", "L15", ""] {
+            assert_eq!(Rule::from_id(retired), None, "{retired}");
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! End-to-end self-test: the `et-lint` *binary* must exit non-zero on a
-//! seeded violation of each rule L1-L11, zero on a clean tree, and two —
+//! seeded violation of each rule L5-L11, zero on a clean tree, and two —
 //! never one, never a panic — on configuration or I/O failures.
 
 // Test-support helpers outside #[test] fns may expect/unwrap freely.
@@ -47,55 +47,18 @@ fn clean_tree_exits_zero() {
 }
 
 #[test]
-fn each_rule_seeded_violation_exits_nonzero() {
-    let cases: [(&str, &str, &str, &str); 4] = [
-        (
-            "l1",
-            "crates/a/src/lib.rs",
-            "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
-            "[L1]",
-        ),
-        (
-            "l2",
-            "crates/a/src/lib.rs",
-            "pub fn f() -> u64 { let mut r = rand::thread_rng(); 0 }\n",
-            "[L2]",
-        ),
-        (
-            "l3",
-            "crates/a/src/lib.rs",
-            "pub fn f(x: f64) -> bool { x == 0.25 }\n",
-            "[L3]",
-        ),
-        (
-            "l4",
-            "crates/a/src/lib.rs",
-            "/// Undocumented panic.\npub fn f(x: usize) { assert!(x > 0); }\n",
-            "[L4]",
-        ),
-    ];
-    for (name, rel, content, marker) in cases {
-        let root = scratch(name, &[(rel, content)]);
-        let (code, out) = lint(&root);
-        assert_eq!(code, 1, "rule {name} should fail; stdout: {out}");
-        assert!(out.contains(marker), "rule {name} marker in: {out}");
-        let _ = std::fs::remove_dir_all(&root);
-    }
-}
-
-#[test]
 fn allowlisted_violation_exits_zero() {
     let root = scratch(
         "allowed",
         &[
             (
                 "crates/a/src/lib.rs",
-                "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
+                "pub fn f(x: usize) -> u16 { x as u16 }\n",
             ),
             (
                 "et-lint.toml",
-                "[[allow]]\nrule = \"L1\"\npath = \"crates/a/src/lib.rs\"\n\
-                 pattern = \"x.unwrap()\"\nreason = \"seeded exception for the exit-code test\"\n",
+                "[[allow]]\nrule = \"L7\"\npath = \"crates/a/src/lib.rs\"\n\
+                 pattern = \"x as u16\"\nreason = \"seeded exception for the exit-code test\"\n",
             ),
         ],
     );
@@ -107,12 +70,13 @@ fn allowlisted_violation_exits_zero() {
 
 #[test]
 fn bad_allowlist_exits_two() {
-    // Unknown rule id, missing required keys, and non-toml garbage must all
-    // exit 2 (configuration error), not 1 and not a panic.
+    // Unknown or retired rule ids, missing required keys, and non-toml
+    // garbage must all exit 2 (configuration error), not 1 and not a panic.
     let configs = [
         "[[allow]]\nrule = \"L99\"\npath = \"x.rs\"\nreason = \"r\"\n",
+        "[[allow]]\nrule = \"L1\"\npath = \"x.rs\"\nreason = \"r\"\n",
         "[[allow]]\nrule = \"L7\"\n",
-        "rule = \"L1\"\n",
+        "rule = \"L7\"\n",
         "[[allow]]\nnot a key value line\n",
     ];
     for (n, cfg) in configs.iter().enumerate() {
@@ -146,9 +110,25 @@ fn unreadable_tree_exits_two() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// One seeded violation per token-level rule. L5 uses `unwrap()` to bind the
-/// guard (a guard-preserving adapter), so the tree also fires L1 — the
-/// assertion therefore checks the marker, not the violation count.
+/// A `--root` that does not exist, or is a file, is a configuration error:
+/// a mistyped root must not pass as an empty, clean workspace.
+#[test]
+fn missing_or_file_root_exits_two() {
+    let dir = scratch("fileroot", &[("lib.rs", "//! Fine.\n")]);
+    for root in [dir.join("no-such-dir"), dir.join("lib.rs")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_et-lint"))
+            .arg("--root")
+            .arg(&root)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{}", root.display());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("not a directory"), "stderr: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One seeded violation per token-level rule.
 #[test]
 fn each_token_rule_seeded_violation_exits_nonzero() {
     let cases: [(&str, &str, &str); 4] = [
@@ -248,7 +228,7 @@ fn empty_or_stale_ord_comment_exits_nonzero() {
 #[test]
 fn explain_mode_covers_every_rule_and_rejects_unknown_ids() {
     for id in [
-        "L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "L10", "L11", "L12", "L13", "L14",
+        "L5", "L6", "L7", "L8", "L9", "L10", "L11", "L12", "L13", "L14",
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_et-lint"))
             .args(["--explain", id])
@@ -259,11 +239,31 @@ fn explain_mode_covers_every_rule_and_rejects_unknown_ids() {
         assert!(text.starts_with(&format!("{id} — ")), "{id}: {text}");
         assert!(text.len() > 80, "{id} explain too thin: {text}");
     }
+    for retired in ["L1", "L99"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_et-lint"))
+            .args(["--explain", retired])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{retired}");
+    }
+}
+
+#[test]
+fn list_rules_prints_l5_through_l14() {
     let out = Command::new(env!("CARGO_BIN_EXE_et-lint"))
-        .args(["--explain", "L99"])
+        .arg("--list-rules")
         .output()
         .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(out.status.code(), Some(0));
+    let text = String::from_utf8_lossy(&out.stdout);
+    let ids: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(
+        ids,
+        ["L5", "L6", "L7", "L8", "L9", "L10", "L11", "L12", "L13", "L14"]
+    );
 }
 
 #[test]
@@ -307,7 +307,7 @@ fn json_flag_emits_schema_with_same_exit_codes() {
         "jsonbin",
         &[(
             "crates/a/src/lib.rs",
-            "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
+            "pub fn f(x: usize) -> u16 { x as u16 }\n",
         )],
     );
     let out = Command::new(env!("CARGO_BIN_EXE_et-lint"))
@@ -319,7 +319,7 @@ fn json_flag_emits_schema_with_same_exit_codes() {
     let doc = String::from_utf8_lossy(&out.stdout);
     for needle in [
         "\"version\": 2,",
-        "\"rule\": \"L1\"",
+        "\"rule\": \"L7\"",
         "\"witness\": []",
         "\"cost_report\": []",
         "\"clean\": false",
@@ -435,7 +435,7 @@ fn stale_allow_suggests_nearest_path() {
             ("crates/a/src/lib.rs", "//! Fine.\n"),
             (
                 "et-lint.toml",
-                "[[allow]]\nrule = \"L1\"\npath = \"crates/a/src/sesssion.rs\"\n                 reason = \"points at a renamed file\"\n",
+                "[[allow]]\nrule = \"L7\"\npath = \"crates/a/src/sesssion.rs\"\n                 reason = \"points at a renamed file\"\n",
             ),
         ],
     );

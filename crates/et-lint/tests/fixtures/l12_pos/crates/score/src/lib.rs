@@ -1,5 +1,5 @@
 //! L12 positive fixture: the hot scoring root reaches a `format!`
-//! allocation one call deep. L1–L8 cannot see this — the allocation
+//! allocation one call deep. L5–L8 cannot see this — the allocation
 //! hides in a private helper and is charged to the root by reachability.
 
 /// The per-round scoring entry (declared `[[hot]]` in et-lint.toml).

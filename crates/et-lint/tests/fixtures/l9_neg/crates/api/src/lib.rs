@@ -1,5 +1,5 @@
 //! L9 positive fixture: a public entry point reaches an indexing panic
-//! two calls deep. Note L1 cannot see this — there is no unwrap/expect,
+//! two calls deep. clippy::unwrap_used misses this — no unwrap/expect,
 //! only a slice index that panics when `rows` is empty.
 
 /// Public API entry point (declared in et-lint.toml).

@@ -4,6 +4,11 @@
 //! needs entry/source/hot declarations); every rule has a known-positive
 //! and a known-negative tree.
 
+#![expect(
+    clippy::panic,
+    reason = "a helper outside `#[test]` panics to fail the test with context"
+)]
+
 use std::path::PathBuf;
 
 use et_lint::{render, run, Report};

@@ -1,11 +1,12 @@
-//! Workspace-wide lexer invariants: for every `.rs` file et-lint scans —
-//! under `crates/` (fixture trees included) and the root `src/`, `tests/`
-//! and `examples/` — the token spans must be strictly in order,
-//! non-overlapping, and must cover every non-whitespace byte of the
-//! source, and each token's line must be its true source line. A gap that
-//! swallows code, or a drifted line, would silently blind or misreport
-//! every rule (L1–L8 and the parser all read this one token stream), so
-//! this is checked against the real corpus, not just unit snippets.
+//! Workspace-wide lexer invariants: for every `.rs` file under `crates/`
+//! (fixture, test, bench and example trees included) and the root `src/`,
+//! `tests/` and `examples/` — a superset of the library files et-lint
+//! scans — the token spans must be strictly in order, non-overlapping,
+//! and must cover every non-whitespace byte of the source, and each
+//! token's line must be its true source line. A gap that swallows code,
+//! or a drifted line, would silently blind or misreport every rule (L5–L8
+//! and the parser all read this one token stream), so this is checked
+//! against the real corpus, not just unit snippets.
 
 use std::path::{Path, PathBuf};
 

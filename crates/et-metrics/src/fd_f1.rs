@@ -35,7 +35,10 @@ pub fn fd_f1_score(table: &Table, fd: &Fd, clean: &[bool]) -> FdScore {
     let mut compliant = 0u64;
     let mut compliant_clean = 0u64;
     let mut clean_total = 0u64;
-    #[allow(clippy::needless_range_loop)] // `row` feeds both the index and `clean`
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "`row` feeds both the index and `clean`"
+    )]
     for row in 0..table.nrows() {
         let is_compliant = !idx.tuple_violates(0, row);
         if is_compliant {

@@ -25,6 +25,10 @@ pub fn roc_auc(scores: &[f64], truth: &[bool]) -> f64 {
     let mut i = 0;
     while i < idx.len() {
         let mut j = i;
+        #[expect(
+            clippy::float_cmp,
+            reason = "a tie is exact equality of scores; total_cmp would split +0.0 from -0.0"
+        )]
         while j + 1 < idx.len() && scores[idx[j + 1]] == scores[idx[i]] {
             j += 1;
         }

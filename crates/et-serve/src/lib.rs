@@ -41,6 +41,14 @@
 //! Protocol grammar and the session state machine are documented in
 //! DESIGN.md §9; the event loop in DESIGN.md §16.
 
+#![cfg_attr(
+    test,
+    expect(
+        clippy::float_cmp,
+        reason = "unit tests assert values the code computes exactly; library code stays linted"
+    )
+)]
+
 pub mod client;
 pub mod conn;
 pub mod durability;

@@ -123,7 +123,7 @@ fn sub_seed(base: u64, stream: u64) -> u64 {
 
 /// Derives the seed for session `session_id` from the server's base seed.
 /// Pure and collision-resistant in practice: concurrent sessions get
-/// unrelated, reproducible streams (et-lint rule L2: never unseeded).
+/// unrelated, reproducible streams (never unseeded; DESIGN.md §7.1).
 ///
 /// Keeps the top 53 bits of the mix, so the seed is below 2^53 and the
 /// `created` reply echoes it exactly (wire numbers are `f64`).

@@ -18,6 +18,10 @@
 
 // Test harness: expect/unwrap over error plumbing.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
+#![expect(
+    clippy::panic,
+    reason = "a helper outside `#[test]` panics to fail the test with context"
+)]
 
 #[cfg(not(unix))]
 #[test]

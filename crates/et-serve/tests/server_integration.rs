@@ -5,6 +5,10 @@
 // Test helpers run outside `#[test]` fns, where the workspace
 // allow-expect-in-tests carve-out does not reach.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
+#![expect(
+    clippy::float_cmp,
+    reason = "wire replies must equal the batch run bit for bit"
+)]
 
 use std::time::Duration;
 

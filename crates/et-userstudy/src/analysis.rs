@@ -161,7 +161,10 @@ pub fn predictor_mrr(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one scoring step over the caller's loop state; a context struct would only rename it"
+)]
 fn score(
     table: &Table,
     ranked: &[Fd],

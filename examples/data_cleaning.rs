@@ -15,8 +15,11 @@
 //! R 1.00 / F1 0.97, the same as the learner after exploratory training,
 //! while the oracle model reads 0.99 / 1.00 / 0.99.
 
-// Example code favours direct `expect` over error plumbing.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "example code favours direct `expect` over error plumbing"
+)]
+
 use std::sync::Arc;
 
 use exploratory_training::belief::{

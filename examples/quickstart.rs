@@ -10,8 +10,11 @@
 //! the paper's Stochastic Best Response, and prints how the two agents'
 //! beliefs converge.
 
-// Example code favours direct `expect` over error plumbing.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "example code favours direct `expect` over error plumbing"
+)]
+
 use std::sync::Arc;
 
 use exploratory_training::belief::{build_prior, EvidenceConfig, PriorConfig, PriorSpec};

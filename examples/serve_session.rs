@@ -10,8 +10,11 @@
 //! The same dialogue works against a standalone server:
 //! `cargo run --release -p et-serve --bin serve -- --addr 127.0.0.1:7171`.
 
-// Example code favours direct `expect` over error plumbing.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "example code favours direct `expect` and `panic!` over error plumbing"
+)]
 
 use exploratory_training::game::StrategyKind;
 use exploratory_training::serve::{

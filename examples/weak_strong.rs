@@ -11,8 +11,11 @@
 //! the weak labels. Sweep the weak annotator's noise and watch the
 //! escalation rate respond.
 
-// Example code favours direct `expect` over error plumbing.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "example code favours direct `expect` over error plumbing"
+)]
+
 use std::sync::Arc;
 
 use exploratory_training::belief::{build_prior, EvidenceConfig, PriorConfig, PriorSpec};

@@ -14,7 +14,7 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> et-lint (L1-L14 workspace rules, budget ${LINT_BUDGET_SECS:=60}s)"
+echo "==> et-lint (L5-L14 workspace rules, budget ${LINT_BUDGET_SECS:=60}s)"
 # Build first so the budget bounds analysis time, not rustc time. The lint
 # walks + lexes + parses the whole workspace and links the call graph on
 # every run; if it creeps past the wall-clock budget it stops being a
@@ -70,6 +70,13 @@ else
   echo "    timeout(1) unavailable: running crash_recovery unbounded"
   cargo test -q -p et-serve --test crash_recovery
 fi
+
+echo "==> roundbench builds against the workspace"
+# The benchmark is a workspace of its own that depends on the crates by
+# path, so a workspace API change can break it without failing any step
+# above. Its artifacts go under target/ so nothing is written in roundbench/.
+CARGO_TARGET_DIR=target/roundbench \
+  cargo build -q --release --offline --locked --manifest-path roundbench/Cargo.toml
 
 echo "==> bench harness compiles + bench_json smoke (quick profile)"
 # Beyond "the baseline regenerates", the quick profile gates the delta

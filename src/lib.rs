@@ -27,8 +27,6 @@
 //! assert!((g.g1() - 0.04).abs() < 1e-12);
 //! ```
 
-#![warn(missing_docs)]
-
 pub use et_belief as belief;
 pub use et_core as game;
 pub use et_data as data;
