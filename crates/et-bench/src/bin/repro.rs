@@ -163,7 +163,10 @@ fn main() {
         emit(&format!("# {} — {} ({})", e.id, e.title, e.paper_ref));
         emit(&format!("# expectation: {}", e.expectation));
         emit("################################################################");
-        let out = (e.run)(&opts);
+        let out = (e.run)(&opts).unwrap_or_else(|err| {
+            eprintln!("error: {}: {err}", e.id);
+            std::process::exit(2);
+        });
         emit(&out.text);
         if cli.digest {
             csv_digests.extend(

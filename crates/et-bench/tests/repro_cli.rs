@@ -1,6 +1,7 @@
 //! `repro`'s size flags through the binary: a zero `--runs`, `--rows` or
-//! `--iters` is a usage error (exit 2 with an `error:` line), not a panic
-//! deep inside an experiment.
+//! `--iters`, or a row count too small for a session to play a round, is a
+//! usage error (exit 2 with an `error:` line), not a panic deep inside an
+//! experiment.
 
 // Test helpers run outside `#[test]` fns, where the workspace
 // allow-expect-in-tests carve-out does not reach.
@@ -27,5 +28,39 @@ fn size_flags_reject_zero_and_take_one() {
         let out = repro(&["--exp", "table1", flag, "1"]);
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(0), "{flag} 1: {err}");
+    }
+}
+
+#[test]
+fn a_table_too_small_for_a_round_is_a_usage_error() {
+    // `--digest` keeps the experiments that run first from writing CSVs.
+    for (args, rows) in [
+        (&["--all", "--quick", "--digest", "--rows", "5"][..], 5),
+        (&["--all", "--quick", "--digest", "--rows", "6"][..], 6),
+        (
+            &[
+                "--exp",
+                "ablation-gamma",
+                "--quick",
+                "--digest",
+                "--rows",
+                "5",
+            ][..],
+            5,
+        ),
+        (
+            &["--exp", "drift", "--quick", "--digest", "--rows", "1"][..],
+            1,
+        ),
+    ] {
+        let out = repro(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        assert!(err.starts_with("error: "), "{args:?}: {err}");
+        assert!(
+            err.contains(&format!("a {rows}-row OMDB table played no round")),
+            "{args:?}: {err}"
+        );
     }
 }

@@ -10,6 +10,11 @@
 //!   one that re-folds only a delta, so the cache can never change a
 //!   session's trajectory.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "test fixtures cast small indices and sizes"
+)]
+
 use std::cell::RefCell;
 use std::sync::Arc;
 

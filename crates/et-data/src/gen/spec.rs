@@ -177,6 +177,10 @@ impl DatasetSpec {
     pub fn generate(&self, rows: usize, seed: u64) -> GeneratedDataset {
         let vals = self.values(rows, seed);
         let schema = Schema::new(self.attrs.iter().map(|a| a.name.clone()));
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "dict gains one entry per distinct u32 value index, so its length fits u32"
+        )]
         let columns = self
             .attrs
             .iter()
@@ -212,6 +216,11 @@ impl DatasetSpec {
         let mut vals: Vec<Vec<u32>> = vec![Vec::with_capacity(rows); self.attrs.len()];
         for row in 0..rows {
             for &a in &order {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    clippy::cast_sign_loss,
+                    reason = "a value index lies in [0, cardinality): the float draw is non-negative and clamped by .min(cardinality - 1), and dataset cardinalities stay far below u32::MAX"
+                )]
                 let v = match &self.attrs[a].kind {
                     AttrKind::Base { cardinality, skew } => {
                         let u: f64 = rng.gen::<f64>();
@@ -285,6 +294,10 @@ impl DatasetSpec {
 
 /// The deterministic value of a derived attribute: a hash of the
 /// determinant values, folded into the output domain.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "h % cardinality lies below the cardinality, which dataset specs keep far below u32::MAX"
+)]
 fn derive_value(
     seed: u64,
     attr: usize,

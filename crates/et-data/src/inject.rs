@@ -151,6 +151,10 @@ pub struct PairIndex {
 
 impl PairIndex {
     /// Groups `table` by every FD's LHS and counts its pairs.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "attribute positions fit AttrId (u16): schemas stay far narrower, and the FD stack's u64 AttrSet caps them at 64"
+    )]
     pub fn new(table: &Table, fds: &[FdSpec]) -> Self {
         let lhs: Vec<Vec<AttrId>> = fds
             .iter()
@@ -325,6 +329,11 @@ pub fn inject_errors(
         // Batch a few edits when far from the target, single-step when
         // close; the degree is read once per batch.
         let deficit_pairs = (cfg.degree - achieved) * index.counts().at_risk.max(1) as f64;
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "batch size is clamped to [1, 32] on the same expression"
+        )]
         let batch = ((deficit_pairs / (n as f64 * 0.2)).ceil() as usize).clamp(1, 32);
         let mut made_progress = false;
         for _ in 0..batch {
@@ -341,6 +350,10 @@ pub fn inject_errors(
                 }
                 pick -= w;
             }
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "attribute positions fit AttrId (u16): schemas stay far narrower, and the FD stack's u64 AttrSet caps them at 64"
+            )]
             let rhs = all_fds[fd].rhs as AttrId;
             let multi: Vec<&Vec<u32>> = index
                 .groups(fd)
@@ -409,6 +422,10 @@ pub fn inject_errors(
 
 /// Picks the text of an existing symbol of column `attr` different from
 /// `old`, if the column has one.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "symbols are interned as u32 by Column::intern, so dict_len fits u32"
+)]
 fn existing_other_value(table: &Table, attr: AttrId, old: u32, rng: &mut StdRng) -> Option<String> {
     let card = table.dict_len(attr);
     if card < 2 {

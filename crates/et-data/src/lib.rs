@@ -27,6 +27,13 @@
         reason = "unit tests assert values the code computes exactly; library code stays linted"
     )
 )]
+#![cfg_attr(
+    test,
+    expect(
+        clippy::cast_possible_truncation,
+        reason = "unit tests cast small fixture indices and sizes; library casts state their bound at the site"
+    )
+)]
 
 pub mod gen;
 pub mod inject;
@@ -71,6 +78,10 @@ impl FdSpec {
     }
 
     /// Renders the FD using attribute names from `schema`, e.g. `Team -> City`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "attribute positions fit AttrId (u16): schemas stay far narrower, and the FD stack's u64 AttrSet caps them at 64"
+    )]
     pub fn display(&self, schema: &Schema) -> String {
         let lhs: Vec<&str> = self.lhs.iter().map(|&a| schema.name(a as AttrId)).collect();
         format!("{} -> {}", lhs.join(","), schema.name(self.rhs as AttrId))

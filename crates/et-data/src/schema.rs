@@ -55,6 +55,10 @@ impl Schema {
     }
 
     /// Looks up an attribute id by name.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "attribute positions fit AttrId (u16): schemas stay far narrower, and the FD stack's u64 AttrSet caps them at 64"
+    )]
     pub fn id_of(&self, name: &str) -> Option<AttrId> {
         self.attrs
             .iter()
@@ -63,6 +67,10 @@ impl Schema {
     }
 
     /// Iterates over `(id, name)` pairs.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "attribute positions fit AttrId (u16): schemas stay far narrower, and the FD stack's u64 AttrSet caps them at 64"
+    )]
     pub fn iter(&self) -> impl Iterator<Item = (AttrId, &str)> {
         self.attrs
             .iter()

@@ -22,6 +22,11 @@ pub fn split_rows(n: usize, test_frac: f64, seed: u64) -> (Vec<usize>, Vec<usize
     let mut rows: Vec<usize> = (0..n).collect();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xa076_1d64_78bd_642f);
     rows.shuffle(&mut rng);
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "test_frac is asserted to lie in [0, 1], so n * test_frac lies in [0, n]"
+    )]
     let n_test = (n as f64 * test_frac).round() as usize;
     let (test, train) = rows.split_at(n_test.min(n));
     let mut train = train.to_vec();

@@ -26,6 +26,10 @@ impl Column {
         if let Some(&s) = self.lookup.get(text) {
             return s;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "interned symbol ids and group ids are u32 by design; a dict or a group list outgrowing u32 would exhaust memory long before the cast truncates"
+        )]
         let s = self.dict.len() as u32;
         self.dict.push(text.to_owned());
         self.lookup.insert(text.to_owned(), s);
@@ -168,6 +172,10 @@ impl Table {
     }
 
     /// The row as owned strings (diagnostics, CSV export).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "attribute positions fit AttrId (u16): schemas stay far narrower, and the FD stack's u64 AttrSet caps them at 64"
+    )]
     pub fn row_texts(&self, row: usize) -> Vec<String> {
         (0..self.ncols())
             .map(|c| self.text(row, c as AttrId).to_owned())
@@ -179,6 +187,10 @@ impl Table {
     /// straight from the dictionaries (how a served presentation renders
     /// each tuple).
     pub fn joined_row(&self, row: usize, sep: &str) -> String {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "attribute positions fit AttrId (u16): schemas stay far narrower, and the FD stack's u64 AttrSet caps them at 64"
+        )]
         let cells = || (0..self.ncols()).map(|c| self.text(row, c as AttrId));
         let len = cells().map(str::len).sum::<usize>() + sep.len() * self.ncols().saturating_sub(1);
         let mut text = String::with_capacity(len);
@@ -195,6 +207,10 @@ impl Table {
     pub fn subset(&self, rows: &[usize]) -> Table {
         let mut b = Table::builder(self.schema.clone());
         for &r in rows {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "attribute positions fit AttrId (u16): schemas stay far narrower, and the FD stack's u64 AttrSet caps them at 64"
+            )]
             let row: Vec<&str> = (0..self.ncols())
                 .map(|c| self.text(r, c as AttrId))
                 .collect();
@@ -279,6 +295,10 @@ impl Table {
 
 /// Renumbers `ids`, each below `n_ids`, densely in order of first
 /// occurrence, and returns every new id's count.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a new id is handed out once per distinct u32 input id, so sizes.len() stays below 2^32"
+)]
 fn renumber_by_first_row(ids: &mut [u32], n_ids: usize) -> Vec<usize> {
     let mut renumber = vec![UNSET; n_ids];
     let mut sizes = Vec::new();

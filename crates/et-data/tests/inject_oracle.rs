@@ -3,6 +3,12 @@
 //! bit-identical tables, ground truth and achieved degrees, and pair counts
 //! equal to a `HashSet` union after every edit.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "test fixtures cast small indices and sizes"
+)]
+
 use proptest::prelude::*;
 
 use et_data::gen::DatasetName;

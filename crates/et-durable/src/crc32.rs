@@ -10,9 +10,9 @@ const TABLE: [u32; 256] = build_table();
 
 const fn build_table() -> [u32; 256] {
     let mut table = [0u32; 256];
-    let mut i = 0;
+    let mut i: u32 = 0;
     while i < 256 {
-        let mut crc = i as u32;
+        let mut crc = i;
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 {
@@ -22,7 +22,7 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        table[i as usize] = crc;
         i += 1;
     }
     table

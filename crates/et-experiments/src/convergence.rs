@@ -15,6 +15,29 @@ use et_data::{inject_errors, InjectConfig};
 use et_fd::{Fd, HypothesisSpace};
 use et_metrics::{aggregate, SeriesStats};
 
+/// A session that played no round: its table was too small to offer a
+/// single candidate pair, so it has no curve to report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NoRounds {
+    /// The dataset the session ran on.
+    pub dataset: DatasetName,
+    /// The generated row count.
+    pub rows: usize,
+}
+
+impl std::fmt::Display for NoRounds {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "a session on a {}-row {} table played no round (too few rows to offer a pair)",
+            self.rows,
+            self.dataset.as_str()
+        )
+    }
+}
+
+impl std::error::Error for NoRounds {}
+
 /// The prior families of the empirical study, instantiated per run seed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PriorKind {
@@ -135,9 +158,12 @@ impl ConvergenceExperiment {
 
     /// Runs all methods over all seeds and aggregates.
     ///
+    /// # Errors
+    /// [`NoRounds`] when a session plays no round.
+    ///
     /// # Panics
     /// Panics when `runs` is zero.
-    pub fn run(&self) -> Vec<MethodRun> {
+    pub fn run(&self) -> Result<Vec<MethodRun>, NoRounds> {
         assert!(self.runs > 0, "need at least one run");
         let mut per_method: Vec<Vec<(SessionResult, f64)>> =
             vec![Vec::with_capacity(self.runs); self.methods.len()];
@@ -147,12 +173,19 @@ impl ConvergenceExperiment {
             let prepared = self.prepare(seed);
             for (mi, &kind) in self.methods.iter().enumerate() {
                 let result = self.run_one(&prepared, kind, seed);
+                if result.metrics.is_empty() {
+                    return Err(NoRounds {
+                        dataset: self.dataset,
+                        rows: self.rows,
+                    });
+                }
                 let auc = final_detector_auc(&prepared, &result, seed, &self.session);
                 per_method[mi].push((result, auc));
             }
         }
 
-        self.methods
+        Ok(self
+            .methods
             .iter()
             .zip(per_method)
             .map(|(&kind, results)| {
@@ -174,7 +207,7 @@ impl ConvergenceExperiment {
                     final_auc,
                 }
             })
-            .collect()
+            .collect())
     }
 
     /// Generates the dirty dataset and hypothesis space for one seed.
@@ -284,7 +317,7 @@ mod tests {
     #[test]
     fn produces_aggregated_curves() {
         let e = quick(DatasetName::Omdb);
-        let runs = e.run();
+        let runs = e.run().expect("sessions play rounds");
         assert_eq!(runs.len(), 4);
         for m in &runs {
             assert_eq!(m.mae.len(), 10);
@@ -299,8 +332,8 @@ mod tests {
     #[test]
     fn deterministic_across_invocations() {
         let e = quick(DatasetName::Airport);
-        let a = e.run();
-        let b = e.run();
+        let a = e.run().expect("sessions play rounds");
+        let b = e.run().expect("sessions play rounds");
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.mae.mean, y.mae.mean);
         }
@@ -310,7 +343,7 @@ mod tests {
     fn mae_falls_for_every_method() {
         let mut e = quick(DatasetName::Omdb);
         e.session.iterations = 25;
-        for m in e.run() {
+        for m in e.run().expect("sessions play rounds") {
             let first = m.mae.mean[0];
             let last = m.mae.last_mean();
             assert!(

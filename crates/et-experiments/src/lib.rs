@@ -15,5 +15,5 @@ pub mod convergence;
 pub mod registry;
 pub mod report;
 
-pub use convergence::{ConvergenceExperiment, MethodRun, PriorKind};
+pub use convergence::{ConvergenceExperiment, MethodRun, NoRounds, PriorKind};
 pub use registry::{all_experiments, experiment_by_id, Experiment, ExperimentOutput, RunOptions};

@@ -14,7 +14,7 @@ use et_userstudy::{
     average_f1_change, predictor_mrr, run_study, scenarios, PredictorKind, StudyConfig,
 };
 
-use crate::convergence::{ConvergenceExperiment, PriorKind};
+use crate::convergence::{ConvergenceExperiment, NoRounds, PriorKind};
 use crate::report::{curves_to_csv, render_curves, render_summary, render_table, Metric};
 
 /// Global knobs for a reproduction run.
@@ -75,7 +75,7 @@ pub struct Experiment {
     /// The qualitative shape the paper reports (what "reproduced" means).
     pub expectation: &'static str,
     /// Runner.
-    pub run: fn(&RunOptions) -> ExperimentOutput,
+    pub run: fn(&RunOptions) -> Result<ExperimentOutput, NoRounds>,
 }
 
 /// Every registered experiment, in the paper's order.
@@ -295,7 +295,7 @@ fn study_cfg(opts: &RunOptions) -> StudyConfig {
     }
 }
 
-fn run_table1(_opts: &RunOptions) -> ExperimentOutput {
+fn run_table1(_opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     let t = paper_table1();
     let fd = Fd::from_attrs([1], 2); // Team -> City
     let g = g1_of(&t, &fd);
@@ -317,14 +317,14 @@ fn run_table1(_opts: &RunOptions) -> ExperimentOutput {
         text,
         "violating pair (t1, t2) dirty probability = {p:.2}  (paper Example 2: 0.96)"
     );
-    ExperimentOutput {
+    Ok(ExperimentOutput {
         id: "table1",
         text,
         csv: vec![],
-    }
+    })
 }
 
-fn run_table2(_opts: &RunOptions) -> ExperimentOutput {
+fn run_table2(_opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     let rows: Vec<Vec<String>> = scenarios()
         .iter()
         .map(|s| {
@@ -358,14 +358,14 @@ fn run_table2(_opts: &RunOptions) -> ExperimentOutput {
         ],
         &rows,
     );
-    ExperimentOutput {
+    Ok(ExperimentOutput {
         id: "table2",
         text,
         csv: vec![],
-    }
+    })
 }
 
-fn run_table3(opts: &RunOptions) -> ExperimentOutput {
+fn run_table3(opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     let cfg = study_cfg(opts);
     let mut rows = Vec::new();
     let mut csv = String::from("scenario,avg_f1_change\n");
@@ -380,11 +380,11 @@ fn run_table3(opts: &RunOptions) -> ExperimentOutput {
         text,
         "\nPaper reports 0.11-0.33: hypothesis revisions are real learning, not noise."
     );
-    ExperimentOutput {
+    Ok(ExperimentOutput {
         id: "table3",
         text,
         csv: vec![("table3.csv".into(), csv)],
-    }
+    })
 }
 
 fn mae_figure(
@@ -394,12 +394,12 @@ fn mae_figure(
     degree: f64,
     trainer: PriorKind,
     learner: PriorKind,
-) -> ExperimentOutput {
+) -> Result<ExperimentOutput, NoRounds> {
     let mut text = String::new();
     let mut csv = Vec::new();
     for &ds in datasets {
         let e = conv(opts, ds, degree, trainer, learner);
-        let runs = e.run();
+        let runs = e.run()?;
         let title = format!(
             "{} deg={degree} trainer={} learner={}",
             ds.as_str(),
@@ -415,10 +415,10 @@ fn mae_figure(
             curves_to_csv(&runs, Metric::Mae),
         ));
     }
-    ExperimentOutput { id, text, csv }
+    Ok(ExperimentOutput { id, text, csv })
 }
 
-fn run_fig1(opts: &RunOptions) -> ExperimentOutput {
+fn run_fig1(opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     mae_figure(
         "fig1",
         opts,
@@ -429,7 +429,7 @@ fn run_fig1(opts: &RunOptions) -> ExperimentOutput {
     )
 }
 
-fn run_fig3(opts: &RunOptions) -> ExperimentOutput {
+fn run_fig3(opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     mae_figure(
         "fig3",
         opts,
@@ -440,7 +440,7 @@ fn run_fig3(opts: &RunOptions) -> ExperimentOutput {
     )
 }
 
-fn run_fig4(opts: &RunOptions) -> ExperimentOutput {
+fn run_fig4(opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     mae_figure(
         "fig4",
         opts,
@@ -451,7 +451,7 @@ fn run_fig4(opts: &RunOptions) -> ExperimentOutput {
     )
 }
 
-fn run_fig5(opts: &RunOptions) -> ExperimentOutput {
+fn run_fig5(opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     mae_figure(
         "fig5",
         opts,
@@ -462,10 +462,11 @@ fn run_fig5(opts: &RunOptions) -> ExperimentOutput {
     )
 }
 
-fn run_fig6(opts: &RunOptions) -> ExperimentOutput {
+fn run_fig6(opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     let mut text = String::new();
     let mut csv = Vec::new();
-    for degree in [0.05, 0.15, 0.25] {
+    for percent in [5u32, 15, 25] {
+        let degree = f64::from(percent) / 100.0;
         let e = conv(
             opts,
             DatasetName::Omdb,
@@ -473,9 +474,9 @@ fn run_fig6(opts: &RunOptions) -> ExperimentOutput {
             PriorKind::Random,
             PriorKind::Uniform(0.9),
         );
-        let runs = e.run();
+        let runs = e.run()?;
         text.push_str(&render_curves(
-            &format!("OMDB degree~{}%", (degree * 100.0) as u32),
+            &format!("OMDB degree~{percent}%"),
             &runs,
             Metric::Mae,
         ));
@@ -483,23 +484,23 @@ fn run_fig6(opts: &RunOptions) -> ExperimentOutput {
         text.push_str(&render_summary(&runs, Metric::Mae, 0.10));
         text.push('\n');
         csv.push((
-            format!("fig6-deg{}.csv", (degree * 100.0) as u32),
+            format!("fig6-deg{percent}.csv"),
             curves_to_csv(&runs, Metric::Mae),
         ));
     }
-    ExperimentOutput {
+    Ok(ExperimentOutput {
         id: "fig6",
         text,
         csv,
-    }
+    })
 }
 
-fn run_fig7(opts: &RunOptions) -> ExperimentOutput {
+fn run_fig7(opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     let mut text = String::new();
     let mut csv = Vec::new();
     for ds in [DatasetName::Omdb, DatasetName::Hospital, DatasetName::Tax] {
         let e = conv(opts, ds, 0.20, PriorKind::Random, PriorKind::Random);
-        let runs = e.run();
+        let runs = e.run()?;
         for metric in [Metric::F1, Metric::Precision, Metric::Recall] {
             text.push_str(&render_curves(
                 &format!("{} deg=0.20 priors Random/Random", ds.as_str()),
@@ -515,14 +516,14 @@ fn run_fig7(opts: &RunOptions) -> ExperimentOutput {
             curves_to_csv(&runs, Metric::F1),
         ));
     }
-    ExperimentOutput {
+    Ok(ExperimentOutput {
         id: "fig7",
         text,
         csv,
-    }
+    })
 }
 
-fn run_fig2(opts: &RunOptions) -> ExperimentOutput {
+fn run_fig2(opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     let cfg = study_cfg(opts);
     let mut rows = Vec::new();
     let mut csv = String::from("scenario,predictor,mrr_exact,mrr_plus\n");
@@ -550,14 +551,14 @@ fn run_fig2(opts: &RunOptions) -> ExperimentOutput {
         }
     }
     let text = render_table(&["Scenario", "Model", "MRR@5", "MRR@5 (+)"], &rows);
-    ExperimentOutput {
+    Ok(ExperimentOutput {
         id: "fig2",
         text,
         csv: vec![("fig2.csv".into(), csv)],
-    }
+    })
 }
 
-fn run_prop1(opts: &RunOptions) -> ExperimentOutput {
+fn run_prop1(opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     // One long game of (FP trainer, Best-response labeling) vs
     // (FP learner, Stochastic Best Response).
     let mut ds = DatasetName::Omdb.generate(opts.rows, 0x51);
@@ -610,6 +611,12 @@ fn run_prop1(opts: &RunOptions) -> ExperimentOutput {
         &mut trainer,
         &mut learner,
     );
+    if result.metrics.is_empty() {
+        return Err(NoRounds {
+            dataset: DatasetName::Omdb,
+            rows: opts.rows,
+        });
+    }
     let c = &result.convergence;
     let mut text = String::new();
     let _ = writeln!(text, "iterations executed: {}", result.metrics.len());
@@ -630,14 +637,14 @@ fn run_prop1(opts: &RunOptions) -> ExperimentOutput {
             m.t, m.mae, m.trainer_drift, m.learner_drift, m.phi_dirty, m.agreement
         );
     }
-    ExperimentOutput {
+    Ok(ExperimentOutput {
         id: "prop1",
         text,
         csv: vec![("prop1.csv".into(), csv)],
-    }
+    })
 }
 
-fn run_ablation_gamma(opts: &RunOptions) -> ExperimentOutput {
+fn run_ablation_gamma(opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     let mut rows = Vec::new();
     for kind in [
         StrategyKind::StochasticBestResponse,
@@ -653,7 +660,7 @@ fn run_ablation_gamma(opts: &RunOptions) -> ExperimentOutput {
             );
             e.methods = vec![kind];
             e.gamma = gamma;
-            let r = &e.run()[0];
+            let r = &e.run()?[0];
             rows.push(vec![
                 kind.as_str().to_string(),
                 format!("{gamma}"),
@@ -662,14 +669,14 @@ fn run_ablation_gamma(opts: &RunOptions) -> ExperimentOutput {
             ]);
         }
     }
-    ExperimentOutput {
+    Ok(ExperimentOutput {
         id: "ablation-gamma",
         text: render_table(&["method", "gamma", "final MAE", "MAE AUC"], &rows),
         csv: vec![],
-    }
+    })
 }
 
-fn run_ablation_prior_strength(opts: &RunOptions) -> ExperimentOutput {
+fn run_ablation_prior_strength(opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     let mut rows = Vec::new();
     for strength in [0.1, 0.3, 1.0, 3.0] {
         let mut e = conv(
@@ -681,21 +688,21 @@ fn run_ablation_prior_strength(opts: &RunOptions) -> ExperimentOutput {
         );
         e.methods = vec![StrategyKind::StochasticBestResponse];
         e.prior_cfg.strength = strength;
-        let r = &e.run()[0];
+        let r = &e.run()?[0];
         rows.push(vec![
             format!("{strength}"),
             format!("{:.4}", r.mae.mean[0]),
             format!("{:.4}", r.mae.last_mean()),
         ]);
     }
-    ExperimentOutput {
+    Ok(ExperimentOutput {
         id: "ablation-prior-strength",
         text: render_table(&["prior strength", "initial MAE", "final MAE"], &rows),
         csv: vec![],
-    }
+    })
 }
 
-fn run_ablation_thompson(opts: &RunOptions) -> ExperimentOutput {
+fn run_ablation_thompson(opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     let mut e = conv(
         opts,
         DatasetName::Omdb,
@@ -709,21 +716,21 @@ fn run_ablation_thompson(opts: &RunOptions) -> ExperimentOutput {
         StrategyKind::ThompsonSampling,
         StrategyKind::UncertaintySampling,
     ];
-    let runs = e.run();
+    let runs = e.run()?;
     let mut text = render_curves("Thompson ablation (OMDB)", &runs, Metric::Mae);
     text.push('\n');
     text.push_str(&render_summary(&runs, Metric::Mae, 0.10));
-    ExperimentOutput {
+    Ok(ExperimentOutput {
         id: "ablation-thompson",
         text,
         csv: vec![(
             "ablation-thompson.csv".into(),
             curves_to_csv(&runs, Metric::Mae),
         )],
-    }
+    })
 }
 
-fn run_ablation_space(opts: &RunOptions) -> ExperimentOutput {
+fn run_ablation_space(opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     let mut rows = Vec::new();
     for cap in [19, 38, 76] {
         let mut e = conv(
@@ -735,21 +742,21 @@ fn run_ablation_space(opts: &RunOptions) -> ExperimentOutput {
         );
         e.methods = vec![StrategyKind::StochasticBestResponse];
         e.space_cap = cap;
-        let r = &e.run()[0];
+        let r = &e.run()?[0];
         rows.push(vec![
             cap.to_string(),
             format!("{:.4}", r.mae.mean[0]),
             format!("{:.4}", r.mae.last_mean()),
         ]);
     }
-    ExperimentOutput {
+    Ok(ExperimentOutput {
         id: "ablation-space",
         text: render_table(&["|space|", "initial MAE", "final MAE"], &rows),
         csv: vec![],
-    }
+    })
 }
 
-fn run_ablation_k(opts: &RunOptions) -> ExperimentOutput {
+fn run_ablation_k(opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     let mut rows = Vec::new();
     for k in [2usize, 5, 10] {
         let mut e = conv(
@@ -761,7 +768,7 @@ fn run_ablation_k(opts: &RunOptions) -> ExperimentOutput {
         );
         e.methods = vec![StrategyKind::StochasticBestResponse];
         e.session.pairs_per_iteration = k;
-        let r = &e.run()[0];
+        let r = &e.run()?[0];
         let reach = et_metrics::iterations_to_threshold(&r.mae.mean, 0.10)
             .map(|t| t.to_string())
             .unwrap_or_else(|| "-".into());
@@ -771,14 +778,14 @@ fn run_ablation_k(opts: &RunOptions) -> ExperimentOutput {
             reach,
         ]);
     }
-    ExperimentOutput {
+    Ok(ExperimentOutput {
         id: "ablation-k",
         text: render_table(&["pairs/iter", "final MAE", "iters to MAE<=0.10"], &rows),
         csv: vec![],
-    }
+    })
 }
 
-fn run_ablation_score_basis(opts: &RunOptions) -> ExperimentOutput {
+fn run_ablation_score_basis(opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     let mut rows = Vec::new();
     for (label, basis) in [
         ("pair-local", et_core::ScoreBasis::PairLocal),
@@ -790,7 +797,7 @@ fn run_ablation_score_basis(opts: &RunOptions) -> ExperimentOutput {
         ] {
             let mut e = conv(opts, DatasetName::Omdb, 0.10, PriorKind::Random, lp);
             e.score_basis = basis;
-            let runs = e.run();
+            let runs = e.run()?;
             for m in runs {
                 rows.push(vec![
                     label.to_string(),
@@ -801,14 +808,14 @@ fn run_ablation_score_basis(opts: &RunOptions) -> ExperimentOutput {
             }
         }
     }
-    ExperimentOutput {
+    Ok(ExperimentOutput {
         id: "ablation-score-basis",
         text: render_table(&["basis", "learner prior", "method", "final MAE"], &rows),
         csv: vec![],
-    }
+    })
 }
 
-fn run_ablation_evidence_scope(opts: &RunOptions) -> ExperimentOutput {
+fn run_ablation_evidence_scope(opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     use et_core::EvidenceScope;
     let mut rows = Vec::new();
     for (label, scope) in [
@@ -824,7 +831,7 @@ fn run_ablation_evidence_scope(opts: &RunOptions) -> ExperimentOutput {
             PriorKind::DataEstimate,
         );
         e.evidence_scope = scope;
-        let runs = e.run();
+        let runs = e.run()?;
         let spread = {
             let finals: Vec<f64> = runs.iter().map(|m| m.mae.last_mean()).collect();
             finals.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
@@ -839,17 +846,17 @@ fn run_ablation_evidence_scope(opts: &RunOptions) -> ExperimentOutput {
             ]);
         }
     }
-    ExperimentOutput {
+    Ok(ExperimentOutput {
         id: "ablation-evidence-scope",
         text: render_table(
             &["evidence scope", "method", "final MAE", "method spread"],
             &rows,
         ),
         csv: vec![],
-    }
+    })
 }
 
-fn run_ablation_extensions(opts: &RunOptions) -> ExperimentOutput {
+fn run_ablation_extensions(opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     let mut e = conv(
         opts,
         DatasetName::Omdb,
@@ -864,21 +871,21 @@ fn run_ablation_extensions(opts: &RunOptions) -> ExperimentOutput {
         StrategyKind::CommitteeDisagreement,
         StrategyKind::DensityWeightedUncertainty,
     ];
-    let runs = e.run();
+    let runs = e.run()?;
     let mut text = render_curves("extension strategies (OMDB)", &runs, Metric::Mae);
     text.push('\n');
     text.push_str(&render_summary(&runs, Metric::Mae, 0.10));
-    ExperimentOutput {
+    Ok(ExperimentOutput {
         id: "ablation-extensions",
         text,
         csv: vec![(
             "ablation-extensions.csv".into(),
             curves_to_csv(&runs, Metric::Mae),
         )],
-    }
+    })
 }
 
-fn run_weak_strong_exp(opts: &RunOptions) -> ExperimentOutput {
+fn run_weak_strong_exp(opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     use et_core::trainer::{NoisyTrainer, OracleTrainer};
     use et_core::{run_weak_strong, Learner, WeakStrongConfig};
 
@@ -935,24 +942,30 @@ fn run_weak_strong_exp(opts: &RunOptions) -> ExperimentOutput {
                 ..WeakStrongConfig::default()
             },
         );
-        let final_f1 = r.iterations.last().map_or(0.0, |i| i.learner_f1);
+        let Some(last) = r.iterations.last() else {
+            return Err(NoRounds {
+                dataset: DatasetName::Omdb,
+                rows: opts.rows,
+            });
+        };
+        let final_f1 = last.learner_f1;
         rows.push(vec![
             format!("{flip:.1}"),
             format!("{:.2}", r.escalation_rate()),
             format!("{:.3}", final_f1),
         ]);
     }
-    ExperimentOutput {
+    Ok(ExperimentOutput {
         id: "weak-strong",
         text: render_table(
             &["weak flip prob", "escalation rate", "final learner F1"],
             &rows,
         ),
         csv: vec![],
-    }
+    })
 }
 
-fn run_fig2_participants(opts: &RunOptions) -> ExperimentOutput {
+fn run_fig2_participants(opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     use et_userstudy::{per_participant_mrr, predictor_win_counts};
     let cfg = study_cfg(opts);
     let mut rows = Vec::new();
@@ -978,11 +991,11 @@ fn run_fig2_participants(opts: &RunOptions) -> ExperimentOutput {
         "\noverall: Bayesian models {total_bayes}/{total} participant-scenarios best \
          (paper: all participants but two)"
     );
-    ExperimentOutput {
+    Ok(ExperimentOutput {
         id: "fig2-participants",
         text,
         csv: vec![],
-    }
+    })
 }
 
 /// The paper's introduction motivates annotators who must "refresh their
@@ -991,7 +1004,7 @@ fn run_fig2_participants(opts: &RunOptions) -> ExperimentOutput {
 /// halfway through the session and compares a plain FP annotator against a
 /// discounted-FP annotator (geometric forgetting) on how quickly each
 /// re-learns the post-shift world.
-fn run_drift(opts: &RunOptions) -> ExperimentOutput {
+fn run_drift(opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     use et_core::trainer::Trainer;
     use et_core::{sample_rows, CandidatePool, FreshCandidates, Learner};
     use et_fd::{PartitionCache, SampleIndexer, ViolationIndex};
@@ -1088,6 +1101,12 @@ fn run_drift(opts: &RunOptions) -> ExperimentOutput {
             }
             let (pairs, _) = learner.select(&mut fresh, &index, 5);
             if pairs.is_empty() {
+                if t == 0 {
+                    return Err(NoRounds {
+                        dataset: DatasetName::Omdb,
+                        rows: opts.rows,
+                    });
+                }
                 break;
             }
             let sample = sample_rows(&pairs, table.nrows());
@@ -1134,7 +1153,7 @@ fn run_drift(opts: &RunOptions) -> ExperimentOutput {
             format!("{stable:.4} ({stable_n} FDs)"),
         ]);
     }
-    ExperimentOutput {
+    Ok(ExperimentOutput {
         id: "drift",
         text: render_table(
             &[
@@ -1147,14 +1166,14 @@ fn run_drift(opts: &RunOptions) -> ExperimentOutput {
             &rows,
         ),
         csv: vec![],
-    }
+    })
 }
 
 /// Sweeps the sigmoid pivot of the noisy-OR detector (DESIGN.md decision 3)
 /// on a fixed trained belief and reports the precision/recall/F1 trade-off
 /// plus the threshold-free ROC AUC (which the gate cannot change much —
 /// it is monotone in the scores).
-fn run_ablation_detect_gate(opts: &RunOptions) -> ExperimentOutput {
+fn run_ablation_detect_gate(opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     use et_core::Learner;
     use et_fd::{DetectParams, Indicator, ViolationIndex};
     use et_metrics::{roc_auc, ConfusionMatrix};
@@ -1207,6 +1226,12 @@ fn run_ablation_detect_gate(opts: &RunOptions) -> ExperimentOutput {
         &mut trainer,
         &mut learner,
     );
+    if result.metrics.is_empty() {
+        return Err(NoRounds {
+            dataset: DatasetName::Omdb,
+            rows: opts.rows,
+        });
+    }
     let conf = result.learner_confidences;
     let index = ViolationIndex::build(&ds.table, &space);
     let all_rows: Vec<usize> = (0..ds.table.nrows()).collect();
@@ -1234,17 +1259,17 @@ fn run_ablation_detect_gate(opts: &RunOptions) -> ExperimentOutput {
             format!("{auc:.3}"),
         ]);
     }
-    ExperimentOutput {
+    Ok(ExperimentOutput {
         id: "ablation-detect-gate",
         text: render_table(&["pivot", "precision", "recall", "F1", "ROC AUC"], &rows),
         csv: vec![],
-    }
+    })
 }
 
 /// Robustness of the headline claims: across many seeds, bootstrap the mean
 /// final-MAE *differences* between methods (paired per seed) and report 95%
 /// CIs, plus the Kendall correlation of the per-seed method rankings.
-fn run_robustness(opts: &RunOptions) -> ExperimentOutput {
+fn run_robustness(opts: &RunOptions) -> Result<ExperimentOutput, NoRounds> {
     use et_metrics::{bootstrap_mean_ci, kendall_tau};
 
     let runs = (opts.runs * 2).max(8);
@@ -1272,7 +1297,7 @@ fn run_robustness(opts: &RunOptions) -> ExperimentOutput {
         let mut finals: Vec<Vec<f64>> = vec![Vec::new(); e.methods.len()];
         for r in 0..runs {
             e.seed = 0xE7u64.wrapping_add(r as u64 * 7919);
-            for (mi, m) in e.run().into_iter().enumerate() {
+            for (mi, m) in e.run()?.into_iter().enumerate() {
                 finals[mi].push(m.mae.last_mean());
             }
         }
@@ -1342,11 +1367,11 @@ fn run_robustness(opts: &RunOptions) -> ExperimentOutput {
         );
     }
     text.push_str("* = the 95% CI excludes zero (a robust ordering)\n");
-    ExperimentOutput {
+    Ok(ExperimentOutput {
         id: "robustness",
         text,
         csv: vec![],
-    }
+    })
 }
 
 #[cfg(test)]
@@ -1370,21 +1395,21 @@ mod tests {
 
     #[test]
     fn table1_reproduces_paper_numbers() {
-        let out = run_table1(&RunOptions::quick());
+        let out = run_table1(&RunOptions::quick()).expect("plays rounds");
         assert!(out.text.contains("0.040"), "{}", out.text);
         assert!(out.text.contains("0.96"), "{}", out.text);
     }
 
     #[test]
     fn table2_lists_five_scenarios() {
-        let out = run_table2(&RunOptions::quick());
+        let out = run_table2(&RunOptions::quick()).expect("plays rounds");
         assert_eq!(out.text.matches("Airport").count(), 3);
         assert_eq!(out.text.matches("OMDB").count(), 2);
     }
 
     #[test]
     fn fig1_quick_produces_curves_and_csv() {
-        let out = run_fig1(&RunOptions::quick());
+        let out = run_fig1(&RunOptions::quick()).expect("plays rounds");
         assert!(out.text.contains("StochasticBR"));
         assert_eq!(out.csv.len(), 1);
         assert!(out.csv[0].1.lines().count() > 10);
@@ -1392,7 +1417,7 @@ mod tests {
 
     #[test]
     fn prop1_quick_reports_convergence_fields() {
-        let out = run_prop1(&RunOptions::quick());
+        let out = run_prop1(&RunOptions::quick()).expect("plays rounds");
         assert!(out.text.contains("final MAE"));
         assert!(out.text.contains("tail belief drift"));
     }

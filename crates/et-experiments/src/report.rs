@@ -117,6 +117,11 @@ pub fn sparkline(series: &[f64]) -> String {
             if span <= f64::EPSILON {
                 BLOCKS[3]
             } else {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    clippy::cast_sign_loss,
+                    reason = "(v - lo) / span lies in [0, 1], so the index lies in [0, 7]; .min(7) guards the rounding"
+                )]
                 let idx = ((v - lo) / span * 7.0).round() as usize;
                 BLOCKS[idx.min(7)]
             }

@@ -38,6 +38,10 @@ impl AttrSet {
     }
 
     /// Builds a set from `usize` indices (as used by [`et_data::FdSpec`]).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "attribute positions fit AttrId (u16): schemas stay far narrower, and the FD stack's u64 AttrSet caps them at 64"
+    )]
     pub fn from_indices<I: IntoIterator<Item = usize>>(attrs: I) -> Self {
         Self::from_attrs(attrs.into_iter().map(|a| a as AttrId))
     }
@@ -142,6 +146,10 @@ impl Iterator for AttrSetIter {
         if self.0 == 0 {
             return None;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the word is non-zero, so trailing_zeros is below 64"
+        )]
         let a = self.0.trailing_zeros() as AttrId;
         self.0 &= self.0 - 1;
         Some(a)

@@ -56,6 +56,10 @@ impl Fd {
     }
 
     /// Converts an index-based [`FdSpec`] (the `et-data` representation).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "attribute positions fit AttrId (u16): schemas stay far narrower, and the FD stack's u64 AttrSet caps them at 64"
+    )]
     pub fn from_spec(spec: &FdSpec) -> Self {
         Self::new(
             AttrSet::from_indices(spec.lhs.iter().copied()),

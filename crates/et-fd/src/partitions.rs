@@ -41,6 +41,10 @@ impl StrippedPartition {
     /// class's span, opened at the symbol's first row. Classes therefore
     /// come out in first-row order with members ascending — the canonical
     /// form — and singleton symbols take no space.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "row ids are u32 across the FD stack for cache density; tables beyond 4G rows are out of scope"
+    )]
     pub fn of_attr(table: &Table, attr: AttrId) -> Self {
         let n_rows = table.nrows();
         let mut count = vec![0u32; table.dict_len(attr)];
@@ -75,6 +79,10 @@ impl StrippedPartition {
 
     /// The identity partition over rows that agree on the empty attribute
     /// set (all rows in one class).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "row ids are u32 across the FD stack for cache density; tables beyond 4G rows are out of scope"
+    )]
     pub fn full(n_rows: usize) -> Self {
         if n_rows < 2 {
             return Self {

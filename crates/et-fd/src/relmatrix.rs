@@ -193,6 +193,10 @@ fn violation_classes(words: &[u64], wpp: usize, n_pairs: usize) -> (Vec<u32>, Ve
         let hash = row.iter().fold(0u64, |h, &w| {
             (h ^ (w & VIOLATES_MASK)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         });
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "shift = 64 - log2(slots), so hash >> shift is below slots, a usize"
+        )]
         let mut slot = (hash >> shift) as usize;
         let class = loop {
             let c = table[slot];

@@ -202,6 +202,10 @@ impl HypothesisSpace {
 /// Panics unless the table has at least two attributes and
 /// `max_fd_attrs >= 2`, or when `cache` was built for another row count.
 fn lattice_g1(table: &Table, cache: &PartitionCache, max_fd_attrs: u32) -> Vec<(Fd, G1)> {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "attribute positions fit AttrId (u16): schemas stay far narrower, and the FD stack's u64 AttrSet caps them at 64"
+    )]
     let n_attrs = table.schema().len() as u16;
     assert!(n_attrs >= 2, "need at least two attributes to form an FD");
     assert!(max_fd_attrs >= 2, "an FD mentions at least two attributes");

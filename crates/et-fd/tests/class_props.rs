@@ -5,6 +5,11 @@
 //! pass on every live id, over generated tables, spaces and pair lists.
 //! Spaces reach past 32 FDs, so masks two words wide are covered.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "test fixtures cast small indices and sizes"
+)]
+
 use std::collections::HashSet;
 use std::sync::Arc;
 

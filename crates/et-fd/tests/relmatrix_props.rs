@@ -5,6 +5,11 @@
 //! too), and delta rescoring over live ids must equal a full pass on every
 //! live id.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "test fixtures cast small indices and sizes"
+)]
+
 use std::sync::Arc;
 
 use proptest::prelude::*;

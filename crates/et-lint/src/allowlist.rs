@@ -7,9 +7,9 @@
 //!
 //! ```toml
 //! [[allow]]
-//! rule = "L7"                       # required: any rule id, L5..L14
+//! rule = "L9"                       # required: any rule id (L5, L6, L8..L14)
 //! path = "crates/et-data/src/x.rs"  # required: repo-relative, '/'-separated
-//! pattern = "row as u32"            # optional: substring of offending line
+//! pattern = "rows[i]"               # optional: substring of offending line
 //! line = 76                         # optional: exact 1-based line
 //! reason = "why this is sound"      # required, non-empty
 //!
@@ -20,8 +20,7 @@
 //!
 //! [[source]]                        # L11 taint source
 //! rule = "L11"
-//! pattern = "Instant::now"          # substring of rendered call text, or
-//!                                   # the special token "hash-iter"
+//! pattern = "Instant::now"          # substring of rendered call text
 //! note = "wall clock"               # optional
 //!
 //! [[hot]]                           # L12-L14 hot-path root (no rule key:
@@ -61,7 +60,7 @@ pub struct GraphSpec {
     /// Rule id: `L9`/`L11` for entries, `L11` for sources.
     pub rule: String,
     /// Substring pattern: matched against qualified fn names for entries,
-    /// rendered call text for sources (`hash-iter` is special-cased).
+    /// rendered call text for sources.
     pub pattern: String,
     /// Optional annotation (documentation only).
     pub note: Option<String>,
@@ -415,10 +414,10 @@ mod tests {
         let text = r#"
 # exceptions vetted in PR review
 [[allow]]
-rule = "L7"
-path = "crates/et-fd/src/partitions.rs"
-pattern = "row as u32"
-reason = "row ids are u32 by design"
+rule = "L6"
+path = "crates/et-serve/src/store.rs"
+pattern = "Ordering::Relaxed"
+reason = "a statistics counter read by nothing that orders on it"
 
 [[allow]]
 rule = "L8"                     # trailing comment
@@ -428,45 +427,54 @@ reason = "the caller sorts the result"
 "#;
         let list = Allowlist::parse(text).expect("parses");
         assert_eq!(list.entries.len(), 2);
-        assert_eq!(list.entries[0].rule, "L7");
-        assert_eq!(list.entries[0].pattern.as_deref(), Some("row as u32"));
+        assert_eq!(list.entries[0].rule, "L6");
+        assert_eq!(
+            list.entries[0].pattern.as_deref(),
+            Some("Ordering::Relaxed")
+        );
         assert_eq!(list.entries[1].line, Some(12));
     }
 
     #[test]
     fn rejects_malformed_entries() {
         assert!(Allowlist::parse("[[allow]]\nrule = \"L99\"\n").is_err());
+        for retired in ["L1", "L7"] {
+            let text = format!("[[allow]]\nrule = \"{retired}\"\npath = \"x\"\nreason = \"y\"\n");
+            assert!(
+                Allowlist::parse(&text).is_err(),
+                "retired rule id {retired}"
+            );
+        }
         assert!(
-            Allowlist::parse("[[allow]]\nrule = \"L1\"\npath = \"x\"\nreason = \"y\"\n").is_err(),
-            "retired rule id"
-        );
-        assert!(
-            Allowlist::parse("[[allow]]\nrule = \"L7\"\n").is_err(),
+            Allowlist::parse("[[allow]]\nrule = \"L6\"\n").is_err(),
             "missing path/reason"
         );
         assert!(
-            Allowlist::parse("rule = \"L7\"\n").is_err(),
+            Allowlist::parse("rule = \"L6\"\n").is_err(),
             "key outside table"
         );
         assert!(
-            Allowlist::parse("[[allow]]\nrule = \"L7\"\npath = \"x\"\nreason = \"\"\n").is_err()
+            Allowlist::parse("[[allow]]\nrule = \"L6\"\npath = \"x\"\nreason = \"\"\n").is_err()
         );
         assert!(Allowlist::parse("[[allow]]\nwhat = 3\n").is_err());
     }
 
     #[test]
     fn matching_honours_all_narrowing_fields() {
-        let text = "[[allow]]\nrule = \"L7\"\npath = \"src/a.rs\"\npattern = \"as u16\"\nreason = \"ok\"\n";
+        let text = "[[allow]]\nrule = \"L6\"\npath = \"src/a.rs\"\npattern = \"Ordering::Relaxed\"\nreason = \"ok\"\n";
         let list = Allowlist::parse(text).expect("parses");
-        let hit = violation(Rule::L7, 5, "x as u16");
+        let hit = violation(Rule::L6, 5, "x.load(Ordering::Relaxed)");
         assert_eq!(list.matches("crates/c/src/a.rs", &hit).len(), 1);
         // Wrong rule, wrong path, wrong pattern.
         assert!(list
-            .matches("crates/c/src/a.rs", &violation(Rule::L8, 5, "x as u16"))
+            .matches(
+                "crates/c/src/a.rs",
+                &violation(Rule::L8, 5, "x.load(Ordering::Relaxed)")
+            )
             .is_empty());
         assert!(list.matches("crates/c/src/b.rs", &hit).is_empty());
         assert!(list
-            .matches("crates/c/src/a.rs", &violation(Rule::L7, 5, "clean line"))
+            .matches("crates/c/src/a.rs", &violation(Rule::L6, 5, "clean line"))
             .is_empty());
     }
 
@@ -507,7 +515,7 @@ pattern = "Instant::now"
     #[test]
     fn rejects_malformed_specs() {
         // Entries take only L9/L11; sources only L11.
-        assert!(Allowlist::parse("[[entry]]\nrule = \"L7\"\npattern = \"x\"\n").is_err());
+        assert!(Allowlist::parse("[[entry]]\nrule = \"L6\"\npattern = \"x\"\n").is_err());
         assert!(Allowlist::parse("[[source]]\nrule = \"L9\"\npattern = \"x\"\n").is_err());
         // pattern is mandatory and non-empty.
         assert!(Allowlist::parse("[[entry]]\nrule = \"L9\"\n").is_err());
@@ -518,7 +526,7 @@ pattern = "Instant::now"
                 .is_err()
         );
         assert!(Allowlist::parse(
-            "[[allow]]\nrule = \"L7\"\npath = \"x\"\nreason = \"y\"\nnote = \"z\"\n"
+            "[[allow]]\nrule = \"L6\"\npath = \"x\"\nreason = \"y\"\nnote = \"z\"\n"
         )
         .is_err());
     }

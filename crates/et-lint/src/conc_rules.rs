@@ -1,9 +1,9 @@
-//! The token-level concurrency & determinism rules L5–L8.
+//! The token-level concurrency & determinism rules L5, L6 and L8.
 //!
 //! These rules walk the file's one [`crate::lexer`] token stream (through
 //! [`crate::rules::check_file`]) for expression structure: what a
 //! `let` binds, where a statement ends, which block a guard lives in. All
-//! four target hazards that corrupt the reproduction's figures silently
+//! three target hazards that corrupt the reproduction's figures silently
 //! instead of crashing a test:
 //!
 //! - **L5** — a `MutexGuard` held across a blocking call serializes the
@@ -11,8 +11,6 @@
 //! - **L6** — an atomic `Ordering` argument without a trailing `// ord:`
 //!   justification is unreviewable: Relaxed-vs-AcqRel is exactly the kind
 //!   of choice that reads fine and loses counts under load.
-//! - **L7** — a truncating `as` cast wraps silently; at serve-scale the
-//!   wrapped counter or row id feeds a figure, not a panic.
 //! - **L8** — `HashMap`/`HashSet` iteration order is randomized per
 //!   process; letting it reach a return value, a `Vec`, or the wire makes
 //!   responses and replay files non-reproducible.
@@ -20,12 +18,11 @@
 use crate::lexer::{Delim, TokenKind, TokenStream};
 use crate::rules::{excerpt_line, in_regions, Rule, Violation};
 
-/// Runs L5–L8 over one lexed library file. `regions` are its
+/// Runs L5, L6 and L8 over one lexed library file. `regions` are its
 /// `#[cfg(test)]` byte ranges (see `rules::test_regions`).
 pub fn check(ts: &TokenStream<'_>, regions: &[(usize, usize)], out: &mut Vec<Violation>) {
     l5_guard_across_blocking(ts, regions, out);
     l6_ordering_justified(ts, regions, out);
-    l7_truncating_casts(ts, regions, out);
     l8_hash_iteration_order(ts, regions, out);
 }
 
@@ -272,262 +269,8 @@ fn l6_ordering_justified(
     }
 }
 
-/// Numeric type classification for L7.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct NumTy {
-    /// f32/f64.
-    float: bool,
-    /// Signed integer (meaningless for floats).
-    signed: bool,
-    /// Width in value bits (mantissa bits for floats; usize/isize counted
-    /// as 64 when a source, 32 when a target — the conservative direction
-    /// each way).
-    bits: u32,
-}
-
-fn num_ty(name: &str, as_source: bool) -> Option<NumTy> {
-    let t = |float, signed, bits| {
-        Some(NumTy {
-            float,
-            signed,
-            bits,
-        })
-    };
-    match name {
-        "u8" => t(false, false, 8),
-        "u16" => t(false, false, 16),
-        "u32" => t(false, false, 32),
-        "u64" => t(false, false, 64),
-        "u128" => t(false, false, 128),
-        "i8" => t(false, true, 8),
-        "i16" => t(false, true, 16),
-        "i32" => t(false, true, 32),
-        "i64" => t(false, true, 64),
-        "i128" => t(false, true, 128),
-        "usize" => t(false, false, if as_source { 64 } else { 32 }),
-        "isize" => t(false, true, if as_source { 64 } else { 32 }),
-        "f32" => t(true, true, 24),
-        "f64" => t(true, true, 53),
-        _ => None,
-    }
-}
-
-/// True when converting `s` to `t` can lose information.
-fn lossy(s: NumTy, t: NumTy) -> bool {
-    match (s.float, t.float) {
-        (true, true) => t.bits < s.bits,
-        (true, false) => true, // float -> int always truncates
-        // int -> f64 is accepted by convention (metrics divide counts all
-        // over this workspace); only the f32 mantissa is narrow enough to
-        // flag.
-        (false, true) => t.bits < 53 && s.bits > t.bits,
-        (false, false) => {
-            if s.signed == t.signed {
-                t.bits < s.bits
-            } else if s.signed {
-                true // signed -> unsigned loses negatives
-            } else {
-                t.bits <= s.bits // unsigned -> signed needs one extra bit
-            }
-        }
-    }
-}
-
-/// Targets flagged even when the source type cannot be inferred: with a
-/// 64-bit-or-float source (the common case in this workspace), these all
-/// truncate.
-const NARROW_TARGETS: [&str; 7] = ["u8", "i8", "u16", "i16", "u32", "i32", "f32"];
-
-/// Methods whose return type is known without inference.
-const USIZE_METHODS: [&str; 3] = ["len", "count", "capacity"];
-const FLOAT_METHODS: [&str; 5] = ["round", "floor", "ceil", "trunc", "sqrt"];
-
-/// L7: no truncating `as` cast between numeric types in non-test library
-/// code. Source inference is lexical: literal suffixes, chained casts,
-/// known methods (`.len()`, `.round()`), and parenthesized operands
-/// containing float arithmetic. Unknown sources fire only on
-/// [`NARROW_TARGETS`].
-fn l7_truncating_casts(ts: &TokenStream<'_>, regions: &[(usize, usize)], out: &mut Vec<Violation>) {
-    for i in 0..ts.tokens.len() {
-        if !(ts.is_code(i) && ts.tokens[i].kind == TokenKind::Ident && ts.text(i) == "as") {
-            continue;
-        }
-        let Some(tgt_idx) = ts.next_code(i) else {
-            continue;
-        };
-        let Some(target) = num_ty(ts.text(tgt_idx), false) else {
-            continue;
-        };
-        if in_regions(regions, ts.tokens[i].start) {
-            continue;
-        }
-        let target_name = ts.text(tgt_idx);
-        let source = infer_source(ts, i);
-        let fires = match source {
-            SourceHint::Known(name, s) => {
-                name != target_name && lossy(s, num_ty(target_name, false).unwrap_or(target))
-            }
-            SourceHint::IntLiteral(value) => !literal_fits(value, target_name),
-            SourceHint::Unknown => NARROW_TARGETS.contains(&target_name),
-        };
-        if fires {
-            let line = ts.tokens[i].line;
-            let src_desc = match source {
-                SourceHint::Known(name, _) => format!("`{name}`"),
-                SourceHint::IntLiteral(v) => format!("literal `{v}`"),
-                SourceHint::Unknown => "inferred-wide".to_string(),
-            };
-            out.push(Violation {
-                rule: Rule::L7,
-                line,
-                message: format!(
-                    "truncating cast {src_desc} as `{target_name}`; use \
-                     `try_from`/`From` or add a vetted et-lint.toml entry"
-                ),
-                excerpt: excerpt_line(ts.source, line),
-            });
-        }
-    }
-}
-
-/// What L7 could learn about a cast's source operand.
-enum SourceHint {
-    /// A named numeric type (suffix, chained cast, known method).
-    Known(&'static str, NumTy),
-    /// An unsuffixed integer literal with this value.
-    IntLiteral(u128),
-    /// No lexical evidence.
-    Unknown,
-}
-
-/// Interns a type-name string so [`SourceHint::Known`] can be `'static`.
-fn intern_ty(name: &str) -> Option<&'static str> {
-    const NAMES: [&str; 14] = [
-        "u8", "u16", "u32", "u64", "u128", "i8", "i16", "i32", "i64", "i128", "usize", "isize",
-        "f32", "f64",
-    ];
-    NAMES.into_iter().find(|n| *n == name)
-}
-
-fn infer_source(ts: &TokenStream<'_>, as_idx: usize) -> SourceHint {
-    let Some(prev) = ts.prev_code(as_idx) else {
-        return SourceHint::Unknown;
-    };
-    let ptext = ts.text(prev);
-    match ts.tokens[prev].kind {
-        // Literal with suffix: `7u64 as usize`, `1.5f32 as f64`.
-        TokenKind::Int => {
-            if let Some(name) = literal_suffix(ptext) {
-                if let Some(t) = num_ty(name, true) {
-                    return SourceHint::Known(name, t);
-                }
-            }
-            if let Some(v) = parse_int_literal(ptext) {
-                return SourceHint::IntLiteral(v);
-            }
-            SourceHint::Unknown
-        }
-        TokenKind::Float => {
-            let name = literal_suffix(ptext).unwrap_or("f64");
-            num_ty(name, true).map_or(SourceHint::Unknown, |t| SourceHint::Known(name, t))
-        }
-        TokenKind::Ident => {
-            // Chained cast: `x as u64 as usize`.
-            if let (Some(name), Some(t)) = (intern_ty(ptext), num_ty(ptext, true)) {
-                let before = ts.prev_code(prev);
-                if before.is_some_and(|b| ts.text(b) == "as") {
-                    return SourceHint::Known(name, t);
-                }
-            }
-            SourceHint::Unknown
-        }
-        TokenKind::Close(Delim::Paren) => {
-            // `.len() as u16`, `.round() as usize`: the call's method name
-            // sits two tokens back (`name ( )`).
-            if let Some(open) = ts.prev_code(prev) {
-                if ts.tokens[open].kind == TokenKind::Open(Delim::Paren) {
-                    if let Some(m) = ts.prev_code(open) {
-                        let mname = ts.text(m);
-                        let dotted = ts.prev_code(m).is_some_and(|d| ts.text(d) == ".");
-                        if dotted && USIZE_METHODS.contains(&mname) {
-                            return num_ty("usize", true)
-                                .map_or(SourceHint::Unknown, |t| SourceHint::Known("usize", t));
-                        }
-                        if dotted && FLOAT_METHODS.contains(&mname) {
-                            return num_ty("f64", true)
-                                .map_or(SourceHint::Unknown, |t| SourceHint::Known("f64", t));
-                        }
-                    }
-                }
-            }
-            // Parenthesized operand: float evidence anywhere inside makes
-            // the whole expression float-typed (`(n as f64 * alpha) as
-            // usize`).
-            if let Some(open) = ts.matching_open(prev) {
-                for j in open..prev {
-                    if !ts.is_code(j) {
-                        continue;
-                    }
-                    let is_float_lit = ts.tokens[j].kind == TokenKind::Float;
-                    let is_float_cast = ts.text(j) == "as"
-                        && ts
-                            .next_code(j)
-                            .is_some_and(|n| matches!(ts.text(n), "f64" | "f32"));
-                    if is_float_lit || is_float_cast {
-                        return num_ty("f64", true)
-                            .map_or(SourceHint::Unknown, |t| SourceHint::Known("f64", t));
-                    }
-                }
-            }
-            SourceHint::Unknown
-        }
-        _ => SourceHint::Unknown,
-    }
-}
-
-/// Trailing numeric-type suffix of a literal token, if any.
-fn literal_suffix(text: &str) -> Option<&'static str> {
-    const NAMES: [&str; 14] = [
-        "usize", "isize", "u128", "i128", "u64", "i64", "u32", "i32", "u16", "i16", "u8", "i8",
-        "f64", "f32",
-    ];
-    NAMES.into_iter().find(|n| text.ends_with(n))
-}
-
-/// Value of an unsuffixed int literal (decimal or hex), for fit checks.
-fn parse_int_literal(text: &str) -> Option<u128> {
-    let t = text.replace('_', "");
-    if let Some(hex) = t.strip_prefix("0x") {
-        u128::from_str_radix(hex, 16).ok()
-    } else if let Some(oct) = t.strip_prefix("0o") {
-        u128::from_str_radix(oct, 8).ok()
-    } else if let Some(bin) = t.strip_prefix("0b") {
-        u128::from_str_radix(bin, 2).ok()
-    } else {
-        t.parse().ok()
-    }
-}
-
-/// True when a visible literal value fits the target type losslessly.
-fn literal_fits(value: u128, target: &str) -> bool {
-    match target {
-        "u8" => value <= u128::from(u8::MAX),
-        "i8" => value <= i8::MAX as u128,
-        "u16" => value <= u128::from(u16::MAX),
-        "i16" => value <= i16::MAX as u128,
-        "u32" => value <= u128::from(u32::MAX),
-        "i32" => value <= i32::MAX as u128,
-        "f32" => value < (1 << 24),
-        "f64" => value < (1 << 53),
-        "u64" | "usize" => value <= u128::from(u64::MAX),
-        "i64" | "isize" => value <= i64::MAX as u128,
-        _ => true,
-    }
-}
-
-/// Iterator-source methods on hash containers (also the parser's
-/// `hash-iter` taint-source starters).
-pub(crate) const HASH_ITER_METHODS: [&str; 7] = [
+/// Iterator-source methods on hash containers.
+const HASH_ITER_METHODS: [&str; 7] = [
     "iter",
     "iter_mut",
     "into_iter",
@@ -1025,65 +768,6 @@ mod tests {
         let src = "#[cfg(test)]\nmod tests {\n\
                    \x20   fn t(a: &AtomicBool) { a.load(Ordering::Acquire); }\n\
                    }\n";
-        assert!(check_src(src).is_empty());
-    }
-
-    // ---- L7 ----
-
-    #[test]
-    fn l7_narrow_target_unknown_source_fires() {
-        let src = "pub fn f(x: u64) -> u32 { x as u32 }\n";
-        assert_eq!(rules_of(&check_src(src)), ["L7"]);
-    }
-
-    #[test]
-    fn l7_chained_cast_known_source() {
-        let src = "pub fn f(x: u32) -> usize { x as u64 as usize }\n";
-        let v = check_src(src);
-        assert_eq!(rules_of(&v), ["L7"], "{v:?}");
-        assert!(v[0].message.contains("u64"), "{v:?}");
-    }
-
-    #[test]
-    fn l7_float_to_int_via_method_fires() {
-        let src = "pub fn f(x: f64) -> usize { x.round() as usize }\n";
-        assert_eq!(rules_of(&check_src(src)), ["L7"]);
-    }
-
-    #[test]
-    fn l7_float_paren_operand_fires() {
-        let src = "pub fn f(n: usize, a: f64) -> usize { (n as f64 * a) as usize }\n";
-        let v = check_src(src);
-        assert_eq!(rules_of(&v), ["L7"], "{v:?}");
-    }
-
-    #[test]
-    fn l7_widening_and_as_f64_are_clean() {
-        let src = "pub fn f(x: u32, v: &[f64]) -> f64 {\n\
-                   \x20   let a = x as u64;\n\
-                   \x20   let b = v.len() as f64;\n\
-                   \x20   let c = x as f64;\n\
-                   \x20   a as f64 + b + c\n\
-                   }\n";
-        let v = check_src(src);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn l7_len_as_u16_fires_and_fitting_literal_clean() {
-        let src = "pub fn f(v: &[u8]) -> u16 { v.len() as u16 }\n\
-                   pub fn g() -> u8 { 255 as u8 }\n\
-                   pub fn h() -> u8 { 256 as u8 }\n";
-        let v = check_src(src);
-        assert_eq!(rules_of(&v), ["L7", "L7"], "{v:?}");
-        assert_eq!(v[0].line, 1);
-        assert_eq!(v[1].line, 3);
-    }
-
-    #[test]
-    fn l7_ignores_tests_and_non_numeric_as() {
-        let src = "pub fn f(x: &dyn Any) { let _ = x as &dyn Other; }\n\
-                   #[cfg(test)]\nmod tests { fn t(x: u64) -> u32 { x as u32 } }\n";
         assert!(check_src(src).is_empty());
     }
 

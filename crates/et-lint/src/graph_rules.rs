@@ -398,38 +398,18 @@ fn l11_determinism_taint(graph: &CallGraph, config: &Allowlist, out: &mut Vec<Gr
         return;
     }
     let source_patterns = Allowlist::specs_for(&config.graph_sources, "L11");
-    let hash_iter = source_patterns.contains(&"hash-iter");
-    let call_patterns: Vec<&str> = source_patterns
-        .iter()
-        .copied()
-        .filter(|p| *p != "hash-iter")
-        .collect();
-
     let parents = graph.reach(&entries);
     for &id in parents.keys() {
         let node = &graph.nodes[id];
-        // Direct sources in this fn: matching rendered calls, then the
-        // hash-iter heuristic; first source (lowest line) is the anchor.
-        let mut sources: Vec<(usize, String, String)> = Vec::new();
-        for c in &node.item.calls {
+        // Calls are in source order, so the first matching one is the
+        // anchor (lowest line).
+        let Some((call, what)) = node.item.calls.iter().find_map(|c| {
             let rendered = c.callee.render();
-            if call_patterns.iter().any(|p| rendered.contains(p)) {
-                sources.push((c.line, rendered, c.line_text.clone()));
-            }
-        }
-        if hash_iter {
-            if let Some(line) = node.item.hash_iter_line {
-                // No per-line excerpt is recorded for the heuristic; fall
-                // back to the function signature for context.
-                sources.push((
-                    line,
-                    "unsorted HashMap/HashSet iteration".to_string(),
-                    node.item.line_text.clone(),
-                ));
-            }
-        }
-        sources.sort_by_key(|s| s.0);
-        let Some((line, what, line_text)) = sources.first() else {
+            source_patterns
+                .iter()
+                .any(|p| rendered.contains(p))
+                .then_some((c, rendered))
+        }) else {
             continue;
         };
         let witness = graph.witness(&parents, id);
@@ -438,7 +418,7 @@ fn l11_determinism_taint(graph: &CallGraph, config: &Allowlist, out: &mut Vec<Gr
             path: node.file.clone(),
             violation: Violation {
                 rule: Rule::L11,
-                line: *line,
+                line: call.line,
                 message: format!(
                     "`{}` is reachable from session entry {} and touches \
                      nondeterminism source `{}`",
@@ -446,7 +426,7 @@ fn l11_determinism_taint(graph: &CallGraph, config: &Allowlist, out: &mut Vec<Gr
                     entry_desc,
                     what
                 ),
-                excerpt: line_text.clone(),
+                excerpt: call.line_text.clone(),
             },
             witness,
         });
@@ -716,28 +696,6 @@ mod tests {
             f.violation.message
         );
         assert_eq!(f.witness.len(), 2, "step -> helper: {:?}", f.witness);
-    }
-
-    #[test]
-    fn l11_hash_iter_source_uses_heuristic_line() {
-        let src = r#"
-            use std::collections::HashMap;
-            pub fn step(m: &HashMap<u32, u32>) {
-                for (k, v) in m.iter() { let _ = k + v; }
-            }
-        "#;
-        let config = "[[entry]]\nrule = \"L11\"\npattern = \"api::step\"\n\
-                      [[source]]\nrule = \"L11\"\npattern = \"hash-iter\"\n";
-        let findings = run(&[("crates/a/src/api.rs", src)], config);
-        assert_eq!(rules_of(&findings), vec!["L11"], "{findings:?}");
-        assert!(
-            findings[0]
-                .violation
-                .message
-                .contains("unsorted HashMap/HashSet iteration"),
-            "{}",
-            findings[0].violation.message
-        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! A hand-rolled Rust lexer: the one front-end every per-file rule
-//! (L5–L8) and the item parser read. `scan_one` lexes each file once.
+//! (L5, L6 and L8) and the item parser read. `scan_one` lexes each file once.
 //!
 //! The lexer is std-only like the rest of the crate and deliberately
 //! smaller than rustc's: it produces a flat [`Token`] stream with byte

@@ -5,17 +5,19 @@
 //! point and RNG-sensitive: a silent NaN, an unseeded RNG, or a stray
 //! `unwrap()` corrupts a figure rather than crashing a test. rustc and
 //! clippy own the token-level rules (panics, float equality, `# Panics`
-//! docs; the workspace lint table in the root `Cargo.toml`). This crate
-//! walks every workspace library source (`src/` of the root and of each
-//! crate) and enforces ten rules the compiler cannot express, in three
-//! tiers (L5–L14; the retired L1–L4 keep their numbers unused):
+//! docs, truncating and sign-losing casts; the workspace lint table in the
+//! root `Cargo.toml`). This crate walks every workspace library source
+//! (`src/` of the root and of each crate) and enforces nine rules the
+//! compiler cannot express, in three tiers (L5, L6, L8–L14; the retired
+//! L1–L4 and L7 keep their numbers unused):
 //!
 //! Each file is read and lexed once ([`lexer`]); every per-file rule and
 //! the item parser run on that one token stream.
 //!
-//! - **L5–L8** (token-structure scans, [`conc_rules`]) — no guard held
-//!   across a blocking call; atomic `Ordering`s justified; no truncating
-//!   `as` casts; no `HashMap`/`HashSet` iteration-order leaks.
+//! - **L5, L6, L8** (token-structure scans, [`conc_rules`]) — no guard
+//!   held across a blocking call; atomic `Ordering`s justified; no
+//!   `HashMap`/`HashSet` iteration-order leaks (the one hash-order
+//!   detector).
 //! - **L9–L11** (interprocedural, [`graph_rules`]) — over the workspace
 //!   call graph ([`parser`] + [`callgraph`]): no panic-capable op
 //!   reachable from public entry points, no lock-order cycles, no
@@ -52,7 +54,7 @@ pub struct Finding {
     /// The underlying rule violation.
     pub violation: Violation,
     /// For graph rules (L9–L14): the witness call chain, entry first.
-    /// Empty for the per-file rules L5–L8.
+    /// Empty for the per-file rules L5, L6 and L8.
     pub witness: Vec<String>,
 }
 
@@ -178,7 +180,7 @@ pub fn run(root: &Path) -> Result<Report, EngineError> {
                 report.suppressed += 1;
             }
         };
-    // Per-file stage (read, lex once, then L5–L8 and the parser on that
+    // Per-file stage (read, lex once, then L5, L6, L8 and the parser on that
     // one token stream), serially in file order: the first IO error in
     // file order wins.
     for path in &files {
@@ -225,7 +227,7 @@ pub fn run(root: &Path) -> Result<Report, EngineError> {
 struct Scanned {
     /// Repo-relative path.
     rel: String,
-    /// L5–L8 violations.
+    /// L5, L6 and L8 violations.
     violations: Vec<Violation>,
     /// Parsed items, for the call graph.
     ast: parser::FileAst,
@@ -364,11 +366,11 @@ mod tests {
         let root = write_tree(&[
             (
                 "crates/a/src/lib.rs",
-                "pub fn l7(x: usize) -> u16 { x as u16 }\n",
+                "pub fn l6(x: &AtomicU32) -> u32 { x.load(Ordering::Relaxed) }\n",
             ),
             (
                 "et-lint.toml",
-                "[[allow]]\nrule = \"L7\"\npath = \"crates/a/src/lib.rs\"\n\
+                "[[allow]]\nrule = \"L6\"\npath = \"crates/a/src/lib.rs\"\n\
                  reason = \"seeded for the suppression test\"\n\
                  [[allow]]\nrule = \"L8\"\npath = \"never/matches.rs\"\nreason = \"stale\"\n",
             ),
@@ -383,15 +385,15 @@ mod tests {
 
     #[test]
     fn vendor_test_like_and_unknown_dirs_not_scanned() {
-        // Each skipped file holds an L7 cast that would fire in `src/`.
-        let cast = "pub fn f(x: usize) -> u16 { x as u16 }\n";
+        // Each skipped file holds an L6 ordering that would fire in `src/`.
+        let relaxed = "pub fn f(x: &AtomicU32) -> u32 { x.load(Ordering::Relaxed) }\n";
         let root = write_tree(&[
-            ("vendor/rand/src/lib.rs", cast),
-            ("tests/t.rs", cast),
-            ("examples/e.rs", cast),
-            ("crates/a/tests/t.rs", cast),
-            ("crates/a/benches/b.rs", cast),
-            ("crates/a/examples/demo.rs", cast),
+            ("vendor/rand/src/lib.rs", relaxed),
+            ("tests/t.rs", relaxed),
+            ("examples/e.rs", relaxed),
+            ("crates/a/tests/t.rs", relaxed),
+            ("crates/a/benches/b.rs", relaxed),
+            ("crates/a/examples/demo.rs", relaxed),
             ("crates/a/src/lib.rs", "//! Fine.\n"),
         ]);
         let report = run(&root).expect("runs");
@@ -409,7 +411,7 @@ mod tests {
             findings: vec![Finding {
                 path: "x.rs".into(),
                 violation: rules::Violation {
-                    rule: rules::Rule::L7,
+                    rule: rules::Rule::L6,
                     line: 1,
                     message: "m".into(),
                     excerpt: "e".into(),
@@ -420,6 +422,6 @@ mod tests {
         };
         assert_eq!(render(&dirty, Path::new("et-lint.toml"), &mut sink), 1);
         let out = String::from_utf8(sink).expect("utf8");
-        assert!(out.contains("[L7]"), "{out}");
+        assert!(out.contains("[L6]"), "{out}");
     }
 }

@@ -12,7 +12,7 @@
 //! items are parsed but marked, so graph rules can skip them. A cost site
 //! inside a `#[cfg(test)]` region of a non-test fn (a test seam in a
 //! library body) is not recorded: the regions are `rules::test_regions`,
-//! the same definition of test code the token rules L5–L8 skip.
+//! the same definition of test code the token rules L5, L6 and L8 skip.
 //!
 //! Out of scope, deliberately: macro expansion, type inference, trait
 //! solving. Anything the parser cannot classify degrades to an unresolved
@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::conc_rules::{BLOCKING_METHODS, HASH_ITER_METHODS};
+use crate::conc_rules::BLOCKING_METHODS;
 use crate::lexer::{Delim, TokenKind, TokenStream};
 use crate::rules::{in_regions, test_regions};
 
@@ -215,11 +215,6 @@ pub struct FnItem {
     /// Cost-bearing operations in source order (allocation, lock/blocking,
     /// I/O), consumed by the L12–L14 hot-path rules.
     pub costs: Vec<CostOp>,
-    /// Line of the first unsorted hash-container iteration in the body
-    /// (a `HashMap`/`HashSet` mention + an `iter`/`keys`/`values`/`drain`
-    /// method call + no `sort*` call anywhere in the body), if any: the
-    /// `hash-iter` taint source for L11.
-    pub hash_iter_line: Option<usize>,
 }
 
 /// Everything the call graph needs from one file.
@@ -337,21 +332,12 @@ enum ScopeKind {
     Fn(usize),
 }
 
-/// Per-fn bookkeeping for the `hash-iter` taint-source heuristic.
-#[derive(Debug, Default)]
-struct HashIterState {
-    mentions_hash: bool,
-    first_iter_line: Option<usize>,
-    sorted: bool,
-}
-
 struct Parser<'a, 'b> {
     ts: &'b TokenStream<'a>,
     fns: Vec<FnItem>,
     imports: BTreeMap<String, Vec<String>>,
     scopes: Vec<Scope>,
     pending_test: bool,
-    hash_states: BTreeMap<usize, HashIterState>,
     /// `#[cfg(test)]` byte ranges (`rules::test_regions`).
     test_regions: Vec<(usize, usize)>,
 }
@@ -364,7 +350,6 @@ impl<'a, 'b> Parser<'a, 'b> {
             imports: BTreeMap::new(),
             scopes: Vec::new(),
             pending_test: false,
-            hash_states: BTreeMap::new(),
             test_regions: test_regions(ts),
         }
     }
@@ -402,7 +387,6 @@ impl<'a, 'b> Parser<'a, 'b> {
                 _ => i += 1,
             }
         }
-        self.seal_hash_states();
         FileAst {
             fns: self.fns,
             imports: self.imports,
@@ -648,22 +632,9 @@ impl<'a, 'b> Parser<'a, 'b> {
             calls: Vec::new(),
             panics: Vec::new(),
             costs: Vec::new(),
-            hash_iter_line: None,
         };
         let idx = self.fns.len();
         self.fns.push(item);
-
-        // Hash containers named in the signature (`m: &HashMap<…>`) count
-        // as mentions for the hash-iter heuristic: the body only sees the
-        // parameter name.
-        let sig_end = body_open.unwrap_or(j).min(self.ts.tokens.len());
-        if (name_tok + 1..sig_end).any(|k| {
-            self.ts.is_code(k)
-                && self.ts.tokens[k].kind == TokenKind::Ident
-                && matches!(self.ts.text(k), "HashMap" | "HashSet")
-        }) {
-            self.hash_state(idx).mentions_hash = true;
-        }
 
         match body_open {
             Some(open) => {
@@ -854,7 +825,7 @@ impl<'a, 'b> Parser<'a, 'b> {
     }
 
     /// Handles an identifier inside a fn body: call sites, panic macros,
-    /// `.unwrap()`/`.expect(`, and the hash-iter bookkeeping.
+    /// and `.unwrap()`/`.expect(`.
     fn body_ident(&mut self, i: usize) -> usize {
         let Some(fn_idx) = self.current_fn() else {
             return i + 1;
@@ -878,9 +849,6 @@ impl<'a, 'b> Parser<'a, 'b> {
         }
 
         if self.ts.tokens[next].kind != TokenKind::Open(Delim::Paren) {
-            if text == "HashMap" || text == "HashSet" {
-                self.hash_state(fn_idx).mentions_hash = true;
-            }
             return i + 1;
         }
         if NON_CALL_KEYWORDS.contains(&text.as_str()) {
@@ -898,15 +866,6 @@ impl<'a, 'b> Parser<'a, 'b> {
                 "unwrap" => self.push_panic(fn_idx, PanicKind::Unwrap, &text, line),
                 "expect" => self.push_panic(fn_idx, PanicKind::Expect, &text, line),
                 _ => {}
-            }
-            if HASH_ITER_METHODS.contains(&text.as_str()) {
-                let st = self.hash_state(fn_idx);
-                if st.first_iter_line.is_none() {
-                    st.first_iter_line = Some(line);
-                }
-            }
-            if text.contains("sort") {
-                self.hash_state(fn_idx).sorted = true;
             }
             let recv = self.receiver(i);
             self.method_cost(fn_idx, &text, &recv, i);
@@ -1252,22 +1211,6 @@ impl<'a, 'b> Parser<'a, 'b> {
         }
         block_close
     }
-
-    fn hash_state(&mut self, fn_idx: usize) -> &mut HashIterState {
-        self.hash_states.entry(fn_idx).or_default()
-    }
-
-    /// Resolves the hash-iter heuristic for every fn once parsing is done
-    /// (mention, iteration, and `sort*` evidence can arrive in any order).
-    fn seal_hash_states(&mut self) {
-        for (fn_idx, st) in &self.hash_states {
-            if st.mentions_hash && !st.sorted {
-                if let Some(f) = self.fns.get_mut(*fn_idx) {
-                    f.hash_iter_line = st.first_iter_line;
-                }
-            }
-        }
-    }
 }
 
 /// True when the token after `j` opens any delimiter group (macro bodies).
@@ -1555,31 +1498,6 @@ mod tests {
             lock.guard_end_tok < after_tok,
             "drop(g) ends the guard region before after()"
         );
-    }
-
-    #[test]
-    fn hash_iter_heuristic() {
-        let src = r#"
-            fn tainted(m: &HashMap<u32, u32>) -> Vec<u32> {
-                m.keys().copied().collect()
-            }
-            fn sorted_ok(m: &HashMap<u32, u32>) -> Vec<u32> {
-                let mut v: Vec<u32> = m.keys().copied().collect();
-                v.sort_unstable();
-                v
-            }
-            fn no_hash(v: &[u32]) -> Vec<u32> {
-                v.iter().copied().collect()
-            }
-        "#;
-        let ast = parse(&lex(src));
-        let by_name = |n: &str| ast.fns.iter().find(|f| f.name == n).expect("fn present");
-        assert!(by_name("tainted").hash_iter_line.is_some());
-        assert!(
-            by_name("sorted_ok").hash_iter_line.is_none(),
-            "sort clears taint"
-        );
-        assert!(by_name("no_hash").hash_iter_line.is_none());
     }
 
     #[test]

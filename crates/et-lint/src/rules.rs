@@ -1,9 +1,9 @@
-//! The repo-specific lint rules (L5–L14), and the per-file entry point.
+//! The repo-specific lint rules (L5, L6, L8–L14), and the per-file entry point.
 //!
 //! Every per-file rule ([`crate::conc_rules`]) and the item parser read
 //! the file's one [`crate::lexer`] stream. "Test code" means byte regions
 //! covered by a `#[cfg(test)]` item (`test_regions`). The numbers L1–L4
-//! belonged to token rules the compiler now owns (DESIGN.md §7.1).
+//! and L7 belonged to rules the compiler now owns (DESIGN.md §7.1).
 
 use crate::lexer::{Delim, TokenKind, TokenStream};
 
@@ -14,8 +14,6 @@ pub enum Rule {
     L5,
     /// Atomic `Ordering` arguments need a trailing `// ord:` justification.
     L6,
-    /// No truncating `as` casts between numeric types in library code.
-    L7,
     /// No hash-container iteration feeding order-sensitive sinks.
     L8,
     /// No panic-capable operation reachable from public API entry points
@@ -41,7 +39,6 @@ impl Rule {
         match self {
             Rule::L5 => "L5",
             Rule::L6 => "L6",
-            Rule::L7 => "L7",
             Rule::L8 => "L8",
             Rule::L9 => "L9",
             Rule::L10 => "L10",
@@ -64,7 +61,6 @@ impl Rule {
                 "no mutex guard held across a blocking call (recv/accept/read_line/join/connect)"
             }
             Rule::L6 => "every atomic Ordering argument needs an `// ord:` justification comment",
-            Rule::L7 => "no truncating `as` casts between numeric types in library code",
             Rule::L8 => "no HashMap/HashSet iteration feeding order-sensitive sinks unless sorted",
             Rule::L9 => {
                 "no panic-capable op (panic!/unwrap/expect/indexing) reachable from public API \
@@ -72,7 +68,7 @@ impl Rule {
             }
             Rule::L10 => "no cycle in the workspace lock-acquisition order graph",
             Rule::L11 => {
-                "no nondeterminism source (wall clock, OS entropy, hash iteration) reachable \
+                "no nondeterminism source (wall clock, OS entropy, directory order) reachable \
                  from session entry points"
             }
             Rule::L12 => {
@@ -121,22 +117,6 @@ impl Rule {
                  There is no allowlist escape for a missing justification: write\n\
                  the comment. Format: `x.load(Ordering::Acquire); // ord: pairs\n\
                  with the Release store in shutdown()`."
-            }
-            Rule::L7 => {
-                "L7 — no truncating `as` cast between numeric types in non-test\n\
-                 library code.\n\n\
-                 Why: `as` wraps silently. A u64 session counter cast to u32, or an\n\
-                 f64 metric cast to usize, corrupts figures and wire ids without a\n\
-                 panic. Use From (widening) or try_from (checked) instead. Source\n\
-                 types are inferred lexically (suffixes, cast chains, .len()/.round(),\n\
-                 float arithmetic in parens); unknown sources fire only on narrow\n\
-                 targets (u8/i8/u16/i16/u32/i32/f32).\n\n\
-                 Exception: when the value is bounded by construction:\n\n\
-                 [[allow]]\n\
-                 rule = \"L7\"\n\
-                 path = \"crates/et-fd/src/partitions.rs\"\n\
-                 pattern = \"row as u32\"\n\
-                 reason = \"row ids are u32 by design; tables are far below 2^32 rows\""
             }
             Rule::L8 => {
                 "L8 — no iteration over HashMap/HashSet whose items feed a return\n\
@@ -204,14 +184,13 @@ impl Rule {
                  Why: the reproduction's trainer/learner game is deterministic by\n\
                  construction — replayed sessions must be bit-identical to\n\
                  uninterrupted ones. A transitive Instant::now() folded into state,\n\
-                 an OS-entropy draw, or an unsorted HashMap iteration breaks that\n\
-                 proof invisibly. L11 marks entry fns via `[[entry]]` patterns\n\
-                 (rule = \"L11\"), declares taint sources via `[[source]]` patterns\n\
-                 matched against rendered call text (`Instant::now`,\n\
-                 `SystemTime::now`, `thread_rng`; the special pattern `hash-iter`\n\
-                 matches unsorted HashMap/HashSet iteration), and fires on every\n\
-                 reachable fn that touches a source, with the per-edge witness\n\
-                 chain printed.\n\n\
+                 or an OS-entropy draw breaks that proof invisibly. L11 marks\n\
+                 entry fns via `[[entry]]` patterns (rule = \"L11\"), declares\n\
+                 taint sources via `[[source]]` patterns matched against rendered\n\
+                 call text (`Instant::now`, `SystemTime::now`, `thread_rng`,\n\
+                 `read_dir`), and fires on every reachable fn that touches a\n\
+                 source, with the per-edge witness chain printed. Hash-container\n\
+                 iteration order is L8's, which covers every library file.\n\n\
                  [[source]]\n\
                  rule = \"L11\"\n\
                  pattern = \"Instant::now\"\n\n\
@@ -295,11 +274,10 @@ impl Rule {
     }
 
     /// All rules, in report order.
-    pub fn all() -> [Rule; 10] {
+    pub fn all() -> [Rule; 9] {
         [
             Rule::L5,
             Rule::L6,
-            Rule::L7,
             Rule::L8,
             Rule::L9,
             Rule::L10,
@@ -435,7 +413,7 @@ mod tests {
         // fills it, end at their own `,`: the fn after them stays linted.
         let src = "pub struct Wal {\n    file: u32,\n    #[cfg(test)]\n    fault: Option<Box<dyn Fn(u32, u32) -> u32>>,\n    len: HashMap<u32, u32>,\n}\n\
                    pub fn open() -> Wal {\n    Wal {\n        file: 1,\n        #[cfg(test)]\n        fault: None,\n        len: HashMap::new(),\n    }\n}\n\
-                   pub fn append(x: usize) -> u32 { x as u32 }\n";
+                   pub fn append(x: &AtomicU32) -> u32 { x.load(Ordering::Relaxed) }\n";
         let ts = lex(src);
         let regions = test_regions(&ts);
         let covered: Vec<&str> = regions.iter().map(|&(a, b)| &src[a..b]).collect();
@@ -446,40 +424,40 @@ mod tests {
                 "#[cfg(test)]\n        fault: None,",
             ]
         );
-        assert_eq!(rules_of(&check(src)), ["L7"]);
+        assert_eq!(rules_of(&check(src)), ["L6"]);
     }
 
     #[test]
     fn a_last_test_only_literal_field_ends_at_the_close() {
         let src = "pub fn open() -> Wal { Wal { file: 1, #[cfg(test)] fault: None } }\n\
-                   pub fn append(x: usize) -> u32 { x as u32 }\n";
+                   pub fn append(x: &AtomicU32) -> u32 { x.load(Ordering::Relaxed) }\n";
         let regions = test_regions(&lex(src));
         let covered: Vec<&str> = regions.iter().map(|&(a, b)| &src[a..b]).collect();
         assert_eq!(covered, ["#[cfg(test)] fault: None "]);
-        assert_eq!(rules_of(&check(src)), ["L7"]);
+        assert_eq!(rules_of(&check(src)), ["L6"]);
     }
 
     #[test]
     fn test_only_uses_consts_and_generic_fns_cover_their_items() {
         let src = "#[cfg(test)]\nuse std::collections::HashMap;\n\
                    #[cfg(test)]\nconst PAIRS: [(u32, u32); 2] = [(0, 1), (1, 2)];\n\
-                   #[cfg(test)]\nfn helper<A, B>(a: A, n: usize) -> Result<(), B> where A: Clone, B: Copy { let _ = n as u32; Ok(()) }\n\
-                   pub fn f(x: usize) -> u32 { x as u32 }\n";
+                   #[cfg(test)]\nfn helper<A, B>(a: A, n: &AtomicU32) -> Result<(), B> where A: Clone, B: Copy { let _ = n.load(Ordering::Relaxed); Ok(()) }\n\
+                   pub fn f(x: &AtomicU32) -> u32 { x.load(Ordering::Relaxed) }\n";
         let regions = test_regions(&lex(src));
         let covered: Vec<&str> = regions.iter().map(|&(a, b)| &src[a..b]).collect();
         assert_eq!(covered.len(), 3);
         assert!(covered[0].ends_with("HashMap;"));
         assert!(covered[1].ends_with("(1, 2)];"));
         assert!(covered[2].ends_with("Ok(()) }"));
-        // Only `f`'s cast is outside every region.
+        // Only `f`'s ordering is outside every region.
         let v = check(src);
-        assert_eq!(rules_of(&v), ["L7"]);
+        assert_eq!(rules_of(&v), ["L6"]);
         assert!(v[0].excerpt.starts_with("pub fn f"), "{v:?}");
     }
 
     #[test]
     fn violations_carry_lines_and_excerpts() {
-        let src = "fn a() {}\n\npub fn f(x: usize) -> u32 { x as u32 }\n";
+        let src = "fn a() {}\n\npub fn f(x: &AtomicU32) -> u32 { x.load(Ordering::Relaxed) }\n";
         let v = check(src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 3);
@@ -513,7 +491,7 @@ mod tests {
                 );
             }
         }
-        for retired in ["L1", "L2", "L3", "L4", "L15", ""] {
+        for retired in ["L1", "L2", "L3", "L4", "L7", "L15", ""] {
             assert_eq!(Rule::from_id(retired), None, "{retired}");
         }
     }

@@ -53,12 +53,13 @@ fn allowlisted_violation_exits_zero() {
         &[
             (
                 "crates/a/src/lib.rs",
-                "pub fn f(x: usize) -> u16 { x as u16 }\n",
+                "use std::sync::atomic::{AtomicU32, Ordering};\n\
+                 pub fn f(x: &AtomicU32) -> u32 { x.load(Ordering::Relaxed) }\n",
             ),
             (
                 "et-lint.toml",
-                "[[allow]]\nrule = \"L7\"\npath = \"crates/a/src/lib.rs\"\n\
-                 pattern = \"x as u16\"\nreason = \"seeded exception for the exit-code test\"\n",
+                "[[allow]]\nrule = \"L6\"\npath = \"crates/a/src/lib.rs\"\n\
+                 pattern = \"Ordering::Relaxed\"\nreason = \"seeded exception for the exit-code test\"\n",
             ),
         ],
     );
@@ -75,8 +76,9 @@ fn bad_allowlist_exits_two() {
     let configs = [
         "[[allow]]\nrule = \"L99\"\npath = \"x.rs\"\nreason = \"r\"\n",
         "[[allow]]\nrule = \"L1\"\npath = \"x.rs\"\nreason = \"r\"\n",
-        "[[allow]]\nrule = \"L7\"\n",
-        "rule = \"L7\"\n",
+        "[[allow]]\nrule = \"L7\"\npath = \"x.rs\"\nreason = \"r\"\n",
+        "[[allow]]\nrule = \"L6\"\n",
+        "rule = \"L6\"\n",
         "[[allow]]\nnot a key value line\n",
     ];
     for (n, cfg) in configs.iter().enumerate() {
@@ -131,7 +133,7 @@ fn missing_or_file_root_exits_two() {
 /// One seeded violation per token-level rule.
 #[test]
 fn each_token_rule_seeded_violation_exits_nonzero() {
-    let cases: [(&str, &str, &str); 4] = [
+    let cases: [(&str, &str, &str); 3] = [
         (
             "l5",
             "use std::sync::{Mutex, mpsc::Receiver};\n\
@@ -149,7 +151,6 @@ fn each_token_rule_seeded_violation_exits_nonzero() {
              }\n",
             "[L6]",
         ),
-        ("l7", "pub fn f(x: usize) -> u16 { x as u16 }\n", "[L7]"),
         (
             "l8",
             "use std::collections::HashMap;\n\
@@ -169,7 +170,7 @@ fn each_token_rule_seeded_violation_exits_nonzero() {
 }
 
 /// The escape hatch for each token-level rule: an et-lint.toml entry for
-/// L5/L7/L8, and the `// ord:` justification comment for L6 (which has no
+/// L5/L8, and the `// ord:` justification comment for L6 (which has no
 /// allowlist escape by design).
 #[test]
 fn token_rules_allowlisted_or_annotated_exit_zero() {
@@ -180,7 +181,6 @@ fn token_rules_allowlisted_or_annotated_exit_zero() {
                 "crates/a/src/lib.rs",
                 "use std::collections::HashMap;\n\
                  use std::sync::atomic::{AtomicBool, Ordering};\n\
-                 pub fn cast(x: usize) -> u16 { x as u16 }\n\
                  pub fn keys(m: &HashMap<u32, u32>) -> Vec<u32> {\n\
                      m.keys().copied().collect()\n\
                  }\n\
@@ -190,16 +190,14 @@ fn token_rules_allowlisted_or_annotated_exit_zero() {
             ),
             (
                 "et-lint.toml",
-                "[[allow]]\nrule = \"L7\"\npath = \"crates/a/src/lib.rs\"\n\
-                 pattern = \"as u16\"\nreason = \"seeded: x is bounded by the fixture\"\n\
-                 [[allow]]\nrule = \"L8\"\npath = \"crates/a/src/lib.rs\"\n\
+                "[[allow]]\nrule = \"L8\"\npath = \"crates/a/src/lib.rs\"\n\
                  pattern = \"collect\"\nreason = \"seeded: caller sorts\"\n",
             ),
         ],
     );
     let (code, out) = lint(&root);
     assert_eq!(code, 0, "stdout: {out}");
-    assert!(out.contains("2 suppressed"), "stdout: {out}");
+    assert!(out.contains("1 suppressed"), "stdout: {out}");
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -227,9 +225,7 @@ fn empty_or_stale_ord_comment_exits_nonzero() {
 
 #[test]
 fn explain_mode_covers_every_rule_and_rejects_unknown_ids() {
-    for id in [
-        "L5", "L6", "L7", "L8", "L9", "L10", "L11", "L12", "L13", "L14",
-    ] {
+    for id in ["L5", "L6", "L8", "L9", "L10", "L11", "L12", "L13", "L14"] {
         let out = Command::new(env!("CARGO_BIN_EXE_et-lint"))
             .args(["--explain", id])
             .output()
@@ -239,7 +235,7 @@ fn explain_mode_covers_every_rule_and_rejects_unknown_ids() {
         assert!(text.starts_with(&format!("{id} — ")), "{id}: {text}");
         assert!(text.len() > 80, "{id} explain too thin: {text}");
     }
-    for retired in ["L1", "L99"] {
+    for retired in ["L1", "L7", "L99"] {
         let out = Command::new(env!("CARGO_BIN_EXE_et-lint"))
             .args(["--explain", retired])
             .output()
@@ -262,7 +258,7 @@ fn list_rules_prints_l5_through_l14() {
         .collect();
     assert_eq!(
         ids,
-        ["L5", "L6", "L7", "L8", "L9", "L10", "L11", "L12", "L13", "L14"]
+        ["L5", "L6", "L8", "L9", "L10", "L11", "L12", "L13", "L14"]
     );
 }
 
@@ -307,7 +303,8 @@ fn json_flag_emits_schema_with_same_exit_codes() {
         "jsonbin",
         &[(
             "crates/a/src/lib.rs",
-            "pub fn f(x: usize) -> u16 { x as u16 }\n",
+            "use std::sync::atomic::{AtomicU32, Ordering};\n\
+             pub fn f(x: &AtomicU32) -> u32 { x.load(Ordering::Relaxed) }\n",
         )],
     );
     let out = Command::new(env!("CARGO_BIN_EXE_et-lint"))
@@ -319,7 +316,7 @@ fn json_flag_emits_schema_with_same_exit_codes() {
     let doc = String::from_utf8_lossy(&out.stdout);
     for needle in [
         "\"version\": 2,",
-        "\"rule\": \"L7\"",
+        "\"rule\": \"L6\"",
         "\"witness\": []",
         "\"cost_report\": []",
         "\"clean\": false",
@@ -435,7 +432,7 @@ fn stale_allow_suggests_nearest_path() {
             ("crates/a/src/lib.rs", "//! Fine.\n"),
             (
                 "et-lint.toml",
-                "[[allow]]\nrule = \"L7\"\npath = \"crates/a/src/sesssion.rs\"\n                 reason = \"points at a renamed file\"\n",
+                "[[allow]]\nrule = \"L6\"\npath = \"crates/a/src/sesssion.rs\"\n                 reason = \"points at a renamed file\"\n",
             ),
         ],
     );

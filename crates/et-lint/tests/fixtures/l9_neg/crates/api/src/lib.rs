@@ -1,6 +1,6 @@
-//! L9 positive fixture: a public entry point reaches an indexing panic
-//! two calls deep. clippy::unwrap_used misses this — no unwrap/expect,
-//! only a slice index that panics when `rows` is empty.
+//! L9 negative fixture: the same indexing panic two calls below the
+//! public entry as in l9_pos, but vetted by an et-lint.toml `[[allow]]`,
+//! so the run is clean; `detached` panics too but no entry reaches it.
 
 /// Public API entry point (declared in et-lint.toml).
 pub fn entry(rows: &[u32]) -> u32 {

@@ -18,6 +18,13 @@
         reason = "unit tests assert values the code computes exactly; library code stays linted"
     )
 )]
+#![cfg_attr(
+    test,
+    expect(
+        clippy::cast_possible_truncation,
+        reason = "unit tests cast small fixture indices and sizes; library casts state their bound at the site"
+    )
+)]
 
 pub mod confusion;
 pub mod fd_f1;

@@ -45,7 +45,17 @@ pub fn bootstrap_mean_ci(
     }
     means.sort_by(f64::total_cmp);
     let alpha = (1.0 - confidence) / 2.0;
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "alpha lies in (0, 0.5), so the product lies in [0, resamples] and is clamped by .min(resamples - 1)"
+    )]
     let lo_idx = ((resamples as f64 * alpha) as usize).min(resamples - 1);
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "1 - alpha lies in (0.5, 1), so the product lies in [0, resamples] and is clamped by .min(resamples - 1)"
+    )]
     let hi_idx = ((resamples as f64 * (1.0 - alpha)) as usize).min(resamples - 1);
     BootstrapCi {
         mean,

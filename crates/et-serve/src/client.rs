@@ -196,11 +196,14 @@ impl Client {
                     mae_series.push(mae);
                 }
                 Some("done") => {
-                    let iterations_run = field_u64(&reply, "iterations_run")? as usize;
+                    let iterations_run = usize::try_from(field_u64(&reply, "iterations_run")?)
+                        .map_err(|_| out_of_range("iterations_run"))?;
                     let converged_at = reply
                         .get("converged_at")
                         .and_then(Json::as_u64)
-                        .map(|n| n as usize);
+                        .map(usize::try_from)
+                        .transpose()
+                        .map_err(|_| out_of_range("converged_at"))?;
                     let final_mae =
                         reply
                             .get("final_mae")
@@ -225,6 +228,10 @@ impl Client {
             }
         }
     }
+}
+
+fn out_of_range(key: &str) -> ClientError {
+    ClientError::Protocol(format!("reply member {key:?} does not fit usize"))
 }
 
 fn field_u64(v: &Json, key: &str) -> Result<u64, ClientError> {

@@ -107,7 +107,13 @@ impl Json {
         let n = self.as_f64()?;
         let integral = n.total_cmp(&n.trunc()) == std::cmp::Ordering::Equal;
         if integral && (0.0..=9_007_199_254_740_992.0).contains(&n) {
-            Some(n as u64)
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "n is integral and lies in [0, 2^53], so it converts to u64 exactly"
+            )]
+            let n = n as u64;
+            Some(n)
         } else {
             None
         }

@@ -48,6 +48,14 @@
         reason = "unit tests assert values the code computes exactly; library code stays linted"
     )
 )]
+#![cfg_attr(
+    test,
+    expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "unit tests cast small fixture indices and sizes; library casts state their bound at the site"
+    )
+)]
 
 pub mod client;
 pub mod conn;

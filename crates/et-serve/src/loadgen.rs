@@ -299,6 +299,11 @@ pub fn run_in_process(cfg: &InProcessLoad) -> io::Result<LoadReport> {
     server.store.base_seed = cfg.base_seed;
     let handle = spawn(server)?;
     // Size sessions so they cannot run out of iterations mid-window.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "rate * window is a configured per-connection round budget in the low hundreds (rate <= 2, window <= 5s)"
+    )]
     let iterations = (cfg.rate * cfg.window.as_secs_f64()).ceil() as usize + 16;
     let load = LoadConfig {
         addr: handle.addr().to_string(),

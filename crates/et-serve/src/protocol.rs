@@ -366,7 +366,12 @@ fn optional_u64(v: &Json, key: &str) -> Result<Option<u64>, (ErrorCode, String)>
 }
 
 fn optional_usize(v: &Json, key: &str) -> Result<Option<usize>, (ErrorCode, String)> {
-    Ok(optional_u64(v, key)?.map(|n| n as usize))
+    optional_u64(v, key)?
+        .map(|n| {
+            usize::try_from(n)
+                .map_err(|_| (ErrorCode::BadRequest, format!("{key:?} is out of range")))
+        })
+        .transpose()
 }
 
 fn optional_f64(v: &Json, key: &str) -> Result<Option<f64>, (ErrorCode, String)> {

@@ -137,6 +137,10 @@ const SUB_BUCKETS: u64 = 16;
 const SUB_BITS: u32 = 4;
 /// Buckets: one per nanosecond below `SUB_BUCKETS`, then `SUB_BUCKETS`
 /// per octave up to `u64::MAX` nanoseconds.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the bucket count is 976, a compile-time constant"
+)]
 const HIST_BUCKETS: usize = (SUB_BUCKETS + (64 - SUB_BITS as u64) * SUB_BUCKETS) as usize;
 
 /// Lock-free log-linear histogram of server-side per-round label
@@ -164,6 +168,10 @@ impl Default for LatencyHistogram {
 /// The bucket of a `ns`-nanosecond sample: `ns` itself below
 /// `SUB_BUCKETS`, else its octave and the next `SUB_BITS` bits below the
 /// leading one.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "both returns lie below HIST_BUCKETS (976): ns < SUB_BUCKETS, or octave < 64 and sub < SUB_BUCKETS"
+)]
 fn bucket_of(ns: u64) -> usize {
     if ns < SUB_BUCKETS {
         return ns as usize;
@@ -218,6 +226,11 @@ impl LatencyHistogram {
         if total == 0 {
             return None;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "q is clamped to [0, 1], so q * total lies in [0, total]; the rank is further clamped to [1, total] on the same expression"
+        )]
         let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).clamp(1, total);
         let mut seen = 0u64;
         for (i, b) in self.buckets.iter().enumerate() {
@@ -377,7 +390,12 @@ impl SessionStore {
         // SplitMix-style spread so sequential ids land on distinct shards.
         let mut z = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         z ^= z >> 29;
-        &self.shards[(z as usize) % self.shards.len()]
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "on a 32-bit target the cast keeps the low hash bits, which spread as well"
+        )]
+        let z = z as usize;
+        &self.shards[z % self.shards.len()]
     }
 
     /// Reserves one in-memory slot, atomically, so concurrent creates and

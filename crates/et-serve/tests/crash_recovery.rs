@@ -19,6 +19,10 @@
 // Test harness: expect/unwrap over error plumbing.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 #![expect(
+    clippy::cast_possible_truncation,
+    reason = "test fixtures cast small indices and sizes"
+)]
+#![expect(
     clippy::panic,
     reason = "a helper outside `#[test]` panics to fail the test with context"
 )]

@@ -56,6 +56,10 @@ impl Scenario {
     /// The hypothesis space participants reason over: every normalized FD
     /// of the scenario schema with at most four attributes.
     pub fn space(&self) -> HypothesisSpace {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "attribute positions fit AttrId (u16): schemas stay far narrower, and the FD stack's u64 AttrSet caps them at 64"
+        )]
         let n = self.spec.attrs.len() as u16;
         HypothesisSpace::enumerate(n, 4.min(u32::from(n)))
     }

@@ -6,17 +6,17 @@
 //! ```
 
 use exploratory_training::data::gen::DatasetName;
-use exploratory_training::experiments::{ConvergenceExperiment, PriorKind};
+use exploratory_training::experiments::{ConvergenceExperiment, NoRounds, PriorKind};
 use exploratory_training::game::StrategyKind;
 use exploratory_training::metrics::{auc, iterations_to_threshold};
 
-fn run(label: &str, e: &ConvergenceExperiment) {
+fn run(label: &str, e: &ConvergenceExperiment) -> Result<(), NoRounds> {
     println!("\n--- {label} ---");
     println!(
         "{:<16} {:>10} {:>10} {:>10} {:>14}",
         "method", "MAE@0", "MAE@end", "AUC", "iters to 0.25"
     );
-    for m in e.run() {
+    for m in e.run()? {
         let reach = iterations_to_threshold(&m.mae.mean, 0.25)
             .map(|t| t.to_string())
             .unwrap_or_else(|| "-".into());
@@ -29,9 +29,10 @@ fn run(label: &str, e: &ConvergenceExperiment) {
             reach
         );
     }
+    Ok(())
 }
 
-fn main() {
+fn main() -> Result<(), NoRounds> {
     // The two headline settings of the paper's empirical study.
     let informed = ConvergenceExperiment::paper(
         DatasetName::Omdb,
@@ -42,7 +43,7 @@ fn main() {
     run(
         "informed learner prior (Figure 1 setting) — expect US sharpest",
         &informed,
-    );
+    )?;
 
     let uninformed = ConvergenceExperiment::paper(
         DatasetName::Omdb,
@@ -53,7 +54,7 @@ fn main() {
     run(
         "uninformed learner prior (Figure 3 setting) — expect US to lose its edge",
         &uninformed,
-    );
+    )?;
 
     // Temperature sweep: γ interpolates between greedy and uniform.
     println!("\n--- temperature sweep (StochasticBR, informed prior) ---");
@@ -68,8 +69,9 @@ fn main() {
         e.methods = vec![StrategyKind::StochasticBestResponse];
         e.gamma = gamma;
         e.runs = 3;
-        let m = &e.run()[0];
+        let m = &e.run()?[0];
         println!("{:>8} {:>12.3}", gamma, m.mae.last_mean());
     }
     println!("\nγ → 0 approaches greedy Best; γ → ∞ approaches Random (paper §2, §4).");
+    Ok(())
 }

@@ -8,7 +8,7 @@ use exploratory_training::experiments::{all_experiments, experiment_by_id, RunOp
 fn all_experiments_run_in_quick_mode() {
     let opts = RunOptions::quick();
     for e in all_experiments() {
-        let out = (e.run)(&opts);
+        let out = (e.run)(&opts).unwrap_or_else(|err| panic!("{}: {err}", e.id));
         assert_eq!(out.id, e.id);
         assert!(
             out.text.trim().len() > 40,
@@ -41,7 +41,7 @@ fn registry_covers_every_paper_artifact() {
 #[test]
 fn table1_is_exact() {
     // The paper's worked example must reproduce to the digit.
-    let out = (experiment_by_id("table1").unwrap().run)(&RunOptions::quick());
+    let out = (experiment_by_id("table1").unwrap().run)(&RunOptions::quick()).unwrap();
     assert!(out.text.contains("1/25"), "{}", out.text);
     assert!(out.text.contains("0.040"), "{}", out.text);
     assert!(out.text.contains("0.96"), "{}", out.text);
@@ -50,8 +50,8 @@ fn table1_is_exact() {
 #[test]
 fn experiments_are_deterministic() {
     let opts = RunOptions::quick();
-    let a = (experiment_by_id("fig1").unwrap().run)(&opts);
-    let b = (experiment_by_id("fig1").unwrap().run)(&opts);
+    let a = (experiment_by_id("fig1").unwrap().run)(&opts).unwrap();
+    let b = (experiment_by_id("fig1").unwrap().run)(&opts).unwrap();
     assert_eq!(a.text, b.text);
     assert_eq!(a.csv, b.csv);
 }
