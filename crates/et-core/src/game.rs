@@ -1,4 +1,4 @@
-//! Game primitives: examples, labels, interactions, histories.
+//! Game primitives: examples and labels.
 
 /// A clean/dirty label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,22 +47,6 @@ impl PairExample {
             b: a.max(b),
         }
     }
-}
-
-/// One completed interaction: what the learner selected, the sample shown,
-/// and the trainer's per-tuple verdicts. Any pair evidence they induce is
-/// a function of these and the table, derived where it is consumed.
-#[derive(Debug, Clone)]
-pub struct Interaction {
-    /// Interaction number `t` (0-based).
-    pub t: usize,
-    /// The pairs the learner's policy selected (always fresh).
-    pub selected: Vec<PairExample>,
-    /// The presented sample: the distinct tuples of the selected pairs.
-    pub sample: Vec<usize>,
-    /// The trainer's per-tuple labels, aligned with `sample`
-    /// (`true` = dirty).
-    pub labels: Vec<bool>,
 }
 
 #[cfg(test)]

@@ -17,17 +17,19 @@
 //!
 //! Replay cost grows with session length, so the journal periodically
 //! writes a `encode_snapshot` blob of every mutable field (beliefs, RNG
-//! state, histories, the pending presentation). Recovery restores the
-//! newest *valid* snapshot and replays only the WAL suffix; a corrupt
-//! snapshot (checksum failure) falls back to the next older one, down to
-//! full replay. Derived structures — relation matrix, partition cache,
-//! candidate pool, violation indexes — are never persisted: they are pure
-//! functions of the immutable table and get rebuilt on construction. The
-//! fresh pool ids derive from the learner's shown set, which the snapshot
-//! does store; they are rebuilt from it on the first `present` after a
-//! restore. A pending presentation's sample index is rebuilt from its
-//! sample during the restore, and history keeps only `(selected, sample,
-//! labels)` per round.
+//! state, the metrics series, the pending presentation). Recovery restores
+//! the newest *valid* snapshot and replays only the WAL suffix; a corrupt
+//! snapshot (checksum failure) or one in an older format falls back to the
+//! next older one, down to full replay. Derived structures — relation
+//! matrix, partition cache, candidate pool, violation indexes — are never
+//! persisted: they are pure functions of the immutable table and get
+//! rebuilt on construction. The fresh pool ids derive from the learner's
+//! shown set, which the snapshot does store; they are rebuilt from it on
+//! the first `present` after a restore. A pending presentation's sample
+//! index is rebuilt from its sample during the restore. No transcript of
+//! the rounds is stored: the agents' beliefs, the shown set and the RNG
+//! words already carry what the rounds taught, and the WAL holds the
+//! labels.
 //!
 //! ## Layout of a session directory
 //!
@@ -44,16 +46,18 @@ use std::path::{Path, PathBuf};
 use et_belief::Belief;
 use et_durable::{snapshot, Dec, DurableError, Enc, FsyncPolicy, Wal};
 
-use crate::game::{Interaction, PairExample};
+use crate::game::PairExample;
 use crate::learner::Learner;
 use crate::session::{IterationMetrics, PendingInteraction, SessionState, StepError};
 use crate::trainer::{Trainer, TrainerPersist};
 
 /// WAL record type tag for a submitted label batch.
 const REC_LABELS: u8 = 1;
-/// Snapshot payload format version. Version 2 dropped each history
-/// round's derived evidence pairs; version-1 payloads are refused.
-const SNAPSHOT_VERSION: u8 = 2;
+/// Snapshot payload format version. Version 3 dropped the per-round
+/// history (version 2 had dropped each round's derived evidence pairs).
+/// `restore_snapshot` refuses any other version; `recover_session` skips
+/// an older one and replays the WAL instead.
+const SNAPSHOT_VERSION: u8 = 3;
 /// The WAL filename inside a session directory.
 const WAL_FILE: &str = "labels.wal";
 /// Valid snapshots retained after a new one lands (the newer one plus one
@@ -97,7 +101,7 @@ pub struct LabelRecord {
 
 /// Encodes one label batch from borrowed parts — the frame
 /// [`SessionJournal::append_labels_parts`] writes without materialising an
-/// owned [`LabelRecord`]. Byte-identical to [`LabelRecord::encode`].
+/// owned [`LabelRecord`], and [`LabelRecord::decode`] reads back.
 fn encode_labels(t: u64, trainer_observed: bool, sample: &[usize], labels: &[bool]) -> Vec<u8> {
     let mut enc = Enc::new();
     enc.put_u64(t);
@@ -114,10 +118,6 @@ fn encode_labels(t: u64, trainer_observed: bool, sample: &[usize], labels: &[boo
 }
 
 impl LabelRecord {
-    fn encode(&self) -> Vec<u8> {
-        encode_labels(self.t, self.trainer_observed, &self.sample, &self.labels)
-    }
-
     fn decode(payload: &[u8]) -> Result<Self, DurableError> {
         let mut dec = Dec::new(payload);
         let t = dec.take_u64()?;
@@ -219,18 +219,10 @@ impl SessionJournal {
     }
 
     /// Durably appends one label batch (write-ahead; fsynced under
-    /// [`FsyncPolicy::Always`]).
-    ///
-    /// # Errors
-    /// [`DurableError::Io`] when the append or sync fails.
-    pub fn append_labels(&mut self, record: &LabelRecord) -> Result<(), DurableError> {
-        self.wal.append(REC_LABELS, &record.encode())
-    }
-
-    /// [`SessionJournal::append_labels`] from borrowed parts: writes the
-    /// byte-identical frame without the caller cloning its pending sample
-    /// and label slices into an owned [`LabelRecord`] first (the hot-path
-    /// lint budget for `apply_labels` charges those clones).
+    /// [`FsyncPolicy::Always`]) from borrowed parts, so the caller never
+    /// clones its pending sample and label slices into an owned
+    /// [`LabelRecord`] (the hot-path lint budget for `apply_labels` charges
+    /// those clones).
     ///
     /// # Errors
     /// [`DurableError::Io`] when the append or sync fails.
@@ -429,14 +421,6 @@ pub(crate) fn encode_snapshot<T: TrainerPersist>(
         enc.put_f64(m.agreement);
     }
 
-    enc.put_usize(state.history.len());
-    for i in &state.history {
-        enc.put_usize(i.t);
-        save_pairs(&mut enc, &i.selected);
-        save_usizes(&mut enc, &i.sample);
-        save_bools(&mut enc, &i.labels);
-    }
-
     match &state.pending {
         None => enc.put_bool(false),
         Some(p) => {
@@ -527,21 +511,6 @@ pub(crate) fn restore_snapshot<T: TrainerPersist>(
         });
     }
 
-    let n = dec.take_usize()?;
-    let mut history = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let it = dec.take_usize()?;
-        let selected = load_pairs(&mut dec)?;
-        let sample = load_usizes(&mut dec)?;
-        let labels = load_bools(&mut dec)?;
-        history.push(Interaction {
-            t: it,
-            selected,
-            sample,
-            labels,
-        });
-    }
-
     let pending = if dec.take_bool()? {
         let pairs = load_pairs(&mut dec)?;
         let sample = load_usizes(&mut dec)?;
@@ -583,7 +552,6 @@ pub(crate) fn restore_snapshot<T: TrainerPersist>(
     state.prev_trainer = prev_trainer;
     state.prev_learner = prev_learner;
     state.metrics = metrics;
-    state.history = history;
     state.pending = pending;
     state.trainer_observed = trainer_observed;
     // The fresh candidates derive from the shown set just restored.
@@ -664,7 +632,7 @@ impl From<StepError> for RecoverError {
 /// finally attaches the journal so subsequent steps append as usual.
 ///
 /// Afterwards the triple is bit-identical to the pre-crash session: same
-/// beliefs, same RNG streams, same histories, same pending presentation.
+/// beliefs, same RNG streams, same metrics, same pending presentation.
 ///
 /// # Errors
 /// See [`RecoverError`]; on error the state and agents are unspecified and
@@ -687,14 +655,19 @@ pub fn recover_session<T: Trainer + TrainerPersist>(
     };
 
     // Newest valid snapshot wins; a checksum-corrupt snapshot falls back to
-    // the next older one (more WAL replay, same final state). A snapshot
-    // that *validates* but fails to decode is fatal — that is format skew,
+    // the next older one (more WAL replay, same final state), and so does
+    // one written in an older format: the WAL is never compacted, so full
+    // replay reaches the same bits. A snapshot that *validates* but fails
+    // to decode is fatal — a newer format or a config mismatch is skew,
     // not a torn write.
     for (t, path) in snapshot::list(dir)? {
         let payload = match snapshot::read(&path) {
             Ok(p) => p,
             Err(_) => continue,
         };
+        if payload.first().is_some_and(|&v| v < SNAPSHOT_VERSION) {
+            continue;
+        }
         restore_snapshot(state, &payload, trainer, learner)?;
         outcome.snapshot_t = Some(t);
         break;
@@ -755,18 +728,13 @@ mod tests {
             sample: vec![4, 0, 17],
             labels: vec![true, false, true],
         };
-        assert_eq!(LabelRecord::decode(&rec.encode()).expect("decode"), rec);
+        let bytes = encode_labels(rec.t, rec.trainer_observed, &rec.sample, &rec.labels);
+        assert_eq!(LabelRecord::decode(&bytes).expect("decode"), rec);
     }
 
     #[test]
     fn label_record_rejects_garbage() {
-        let rec = LabelRecord {
-            t: 1,
-            trainer_observed: false,
-            sample: vec![2],
-            labels: vec![false],
-        };
-        let bytes = rec.encode();
+        let bytes = encode_labels(1, false, &[2], &[false]);
         for cut in 0..bytes.len() {
             assert!(LabelRecord::decode(&bytes[..cut]).is_err(), "cut {cut}");
         }
@@ -785,13 +753,8 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let mut j = SessionJournal::create(&dir, JournalConfig::default()).expect("create");
-        j.append_labels(&LabelRecord {
-            t: 0,
-            trainer_observed: true,
-            sample: vec![1, 2],
-            labels: vec![false, true],
-        })
-        .expect("append");
+        j.append_labels_parts(0, true, &[1, 2], &[false, true])
+            .expect("append");
         drop(j);
         assert!(matches!(
             SessionJournal::create(&dir, JournalConfig::default()),
@@ -862,16 +825,20 @@ mod tests {
             Err(DurableError::Decode { reason }) if reason.contains("out of range")
         ));
 
-        // A version-1 payload still carries the evidence pairs version 2
-        // dropped, so it is refused before anything else is read.
-        payload[0] = 1;
-        let (mut trainer, mut learner) = agents();
-        let mut refused = fresh_state(&trainer, &learner);
-        match restore_snapshot(&mut refused, &payload, &mut trainer, &mut learner) {
-            Err(DurableError::Decode { reason }) => {
-                assert_eq!(reason, "snapshot version 1, expected 2");
+        // An older payload still carries the history version 3 dropped, and
+        // a newer one a layout this build does not know: both are refused
+        // before anything else is read.
+        for version in [SNAPSHOT_VERSION - 1, SNAPSHOT_VERSION + 1] {
+            payload[0] = version;
+            let (mut trainer, mut learner) = agents();
+            let mut refused = fresh_state(&trainer, &learner);
+            match restore_snapshot(&mut refused, &payload, &mut trainer, &mut learner) {
+                Err(DurableError::Decode { reason }) => assert_eq!(
+                    reason,
+                    format!("snapshot version {version}, expected {SNAPSHOT_VERSION}")
+                ),
+                other => panic!("expected the version error, got {other:?}"),
             }
-            other => panic!("expected the version error, got {other:?}"),
         }
     }
 

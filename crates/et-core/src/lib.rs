@@ -15,7 +15,7 @@
 //!
 //! Modules:
 //!
-//! * [`game`] — interaction records, histories, labels.
+//! * [`game`] — presented pairs and labels.
 //! * [`payoff`] — the payoff functions `u_T`, `u_a` and the entropy-
 //!   regularised learner payoff `u_L = u_a − γ Σ π ln π` (§2).
 //! * [`respond`] — response strategies: `Random`, `UncertaintySampling`,
@@ -61,7 +61,7 @@ pub mod weak_strong;
 
 pub use candidates::{CandidatePool, FreshCandidates};
 pub use et_fd::{PartitionCache, RelationMatrix};
-pub use game::{Interaction, Label, PairExample};
+pub use game::{Label, PairExample};
 pub use journal::{
     recover_session, JournalConfig, LabelRecord, RecoverError, RecoverOutcome, SessionJournal,
 };

@@ -29,7 +29,6 @@ use et_fd::{
 use et_metrics::ConfusionMatrix;
 
 use crate::candidates::{CandidatePool, FreshCandidates};
-use crate::game::Interaction;
 use crate::journal::SessionJournal;
 use crate::learner::Learner;
 use crate::trainer::{Trainer, TrainerPersist};
@@ -269,8 +268,6 @@ impl ConvergenceReport {
 pub struct SessionResult {
     /// Per-iteration metrics, one entry per executed interaction.
     pub metrics: Vec<IterationMetrics>,
-    /// The full interaction history `h_t`.
-    pub history: Vec<Interaction>,
     /// Convergence summary.
     pub convergence: ConvergenceReport,
     /// Trainer's final confidences.
@@ -288,32 +285,6 @@ impl SessionResult {
     /// The learner-F1 curve.
     pub fn f1_series(&self) -> Vec<f64> {
         self.metrics.iter().map(|m| m.learner_f1).collect()
-    }
-
-    /// Per-iteration metrics as CSV (one row per interaction).
-    pub fn metrics_csv(&self) -> String {
-        let mut out = String::from(
-            "iter,mae,learner_f1,learner_precision,learner_recall,trainer_f1,\
-             learner_drift,trainer_drift,policy_entropy,dirty_labels,phi_dirty,agreement\n",
-        );
-        for m in &self.metrics {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                m.t,
-                m.mae,
-                m.learner_f1,
-                m.learner_precision,
-                m.learner_recall,
-                m.trainer_f1,
-                m.learner_drift,
-                m.trainer_drift,
-                m.policy_entropy,
-                m.dirty_labels,
-                m.phi_dirty,
-                m.agreement
-            ));
-        }
-        out
     }
 }
 
@@ -393,7 +364,6 @@ pub struct SessionState {
     /// is the durable form, and the scorer is a pure cache.
     pub(crate) fresh: Option<FreshCandidates>,
     pub(crate) metrics: Vec<IterationMetrics>,
-    pub(crate) history: Vec<Interaction>,
     pub(crate) prev_trainer: Vec<f64>,
     pub(crate) prev_learner: Vec<f64>,
     pub(crate) labels_total: usize,
@@ -512,7 +482,6 @@ impl SessionState {
         let prev_trainer = trainer.confidences();
         let prev_learner = learner.confidences();
         let metrics = Vec::with_capacity(cfg.iterations);
-        let history = Vec::with_capacity(cfg.iterations);
         Ok(Self {
             table,
             space,
@@ -526,7 +495,6 @@ impl SessionState {
             matrix,
             fresh: None,
             metrics,
-            history,
             prev_trainer,
             prev_learner,
             labels_total: 0,
@@ -746,8 +714,10 @@ impl SessionState {
     }
 
     /// Completes the interaction: the learner absorbs `labels` (one per
-    /// sample tuple), the per-iteration metrics are computed against the
-    /// trainer's current model, and the interaction joins the history.
+    /// sample tuple) and the per-iteration metrics are computed against the
+    /// trainer's current model. The session keeps no transcript: the
+    /// agents' beliefs, the learner's shown set and the RNG streams carry
+    /// what the rounds so far taught, and a journal's WAL keeps the labels.
     ///
     /// The labels may come from [`SessionState::label_pending`] (batch
     /// mode) or from an external annotator; in the latter case call
@@ -834,12 +804,6 @@ impl SessionState {
             phi_dirty: self.dirty_total as f64 / self.labels_total.max(1) as f64,
             agreement,
         });
-        self.history.push(Interaction {
-            t: self.t,
-            selected: pairs,
-            sample,
-            labels: labels.to_vec(),
-        });
         self.prev_trainer = tc;
         self.prev_learner = lc;
         self.t += 1;
@@ -859,7 +823,6 @@ impl SessionState {
             trainer_confidences: self.prev_trainer,
             learner_confidences: self.prev_learner,
             metrics: self.metrics,
-            history: self.history,
         }
     }
 }
@@ -992,6 +955,7 @@ fn convergence_report(metrics: &[IterationMetrics], cfg: &SessionConfig) -> Conv
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::game::PairExample;
     use crate::respond::{ResponseStrategy, StrategyKind};
     use crate::trainer::FpTrainer;
     use et_belief::{build_prior, Belief, Beta, EvidenceConfig, PriorConfig, PriorSpec};
@@ -1053,12 +1017,45 @@ mod tests {
         )
     }
 
+    /// One round as the step API shows it: the presented pairs and
+    /// sample, and the labels applied.
+    type Round = (Vec<PairExample>, Vec<usize>, Vec<bool>);
+
+    /// A session driven through the step API and labeled by its own
+    /// trainer, as et-serve hosts one, with every round it played.
+    fn stepped(
+        kind: StrategyKind,
+        table: &Table,
+        dirty: &[bool],
+        space: &Arc<HypothesisSpace>,
+    ) -> (SessionResult, Vec<Round>) {
+        let (mut trainer, mut learner) = agents(kind, table, space);
+        let mut st = SessionState::new(
+            table.clone(),
+            space.clone(),
+            dirty,
+            SessionConfig::default(),
+            &trainer,
+            &learner,
+        )
+        .expect("valid config");
+        let mut rounds = Vec::new();
+        while let Some(p) = st.present(&mut learner).expect("in phase") {
+            let (pairs, sample) = (p.pairs().to_vec(), p.sample().to_vec());
+            let labels = st.label_pending(&mut trainer).expect("pending");
+            let _ = st
+                .apply_labels(&trainer, &mut learner, &labels)
+                .expect("aligned");
+            rounds.push((pairs, sample, labels));
+        }
+        (st.into_result(), rounds)
+    }
+
     #[test]
     fn session_produces_full_metrics() {
         let (table, dirty, space) = fixture();
         let r = run_with(StrategyKind::Random, &table, &dirty, &space);
         assert_eq!(r.metrics.len(), 30);
-        assert_eq!(r.history.len(), 30);
         for m in &r.metrics {
             assert!((0.0..=1.0).contains(&m.mae));
             assert!((0.0..=1.0).contains(&m.learner_f1));
@@ -1096,29 +1093,8 @@ mod tests {
     fn step_api_reproduces_batch_exactly() {
         let (table, dirty, space) = fixture();
         let batch = run_with(StrategyKind::StochasticBestResponse, &table, &dirty, &space);
-
-        let (mut trainer, mut learner) =
-            agents(StrategyKind::StochasticBestResponse, &table, &space);
-        let mut st = SessionState::new(
-            table.clone(),
-            space.clone(),
-            &dirty,
-            SessionConfig::default(),
-            &trainer,
-            &learner,
-        )
-        .expect("valid config");
-        loop {
-            let presented = st.present(&mut learner).expect("in phase");
-            if presented.is_none() {
-                break;
-            }
-            let labels = st.label_pending(&mut trainer).expect("pending");
-            let _ = st
-                .apply_labels(&trainer, &mut learner, &labels)
-                .expect("aligned");
-        }
-        let stepped = st.into_result();
+        let (stepped, rounds) =
+            stepped(StrategyKind::StochasticBestResponse, &table, &dirty, &space);
         assert_eq!(batch.mae_series(), stepped.mae_series());
         assert_eq!(batch.learner_confidences, stepped.learner_confidences);
         assert_eq!(batch.trainer_confidences, stepped.trainer_confidences);
@@ -1126,7 +1102,7 @@ mod tests {
             batch.convergence.converged_at,
             stepped.convergence.converged_at
         );
-        assert_eq!(batch.history.len(), stepped.history.len());
+        assert_eq!(batch.metrics.len(), rounds.len());
     }
 
     #[test]
@@ -1137,7 +1113,7 @@ mod tests {
         // batch loop and the et-serve shape (a stepped session labeled
         // through `label_pending`) must both reproduce it bit for bit.
         let (table, dirty, space) = fixture();
-        let oracle = {
+        let (oracle, oracle_rounds) = {
             let (mut trainer, mut learner) =
                 agents(StrategyKind::StochasticBestResponse, &table, &space);
             let mut st = SessionState::new(
@@ -1149,36 +1125,21 @@ mod tests {
                 &learner,
             )
             .expect("valid config");
+            let mut rounds: Vec<Round> = Vec::new();
             while let Some(p) = st.present(&mut learner).expect("in phase") {
-                let sample = p.sample().to_vec();
+                let (pairs, sample) = (p.pairs().to_vec(), p.sample().to_vec());
                 let index = ViolationIndex::build(&table.subset(&sample), &space);
                 let labels = trainer.respond(&table, &sample, &index);
                 let _ = st
                     .apply_labels(&trainer, &mut learner, &labels)
                     .expect("aligned");
+                rounds.push((pairs, sample, labels));
             }
-            st.into_result()
+            (st.into_result(), rounds)
         };
-        let served = {
-            let (mut trainer, mut learner) =
-                agents(StrategyKind::StochasticBestResponse, &table, &space);
-            let mut st = SessionState::new(
-                table.clone(),
-                space.clone(),
-                &dirty,
-                SessionConfig::default(),
-                &trainer,
-                &learner,
-            )
-            .expect("valid config");
-            while st.present(&mut learner).expect("in phase").is_some() {
-                let labels = st.label_pending(&mut trainer).expect("pending");
-                let _ = st
-                    .apply_labels(&trainer, &mut learner, &labels)
-                    .expect("aligned");
-            }
-            st.into_result()
-        };
+        let (served, served_rounds) =
+            stepped(StrategyKind::StochasticBestResponse, &table, &dirty, &space);
+        assert_eq!(oracle_rounds, served_rounds);
         let batch = run_with(StrategyKind::StochasticBestResponse, &table, &dirty, &space);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for run in [batch, served] {
@@ -1192,11 +1153,6 @@ mod tests {
                 bits(&oracle.trainer_confidences),
                 bits(&run.trainer_confidences)
             );
-            assert_eq!(oracle.history.len(), run.history.len());
-            for (a, b) in oracle.history.iter().zip(&run.history) {
-                assert_eq!(a.sample, b.sample);
-                assert_eq!(a.labels, b.labels);
-            }
         }
     }
 
@@ -1406,10 +1362,10 @@ mod tests {
     #[test]
     fn fresh_examples_every_iteration() {
         let (table, dirty, space) = fixture();
-        let r = run_with(StrategyKind::UncertaintySampling, &table, &dirty, &space);
+        let (_, rounds) = stepped(StrategyKind::UncertaintySampling, &table, &dirty, &space);
         let mut seen = std::collections::HashSet::new();
-        for i in &r.history {
-            for p in &i.selected {
+        for (pairs, _, _) in &rounds {
+            for p in pairs {
                 assert!(
                     seen.insert(*p),
                     "selected pair repeated across interactions"

@@ -20,7 +20,7 @@
 //!
 //! [[source]]                        # L11 taint source
 //! rule = "L11"
-//! pattern = "Instant::now"          # substring of rendered call text
+//! pattern = "Instant::now"          # Rust path; substring of call text
 //! note = "wall clock"               # optional
 //!
 //! [[hot]]                           # L12-L14 hot-path root (no rule key:
@@ -33,8 +33,12 @@
 //! matches. Unused entries are reported so the allowlist cannot rot
 //! silently (with a nearest-path suggestion when the path looks moved).
 //! `[[entry]]`/`[[source]]`/`[[hot]]` tables configure rules rather than
-//! suppress findings, so they are exempt from staleness tracking; without
-//! any of them the graph rules are vacuous.
+//! suppress findings; without any of them the graph rules are vacuous. An
+//! `[[entry]]` or `[[hot]]` pattern that roots no function is reported.
+//! A `[[source]]` is exempt from that stale check: a source no call renders
+//! is the state L11 wants (the `thread_rng` guard keeps OS-seeded RNGs out
+//! before any code calls one). Instead the parser rejects a source pattern
+//! that could never match: it must be Rust identifiers joined by `::`.
 
 use crate::rules::Violation;
 
@@ -177,7 +181,20 @@ impl Allowlist {
             TableKind::Entry => self
                 .graph_entries
                 .push(partial.finish_spec(at, &["L9", "L11"])?),
-            TableKind::Source => self.graph_sources.push(partial.finish_spec(at, &["L11"])?),
+            TableKind::Source => {
+                let spec = partial.finish_spec(at, &["L11"])?;
+                if !is_rust_path(&spec.pattern) {
+                    return Err(AllowlistError {
+                        line: at,
+                        message: format!(
+                            "[[source]] pattern `{}` is not a Rust path \
+                             (identifiers joined by `::`)",
+                            spec.pattern
+                        ),
+                    });
+                }
+                self.graph_sources.push(spec);
+            }
             TableKind::Hot => self.hot_roots.push(partial.finish_hot(at)?),
         }
         Ok(())
@@ -206,6 +223,17 @@ impl Allowlist {
             .map(|(i, _)| i)
             .collect()
     }
+}
+
+/// True when `pattern` is one or more Rust identifiers joined by `::`.
+fn is_rust_path(pattern: &str) -> bool {
+    pattern.split("::").all(|segment| {
+        let mut chars = segment.chars();
+        chars
+            .next()
+            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+            && chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
+    })
 }
 
 fn strip_comment(line: &str) -> &str {
@@ -517,6 +545,24 @@ pattern = "Instant::now"
         // Entries take only L9/L11; sources only L11.
         assert!(Allowlist::parse("[[entry]]\nrule = \"L6\"\npattern = \"x\"\n").is_err());
         assert!(Allowlist::parse("[[source]]\nrule = \"L9\"\npattern = \"x\"\n").is_err());
+        // A source pattern is a Rust path; anything else could never match.
+        for ok in ["read_dir", "Instant::now", "rand::random", "_x::y2"] {
+            let text = format!("[[source]]\nrule = \"L11\"\npattern = \"{ok}\"\n");
+            assert!(Allowlist::parse(&text).is_ok(), "{ok}");
+        }
+        for bad in [
+            "Instant:now",
+            "Instant::",
+            "::now",
+            "now()",
+            "a b",
+            "2x",
+            "hash-iter",
+        ] {
+            let text = format!("[[source]]\nrule = \"L11\"\npattern = \"{bad}\"\n");
+            let err = Allowlist::parse(&text).expect_err(bad);
+            assert!(err.message.contains("not a Rust path"), "{bad}: {err}");
+        }
         // pattern is mandatory and non-empty.
         assert!(Allowlist::parse("[[entry]]\nrule = \"L9\"\n").is_err());
         assert!(Allowlist::parse("[[entry]]\nrule = \"L9\"\npattern = \"\"\n").is_err());

@@ -71,13 +71,15 @@ fn allowlisted_violation_exits_zero() {
 
 #[test]
 fn bad_allowlist_exits_two() {
-    // Unknown or retired rule ids, missing required keys, and non-toml
+    // Unknown or retired rule ids, missing required keys, a taint source
+    // that is not a Rust path (so could never match a call), and non-toml
     // garbage must all exit 2 (configuration error), not 1 and not a panic.
     let configs = [
         "[[allow]]\nrule = \"L99\"\npath = \"x.rs\"\nreason = \"r\"\n",
         "[[allow]]\nrule = \"L1\"\npath = \"x.rs\"\nreason = \"r\"\n",
         "[[allow]]\nrule = \"L7\"\npath = \"x.rs\"\nreason = \"r\"\n",
         "[[allow]]\nrule = \"L6\"\n",
+        "[[source]]\nrule = \"L11\"\npattern = \"Instant:now\"\n",
         "rule = \"L6\"\n",
         "[[allow]]\nnot a key value line\n",
     ];

@@ -154,12 +154,21 @@ struct ServerCtx {
     stop: Arc<AtomicBool>,
 }
 
-/// One parsed request handed from a shard to the worker pool: a create,
-/// or a request that names a dormant session.
-struct Job {
-    shard: usize,
-    token: u64,
-    request: Request,
+/// One job for the worker pool.
+enum Job {
+    /// A parsed request handed over by shard `shard`: a create, or a
+    /// request that names a dormant session. The reply goes back to the
+    /// connection `token` on that shard.
+    Answer {
+        shard: usize,
+        token: u64,
+        request: Request,
+    },
+    /// Parks the worker that takes it until the other end of the channel
+    /// sends or is dropped: a test's hold on the pool, which orders events
+    /// without a clock.
+    #[cfg(test)]
+    Hold(Receiver<()>),
 }
 
 /// One finished job travelling back from a worker to its shard.
@@ -215,6 +224,17 @@ fn resolve_addr(addr: &str) -> std::io::Result<SocketAddr> {
 /// # Errors
 /// Propagates bind/epoll/eventfd setup failures.
 pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
+    let (job_tx, job_rx) = mpsc::channel::<Job>();
+    spawn_with(cfg, job_tx, job_rx)
+}
+
+/// [`spawn`] over a job channel the caller made: every shard sends on a
+/// clone of `job_tx`, and the workers share `job_rx`.
+fn spawn_with(
+    cfg: ServerConfig,
+    job_tx: Sender<Job>,
+    job_rx: Receiver<Job>,
+) -> std::io::Result<ServerHandle> {
     let shards_n = cfg.shards.max(1);
     // One SO_REUSEPORT listener per shard, kernel-balanced.
     let listeners = reuseport_listeners(&resolve_addr(&cfg.addr)?, shards_n)?;
@@ -248,7 +268,6 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         wakers: links.iter().map(|l| l.waker.clone()).collect(),
     });
 
-    let (job_tx, job_rx) = mpsc::channel::<Job>();
     let job_rx = Arc::new(Mutex::new(job_rx));
     let workers = cfg.workers.max(1);
     let mut worker_joins = Vec::with_capacity(workers);
@@ -300,16 +319,25 @@ fn worker_pool_loop(job_rx: &Arc<Mutex<Receiver<Job>>>, ctx: &Arc<ServerCtx>, li
             // signal.
             guard.recv()
         };
-        let Ok(job) = next else { return };
+        let (shard, token, request) = match next {
+            Ok(Job::Answer {
+                shard,
+                token,
+                request,
+            }) => (shard, token, request),
+            #[cfg(test)]
+            Ok(Job::Hold(release)) => {
+                let _ = release.recv();
+                continue;
+            }
+            Err(_) => return,
+        };
         let mut payload = Vec::new();
-        answer(job.request, ctx, &mut payload);
-        if let Some(link) = links.get(job.shard) {
+        answer(request, ctx, &mut payload);
+        if let Some(link) = links.get(shard) {
             // A send fails only once the shard has exited (shutdown); the
             // reply has no connection left to go to.
-            let _ = link.completions.send(Completion {
-                token: job.token,
-                payload,
-            });
+            let _ = link.completions.send(Completion { token, payload });
             link.waker.wake();
         }
     }
@@ -570,7 +598,7 @@ fn to_worker(p: &ShardParams, conn: &mut Conn, request: Request) {
     // A send can only fail once the workers have exited, which only happens
     // during shutdown; the connection is torn down with the shard shortly
     // after.
-    let _ = p.job_tx.send(Job {
+    let _ = p.job_tx.send(Job::Answer {
         shard: p.index,
         token: conn.token,
         request,
@@ -1242,5 +1270,107 @@ mod tests {
         let gone = reply(&store, Request::NextPairs { session: id });
         assert_eq!(member(&gone, "error"), "unknown_session", "{gone}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One raw wire connection. Its reads give up after a generous bound,
+    /// so a reply that never comes fails the test instead of hanging it;
+    /// the bound orders nothing.
+    struct Wire {
+        writer: TcpStream,
+        reader: std::io::BufReader<TcpStream>,
+    }
+
+    impl Wire {
+        fn connect(addr: &str) -> Self {
+            let writer = TcpStream::connect(addr).expect("connect");
+            writer
+                .set_read_timeout(Some(Duration::from_secs(60)))
+                .expect("read timeout");
+            let reader = std::io::BufReader::new(writer.try_clone().expect("clone"));
+            Self { writer, reader }
+        }
+
+        fn send(&mut self, line: &str) {
+            use std::io::Write;
+            self.writer
+                .write_all(format!("{line}\n").as_bytes())
+                .expect("write request");
+        }
+
+        fn read_line(&mut self) -> String {
+            use std::io::BufRead;
+            let mut line = String::new();
+            let _ = self.reader.read_line(&mut line).expect("read reply");
+            assert!(!line.is_empty(), "connection closed before the reply");
+            line
+        }
+
+        fn call(&mut self, line: &str) -> String {
+            self.send(line);
+            self.read_line()
+        }
+
+        /// True when a reply line is waiting, without blocking for one.
+        fn has_reply(&mut self) -> bool {
+            use std::io::BufRead;
+            self.writer.set_nonblocking(true).expect("nonblocking");
+            let ready = match self.reader.fill_buf() {
+                Ok(buf) => !buf.is_empty(),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
+                Err(e) => panic!("probe read failed: {e}"),
+            };
+            self.writer.set_nonblocking(false).expect("blocking");
+            ready
+        }
+    }
+
+    /// Rounds run on the event shard, not the worker pool: with one shard
+    /// and one worker, a connection plays its rounds while the only worker
+    /// is held, and a create queued behind the hold is answered only after
+    /// the release. The hold stands in for a long build, so the order is a
+    /// fact the test sets up, not a race against the build's speed.
+    #[test]
+    fn rounds_finish_while_a_create_holds_the_only_worker() {
+        const ROUNDS: usize = 3;
+        let cfg = ServerConfig {
+            shards: 1,
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let (job_tx, job_rx) = mpsc::channel();
+        let hold_tx = job_tx.clone();
+        let handle = spawn_with(cfg, job_tx, job_rx).expect("bind");
+        let addr = handle.addr().to_string();
+
+        let mut b = Wire::connect(&addr);
+        let created = b.call(r#"{"op":"create_session","rows":60,"iterations":4}"#);
+        let session = member(&created, "session");
+
+        // Park the only worker, then queue A's create behind it.
+        let (release, parked) = mpsc::channel();
+        hold_tx.send(Job::Hold(parked)).expect("queue the hold");
+        drop(hold_tx);
+        let mut a = Wire::connect(&addr);
+        a.send(r#"{"op":"create_session","rows":60}"#);
+
+        for round in 0..ROUNDS {
+            let pairs = b.call(&format!(r#"{{"op":"next_pairs","session":{session}}}"#));
+            assert_eq!(member(&pairs, "reply"), "pairs", "round {round}: {pairs}");
+            let labeled = b.call(&format!(r#"{{"op":"submit_labels","session":{session}}}"#));
+            assert_eq!(
+                member(&labeled, "reply"),
+                "labeled",
+                "round {round}: {labeled}"
+            );
+        }
+        assert!(!a.has_reply(), "the create ran while the worker was held");
+
+        release.send(()).expect("release the worker");
+        let created = a.read_line();
+        assert_eq!(member(&created, "reply"), "created", "{created}");
+
+        let bye = b.call(r#"{"op":"shutdown"}"#);
+        assert_eq!(member(&bye, "reply"), "shutting_down", "{bye}");
+        handle.wait();
     }
 }

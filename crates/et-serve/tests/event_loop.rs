@@ -1,8 +1,6 @@
 //! Integration tests for the readiness-based transport: pipelining inside
 //! one TCP segment (a create and a round on the new session included),
-//! rounds answered on the event shard while a create holds the only
-//! worker, pipelined lines behind the revive of a dormant journaled
-//! session, two connections racing to revive one session, the typed
+//! pipelined lines behind the revive of a dormant journaled session, two connections racing to revive one session, the typed
 //! `protocol_error` path for oversized lines,
 //! slow-loris eviction through the real serve binary, bounded shutdown
 //! latency, and a bind refused on a held port. The oversize, shutdown and
@@ -222,71 +220,6 @@ fn two_connections_revive_a_dormant_session_once() {
     client.shutdown_server().expect("shutdown");
     handle.wait();
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Rounds run on the event shard, not the worker pool: with one shard and
-/// one worker, a connection finishes several rounds on an existing session
-/// while a large create from another connection holds the only worker, and
-/// the create's reply arrives after them.
-#[test]
-fn rounds_finish_while_a_create_holds_the_only_worker() {
-    const ROUNDS: usize = 3;
-    let mut cfg = server_cfg("127.0.0.1:0");
-    cfg.shards = 1;
-    cfg.workers = 1;
-    let handle = spawn(cfg).expect("bind");
-    let addr = handle.addr().to_string();
-
-    let mut b = Client::connect(&addr).expect("connect B");
-    let small = CreateSessionSpec {
-        rows: 60,
-        iterations: ROUNDS + 1,
-        ..CreateSessionSpec::default()
-    };
-    let (session, _) = b.create_session(&small).expect("small create");
-
-    // A large create on connection A: it occupies the only worker for far
-    // longer than B's rounds take.
-    let mut a = TcpStream::connect(&addr).expect("connect A");
-    a.write_all(b"{\"op\":\"create_session\",\"dataset\":\"hospital\",\"rows\":2000}\n")
-        .expect("large create");
-    // Let the shard hand the create to the worker before B speaks.
-    std::thread::sleep(Duration::from_millis(50));
-
-    for round in 0..ROUNDS {
-        let pairs = b.next_pairs(session).expect("next_pairs");
-        assert_eq!(
-            pairs.get("reply").and_then(Json::as_str),
-            Some("pairs"),
-            "round {round}: {pairs:?}"
-        );
-        let labeled = b.submit_labels(session, None).expect("submit_labels");
-        assert_eq!(
-            labeled.get("reply").and_then(Json::as_str),
-            Some("labeled"),
-            "round {round}: {labeled:?}"
-        );
-    }
-
-    // A's reply has not arrived yet; it does once the build finishes.
-    a.set_nonblocking(true).expect("nonblocking");
-    let mut probe = [0u8; 1];
-    let early = a.read(&mut probe);
-    assert!(
-        matches!(&early, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
-        "the create replied before B's {ROUNDS} rounds finished: {early:?}"
-    );
-    a.set_nonblocking(false).expect("blocking");
-    let mut reader = BufReader::new(a);
-    let created = read_reply(&mut reader);
-    assert_eq!(
-        created.get("reply").and_then(Json::as_str),
-        Some("created"),
-        "{created:?}"
-    );
-
-    b.shutdown_server().expect("shutdown");
-    handle.wait();
 }
 
 /// An oversized request line draws one typed `protocol_error` reply and

@@ -5,14 +5,27 @@ use std::sync::Arc;
 
 use exploratory_training::belief::{build_prior, EvidenceConfig, PriorConfig, PriorSpec};
 use exploratory_training::data::gen::DatasetName;
-use exploratory_training::data::{inject_errors, violation_degree, InjectConfig};
+use exploratory_training::data::{
+    inject_errors, split_rows, violation_degree, InjectConfig, Table,
+};
 use exploratory_training::fd::{Fd, HypothesisSpace};
 use exploratory_training::game::trainer::FpTrainer;
 use exploratory_training::game::{
-    run_session, Learner, ResponseStrategy, SessionConfig, SessionResult, StrategyKind,
+    run_session, Learner, ResponseStrategy, SessionConfig, SessionResult, SessionState,
+    StrategyKind,
 };
 
-fn pipeline(dataset: DatasetName, kind: StrategyKind, seed: u64) -> SessionResult {
+/// Everything a session over one generated dataset starts from.
+struct Setup {
+    table: Table,
+    dirty_rows: Vec<bool>,
+    space: Arc<HypothesisSpace>,
+    trainer: FpTrainer,
+    learner: Learner,
+    cfg: SessionConfig,
+}
+
+fn setup(dataset: DatasetName, kind: StrategyKind, seed: u64) -> Setup {
     let mut ds = dataset.generate(160, seed);
     let truth = ds.exact_fds.clone();
     let injection = inject_errors(
@@ -32,8 +45,8 @@ fn pipeline(dataset: DatasetName, kind: StrategyKind, seed: u64) -> SessionResul
     };
     let trainer_prior = build_prior(&PriorSpec::Random { seed }, &prior_cfg, &space, &ds.table);
     let learner_prior = build_prior(&PriorSpec::DataEstimate, &prior_cfg, &space, &ds.table);
-    let mut trainer = FpTrainer::new(trainer_prior, EvidenceConfig::default());
-    let mut learner = Learner::new(
+    let trainer = FpTrainer::new(trainer_prior, EvidenceConfig::default());
+    let learner = Learner::new(
         learner_prior,
         ResponseStrategy::paper(kind),
         EvidenceConfig::default(),
@@ -44,13 +57,25 @@ fn pipeline(dataset: DatasetName, kind: StrategyKind, seed: u64) -> SessionResul
         seed,
         ..SessionConfig::default()
     };
-    run_session(
-        &ds.table,
+    Setup {
+        table: ds.table,
+        dirty_rows: injection.dirty_rows,
         space,
-        &injection.dirty_rows,
+        trainer,
+        learner,
         cfg,
-        &mut trainer,
-        &mut learner,
+    }
+}
+
+fn pipeline(dataset: DatasetName, kind: StrategyKind, seed: u64) -> SessionResult {
+    let mut s = setup(dataset, kind, seed);
+    run_session(
+        &s.table,
+        s.space,
+        &s.dirty_rows,
+        s.cfg,
+        &mut s.trainer,
+        &mut s.learner,
     )
 }
 
@@ -106,12 +131,33 @@ fn full_pipeline_is_deterministic() {
 
 #[test]
 fn selected_pairs_stay_fresh_and_in_train_split() {
-    let r = pipeline(DatasetName::Airport, StrategyKind::UncertaintySampling, 2);
+    let Setup {
+        table,
+        dirty_rows,
+        space,
+        mut trainer,
+        mut learner,
+        cfg,
+    } = setup(DatasetName::Airport, StrategyKind::UncertaintySampling, 2);
+    let (train, _) = split_rows(table.nrows(), cfg.test_frac, cfg.seed);
+    let mut in_train = vec![false; table.nrows()];
+    for r in train {
+        in_train[r] = true;
+    }
+    let mut st = SessionState::new(table, space, &dirty_rows, cfg, &trainer, &learner)
+        .expect("valid session");
     let mut seen = std::collections::HashSet::new();
-    for i in &r.history {
-        for p in &i.selected {
-            assert!(seen.insert(*p), "selected pair repeated");
+    while let Some(p) = st.present(&mut learner).expect("in phase") {
+        for pair in p.pairs() {
+            assert!(seen.insert(*pair), "selected pair repeated");
         }
+        for &r in p.sample() {
+            assert!(in_train[r], "presented row {r} is held out for evaluation");
+        }
+        let labels = st.label_pending(&mut trainer).expect("pending");
+        let _ = st
+            .apply_labels(&trainer, &mut learner, &labels)
+            .expect("aligned");
     }
     assert!(!seen.is_empty());
 }
