@@ -1,5 +1,10 @@
 //! Agent beliefs: one Beta per FD of a shared hypothesis space.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "hypothesis ids index the per-hypothesis Beta vector; both are sized from the same HypothesisSpace at construction and ids never outlive their space"
+)]
+
 use std::sync::Arc;
 
 use et_fd::{invariant, Fd, HypothesisSpace};

@@ -144,6 +144,10 @@ fn collect_samples<R>(warmup: usize, iters: usize, mut f: impl FnMut() -> R) -> 
 
 /// Reduces samples to [`BenchStats`], dividing each sample by `scale`
 /// (scale > 1 reports a per-unit latency, e.g. per round of a session).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "sorted.len() / 2 is read only when sorted is non-empty"
+)]
 fn stats_from(name: &'static str, samples: &[f64], scale: f64) -> BenchStats {
     let mut sorted: Vec<f64> = samples.iter().map(|s| s / scale).collect();
     sorted.sort_by(f64::total_cmp);
@@ -214,6 +218,10 @@ fn time_bench_interleaved<RA, RB>(
 
 /// [`time_bench_interleaved`] over any number of sides: each iteration
 /// runs every side once, in order, timing each on its own.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i < N, the length of both names and samples"
+)]
 fn time_benches_interleaved<const N: usize>(
     names: [&'static str; N],
     warmup: usize,
@@ -279,6 +287,10 @@ fn sample_batches(n_rows: usize, rounds: usize, per_round: usize) -> Vec<Vec<usi
         .collect()
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "batch rows are drawn below the fixture table's nrows(), the length of seen, and the sort keys are positions 0..select_scores.len()"
+)]
 fn run_benches(f: &Fixture, quick: bool) -> Vec<BenchStats> {
     let (warmup, iters) = if quick { (1, 3) } else { (3, 25) };
     let session_iters = if quick { 2 } else { 5 };
@@ -495,6 +507,10 @@ fn run_benches(f: &Fixture, quick: bool) -> Vec<BenchStats> {
 /// until its ~2000-pair pool runs dry after about 410 rounds, so about
 /// half its pool is live on average. Five more ids retire each round. The lists are built
 /// up front, so only the rescore is timed.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "lives holds warmup + iters + 1 rounds, one per call plus the seed, fd = tick % n_fds indexes the n_fds confidences, and live ids are pool ids < the matrix's pair count, the length of scores.dirty"
+)]
 fn round_latency_benches(
     f: &Fixture,
     names: [&'static str; 3],
@@ -580,6 +596,10 @@ fn round_latency_benches(
 /// sampler, as `select_round` computed them before it keyed scores by
 /// violation class. Kept inline as the baseline of
 /// `policy_class_vs_candidate_speedup`; returns the picks and `h_policy`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "ids are pool ids < the scorer's pair count, the length of batch.dirty, and alive holds positions 0..weights.len() = ids.len()"
+)]
 fn policy_per_candidate(
     scorer: &mut DeltaScorer,
     ids: &[u32],
@@ -722,6 +742,10 @@ fn inject_bench(quick: bool) -> BenchStats {
 /// each row's projected key to the id of the group it opened. Kept inline
 /// as the baseline of `group_by_dense_vs_hash_speedup`, and as the
 /// grouping of `index_build_legacy`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "gid is either a stored group id or groups.len() just before the push that creates it"
+)]
 fn group_by_hashed(table: &Table, attrs: &[u16]) -> et_data::table::GroupedRows {
     let mut key_ids: HashMap<Vec<u32>, u32> = HashMap::new();
     let mut row_group = Vec::with_capacity(table.nrows());
@@ -853,6 +877,10 @@ fn create_grouping_benches(quick: bool) -> Vec<BenchStats> {
 /// lattice enumerated into a `HypothesisSpace`, FDs grouped by determinant,
 /// and one counting walk per FD over its determinant's cached partition.
 /// Kept inline as the baseline of `space_capped_vs_per_fd_speedup`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "fi enumerates fds, the length of stats; counts is grown to dict_len(rhs), which bounds every symbol of that column; pos = i * (len - 1) / (keep - 1) <= len - 1 for i < keep <= len"
+)]
 fn space_capped_per_fd(
     table: &Table,
     cache: &PartitionCache,
@@ -967,6 +995,10 @@ fn space_capped_benches(quick: bool) -> Vec<BenchStats> {
 /// The candidate-pool enumeration as it stood before the first-occurrence
 /// test: every visit of a pair, under every determinant, probes a SipHash
 /// set. Kept inline as the baseline of `pool_build_vs_hashset_speedup`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i + 1 <= group.len(), and the reservoir replaces index j only for j < max_pairs = reservoir.len()"
+)]
 fn pool_build_hashset(
     table: &Table,
     space: &HypothesisSpace,
@@ -1009,6 +1041,10 @@ fn pool_build_hashset(
 /// determinants, with row `a`'s classes read once per `a`. Kept inline as
 /// the baseline of `pool_build_wordmask_vs_pairwise_speedup` and
 /// `pool_build_small_class_parity`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "k < lhss.len() = row_classes.len(); rows a and b come from the table's classes, so they are < n_rows, the length of every row_classes lookup; i + 1 <= group.len(), and the reservoir replaces index j only for j < max_pairs = reservoir.len()"
+)]
 fn pool_build_pairwise(
     table: &Table,
     space: &HypothesisSpace,
@@ -1153,6 +1189,10 @@ fn candidate_pool_benches(quick: bool) -> Vec<BenchStats> {
 /// evaluated per violated (row, FD) — the layout the index used before
 /// its packed tuple codes. Both sides are interleaved; their labels are
 /// checked equal before timing.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "minority holds one flag per eval row for each FD of the index, and the confidences enumerated are over the index's own space"
+)]
 fn eval_benches(quick: bool) -> Vec<BenchStats> {
     let (warmup, iters) = if quick { (20, 200) } else { (100, 2000) };
     let spec = CreateSessionSpec {
@@ -1360,6 +1400,10 @@ mod tree_reply {
 /// `Response::encode_into`; the tree side joins `row_texts` and encodes
 /// through [`tree_reply`]. Both are interleaved; their bytes are checked
 /// equal before timing.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the loop above plays ROUNDS rounds, so the state's metrics hold ROUNDS entries"
+)]
 fn reply_encode_benches(quick: bool) -> Vec<BenchStats> {
     const ROUNDS: usize = 150;
     let (warmup, iters) = if quick { (20, 200) } else { (100, 2000) };

@@ -20,6 +20,11 @@
 //! This is the one runtime scoring path; the raw-cell definitions in
 //! [`crate::payoff`] and [`et_fd`] are its test oracle.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "pair rows come from stripped-partition classes of the same table, so row ids are < n_rows and index every row->class lookup; an earlier determinant's class ids are < n_rows (each class holds two rows or more), the length of the word path's seen/head/mask_of scratch; a class position p is < m = group.len(), so joined[p*words..][..words] lies in its m*words words, a mask id is < the split's mask count, so masks[id*words..][..words] lies in the masks built, and bit p sits in word p/64 < words = ceil(m/64); the reservoir replaces pairs[j] only for j < cap = pairs.len(); FreshCandidates::new takes its ids from the matrix's own pair list (0..n_pairs), so retire's pairs[id] is in range"
+)]
+
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::Arc;

@@ -5,6 +5,11 @@
 //! strategy ([`crate::respond`]). Each interaction it selects fresh pairs,
 //! hands them to the trainer, and absorbs the returned labels.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "labels.len() == sample.len() is asserted at the absorb_interaction boundary; pair indices are produced by the same interaction"
+)]
+
 use std::collections::HashSet;
 
 use et_belief::{update_from_labeled_pairs, Belief, EvidenceConfig, LabeledPair};
@@ -191,11 +196,6 @@ impl Learner {
     /// touch the tuple-label memory.
     pub fn absorb(&mut self, table: &Table, labeled: &[LabeledPair]) {
         update_from_labeled_pairs(&mut self.belief, table, labeled, &self.evidence);
-    }
-
-    /// Number of labeled tuples remembered.
-    pub fn tuples_labeled(&self) -> usize {
-        self.memory.len()
     }
 
     /// Appends the learner's mutable state (belief parameters, RNG stream,

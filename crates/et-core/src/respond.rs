@@ -17,6 +17,11 @@
 //! and `ThompsonSampling` (score under a posterior draw instead of the
 //! posterior mean).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "candidates are pool ids < n_pairs of the scorer's matrix (FreshCandidates::new takes them from that matrix's pair list), so dirty[id]/pairs[id] are in range; score vectors are allocated per candidate list and indexed by positions from the same list, and class keys index the per-class values the scorer built for that same list; top_k and softmax sampling never index past the values they just built"
+)]
+
 use std::cell::RefCell;
 
 use et_belief::Belief;

@@ -20,6 +20,11 @@
 //!   The batch loop is implemented on top of it, so a step-driven session
 //!   with the same seed reproduces the batch metrics bit for bit.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "mask/seen/metrics are sized from n_rows and round count at state construction; the unreachable! in batch_state (run_session, run_weak_strong) follows its own asserts on the config and the dirty flags"
+)]
+
 use std::sync::Arc;
 
 use et_data::{split_rows, Table};
@@ -875,6 +880,10 @@ pub(crate) fn batch_state(
     );
     let validated = cfg.validate();
     assert!(validated.is_ok(), "invalid session config: {validated:?}");
+    #[expect(
+        clippy::unreachable,
+        reason = "the two asserts above rule out both SessionError variants, a config that fails validate and dirty flags that do not align"
+    )]
     let Ok(st) = SessionState::new(table.clone(), space, dirty_rows, cfg, trainer, learner) else {
         unreachable!("batch_state validated the configuration and the dirty flags")
     };

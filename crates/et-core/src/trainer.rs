@@ -16,6 +16,11 @@
 //! sample's violation index comes with it: the session builds it once per
 //! presentation, and the trainers that label from violations read it.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "trainers index per-sample vectors whose lengths the session layer aligns (one label/confidence per sampled row); dirty flags are sized n_rows"
+)]
+
 use std::sync::Arc;
 
 use et_belief::{

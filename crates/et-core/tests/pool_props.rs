@@ -9,6 +9,11 @@
 //! [`WORD_PATH_MIN_ROWS`] and cross the 64- and 128-row word edges, so
 //! both first-visit tests are pinned.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "fixtures index vectors built a few lines above from the same generated rows, groups and constant LHS table"
+)]
+
 use std::collections::HashSet;
 
 use proptest::prelude::*;

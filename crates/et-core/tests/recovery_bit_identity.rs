@@ -8,6 +8,10 @@
 //! transcript, so the rounds are compared as the step API shows them: the
 //! presented pairs and sample, and the labels applied.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the resume point lies inside the baseline's rounds, and the version-2 history offset inside the payload it splits"
+)]
 // Test harness: expect over error plumbing.
 #![allow(clippy::expect_used)]
 

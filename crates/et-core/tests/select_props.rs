@@ -11,6 +11,10 @@
 //!   session's trajectory.
 
 #![expect(
+    clippy::indexing_slicing,
+    reason = "sort keys are positions 0..scores.len()"
+)]
+#![expect(
     clippy::cast_possible_truncation,
     reason = "test fixtures cast small indices and sizes"
 )]

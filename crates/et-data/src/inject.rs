@@ -27,6 +27,11 @@
 //! [`PairIndex`] keeps both pair counts exact as edits arrive, so the
 //! injector never recounts the table between batches.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "row ids come from the table's own LHS groupings, so they are < n_rows, the length of stamp and dirty_rows, and a row's row_group id indexes the groups built by the same group_by; the weighted pick leaves fd < all_fds.len(), the number of groupings the index holds, and callers of groups(fd) pass a position in that same FD list; multi is non-empty where multi[0] is read, and random positions are drawn from 0..len of the vec they index"
+)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -1,5 +1,10 @@
 //! Relation schemas: ordered attribute names with id-based access.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "attribute ids handed out by Schema are indexes into the attrs vec it owns"
+)]
+
 use std::fmt;
 
 /// Index of an attribute within a [`Schema`].

@@ -5,6 +5,11 @@
 //! pair-heavy computations (g1, violation indexing, error injection) cheap
 //! and allocation-free on the hot path, per the workspace performance notes.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "column ids are validated against the schema width when a Table/TableBuilder is created; sym/text document their # Panics contract"
+)]
+
 use std::collections::HashMap;
 use std::fmt;
 

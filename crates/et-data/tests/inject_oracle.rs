@@ -4,6 +4,10 @@
 //! equal to a `HashSet` union after every edit.
 
 #![expect(
+    clippy::indexing_slicing,
+    reason = "the oracle keeps inject_errors' bounds: rows from the table's groups are < n_rows, fd comes from the weighted pick over all_fds, and random positions are drawn from 0..len of the vec they index"
+)]
+#![expect(
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
     reason = "test fixtures cast small indices and sizes"

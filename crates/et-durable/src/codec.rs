@@ -7,6 +7,11 @@
 //! or out-of-range input, so a corrupted payload surfaces as an error the
 //! caller can route, not a crash.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "Dec::take checks remaining() >= n and returns a typed Decode error before the only slice expression; pos advances by the same n"
+)]
+
 use crate::DurableError;
 
 /// Appends values to a growable byte buffer.

@@ -5,6 +5,11 @@
 //! hot path is one shift/xor/lookup per byte and the crate stays dependency
 //! free.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the table index is masked to 8 bits on the line above and TABLE has 256 entries"
+)]
+
 /// The 256-entry lookup table for the reflected IEEE polynomial.
 const TABLE: [u32; 256] = build_table();
 

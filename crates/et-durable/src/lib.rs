@@ -19,9 +19,9 @@
 //!   `f64` transport (`to_bits`/`from_bits`).
 //! - [`crc32`]: the IEEE CRC-32 both layers frame with.
 //!
-//! Everything fallible returns a typed [`DurableError`] — lint rule L9
-//! treats this crate's public API as panic-reachability roots, so `unwrap`
-//! on the IO path is a build failure, not a style nit.
+//! Everything fallible returns a typed [`DurableError`] — the workspace
+//! lint table rejects `unwrap` and unvetted indexing in library code, so a
+//! panic on the IO path is a build failure, not a style nit.
 
 pub mod codec;
 pub mod crc32;

@@ -24,6 +24,11 @@
 //! than trusting `read_dir` iteration order, which is platform-dependent
 //! (et-lint L11 treats directory order as a nondeterminism source).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "header slices are guarded by an explicit minimum-length check that returns a typed Corrupt error; payload bounds are validated against the recorded length"
+)]
+
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};

@@ -43,6 +43,11 @@
 //! the difference per append (`durable_wal_append_fsync` against
 //! `durable_wal_append`).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "every frame slice in the scan is preceded by an explicit length comparison; short or impossible frames end the scan as a torn tail instead of indexing past the buffer"
+)]
+
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};

@@ -5,6 +5,11 @@
 //! sampling method over `runs` seeds and aggregates per-iteration MAE and
 //! F1 curves — the raw material of Figures 1 and 3–7.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "mi enumerates self.methods, whose length per_method is built with; len is the shortest metrics length among the results it slices; test rows come from split_rows over the prepared table's nrows(), the length of its dirty_rows"
+)]
+
 use std::sync::Arc;
 
 use et_belief::{build_prior, EvidenceConfig, PriorConfig, PriorSpec};

@@ -1,5 +1,10 @@
 //! Rendering: ASCII tables and CSV for curve families and summaries.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "t stays below the shortest series length (render_curves) or the series' own length (curves_to_csv), and a series' mean and std share that length; BLOCKS[idx.min(7)] indexes an 8-entry array"
+)]
+
 use std::fmt::Write as _;
 
 use et_metrics::{auc, iterations_to_threshold, SeriesStats};

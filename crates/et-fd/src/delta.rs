@@ -41,6 +41,11 @@
 //! [`DeltaScorer::class_scores_for`] hands a selection the same scores
 //! keyed by class, so it can map each score once per class present.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "slot indices come from Iterator::position over the same slots vec on the lines above, and the post-push index is slots.len() - 1 of a vec that was just pushed to"
+)]
+
 use std::sync::Arc;
 
 use crate::detect::DetectParams;

@@ -29,6 +29,11 @@
 //! [`Indicator::Linear`] with `base_rate = m` recovers the paper's
 //! single-FD formula.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "FD ids range over the index's or the space's own FDs, and each public entry asserts that confidences.len() equals that FD count before indexing confidences or the factors built from it"
+)]
+
 use et_data::Table;
 
 use crate::relmatrix::violation_factors_into;

@@ -5,6 +5,11 @@
 //! [`crate::PartitionCache`] derives every attribute set's partition from
 //! its parent's by [`StrippedPartition::refine`].
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "row ids in partition classes are < n_rows by construction (of_attr and full write rows 0..n_rows, refine only regroups them); count/cursor are sized by dict_len, which bounds every symbol refine keys by, and by_first has n_rows slots"
+)]
+
 use et_data::{AttrId, Table};
 
 use crate::attrset::AttrSet;

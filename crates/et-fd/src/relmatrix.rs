@@ -57,6 +57,11 @@
 //! each pair's words in pair order. A server's parallelism is its worker
 //! pool across sessions, not threads inside one session's build.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "pair ids are positions in the build pair list (pool ids, range-checked against n_pairs by FreshCandidates::new) and word indices derive from the same dimensions the bit rows were packed with; dims are asserted at build"
+)]
+
 use std::sync::Arc;
 
 use et_data::Table;

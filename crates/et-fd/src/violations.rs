@@ -10,6 +10,11 @@
 //!   ([`ViolationIndex::tuple_violates`]), and
 //! * the g1 statistics ([`ViolationIndex::g1`]).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "relation ids index the per-FD tables sized at SpaceRelations construction from the same space"
+)]
+
 use std::collections::HashSet;
 use std::sync::Arc;
 

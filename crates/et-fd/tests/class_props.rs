@@ -6,6 +6,10 @@
 //! Spaces reach past 32 FDs, so masks two words wide are covered.
 
 #![expect(
+    clippy::indexing_slicing,
+    reason = "keep is non-empty when it is read (floor covers the empty case) and the lattice holds at least one FD"
+)]
+#![expect(
     clippy::cast_possible_truncation,
     reason = "test fixtures cast small indices and sizes"
 )]

@@ -6,6 +6,10 @@
 //! live id.
 
 #![expect(
+    clippy::indexing_slicing,
+    reason = "each step holds one entry per FD of conf"
+)]
+#![expect(
     clippy::cast_possible_truncation,
     reason = "test fixtures cast small indices and sizes"
 )]

@@ -7,16 +7,16 @@
 //!
 //! ```toml
 //! [[allow]]
-//! rule = "L9"                       # required: any rule id (L5, L6, L8..L14)
+//! rule = "L12"                      # required: a rule id (L5, L6, L8, L10..L14)
 //! path = "crates/et-data/src/x.rs"  # required: repo-relative, '/'-separated
-//! pattern = "rows[i]"               # optional: substring of offending line
+//! pattern = "Vec::new"              # optional: substring of offending line
 //! line = 76                         # optional: exact 1-based line
 //! reason = "why this is sound"      # required, non-empty
 //!
-//! [[entry]]                         # graph-rule entry point (L9 or L11)
-//! rule = "L9"
+//! [[entry]]                         # L11 entry point
+//! rule = "L11"
 //! pattern = "SessionState::"        # substring of the qualified fn name
-//! note = "public session API"       # optional
+//! note = "session step surface"     # optional
 //!
 //! [[source]]                        # L11 taint source
 //! rule = "L11"
@@ -40,12 +40,17 @@
 //! before any code calls one). Instead the parser rejects a source pattern
 //! that could never match: it must be Rust identifiers joined by `::`.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the suffix length k is at most the shorter path's part count, and edit_distance's rows hold b.len() + 1 cells indexed by j + 1 <= b.len()"
+)]
+
 use crate::rules::Violation;
 
 /// One `[[allow]]` entry.
 #[derive(Debug, Clone)]
 pub struct AllowEntry {
-    /// Rule id the exception applies to ("L5".."L14").
+    /// Rule id the exception applies to (L5, L6, L8, L10..L14).
     pub rule: String,
     /// Repo-relative path suffix.
     pub path: String,
@@ -57,11 +62,11 @@ pub struct AllowEntry {
     pub reason: String,
 }
 
-/// One `[[entry]]` (graph-rule entry point) or `[[source]]` (L11 taint
-/// source) table.
+/// One `[[entry]]` (L11 entry point) or `[[source]]` (L11 taint source)
+/// table.
 #[derive(Debug, Clone)]
 pub struct GraphSpec {
-    /// Rule id: `L9`/`L11` for entries, `L11` for sources.
+    /// Rule id: `L11`, the one graph rule either table configures.
     pub rule: String,
     /// Substring pattern: matched against qualified fn names for entries,
     /// rendered call text for sources.
@@ -178,9 +183,7 @@ impl Allowlist {
     ) -> Result<(), AllowlistError> {
         match kind {
             TableKind::Allow => self.entries.push(partial.finish_allow(at)?),
-            TableKind::Entry => self
-                .graph_entries
-                .push(partial.finish_spec(at, &["L9", "L11"])?),
+            TableKind::Entry => self.graph_entries.push(partial.finish_spec(at, &["L11"])?),
             TableKind::Source => {
                 let spec = partial.finish_spec(at, &["L11"])?;
                 if !is_rust_path(&spec.pattern) {
@@ -466,7 +469,7 @@ reason = "the caller sorts the result"
     #[test]
     fn rejects_malformed_entries() {
         assert!(Allowlist::parse("[[allow]]\nrule = \"L99\"\n").is_err());
-        for retired in ["L1", "L7"] {
+        for retired in ["L1", "L7", "L9"] {
             let text = format!("[[allow]]\nrule = \"{retired}\"\npath = \"x\"\nreason = \"y\"\n");
             assert!(
                 Allowlist::parse(&text).is_err(),
@@ -510,9 +513,9 @@ reason = "the caller sorts the result"
     fn parses_entry_and_source_tables() {
         let text = r#"
 [[entry]]
-rule = "L9"
+rule = "L11"
 pattern = "SessionState::"
-note = "public session API"
+note = "session step surface"
 
 [[entry]]
 rule = "L11"
@@ -527,24 +530,24 @@ pattern = "Instant::now"
         assert_eq!(list.graph_entries.len(), 2);
         assert_eq!(list.graph_sources.len(), 1);
         assert_eq!(
-            Allowlist::specs_for(&list.graph_entries, "L9"),
-            ["SessionState::"]
-        );
-        assert_eq!(
             Allowlist::specs_for(&list.graph_entries, "L11"),
-            ["replay_history"]
+            ["SessionState::", "replay_history"]
         );
         assert_eq!(
             list.graph_entries[0].note.as_deref(),
-            Some("public session API")
+            Some("session step surface")
         );
     }
 
     #[test]
     fn rejects_malformed_specs() {
-        // Entries take only L9/L11; sources only L11.
-        assert!(Allowlist::parse("[[entry]]\nrule = \"L6\"\npattern = \"x\"\n").is_err());
-        assert!(Allowlist::parse("[[source]]\nrule = \"L9\"\npattern = \"x\"\n").is_err());
+        // Entries and sources take only L11; the retired L9 is refused.
+        for rule in ["L6", "L9"] {
+            for table in ["entry", "source"] {
+                let text = format!("[[{table}]]\nrule = \"{rule}\"\npattern = \"x\"\n");
+                assert!(Allowlist::parse(&text).is_err(), "{table} {rule}");
+            }
+        }
         // A source pattern is a Rust path; anything else could never match.
         for ok in ["read_dir", "Instant::now", "rand::random", "_x::y2"] {
             let text = format!("[[source]]\nrule = \"L11\"\npattern = \"{ok}\"\n");
@@ -564,11 +567,11 @@ pattern = "Instant::now"
             assert!(err.message.contains("not a Rust path"), "{bad}: {err}");
         }
         // pattern is mandatory and non-empty.
-        assert!(Allowlist::parse("[[entry]]\nrule = \"L9\"\n").is_err());
-        assert!(Allowlist::parse("[[entry]]\nrule = \"L9\"\npattern = \"\"\n").is_err());
+        assert!(Allowlist::parse("[[entry]]\nrule = \"L11\"\n").is_err());
+        assert!(Allowlist::parse("[[entry]]\nrule = \"L11\"\npattern = \"\"\n").is_err());
         // Allow-only keys are rejected in spec tables and vice versa.
         assert!(
-            Allowlist::parse("[[entry]]\nrule = \"L9\"\npattern = \"x\"\nreason = \"y\"\n")
+            Allowlist::parse("[[entry]]\nrule = \"L11\"\npattern = \"x\"\nreason = \"y\"\n")
                 .is_err()
         );
         assert!(Allowlist::parse(

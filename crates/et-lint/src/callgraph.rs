@@ -32,6 +32,11 @@
 //! node id. Every downstream analysis iterates nodes and edges by id, so
 //! two runs over the same tree produce byte-identical reports.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "node ids are positions in nodes, and edges and the closure masks hold one entry per node; call indices enumerate the caller's own calls; a file path's parts and a call path's segments are read after a length check (split always yields one part), and a node's segments end with its fn name, so they are never empty"
+)]
+
 use std::collections::BTreeMap;
 
 use crate::parser::{Callee, CostKind, FileAst, FnItem};
@@ -99,7 +104,7 @@ const UBIQUITOUS: [&str; 38] = [
 /// One function node in the workspace graph.
 #[derive(Debug)]
 pub struct FnNode {
-    /// The parsed item (calls, panics, params, …).
+    /// The parsed item (calls, costs, params, …).
     pub item: FnItem,
     /// Repo-relative path of the defining file.
     pub file: String,
@@ -208,13 +213,13 @@ impl CallGraph {
     }
 
     /// Node ids whose qualified name contains `pattern` (substring match),
-    /// test fns excluded. The entry-point selector for L9/L11.
-    pub fn match_entries(&self, pattern: &str, require_pub: bool) -> Vec<usize> {
+    /// test fns excluded. The entry-point selector for L11 and the
+    /// `[[hot]]` roots.
+    pub fn match_entries(&self, pattern: &str) -> Vec<usize> {
         self.nodes
             .iter()
             .enumerate()
             .filter(|(_, n)| !n.item.is_test)
-            .filter(|(_, n)| !require_pub || n.item.is_pub)
             .filter(|(_, n)| n.qual().contains(pattern))
             .map(|(id, _)| id)
             .collect()
@@ -239,7 +244,7 @@ impl CallGraph {
             for &id in &frontier {
                 for edge in &self.edges[id] {
                     // Never traverse *into* test fns: cfg(test) code
-                    // is allowed to panic and be nondeterministic.
+                    // is exempt from every graph rule.
                     if self.nodes[edge.callee].item.is_test {
                         continue;
                     }

@@ -15,6 +15,11 @@
 //!   process; letting it reach a return value, a `Vec`, or the wire makes
 //!   responses and replay files non-reproducible.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "token indices come from loops over 0..tokens.len() or from next_code, prev_code, statement_end and matching_close, which return only positions inside the stream"
+)]
+
 use crate::lexer::{Delim, TokenKind, TokenStream};
 use crate::rules::{excerpt_line, in_regions, Rule, Violation};
 

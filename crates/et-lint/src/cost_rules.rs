@@ -15,7 +15,7 @@
 //! A `[[hot]]` pattern that matches no function is itself a finding (the
 //! root rotted out from under the config), with a nearest-name suggestion
 //! when one is plausible — the same "did you mean" machinery stale
-//! `[[allow]]` paths use. L9/L11 `[[entry]]` tables get the same finding
+//! `[[allow]]` paths use. L11 `[[entry]]` tables get the same finding
 //! through `stale_root_finding`.
 //!
 //! Vetted operations (an `[[allow]]` whose reason states the bound) stay
@@ -30,6 +30,11 @@
 //! Determinism: roots are processed in declaration order, reachable nodes
 //! in id order, operations in source order — identical trees produce
 //! byte-identical findings and reports.
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "root ids come from match_entries and reach over the same graph, the closure holds one mask per node, and allow indices are positions that Allowlist::matches returned"
+)]
 
 use crate::allowlist::{suggest_path, Allowlist};
 use crate::callgraph::CallGraph;
@@ -98,7 +103,7 @@ pub fn check(graph: &CallGraph, config: &Allowlist) -> (Vec<GraphFinding>, Vec<H
     let closure = graph.cost_closure();
 
     for root in &config.hot_roots {
-        let entries = graph.match_entries(&root.pattern, false);
+        let entries = graph.match_entries(&root.pattern);
         if entries.is_empty() {
             findings.push(stale_root_finding(
                 graph,

@@ -1,6 +1,6 @@
-//! The interprocedural rules L9–L11, powered by [`crate::callgraph`].
+//! The interprocedural rules L10 and L11, powered by [`crate::callgraph`].
 //!
-//! All three analyses are deterministic: entries, reachability frontiers,
+//! Both analyses are deterministic: entries, reachability frontiers,
 //! lock classes, and cycle scans all iterate `BTreeMap`/`BTreeSet`s or
 //! id-ordered vectors, so two runs over the same tree produce identical
 //! findings in identical order.
@@ -10,8 +10,13 @@
 //! substring, `[[source]]` tables declare L11 taint sources. With no
 //! configuration the rules are vacuous — the graph is still built (and its
 //! unresolved bucket still reported), but nothing can fire. An `[[entry]]`
-//! that matches no function (L9 entries: no `pub` one) roots nothing and is
-//! itself a finding, as a stale `[[hot]]` root is.
+//! that matches no function roots nothing and is itself a finding, as a
+//! stale `[[hot]]` root is.
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "node ids come from the graph (reach and 0..n loops), and gateway, acqs and closure hold one entry per node; a cycle is the non-empty stack suffix from a position that position() found"
+)]
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -32,31 +37,24 @@ pub struct GraphFinding {
     pub witness: Vec<String>,
 }
 
-/// Runs L9, L10, and L11 over the linked graph.
+/// Runs L10 and L11 over the linked graph.
 pub fn check(graph: &CallGraph, config: &Allowlist) -> Vec<GraphFinding> {
     let mut out = Vec::new();
-    l9_panic_reachability(graph, config, &mut out);
     l10_lock_order(graph, &mut out);
     l11_determinism_taint(graph, config, &mut out);
     out
 }
 
-/// The fns `rule`'s `[[entry]]` tables root, reporting every table that
+/// The fns the L11 `[[entry]]` tables root, reporting every table that
 /// roots none.
-fn entry_roots(
-    graph: &CallGraph,
-    config: &Allowlist,
-    rule: Rule,
-    require_pub: bool,
-    out: &mut Vec<GraphFinding>,
-) -> Vec<usize> {
+fn entry_roots(graph: &CallGraph, config: &Allowlist, out: &mut Vec<GraphFinding>) -> Vec<usize> {
     let mut entries = Vec::new();
-    for spec in config.graph_entries.iter().filter(|s| s.rule == rule.id()) {
-        let matched = graph.match_entries(&spec.pattern, require_pub);
+    for spec in &config.graph_entries {
+        let matched = graph.match_entries(&spec.pattern);
         if matched.is_empty() {
             out.push(stale_root_finding(
                 graph,
-                rule,
+                Rule::L11,
                 "[[entry]]",
                 &spec.pattern,
                 spec.line,
@@ -65,59 +63,6 @@ fn entry_roots(
         entries.extend(matched);
     }
     entries
-}
-
-/// L9: panic-capable operations reachable from public API entry points.
-fn l9_panic_reachability(graph: &CallGraph, config: &Allowlist, out: &mut Vec<GraphFinding>) {
-    let entries = entry_roots(graph, config, Rule::L9, true, out);
-    let parents = graph.reach(&entries);
-    for &id in parents.keys() {
-        let node = &graph.nodes[id];
-        // The assert family is out of L9's scope: asserts are deliberate,
-        // documented invariant checks (clippy::missing_panics_doc enforces
-        // the documentation).
-        // L9 hunts the *accidental* panics: panic!/unreachable!/todo!,
-        // unwrap/expect, and unguarded indexing.
-        let Some(op) = node
-            .item
-            .panics
-            .iter()
-            .find(|p| !p.what.starts_with("assert"))
-        else {
-            continue;
-        };
-        let extras = node
-            .item
-            .panics
-            .iter()
-            .filter(|p| !p.what.starts_with("assert"))
-            .count()
-            - 1;
-        let witness = graph.witness(&parents, id);
-        let entry_desc = witness.first().cloned().unwrap_or_else(|| node.qual());
-        let extra = if extras > 0 {
-            format!(" (+{extras} more panic-capable op(s) in this fn)")
-        } else {
-            String::new()
-        };
-        out.push(GraphFinding {
-            path: node.file.clone(),
-            violation: Violation {
-                rule: Rule::L9,
-                line: op.line,
-                message: format!(
-                    "`{}` is reachable from public entry {} and contains {} on `{}`{}",
-                    node.qual(),
-                    entry_desc,
-                    op.kind.label(),
-                    op.what,
-                    extra
-                ),
-                excerpt: op.line_text.clone(),
-            },
-            witness,
-        });
-    }
 }
 
 /// One lock acquisition inside a function, attributed to a lock class.
@@ -393,7 +338,7 @@ fn dfs_cycles(
 
 /// L11: nondeterminism sources reachable from session entry points.
 fn l11_determinism_taint(graph: &CallGraph, config: &Allowlist, out: &mut Vec<GraphFinding>) {
-    let entries = entry_roots(graph, config, Rule::L11, false, out);
+    let entries = entry_roots(graph, config, out);
     if entries.is_empty() {
         return;
     }
@@ -458,7 +403,7 @@ mod tests {
         let findings = run(
             &[(
                 "crates/a/src/api.rs",
-                "pub fn entry() { helper(); }\nfn helper() { v.pop().unwrap(); }\n",
+                "pub fn entry() { helper(); }\nfn helper() { let t = Instant::now(); }\n",
             )],
             "",
         );
@@ -466,36 +411,28 @@ mod tests {
     }
 
     #[test]
-    fn l9_fires_on_transitive_panic_with_witness() {
+    fn l11_fires_on_transitive_source_with_witness() {
         let findings = run(
             &[(
                 "crates/a/src/api.rs",
                 r#"
                 pub fn entry() { middle(); }
                 fn middle() { deep(); }
-                fn deep() { let v: Vec<u32> = Vec::new(); v.first().unwrap(); }
-                fn unreached() { panic!("never"); }
+                fn deep() { let t = Instant::now(); }
+                fn unreached() { let t = Instant::now(); }
                 "#,
             )],
-            "[[entry]]\nrule = \"L9\"\npattern = \"api::entry\"\n",
+            "[[entry]]\nrule = \"L11\"\npattern = \"api::entry\"\n\
+             [[source]]\nrule = \"L11\"\npattern = \"Instant::now\"\n",
         );
-        let l9: Vec<&GraphFinding> = findings
-            .iter()
-            .filter(|f| f.violation.rule.id() == "L9")
-            .collect();
         assert_eq!(
-            l9.len(),
-            1,
-            "exactly the reachable panic fires: {findings:?}"
+            rules_of(&findings),
+            ["L11"],
+            "exactly the reachable source fires: {findings:?}"
         );
-        let f = l9[0];
+        let f = &findings[0];
         assert!(
             f.violation.message.contains("api::deep"),
-            "{}",
-            f.violation.message
-        );
-        assert!(
-            f.violation.message.contains("unwrap"),
             "{}",
             f.violation.message
         );
@@ -507,22 +444,20 @@ mod tests {
         );
         assert!(f.witness[0].contains("api::entry"), "{:?}", f.witness);
         assert!(f.witness[2].contains("api::deep"), "{:?}", f.witness);
-        assert!(
-            !findings
-                .iter()
-                .any(|f| f.violation.message.contains("unreached")),
-            "unreachable panic must not fire: {findings:?}"
-        );
     }
 
     #[test]
-    fn l9_private_entry_patterns_match_nothing() {
+    fn entry_patterns_never_root_test_fns() {
         let findings = run(
-            &[("crates/a/src/api.rs", "fn hidden() { x.unwrap(); }\n")],
-            "[[entry]]\nrule = \"L9\"\npattern = \"api::hidden\"\n",
+            &[(
+                "crates/a/src/api.rs",
+                "#[cfg(test)]\nfn hidden() { let t = Instant::now(); }\n",
+            )],
+            "[[entry]]\nrule = \"L11\"\npattern = \"api::hidden\"\n\
+             [[source]]\nrule = \"L11\"\npattern = \"Instant::now\"\n",
         );
-        // L9 entries require pub: the private fn's unwrap is not reached,
-        // and the entry that roots nothing is reported as stale.
+        // The test fn's clock read is not reached, and the entry that
+        // roots nothing is reported as stale.
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].path, "et-lint.toml");
         let msg = &findings[0].violation.message;
@@ -535,8 +470,8 @@ mod tests {
             pub fn step() { pure(); }
             fn pure() -> u32 { 7 }
         "#;
-        let config = "[[entry]]\nrule = \"L9\"\npattern = \"api::step\"\n\
-                      [[entry]]\nrule = \"L9\"\npattern = \"api::replay_history\"\n\
+        let config = "[[entry]]\nrule = \"L11\"\npattern = \"api::step\"\n\
+                      [[entry]]\nrule = \"L11\"\npattern = \"api::replay_history\"\n\
                       [[entry]]\nrule = \"L11\"\npattern = \"api::stpe\"\n\
                       [[source]]\nrule = \"L11\"\npattern = \"Instant::now\"\n";
         let findings = run(&[("crates/a/src/api.rs", src)], config);
@@ -544,7 +479,7 @@ mod tests {
             .iter()
             .map(|f| (f.violation.rule.id(), f.violation.line))
             .collect();
-        assert_eq!(stale, [("L9", 4), ("L11", 7)], "{findings:?}");
+        assert_eq!(stale, [("L11", 4), ("L11", 7)], "{findings:?}");
         for f in &findings {
             assert_eq!(f.path, "et-lint.toml");
             assert!(

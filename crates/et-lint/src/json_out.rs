@@ -245,10 +245,10 @@ mod tests {
             findings: vec![Finding {
                 path: "crates/a/src/x.rs".into(),
                 violation: Violation {
-                    rule: Rule::L9,
+                    rule: Rule::L11,
                     line: 7,
-                    message: "panic \"reachable\"".into(),
-                    excerpt: "v.pop().unwrap()".into(),
+                    message: "clock \"reachable\"".into(),
+                    excerpt: "let t = Instant::now();".into(),
                 },
                 witness: vec!["a::entry (crates/a/src/x.rs:1)".into()],
             }],
@@ -289,9 +289,9 @@ mod tests {
             "\"files_scanned\": 5,",
             "\"graph_fns\": 11,",
             "\"unresolved_calls\": 4,",
-            "\"rule\": \"L9\"",
+            "\"rule\": \"L11\"",
             "\"line\": 7",
-            "\"message\": \"panic \\\"reachable\\\"\"",
+            "\"message\": \"clock \\\"reachable\\\"\"",
             "\"witness\": [\"a::entry (crates/a/src/x.rs:1)\"]",
             "{\"index\": 4, \"suggestion\": \"crates/a/src/moved.rs\"}",
             "\"pattern\": \"RelationMatrix::score_all\"",

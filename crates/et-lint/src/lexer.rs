@@ -14,6 +14,11 @@
 //! literals (`c"…"` C strings) — files using them still lex, the tokens
 //! just degrade to punctuation + strings.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "token indices passed in are positions in this stream (callers take them from 0..tokens.len() loops or from next_code, prev_code and matching_close), and byte offsets are compared with bytes.len() before each read"
+)]
+
 /// Delimiter kind for [`TokenKind::Open`]/[`TokenKind::Close`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Delim {

@@ -4,12 +4,12 @@
 //! Proposition 1, g1 violation measures, Beta-belief updates — are floating-
 //! point and RNG-sensitive: a silent NaN, an unseeded RNG, or a stray
 //! `unwrap()` corrupts a figure rather than crashing a test. rustc and
-//! clippy own the token-level rules (panics, float equality, `# Panics`
-//! docs, truncating and sign-losing casts; the workspace lint table in the
-//! root `Cargo.toml`). This crate walks every workspace library source
-//! (`src/` of the root and of each crate) and enforces nine rules the
-//! compiler cannot express, in three tiers (L5, L6, L8–L14; the retired
-//! L1–L4 and L7 keep their numbers unused):
+//! clippy own the token-level rules (panics, indexing, float equality,
+//! `# Panics` docs, truncating and sign-losing casts; the workspace lint
+//! table in the root `Cargo.toml`). This crate walks every workspace
+//! library source (`src/` of the root and of each crate) and enforces eight
+//! rules the compiler cannot express, in three tiers (L5, L6, L8, L10–L14;
+//! the retired L1–L4, L7 and L9 keep their numbers unused):
 //!
 //! Each file is read and lexed once ([`lexer`]); every per-file rule and
 //! the item parser run on that one token stream.
@@ -18,9 +18,8 @@
 //!   held across a blocking call; atomic `Ordering`s justified; no
 //!   `HashMap`/`HashSet` iteration-order leaks (the one hash-order
 //!   detector).
-//! - **L9–L11** (interprocedural, [`graph_rules`]) — over the workspace
-//!   call graph ([`parser`] + [`callgraph`]): no panic-capable op
-//!   reachable from public entry points, no lock-order cycles, no
+//! - **L10, L11** (interprocedural, [`graph_rules`]) — over the workspace
+//!   call graph ([`parser`] + [`callgraph`]): no lock-order cycles, no
 //!   nondeterminism source reachable from session entry points.
 //! - **L12–L14** (hot-path cost model, [`cost_rules`]) — no allocation,
 //!   lock/blocking call, or I/O reachable from a declared `[[hot]]` root;
@@ -53,7 +52,7 @@ pub struct Finding {
     pub path: String,
     /// The underlying rule violation.
     pub violation: Violation,
-    /// For graph rules (L9–L14): the witness call chain, entry first.
+    /// For graph rules (L10–L14): the witness call chain, entry first.
     /// Empty for the per-file rules L5, L6 and L8.
     pub witness: Vec<String>,
 }
@@ -122,6 +121,10 @@ impl std::error::Error for EngineError {}
 /// trees (`tests/`, `benches/`, `examples/`), the `vendor/` tree (offline
 /// dependency shims that deliberately mirror foreign APIs) and `target/`
 /// are never scanned. A `root` that is not a directory is an error.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "used holds one flag per allowlist entry, and Allowlist::matches and stale_allows yield positions in that list"
+)]
 pub fn run(root: &Path) -> Result<Report, EngineError> {
     if !root.is_dir() {
         return Err(EngineError::Io {
@@ -194,7 +197,7 @@ pub fn run(root: &Path) -> Result<Report, EngineError> {
     }
 
     // Interprocedural stage: link the workspace call graph from library
-    // files and run L9–L11 over it, then the hot-path cost tier L12–L14.
+    // files and run L10 and L11 over it, then the hot-path cost tier L12–L14.
     let graph = callgraph::CallGraph::link(&parsed);
     report.graph_fns = graph.nodes.len();
     report.unresolved_calls = graph.unresolved_count;

@@ -45,10 +45,10 @@ fn real_main() -> i32 {
             }
             "--help" | "-h" => {
                 println!(
-                    "et-lint — workspace lint engine (rules L5-L14)\n\n\
+                    "et-lint — workspace lint engine (rules L5, L6, L8, L10-L14)\n\n\
                      Scans the library sources (`src/` of the root and of \
-                     each crate under crates/). The retired token rules \
-                     L1-L4 are clippy lints now (DESIGN.md §7.1).\n\n\
+                     each crate under crates/). The retired rules L1-L4, L7 \
+                     and L9 are clippy lints now (DESIGN.md §7.1).\n\n\
                      USAGE: et-lint [--root <workspace-dir>] [--json] \
                      [--cost-report] [--list-rules] [--explain <RULE>]\n\n\
                      --list-rules      one-line summary of every rule\n\

@@ -1,13 +1,11 @@
 //! A std-only recursive-descent *item* parser on top of [`crate::lexer`]:
-//! the substrate for the interprocedural rules L9–L14.
+//! the substrate for the interprocedural rules L10–L14.
 //!
 //! The parser extracts exactly what the workspace call graph needs and
-//! nothing more: modules, `fn` items (with visibility, parameters, and the
-//! enclosing `impl`/`trait` type), call sites (method calls with a
-//! best-effort receiver hint, path/bare calls, with the first argument's
-//! field hint for lock-gateway attribution), panic-capable operations
-//! (panic-family macros, `.unwrap()`/`.expect(`, index/slice expressions),
-//! cost-bearing operations (allocation, lock/blocking, and I/O call sites,
+//! nothing more: modules, `fn` items (with parameters and the enclosing
+//! `impl`/`trait` type), call sites (method calls with a best-effort
+//! receiver hint, path/bare calls, with the first argument's field hint for
+//! lock-gateway attribution), cost-bearing operations (allocation, lock/blocking, and I/O call sites,
 //! for the hot-path tier), and `use` imports for bare-call expansion. `#[cfg(test)]` / `#[test]`
 //! items are parsed but marked, so graph rules can skip them. A cost site
 //! inside a `#[cfg(test)]` region of a non-test fn (a test seam in a
@@ -18,6 +16,11 @@
 //! solving. Anything the parser cannot classify degrades to an unresolved
 //! call in [`crate::callgraph`], never to a wrong edge, by construction of
 //! the resolution policy documented there.
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "token indices come from the parse loop over 0..tokens.len() or from next_code, prev_code and matching_close, which return only positions inside the stream; fn_idx is a position in fns that current_fn() returned; a path is sliced after its length was checked"
+)]
 
 use std::collections::BTreeMap;
 
@@ -99,45 +102,6 @@ pub struct CallSite {
     pub arg_is_self: bool,
 }
 
-/// Why a function can panic on its own (before looking at callees).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PanicKind {
-    /// `panic!`, `assert!`, `assert_eq!`, `assert_ne!`, `unreachable!`,
-    /// `todo!`, `unimplemented!` (never the `debug_`-prefixed family).
-    Macro,
-    /// `.unwrap()`.
-    Unwrap,
-    /// `.expect(…)`.
-    Expect,
-    /// `x[i]` index/slice expression (panics when out of bounds).
-    Index,
-}
-
-impl PanicKind {
-    /// Short label used in messages.
-    pub fn label(self) -> &'static str {
-        match self {
-            PanicKind::Macro => "panic-family macro",
-            PanicKind::Unwrap => "unwrap()",
-            PanicKind::Expect => "expect()",
-            PanicKind::Index => "index/slice expression",
-        }
-    }
-}
-
-/// One panic-capable operation inside a function body.
-#[derive(Debug, Clone)]
-pub struct PanicOp {
-    /// What kind of operation.
-    pub kind: PanicKind,
-    /// Offending token text (`panic!`, `unwrap`, the indexed identifier).
-    pub what: String,
-    /// 1-based source line.
-    pub line: usize,
-    /// Trimmed source line text.
-    pub line_text: String,
-}
-
 /// Which cost class a cost-bearing operation belongs to (the tier-4
 /// rules L12/L13/L14 map onto these one-to-one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -197,8 +161,6 @@ pub struct FnItem {
     pub module_path: Vec<String>,
     /// Enclosing `impl`/`trait` type name, when any.
     pub self_type: Option<String>,
-    /// Declared exactly `pub` (not `pub(crate)`/`pub(super)`).
-    pub is_pub: bool,
     /// Covered by `#[cfg(test)]` / `#[test]` (directly or via an enclosing
     /// item).
     pub is_test: bool,
@@ -210,8 +172,6 @@ pub struct FnItem {
     pub params: Vec<String>,
     /// Call sites in source order.
     pub calls: Vec<CallSite>,
-    /// Panic-capable operations in source order.
-    pub panics: Vec<PanicOp>,
     /// Cost-bearing operations in source order (allocation, lock/blocking,
     /// I/O), consumed by the L12–L14 hot-path rules.
     pub costs: Vec<CostOp>,
@@ -231,18 +191,6 @@ pub struct FileAst {
 const NON_CALL_KEYWORDS: [&str; 16] = [
     "if", "while", "match", "for", "in", "as", "loop", "else", "break", "continue", "move", "ref",
     "mut", "let", "return", "where",
-];
-
-/// Panic-family macro names (the `debug_` variants compile out of release
-/// builds and are deliberately excluded).
-const PANIC_MACROS: [&str; 7] = [
-    "panic",
-    "assert",
-    "assert_eq",
-    "assert_ne",
-    "unreachable",
-    "todo",
-    "unimplemented",
 ];
 
 /// Macros that allocate (`vec![…]`, `format!(…)`).
@@ -376,12 +324,6 @@ impl<'a, 'b> Parser<'a, 'b> {
                 }
                 TokenKind::Punct if self.ts.text(i) == "#" => {
                     i = self.attribute(i);
-                }
-                TokenKind::Open(Delim::Bracket) => {
-                    if self.current_fn().is_some() {
-                        self.index_op(i);
-                    }
-                    i += 1;
                 }
                 TokenKind::Ident => i = self.ident(i),
                 _ => i += 1,
@@ -624,13 +566,11 @@ impl<'a, 'b> Parser<'a, 'b> {
             name,
             module_path: self.module_path(),
             self_type: self.current_type().map(str::to_string),
-            is_pub: self.fn_is_pub(kw),
             is_test: test,
             line,
             line_text: excerpt(self.ts.source, line),
             params: self.fn_params(name_tok, fn_depth),
             calls: Vec::new(),
-            panics: Vec::new(),
             costs: Vec::new(),
         };
         let idx = self.fns.len();
@@ -646,29 +586,6 @@ impl<'a, 'b> Parser<'a, 'b> {
                 open + 1
             }
             None => j + 1,
-        }
-    }
-
-    /// True when the `fn` at `kw` is declared exactly `pub` (walking back
-    /// over `const`/`async`/`unsafe`/`extern "C"` modifiers).
-    fn fn_is_pub(&self, kw: usize) -> bool {
-        let mut j = kw;
-        loop {
-            let Some(p) = self.ts.prev_code(j) else {
-                return false;
-            };
-            match (self.ts.tokens[p].kind, self.ts.text(p)) {
-                (TokenKind::Ident, "const" | "async" | "unsafe" | "extern") => j = p,
-                (TokenKind::Str, _) => j = p, // the "C" of `extern "C"`
-                (TokenKind::Ident, "pub") => {
-                    // Exactly `pub`, not `pub(crate)`/`pub(super)`.
-                    return !self
-                        .ts
-                        .next_code(p)
-                        .is_some_and(|n| self.ts.tokens[n].kind == TokenKind::Open(Delim::Paren));
-                }
-                _ => return false,
-            }
         }
     }
 
@@ -824,8 +741,8 @@ impl<'a, 'b> Parser<'a, 'b> {
         *alias = None;
     }
 
-    /// Handles an identifier inside a fn body: call sites, panic macros,
-    /// and `.unwrap()`/`.expect(`.
+    /// Handles an identifier inside a fn body: call sites and the
+    /// allocating and I/O macros.
     fn body_ident(&mut self, i: usize) -> usize {
         let Some(fn_idx) = self.current_fn() else {
             return i + 1;
@@ -837,10 +754,7 @@ impl<'a, 'b> Parser<'a, 'b> {
 
         // Macro invocation `name!(…)` / `name![…]` / `name!{…}`.
         if self.ts.text(next) == "!" && next_is_open(self.ts, next) {
-            let line = self.ts.tokens[i].line;
-            if PANIC_MACROS.contains(&text.as_str()) {
-                self.push_panic(fn_idx, PanicKind::Macro, &format!("{text}!"), line);
-            } else if ALLOC_MACROS.contains(&text.as_str()) {
+            if ALLOC_MACROS.contains(&text.as_str()) {
                 self.push_cost(fn_idx, CostKind::Alloc, &format!("{text}!"), i);
             } else if IO_MACROS.contains(&text.as_str()) {
                 self.push_cost(fn_idx, CostKind::Io, &format!("{text}!"), i);
@@ -862,11 +776,6 @@ impl<'a, 'b> Parser<'a, 'b> {
             .is_some_and(|p| self.ts.text(p) == "." && !self.ts.prev_is_adjacent(p, "."));
 
         if prev_is_dot {
-            match text.as_str() {
-                "unwrap" => self.push_panic(fn_idx, PanicKind::Unwrap, &text, line),
-                "expect" => self.push_panic(fn_idx, PanicKind::Expect, &text, line),
-                _ => {}
-            }
             let recv = self.receiver(i);
             self.method_cost(fn_idx, &text, &recv, i);
             self.push_call(fn_idx, Callee::Method { name: text, recv }, i, next, line);
@@ -951,51 +860,6 @@ impl<'a, 'b> Parser<'a, 'b> {
         self.fns[fn_idx].costs.push(CostOp {
             kind,
             what: what.to_string(),
-            line,
-            line_text: excerpt(self.ts.source, line),
-        });
-    }
-
-    fn push_panic(&mut self, fn_idx: usize, kind: PanicKind, what: &str, line: usize) {
-        self.fns[fn_idx].panics.push(PanicOp {
-            kind,
-            what: what.to_string(),
-            line,
-            line_text: excerpt(self.ts.source, line),
-        });
-    }
-
-    /// `x[i]` / `foo()[i]` / `x[i][j]` index expressions (panic-capable).
-    /// Array types/literals, attributes, slice patterns, and macro
-    /// brackets never match: their `[` is not preceded by an identifier or
-    /// a closing delimiter.
-    fn index_op(&mut self, open: usize) {
-        let Some(fn_idx) = self.current_fn() else {
-            return;
-        };
-        let Some(p) = self.ts.prev_code(open) else {
-            return;
-        };
-        let indexable = match self.ts.tokens[p].kind {
-            TokenKind::Ident => {
-                let t = self.ts.text(p);
-                !NON_CALL_KEYWORDS.contains(&t) && !matches!(t, "dyn" | "impl" | "self")
-            }
-            TokenKind::Close(Delim::Paren) | TokenKind::Close(Delim::Bracket) => true,
-            _ => false,
-        };
-        if !indexable {
-            return;
-        }
-        let what = if self.ts.tokens[p].kind == TokenKind::Ident {
-            self.ts.text(p).to_string()
-        } else {
-            "(..)".to_string()
-        };
-        let line = self.ts.tokens[open].line;
-        self.fns[fn_idx].panics.push(PanicOp {
-            kind: PanicKind::Index,
-            what,
             line,
             line_text: excerpt(self.ts.source, line),
         });
@@ -1261,12 +1125,10 @@ mod tests {
             ["top", "helper", "poke", "quiet", "go", "act_default"]
         );
         let top = &ast.fns[0];
-        assert!(top.is_pub && top.module_path.is_empty() && top.self_type.is_none());
+        assert!(top.module_path.is_empty() && top.self_type.is_none());
         let helper = &ast.fns[1];
-        assert!(!helper.is_pub, "pub(crate) is not plain pub");
         assert_eq!(helper.module_path, ["inner"]);
         let poke = &ast.fns[2];
-        assert!(poke.is_pub);
         assert_eq!(poke.self_type.as_deref(), Some("Widget"));
         assert_eq!(poke.module_path, ["inner"]);
         assert_eq!(poke.params, ["self"]);
@@ -1392,49 +1254,6 @@ mod tests {
             &clear.callee,
             Callee::Method { recv, .. } if recv.is_self && recv.hint.as_deref() == Some("shards")
         ));
-    }
-
-    #[test]
-    fn panic_ops_are_collected() {
-        let src = r#"
-            fn f(v: &[u32], m: Option<u32>) -> u32 {
-                if v.is_empty() { panic!("empty"); }
-                debug_assert!(v.len() > 1);
-                let first = v[0];
-                let second = m.unwrap();
-                let third = m.expect("third");
-                first + second + third
-            }
-            fn clean(v: &[u32]) -> Option<&u32> { v.first() }
-        "#;
-        let ast = parse(&lex(src));
-        let f = &ast.fns[0];
-        let kinds: Vec<PanicKind> = f.panics.iter().map(|p| p.kind).collect();
-        assert_eq!(
-            kinds,
-            [
-                PanicKind::Macro,
-                PanicKind::Index,
-                PanicKind::Unwrap,
-                PanicKind::Expect
-            ],
-            "debug_assert! is excluded; order is source order"
-        );
-        assert!(ast.fns[1].panics.is_empty());
-    }
-
-    #[test]
-    fn index_op_ignores_types_literals_and_macros() {
-        let src = r#"
-            fn f() {
-                let a: [u8; 4] = [0; 4];
-                let v = vec![1, 2, 3];
-                let s: &[u32] = &[];
-                let t = (a, v, s);
-            }
-        "#;
-        let ast = parse(&lex(src));
-        assert!(ast.fns[0].panics.is_empty(), "got {:?}", ast.fns[0].panics);
     }
 
     #[test]

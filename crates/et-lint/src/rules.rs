@@ -1,9 +1,14 @@
-//! The repo-specific lint rules (L5, L6, L8–L14), and the per-file entry point.
+//! The repo-specific lint rules (L5, L6, L8, L10–L14), and the per-file entry point.
 //!
 //! Every per-file rule ([`crate::conc_rules`]) and the item parser read
 //! the file's one [`crate::lexer`] stream. "Test code" means byte regions
-//! covered by a `#[cfg(test)]` item (`test_regions`). The numbers L1–L4
-//! and L7 belonged to rules the compiler now owns (DESIGN.md §7.1).
+//! covered by a `#[cfg(test)]` item (`test_regions`). The numbers L1–L4,
+//! L7 and L9 belonged to rules the compiler now owns (DESIGN.md §7.1).
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "token indices come from loops over 0..tokens.len() and from matching_close, which returns only positions inside the stream"
+)]
 
 use crate::lexer::{Delim, TokenKind, TokenStream};
 
@@ -16,9 +21,6 @@ pub enum Rule {
     L6,
     /// No hash-container iteration feeding order-sensitive sinks.
     L8,
-    /// No panic-capable operation reachable from public API entry points
-    /// (interprocedural; entry patterns in `et-lint.toml`).
-    L9,
     /// No cycle in the workspace lock-acquisition order graph.
     L10,
     /// No nondeterminism source reachable from session scoring/step/replay
@@ -40,7 +42,6 @@ impl Rule {
             Rule::L5 => "L5",
             Rule::L6 => "L6",
             Rule::L8 => "L8",
-            Rule::L9 => "L9",
             Rule::L10 => "L10",
             Rule::L11 => "L11",
             Rule::L12 => "L12",
@@ -62,10 +63,6 @@ impl Rule {
             }
             Rule::L6 => "every atomic Ordering argument needs an `// ord:` justification comment",
             Rule::L8 => "no HashMap/HashSet iteration feeding order-sensitive sinks unless sorted",
-            Rule::L9 => {
-                "no panic-capable op (panic!/unwrap/expect/indexing) reachable from public API \
-                 entry points"
-            }
             Rule::L10 => "no cycle in the workspace lock-acquisition order graph",
             Rule::L11 => {
                 "no nondeterminism source (wall clock, OS entropy, directory order) reachable \
@@ -133,29 +130,6 @@ impl Rule {
                  rule = \"L8\"\n\
                  path = \"...\"\n\
                  reason = \"collected ids are removed from the same map; order cannot escape\""
-            }
-            Rule::L9 => {
-                "L9 — no panic-capable operation reachable from a public API entry\n\
-                 point (the interprocedural closure of clippy's panic lints).\n\n\
-                 Why: clippy keeps unwrap()/panic! out of individual library lines,\n\
-                 but a clean-looking handler can still transitively call a helper that\n\
-                 indexes a slice or asserts. Under et-serve load that panic kills a\n\
-                 worker thread silently. L9 builds the workspace call graph, marks\n\
-                 every fn matching an `[[entry]]` pattern (rule = \"L9\") as a public\n\
-                 entry, and walks the resolved edges: any reachable non-test fn\n\
-                 containing panic!/assert-family macros, .unwrap()/.expect(, or an\n\
-                 index/slice expression fires, with the witness call chain printed.\n\
-                 Entry patterns are substring matches on the qualified fn name\n\
-                 (`crate::module::Type::fn`), declared in et-lint.toml:\n\n\
-                 [[entry]]\n\
-                 rule = \"L9\"\n\
-                 pattern = \"SessionState::\"\n\n\
-                 Exception: when the operation is provably in-bounds/infallible:\n\n\
-                 [[allow]]\n\
-                 rule = \"L9\"\n\
-                 path = \"crates/<crate>/src/<file>.rs\"\n\
-                 pattern = \"<substring of the offending line>\"\n\
-                 reason = \"<why the panic is unreachable>\""
             }
             Rule::L10 => {
                 "L10 — no cycle in the workspace lock-acquisition order graph.\n\n\
@@ -274,12 +248,11 @@ impl Rule {
     }
 
     /// All rules, in report order.
-    pub fn all() -> [Rule; 9] {
+    pub fn all() -> [Rule; 8] {
         [
             Rule::L5,
             Rule::L6,
             Rule::L8,
-            Rule::L9,
             Rule::L10,
             Rule::L11,
             Rule::L12,
@@ -385,7 +358,7 @@ pub(crate) fn excerpt_line(original: &str, line: usize) -> String {
         .to_string()
 }
 
-/// Runs the per-file rules L5–L8 ([`crate::conc_rules`]) over one lexed
+/// Runs the per-file rules L5, L6 and L8 ([`crate::conc_rules`]) over one lexed
 /// library file.
 pub fn check_file(ts: &TokenStream<'_>) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -491,7 +464,7 @@ mod tests {
                 );
             }
         }
-        for retired in ["L1", "L2", "L3", "L4", "L7", "L15", ""] {
+        for retired in ["L1", "L2", "L3", "L4", "L7", "L9", "L15", ""] {
             assert_eq!(Rule::from_id(retired), None, "{retired}");
         }
     }

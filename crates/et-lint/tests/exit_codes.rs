@@ -1,6 +1,7 @@
 //! End-to-end self-test: the `et-lint` *binary* must exit non-zero on a
-//! seeded violation of each rule L5-L11, zero on a clean tree, and two —
-//! never one, never a panic — on configuration or I/O failures.
+//! seeded violation of each rule L5, L6, L8, L10 and L11, zero on a clean
+//! tree, and two — never one, never a panic — on configuration or I/O
+//! failures.
 
 // Test-support helpers outside #[test] fns may expect/unwrap freely.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
@@ -78,6 +79,8 @@ fn bad_allowlist_exits_two() {
         "[[allow]]\nrule = \"L99\"\npath = \"x.rs\"\nreason = \"r\"\n",
         "[[allow]]\nrule = \"L1\"\npath = \"x.rs\"\nreason = \"r\"\n",
         "[[allow]]\nrule = \"L7\"\npath = \"x.rs\"\nreason = \"r\"\n",
+        "[[allow]]\nrule = \"L9\"\npath = \"x.rs\"\nreason = \"r\"\n",
+        "[[entry]]\nrule = \"L9\"\npattern = \"a::entry\"\n",
         "[[allow]]\nrule = \"L6\"\n",
         "[[source]]\nrule = \"L11\"\npattern = \"Instant:now\"\n",
         "rule = \"L6\"\n",
@@ -227,7 +230,7 @@ fn empty_or_stale_ord_comment_exits_nonzero() {
 
 #[test]
 fn explain_mode_covers_every_rule_and_rejects_unknown_ids() {
-    for id in ["L5", "L6", "L8", "L9", "L10", "L11", "L12", "L13", "L14"] {
+    for id in ["L5", "L6", "L8", "L10", "L11", "L12", "L13", "L14"] {
         let out = Command::new(env!("CARGO_BIN_EXE_et-lint"))
             .args(["--explain", id])
             .output()
@@ -237,7 +240,7 @@ fn explain_mode_covers_every_rule_and_rejects_unknown_ids() {
         assert!(text.starts_with(&format!("{id} — ")), "{id}: {text}");
         assert!(text.len() > 80, "{id} explain too thin: {text}");
     }
-    for retired in ["L1", "L7", "L99"] {
+    for retired in ["L1", "L7", "L9", "L99"] {
         let out = Command::new(env!("CARGO_BIN_EXE_et-lint"))
             .args(["--explain", retired])
             .output()
@@ -258,10 +261,7 @@ fn list_rules_prints_l5_through_l14() {
         .lines()
         .filter_map(|l| l.split_whitespace().next())
         .collect();
-    assert_eq!(
-        ids,
-        ["L5", "L6", "L8", "L9", "L10", "L11", "L12", "L13", "L14"]
-    );
+    assert_eq!(ids, ["L5", "L6", "L8", "L10", "L11", "L12", "L13", "L14"]);
 }
 
 #[test]
@@ -273,26 +273,28 @@ fn workspace_at_head_is_clean() {
     assert_eq!(code, 0, "workspace must lint clean:\n{out}");
 }
 
-/// The graph rules end-to-end through the binary: entry declarations in
-/// et-lint.toml, a panic three calls deep, exit 1 with the witness chain.
+/// The graph rules end-to-end through the binary: entry and source
+/// declarations in et-lint.toml, a clock read three calls deep, exit 1 with
+/// the witness chain.
 #[test]
 fn graph_rule_seeded_violation_exits_nonzero() {
     let root = scratch(
-        "l9bin",
+        "l11bin",
         &[
             (
                 "crates/a/src/lib.rs",
-                "//! Fixture.\n                 /// Entry.\n                 pub fn entry(rows: &[u32]) -> u32 { middle(rows) }\n                 fn middle(rows: &[u32]) -> u32 { deep(rows) }\n                 fn deep(rows: &[u32]) -> u32 { rows[0] }\n",
+                "//! Fixture.\n                 /// Entry.\n                 pub fn entry() -> u32 { middle() }\n                 fn middle() -> u32 { deep() }\n                 fn deep() -> u32 { Instant::now().elapsed().subsec_nanos() }\n",
             ),
             (
                 "et-lint.toml",
-                "[[entry]]\nrule = \"L9\"\npattern = \"a::entry\"\n",
+                "[[entry]]\nrule = \"L11\"\npattern = \"a::entry\"\n\
+                 [[source]]\nrule = \"L11\"\npattern = \"Instant::now\"\n",
             ),
         ],
     );
     let (code, out) = lint(&root);
     assert_eq!(code, 1, "stdout: {out}");
-    assert!(out.contains("[L9]"), "stdout: {out}");
+    assert!(out.contains("[L11]"), "stdout: {out}");
     assert!(out.contains("via "), "witness chain rendered: {out}");
     let _ = std::fs::remove_dir_all(&root);
 }

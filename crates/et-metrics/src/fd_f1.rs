@@ -7,6 +7,11 @@
 //! `|c(f) ∩ c_g| / |c_g|` (the printed form can exceed 1). Both are
 //! exposed; the F1 used across the workspace is the standard one.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "row ranges over 0..table.nrows(), and clean.len() == table.nrows() is asserted on entry"
+)]
+
 use et_data::Table;
 use et_fd::{Fd, HypothesisSpace, ViolationIndex};
 

@@ -4,6 +4,11 @@
 //! scores themselves, which is how modern error-detection work (HoloDetect
 //! et al.) reports quality and removes the threshold knob from comparisons.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "idx is a permutation of 0..scores.len(), the length of ranks and (asserted on entry) of truth, and the tie scan keeps i <= j < idx.len()"
+)]
+
 /// Area under the ROC curve for scores against binary ground truth
 /// (`true` = positive/dirty). Computed via the Mann–Whitney statistic with
 /// midrank tie handling. Returns 0.5 when either class is empty

@@ -6,6 +6,11 @@
 //! the first iteration at which a curve crosses a threshold, and the area
 //! under the curve (lower AUC = faster MAE convergence).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "last_mean and aggregate assert a non-empty series or run list before reading its first or last element (their # Panics contract), and windows(2) yields slices of exactly two points"
+)]
+
 /// Mean and standard deviation per iteration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesStats {

@@ -2,6 +2,11 @@
 //! intervals over per-seed results and rank correlation between method
 //! orderings.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the bootstrap draws positions from 0..samples.len() of a slice asserted non-empty, lo_idx and hi_idx are clamped to resamples - 1 < means.len(), and kendall_tau's i < j < n, where n = a.len() = b.len() is asserted on entry"
+)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

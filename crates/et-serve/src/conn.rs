@@ -6,6 +6,11 @@
 //! byte accumulation and line extraction live here, while parsing and
 //! dispatch stay in `protocol.rs` / `server.rs`.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "framer maintains scanned <= buf.len() at every drain (reset to 0 after each extracted line); scratch[..n] is bounded by the read contract n <= scratch.len(); out[out_cursor..] holds out_cursor <= out.len() because the cursor only advances by bytes the socket accepted"
+)]
+
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;

@@ -12,6 +12,11 @@
 //! Nothing in here touches session logic; see DESIGN.md §16 for how the
 //! transport, routing, and domain layers stack.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "epoll_wait returns at most buf.len() events by its own contract (capacity is passed as maxevents); timer-wheel slot indices are reduced modulo slots.len(), a non-zero constructor constant, or clamped via .min(len - 1)"
+)]
+
 #[cfg(not(target_os = "linux"))]
 compile_error!(
     "et-serve's readiness-based event loop is built on Linux epoll. \

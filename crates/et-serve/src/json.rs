@@ -16,6 +16,11 @@
 //!   pairs), a nesting-depth cap so adversarial input cannot blow the
 //!   stack, and rejection of non-finite or trailing input.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the hand-rolled parser maintains pos <= bytes.len() at every advance; slicing bytes[pos..] at the boundary yields an empty slice, not a panic"
+)]
+
 use std::io::Write as _;
 
 /// Maximum nesting depth the parser accepts. Deep enough for any protocol

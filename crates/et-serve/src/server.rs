@@ -26,6 +26,11 @@
 //! *builds*; the sessions held in memory are bounded separately by the
 //! store capacity.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "listeners[0] follows reuseport_listeners' n >= 1 contract (shards are clamped to >= 1 at spawn); shard/worker joins index vectors built in the same function"
+)]
+
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -94,7 +99,6 @@ impl Default for ServerConfig {
 /// A handle to a running server: its bound address and its lifecycle.
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     ctl: Arc<Ctl>,
     shard_joins: Vec<JoinHandle<()>>,
     worker_joins: Vec<JoinHandle<()>>,
@@ -138,11 +142,6 @@ impl ServerHandle {
             let _ = h.join();
         }
         let _ = self.ctx.store.flush_all();
-    }
-
-    /// True once shutdown has been requested.
-    pub fn is_stopping(&self) -> bool {
-        self.stop.load(Ordering::Acquire) // ord: Acquire pairs with the Release store in begin_shutdown
     }
 }
 
@@ -264,7 +263,7 @@ fn spawn_with(
         shard_ends.push((listener, rx, waker));
     }
     let ctl = Arc::new(Ctl {
-        stop: stop.clone(),
+        stop,
         wakers: links.iter().map(|l| l.waker.clone()).collect(),
     });
 
@@ -301,7 +300,6 @@ fn spawn_with(
 
     Ok(ServerHandle {
         addr,
-        stop,
         ctl,
         shard_joins,
         worker_joins,

@@ -31,7 +31,8 @@ pub struct CreateSessionSpec {
     pub degree: f64,
     /// The learner's selection strategy.
     pub strategy: StrategyKind,
-    /// Interactions `N`.
+    /// Interactions `N`, at most 10000 (the session reserves one metrics
+    /// row per interaction when it is built).
     pub iterations: usize,
     /// Pairs per interaction.
     pub pairs_per_iteration: usize,
@@ -85,6 +86,12 @@ impl CreateSessionSpec {
         }
         if self.rows > 100_000 {
             return Err(format!("rows must be at most 100000, got {}", self.rows));
+        }
+        if self.iterations > 10_000 {
+            return Err(format!(
+                "iterations must be at most 10000, got {}",
+                self.iterations
+            ));
         }
         Ok(())
     }
@@ -230,6 +237,16 @@ mod tests {
             ..CreateSessionSpec::default()
         };
         assert!(tiny.validate().is_err());
+        let endless = CreateSessionSpec {
+            iterations: 10_001,
+            ..CreateSessionSpec::default()
+        };
+        assert!(endless.validate().is_err());
+        let longest = CreateSessionSpec {
+            iterations: 10_000,
+            ..CreateSessionSpec::default()
+        };
+        assert_eq!(longest.validate(), Ok(()));
         let bad_cfg = CreateSessionSpec {
             test_frac: 1.5,
             ..CreateSessionSpec::default()

@@ -14,6 +14,11 @@
 //! instead of forgetting the id. Capacity counts only the sessions held in
 //! memory.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "shard_of reduces the hash modulo shards.len(), which is a non-zero constant"
+)]
+
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -1,7 +1,8 @@
 //! Integration tests for the readiness-based transport: pipelining inside
 //! one TCP segment (a create and a round on the new session included),
 //! pipelined lines behind the revive of a dormant journaled session, two connections racing to revive one session, the typed
-//! `protocol_error` path for oversized lines,
+//! `protocol_error` path for oversized lines, a create whose interaction
+//! budget is out of range,
 //! slow-loris eviction through the real serve binary, bounded shutdown
 //! latency, and a bind refused on a held port. The oversize, shutdown and
 //! held-port tests run on an IPv4 and an IPv6 bind; both get one
@@ -41,6 +42,47 @@ fn read_reply(reader: &mut BufReader<TcpStream>) -> Json {
     reader.read_line(&mut line).expect("read reply line");
     assert!(!line.is_empty(), "connection closed before reply");
     Json::parse(line.trim()).expect("reply is JSON")
+}
+
+/// A create asking for more interactions than a session may run draws a
+/// typed `invalid_config` reply, as an out-of-range `rows` does, and the
+/// server goes on serving: the session is never built, so nothing reserves
+/// memory for the budget.
+#[test]
+fn an_out_of_range_iteration_budget_is_refused_and_serving_continues() {
+    let handle = spawn(server_cfg("127.0.0.1:0")).expect("bind");
+    let addr = handle.addr().to_string();
+
+    let mut raw = TcpStream::connect(&addr).expect("connect");
+    raw.write_all(b"{\"op\":\"create_session\",\"rows\":60,\"iterations\":9007199254740991}\n")
+        .expect("write create");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    let refused = read_reply(&mut reader);
+    assert_eq!(refused.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(
+        refused.get("error").and_then(Json::as_str),
+        Some("invalid_config"),
+        "{refused:?}"
+    );
+    let message = refused.get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(message.contains("iterations"), "{refused:?}");
+
+    // A later connection is still served.
+    let mut client = Client::connect(&addr).expect("connect after the refusal");
+    let spec = CreateSessionSpec {
+        rows: 60,
+        iterations: 2,
+        seed: Some(5),
+        ..CreateSessionSpec::default()
+    };
+    let (session, _) = client
+        .create_session(&spec)
+        .expect("create after the refusal");
+    client
+        .next_pairs(session)
+        .expect("a round after the refusal");
+    client.shutdown_server().expect("shutdown");
+    handle.wait();
 }
 
 /// Several requests written in a single TCP segment are each answered, in

@@ -8,6 +8,11 @@
 //!   how well it predicts the participant's declared FD each iteration
 //!   (MRR over the top-5, exact and subset/superset-discounted "+").
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "windows(2) yields slices of exactly two trajectory points, so w[0] and w[1] exist"
+)]
+
 use std::sync::Arc;
 
 use et_belief::{

@@ -17,6 +17,11 @@
 //! extension ("considering the probability of noise in decision making")
 //! and the source of scenario-2-like non-monotonicity.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "ranked/rows are indexed by positions drawn from 0..len of the same vectors within the responder"
+)]
+
 use std::sync::Arc;
 
 use et_belief::{

@@ -6,6 +6,11 @@
 //! Violations are injected with the scenario's ratio (`m/n` target-to-
 //! alternative): 1/3 for the Airport scenarios, 2/3 for the OMDB ones.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "targets[0] and alternatives[0] are the primary FDs, and every scenario that scenarios() builds lists at least one target and one alternative"
+)]
+
 use et_data::gen::{AttrGen, DatasetSpec, GeneratedDataset};
 use et_data::{inject_errors, FdSpec, InjectConfig, Injection};
 use et_fd::{Fd, HypothesisSpace};

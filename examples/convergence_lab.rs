@@ -5,6 +5,11 @@
 //! cargo run --release --example convergence_lab
 //! ```
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "each experiment runs at least one method, and each run's series holds at least one round"
+)]
+
 use exploratory_training::data::gen::DatasetName;
 use exploratory_training::experiments::{ConvergenceExperiment, NoRounds, PriorKind};
 use exploratory_training::game::StrategyKind;

@@ -11,6 +11,10 @@
 //! beliefs converge.
 
 #![expect(
+    clippy::indexing_slicing,
+    reason = "the session runs at least one round"
+)]
+#![expect(
     clippy::expect_used,
     reason = "example code favours direct `expect` over error plumbing"
 )]

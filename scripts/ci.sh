@@ -14,7 +14,7 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> et-lint (L5, L6, L8-L14 workspace rules, budget ${LINT_BUDGET_SECS:=60}s)"
+echo "==> et-lint (L5, L6, L8, L10–L14 workspace rules, budget ${LINT_BUDGET_SECS:=60}s)"
 # Build first so the budget bounds analysis time, not rustc time. The lint
 # walks + lexes + parses the whole workspace and links the call graph on
 # every run; if it creeps past the wall-clock budget it stops being a
