@@ -153,21 +153,6 @@ impl DatasetSpec {
             .collect()
     }
 
-    /// The approximate FDs this spec encodes (one per noisily derived
-    /// attribute), with their noise levels.
-    pub fn approximate_fds(&self) -> Vec<(FdSpec, f64)> {
-        self.attrs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, a)| match &a.kind {
-                AttrKind::NoisyDerived { from, noise, .. } => {
-                    Some((FdSpec::new(from.clone(), i), *noise))
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Generates `rows` rows deterministically from `seed`.
     ///
     /// A cell with value index `v` of attribute `name` reads `name_v`.

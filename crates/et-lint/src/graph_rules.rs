@@ -342,7 +342,6 @@ fn l11_determinism_taint(graph: &CallGraph, config: &Allowlist, out: &mut Vec<Gr
     if entries.is_empty() {
         return;
     }
-    let source_patterns = Allowlist::specs_for(&config.graph_sources, "L11");
     let parents = graph.reach(&entries);
     for &id in parents.keys() {
         let node = &graph.nodes[id];
@@ -350,9 +349,10 @@ fn l11_determinism_taint(graph: &CallGraph, config: &Allowlist, out: &mut Vec<Gr
         // anchor (lowest line).
         let Some((call, what)) = node.item.calls.iter().find_map(|c| {
             let rendered = c.callee.render();
-            source_patterns
+            config
+                .graph_sources
                 .iter()
-                .any(|p| rendered.contains(p))
+                .any(|s| rendered.contains(s.pattern.as_str()))
                 .then_some((c, rendered))
         }) else {
             continue;
@@ -422,8 +422,8 @@ mod tests {
                 fn unreached() { let t = Instant::now(); }
                 "#,
             )],
-            "[[entry]]\nrule = \"L11\"\npattern = \"api::entry\"\n\
-             [[source]]\nrule = \"L11\"\npattern = \"Instant::now\"\n",
+            "[[entry]]\npattern = \"api::entry\"\n\
+             [[source]]\npattern = \"Instant::now\"\n",
         );
         assert_eq!(
             rules_of(&findings),
@@ -453,8 +453,8 @@ mod tests {
                 "crates/a/src/api.rs",
                 "#[cfg(test)]\nfn hidden() { let t = Instant::now(); }\n",
             )],
-            "[[entry]]\nrule = \"L11\"\npattern = \"api::hidden\"\n\
-             [[source]]\nrule = \"L11\"\npattern = \"Instant::now\"\n",
+            "[[entry]]\npattern = \"api::hidden\"\n\
+             [[source]]\npattern = \"Instant::now\"\n",
         );
         // The test fn's clock read is not reached, and the entry that
         // roots nothing is reported as stale.
@@ -470,16 +470,16 @@ mod tests {
             pub fn step() { pure(); }
             fn pure() -> u32 { 7 }
         "#;
-        let config = "[[entry]]\nrule = \"L11\"\npattern = \"api::step\"\n\
-                      [[entry]]\nrule = \"L11\"\npattern = \"api::replay_history\"\n\
-                      [[entry]]\nrule = \"L11\"\npattern = \"api::stpe\"\n\
-                      [[source]]\nrule = \"L11\"\npattern = \"Instant::now\"\n";
+        let config = "[[entry]]\npattern = \"api::step\"\n\
+                      [[entry]]\npattern = \"api::replay_history\"\n\
+                      [[entry]]\npattern = \"api::stpe\"\n\
+                      [[source]]\npattern = \"Instant::now\"\n";
         let findings = run(&[("crates/a/src/api.rs", src)], config);
         let stale: Vec<(&str, usize)> = findings
             .iter()
             .map(|f| (f.violation.rule.id(), f.violation.line))
             .collect();
-        assert_eq!(stale, [("L11", 4), ("L11", 7)], "{findings:?}");
+        assert_eq!(stale, [("L11", 3), ("L11", 5)], "{findings:?}");
         for f in &findings {
             assert_eq!(f.path, "et-lint.toml");
             assert!(
@@ -615,8 +615,8 @@ mod tests {
             pub fn step() { helper(); }
             fn helper() { let t = Instant::now(); }
         "#;
-        let config = "[[entry]]\nrule = \"L11\"\npattern = \"api::step\"\n\
-                      [[source]]\nrule = \"L11\"\npattern = \"Instant::now\"\n";
+        let config = "[[entry]]\npattern = \"api::step\"\n\
+                      [[source]]\npattern = \"Instant::now\"\n";
         let findings = run(&[("crates/a/src/api.rs", src)], config);
         assert_eq!(rules_of(&findings), vec!["L11"], "{findings:?}");
         let f = &findings[0];
@@ -639,8 +639,8 @@ mod tests {
             fn replay() { pure(); }
             fn pure() -> u32 { 7 }
         "#;
-        let config = "[[entry]]\nrule = \"L11\"\npattern = \"api::replay\"\n\
-                      [[source]]\nrule = \"L11\"\npattern = \"Instant::now\"\n";
+        let config = "[[entry]]\npattern = \"api::replay\"\n\
+                      [[source]]\npattern = \"Instant::now\"\n";
         let findings = run(&[("crates/a/src/api.rs", src)], config);
         assert!(findings.is_empty(), "no sources reached: {findings:?}");
     }

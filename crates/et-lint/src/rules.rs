@@ -159,14 +159,13 @@ impl Rule {
                  construction — replayed sessions must be bit-identical to\n\
                  uninterrupted ones. A transitive Instant::now() folded into state,\n\
                  or an OS-entropy draw breaks that proof invisibly. L11 marks\n\
-                 entry fns via `[[entry]]` patterns (rule = \"L11\"), declares\n\
+                 entry fns via `[[entry]]` patterns, declares\n\
                  taint sources via `[[source]]` patterns matched against rendered\n\
                  call text (`Instant::now`, `SystemTime::now`, `thread_rng`,\n\
                  `read_dir`), and fires on every reachable fn that touches a\n\
                  source, with the per-edge witness chain printed. Hash-container\n\
                  iteration order is L8's, which covers every library file.\n\n\
                  [[source]]\n\
-                 rule = \"L11\"\n\
                  pattern = \"Instant::now\"\n\n\
                  Exception: when the source provably never feeds session state\n\
                  (e.g. logging-only timing):\n\n\

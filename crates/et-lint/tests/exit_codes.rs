@@ -72,17 +72,20 @@ fn allowlisted_violation_exits_zero() {
 
 #[test]
 fn bad_allowlist_exits_two() {
-    // Unknown or retired rule ids, missing required keys, a taint source
-    // that is not a Rust path (so could never match a call), and non-toml
-    // garbage must all exit 2 (configuration error), not 1 and not a panic.
+    // Unknown or retired rule ids, a `rule` key in an `[[entry]]` or
+    // `[[source]]` table, missing required keys, a taint source that is not
+    // a Rust path (so could never match a call), and non-toml garbage must
+    // all exit 2 (configuration error), not 1 and not a panic.
     let configs = [
         "[[allow]]\nrule = \"L99\"\npath = \"x.rs\"\nreason = \"r\"\n",
         "[[allow]]\nrule = \"L1\"\npath = \"x.rs\"\nreason = \"r\"\n",
         "[[allow]]\nrule = \"L7\"\npath = \"x.rs\"\nreason = \"r\"\n",
         "[[allow]]\nrule = \"L9\"\npath = \"x.rs\"\nreason = \"r\"\n",
         "[[entry]]\nrule = \"L9\"\npattern = \"a::entry\"\n",
+        "[[entry]]\nrule = \"L11\"\npattern = \"a::entry\"\n",
+        "[[source]]\nrule = \"L11\"\npattern = \"Instant::now\"\n",
         "[[allow]]\nrule = \"L6\"\n",
-        "[[source]]\nrule = \"L11\"\npattern = \"Instant:now\"\n",
+        "[[source]]\npattern = \"Instant:now\"\n",
         "rule = \"L6\"\n",
         "[[allow]]\nnot a key value line\n",
     ];
@@ -287,8 +290,8 @@ fn graph_rule_seeded_violation_exits_nonzero() {
             ),
             (
                 "et-lint.toml",
-                "[[entry]]\nrule = \"L11\"\npattern = \"a::entry\"\n\
-                 [[source]]\nrule = \"L11\"\npattern = \"Instant::now\"\n",
+                "[[entry]]\npattern = \"a::entry\"\n\
+                 [[source]]\npattern = \"Instant::now\"\n",
             ),
         ],
     );

@@ -1,6 +1,6 @@
 //! Readiness primitives for the server's event loop: a hand-rolled
-//! `epoll` wrapper, an `eventfd` waker, `SO_REUSEPORT` listener sharding,
-//! and a coarse timer wheel for idle/slow-loris connection timeouts.
+//! `epoll` wrapper, an `eventfd` waker, and `SO_REUSEPORT` listener
+//! sharding.
 //!
 //! The repo's no-deps discipline rules out `mio`/`libc`; instead this
 //! module declares the handful of C symbols it needs directly (std already
@@ -14,7 +14,7 @@
 
 #![expect(
     clippy::indexing_slicing,
-    reason = "epoll_wait returns at most buf.len() events by its own contract (capacity is passed as maxevents); timer-wheel slot indices are reduced modulo slots.len(), a non-zero constructor constant, or clamped via .min(len - 1)"
+    reason = "epoll_wait returns at most buf.len() events by its own contract (capacity is passed as maxevents)"
 )]
 
 #[cfg(not(target_os = "linux"))]
@@ -28,7 +28,7 @@ use std::ffi::{c_int, c_void};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 // The exact C ABI surface this module uses. Signatures mirror the Linux
 // manpages; `sockaddr` pointers are passed as `*const c_void` because the
@@ -430,75 +430,6 @@ pub fn reuseport_listeners(addr: &SocketAddr, n: usize) -> io::Result<Vec<TcpLis
     Ok(out)
 }
 
-/// A coarse hashed timer wheel driving connection idle timeouts.
-///
-/// Entries are `(token, deadline)` pairs hashed into `slots` buckets of
-/// `tick` width. Expiry is *lazy*: [`TimerWheel::expire`] hands back every
-/// token whose bucket has passed, and the owner re-checks the connection's
-/// real activity clock — a refreshed connection is simply rescheduled. The
-/// wheel therefore never needs cancellation, and scheduling is O(1).
-pub struct TimerWheel {
-    slots: Vec<Vec<u64>>,
-    tick: Duration,
-    /// Slot index the cursor is standing on.
-    cursor: usize,
-    /// Wheel time: the instant `cursor`'s slot began.
-    cursor_start: Instant,
-}
-
-impl TimerWheel {
-    /// A wheel of `slots` buckets, each `tick` wide.
-    pub fn new(tick: Duration, slots: usize) -> TimerWheel {
-        let slots = slots.max(2);
-        TimerWheel {
-            slots: (0..slots).map(|_| Vec::new()).collect(),
-            tick: tick.max(Duration::from_millis(1)),
-            cursor: 0,
-            cursor_start: Instant::now(),
-        }
-    }
-
-    /// Schedules `token` to surface roughly `after` from now (rounded up
-    /// to the wheel tick; delays past one full rotation clamp to it).
-    pub fn schedule(&mut self, token: u64, after: Duration) {
-        let ticks = (after.as_nanos() / self.tick.as_nanos().max(1)).saturating_add(1);
-        let ticks = usize::try_from(ticks)
-            .unwrap_or(usize::MAX)
-            .min(self.slots.len() - 1);
-        let slot = (self.cursor + ticks) % self.slots.len();
-        self.slots[slot].push(token);
-    }
-
-    /// How long until the next slot boundary — the natural `epoll_wait`
-    /// timeout for the owning loop.
-    pub fn until_next_tick(&self, now: Instant) -> Duration {
-        let elapsed = now.duration_since(self.cursor_start);
-        self.tick
-            .saturating_sub(elapsed)
-            .max(Duration::from_millis(1))
-    }
-
-    /// Advances the cursor over every slot whose window has fully passed,
-    /// appending their tokens to `expired`.
-    pub fn expire(&mut self, now: Instant, expired: &mut Vec<u64>) {
-        // Bounded by one full rotation per call: a long stall expires
-        // every slot exactly once instead of looping the wheel repeatedly.
-        for _ in 0..self.slots.len() {
-            if now.duration_since(self.cursor_start) < self.tick {
-                break;
-            }
-            self.cursor = (self.cursor + 1) % self.slots.len();
-            self.cursor_start += self.tick;
-            expired.append(&mut self.slots[self.cursor]);
-        }
-    }
-
-    /// The wheel's tick width.
-    pub fn tick(&self) -> Duration {
-        self.tick
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,27 +479,5 @@ mod tests {
             let probe = std::net::TcpStream::connect((addr.ip(), ports[0]));
             assert!(probe.is_ok(), "{bind}: {probe:?}");
         }
-    }
-
-    #[test]
-    fn wheel_expires_after_rounded_delay() {
-        let mut wheel = TimerWheel::new(Duration::from_millis(5), 8);
-        wheel.schedule(42, Duration::from_millis(1));
-        let mut expired = Vec::new();
-        wheel.expire(Instant::now(), &mut expired);
-        assert!(expired.is_empty(), "not due yet");
-        std::thread::sleep(Duration::from_millis(25));
-        wheel.expire(Instant::now(), &mut expired);
-        assert_eq!(expired, vec![42]);
-    }
-
-    #[test]
-    fn wheel_clamps_long_delays_to_one_rotation() {
-        let mut wheel = TimerWheel::new(Duration::from_millis(1), 4);
-        wheel.schedule(9, Duration::from_secs(3600));
-        std::thread::sleep(Duration::from_millis(10));
-        let mut expired = Vec::new();
-        wheel.expire(Instant::now(), &mut expired);
-        assert_eq!(expired, vec![9], "clamped to the rotation horizon");
     }
 }

@@ -22,12 +22,12 @@
 //!   idle-timeout eviction; journaled sessions are registered at start
 //!   and revived on their first request.
 //! * [`event`] — the std-only readiness machinery: an epoll FFI shim,
-//!   eventfd waker, `SO_REUSEPORT` listener fan-out, and a timer wheel.
+//!   eventfd waker, and `SO_REUSEPORT` listener fan-out.
 //! * [`conn`] — per-connection state for the event loop: newline
 //!   framing over non-blocking reads and a buffered write side.
 //! * [`server`] — the readiness event loop, whose shards each accept on
-//!   their own `SO_REUSEPORT` listener and run their connections' rounds,
-//!   the worker pool that builds sessions (creates and revives), and
+//!   their own `SO_REUSEPORT` listener, run their connections' rounds and
+//!   sweep them once a tick to close the idle ones, the worker pool that builds sessions (creates and revives), and
 //!   graceful shutdown.
 //! * [`client`] — a small blocking client used by the example and the
 //!   integration tests.

@@ -1,11 +1,13 @@
 //! The TCP server: one readiness-based transport (Linux epoll) over one
 //! routing/domain layer.
 //!
-//! Each shard owns an epoll instance, an eventfd waker, a timer wheel, and
-//! a set of non-blocking connections with per-connection read/write
-//! buffers (`conn.rs`). Accepting is sharded via `SO_REUSEPORT` listeners —
-//! one per shard, kernel-balanced, for IPv4 and IPv6 binds alike; a bind
-//! they cannot make is the error [`spawn`] returns.
+//! Each shard owns an epoll instance, an eventfd waker, and a set of
+//! non-blocking connections with per-connection read/write buffers
+//! (`conn.rs`); once a tick it sweeps them and closes every connection
+//! that has completed no request line for the idle timeout. Accepting is
+//! sharded via `SO_REUSEPORT` listeners — one per shard, kernel-balanced,
+//! for IPv4 and IPv6 binds alike; a bind they cannot make is the error
+//! [`spawn`] returns.
 //!
 //! A shard parses each request line once and runs every request on a live
 //! session to completion on its own thread: it calls `dispatch`, queues
@@ -43,7 +45,7 @@ use std::time::{Duration, Instant};
 use et_core::StepError;
 
 use crate::conn::{Conn, FramingError, ReadOutcome, DEFAULT_MAX_LINE_BYTES};
-use crate::event::{reuseport_listeners, Event, Poller, TimerWheel, Waker};
+use crate::event::{reuseport_listeners, Event, Poller, Waker};
 use crate::protocol::{ErrorCode, Request, Response, WirePair};
 use crate::spec::CreateSessionSpec;
 use crate::store::{
@@ -365,7 +367,6 @@ struct ShardParams {
 /// Mutable per-shard state threaded through the helpers below.
 struct ShardState {
     poller: Poller,
-    wheel: TimerWheel,
     conns: HashMap<u64, Conn>,
     next_token: u64,
 }
@@ -389,28 +390,18 @@ fn shard_loop(p: ShardParams) {
         return;
     }
 
-    // Wheel tick: fine enough that a timeout fires within ~1/16 of the
-    // configured idle window; rotation (24 slots) comfortably exceeds it.
-    // A zero timeout disables expiry entirely (the wheel still paces the
-    // epoll timeout so completions/wakes are never starved).
-    let timeouts_enabled = !p.idle_timeout.is_zero();
-    let tick = if timeouts_enabled {
-        (p.idle_timeout / 16).max(Duration::from_millis(10))
-    } else {
-        Duration::from_secs(60)
-    };
     let mut s = ShardState {
         poller,
-        wheel: TimerWheel::new(tick, 24),
         conns: HashMap::new(),
         next_token: FIRST_CONN_TOKEN,
     };
     let mut events: Vec<Event> = Vec::new();
-    let mut expired: Vec<u64> = Vec::new();
+    let tick = sweep_tick(p.idle_timeout);
+    let mut next_sweep = Instant::now() + tick;
 
     loop {
         events.clear();
-        let timeout = s.wheel.until_next_tick(Instant::now());
+        let timeout = next_sweep.saturating_duration_since(Instant::now());
         if s.poller.wait(&mut events, Some(timeout)).is_err() {
             p.ctl.begin_shutdown();
             return;
@@ -448,29 +439,32 @@ fn shard_loop(p: ShardParams) {
             return;
         }
 
-        if timeouts_enabled {
-            expired.clear();
-            s.wheel.expire(now, &mut expired);
-            for token in expired.iter().copied() {
-                // Lazy cancellation: re-check the real activity clock; a
-                // refreshed connection is simply rescheduled.
-                let action = match s.conns.get(&token) {
-                    Some(conn) => {
-                        let idle = now.duration_since(conn.last_activity);
-                        if idle >= p.idle_timeout {
-                            None
-                        } else {
-                            Some(p.idle_timeout - idle)
-                        }
-                    }
-                    None => continue,
-                };
-                match action {
-                    None => close_conn(&mut s, token),
-                    Some(remaining) => s.wheel.schedule(token, remaining),
-                }
-            }
+        if now >= next_sweep {
+            sweep_idle(&mut s.conns, now, p.idle_timeout);
+            next_sweep = now + tick;
         }
+    }
+}
+
+/// How often a shard sweeps for idle connections: a sixteenth of the idle
+/// timeout and at least 10 ms, so a connection closes within one tick
+/// after its timeout. With a zero timeout nothing is swept, and the 60 s
+/// tick only paces `epoll_wait`.
+fn sweep_tick(idle_timeout: Duration) -> Duration {
+    if idle_timeout.is_zero() {
+        Duration::from_secs(60)
+    } else {
+        (idle_timeout / 16).max(Duration::from_millis(10))
+    }
+}
+
+/// The shard's idle sweep: drops every connection that has completed no
+/// request line in the `timeout` up to `now` (a zero timeout drops none).
+/// Dropping a [`Conn`] closes its socket, which also takes it off the
+/// shard's epoll interest list, since the shard never duplicates a socket.
+fn sweep_idle(conns: &mut HashMap<u64, Conn>, now: Instant, timeout: Duration) {
+    if !timeout.is_zero() {
+        conns.retain(|_, conn| now.duration_since(conn.last_activity) < timeout);
     }
 }
 
@@ -500,16 +494,12 @@ fn register_conn(p: &ShardParams, s: &mut ShardState, stream: TcpStream, now: In
     }
     s.conns
         .insert(token, Conn::new(stream, token, p.max_line, now));
-    if !p.idle_timeout.is_zero() {
-        s.wheel.schedule(token, p.idle_timeout);
-    }
 }
 
 fn close_conn(s: &mut ShardState, token: u64) {
     if let Some(conn) = s.conns.remove(&token) {
         let _ = s.poller.delete(conn.stream().as_raw_fd());
-        // Dropping the Conn closes the socket; the wheel entry (if any)
-        // expires harmlessly against the now-absent token.
+        // Dropping the Conn closes the socket.
     }
 }
 
@@ -658,9 +648,9 @@ fn dispatch(request: Request, ctx: &ServerCtx, out: &mut Vec<u8>) -> Option<Park
             mut labels,
         } => {
             let latency = ctx.store.round_latency();
-            let found = ctx.store.lookup(session, |live| {
-                submit_labels(live, labels.take(), Some(latency))
-            });
+            let found = ctx
+                .store
+                .lookup(session, |live| submit_labels(live, labels.take(), latency));
             match found {
                 Lookup::Live(response) => response,
                 Lookup::Dormant => {
@@ -844,7 +834,7 @@ fn next_pairs(live: &mut LiveSession) -> Response {
 fn submit_labels(
     live: &mut LiveSession,
     labels: Option<Vec<bool>>,
-    latency: Option<&crate::store::LatencyHistogram>,
+    latency: &crate::store::LatencyHistogram,
 ) -> Response {
     let Some(expected) = live.state.pending().map(|p| p.sample().len()) else {
         return err(
@@ -886,9 +876,7 @@ fn submit_labels(
     let applied = labels.unwrap_or(hosted);
     match state.apply_labels(trainer, learner, &applied) {
         Ok(metrics) => {
-            if let Some(h) = latency {
-                h.record(round_start.elapsed());
-            }
+            latency.record(round_start.elapsed());
             let metrics = metrics.clone();
             // Best-effort cadence snapshot: the WAL append inside
             // apply_labels already made the batch durable, so a failed
@@ -989,7 +977,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = StoreConfig {
             capacity: 4,
-            shards: 2,
             base_seed: 7,
             data_dir: Some(dir.clone()),
             ..StoreConfig::default()
@@ -1055,7 +1042,6 @@ mod tests {
     fn durable_cfg(dir: &std::path::Path, capacity: usize) -> StoreConfig {
         StoreConfig {
             capacity,
-            shards: 2,
             base_seed: 7,
             data_dir: Some(dir.to_path_buf()),
             ..StoreConfig::default()
@@ -1173,17 +1159,12 @@ mod tests {
     #[test]
     fn evicted_session_answers_in_the_same_store() {
         let dir = scratch("evict-same");
-        let cfg = StoreConfig {
-            idle_timeout: Duration::from_millis(20),
-            ..durable_cfg(&dir, 4)
-        };
-        let live = ctx(SessionStore::new(cfg));
+        let live = ctx(SessionStore::new(durable_cfg(&dir, 4)));
         let id = create_session(&live, small_spec(6));
         round(&live, id);
         round(&live, id);
         let before = status(&live, id);
-        std::thread::sleep(Duration::from_millis(60));
-        assert_eq!(live.store.evict_idle(), 1);
+        assert_eq!(live.store.evict_idle(past_idle()), 1);
         assert_eq!(live.store.snapshot().live_sessions, 0);
 
         assert_eq!(reply(&live, Request::Status { session: Some(id) }), before);
@@ -1194,6 +1175,41 @@ mod tests {
         assert_eq!(snap.counters.revived_total, 1);
         assert_eq!(snap.live_sessions, 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An instant past the default idle timeout of every session touched
+    /// so far, so a test evicts without waiting.
+    fn past_idle() -> Instant {
+        Instant::now() + StoreConfig::default().idle_timeout + Duration::from_millis(1)
+    }
+
+    /// Sessions idle past the timeout are evicted and counted, the
+    /// capacity they held is reused, and the evicted id reads
+    /// `unknown_session`.
+    #[test]
+    fn idle_sessions_are_evicted() {
+        let live = ctx(SessionStore::new(StoreConfig {
+            capacity: 1,
+            base_seed: 7,
+            ..StoreConfig::default()
+        }));
+        let spec = CreateSessionSpec {
+            seed: Some(9),
+            ..small_spec(2)
+        };
+        let first = create_session(&live, spec.clone());
+        let busy = reply(&live, Request::Create(spec.clone()));
+        assert_eq!(member(&busy, "error"), "server_busy", "{busy}");
+
+        assert_eq!(live.store.evict_idle(past_idle()), 1);
+        let second = create_session(&live, spec);
+        assert_ne!(first, second);
+        let gone = reply(&live, Request::NextPairs { session: first });
+        assert_eq!(member(&gone, "error"), "unknown_session", "{gone}");
+
+        let server = reply(&live, Request::Status { session: None });
+        assert_eq!(member(&server, "evicted_total"), "1", "{server}");
+        assert_eq!(member(&server, "live_sessions"), "1", "{server}");
     }
 
     /// Capacity counts sessions in memory: with the one slot held by a
@@ -1370,5 +1386,64 @@ mod tests {
         let bye = b.call(r#"{"op":"shutdown"}"#);
         assert_eq!(member(&bye, "reply"), "shutting_down", "{bye}");
         handle.wait();
+    }
+
+    /// The server end of a fresh loopback connection wrapped as a shard
+    /// wraps an accepted stream under `token` at `t0`, after `bytes` from
+    /// the client are read as the shard reads them at `read_at`; and the
+    /// client end.
+    fn conn_after(token: u64, bytes: &[u8], t0: Instant, read_at: Instant) -> (Conn, TcpStream) {
+        use std::io::Write;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .expect("read timeout");
+        client.write_all(bytes).expect("write");
+        let (stream, _) = listener.accept().expect("accept");
+        // Block until every byte is readable, so one read takes them all.
+        let mut peek = vec![0u8; bytes.len()];
+        while stream.peek(&mut peek).expect("peek") < bytes.len() {}
+        stream.set_nonblocking(true).expect("nonblocking");
+        let mut conn = Conn::new(stream, token, DEFAULT_MAX_LINE_BYTES, t0);
+        conn.read_ready(read_at).expect("read");
+        (conn, client)
+    }
+
+    /// The sweep closes a connection that got bytes but no newline since
+    /// `t0` at `t0 + timeout`, and keeps one that completed a line later.
+    /// The instants are made up, so nothing waits for the timeout.
+    #[test]
+    fn the_sweep_closes_a_dribbling_connection_at_its_timeout() {
+        use std::io::Read;
+        let timeout = Duration::from_secs(30);
+        let t0 = Instant::now();
+        let later = t0 + timeout / 2;
+        let (dribbler, mut dribbler_client) = conn_after(2, br#"{"op":"sta"#, t0, later);
+        let (talker, _talker_client) = conn_after(3, b"{\"op\":\"status\"}\n", t0, later);
+        assert_eq!(dribbler.last_activity, t0, "a partial line is no activity");
+        assert_eq!(talker.last_activity, later);
+        let mut conns = HashMap::from([(2, dribbler), (3, talker)]);
+
+        sweep_idle(&mut conns, t0 + timeout - Duration::from_millis(1), timeout);
+        assert_eq!(conns.len(), 2, "nothing is idle before its timeout");
+        sweep_idle(&mut conns, t0 + timeout, Duration::ZERO);
+        assert_eq!(conns.len(), 2, "a zero timeout closes nothing");
+        sweep_idle(&mut conns, t0 + timeout, timeout);
+        assert_eq!(conns.keys().copied().collect::<Vec<_>>(), [3]);
+        let mut buf = [0u8; 1];
+        assert_eq!(dribbler_client.read(&mut buf).expect("eof"), 0, "closed");
+
+        // The ticks: a sixteenth of the timeout, at least 10 ms, and 60 s of
+        // pacing with no timeout.
+        assert_eq!(
+            sweep_tick(Duration::from_secs(3600)),
+            Duration::from_secs(225)
+        );
+        assert_eq!(
+            sweep_tick(Duration::from_millis(50)),
+            Duration::from_millis(10)
+        );
+        assert_eq!(sweep_tick(Duration::ZERO), Duration::from_secs(60));
     }
 }

@@ -79,8 +79,6 @@ pub struct StoreConfig {
     /// Maximum sessions held in memory; creates and revives beyond this
     /// get `ServerBusy`. Dormant journaled sessions do not count.
     pub capacity: usize,
-    /// Shard count (locks); a small power of two is plenty.
-    pub shards: usize,
     /// Sessions idle longer than this are evicted lazily.
     pub idle_timeout: Duration,
     /// Base seed for per-session seed derivation.
@@ -98,7 +96,6 @@ impl Default for StoreConfig {
     fn default() -> Self {
         Self {
             capacity: 64,
-            shards: 8,
             idle_timeout: Duration::from_secs(300),
             base_seed: 0,
             data_dir: None,
@@ -307,6 +304,9 @@ pub(crate) enum Lookup<R> {
 
 type Slots = HashMap<u64, Slot>;
 
+/// Store shards (locks); a small power of two is plenty.
+const SHARDS: usize = 8;
+
 /// One lock's worth of sessions.
 struct Shard {
     slots: Mutex<Slots>,
@@ -366,7 +366,7 @@ fn build_session(id: u64, spec: &CreateSessionSpec, seed: u64) -> Result<Box<Liv
 impl SessionStore {
     /// Creates an empty store.
     pub fn new(cfg: StoreConfig) -> Self {
-        let shards = (0..cfg.shards.max(1))
+        let shards = (0..SHARDS)
             .map(|_| Shard {
                 slots: Mutex::new(HashMap::new()),
                 settled: Condvar::new(),
@@ -441,7 +441,7 @@ impl SessionStore {
         spec.session_config(0)
             .validate()
             .map_err(|e| StoreError::Invalid(e.to_string()))?;
-        self.evict_idle();
+        self.evict_idle(Instant::now());
         if !self.reserve() {
             return Err(StoreError::Busy);
         }
@@ -565,7 +565,7 @@ impl SessionStore {
     /// session has this id, [`StoreError::Durability`] when the session
     /// could not be rebuilt from its directory.
     pub fn revive(&self, id: u64) -> Result<(), StoreError> {
-        self.evict_idle();
+        self.evict_idle(Instant::now());
         let dir = {
             let mut slots = self.settled(id);
             let dir = match slots.get(&id) {
@@ -694,10 +694,10 @@ impl SessionStore {
         report
     }
 
-    /// Evicts every session idle longer than the configured timeout.
-    /// Called lazily on each create and revive (no background reaper
-    /// thread needed: a full store is the only state where eviction
-    /// matters).
+    /// Evicts every session idle longer than the configured timeout as of
+    /// `now`. Called lazily on each create and revive with the current
+    /// instant (no background reaper thread needed: a full store is the
+    /// only state where eviction matters).
     ///
     /// Journaled sessions are flushed (snapshot + WAL sync) and then left
     /// dormant, so their next request revives them. The flush runs after
@@ -706,8 +706,7 @@ impl SessionStore {
     /// eviction's fsync. The evicted copy is dropped, closing its WAL,
     /// before the slot turns dormant: a request that arrives meanwhile
     /// waits, and no revive opens the WAL while this copy holds it.
-    pub fn evict_idle(&self) -> usize {
-        let now = Instant::now();
+    pub fn evict_idle(&self, now: Instant) -> usize {
         let mut evicted = 0usize;
         for shard in &self.shards {
             let mut stale: Vec<Box<LiveSession>> = Vec::new();
@@ -814,7 +813,6 @@ mod tests {
     fn quick_store(capacity: usize, idle: Duration) -> SessionStore {
         SessionStore::new(StoreConfig {
             capacity,
-            shards: 4,
             idle_timeout: idle,
             base_seed: 11,
             ..StoreConfig::default()
@@ -894,7 +892,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = StoreConfig {
             capacity: 4,
-            shards: 2,
             data_dir: Some(dir.clone()),
             ..StoreConfig::default()
         };
@@ -958,17 +955,41 @@ mod tests {
         store.create(&quick_spec()).expect("slot was released");
     }
 
+    /// A session is evicted once `now` is past its idle timeout, and not
+    /// before, and a create at capacity evicts an idle session itself. The
+    /// instants are made up, so the test does not wait.
     #[test]
     fn idle_sessions_are_evicted() {
-        let store = quick_store(4, Duration::from_millis(20));
+        let idle = Duration::from_secs(60);
+        let store = quick_store(4, idle);
         let (id, _) = store.create(&quick_spec()).expect("creates");
-        std::thread::sleep(Duration::from_millis(60));
-        assert_eq!(store.evict_idle(), 1);
+        let touched = Instant::now();
+        assert_eq!(store.evict_idle(touched), 0);
+        assert_eq!(
+            store.evict_idle(touched + idle + Duration::from_millis(1)),
+            1
+        );
         assert!(matches!(
             store.with_session(id, |_| ()),
             Err(StoreError::Unknown(_))
         ));
         assert_eq!(store.snapshot().counters.evicted_total, 1);
+
+        // The create evicts at the current instant, so the session's last
+        // touch is moved back past the timeout.
+        let full = quick_store(1, idle);
+        let (first, _) = full.create(&quick_spec()).expect("creates");
+        full.with_session(first, |live| {
+            live.last_touch = live
+                .last_touch
+                .checked_sub(idle + Duration::from_millis(1))
+                .expect("the monotonic clock is past the idle timeout");
+        })
+        .expect("live");
+        let (second, _) = full.create(&quick_spec()).expect("evicts, not busy");
+        assert_ne!(first, second);
+        assert_eq!(full.snapshot().counters.evicted_total, 1);
+        assert_eq!(full.snapshot().counters.busy_rejections, 0);
     }
 
     /// A journaled session evicted with rounds on it is left dormant in
@@ -978,10 +999,10 @@ mod tests {
     fn evicted_journaled_session_recovers() {
         let dir = std::env::temp_dir().join(format!("et-serve-evict-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        let idle = Duration::from_secs(60);
         let cfg = StoreConfig {
             capacity: 4,
-            shards: 4,
-            idle_timeout: Duration::from_millis(20),
+            idle_timeout: idle,
             base_seed: 11,
             data_dir: Some(dir.clone()),
             ..StoreConfig::default()
@@ -1005,8 +1026,10 @@ mod tests {
             })
             .expect("live");
         assert_eq!(done, 1);
-        std::thread::sleep(Duration::from_millis(60));
-        assert_eq!(store.evict_idle(), 1);
+        assert_eq!(
+            store.evict_idle(Instant::now() + idle + Duration::from_millis(1)),
+            1
+        );
         assert_eq!(store.snapshot().live_sessions, 0);
         assert!(matches!(store.lookup(id, |_| ()), Lookup::Dormant));
         store.revive(id).expect("revives in the same store");

@@ -28,7 +28,6 @@ fn server_cfg(addr: &str) -> ServerConfig {
         workers: 2,
         store: StoreConfig {
             capacity: 4,
-            shards: 2,
             idle_timeout: Duration::from_secs(300),
             base_seed: 7,
             ..StoreConfig::default()

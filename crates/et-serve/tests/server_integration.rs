@@ -1,6 +1,7 @@
 //! End-to-end tests over a real TCP server on an ephemeral port:
 //! concurrent wire-driven sessions reproduce batch `run_session` exactly,
-//! the typed error paths fire, and capacity/eviction behave as documented.
+//! the typed error paths fire, and capacity behaves as documented (idle
+//! eviction is tested in `server.rs`, with made-up instants).
 
 // Test helpers run outside `#[test]` fns, where the workspace
 // allow-expect-in-tests carve-out does not reach.
@@ -10,22 +11,18 @@
     reason = "wire replies must equal the batch run bit for bit"
 )]
 
-use std::time::Duration;
-
 use et_core::StrategyKind;
 use et_serve::{
     derive_seed, run_batch, spawn, Client, ClientError, CreateSessionSpec, ErrorCode, Json,
     ServerConfig, StoreConfig,
 };
 
-fn test_server(capacity: usize, idle_timeout: Duration) -> (et_serve::ServerHandle, String) {
+fn test_server(capacity: usize) -> (et_serve::ServerHandle, String) {
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 4,
         store: StoreConfig {
             capacity,
-            shards: 4,
-            idle_timeout,
             base_seed: 7,
             ..StoreConfig::default()
         },
@@ -47,7 +44,7 @@ fn shut_down(handle: et_serve::ServerHandle, addr: &str) {
 /// batch run *exactly*, iteration by iteration.
 #[test]
 fn concurrent_wire_sessions_match_batch_exactly() {
-    let (handle, addr) = test_server(8, Duration::from_secs(300));
+    let (handle, addr) = test_server(8);
 
     let specs = StrategyKind::PAPER_METHODS
         .into_iter()
@@ -106,7 +103,7 @@ fn concurrent_wire_sessions_match_batch_exactly() {
 /// reproduces the wire MAE curve bit for bit.
 #[test]
 fn seedless_create_echoes_a_reproducible_seed() {
-    let (handle, addr) = test_server(2, Duration::from_secs(300));
+    let (handle, addr) = test_server(2);
     let mut client = Client::connect(&addr).expect("connect");
     let spec = CreateSessionSpec {
         rows: 80,
@@ -131,7 +128,7 @@ fn seedless_create_echoes_a_reproducible_seed() {
 /// bad label cardinality, and create-after-close.
 #[test]
 fn typed_error_replies() {
-    let (handle, addr) = test_server(1, Duration::from_secs(300));
+    let (handle, addr) = test_server(1);
     let mut client = Client::connect(&addr).expect("connect");
 
     let spec = CreateSessionSpec {
@@ -203,51 +200,13 @@ fn typed_error_replies() {
     shut_down(handle, &addr);
 }
 
-/// Sessions idle past the timeout are evicted, counted, and the capacity
-/// they held is reusable.
-#[test]
-fn idle_sessions_are_evicted_over_the_wire() {
-    let (handle, addr) = test_server(1, Duration::from_millis(50));
-    let mut client = Client::connect(&addr).expect("connect");
-    let spec = CreateSessionSpec {
-        rows: 60,
-        iterations: 2,
-        seed: Some(9),
-        ..CreateSessionSpec::default()
-    };
-    let (first, _) = client.create_session(&spec).expect("create");
-    std::thread::sleep(Duration::from_millis(120));
-
-    // The next create evicts the idle session instead of reporting busy.
-    let (second, _) = client.create_session(&spec).expect("create after idle");
-    assert_ne!(first, second);
-    match client.next_pairs(first) {
-        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::UnknownSession),
-        other => panic!("expected unknown_session for evicted id, got {other:?}"),
-    }
-
-    let status = client.status(None).expect("server status");
-    assert_eq!(
-        status.get("evicted_total").and_then(Json::as_u64),
-        Some(1),
-        "{status:?}"
-    );
-    assert_eq!(
-        status.get("live_sessions").and_then(Json::as_u64),
-        Some(1),
-        "{status:?}"
-    );
-
-    shut_down(handle, &addr);
-}
-
 /// Session status reports progress mid-flight, and malformed wire bytes
 /// get parse_error without killing the connection.
 #[test]
 fn status_and_parse_errors() {
     use std::io::{BufRead, BufReader, Write};
 
-    let (handle, addr) = test_server(4, Duration::from_secs(300));
+    let (handle, addr) = test_server(4);
     let mut client = Client::connect(&addr).expect("connect");
     let spec = CreateSessionSpec {
         rows: 60,

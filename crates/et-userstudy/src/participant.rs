@@ -234,14 +234,6 @@ impl Participant {
     pub fn current_best(&self, table: &Table) -> Fd {
         self.space.fd(self.ranked_hypotheses(table)[0])
     }
-
-    /// Internal FP confidences, when the participant is FP (diagnostics).
-    pub fn debug_confidences(&self) -> Option<Vec<f64>> {
-        match &self.state {
-            State::Fp { belief, .. } => Some(belief.confidences()),
-            State::Ht(_) => None,
-        }
-    }
 }
 
 /// Builds the §A.2 user prior (declared FD ε, related 0.8, others 0.15).

@@ -52,13 +52,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
-echo "==> et-serve bins + server integration + event-loop transport tests (debug and release)"
+echo "==> et-serve bins + store/server unit tests + server integration + event-loop transport tests (debug and release)"
 # serve, bench_serve and roundbench all ship release builds, and release is
 # where a test that races the server's speed gets decided, so the server
-# suites run in both profiles.
+# suites, the store and server unit tests among them, run in both profiles.
 cargo build -q --release -p et-serve --bins
 cargo test -q -p et-serve --test framing_props
 for profile in "" --release; do
+  cargo test -q $profile -p et-serve --lib
   cargo test -q $profile -p et-serve --test server_integration
   cargo test -q $profile -p et-serve --test event_loop
 done
