@@ -1,6 +1,5 @@
 //! Per-strategy selection cost over growing candidate pools.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -24,7 +23,6 @@ fn bench_selection(c: &mut Criterion) {
         &f.space,
         &f.table,
     );
-    let shown = HashSet::new();
     let mut group = c.benchmark_group("select_5_pairs");
     for pool_cap in [200usize, 1000, 4000] {
         let pool = CandidatePool::build_with(&f.table, &f.space, &cache, pool_cap, 3);
@@ -37,7 +35,7 @@ fn bench_selection(c: &mut Criterion) {
                 |b, _| {
                     b.iter_batched(
                         || {
-                            let fresh = FreshCandidates::new(Arc::clone(&matrix), &shown);
+                            let fresh = FreshCandidates::new(Arc::clone(&matrix), &[]);
                             (StdRng::seed_from_u64(9), fresh)
                         },
                         |(mut rng, fresh)| {

@@ -1803,6 +1803,10 @@ fn restart_benches(quick: bool) -> Vec<BenchStats> {
 struct SessionCounts {
     /// Heap bytes kept at create, after 10 rounds and after 300.
     heap_create: usize,
+    /// Heap bytes of the session's `Table` alone, read as the bytes a
+    /// clone of it allocates: a clone sizes every buffer to its length,
+    /// and the create leaves the table's buffers at their lengths.
+    heap_table: usize,
     heap_round10: usize,
     heap_round300: usize,
     /// Mean allocation calls per round of `present`, `label_pending` and
@@ -1849,6 +1853,13 @@ fn session_counts() -> SessionCounts {
         (state, parts.trainer, parts.learner)
     };
     let heap_create = live_bytes() - base;
+    let heap_table = {
+        let before = live_bytes();
+        let table = state.table().clone();
+        let bytes = live_bytes() - before;
+        drop(table);
+        bytes
+    };
     let mut heap_round10 = 0;
     let mut phase_allocs = [0usize; 3];
     for round in 0..300 {
@@ -1879,6 +1890,7 @@ fn session_counts() -> SessionCounts {
     drop((state, trainer, learner));
     SessionCounts {
         heap_create,
+        heap_table,
         heap_round10,
         heap_round300,
         round_allocs: phase_allocs.map(|n| n as f64 / STEADY_ROUNDS.len() as f64),
@@ -2012,6 +2024,7 @@ fn main() {
     let [present, label_pending, apply_labels] = counts.round_allocs;
     let mut derived: Vec<(&str, f64)> = vec![
         ("session_heap_kb_create", kb(counts.heap_create)),
+        ("session_heap_kb_table", kb(counts.heap_table)),
         ("session_heap_kb_round10", kb(counts.heap_round10)),
         ("session_heap_kb_round300", kb(counts.heap_round300)),
         (

@@ -26,7 +26,6 @@
 )]
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use et_data::Table;
@@ -334,11 +333,11 @@ fn set_bit(mask: &mut [u64], pos: u32) {
 /// The candidates a driver still offers: the pool ids not yet shown, in
 /// pool order, and the delta scorer over the pool's relation matrix.
 ///
-/// The learner's shown set ([`crate::Learner::shown`]) stays the
-/// persisted form; a driver builds this list from it whenever it
+/// The learner's shown pairs ([`crate::Learner::shown`]) stay the
+/// persisted form; a driver builds this list from them whenever it
 /// constructs or recovers a session, or swaps the pool. Each pick is
 /// retired with an order-preserving compaction, so the list always equals
-/// the pool filtered by the shown set, in pool order.
+/// the pool filtered by the shown pairs, in pool order.
 #[derive(Debug)]
 pub struct FreshCandidates {
     ids: Vec<u32>,
@@ -349,18 +348,25 @@ impl FreshCandidates {
     /// The pair ids of `matrix` whose pairs are not in `shown`, scored
     /// through a cold [`DeltaScorer`] over `matrix`. A pool's matrix
     /// ([`CandidatePool::relation_matrix`]) holds the pool's pairs in pool
-    /// order, so its ids are pool ids.
+    /// order, so its ids are pool ids. Membership is tested by binary
+    /// search in a sorted copy of `shown`, made once per call.
     ///
     /// # Panics
     /// Panics when the matrix outgrows `u32` ids.
-    pub fn new(matrix: Arc<RelationMatrix>, shown: &HashSet<PairExample>) -> Self {
+    pub fn new(matrix: Arc<RelationMatrix>, shown: &[(u32, u32)]) -> Self {
         assert!(
             u32::try_from(matrix.n_pairs()).is_ok(),
             "pool ids must fit u32"
         );
+        let mut sorted = shown.to_vec();
+        sorted.sort_unstable();
+        let is_shown = |a: usize, b: usize| match (u32::try_from(a), u32::try_from(b)) {
+            (Ok(a), Ok(b)) => sorted.binary_search(&(a, b)).is_ok(),
+            _ => false,
+        };
         let ids = (0u32..)
             .zip(matrix.pairs())
-            .filter(|&(_, &(a, b))| !shown.contains(&PairExample { a, b }))
+            .filter(|&(_, &(a, b))| !is_shown(a, b))
             .map(|(id, _)| id)
             .collect();
         Self {
@@ -458,9 +464,7 @@ mod tests {
         let sp = space();
         let pool = CandidatePool::build(&t, &sp, 100, 1);
         let m = Arc::new(pool.relation_matrix(&t, &sp, &PartitionCache::new(&t)));
-        let mut shown = HashSet::new();
-        shown.insert(PairExample::new(1, 2));
-        let mut fresh = FreshCandidates::new(m, &shown);
+        let mut fresh = FreshCandidates::new(m, &[(1, 2)]);
         // Pool order is (0,1), (1,2), (2,3): ids 0 and 2 stay fresh.
         assert_eq!(fresh.ids(), &[0, 2]);
         assert_eq!(fresh.retire(vec![2]), vec![PairExample::new(2, 3)]);
@@ -479,7 +483,7 @@ mod tests {
         }
         let pool = CandidatePool::from_pairs(pairs.clone());
         let m = Arc::new(pool.relation_matrix(&t, &sp, &PartitionCache::new(&t)));
-        let mut fresh = FreshCandidates::new(m, &HashSet::new());
+        let mut fresh = FreshCandidates::new(m, &[]);
         // Table 1's five rows make ten pairs, ids 0..10 in pool order.
         let picked = fresh.retire(vec![9, 4, 0, 5]);
         assert_eq!(picked, vec![pairs[9], pairs[4], pairs[0], pairs[5]]);

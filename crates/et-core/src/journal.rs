@@ -309,6 +309,37 @@ pub(crate) fn load_belief(dec: &mut Dec<'_>, belief: &mut Belief) -> Result<(), 
     Ok(())
 }
 
+/// Appends table rows, each as a `usize` (the width snapshots write rows
+/// in).
+pub(crate) fn save_rows(enc: &mut Enc, rows: &[u32]) {
+    enc.put_usize(rows.len());
+    for &r in rows {
+        enc.put_usize(r as usize);
+    }
+}
+
+/// Reads rows written by [`save_rows`] for a table of `nrows` rows.
+pub(crate) fn load_rows(dec: &mut Dec<'_>, nrows: usize) -> Result<Vec<u32>, DurableError> {
+    let n = dec.take_usize()?;
+    let mut out = Vec::with_capacity(n.min(dec.remaining()));
+    for _ in 0..n {
+        out.push(take_row(dec, nrows)?);
+    }
+    Ok(out)
+}
+
+/// Reads one row of a table of `nrows` rows, written as a `usize`,
+/// refusing one outside the table (or past `u32`).
+pub(crate) fn take_row(dec: &mut Dec<'_>, nrows: usize) -> Result<u32, DurableError> {
+    let r = dec.take_usize()?;
+    if r >= nrows {
+        return Err(DurableError::decode(format!(
+            "row {r} is out of range for {nrows} rows"
+        )));
+    }
+    u32::try_from(r).map_err(|_| DurableError::decode(format!("row {r} does not fit u32")))
+}
+
 fn save_f64s(enc: &mut Enc, v: &[f64]) {
     enc.put_usize(v.len());
     for &x in v {
@@ -511,10 +542,10 @@ pub(crate) fn restore_snapshot<T: TrainerPersist>(
         });
     }
 
+    let rows = state.table().nrows();
     let pending = if dec.take_bool()? {
         let pairs = load_pairs(&mut dec)?;
         let sample = load_usizes(&mut dec)?;
-        let rows = state.table().nrows();
         if let Some(&r) = sample.iter().find(|&&r| r >= rows) {
             return Err(DurableError::decode(format!(
                 "pending sample row {r} is out of range for {rows} rows"
@@ -541,8 +572,8 @@ pub(crate) fn restore_snapshot<T: TrainerPersist>(
     };
     let trainer_observed = dec.take_bool()?;
 
-    learner.load_durable(&mut dec)?;
-    trainer.load_state(&mut dec)?;
+    learner.load_durable(&mut dec, rows)?;
+    trainer.load_state(&mut dec, rows)?;
     dec.finish()?;
 
     state.t = t;

@@ -1658,7 +1658,7 @@ mod oracle {
             .pairs()
             .iter()
             .copied()
-            .filter(|p| !twin.shown().contains(p))
+            .filter(|p| !twin.shown().contains(&(p.a as u32, p.b as u32)))
             .collect();
         let s = twin.strategy();
         let belief = twin.belief().clone();

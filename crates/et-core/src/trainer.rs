@@ -32,7 +32,8 @@ use et_fd::{pair_relation, tuple_dirty_prob, PairRelation, PartitionCache, Viola
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::journal::{load_belief, save_belief};
+use crate::journal::{load_belief, load_rows, save_belief, save_rows};
+use crate::learner::row_u32;
 
 /// A trainer: observes a presented sample, (possibly) learns, and labels
 /// each tuple of the sample (`true` = dirty).
@@ -65,12 +66,14 @@ pub trait TrainerPersist: Trainer {
     /// Appends the trainer's mutable state to a snapshot payload.
     fn save_state(&self, enc: &mut Enc);
 
-    /// Restores state saved by [`TrainerPersist::save_state`].
+    /// Restores state saved by [`TrainerPersist::save_state`] for a
+    /// session whose table has `nrows` rows.
     ///
     /// # Errors
     /// [`DurableError::Decode`] on truncated or inconsistent bytes (e.g. a
-    /// snapshot taken over a different hypothesis space).
-    fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), DurableError>;
+    /// snapshot taken over a different hypothesis space, or a saved row
+    /// outside the table).
+    fn load_state(&mut self, dec: &mut Dec<'_>, nrows: usize) -> Result<(), DurableError>;
 }
 
 /// Labels every tuple of a presented sample by thresholding the belief-
@@ -116,7 +119,7 @@ pub struct FpTrainer {
     /// keeps all evidence forever.
     discount: Option<f64>,
     /// Every tuple observed so far, in first-seen order.
-    memory: Vec<usize>,
+    memory: Vec<u32>,
     /// Row bitmap over the table: `in_memory[r]` iff `r` is in `memory`.
     /// Sized from the table on the first `respond`; a restore empties it
     /// and the next `respond` rebuilds it from `memory`.
@@ -168,7 +171,7 @@ impl Trainer for FpTrainer {
         if self.in_memory.len() != table.nrows() {
             self.in_memory = vec![false; table.nrows()];
             for &r in &self.memory {
-                self.in_memory[r] = true;
+                self.in_memory[r as usize] = true;
             }
         }
         // (0) Discounted FP: old evidence decays before new arrives.
@@ -196,7 +199,7 @@ impl Trainer for FpTrainer {
         }
         update_from_pair_relations(&mut self.belief, table, &evidence, self.observation_weight);
         for r in new {
-            self.memory.push(r);
+            self.memory.push(row_u32(r));
             self.in_memory[r] = true;
         }
         // (2) Labels under θ_t, judged within the presented sample.
@@ -215,19 +218,12 @@ impl Trainer for FpTrainer {
 impl TrainerPersist for FpTrainer {
     fn save_state(&self, enc: &mut Enc) {
         save_belief(enc, &self.belief);
-        enc.put_usize(self.memory.len());
-        for &r in &self.memory {
-            enc.put_usize(r);
-        }
+        save_rows(enc, &self.memory);
     }
 
-    fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), DurableError> {
+    fn load_state(&mut self, dec: &mut Dec<'_>, nrows: usize) -> Result<(), DurableError> {
         load_belief(dec, &mut self.belief)?;
-        let n = dec.take_usize()?;
-        self.memory = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.memory.push(dec.take_usize()?);
-        }
+        self.memory = load_rows(dec, nrows)?;
         // `in_memory` is the membership view of `memory`; the next
         // `respond` rebuilds it at the table's size.
         self.in_memory.clear();
@@ -345,7 +341,7 @@ impl TrainerPersist for StationaryTrainer {
         // construction and recovery rebuilds it from the spec.
     }
 
-    fn load_state(&mut self, _dec: &mut Dec<'_>) -> Result<(), DurableError> {
+    fn load_state(&mut self, _dec: &mut Dec<'_>, _nrows: usize) -> Result<(), DurableError> {
         Ok(())
     }
 }
@@ -461,6 +457,25 @@ mod tests {
         assert!(labels[0] && labels[1], "violating pair dirty");
         assert!(!labels[2] && !labels[3], "satisfying tuples clean");
         assert!(!labels[4], "irrelevant tuple clean");
+    }
+
+    /// A saved memory row outside the table is refused on load.
+    #[test]
+    fn fp_trainer_refuses_a_saved_row_outside_the_table() {
+        let t = paper_table1();
+        let mut tr = FpTrainer::new(confident_belief(), EvidenceConfig::default());
+        let _ = respond(&mut tr, &t, &[0, 4]);
+        let mut enc = Enc::new();
+        tr.save_state(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut fresh = FpTrainer::new(confident_belief(), EvidenceConfig::default());
+        assert!(fresh.load_state(&mut Dec::new(&bytes), 5).is_ok());
+        match fresh.load_state(&mut Dec::new(&bytes), 4) {
+            Err(DurableError::Decode { reason }) => {
+                assert_eq!(reason, "row 4 is out of range for 4 rows");
+            }
+            other => panic!("expected an out-of-range row, got {other:?}"),
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::schema::AttrId;
-use crate::table::{GroupedRows, Table};
+use crate::table::{GroupedRows, Interner, Table};
 use crate::FdSpec;
 
 /// Configuration for [`inject_errors`].
@@ -200,10 +200,17 @@ impl PairIndex {
     /// change over `row`'s neighbourhood. `table` must be the table the
     /// index was built over, edited since only through this method.
     pub fn set_text(&mut self, table: &mut Table, row: usize, attr: AttrId, text: &str) {
+        let sym = table.intern_by_scan(attr, text);
+        self.set_sym(table, row, attr, sym);
+    }
+
+    /// [`PairIndex::set_text`] with the new cell given as a symbol of
+    /// `attr`'s dictionary.
+    fn set_sym(&mut self, table: &mut Table, row: usize, attr: AttrId, sym: u32) {
         self.start_walk(row);
         self.extend_walk(row, 0);
         let (at_risk_before, violating_before) = self.tally(table, row);
-        table.set_text(row, attr, text);
+        table.set_sym(row, attr, sym);
         for (lhs, grouping) in self.lhs.iter().zip(&mut self.groupings) {
             if lhs.contains(&attr) {
                 *grouping = table.group_by(lhs);
@@ -329,6 +336,9 @@ pub fn inject_errors(
     let mut noise_counter = 0usize;
 
     let mut index = PairIndex::new(table, &all_fds);
+    // Text -> symbol maps of the columns the loop writes noise into, built
+    // on a column's first noise edit and dropped on return.
+    let mut interner = Interner::default();
     let mut achieved = index.counts().degree();
     while achieved < cfg.degree && edits < cfg.max_edits {
         // Batch a few edits when far from the target, single-step when
@@ -394,16 +404,16 @@ pub fn inject_errors(
                 clean_members[rng.gen_range(0..clean_members.len())] as usize
             };
             let old = table.sym(row, rhs);
-            let new_text = if rng.gen::<f64>() < cfg.fresh_value_prob {
-                noise_counter += 1;
-                format!("~noise_{noise_counter}")
+            let existing = if rng.gen::<f64>() < cfg.fresh_value_prob {
+                None
             } else {
-                existing_other_value(table, rhs, old, &mut rng).unwrap_or_else(|| {
-                    noise_counter += 1;
-                    format!("~noise_{noise_counter}")
-                })
+                existing_other_value(table, rhs, old, &mut rng)
             };
-            index.set_text(table, row, rhs, &new_text);
+            let sym = existing.unwrap_or_else(|| {
+                noise_counter += 1;
+                interner.intern(table, rhs, &format!("~noise_{noise_counter}"))
+            });
+            index.set_sym(table, row, rhs, sym);
             dirty_rows[row] = true;
             dirty_cells.push((row, rhs));
             edits += 1;
@@ -415,6 +425,7 @@ pub fn inject_errors(
         achieved = index.counts().degree();
     }
 
+    interner.finish(table);
     dirty_cells.sort_unstable();
     dirty_cells.dedup();
     Injection {
@@ -425,13 +436,13 @@ pub fn inject_errors(
     }
 }
 
-/// Picks the text of an existing symbol of column `attr` different from
-/// `old`, if the column has one.
+/// Picks a symbol of column `attr` other than `old` that some cell still
+/// holds, if the draw lands on one.
 #[expect(
     clippy::cast_possible_truncation,
-    reason = "symbols are interned as u32 by Column::intern, so dict_len fits u32"
+    reason = "symbols are interned as u32 by Column::push_entry, so dict_len fits u32"
 )]
-fn existing_other_value(table: &Table, attr: AttrId, old: u32, rng: &mut StdRng) -> Option<String> {
+fn existing_other_value(table: &Table, attr: AttrId, old: u32, rng: &mut StdRng) -> Option<u32> {
     let card = table.dict_len(attr);
     if card < 2 {
         return None;
@@ -440,9 +451,7 @@ fn existing_other_value(table: &Table, attr: AttrId, old: u32, rng: &mut StdRng)
     if alt_sym == old {
         alt_sym = (alt_sym + 1) % card as u32;
     }
-    (0..table.nrows())
-        .find(|&r| table.sym(r, attr) == alt_sym)
-        .map(|r| table.text(r, attr).to_owned())
+    table.syms(attr).contains(&alt_sym).then_some(alt_sym)
 }
 
 #[cfg(test)]

@@ -4,13 +4,22 @@
 //! interned per column and compared as `u32` symbols. This keeps the
 //! pair-heavy computations (g1, violation indexing, error injection) cheap
 //! and allocation-free on the hot path, per the workspace performance notes.
+//!
+//! A column keeps its dictionary as one text buffer: every distinct text
+//! back to back in symbol order, plus one `u32` end offset per symbol, so
+//! symbol `s` reads `text[ends[s - 1]..ends[s]]`. A finished table holds
+//! no text → symbol map. Only code that builds or edits many cells needs
+//! one, and it keeps its own (an `Interner`): [`TableBuilder`] while rows
+//! arrive, and [`crate::inject_errors`] for the columns it scrambles,
+//! dropped when it returns. [`Table::set_text`] finds a text by scanning
+//! the column's dictionary.
 
 #![expect(
     clippy::indexing_slicing,
-    reason = "column ids are validated against the schema width when a Table/TableBuilder is created; sym/text document their # Panics contract"
+    reason = "column ids are validated against the schema width when a Table/TableBuilder is created; sym/text document their # Panics contract; a symbol is < ends.len() (checked by from_columns, handed out by push_entry), and its offsets are char boundaries of text because each entry was pushed whole"
 )]
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::schema::{AttrId, Schema};
@@ -18,27 +27,91 @@ use crate::schema::{AttrId, Schema};
 /// One dictionary-encoded column.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Column {
-    /// Symbol id -> original text.
-    dict: Vec<String>,
-    /// Original text -> symbol id.
-    lookup: HashMap<String, u32>,
+    /// Every dictionary text, back to back in symbol order.
+    text: String,
+    /// `ends[s]` is where symbol `s`'s text ends in `text`; it starts
+    /// where symbol `s - 1`'s ends, symbol 0's at 0.
+    ends: Vec<u32>,
     /// One symbol per row.
     data: Vec<u32>,
 }
 
 impl Column {
-    fn intern(&mut self, text: &str) -> u32 {
-        if let Some(&s) = self.lookup.get(text) {
+    /// Symbol `s`'s text.
+    fn entry(&self, s: usize) -> &str {
+        let start = s.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize);
+        &self.text[start..self.ends[s] as usize]
+    }
+
+    /// Every dictionary text, in symbol order.
+    fn entries(&self) -> impl Iterator<Item = &str> {
+        (0..self.ends.len()).map(|s| self.entry(s))
+    }
+
+    /// Appends `text` to the dictionary and returns its new symbol.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "interned symbol ids and group ids are u32 by design, and so are the offsets into one column's dictionary text; a dict or its text outgrowing u32 would exhaust memory long before the cast truncates"
+    )]
+    fn push_entry(&mut self, text: &str) -> u32 {
+        let s = self.ends.len() as u32;
+        self.text.push_str(text);
+        self.ends.push(self.text.len() as u32);
+        s
+    }
+
+    /// `text`'s symbol, found by scanning the dictionary, or a new one.
+    fn find_or_push(&mut self, text: &str) -> u32 {
+        let found = (0u32..).zip(self.entries()).find(|&(_, t)| t == text);
+        match found {
+            Some((s, _)) => s,
+            None => self.push_entry(text),
+        }
+    }
+}
+
+/// Text → symbol maps for the columns of one table being built or
+/// edited, so that interning a cell is a lookup and not a scan of the
+/// column's dictionary. A column's map is built from its dictionary the
+/// first time that column is interned into; [`Interner::finish`] drops
+/// them all and trims the dictionaries they grew.
+#[derive(Debug, Default)]
+pub(crate) struct Interner {
+    maps: Vec<Option<HashMap<Box<str>, u32>>>,
+}
+
+impl Interner {
+    /// `text`'s symbol in column `attr` of `table`, appended to the
+    /// column's dictionary when the column does not hold it yet.
+    pub(crate) fn intern(&mut self, table: &mut Table, attr: AttrId, text: &str) -> u32 {
+        let attr = attr as usize;
+        let col = &mut table.cols[attr];
+        if self.maps.len() <= attr {
+            self.maps.resize_with(attr + 1, || None);
+        }
+        let map = self.maps[attr].get_or_insert_with(|| {
+            (0u32..)
+                .zip(col.entries())
+                .map(|(s, t)| (t.into(), s))
+                .collect()
+        });
+        if let Some(&s) = map.get(text) {
             return s;
         }
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "interned symbol ids and group ids are u32 by design; a dict or a group list outgrowing u32 would exhaust memory long before the cast truncates"
-        )]
-        let s = self.dict.len() as u32;
-        self.dict.push(text.to_owned());
-        self.lookup.insert(text.to_owned(), s);
+        let s = col.push_entry(text);
+        map.insert(text.into(), s);
         s
+    }
+
+    /// Drops the maps, trimming the spare capacity of every dictionary
+    /// that was interned into.
+    pub(crate) fn finish(self, table: &mut Table) {
+        for (col, map) in table.cols.iter_mut().zip(&self.maps) {
+            if map.is_some() {
+                col.text.shrink_to_fit();
+                col.ends.shrink_to_fit();
+            }
+        }
     }
 }
 
@@ -64,6 +137,7 @@ impl Table {
                 cols: vec![Column::default(); ncols],
                 nrows: 0,
             },
+            interner: Interner::default(),
         }
     }
 
@@ -87,16 +161,21 @@ impl Table {
             .into_iter()
             .map(|(dict, data)| {
                 assert_eq!(data.len(), nrows, "columns differ in length");
-                let lookup: HashMap<String, u32> = (0u32..)
-                    .zip(&dict)
-                    .map(|(s, text)| (text.clone(), s))
-                    .collect();
-                assert_eq!(lookup.len(), dict.len(), "dictionary repeats a text");
+                let distinct: HashSet<&str> = dict.iter().map(String::as_str).collect();
+                assert_eq!(distinct.len(), dict.len(), "dictionary repeats a text");
                 assert!(
                     data.iter().all(|&s| (s as usize) < dict.len()),
                     "symbol outside its dictionary"
                 );
-                Column { dict, lookup, data }
+                let mut col = Column {
+                    text: String::with_capacity(dict.iter().map(String::len).sum()),
+                    ends: Vec::with_capacity(dict.len()),
+                    data,
+                };
+                for text in &dict {
+                    col.push_entry(text);
+                }
+                col
             })
             .collect();
         Table {
@@ -138,14 +217,35 @@ impl Table {
     /// The original text at (`row`, `attr`).
     pub fn text(&self, row: usize, attr: AttrId) -> &str {
         let col = &self.cols[attr as usize];
-        &col.dict[col.data[row] as usize]
+        col.entry(col.data[row] as usize)
     }
 
     /// Overwrites a cell with new text, interning as needed.
+    ///
+    /// The table keeps no text → symbol map, so this scans the column's
+    /// dictionary. The injector, which edits many cells of tables whose
+    /// dictionaries can hold tens of thousands of texts, interns through
+    /// its own map and writes symbols instead (see
+    /// [`crate::inject_errors`]).
     pub fn set_text(&mut self, row: usize, attr: AttrId, text: &str) {
+        let s = self.intern_by_scan(attr, text);
+        self.set_sym(row, attr, s);
+    }
+
+    /// `text`'s symbol in column `attr`, found by scanning its
+    /// dictionary, or appended to it when new.
+    pub(crate) fn intern_by_scan(&mut self, attr: AttrId, text: &str) -> u32 {
+        self.cols[attr as usize].find_or_push(text)
+    }
+
+    /// Overwrites cell (`row`, `attr`) with symbol `sym` of its column.
+    pub(crate) fn set_sym(&mut self, row: usize, attr: AttrId, sym: u32) {
         let col = &mut self.cols[attr as usize];
-        let s = col.intern(text);
-        col.data[row] = s;
+        debug_assert!(
+            (sym as usize) < col.ends.len(),
+            "symbol outside its dictionary"
+        );
+        col.data[row] = sym;
     }
 
     /// Number of distinct values currently interned in `attr`'s dictionary.
@@ -153,13 +253,13 @@ impl Table {
     /// This is an upper bound on the number of distinct values *in use*
     /// (cells may have been overwritten away from a symbol).
     pub fn dict_len(&self, attr: AttrId) -> usize {
-        self.cols[attr as usize].dict.len()
+        self.cols[attr as usize].ends.len()
     }
 
     /// Number of distinct values actually present in column `attr`.
     pub fn cardinality(&self, attr: AttrId) -> usize {
         let col = &self.cols[attr as usize];
-        let mut seen = vec![false; col.dict.len()];
+        let mut seen = vec![false; col.ends.len()];
         let mut n = 0;
         for &s in &col.data {
             if !seen[s as usize] {
@@ -347,6 +447,7 @@ impl GroupedRows {
 /// Incremental row-wise construction of a [`Table`].
 pub struct TableBuilder {
     table: Table,
+    interner: Interner,
 }
 
 impl TableBuilder {
@@ -362,15 +463,22 @@ impl TableBuilder {
             cells.len(),
             self.table.ncols()
         );
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "attribute positions fit AttrId (u16): schemas stay far narrower, and the FD stack's u64 AttrSet caps them at 64"
+        )]
         for (c, cell) in cells.iter().enumerate() {
-            let sym = self.table.cols[c].intern(cell.as_ref());
+            let sym = self
+                .interner
+                .intern(&mut self.table, c as AttrId, cell.as_ref());
             self.table.cols[c].data.push(sym);
         }
         self.table.nrows += 1;
     }
 
-    /// Finalises the table.
-    pub fn finish(self) -> Table {
+    /// Finalises the table, dropping the builder's text → symbol maps.
+    pub fn finish(mut self) -> Table {
+        self.interner.finish(&mut self.table);
         self.table
     }
 }
@@ -535,6 +643,138 @@ mod tests {
                 prop_assert_eq!(&dense.groups, &oracle.groups);
             }
         }
+    }
+
+    /// A column as it was kept before the text buffer: owned dictionary
+    /// texts and a text → symbol map.
+    #[derive(Debug, Clone, PartialEq)]
+    struct ModelColumn {
+        dict: Vec<String>,
+        lookup: HashMap<String, u32>,
+        data: Vec<u32>,
+    }
+
+    impl ModelColumn {
+        fn new(dict: Vec<String>, data: Vec<u32>) -> Self {
+            let lookup = (0u32..).zip(&dict).map(|(s, t)| (t.clone(), s)).collect();
+            Self { dict, lookup, data }
+        }
+
+        fn intern(&mut self, text: &str) -> u32 {
+            if let Some(&s) = self.lookup.get(text) {
+                return s;
+            }
+            let s = self.dict.len() as u32;
+            self.dict.push(text.to_owned());
+            self.lookup.insert(text.to_owned(), s);
+            s
+        }
+    }
+
+    /// Every reader of `t` agrees with the model columns `m`, and `t`
+    /// equals its clone and the table `from_columns` builds from `m`.
+    fn check_against_model(t: &Table, m: &[ModelColumn]) -> Result<(), TestCaseError> {
+        prop_assert_eq!(t.ncols(), m.len());
+        for (c, col) in (0u16..).zip(m) {
+            prop_assert_eq!(t.nrows(), col.data.len());
+            prop_assert_eq!(t.dict_len(c), col.dict.len());
+            prop_assert_eq!(t.syms(c), col.data.as_slice());
+            let live: std::collections::HashSet<u32> = col.data.iter().copied().collect();
+            prop_assert_eq!(t.cardinality(c), live.len());
+            for (row, &s) in col.data.iter().enumerate() {
+                prop_assert_eq!(t.sym(row, c), s);
+                prop_assert_eq!(t.text(row, c), col.dict[s as usize].as_str());
+            }
+        }
+        for row in 0..t.nrows() {
+            let texts: Vec<String> = m
+                .iter()
+                .map(|col| col.dict[col.data[row] as usize].clone())
+                .collect();
+            prop_assert_eq!(t.joined_row(row, " | "), texts.join(" | "));
+            prop_assert_eq!(t.row_texts(row), texts);
+        }
+        prop_assert_eq!(&t.clone(), t);
+        let columns = m
+            .iter()
+            .map(|col| (col.dict.clone(), col.data.clone()))
+            .collect();
+        prop_assert_eq!(&Table::from_columns(t.schema().clone(), columns), t);
+        Ok(())
+    }
+
+    proptest! {
+        /// The text buffer reads as the old owned-dictionary-plus-map
+        /// column did: on tables built through the builder or through
+        /// `from_columns` (with unused and reordered dictionary texts),
+        /// then edited by `set_text` with texts the column holds, fresh
+        /// texts, and overwrites that leave a symbol dead. After every
+        /// step each reader matches the model, and two tables compare
+        /// equal exactly when their models do.
+        #[test]
+        fn table_matches_owned_dictionary_model(
+            rows in proptest::collection::vec(proptest::collection::vec(0u8..5, 3), 0..30),
+            via_columns in any::<bool>(),
+            rotate in 0usize..7,
+            reverse in any::<bool>(),
+            edits in proptest::collection::vec((0usize..30, 0u16..3, 0u8..9), 0..24),
+        ) {
+            let schema = Schema::new(["a", "b", "c"]);
+            // The dictionary of a `from_columns` table: all seven texts,
+            // so some are never used, in a rotated and maybe reversed order.
+            let mut order: Vec<u8> = (0u8..7).collect();
+            order.rotate_left(rotate);
+            if reverse {
+                order.reverse();
+            }
+            let (mut t, mut m) = if via_columns {
+                let dict: Vec<String> = order.iter().map(|v| format!("v{v}")).collect();
+                let model: Vec<ModelColumn> = (0..3)
+                    .map(|c| {
+                        let data = rows
+                            .iter()
+                            .map(|row| order.iter().position(|&v| v == row[c]).unwrap() as u32)
+                            .collect();
+                        ModelColumn::new(dict.clone(), data)
+                    })
+                    .collect();
+                let columns = model.iter().map(|col| (col.dict.clone(), col.data.clone())).collect();
+                (Table::from_columns(schema, columns), model)
+            } else {
+                let mut model = vec![ModelColumn::new(Vec::new(), Vec::new()); 3];
+                let mut b = Table::builder(schema);
+                for row in &rows {
+                    let cells: Vec<String> = row.iter().map(|v| format!("v{v}")).collect();
+                    for (col, cell) in model.iter_mut().zip(&cells) {
+                        let s = col.intern(cell);
+                        col.data.push(s);
+                    }
+                    b.push_row(&cells);
+                }
+                (b.finish(), model)
+            };
+            check_against_model(&t, &m)?;
+            for &(row, attr, v) in &edits {
+                if t.nrows() == 0 {
+                    break;
+                }
+                let row = row % t.nrows();
+                let (before_t, before_m) = (t.clone(), m.clone());
+                let text = format!("v{v}");
+                t.set_text(row, attr, &text);
+                let col = &mut m[attr as usize];
+                col.data[row] = col.intern(&text);
+                check_against_model(&t, &m)?;
+                prop_assert_eq!(t == before_t, m == before_m);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dictionary repeats a text")]
+    fn from_columns_rejects_a_repeated_text() {
+        let dict = vec!["x".to_owned(), "y".to_owned(), "x".to_owned()];
+        let _ = Table::from_columns(Schema::new(["a"]), vec![(dict, vec![0, 1])]);
     }
 
     #[test]

@@ -791,11 +791,6 @@ impl SessionStore {
             },
         }
     }
-
-    /// The configured idle timeout.
-    pub fn idle_timeout(&self) -> Duration {
-        self.cfg.idle_timeout
-    }
 }
 
 #[cfg(test)]

@@ -127,7 +127,7 @@ echo "==> bench harness compiles + bench_json smoke (quick profile)"
 # bytes first); readiness must not wait on the sessions' rebuilds. And it
 # gates a session's memory: the heap bytes one served Hospital-1000 session
 # keeps at round 300, counted by the binary's allocator, must let at least
-# 2217 such sessions fit in a GiB. The count is deterministic, so the floor
+# 3168 such sessions fit in a GiB. The count is deterministic, so the floor
 # sits just under the recorded value and may only rise.
 cargo build -q --release -p et-bench --benches --bins
 BENCH_OUT="$(mktemp /tmp/et-bench-substrate.XXXXXX.json)"
@@ -147,7 +147,7 @@ if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
   --gate policy_class_vs_candidate_speedup:2 \
   --gate status_encode_cached_vs_full_speedup:2 \
   --gate restart_ready_vs_revive_all_speedup:10 \
-  --gate sessions_per_gib_round300:2217 \
+  --gate sessions_per_gib_round300:3168 \
   || [ ! -s "$BENCH_OUT" ]; then
   echo "FATAL: bench_json failed to produce $BENCH_OUT or a gate failed" >&2
   echo "       (baseline unregenerable, delta rescoring lost to a full rescore," >&2
@@ -164,7 +164,7 @@ if ! ./target/release/bench_json --quick --out "$BENCH_OUT" \
   echo "        the class-keyed policy lost its 2x lead over the per-candidate one," >&2
   echo "        the cached-history status lost its 2x lead over the full encode, or" >&2
   echo "        registering journaled sessions lost its 10x lead over reviving them all," >&2
-  echo "        or a served Hospital-1000 session at round 300 grew past 1 GiB / 2217)" >&2
+  echo "        or a served Hospital-1000 session at round 300 grew past 1 GiB / 3168)" >&2
   exit 1
 fi
 rm -f "$BENCH_OUT"
